@@ -3,14 +3,18 @@
 ``MarketInstance.with_tasks`` throws away the task network and every
 per-driver task map, so consuming an order stream through it rebuilds
 ``O((N + M) · M)`` state on every arrival batch.
-:class:`~repro.market.streaming.StreamingMarketInstance` extends those
-structures by the new columns only — ``O((N + M) · B)`` per batch of ``B``
-tasks — while staying bit-identical to the rebuild.
+:class:`~repro.market.streaming.StreamingMarketInstance` appends per-task
+columns only and, when its task maps are read, extends them by the pending
+columns — ``O((N + M) · B)`` for a reader that looks after every batch of
+``B`` tasks — while staying bit-identical to the rebuild.
 
-This benchmark replays the same day of orders both ways, asserts the final
-states are equivalent (same greedy solution) and that the streaming path is
-measurably sublinear — the whole stream must cost well under half of the
-rebuild path, with the gap widening as the instance grows.  Numbers land in
+This benchmark replays the same day of orders both ways, like for like: each
+arm ends every batch holding a current task network and current task maps
+(the streaming arm reads ``task_maps`` after each append; an append alone
+builds neither).  It asserts the final states are equivalent (same greedy
+solution) and that the streaming path is measurably sublinear — the whole
+stream must cost well under half of the rebuild path, with the gap widening
+as the instance grows.  Numbers land in
 ``benchmarks/results/BENCH_streaming_append.json``.
 """
 
@@ -48,15 +52,18 @@ def test_streaming_append_is_sublinear_vs_rebuild(save_json):
     # Warm up allocator/kernel caches outside the timed region, so the
     # timed comparison measures the algorithms rather than first-touch costs.
     warmup = StreamingMarketInstance(base.drivers, base.cost_model)
-    warmup.append_tasks(batches[0])
-    warmup.append_tasks(batches[1])
+    for batch in batches[:2]:
+        warmup.append_tasks(batch)
+        warmup.task_maps
 
-    # Streaming path: append each arrival batch incrementally.
+    # Streaming path: append each arrival batch, then read the maps (the
+    # read is what extends the network and the maps by the batch).
     stream = StreamingMarketInstance(base.drivers, base.cost_model)
     streaming_s = []
     for batch in batches:
         start = time.perf_counter()
         stream.append_tasks(batch)
+        stream.task_maps
         streaming_s.append(time.perf_counter() - start)
 
     # Rebuild path: what with_tasks forces — a fresh network + task maps per

@@ -63,7 +63,7 @@ def assignment_value(
 def total_revenue(instance: MarketInstance, assignment: Mapping[str, Sequence[int]]) -> float:
     """Total payoff of all served tasks — the "total revenue in the market"
     plotted in Fig. 6 of the paper."""
-    prices = instance.task_network.prices
+    prices = instance.task_columns.prices
     revenue = 0.0
     for path in assignment.values():
         for m in path:
@@ -73,9 +73,9 @@ def total_revenue(instance: MarketInstance, assignment: Mapping[str, Sequence[in
 
 def consumer_surplus(instance: MarketInstance, assignment: Mapping[str, Sequence[int]]) -> float:
     """Total customer surplus ``sum(b_m - p_m)`` over served tasks."""
-    network = instance.task_network
+    columns = instance.task_columns
     surplus = 0.0
     for path in assignment.values():
         for m in path:
-            surplus += float(network.valuations[m] - network.prices[m])
+            surplus += float(columns.valuations[m] - columns.prices[m])
     return surplus

@@ -16,9 +16,11 @@ from .taskmap import (
     SINK_NODE,
     SOURCE_NODE,
     DriverTaskMap,
+    TaskColumns,
     TaskNetwork,
     build_driver_task_map,
     build_driver_task_maps,
+    build_task_columns,
     build_task_network,
 )
 
@@ -31,8 +33,10 @@ __all__ = [
     "StreamingMarketInstance",
     "market_from_trace",
     "tasks_from_trips",
+    "TaskColumns",
     "TaskNetwork",
     "DriverTaskMap",
+    "build_task_columns",
     "build_task_network",
     "build_driver_task_map",
     "build_driver_task_maps",

@@ -21,8 +21,10 @@ from .driver import Driver
 from .task import Task
 from .taskmap import (
     DriverTaskMap,
+    TaskColumns,
     TaskNetwork,
     build_driver_task_maps,
+    build_task_columns,
     build_task_network,
 )
 
@@ -77,9 +79,15 @@ class MarketInstance:
     # derived structures (cached)
     # ------------------------------------------------------------------
     @cached_property
+    def task_columns(self) -> TaskColumns:
+        """The per-task columns (Eq. 1, durations, costs, prices) — all the
+        online algorithms read; ``O(M)`` to build, no leg matrix."""
+        return build_task_columns(self.tasks, self.cost_model)
+
+    @cached_property
     def task_network(self) -> TaskNetwork:
-        """The shared driver-independent task network."""
-        return build_task_network(self.tasks, self.cost_model)
+        """The shared driver-independent task network (columns + arcs)."""
+        return build_task_network(self.tasks, self.cost_model, self.task_columns)
 
     @cached_property
     def task_maps(self) -> Dict[str, DriverTaskMap]:
@@ -94,12 +102,16 @@ class MarketInstance:
         except KeyError:
             raise KeyError(f"unknown driver id {driver_id!r}") from None
 
+    @cached_property
+    def _index_by_task_id(self) -> Dict[str, int]:
+        return {task.task_id: index for index, task in enumerate(self.tasks)}
+
     def task_index(self, task_id: str) -> int:
         """Index of a task by id."""
-        for index, task in enumerate(self.tasks):
-            if task.task_id == task_id:
-                return index
-        raise KeyError(f"unknown task id {task_id!r}")
+        try:
+            return self._index_by_task_id[task_id]
+        except KeyError:
+            raise KeyError(f"unknown task id {task_id!r}") from None
 
     # ------------------------------------------------------------------
     # slicing
@@ -111,8 +123,9 @@ class MarketInstance:
         task network is reused when it has already been built.
         """
         new = MarketInstance(drivers=tuple(drivers), tasks=self.tasks, cost_model=self.cost_model)
-        if "task_network" in self.__dict__:
-            new.__dict__["task_network"] = self.task_network
+        for shared in ("task_columns", "task_network"):
+            if shared in self.__dict__:
+                new.__dict__[shared] = self.__dict__[shared]
         return new
 
     def with_tasks(self, tasks: Iterable[Task]) -> "MarketInstance":

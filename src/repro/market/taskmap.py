@@ -20,11 +20,12 @@ evaluation (1000 tasks, up to 300 drivers):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geo.batch import coord_array
 from .cost import Leg, MarketCostModel
 from .driver import Driver
 from .task import Task
@@ -34,15 +35,24 @@ SOURCE_NODE = "source"
 #: Node label of the driver's virtual destination (the paper's node ``-1``).
 SINK_NODE = "sink"
 
+#: Drivers per fleet-batched leg block.  Chunking the fleet bounds peak memory
+#: at O(chunk x M) while keeping the batched-leg win; 512 drivers x 100k tasks
+#: is ~400 MB transient, versus whole-fleet matrices growing without bound.
+#: The values are chunk-size independent (the batch kernels are elementwise).
+FLEET_CHUNK = 512
+
 
 @dataclass(frozen=True)
-class TaskNetwork:
-    """Driver-independent part of the task maps, shared by all drivers.
+class TaskColumns:
+    """Per-task columns: everything about task ``m`` that involves neither
+    another task nor a driver.
+
+    This is all the *online* algorithms read (does the ride fit its own
+    window, what does it cost to serve), so it is kept apart from the arcs:
+    building it is ``O(M)`` — no leg matrix.
 
     Attributes
     ----------
-    tasks:
-        The market's tasks, in index order (task ``m`` is ``tasks[m]``).
     durations_s:
         ``l̂_m`` — in-task travel time for each task.
     service_costs:
@@ -51,6 +61,63 @@ class TaskNetwork:
         ``p_m`` and ``b_m`` for each task.
     servable:
         Eq. (1): whether the task can be completed within its own window.
+    start_deadlines / end_deadlines:
+        Pickup and drop-off deadlines.
+    sources / destinations:
+        ``(M, 2)`` arrays of ``(lat, lon)`` decimal degrees.
+    """
+
+    durations_s: np.ndarray
+    service_costs: np.ndarray
+    prices: np.ndarray
+    valuations: np.ndarray
+    servable: np.ndarray
+    start_deadlines: np.ndarray
+    end_deadlines: np.ndarray
+    sources: np.ndarray
+    destinations: np.ndarray
+
+    def head(self, count: int) -> "TaskColumns":
+        """Views of the first ``count`` rows of every column."""
+        return TaskColumns(*(getattr(self, name)[:count] for name in COLUMN_NAMES))
+
+
+#: Field names of :class:`TaskColumns`, in declaration order.
+COLUMN_NAMES: Tuple[str, ...] = tuple(f.name for f in fields(TaskColumns))
+
+
+def build_task_columns(tasks: Sequence[Task], cost_model: MarketCostModel) -> TaskColumns:
+    """The :class:`TaskColumns` of a collection of tasks."""
+    durations = np.array([cost_model.task_duration_s(t) for t in tasks], dtype=float)
+    start_deadlines = np.array([t.start_deadline_ts for t in tasks], dtype=float)
+    end_deadlines = np.array([t.end_deadline_ts for t in tasks], dtype=float)
+    return TaskColumns(
+        durations_s=durations,
+        service_costs=np.array([cost_model.task_cost(t) for t in tasks], dtype=float),
+        prices=np.array([t.price for t in tasks], dtype=float),
+        valuations=np.array([t.valuation for t in tasks], dtype=float),
+        # Eq. (1): the ride itself must fit inside the task's own time window.
+        servable=durations <= (end_deadlines - start_deadlines) + 1e-9,
+        start_deadlines=start_deadlines,
+        end_deadlines=end_deadlines,
+        sources=coord_array([t.source for t in tasks]),
+        destinations=coord_array([t.destination for t in tasks]),
+    )
+
+
+@dataclass(frozen=True)
+class TaskNetwork:
+    """Driver-independent part of the task maps, shared by all drivers: the
+    per-task columns plus the task-to-task arcs.
+
+    Attributes
+    ----------
+    tasks:
+        The market's tasks, in index order (task ``m`` is ``tasks[m]``).
+    columns:
+        The per-task :class:`TaskColumns`; ``durations_s`` /
+        ``service_costs`` / ``prices`` / ``valuations`` / ``servable`` are
+        readable directly on the network.
     successors / leg_times / leg_costs:
         For every task ``m``, the tasks ``m'`` reachable after it (the
         driver-independent part of Eq. (3)) with the empty-drive leg time and
@@ -62,11 +129,7 @@ class TaskNetwork:
     """
 
     tasks: Tuple[Task, ...]
-    durations_s: np.ndarray
-    service_costs: np.ndarray
-    prices: np.ndarray
-    valuations: np.ndarray
-    servable: np.ndarray
+    columns: TaskColumns
     successors: Tuple[np.ndarray, ...]
     leg_times: Tuple[np.ndarray, ...]
     leg_costs: Tuple[np.ndarray, ...]
@@ -75,6 +138,26 @@ class TaskNetwork:
     @property
     def task_count(self) -> int:
         return len(self.tasks)
+
+    @property
+    def durations_s(self) -> np.ndarray:
+        return self.columns.durations_s
+
+    @property
+    def service_costs(self) -> np.ndarray:
+        return self.columns.service_costs
+
+    @property
+    def prices(self) -> np.ndarray:
+        return self.columns.prices
+
+    @property
+    def valuations(self) -> np.ndarray:
+        return self.columns.valuations
+
+    @property
+    def servable(self) -> np.ndarray:
+        return self.columns.servable
 
     def arc_count(self) -> int:
         """Number of driver-independent task-to-task arcs."""
@@ -93,42 +176,35 @@ class TaskNetwork:
 def build_task_network(
     tasks: Sequence[Task],
     cost_model: MarketCostModel,
+    columns: Optional[TaskColumns] = None,
 ) -> TaskNetwork:
-    """Build the shared :class:`TaskNetwork` for a collection of tasks."""
+    """Build the shared :class:`TaskNetwork` for a collection of tasks.
+
+    ``columns`` are the tasks' :class:`TaskColumns` when the caller already
+    holds them (they are shared, not copied); built here otherwise.
+    """
     task_tuple = tuple(tasks)
     count = len(task_tuple)
+    if columns is None:
+        columns = build_task_columns(task_tuple, cost_model)
     if count == 0:
-        empty = np.zeros(0)
         return TaskNetwork(
             tasks=task_tuple,
-            durations_s=empty,
-            service_costs=empty,
-            prices=empty,
-            valuations=empty,
-            servable=np.zeros(0, dtype=bool),
-            successors=tuple(),
-            leg_times=tuple(),
-            leg_costs=tuple(),
+            columns=columns,
+            successors=(),
+            leg_times=(),
+            leg_costs=(),
             topo_order=np.zeros(0, dtype=int),
         )
-
-    durations = np.array([cost_model.task_duration_s(t) for t in task_tuple])
-    service_costs = np.array([cost_model.task_cost(t) for t in task_tuple])
-    prices = np.array([t.price for t in task_tuple])
-    valuations = np.array([t.valuation for t in task_tuple])
-    start_deadlines = np.array([t.start_deadline_ts for t in task_tuple])
-    end_deadlines = np.array([t.end_deadline_ts for t in task_tuple])
-
-    # Eq. (1): the ride itself must fit inside the task's own time window.
-    servable = durations <= (end_deadlines - start_deadlines) + 1e-9
+    servable = columns.servable
 
     # Driver-independent part of Eq. (3): destination of m can reach the
     # source of m' before m's drop-off deadline turns into m''s pickup
     # deadline.
-    destinations = [t.destination for t in task_tuple]
-    sources = [t.source for t in task_tuple]
-    leg_time_matrix, leg_cost_matrix = cost_model.pairwise_leg_matrix(destinations, sources)
-    slack = start_deadlines[None, :] - end_deadlines[:, None]
+    leg_time_matrix, leg_cost_matrix = cost_model.pairwise_leg_matrix(
+        columns.destinations, columns.sources
+    )
+    slack = columns.start_deadlines[None, :] - columns.end_deadlines[:, None]
     connectable = leg_time_matrix <= slack + 1e-9
     np.fill_diagonal(connectable, False)
     connectable &= servable[None, :]
@@ -145,15 +221,11 @@ def build_task_network(
 
     return TaskNetwork(
         tasks=task_tuple,
-        durations_s=durations,
-        service_costs=service_costs,
-        prices=prices,
-        valuations=valuations,
-        servable=servable,
+        columns=columns,
         successors=tuple(successors),
         leg_times=tuple(leg_times),
         leg_costs=tuple(leg_costs),
-        topo_order=np.argsort(start_deadlines, kind="stable"),
+        topo_order=np.argsort(columns.start_deadlines, kind="stable"),
     )
 
 
@@ -324,17 +396,13 @@ def build_driver_task_map(
             direct_leg=direct_leg,
         )
 
-    sources = [t.source for t in network.tasks]
-    destinations = [t.destination for t in network.tasks]
-    start_deadlines = np.array([t.start_deadline_ts for t in network.tasks])
-    end_deadlines = np.array([t.end_deadline_ts for t in network.tasks])
-
-    source_times, source_costs = cost_model.legs_from_point(driver.source, sources)
-    sink_times, sink_costs = cost_model.legs_to_point(destinations, driver.destination)
+    columns = network.columns
+    source_times, source_costs = cost_model.legs_from_point(driver.source, columns.sources)
+    sink_times, sink_costs = cost_model.legs_to_point(columns.destinations, driver.destination)
 
     # Eq. (2)/(3) driver-dependent conditions.
-    exit_ok = network.servable & (sink_times <= (driver.end_ts - end_deadlines) + 1e-9)
-    entry_ok = exit_ok & (source_times <= (start_deadlines - driver.start_ts) + 1e-9)
+    exit_ok = columns.servable & (sink_times <= (driver.end_ts - columns.end_deadlines) + 1e-9)
+    entry_ok = exit_ok & (source_times <= (columns.start_deadlines - driver.start_ts) + 1e-9)
 
     return DriverTaskMap(
         driver=driver,
@@ -374,23 +442,17 @@ def build_driver_task_maps(
             d.driver_id: build_driver_task_map(d, network, cost_model) for d in fleet
         }
 
-    sources = [t.source for t in network.tasks]
-    destinations = [t.destination for t in network.tasks]
-    start_deadlines = np.array([t.start_deadline_ts for t in network.tasks])
-    end_deadlines = np.array([t.end_deadline_ts for t in network.tasks])
+    columns = network.columns
+    start_deadlines, end_deadlines = columns.start_deadlines, columns.end_deadlines
 
-    # Chunking the fleet bounds peak memory at O(chunk x M) while keeping
-    # the batched-leg win; 512 drivers x 100k tasks is ~400 MB transient,
-    # versus the whole-fleet matrices growing without bound.
-    chunk_size = 512
     maps: Dict[str, DriverTaskMap] = {}
-    for lo in range(0, len(fleet), chunk_size):
-        chunk = fleet[lo : lo + chunk_size]
+    for lo in range(0, len(fleet), FLEET_CHUNK):
+        chunk = fleet[lo : lo + FLEET_CHUNK]
         source_times, source_costs = cost_model.pairwise_leg_matrix(
-            [d.source for d in chunk], sources
+            [d.source for d in chunk], columns.sources
         )  # (chunk, M)
         sink_times, sink_costs = cost_model.pairwise_leg_matrix(
-            destinations, [d.destination for d in chunk]
+            columns.destinations, [d.destination for d in chunk]
         )  # (M, chunk)
         for j, driver in enumerate(chunk):
             src_t = np.ascontiguousarray(source_times[j])

@@ -499,7 +499,7 @@ class BatchedSimulator:
         return assigned, expired
 
     def _commit(self, choice: Candidate, task_index: int, task: Task) -> None:
-        service_cost = float(self.instance.task_network.service_costs[task_index])
+        service_cost = float(self.instance.task_columns.service_costs[task_index])
         profit_delta = task.price - service_cost - choice.approach_cost
         choice.state.assign(
             task_index=task_index,

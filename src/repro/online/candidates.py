@@ -275,8 +275,8 @@ class CandidateKernel:
         """Feasible candidates for one task, in driver order."""
         if not self.vectorized:
             return self.candidates_for_scalar(task_index, task, now_ts)
-        network = self.instance.task_network
-        if not network.servable[task_index]:
+        columns = self.instance.task_columns
+        if not columns.servable[task_index]:
             return []
         sdl = task.start_deadline_ts
         if now_ts > sdl:
@@ -286,8 +286,8 @@ class CandidateKernel:
         if self.use_recorded_duration:
             ride_duration = task.ride_window_s
         else:
-            ride_duration = float(network.durations_s[task_index])
-        service_cost = float(network.service_costs[task_index])
+            ride_duration = float(columns.durations_s[task_index])
+        service_cost = float(columns.service_costs[task_index])
 
         slots = self._prefilter_slots(task, now_ts)
         if slots.size == 0:
@@ -385,8 +385,8 @@ class CandidateKernel:
                     out[m] = candidates
             return out
 
-        network = self.instance.task_network
-        live = [m for m in task_indices if network.servable[m]]
+        columns = self.instance.task_columns
+        live = [m for m in task_indices if columns.servable[m]]
         if not live or not self._states:
             return {}
         tasks = [self.instance.tasks[m] for m in live]
@@ -403,8 +403,8 @@ class CandidateKernel:
         if self.use_recorded_duration:
             ride_durations = np.array([t.ride_window_s for t in tasks], dtype=float)
         else:
-            ride_durations = network.durations_s[idx].astype(float)
-        service_costs = network.service_costs[idx].astype(float)
+            ride_durations = columns.durations_s[idx].astype(float)
+        service_costs = columns.service_costs[idx].astype(float)
 
         depart = np.maximum(self._free_at[slots], self._driver_start[slots])
         depart = np.maximum(depart, now_ts)  # (D',)
@@ -490,14 +490,14 @@ class CandidateKernel:
     ) -> List[Candidate]:
         """The original per-driver Python loop, kept as the reference
         implementation (and the fallback for ``vectorized=False``)."""
-        network = self.instance.task_network
-        if not network.servable[task_index]:
+        columns = self.instance.task_columns
+        if not columns.servable[task_index]:
             return []
         if self.use_recorded_duration:
             ride_duration = task.ride_window_s
         else:
-            ride_duration = float(network.durations_s[task_index])
-        service_cost = float(network.service_costs[task_index])
+            ride_duration = float(columns.durations_s[task_index])
+        service_cost = float(columns.service_costs[task_index])
 
         candidates: List[Candidate] = []
         for state in self._states:

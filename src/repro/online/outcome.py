@@ -85,7 +85,7 @@ class OnlineOutcome:
 
     @property
     def total_revenue(self) -> float:
-        prices = self.instance.task_network.prices
+        prices = self.instance.task_columns.prices
         return float(sum(prices[m] for m in self.served_tasks()))
 
     @property

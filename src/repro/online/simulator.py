@@ -152,8 +152,7 @@ class OnlineSimulator:
         return indexed
 
     def _commit(self, choice: Candidate, task_index: int, task: Task) -> None:
-        network = self.instance.task_network
-        service_cost = float(network.service_costs[task_index])
+        service_cost = float(self.instance.task_columns.service_costs[task_index])
         profit_delta = task.price - service_cost - choice.approach_cost
         choice.state.assign(
             task_index=task_index,

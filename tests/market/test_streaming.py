@@ -1,9 +1,9 @@
 """Equivalence tests for the streaming market instance.
 
 The contract of :class:`~repro.market.streaming.StreamingMarketInstance` is
-strict: after any sequence of ``append_tasks`` batches, the incrementally
-maintained task network and per-driver task maps must be **bit-identical**
-(``np.array_equal``, not approx) to a from-scratch
+strict: after any sequence of ``append_tasks`` batches and whenever it is
+read, the task network and per-driver task maps it hands out must be
+**bit-identical** (``np.array_equal``, not approx) to a from-scratch
 :class:`~repro.market.instance.MarketInstance` over the same drivers and
 tasks, and every solver must produce the same solution on either.
 """
@@ -13,9 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.market import MarketInstance, StreamingMarketInstance
+from repro.market import MarketCostModel, MarketInstance, StreamingMarketInstance
+from repro.market.taskmap import COLUMN_NAMES
 from repro.offline import greedy_assignment
-from repro.online import MaxMarginDispatcher, run_online
+from repro.online import (
+    BatchConfig,
+    BatchedSimulator,
+    MaxMarginDispatcher,
+    run_online,
+    window_batches,
+)
 
 from ..conftest import build_random_instance
 
@@ -32,6 +39,10 @@ MAP_ARRAYS = (
 
 def assert_equivalent(stream: StreamingMarketInstance, reference: MarketInstance) -> None:
     """Every derived structure of ``stream`` matches ``reference`` bit for bit."""
+    for name in COLUMN_NAMES:
+        assert np.array_equal(
+            getattr(stream.task_columns, name), getattr(reference.task_columns, name)
+        ), name
     net_a, net_b = stream.task_network, reference.task_network
     assert net_a.tasks == net_b.tasks
     for name in NETWORK_ARRAYS:
@@ -97,6 +108,100 @@ class TestIncrementalEquivalence:
             stream.append_tasks(tasks[lo:hi])
         assert_equivalent(stream, instance)
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        schedule=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.sampled_from(["nothing", "task_maps", "successors", "snapshot"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_any_read_schedule_is_equivalent(self, schedule):
+        """Catch-up from an arbitrary watermark: appends interleaved with
+        reads at arbitrary points match a rebuild at every read and at the
+        end."""
+        instance = build_random_instance(task_count=40, driver_count=8, seed=17)
+        tasks = list(instance.tasks)
+        stream = StreamingMarketInstance(instance.drivers, instance.cost_model)
+        cursor = 0
+        for size, read in [*schedule, (len(tasks), "nothing")]:
+            stream.append_tasks(tasks[cursor : cursor + size])
+            cursor = min(cursor + size, len(tasks))
+            if read == "nothing":
+                continue
+            if read == "task_maps":
+                assert all(m.task_count == cursor for m in stream.task_maps.values())
+            elif read == "successors":
+                assert len(stream.task_network.successors) == cursor
+            else:
+                assert stream.snapshot().task_count == cursor
+            assert stream.materialised_count == cursor
+            assert_equivalent(stream, stream.rebuild())
+        assert_equivalent(stream, instance)
+
+
+class CountingCostModel(MarketCostModel):
+    """Records the shape of every ``pairwise_leg_matrix`` call."""
+
+    def __init__(self, travel_model=None):
+        super().__init__(travel_model)
+        self.blocks = []
+
+    def pairwise_leg_matrix(self, origins, destinations):
+        self.blocks.append((len(origins), len(destinations)))
+        return super().pairwise_leg_matrix(origins, destinations)
+
+
+class TestMaterialisedOnRead:
+    def test_dispatch_stream_builds_no_leg_block(self):
+        """A whole ``run_stream`` reads columns only; the first ``task_maps``
+        read afterwards is one catch-up over every task."""
+        instance = build_random_instance(task_count=120, driver_count=10, seed=41)
+        cost_model = CountingCostModel(instance.cost_model.travel_model)
+        batches = window_batches(instance.tasks, 30.0)
+        assert len(batches) >= 50
+        stream = StreamingMarketInstance(instance.drivers, cost_model)
+        outcome = BatchedSimulator(stream, BatchConfig(window_s=30.0)).run_stream(batches)
+        assert outcome.served_count > 0
+        assert cost_model.blocks == []
+        assert stream.materialised_count == 0
+
+        count, fleet = stream.task_count, stream.driver_count
+        assert len(stream.task_maps) == fleet
+        # new -> all for the network, source and sink legs for the one fleet chunk.
+        assert cost_model.blocks == [(count, count), (fleet, count), (count, fleet)]
+        assert stream.materialised_count == count
+        assert stream.snapshot().task_network is stream.task_network
+        assert len(cost_model.blocks) == 3  # nothing pending: reads are free
+
+    @pytest.mark.parametrize("run", [
+        lambda instance: run_online(instance, MaxMarginDispatcher()),
+        lambda instance: BatchedSimulator(instance, BatchConfig(window_s=60.0)).run(),
+    ])
+    def test_online_runs_leave_a_plain_instance_without_a_network(self, run):
+        instance = build_random_instance(task_count=30, driver_count=6, seed=13)
+        outcome = run(instance)
+        assert outcome.total_revenue >= 0.0
+        assert "task_columns" in instance.__dict__
+        assert "task_network" not in instance.__dict__
+        assert "task_maps" not in instance.__dict__
+
+    def test_column_views_survive_a_capacity_doubling(self):
+        instance = build_random_instance(task_count=201, driver_count=3, seed=23)
+        tasks = list(instance.tasks)
+        stream = StreamingMarketInstance(instance.drivers, instance.cost_model)
+        stream.append_tasks(tasks[:1])
+        early = stream.task_columns
+        kept = {name: getattr(early, name).copy() for name in COLUMN_NAMES}
+        stream.append_tasks(tasks[1:])
+        assert len(stream.task_columns.servable) == 201
+        for name in COLUMN_NAMES:
+            assert np.array_equal(getattr(early, name), kept[name]), name
+            assert np.array_equal(getattr(stream.task_columns, name)[:1], kept[name]), name
+        assert_equivalent(stream, instance)
+
 
 class TestStreamingApi:
     def test_read_api_mirrors_market_instance(self, base_instance):
@@ -147,7 +252,8 @@ class TestStreamingApi:
             driver_id: set(task_map.entry_tasks().tolist())
             for driver_id, task_map in stream.task_maps.items()
         }
-        affected = set(stream.append_tasks(tasks[30:]))
+        stream.append_tasks(tasks[30:])
+        affected = set(stream.drivers_gaining_entry(30))
         for driver_id, task_map in stream.task_maps.items():
             gained = set(task_map.entry_tasks().tolist()) - before[driver_id]
             assert (len(gained) > 0) == (driver_id in affected)
