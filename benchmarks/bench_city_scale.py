@@ -125,7 +125,8 @@ def _run_city(instance, partitioner, workers: int, rounds: int):
             max_workers=workers, transport=transport,
         ) as coordinator:
             result, wall_s = _timed(
-                lambda: coordinator.solve(instance, reuse_pool=True), rounds
+                lambda: coordinator.solve(instance, pool=coordinator.stream_pool()),
+                rounds,
             )
             stream, stream_s = _timed(
                 lambda: coordinator.solve_stream(

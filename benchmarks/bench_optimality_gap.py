@@ -76,8 +76,6 @@ def _gap_record(spec, pools) -> dict:
                 ).solve(instance, pool=pool)
             )
         )
-    # The fork path (no pool) must agree with the warm-pool path.
-    lp_prints.append(_fingerprint(DistributedCoordinator(partitioner, "lp").solve(instance)))
 
     report = lp_result.report
     assert report.bounds_reported

@@ -6,8 +6,8 @@ comparison the suite produces:
 * **compile determinism** — compiling a spec twice yields byte-identical
   artifacts (``CompiledScenario.checksum``), per built-in scenario;
 * **offline parity** — ``solve()`` of the compiled instance is bit-identical
-  across the serial / thread / process policies on warm pools *and* the
-  fork path, per scenario;
+  across the serial / thread / process policies on warm pools, per
+  scenario;
 * **stream parity** — ``solve_stream()`` over the compiled arrival batches
   is bit-identical across the same three pool policies, and equal to the
   offline ``BatchedSimulator.run`` replay of the full task set (the
@@ -74,12 +74,6 @@ def _verify_scenario(spec, pools) -> dict:
         offline_prints.append(
             _solution_fingerprint(coordinator.solve(instance, pool=pool).solution)
         )
-    # The fork path (no pool) must agree too.
-    offline_prints.append(
-        _solution_fingerprint(
-            DistributedCoordinator(partitioner, "greedy").solve(instance).solution
-        )
-    )
     offline_parity = all(p == offline_prints[0] for p in offline_prints)
 
     batches = compiled.arrival_batches()

@@ -81,7 +81,7 @@ def run_festival(spec: ScenarioSpec) -> None:
 
     partitioner = SpatialPartitioner(spec.region, 2, 2)
     with DistributedCoordinator(partitioner, "greedy", executor="process") as coordinator:
-        offline = coordinator.solve(compiled.instance, reuse_pool=True)
+        offline = coordinator.solve(compiled.instance, pool=coordinator.stream_pool())
         print(
             f"offline-greedy : serve {offline.solution.serve_rate:.3f}, "
             f"value {offline.solution.total_value:.1f}, "

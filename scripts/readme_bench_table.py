@@ -32,7 +32,6 @@ END = "<!-- bench-table:end -->"
 SMOKE_NAMES = (
     "BENCH_distributed_smoke",
     "BENCH_streaming_smoke",
-    "BENCH_offline_pool_smoke",
     "BENCH_scenarios_smoke",
     "BENCH_service_soak_smoke",
     "BENCH_city_scale_smoke",
@@ -87,19 +86,6 @@ def _row_streaming_shards(d: dict) -> list[str]:
         f"{d['shard_count']} shards, {d['batch_count']} windows",
         f"{_parity(d['solution_parity'])} at {widths} workers, critical-path "
         f"speedup **{best_cp:.1f}×**, serial stream {d['wall_serial_s']:.2f}s",
-    ]
-
-
-def _row_offline_pool(d: dict) -> list[str]:
-    balance = d["load_balance"]
-    return [
-        "`BENCH_offline_pool.json` — offline re-solves on the warm pool",
-        f"{d['task_count']} tasks, {d['driver_count']} drivers, "
-        f"{d['shard_count']} shards, {d['rounds']}× re-solve",
-        f"{_parity(d['solution_parity'])} (pool == fork), warm-pool speedup "
-        f"**{d['warm_pool_speedup']:.2f}×**, max/mean shard load "
-        f"{balance['max_over_mean_grid']:.2f} → "
-        f"**{balance['max_over_mean_presplit']:.2f}** after load-aware pre-split",
     ]
 
 
@@ -225,7 +211,6 @@ ROW_BUILDERS = {
     "BENCH_distributed_scaling": _row_distributed_scaling,
     "BENCH_streaming_append": _row_streaming_append,
     "BENCH_streaming_shards": _row_streaming_shards,
-    "BENCH_offline_pool": _row_offline_pool,
     "BENCH_scenarios": _row_scenarios,
     "BENCH_service_soak": _row_service_soak,
     "BENCH_city_scale": _row_city_scale,

@@ -325,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the process executor; outcomes are transport-independent)",
     )
     serve.add_argument(
-        "--backend", default=None,
-        help="compute backend for pool workers (e.g. 'numpy', 'numba'; "
-        "default: numpy)",
-    )
-    serve.add_argument(
         "--grid", default="2x2", metavar="RxC", help="shard grid per city"
     )
     serve.add_argument(
@@ -729,7 +724,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         workers=args.workers,
         transport=args.transport,
-        backend=args.backend,
         backpressure_depth=args.backpressure,
         max_batch=args.max_batch,
         seed=args.seed,

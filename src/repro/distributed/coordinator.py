@@ -11,32 +11,35 @@ that loss is exactly what the partitioning ablation benchmark measures.
 Choosing an executor
 --------------------
 
-Shard solving is embarrassingly parallel, but the right executor depends on
-where the time actually goes:
+Every shard solve is one :func:`solve_shard` call on a slot of a
+:class:`~repro.distributed.pool.PersistentWorkerPool`; the executor policy
+only decides what a slot is.  The right one depends on where the time goes:
 
 ``serial`` (default)
-    Solve shards in-process, one after another.  Zero overhead, fully
-    deterministic, the right choice for small instances, for tests and for
-    debugging — and the reference every other policy must reproduce
-    bit-identically.
+    One inline slot: shards are solved in-process, one after another.  Zero
+    overhead, fully deterministic, the right choice for small instances, for
+    tests and for debugging — and the reference every other policy must
+    reproduce bit-identically.
 
 ``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` fan-out.  Threads share
-    the interpreter, so pure-Python solver time stays GIL-bound; the win is
-    limited to the NumPy kernels (leg matrices, candidate masks) that release
-    the GIL.  Cheap to start, shares memory, good for a handful of shards
-    whose cost is dominated by vectorised work.
+    Single-thread slots.  Threads share the interpreter, so pure-Python
+    solver time stays GIL-bound; the win is limited to the NumPy kernels
+    (leg matrices, candidate masks) that release the GIL.  Cheap to start,
+    shares memory, good for a handful of shards whose cost is dominated by
+    vectorised work.
 
 ``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` fan-out.  Each shard
-    is flattened into an array-backed :class:`~repro.distributed.payload.ShardPayload`
-    (primal inputs only — never the object graph or cached task maps), the
-    worker rebuilds the sub-instance and solves it with its own interpreter,
-    so the whole solve — task-network construction, task maps, greedy /
-    simulator — parallelises across cores.  This is the policy that makes
-    city-scale instances scale with the machine; it pays a per-worker fork
-    and a per-shard pickle, so it only wins when per-shard solve time
-    dominates (hundreds of tasks per shard, or many shards).
+    Single-process slots.  Each shard is flattened into an array-backed
+    :class:`~repro.distributed.payload.ShardPayload` (primal inputs only —
+    never the object graph or cached task maps; pickled, or shipped through
+    shared memory under ``transport="shm"``), the worker rebuilds the
+    sub-instance and solves it with its own interpreter, so the whole solve
+    — task-network construction, task maps, greedy / simulator —
+    parallelises across cores.  This is the policy that makes city-scale
+    instances scale with the machine; it pays a per-worker fork and a
+    per-shard shipment, so it only wins when per-shard solve time dominates
+    (hundreds of tasks per shard, or many shards) — and re-solve-heavy
+    callers should pass one warm ``pool=`` to every ``solve``.
 
 Choosing a shard count
 ----------------------
@@ -83,13 +86,14 @@ to a from-start stream over the final (post-rebalance) regions.
 Offline solves on the same pool
 -------------------------------
 
-The pool is not streaming-only: :meth:`DistributedCoordinator.solve` accepts
-``pool=`` (or ``reuse_pool=True``) and dispatches its per-shard
-``ShardWorkRequest``s onto the same slot executors instead of forking a fresh
-``ProcessPoolExecutor`` per call.  Re-solve-heavy offline workloads — the
-partitioning ablation, figure sweeps, repeated what-if solves — pay worker
-startup once per pool instead of once per solve, with a bit-identical merge
-(pool == fork, under every executor policy).  Pair it with a
+The pool is not streaming-only: it is the one way
+:meth:`DistributedCoordinator.solve` fans shards out.  Given ``pool=`` (a
+shared pool, or the coordinator's own via ``pool=coordinator.stream_pool()``)
+the per-shard ``ShardWorkRequest``s go onto its warm slots, so re-solve-heavy
+offline workloads — the partitioning ablation, figure sweeps, repeated
+what-if solves — pay worker startup once per pool; given none, the solve
+opens a pool of the configured executor / width / transport for the one call
+and closes it.  Pair it with a
 :class:`~repro.distributed.partition.LoadAwarePartitioner` to feed one
 solve's per-shard load report (``CoordinatorReport.per_shard_task_counts`` /
 ``DistributedStreamResult.regions``) back into the next solve's partition.
@@ -100,9 +104,8 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.objectives import Objective
 from ..obs import trace as obs_trace
@@ -148,7 +151,6 @@ from .pool import (
 from .transport import (
     TRANSPORTS,
     PayloadDescriptor,
-    TransportStats,
     payload_from_descriptor,
     payload_wire_bytes,
     transport_error,
@@ -246,141 +248,13 @@ def _worker_recorder(request: ShardWorkRequest, shard_id: int):
     return recorder, previous
 
 
-def solve_shard(shard: MarketShard, request: ShardWorkRequest) -> ShardWorkResult:
-    """Run the requested solver on one shard (the in-process worker entry)."""
-    if request.solver_name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
-    recorder, previous = _worker_recorder(request, shard.spec.shard_id)
-    try:
-        with Stopwatch() as watch:
-            if shard.task_count == 0 or shard.driver_count == 0:
-                assignment: Dict[str, Tuple[int, ...]] = {}
-                driver_profits: Dict[str, float] = {}
-                total_value = 0.0
-                served = 0
-                bounds = (
-                    ShardBounds.zero()
-                    if request.solver_name in EXACT_SOLVER_NAMES
-                    else None
-                )
-            else:
-                assignment, driver_profits, total_value, served, bounds = _solve_instance(
-                    shard.instance, request
-                )
-    finally:
-        if recorder is not None:
-            obs_trace.install_recorder(previous)
+def _empty_shard_result(shard_id: int, request: ShardWorkRequest) -> ShardWorkResult:
+    """The (trivial) result of a degenerate shard — no tasks or no drivers.
+
+    The coordinator synthesises it in-line, so no future is ever submitted
+    for such a shard."""
     return ShardWorkResult(
-        shard_id=shard.spec.shard_id,
-        solver_name=request.solver_name,
-        assignment=assignment,
-        driver_profits=driver_profits,
-        total_value=total_value,
-        served_count=served,
-        elapsed_s=watch.elapsed_s,
-        bounds=bounds,
-        spans=recorder.export() if recorder is not None else (),
-    )
-
-
-def solve_shard_payload(
-    payload: ShardPayload,
-    request: ShardWorkRequest,
-    _recorder_state: Optional[tuple] = None,
-) -> ShardWorkResult:
-    """Process-pool worker entry: rebuild the sub-instance from its
-    array-backed payload and solve it.
-
-    Top-level (picklable by reference) on purpose; produces exactly the same
-    result as :func:`solve_shard` on the shard the payload was built from.
-    ``_recorder_state`` lets :func:`solve_shard_shm` hand over a recorder it
-    already installed (so the shm attach span precedes the rebuild span in
-    the same trace).
-    """
-    if request.solver_name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
-    if _recorder_state is not None:
-        recorder, previous = _recorder_state
-    else:
-        recorder, previous = _worker_recorder(request, payload.shard_id)
-    try:
-        with Stopwatch() as watch:
-            with obs_trace.span("rebuild"):
-                instance = instance_from_payload(payload)
-            assignment, driver_profits, total_value, served, bounds = _solve_instance(
-                instance, request
-            )
-    finally:
-        if recorder is not None:
-            obs_trace.install_recorder(previous)
-    return ShardWorkResult(
-        shard_id=payload.shard_id,
-        solver_name=request.solver_name,
-        assignment=assignment,
-        driver_profits=driver_profits,
-        total_value=total_value,
-        served_count=served,
-        elapsed_s=watch.elapsed_s,
-        bounds=bounds,
-        spans=recorder.export() if recorder is not None else (),
-    )
-
-
-def solve_shard_shm(desc: PayloadDescriptor, request: ShardWorkRequest) -> ShardWorkResult:
-    """Shm-transport twin of :func:`solve_shard_payload`: the payload's
-    columns are read from the shared-memory segment the descriptor names
-    instead of the pickled call arguments.
-
-    ``instance_from_payload`` materialises plain driver/task objects before
-    any solving happens, so no view over the segment outlives this call and
-    the coordinator is free to recycle the segment once the future resolves.
-    """
-    recorder, previous = _worker_recorder(request, desc.shard_id)
-    try:
-        # Attach span records on the worker recorder installed just above.
-        payload = payload_from_descriptor(desc)
-    except BaseException:
-        if recorder is not None:
-            obs_trace.install_recorder(previous)
-        raise
-    return solve_shard_payload(payload, request, _recorder_state=(recorder, previous))
-
-
-def _submit_payload(
-    pool: PersistentWorkerPool, slot: int, payload: ShardPayload, request: ShardWorkRequest
-):
-    """Submit one offline shard solve over the pool's transport.
-
-    Mirrors ``PersistentWorkerPool.submit_append``: on shm transport only a
-    descriptor is pickled and the segment is recycled when the future
-    completes; any shipping failure falls back to the pickled payload for
-    that shard (counted in ``stats.pickle_fallbacks``).
-    """
-    if pool.shm_active:
-        try:
-            desc = pool.shipper.ship_payload(payload)
-        except (OSError, RuntimeError, ValueError) as exc:
-            logger.warning(
-                "shm shipment failed for shard %d, falling back to pickle: %s",
-                payload.shard_id, exc,
-            )
-            pool.stats.record_pickle(
-                payload.shard_id, payload_wire_bytes(payload), fallback=True
-            )
-            return pool.submit(slot, solve_shard_payload, payload, request)
-        future = pool.submit(slot, solve_shard_shm, desc, request)
-        future.add_done_callback(lambda _f: pool.shipper.release(desc.segment))
-        return future
-    if pool.executor == "process":
-        pool.stats.record_pickle(payload.shard_id, payload_wire_bytes(payload))
-    return pool.submit(slot, solve_shard_payload, payload, request)
-
-
-def _empty_shard_result(shard: MarketShard, request: ShardWorkRequest) -> ShardWorkResult:
-    """The (trivial) result of a degenerate shard, synthesised in-line by the
-    coordinator so no future is ever submitted for it."""
-    return ShardWorkResult(
-        shard_id=shard.spec.shard_id,
+        shard_id=shard_id,
         solver_name=request.solver_name,
         assignment={},
         driver_profits={},
@@ -393,6 +267,97 @@ def _empty_shard_result(shard: MarketShard, request: ShardWorkRequest) -> ShardW
             else None
         ),
     )
+
+
+def solve_shard(
+    shipment: Union[MarketShard, ShardPayload, PayloadDescriptor],
+    request: ShardWorkRequest,
+) -> ShardWorkResult:
+    """The worker entry: run the requested solver on one shard, however it
+    was shipped.
+
+    A :class:`MarketShard` (serial/thread slots share the coordinator's
+    interpreter) is solved on its own sub-instance; a :class:`ShardPayload`
+    (pickle transport) is rebuilt first; a :class:`PayloadDescriptor` (shm
+    transport) names the shared-memory segment the payload's columns are
+    read from.  ``instance_from_payload`` materialises plain driver/task
+    objects before any solving happens, so no view over a segment outlives
+    this call and the coordinator is free to recycle it once the future
+    resolves.  All three produce the same result for the same shard.
+
+    Top-level (picklable by reference) on purpose.
+    """
+    if request.solver_name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
+    if isinstance(shipment, MarketShard):
+        shard_id = shipment.spec.shard_id
+        if shipment.task_count == 0 or shipment.driver_count == 0:
+            return _empty_shard_result(shard_id, request)
+    else:
+        shard_id = shipment.shard_id
+    recorder, previous = _worker_recorder(request, shard_id)
+    try:
+        if isinstance(shipment, PayloadDescriptor):
+            # The attach span records on the worker recorder installed above.
+            shipment = payload_from_descriptor(shipment)
+        with Stopwatch() as watch:
+            if isinstance(shipment, MarketShard):
+                instance = shipment.instance
+            else:
+                with obs_trace.span("rebuild"):
+                    instance = instance_from_payload(shipment)
+            assignment, driver_profits, total_value, served, bounds = _solve_instance(
+                instance, request
+            )
+    finally:
+        if recorder is not None:
+            obs_trace.install_recorder(previous)
+    return ShardWorkResult(
+        shard_id=shard_id,
+        solver_name=request.solver_name,
+        assignment=assignment,
+        driver_profits=driver_profits,
+        total_value=total_value,
+        served_count=served,
+        elapsed_s=watch.elapsed_s,
+        bounds=bounds,
+        spans=recorder.export() if recorder is not None else (),
+    )
+
+
+def _submit_shard(
+    pool: PersistentWorkerPool, slot: int, shard: MarketShard, request: ShardWorkRequest
+):
+    """Submit one offline shard solve over the pool's transport.
+
+    Serial/thread slots share this interpreter and take the shard itself;
+    a process slot is shipped the shard's array-backed payload.  Mirrors
+    ``PersistentWorkerPool.submit_append``: on shm transport only a
+    descriptor is pickled and the segment is recycled when the future
+    completes; any shipping failure falls back to the pickled payload for
+    that shard (counted in ``stats.pickle_fallbacks``).
+    """
+    if pool.executor != "process":
+        return pool.submit(slot, solve_shard, shard, request)
+    payload = payload_from_shard(shard)
+    fallback = False
+    if pool.shm_active:
+        try:
+            desc = pool.shipper.ship_payload(payload)
+        except (OSError, RuntimeError, ValueError) as exc:
+            logger.warning(
+                "shm shipment failed for shard %d, falling back to pickle: %s",
+                payload.shard_id, exc,
+            )
+            fallback = True
+        else:
+            future = pool.submit(slot, solve_shard, desc, request)
+            future.add_done_callback(lambda _f: pool.shipper.release(desc.segment))
+            return future
+    pool.stats.record_pickle(
+        payload.shard_id, payload_wire_bytes(payload), fallback=fallback
+    )
+    return pool.submit(slot, solve_shard, payload, request)
 
 
 @dataclass(frozen=True)
@@ -634,14 +599,15 @@ class DistributedStreamSession:
         original error is re-raised, with worker deaths named per shard.
         """
         import asyncio
-        from concurrent.futures import Future as _CFuture
 
         inflight, self._inflight = self._inflight, []
         try:
             for pending in inflight:
                 future = pending.future
-                raw = getattr(future, "raw", future)
-                if isinstance(raw, _CFuture) and not raw.done():
+                # Slot futures expose the executor's own future; the serial
+                # policy's immediate futures are already done.
+                raw = getattr(future, "raw", None)
+                if raw is not None and not raw.done():
                     try:
                         await asyncio.wrap_future(raw)
                     except Exception:
@@ -1010,13 +976,8 @@ class DistributedCoordinator:
         surfaced as ``CoordinatorReport.per_shard_bounds`` and the
         ``optimality_gap`` aggregates.
     executor:
-        Fan-out policy: ``"serial"``, ``"thread"`` or ``"process"`` (see the
-        module docstring for how to choose).  Defaults to ``"serial"`` unless
-        the legacy ``parallel=True`` flag selects ``"thread"``.
-    parallel:
-        Deprecated alias kept for backwards compatibility: ``parallel=True``
-        is the old thread-pool mode and is equivalent to
-        ``executor="thread"``.
+        Fan-out policy: ``"serial"`` (default), ``"thread"`` or
+        ``"process"`` (see the module docstring for how to choose).
     max_workers:
         Pool width for the thread/process policies (``None`` lets the pool
         pick its default).
@@ -1025,13 +986,10 @@ class DistributedCoordinator:
         ``base_seed + k``), so stochastic shard solvers are reproducible and
         executor-independent.
     transport:
-        Wire format for the coordinator's own persistent pool:
-        ``"pickle"`` (default) or ``"shm"`` (zero-copy shared-memory
-        shipments; engaged on the process policy, where a pipe exists).
-        Parity contract 16 pins shm == pickle merges.
-    backend:
-        Optional compute backend (:mod:`repro.backends`) selected in every
-        pool worker; merged solutions are backend-independent (contract 16).
+        Wire format for the coordinator's own pools: ``"pickle"`` (default)
+        or ``"shm"`` (zero-copy shared-memory shipments; engaged on the
+        process policy, where a pipe exists).  Parity contract 16 pins
+        shm == pickle merges.
     gap_threshold:
         Relative-gap knob for ``solver_name="auto"``: shards whose greedy
         value is within this fraction of the Lagrangian bound skip the LP
@@ -1042,18 +1000,14 @@ class DistributedCoordinator:
         self,
         partitioner: SpatialPartitioner,
         solver_name: str = "greedy",
-        parallel: bool = False,
         max_workers: Optional[int] = None,
-        executor: Optional[str] = None,
+        executor: str = "serial",
         base_seed: int = 0,
         transport: str = "pickle",
-        backend: Optional[str] = None,
         gap_threshold: float = 0.02,
     ) -> None:
         if solver_name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {solver_name!r}; expected one of {SOLVER_NAMES}")
-        if executor is None:
-            executor = "thread" if parallel else "serial"
         if executor not in EXECUTOR_POLICIES:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTOR_POLICIES}"
@@ -1066,37 +1020,32 @@ class DistributedCoordinator:
         self.max_workers = max_workers
         self.base_seed = base_seed
         self.transport = transport
-        self.backend = backend
         self.gap_threshold = gap_threshold
         self._stream_pool: Optional[PersistentWorkerPool] = None
-
-    @property
-    def parallel(self) -> bool:
-        """Legacy flag: whether a pooled executor is configured."""
-        return self.executor != "serial"
 
     # ------------------------------------------------------------------
     # streaming on the persistent pool
     # ------------------------------------------------------------------
     def stream_pool(self) -> PersistentWorkerPool:
         """The coordinator's persistent worker pool (created lazily, kept
-        alive across streams *and* pooled offline solves, so re-solves and
-        sweeps amortise its startup)."""
+        alive across streams *and* ``solve(pool=coordinator.stream_pool())``
+        offline solves, so re-solves and sweeps amortise its startup)."""
         stale = self._stream_pool is not None and (
             self._stream_pool.executor != self.executor
             or self._stream_pool.transport != self.transport
-            or self._stream_pool.backend != self.backend
         )
         if self._stream_pool is None or stale:
             if self._stream_pool is not None:
                 self._stream_pool.close()
-            self._stream_pool = PersistentWorkerPool(
-                executor=self.executor,
-                worker_count=self.max_workers,
-                transport=self.transport,
-                backend=self.backend,
-            )
+            self._stream_pool = self._new_pool()
         return self._stream_pool
+
+    def _new_pool(self) -> PersistentWorkerPool:
+        return PersistentWorkerPool(
+            executor=self.executor,
+            worker_count=self.max_workers,
+            transport=self.transport,
+        )
 
     @property
     def current_pool(self) -> Optional[PersistentWorkerPool]:
@@ -1208,48 +1157,53 @@ class DistributedCoordinator:
         instance: MarketInstance,
         *,
         pool: Optional[PersistentWorkerPool] = None,
-        reuse_pool: bool = False,
         load_report: Optional[ShardLoadReport] = None,
     ) -> DistributedResult:
         """Solve ``instance`` shard by shard and merge the results.
 
-        By default every call forks its own short-lived executor (the PR 2
-        behaviour).  Two reuse modes route the shard requests onto persistent
-        slot executors instead, so repeated offline solves — figure sweeps,
-        ablations — stop paying worker startup per call:
+        Every live shard becomes one :func:`solve_shard` call on a slot of a
+        :class:`PersistentWorkerPool`; the pool's executor and transport
+        decide how the shard is shipped (the shard itself in-process, a
+        pickled payload, or a shared-memory descriptor).
 
-        ``pool=``
-            An externally owned :class:`PersistentWorkerPool`.  Shards are
-            dispatched round-robin onto its slots (the process policy ships
-            the same array-backed payloads the fork path ships); the caller
-            keeps ownership and ``close()``s it after the whole sweep.
-        ``reuse_pool=True``
-            Shorthand for ``pool=self.stream_pool()``: the coordinator's own
-            lazily created pool, shared with the streaming path and kept
-            warm until :meth:`close`.
+        ``pool``
+            The pool to run on; the caller keeps ownership and ``close()``s
+            it after the whole sweep, so repeated offline solves — figure
+            sweeps, ablations — pay worker startup once.  Pass
+            ``coordinator.stream_pool()`` to share the coordinator's own
+            lazily created pool with its streams.  Without one the solve
+            opens a pool of the coordinator's configured executor, width and
+            transport and closes it before returning.
 
-        ``load_report`` (pooled dispatch only) switches the shard->slot
-        placement from round-robin to longest-processing-time-first over
-        the loads a *prior* solve observed (anything
-        :meth:`ShardLoadReport.from_prior` accepts — a report, a prior
-        ``DistributedResult``/stream result, or a bare plan).  When the
-        report's shard count no longer matches the current partition, the
-        current shards' own task counts stand in.  Packing the hottest
-        shards onto separate single-worker slots first caps the slowest
-        slot far below what round-robin risks on skewed cities.
+        ``load_report`` switches the shard->slot placement from round-robin
+        to longest-processing-time-first over the loads a *prior* solve
+        observed (anything :meth:`ShardLoadReport.from_prior` accepts — a
+        report, a prior ``DistributedResult``/stream result, or a bare
+        plan).  When the report's shard count no longer matches the current
+        partition, the current shards' own task counts stand in.  Packing
+        the hottest shards onto separate single-worker slots first caps the
+        slowest slot far below what round-robin risks on skewed cities.
 
-        **Parity contract (pool == fork, placement-independent):** pooled
-        dispatch runs the exact :func:`solve_shard` /
-        :func:`solve_shard_payload` worker entries on the same per-shard
-        requests and merges in the same shard order — placement only moves
-        shards between slots — so the merged solution is bit-identical to
-        the fork path under every executor policy and any placement
-        (pinned by ``tests/distributed/test_offline_pool.py`` and
-        ``tests/distributed/test_placement.py``).
+        **Parity contract (executor-, transport- and placement-independent):**
+        every policy runs :func:`solve_shard` on the same per-shard requests
+        and merges in the same shard order — placement only moves shards
+        between slots — so the merged solution is bit-identical under every
+        executor policy, either transport and any placement (pinned by
+        ``tests/distributed/test_executors.py``, ``test_transport.py`` and
+        ``test_placement.py``).
         """
+        if pool is not None:
+            return self._solve_on(pool, instance, load_report)
+        with self._new_pool() as ephemeral:
+            return self._solve_on(ephemeral, instance, load_report)
+
+    def _solve_on(
+        self,
+        pool: PersistentWorkerPool,
+        instance: MarketInstance,
+        load_report: Optional[ShardLoadReport],
+    ) -> DistributedResult:
         start = time.perf_counter()
-        if reuse_pool and pool is None:
-            pool = self.stream_pool()
         recorder = obs_trace.active_recorder()
         trace_mark = recorder.mark() if recorder is not None else 0
         root_span = (
@@ -1259,16 +1213,14 @@ class DistributedCoordinator:
             if recorder is not None
             else obs_trace.DROPPED
         )
-        # Wire accounting: pooled solves diff the pool's cumulative counters;
-        # the fork path gets a scratch stats object filled by ``_solve_live``.
-        fork_stats = TransportStats()
-        if pool is not None:
-            stats_mark = (
-                pool.stats.bytes_over_pipe,
-                pool.stats.shm_bytes,
-                pool.stats.segment_reuses,
-                pool.stats.pickle_fallbacks,
-            )
+        # Wire accounting: the pool's counters are cumulative over its
+        # lifetime, so the report diffs against the counts at entry.
+        stats_mark = (
+            pool.stats.bytes_over_pipe,
+            pool.stats.shm_bytes,
+            pool.stats.segment_reuses,
+            pool.stats.pickle_fallbacks,
+        )
         with obs_trace.span("partition"):
             plan = self.partitioner.partition(instance)
         requests = [
@@ -1285,27 +1237,23 @@ class DistributedCoordinator:
         ]
 
         # Degenerate shards (no tasks or no drivers) are short-circuited
-        # in-line: they never reach an executor, but they keep their slot in
+        # in-line: they never reach the pool, but they keep their slot in
         # the per-shard report series so merged reports still count them.
         results: List[Optional[ShardWorkResult]] = [None] * len(plan.shards)
         live: List[int] = []
         for position, (shard, request) in enumerate(zip(plan.shards, requests)):
             if shard.task_count == 0 or shard.driver_count == 0:
-                results[position] = _empty_shard_result(shard, request)
+                results[position] = _empty_shard_result(shard.spec.shard_id, request)
             else:
                 live.append(position)
 
-        if pool is not None:
-            worker_count = max(1, min(pool.worker_count, len(live))) if live else 1
-            executor_label = pool.executor
-        else:
-            worker_count = self._resolve_worker_count(len(live))
-            executor_label = self.executor
-        for position, result in zip(
-            live,
-            self._solve_live(plan, requests, live, worker_count, pool, load_report, fork_stats),
-        ):
-            results[position] = result
+        slots = self._placement_slots(plan, live, pool.worker_count, load_report)
+        futures = [
+            _submit_shard(pool, slot, plan.shards[position], requests[position])
+            for slot, position in zip(slots, live)
+        ]
+        for position, future in zip(live, futures):
+            results[position] = future.result()
         solved = [result for result in results if result is not None]
 
         # Stitch worker-side span trees under this solve's root span.
@@ -1331,18 +1279,6 @@ class DistributedCoordinator:
             trace_span_count = len(solve_spans)
         wall_clock = time.perf_counter() - start
         durations = tuple(r.elapsed_s for r in solved)
-        if pool is not None:
-            transport_label = pool.transport
-            bytes_over_pipe = pool.stats.bytes_over_pipe - stats_mark[0]
-            shm_bytes = pool.stats.shm_bytes - stats_mark[1]
-            segment_reuses = pool.stats.segment_reuses - stats_mark[2]
-            pickle_fallbacks = pool.stats.pickle_fallbacks - stats_mark[3]
-        else:
-            transport_label = fork_stats.transport
-            bytes_over_pipe = fork_stats.bytes_over_pipe
-            shm_bytes = fork_stats.shm_bytes
-            segment_reuses = fork_stats.segment_reuses
-            pickle_fallbacks = fork_stats.pickle_fallbacks
         report = CoordinatorReport(
             shard_count=plan.shard_count,
             total_value=solution.total_value,
@@ -1351,15 +1287,15 @@ class DistributedCoordinator:
             slowest_shard_s=max(durations) if durations else 0.0,
             per_shard_values=tuple(r.total_value for r in solved),
             per_shard_durations=durations,
-            executor=executor_label,
-            worker_count=worker_count,
+            executor=pool.executor,
+            worker_count=max(1, min(pool.worker_count, len(live))),
             empty_shard_count=len(plan.shards) - len(live),
             per_shard_task_counts=tuple(shard.task_count for shard in plan.shards),
-            transport=transport_label,
-            bytes_over_pipe=bytes_over_pipe,
-            shm_bytes=shm_bytes,
-            segment_reuses=segment_reuses,
-            pickle_fallbacks=pickle_fallbacks,
+            transport=pool.transport,
+            bytes_over_pipe=pool.stats.bytes_over_pipe - stats_mark[0],
+            shm_bytes=pool.stats.shm_bytes - stats_mark[1],
+            segment_reuses=pool.stats.segment_reuses - stats_mark[2],
+            pickle_fallbacks=pool.stats.pickle_fallbacks - stats_mark[3],
             per_shard_bounds=(
                 tuple(r.bounds for r in solved)
                 if self.solver_name in EXACT_SOLVER_NAMES
@@ -1377,22 +1313,6 @@ class DistributedCoordinator:
         )
         return DistributedResult(solution=solution, report=report, plan=plan)
 
-    # ------------------------------------------------------------------
-    # fan-out
-    # ------------------------------------------------------------------
-    def _resolve_worker_count(self, live_count: int) -> int:
-        """The actual pool width the fan-out runs with (mirrors the
-        executors' own ``max_workers`` defaults), capped by the live shards."""
-        if self.executor == "serial" or live_count <= 1:
-            return 1
-        if self.max_workers is not None:
-            pool_width = self.max_workers
-        elif self.executor == "thread":
-            pool_width = min(32, (os.cpu_count() or 1) + 4)  # ThreadPoolExecutor default
-        else:
-            pool_width = os.cpu_count() or 1  # ProcessPoolExecutor default
-        return max(1, min(pool_width, live_count))
-
     def _placement_slots(
         self,
         plan: PartitionPlan,
@@ -1402,13 +1322,12 @@ class DistributedCoordinator:
     ) -> List[int]:
         """One pool slot per live shard.
 
-        Round-robin in shard order by default (the historical behaviour);
-        with a prior load report, longest-processing-time-first over the
-        reported loads.  The report's loads are only trusted when its
-        regions match the current partition shard-for-shard — a report from
-        a different grid (or a rebalanced stream) falls back to the current
-        shards' own task counts rather than attributing loads to the wrong
-        shards.
+        Round-robin in shard order by default; with a prior load report,
+        longest-processing-time-first over the reported loads.  The report's
+        loads are only trusted when its regions match the current partition
+        shard-for-shard — a report from a different grid (or a rebalanced
+        stream) falls back to the current shards' own task counts rather
+        than attributing loads to the wrong shards.
         """
         if load_report is None:
             return list(range(len(live)))
@@ -1421,55 +1340,6 @@ class DistributedCoordinator:
         else:
             loads = [float(plan.shards[position].task_count) for position in live]
         return lpt_slot_assignment(loads, max(1, min(slot_count, len(live))))
-
-    def _solve_live(
-        self,
-        plan: PartitionPlan,
-        requests: List[ShardWorkRequest],
-        live: List[int],
-        worker_count: int,
-        pool: Optional[PersistentWorkerPool] = None,
-        load_report: Optional[ShardLoadReport] = None,
-        fork_stats: Optional[TransportStats] = None,
-    ) -> List[ShardWorkResult]:
-        """Solve the non-degenerate shards under the configured policy,
-        returning results in ``live`` order.
-
-        With a persistent ``pool``, shard requests go onto its (already
-        warm) slot executors — round-robin, or packed by
-        :meth:`_placement_slots` when a prior load report is supplied — and
-        the pool's own policy decides the wire format: the process policy
-        ships payloads, exactly like the fork path.  Without one,
-        short-lived pools are created with the already-resolved
-        ``worker_count``, so the width the report claims is the width that
-        actually ran.
-        """
-        shards = [plan.shards[position] for position in live]
-        reqs = [requests[position] for position in live]
-        if pool is not None:
-            slots = self._placement_slots(plan, live, pool.worker_count, load_report)
-            if pool.executor == "process":
-                futures = [
-                    _submit_payload(pool, slot, payload_from_shard(shard), req)
-                    for slot, shard, req in zip(slots, shards, reqs)
-                ]
-            else:
-                futures = [
-                    pool.submit(slot, solve_shard, shard, req)
-                    for slot, shard, req in zip(slots, shards, reqs)
-                ]
-            return [future.result() for future in futures]
-        if self.executor == "serial" or len(live) <= 1:
-            return [solve_shard(shard, req) for shard, req in zip(shards, reqs)]
-        if self.executor == "thread":
-            with ThreadPoolExecutor(max_workers=worker_count) as pool_:
-                return list(pool_.map(solve_shard, shards, reqs))
-        payloads = [payload_from_shard(shard) for shard in shards]
-        if fork_stats is not None:
-            for payload in payloads:
-                fork_stats.record_pickle(payload.shard_id, payload_wire_bytes(payload))
-        with ProcessPoolExecutor(max_workers=worker_count) as pool_:
-            return list(pool_.map(solve_shard_payload, payloads, reqs))
 
     # ------------------------------------------------------------------
     # merge

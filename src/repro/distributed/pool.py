@@ -1,10 +1,10 @@
 """Persistent worker pool hosting per-shard streaming market sessions.
 
-PR 2's process executor forks a fresh pool for every ``solve()`` and ships
-each shard's whole payload once — fine for offline re-solves, wasteful for a
-live stream where the same shards receive dozens of arrival batches and for
-ablation sweeps that re-solve the same city many times.  This module keeps
-the workers (and the per-shard streaming state living inside them) alive:
+Forking workers for every ``solve()`` and shipping each shard's whole
+payload once is fine for a one-off offline solve, wasteful for a live stream
+where the same shards receive dozens of arrival batches and for ablation
+sweeps that re-solve the same city many times.  This module keeps the
+workers (and the per-shard streaming state living inside them) alive:
 
 * :class:`PersistentWorkerPool` owns ``worker_count`` *slot executors*.  Each
   slot is a single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -32,11 +32,11 @@ open (plain frozen dataclasses with no derived caches) and
 new task columns only).
 
 The pool is also the offline execution substrate: the coordinator's
-``solve(pool=...)`` dispatches one-shot shard solves (top-level
-``solve_shard`` / ``solve_shard_payload`` calls) onto the same slot
-executors, so streaming sessions and offline re-solves share one set of warm
-workers.  Slots make no assumption about what runs on them — they are plain
-single-worker executors with a submission-order guarantee.
+``solve()`` dispatches one-shot shard solves (top-level ``solve_shard``
+calls) onto the same slot executors, so streaming sessions and offline
+re-solves share one set of warm workers.  Slots make no assumption about
+what runs on them — they are plain single-worker executors with a
+submission-order guarantee.
 """
 
 from __future__ import annotations
@@ -73,25 +73,19 @@ POOL_POLICIES = ("serial", "thread", "process")
 logger = logging.getLogger("repro.distributed.pool")
 
 
-def _slot_initializer(backend: Optional[str], log_spec=None) -> None:
+def _slot_initializer(log_spec=None) -> None:
     """Runs once in every pool worker process, before any shard work.
 
     Pins the native BLAS/OpenMP pools to one thread — the pool's parallelism
     is *across* worker processes, and nested threading would oversubscribe
-    the cores — selects the worker's compute backend when the pool was
-    constructed with one (fails the worker loudly at startup for a backend
-    unavailable in the worker's environment, never silently mid-solve), and
-    routes the worker's ``repro.*`` log records into the parent's relay
-    queue (``log_spec`` is ``(queue, level)``, or None when the parent never
-    configured logging — then ``REPRO_LOG`` still applies worker-locally).
+    the cores — and routes the worker's ``repro.*`` log records into the
+    parent's relay queue (``log_spec`` is ``(queue, level)``, or None when
+    the parent never configured logging — then ``REPRO_LOG`` still applies
+    worker-locally).
     """
     pin_blas_threads()
     obs_logs.init_worker_logging(log_spec)
-    if backend is not None:
-        from .. import backends
-
-        backends.set_backend(backend)
-    logger.debug("slot worker initialised: pid=%d backend=%s", os.getpid(), backend)
+    logger.debug("slot worker initialised: pid=%d", os.getpid())
 
 
 class WorkerPoolBrokenError(RuntimeError):
@@ -287,7 +281,7 @@ def lpt_slot_assignment(loads: Sequence[float], slot_count: int) -> List[int]:
     can put the two hottest shards on the same slot, LPT never does while a
     colder slot exists.
 
-    Used by ``DistributedCoordinator.solve(pool=..., load_report=...)``;
+    Used by ``DistributedCoordinator.solve(load_report=...)``;
     placement only changes *where* a shard runs, never its request or the
     merge order, so the merged solution is placement-independent.
     """
@@ -393,11 +387,6 @@ class PersistentWorkerPool:
         setting is accepted and recorded but nothing is shipped at all, so
         both transports are trivially identical there.  Parity contract 16
         pins shm == pickle merges on the process policy.
-    backend:
-        Optional compute backend name (:mod:`repro.backends`) selected in
-        every worker's initializer — per-worker under the process policy;
-        under serial/thread the backend is process-global and is applied to
-        *this* process at construction.
 
     Lifecycle
     ---------
@@ -407,11 +396,9 @@ class PersistentWorkerPool:
     teardown.  The pool is reusable across *kinds* of work, not just across
     streams: open as many consecutive streams on it as needed (each
     identified by :func:`next_stream_token`), interleave offline
-    ``solve(pool=...)`` fan-outs on the same slots, and ``close()`` it once —
-    that amortisation across re-solves is what
-    ``benchmarks/bench_offline_pool.py`` and the streaming benchmarks
-    measure.  ``close()`` is idempotent and terminal: a closed pool raises
-    on submit rather than silently re-forking.
+    ``solve(pool=...)`` fan-outs on the same slots, and ``close()`` it once.
+    ``close()`` is idempotent and terminal: a closed pool raises on submit
+    rather than silently re-forking.
 
     Slot pinning
     ------------
@@ -430,7 +417,6 @@ class PersistentWorkerPool:
         worker_count: Optional[int] = None,
         *,
         transport: str = "pickle",
-        backend: Optional[str] = None,
     ) -> None:
         if executor not in POOL_POLICIES:
             raise ValueError(
@@ -440,7 +426,6 @@ class PersistentWorkerPool:
             raise transport_error(transport)
         self.executor = executor
         self.transport = transport
-        self.backend = backend
         if executor == "serial":
             self.worker_count = 1
         else:
@@ -453,18 +438,11 @@ class PersistentWorkerPool:
         self._log_queue = None
         self._log_listener = None
         logger.debug(
-            "pool created: executor=%s worker_count=%d transport=%s backend=%s",
+            "pool created: executor=%s worker_count=%d transport=%s",
             executor,
             self.worker_count,
             transport,
-            backend,
         )
-        if backend is not None and executor != "process":
-            # No worker initializer will run: the slots share this
-            # interpreter, so select the backend here, process-globally.
-            from .. import backends
-
-            backends.set_backend(backend)
 
     @property
     def shm_active(self) -> bool:
@@ -506,7 +484,7 @@ class PersistentWorkerPool:
                 pool = ProcessPoolExecutor(
                     max_workers=1,
                     initializer=_slot_initializer,
-                    initargs=(self.backend, self._log_spec()),
+                    initargs=(self._log_spec(),),
                 )
             self._slots[slot] = pool
         return pool

@@ -125,12 +125,8 @@ def metric_fn(metric: str):
     Exposed for hot loops (the online candidate kernel) that keep
     pre-converted radian arrays and cannot afford the per-call degree
     conversion of :func:`pairwise_km` / :func:`cross_km`.
-
-    Resolved through the process-active compute backend
-    (:mod:`repro.backends`); the default ``numpy`` backend returns the
-    canonical kernels defined in this module, so behaviour is unchanged
-    unless a worker explicitly selected another backend.
     """
-    from .. import backends  # lazy: backends imports this module's kernel table
-
-    return backends.get_backend().metric_fn(metric)
+    try:
+        return _METRIC_FNS[metric]
+    except KeyError:
+        raise ValueError(f"unknown metric {metric!r}; available: {METRICS}") from None

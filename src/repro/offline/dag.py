@@ -38,6 +38,7 @@ def best_path(
     task_map: DriverTaskMap,
     available: Optional[np.ndarray] = None,
     use_valuation: bool = False,
+    values: Optional[np.ndarray] = None,
 ) -> PathResult:
     """The maximum-profit feasible path for one driver.
 
@@ -52,6 +53,11 @@ def best_path(
     use_valuation:
         Use the customer valuation ``b_m`` instead of the price ``p_m``
         (social-welfare objective).
+    values:
+        Optional per-task value vector replacing the network's own
+        ``p_m`` / ``b_m`` (the Lagrangian bound passes values shifted by its
+        multipliers, which must not mutate the shared network).  Takes
+        precedence over ``use_valuation``.
 
     Returns
     -------
@@ -65,7 +71,10 @@ def best_path(
     if count == 0:
         return EMPTY_PATH
 
-    values = net.valuations if use_valuation else net.prices
+    if values is None:
+        values = net.valuations if use_valuation else net.prices
+    elif values.shape != (count,):
+        raise ValueError("values vector has the wrong shape")
     gains = values - net.service_costs
 
     if available is None:

@@ -86,15 +86,13 @@ def lagrangian_bound(
     for k in range(1, iterations + 1):
         usage = np.zeros(task_count)
         subproblem_total = 0.0
-        # Temporarily shift the task values by the multipliers: the DP reads
-        # prices/valuations from the shared network, so we evaluate paths with
-        # an adjusted copy via the `available`-independent trick of patching
-        # values locally.
+        # Shift the task values by the multipliers without touching the
+        # shared network: the DP takes the adjusted vector explicitly.
         adjusted = base_values - multipliers
         for task_map in task_maps.values():
-            result = _best_path_with_values(task_map, adjusted, network.service_costs)
-            subproblem_total += max(0.0, result[0])
-            for m in result[1]:
+            result = best_path(task_map, values=adjusted)
+            subproblem_total += result.profit
+            for m in result.path:
                 usage[m] += 1.0
         bound = float(multipliers.sum() + subproblem_total)
         trajectory.append(bound)
@@ -120,54 +118,3 @@ def lagrangian_bound(
         multipliers=best_multipliers,
     )
 
-
-def _best_path_with_values(task_map, values: np.ndarray, service_costs: np.ndarray):
-    """Max-profit path where task ``m`` contributes ``values[m] - ĉ_m``.
-
-    A small re-implementation of :func:`repro.offline.dag.best_path` that
-    takes the value vector explicitly (the Lagrangian shifts values per
-    iteration, which must not mutate the shared network).
-    """
-    net = task_map.network
-    count = net.task_count
-    if count == 0:
-        return 0.0, ()
-    gains = values - service_costs
-    allowed = task_map.exit_ok
-    dp = np.full(count, -np.inf)
-    parent = np.full(count, -1, dtype=int)
-    entry = task_map.entry_ok & allowed
-    entry_indices = np.nonzero(entry)[0]
-    dp[entry_indices] = gains[entry_indices] - task_map.source_leg_costs[entry_indices]
-    for m in (int(x) for x in net.topo_order):
-        if not np.isfinite(dp[m]) or not allowed[m]:
-            continue
-        succ = net.successors[m]
-        if succ.size == 0:
-            continue
-        mask = allowed[succ]
-        if not mask.any():
-            continue
-        succ = succ[mask]
-        leg_costs = net.leg_costs[m][mask]
-        candidate = dp[m] + gains[succ] - leg_costs
-        better = candidate > dp[succ]
-        if better.any():
-            improved = succ[better]
-            dp[improved] = candidate[better]
-            parent[improved] = m
-    finite = np.isfinite(dp)
-    if not finite.any():
-        return 0.0, ()
-    totals = np.where(finite, dp - task_map.sink_leg_costs + task_map.direct_leg.cost, -np.inf)
-    best_end = int(np.argmax(totals))
-    best_value = float(totals[best_end])
-    if best_value <= 0.0:
-        return 0.0, ()
-    path: List[int] = []
-    node = best_end
-    while node != -1:
-        path.append(node)
-        node = int(parent[node])
-    path.reverse()
-    return best_value, tuple(path)

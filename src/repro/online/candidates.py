@@ -38,7 +38,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..backends import get_backend
 from ..geo import GridIndex, bounding_box_of
 from ..geo.batch import coord_array, metric_fn
 from ..market.instance import MarketInstance
@@ -133,7 +132,6 @@ class CandidateKernel:
         # the hot loop can keep radian arrays and skip the per-call degree
         # conversion; exotic estimators go through their (generic) batch API.
         metric = getattr(self._estimator, "batch_metric", None)
-        self._metric_name = metric
         self._metric = metric_fn(metric) if metric is not None else None
         self._metric_scale = float(getattr(self._estimator, "circuity", 1.0))
         self._loc_rad = np.radians(self._loc)
@@ -409,63 +407,35 @@ class CandidateKernel:
         depart = np.maximum(self._free_at[slots], self._driver_start[slots])
         depart = np.maximum(depart, now_ts)  # (D',)
 
-        if self._metric_name is not None:
-            # Fast radian path: the whole window assembly — both distance
-            # legs, every feasibility mask, the marginal values — is one
-            # backend call, so a worker running the numba backend fuses it
-            # into a single compiled pass.  The numpy backend replicates the
-            # historical inline arithmetic operation for operation.
-            feasible, arrival, dropoff, approach_cost, marginal = get_backend().window_costs(
-                self._metric_name,
-                self._metric_scale,
-                self._loc_rad[slots],
-                self._dest_rad[slots],
-                self._task_sources_rad[idx],
-                self._task_destinations_rad[idx],
-                depart,
-                sdl,
-                edl,
-                prices,
-                ride_durations,
-                service_costs,
-                self._current_home_km[slots],
-                self._driver_end[slots],
-                speed_kmh,
-                cost_per_km,
-                self.wait_for_pickup_deadline,
-            )
+        feasible = depart[None, :] <= sdl[:, None]  # (T, D')
+
+        approach_km = self._distances_cross(
+            self._loc_rad[slots], self._loc[slots],
+            self._task_sources_rad[idx], self._task_sources[idx],
+        )  # (D', T)
+        approach_time = (approach_km / speed_kmh * 3600.0).T  # (T, D')
+        approach_cost = (approach_km * cost_per_km).T
+        arrival = depart[None, :] + approach_time
+        feasible &= arrival <= sdl[:, None] + 1e-9
+        if self.wait_for_pickup_deadline:
+            pickup = np.maximum(arrival, sdl[:, None])
         else:
-            # Generic-estimator path: no named metric to hand a backend, so
-            # the assembly stays inline over the estimator's batch API.
-            feasible = depart[None, :] <= sdl[:, None]  # (T, D')
+            pickup = arrival
+        dropoff = pickup + ride_durations[:, None]
+        feasible &= dropoff <= edl[:, None] + 1e-9
 
-            approach_km = self._distances_cross(
-                self._loc_rad[slots], self._loc[slots],
-                self._task_sources_rad[idx], self._task_sources[idx],
-            )  # (D', T)
-            approach_time = (approach_km / speed_kmh * 3600.0).T  # (T, D')
-            approach_cost = (approach_km * cost_per_km).T
-            arrival = depart[None, :] + approach_time
-            feasible &= arrival <= sdl[:, None] + 1e-9
-            if self.wait_for_pickup_deadline:
-                pickup = np.maximum(arrival, sdl[:, None])
-            else:
-                pickup = arrival
-            dropoff = pickup + ride_durations[:, None]
-            feasible &= dropoff <= edl[:, None] + 1e-9
+        home_km = self._distances_cross(
+            self._task_destinations_rad[idx], self._task_destinations[idx],
+            self._dest_rad[slots], self._dest[slots],
+        )  # (T, D')
+        home_time = home_km / speed_kmh * 3600.0
+        home_cost = home_km * cost_per_km
+        feasible &= dropoff + home_time <= self._driver_end[slots][None, :] + 1e-9
 
-            home_km = self._distances_cross(
-                self._task_destinations_rad[idx], self._task_destinations[idx],
-                self._dest_rad[slots], self._dest[slots],
-            )  # (T, D')
-            home_time = home_km / speed_kmh * 3600.0
-            home_cost = home_km * cost_per_km
-            feasible &= dropoff + home_time <= self._driver_end[slots][None, :] + 1e-9
-
-            current_home_cost = self._current_home_km[slots] * cost_per_km  # (D',)
-            marginal = prices[:, None] - (
-                home_cost + service_costs[:, None] + approach_cost - current_home_cost[None, :]
-            )
+        current_home_cost = self._current_home_km[slots] * cost_per_km  # (D',)
+        marginal = prices[:, None] - (
+            home_cost + service_costs[:, None] + approach_cost - current_home_cost[None, :]
+        )
 
         out = {}
         task_rows, driver_cols = np.nonzero(feasible)

@@ -211,14 +211,13 @@ class DispatchService:
         config: Optional[BatchConfig] = None,
         max_batch: Optional[int] = None,
         transport: str = "pickle",
-        backend: Optional[str] = None,
     ) -> CityRuntime:
         """Add a tenant: its own coordinator + persistent pool + stream.
 
-        ``transport``/``backend`` configure the city's pool wire format and
-        compute backend (see :class:`~repro.distributed.DistributedCoordinator`);
-        the service outcome is transport- and backend-independent (parity
-        contract 16), only the wire metrics in :meth:`health` change.
+        ``transport`` configures the city's pool wire format (see
+        :class:`~repro.distributed.DistributedCoordinator`); the service
+        outcome is transport-independent (parity contract 16), only the wire
+        metrics in :meth:`health` change.
         """
         if name in self._cities:
             raise ValueError(f"city {name!r} is already registered")
@@ -229,7 +228,6 @@ class DispatchService:
             executor=executor,
             max_workers=workers,
             transport=transport,
-            backend=backend,
         )
         chosen = config or BatchConfig()
         runtime = CityRuntime(

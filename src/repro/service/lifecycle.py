@@ -53,10 +53,9 @@ class SoakConfig:
     executor: str = "serial"
     workers: Optional[int] = None
     #: Pool wire format per city ("pickle" or "shm"; shm engages on the
-    #: process executor) and optional compute backend — the soak outcome is
-    #: transport/backend-independent (parity contract 16).
+    #: process executor) — the soak outcome is transport-independent
+    #: (parity contract 16).
     transport: str = "pickle"
-    backend: Optional[str] = None
     backpressure_depth: int = 8
     max_batch: Optional[int] = 512
     seed: int = 2017
@@ -220,7 +219,6 @@ async def _soak(
             config=BatchConfig(window_s=config.window_s),
             max_batch=config.max_batch,
             transport=config.transport,
-            backend=config.backend,
         )
     if on_ready is not None:
         # ``repro serve`` announces readiness (and its worker pids) here —

@@ -77,10 +77,10 @@ class TestCoordinator:
 
     def test_parallel_mode_matches_sequential(self, instance):
         partitioner = SpatialPartitioner(PORTO, 2, 2)
-        sequential = DistributedCoordinator(partitioner, "greedy", parallel=False).solve(instance)
-        parallel = DistributedCoordinator(partitioner, "greedy", parallel=True, max_workers=4).solve(
-            instance
-        )
+        sequential = DistributedCoordinator(partitioner, "greedy", executor="serial").solve(instance)
+        parallel = DistributedCoordinator(
+            partitioner, "greedy", executor="thread", max_workers=4
+        ).solve(instance)
         assert parallel.solution.assignment() == sequential.solution.assignment()
 
     def test_online_solver_merging(self, instance):

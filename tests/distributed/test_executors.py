@@ -97,8 +97,10 @@ class TestEmptyShardShortCircuit:
             seen.append(shard.spec.shard_id)
             return original(shard, request)
 
-        monkeypatch.setattr(coordinator_module, "solve_shard", counting)
-        result = DistributedCoordinator(partitioner, "greedy").solve(instance)
+        # Scoped: the process policy below pickles ``solve_shard`` by name.
+        with monkeypatch.context() as patch:
+            patch.setattr(coordinator_module, "solve_shard", counting)
+            result = DistributedCoordinator(partitioner, "greedy").solve(instance)
         assert len(seen) == live
         # ... and no payload is built for them on the process path either.
         built = []
@@ -132,8 +134,5 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1), executor="mpi")
 
-    def test_legacy_parallel_flag_maps_to_thread(self):
-        coordinator = DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1), parallel=True)
-        assert coordinator.executor == "thread"
-        assert coordinator.parallel
+    def test_default_executor_is_serial(self):
         assert DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1)).executor == "serial"

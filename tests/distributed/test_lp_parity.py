@@ -1,8 +1,8 @@
 """Parity contract 17 — the exact tier through the distributed fan-out.
 
 ``solver_name="lp"`` (and ``"auto"``) must merge **bit-identically** across
-the serial, thread and process executors, and the warm-pool path must match
-the fork path — exactly like the greedy contracts 4/14, but now the payload
+the serial, thread and process executors, and a shared warm pool must match
+a solve on a pool of its own — exactly like the greedy contracts 4/14, but now the payload
 also carries per-shard :class:`ShardBounds`, so the fingerprint includes the
 whole bound sandwich.  On top of the structural parity, the gap invariant:
 every reported optimality gap is ``>= 0`` on every shard and in the
@@ -61,14 +61,14 @@ class TestContract17ExecutorParity:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_pool_matches_fork_path(self, instance, executor):
         partitioner = SpatialPartitioner(PORTO, 2, 2)
-        fork = DistributedCoordinator(
+        own = DistributedCoordinator(
             partitioner, "lp", executor=executor, max_workers=2
         ).solve(instance)
         with PersistentWorkerPool(executor=executor, worker_count=2) as pool:
             pooled = DistributedCoordinator(
                 partitioner, "lp", executor=executor, max_workers=2
             ).solve(instance, pool=pool)
-        assert merged_fingerprint(pooled) == merged_fingerprint(fork)
+        assert merged_fingerprint(pooled) == merged_fingerprint(own)
 
     def test_auto_threshold_is_part_of_the_wire_format(self, instance):
         """Two coordinators with different thresholds may legitimately pick

@@ -1,12 +1,12 @@
 """Pooled offline solves and load-aware pre-splitting.
 
-Two contracts land here:
+Two things land here:
 
-* **pool == fork** — ``DistributedCoordinator.solve(pool=...)`` dispatches
-  its shard requests onto persistent slot executors instead of forking a
-  fresh pool per call, and the merged solution must be bit-identical to the
-  fork path under every executor policy (same worker entries, same requests,
-  same merge order).
+* **Solves on a shared pool** — ``DistributedCoordinator.solve(pool=...)``
+  dispatches its shard requests onto a warm pool the caller owns: every
+  solver merges exactly as the serial solve does, degenerate shards are
+  never submitted, the report describes the pool that ran, and consecutive
+  solves and streams share the same slot executors.
 * **LoadAwarePartitioner determinism** — the refined partition is a pure
   function of the prior load report and the policy: same report in, same
   shards out, and the split/merge decisions mirror the streaming
@@ -39,7 +39,7 @@ def instance():
 
 
 def merged_fingerprint(result):
-    """Everything that must be identical between the fork and pool paths."""
+    """Everything that must be identical whichever pool ran the solve."""
     return (
         result.solution.assignment(),
         tuple((p.driver_id, p.task_indices, p.profit) for p in result.solution.plans),
@@ -50,36 +50,22 @@ def merged_fingerprint(result):
     )
 
 
-class TestPoolForkParity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_pool_matches_fork_path(self, instance, executor):
-        """The headline contract: solve(pool=...) == solve(), per executor."""
-        partitioner = SpatialPartitioner(PORTO, 2, 2)
-        fork = DistributedCoordinator(
-            partitioner, "greedy", executor=executor, max_workers=2
-        ).solve(instance)
-        with PersistentWorkerPool(executor=executor, worker_count=2) as pool:
-            pooled = DistributedCoordinator(
-                partitioner, "greedy", executor=executor, max_workers=2
-            ).solve(instance, pool=pool)
-        assert merged_fingerprint(pooled) == merged_fingerprint(fork)
-        assert pooled.report.executor == executor
-
+class TestSharedPool:
     @pytest.mark.parametrize("solver", ["greedy", "nearest", "maxMargin"])
     def test_every_solver_survives_the_pool(self, instance, solver):
         partitioner = SpatialPartitioner(PORTO, 2, 2)
-        fork = DistributedCoordinator(partitioner, solver).solve(instance)
+        serial = DistributedCoordinator(partitioner, solver).solve(instance)
         with PersistentWorkerPool(executor="process", worker_count=2) as pool:
             pooled = DistributedCoordinator(partitioner, solver).solve(
                 instance, pool=pool
             )
-        assert merged_fingerprint(pooled) == merged_fingerprint(fork)
+        assert merged_fingerprint(pooled) == merged_fingerprint(serial)
 
     def test_degenerate_shards_never_reach_the_pool(self, instance):
         """An 8x8 grid leaves most cells degenerate; the pool must only see
         the live shards and the merge must still count every shard."""
         partitioner = SpatialPartitioner(PORTO, 8, 8)
-        fork = DistributedCoordinator(partitioner, "greedy").solve(instance)
+        serial = DistributedCoordinator(partitioner, "greedy").solve(instance)
         submitted = []
 
         class CountingPool(PersistentWorkerPool):
@@ -91,10 +77,10 @@ class TestPoolForkParity:
             pooled = DistributedCoordinator(partitioner, "greedy").solve(
                 instance, pool=pool
             )
-        live = sum(1 for s in fork.plan.shards if s.task_count and s.driver_count)
+        live = sum(1 for s in serial.plan.shards if s.task_count and s.driver_count)
         assert live < 64
         assert len(submitted) == live
-        assert merged_fingerprint(pooled) == merged_fingerprint(fork)
+        assert merged_fingerprint(pooled) == merged_fingerprint(serial)
         assert pooled.report.shard_count == 64
 
     def test_report_reflects_the_pool(self, instance):
@@ -118,14 +104,14 @@ class TestPoolReuse:
             assert pool._slots == slots_after_first  # no refork between calls
         assert merged_fingerprint(first) == merged_fingerprint(second)
 
-    def test_reuse_pool_flag_uses_the_coordinators_own_pool(self, instance):
+    def test_stream_pool_stays_warm_across_offline_solves(self, instance):
         with DistributedCoordinator(
             SpatialPartitioner(PORTO, 2, 2), "greedy", executor="process", max_workers=2
         ) as coordinator:
-            first = coordinator.solve(instance, reuse_pool=True)
+            first = coordinator.solve(instance, pool=coordinator.stream_pool())
             pool = coordinator._stream_pool
             assert pool is not None
-            second = coordinator.solve(instance, reuse_pool=True)
+            second = coordinator.solve(instance, pool=coordinator.stream_pool())
             assert coordinator._stream_pool is pool
         assert merged_fingerprint(first) == merged_fingerprint(second)
 

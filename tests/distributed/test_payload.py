@@ -11,12 +11,12 @@ from repro.distributed import (
     ShardPayload,
     ShardPayloadDelta,
     ShardWorkRequest,
+    ShmShipper,
     SpatialPartitioner,
     delta_from_tasks,
     instance_from_payload,
     payload_from_shard,
     solve_shard,
-    solve_shard_payload,
     tasks_from_delta,
 )
 from repro.geo import PORTO, GeoPoint
@@ -178,14 +178,24 @@ class TestWorkerEntry:
         request = ShardWorkRequest(
             shard.spec.shard_id, shard.driver_count, shard.task_count, solver, seed=3
         )
+        payload = payload_from_shard(shard)
         direct = solve_shard(shard, request)
-        via_payload = solve_shard_payload(payload_from_shard(shard), request)
-        assert via_payload.assignment == direct.assignment
-        assert via_payload.driver_profits == direct.driver_profits
-        assert via_payload.total_value == direct.total_value
-        assert via_payload.served_count == direct.served_count
+        shipper = ShmShipper()
+        try:
+            shipped = [
+                solve_shard(payload, request),
+                solve_shard(shipper.ship_payload(payload), request),
+            ]
+        finally:
+            shipper.close()
+        for result in shipped:
+            assert result.shard_id == direct.shard_id
+            assert result.assignment == direct.assignment
+            assert result.driver_profits == direct.driver_profits
+            assert result.total_value == direct.total_value
+            assert result.served_count == direct.served_count
 
     def test_unknown_solver_rejected(self, plan):
         payload = payload_from_shard(plan.shards[0])
         with pytest.raises(ValueError):
-            solve_shard_payload(payload, ShardWorkRequest(0, 1, 1, "simplex"))
+            solve_shard(payload, ShardWorkRequest(0, 1, 1, "simplex"))

@@ -1,10 +1,10 @@
 """Pool-aware shard placement (LPT) for offline solves.
 
 Two halves: the :func:`lpt_slot_assignment` rule itself, and the
-coordinator-level contract — ``solve(pool=..., load_report=...)`` packs
-slots longest-processing-time-first but the merged solution is bit-identical
-to round-robin placement and to the fork path (placement moves work between
-slots, never changes it).
+coordinator-level contract — ``solve(load_report=...)`` packs slots
+longest-processing-time-first but the merged solution is bit-identical to
+round-robin placement, on a shared pool or one of its own (placement moves
+work between slots, never changes it).
 """
 
 import pytest
@@ -73,12 +73,12 @@ class TestCoordinatorPlacement:
         config, instance = skewed_instance
         partitioner = SpatialPartitioner(config.bounding_box, 3, 3)
         coordinator = DistributedCoordinator(partitioner, "greedy", executor="thread")
-        fork = coordinator.solve(instance)
+        own = coordinator.solve(instance)
         with PersistentWorkerPool(executor="thread", worker_count=2) as pool:
             round_robin = coordinator.solve(instance, pool=pool)
-            packed = coordinator.solve(instance, pool=pool, load_report=fork)
-        assert self._fingerprint(round_robin) == self._fingerprint(fork)
-        assert self._fingerprint(packed) == self._fingerprint(fork)
+            packed = coordinator.solve(instance, pool=pool, load_report=own)
+        assert self._fingerprint(round_robin) == self._fingerprint(own)
+        assert self._fingerprint(packed) == self._fingerprint(own)
 
     def test_lpt_slots_follow_the_prior_report(self, skewed_instance):
         config, instance = skewed_instance

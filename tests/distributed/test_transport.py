@@ -9,7 +9,7 @@ Three layers are pinned here:
   ``close()`` unlinks everything, and a failed shipment falls back to
   pickle without losing the batch;
 * **parity contract 16** — shm == pickle merges, bit-identical, for the
-  offline pooled path and the streaming path alike, with the pickle
+  offline path and the streaming path alike, with the pickle
   transport (and the serial executor) as the reference.
 """
 
@@ -261,7 +261,7 @@ class TestTransportParity:
             max_workers=2,
             transport=transport,
         ) as coordinator:
-            result = coordinator.solve(instance, reuse_pool=True)
+            result = coordinator.solve(instance, pool=coordinator.stream_pool())
             prefix = coordinator.stream_pool().shipper.segment_prefix if transport == "shm" else None
         if prefix is not None:
             assert shm_entries(prefix) == []
@@ -281,6 +281,28 @@ class TestTransportParity:
         assert pickle_.report.transport == "pickle"
         assert shm.report.shm_bytes > 0
         assert 0 < shm.report.bytes_over_pipe < pickle_.report.bytes_over_pipe
+        assert shm.report.pickle_fallbacks == 0
+
+    def test_offline_shm_without_a_pool_argument(self, instance):
+        """``solve()`` with no ``pool=`` runs on a pool of the coordinator's
+        own configuration — shm included — and tears it down completely."""
+        import multiprocessing
+
+        stale = set(shm_entries("repro-shm-"))
+        coordinator = DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2),
+            executor="process",
+            transport="shm",
+            max_workers=2,
+        )
+        shm = coordinator.solve(instance)
+        assert coordinator.current_pool is None
+        assert multiprocessing.active_children() == []
+        assert set(shm_entries("repro-shm-")) <= stale
+        serial = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2)).solve(instance)
+        assert solve_fingerprint(shm) == solve_fingerprint(serial)
+        assert shm.report.transport == "shm"
+        assert shm.report.shm_bytes > 0
         assert shm.report.pickle_fallbacks == 0
 
     def _stream(self, instance, config, transport):

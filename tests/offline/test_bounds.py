@@ -240,3 +240,28 @@ class TestLagrangianConvergence:
         short = lagrangian_bound(small, iterations=8, target_value=greedy)
         long = lagrangian_bound(small, iterations=20, target_value=greedy)
         assert long.bounds_per_iteration[:8] == short.bounds_per_iteration
+
+    def test_trajectory_is_pinned(self):
+        """The subgradient loop and the DAG program under it
+        (``best_path(values=...)``) reproduce these iterates — recorded at
+        commit 7d36ba1 — bit for bit, under both step rules."""
+        instance = build_random_instance(task_count=30, driver_count=8, seed=5)
+        plain = lagrangian_bound(instance, iterations=6)
+        assert plain.bounds_per_iteration == (
+            57.72363199430205,
+            42.103069118137,
+            37.83099728018678,
+            36.91238236146923,
+            35.495069416752315,
+            34.81270755241293,
+        )
+        greedy = greedy_assignment(instance).total_value
+        polyak = lagrangian_bound(instance, iterations=6, target_value=greedy)
+        assert polyak.bounds_per_iteration == (
+            57.72363199430205,
+            44.35107658031977,
+            39.89723237577723,
+            37.34894217932373,
+            35.73278173147854,
+            35.64370895055106,
+        )

@@ -79,6 +79,32 @@ class TestBestPathAgainstEnumeration:
                     brute = max(brute, task_map.path_profit(path))
                 assert dp.profit == pytest.approx(max(brute, 0.0), rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [17, 23, 31])
+    def test_values_vector_matches_enumeration(self, seed):
+        """``values=`` is how the Lagrangian bound shifts task values by its
+        multipliers: the network's own prices reproduce the default call, and
+        a non-negative shift matches brute force over every feasible path."""
+        instance = build_random_instance(task_count=20, driver_count=5, seed=seed)
+        prices = instance.task_network.prices
+        shift = np.random.default_rng(seed).uniform(0.0, 3.0, size=instance.task_count)
+        for driver in instance.drivers:
+            task_map = instance.task_map(driver.driver_id)
+            assert best_path(task_map, values=prices) == best_path(task_map)
+            shifted = best_path(task_map, values=prices - shift)
+            brute = max(
+                (
+                    task_map.path_profit(path) - shift[list(path)].sum()
+                    for path in enumerate_paths(task_map)
+                ),
+                default=0.0,
+            )
+            assert shifted.profit == pytest.approx(max(brute, 0.0), rel=1e-9, abs=1e-9)
+
+    def test_wrong_values_shape_rejected(self, random_instance):
+        task_map = random_instance.task_map(random_instance.drivers[0].driver_id)
+        with pytest.raises(ValueError):
+            best_path(task_map, values=np.ones(random_instance.task_count + 1))
+
     def test_returned_path_is_feasible_and_consistent(self, random_instance):
         for driver in random_instance.drivers:
             task_map = random_instance.task_map(driver.driver_id)

@@ -9,8 +9,17 @@ kernel behind the grid prefilter.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.geo import (
+    EquirectangularEstimator,
+    HaversineEstimator,
+    ManhattanEstimator,
+    TravelModel,
+)
+from repro.geo.batch import _METRIC_FNS, METRICS
+from repro.market import MarketCostModel, MarketInstance
 from repro.online import (
     BatchConfig,
     BatchedSimulator,
@@ -103,6 +112,113 @@ class TestKernelCandidateEquivalence:
         reference = kernel.candidates_for_scalar(0, task, task.publish_ts)
         fast = kernel.candidates_for(0, task, task.publish_ts)
         assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
+
+
+def reference_window_costs(instance, states, metric, scale, wait, now_ts):
+    """A deliberately naive per-cell reimplementation of the window assembly
+    — scalar arithmetic over the entities themselves, sharing nothing with
+    ``candidates_for_window`` but the raw metric formula — returning
+    ``{(task_index, driver_id): (arrival, dropoff, approach_cost, marginal)}``
+    for every feasible cell."""
+    kernel = _METRIC_FNS[metric]
+    travel = instance.cost_model.travel_model
+    speed_kmh, cost_per_km = travel.speed_kmh, travel.cost_per_km
+    columns = instance.task_columns
+
+    def km(a, b):
+        return scale * float(
+            kernel(*np.radians([a.lat, a.lon]), *np.radians([b.lat, b.lon]))
+        )
+
+    cells = {}
+    for m, task in enumerate(instance.tasks):
+        if not columns.servable[m]:
+            continue
+        sdl, edl = task.start_deadline_ts, task.end_deadline_ts
+        for state in states:
+            driver = state.driver
+            depart = max(state.free_at, driver.start_ts, now_ts)
+            approach_km = km(state.location, task.source)
+            arrival = depart + approach_km / speed_kmh * 3600.0
+            pickup = max(arrival, sdl) if wait else arrival
+            dropoff = pickup + task.ride_window_s
+            home_km = km(task.destination, driver.destination)
+            if not (
+                depart <= sdl
+                and arrival <= sdl + 1e-9
+                and dropoff <= edl + 1e-9
+                and dropoff + home_km / speed_kmh * 3600.0 <= driver.end_ts + 1e-9
+            ):
+                continue
+            approach_cost = approach_km * cost_per_km
+            marginal = task.price - (
+                home_km * cost_per_km
+                + float(columns.service_costs[m])
+                + approach_cost
+                - km(state.location, driver.destination) * cost_per_km
+            )
+            cells[(m, driver.driver_id)] = (arrival, dropoff, approach_cost, marginal)
+    return cells
+
+
+class TestWindowOracle:
+    """``candidates_for_window``'s matrix assembly against the naive per-cell
+    oracle, for every built-in metric and both pickup-wait modes."""
+
+    ESTIMATORS = {
+        "haversine": HaversineEstimator(circuity=1.2),
+        "equirectangular": EquirectangularEstimator(circuity=1.2),
+        "manhattan": ManhattanEstimator(),
+    }
+
+    def _market(self, metric):
+        base = build_random_instance(task_count=40, driver_count=10, seed=99)
+        estimator = self.ESTIMATORS[metric]
+        instance = MarketInstance.create(
+            base.drivers,
+            base.tasks,
+            MarketCostModel(TravelModel(estimator, speed_kmh=35.0, cost_per_km=0.4)),
+        )
+        return instance, getattr(estimator, "circuity", 1.0)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("wait", [False, True])
+    def test_naive_reference(self, metric, wait):
+        instance, scale = self._market(metric)
+        states = [DriverState.fresh(d) for d in instance.drivers]
+        kernel = CandidateKernel(instance, states, wait_for_pickup_deadline=wait)
+        publishes = sorted(task.publish_ts for task in instance.tasks)
+        checked = 0
+        for now_ts in (publishes[0], publishes[len(publishes) // 2]):
+            want = reference_window_costs(instance, states, metric, scale, wait, now_ts)
+            window = kernel.candidates_for_window(range(instance.task_count), now_ts)
+            got = {
+                (m, c.driver_id): (
+                    c.arrival_ts, c.dropoff_ts, c.approach_cost, c.marginal_value
+                )
+                for m, candidates in window.items()
+                for c in candidates
+            }
+            assert set(got) == set(want)  # feasibility is exact
+            for cell, values in want.items():
+                np.testing.assert_allclose(got[cell], values, rtol=0.0, atol=1e-9)
+            # Candidates come back in fleet order within each task.
+            fleet_pos = {d.driver_id: i for i, d in enumerate(instance.drivers)}
+            for candidates in window.values():
+                order = [fleet_pos[c.driver_id] for c in candidates]
+                assert order == sorted(order)
+            checked += len(want)
+        assert checked, "instance produced no feasible cell at all"
+
+    def test_empty_window(self):
+        instance, _scale = self._market("haversine")
+        states = [DriverState.fresh(d) for d in instance.drivers]
+        kernel = CandidateKernel(instance, states)
+        now_ts = instance.tasks[0].publish_ts
+        assert kernel.candidates_for_window([], now_ts) == {}
+        # A window whose every task is already past its pickup deadline.
+        late = max(task.start_deadline_ts for task in instance.tasks) + 1.0
+        assert kernel.candidates_for_window(range(instance.task_count), late) == {}
 
 
 class TestSimulatorOutcomeRegression:

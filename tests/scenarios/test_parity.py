@@ -9,8 +9,8 @@ to every scenario:
   pool policy;
 * a sharded (2x2) streamed solve is bit-identical across serial / thread /
   process pools;
-* the offline ``solve()`` is bit-identical between the fork path and a
-  warm pool.
+* the offline ``solve()`` is bit-identical between a pool of its own and
+  a shared warm pool.
 
 One pool per policy is shared across all scenarios (module scope), which
 is both the intended usage and what keeps the process-policy forks paid
@@ -101,8 +101,8 @@ def test_sharded_stream_is_executor_independent(name, pools, compiled_scenarios)
 def test_offline_solve_pool_equals_fork(name, pools, compiled_scenarios):
     compiled = compiled_scenarios[name]
     partitioner = SpatialPartitioner(compiled.spec.region, 2, 2)
-    fork = DistributedCoordinator(partitioner, "greedy").solve(compiled.instance)
+    own = DistributedCoordinator(partitioner, "greedy").solve(compiled.instance)
     pooled = DistributedCoordinator(partitioner, "greedy", executor="process").solve(
         compiled.instance, pool=pools["process"]
     )
-    assert _fingerprint(pooled.solution) == _fingerprint(fork.solution)
+    assert _fingerprint(pooled.solution) == _fingerprint(own.solution)

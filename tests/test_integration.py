@@ -67,7 +67,7 @@ class TestFullPipeline:
 
     def test_distributed_mode_end_to_end(self, market):
         coordinator = DistributedCoordinator(
-            SpatialPartitioner(repro.PORTO, 2, 2), solver_name="greedy", parallel=True
+            SpatialPartitioner(repro.PORTO, 2, 2), solver_name="greedy", executor="thread"
         )
         result = coordinator.solve(market)
         result.solution.validate()
