@@ -7,7 +7,7 @@ item and pins parity contract 17 at benchmark scale:
   the relative optimality gaps (shipped-vs-bound and greedy-vs-bound), plus
   per-shard gap extremes;
 * **contract 17** — the ``solver_name="lp"`` merge is bit-identical across
-  the serial / thread / process executors and on a warm pool, per scenario,
+  the serial / process executors and on a warm pool, per scenario,
   with every per-shard bound record included in the fingerprint;
 * **auto-selection** — ``solver_name="auto"`` at the default threshold:
   which shards kept greedy, and that the auto merge is executor-stable too;
@@ -33,7 +33,7 @@ SMOKE_TRIPS, SMOKE_DRIVERS = 150, 18
 
 GRID_ROWS, GRID_COLS = 2, 2
 POOL_WORKERS = 2
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _fingerprint(result) -> tuple:

@@ -10,7 +10,7 @@ records the scenario-by-scenario comparison:
 * **degradation** — ``horizon=1`` is bit-identical to the myopic
   dispatcher (the lookahead machinery adds exactly nothing at horizon 1);
 * **executor parity** — horizon dispatch over the streamed path is
-  bit-identical across the serial / thread / process pool policies and the
+  bit-identical across the serial / process pool policies and the
   provided-pool vs own-pool paths (smoke);
 * **metrics** — per-scenario myopic/horizon serve rate + mean wait deltas
   land in ``benchmarks/results/BENCH_rolling_horizon.json``.
@@ -161,7 +161,7 @@ def test_rolling_horizon_smoke(save_json):
     reports = {}
     pools = {}
     try:
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             pools[executor] = PersistentWorkerPool(
                 executor=executor, worker_count=POOL_WORKERS
             )

@@ -6,10 +6,10 @@ comparison the suite produces:
 * **compile determinism** — compiling a spec twice yields byte-identical
   artifacts (``CompiledScenario.checksum``), per built-in scenario;
 * **offline parity** — ``solve()`` of the compiled instance is bit-identical
-  across the serial / thread / process policies on warm pools, per
+  across the serial / process policies on warm pools, per
   scenario;
 * **stream parity** — ``solve_stream()`` over the compiled arrival batches
-  is bit-identical across the same three pool policies, and equal to the
+  is bit-identical across the same two pool policies, and equal to the
   offline ``BatchedSimulator.run`` replay of the full task set (the
   stream == offline contract extended to every scenario);
 * **metrics** — the scenario-suite rows (serve rate, revenue, mean wait,
@@ -117,7 +117,7 @@ def _run_verified_suite(trips, drivers, names, save_json, artifact_name):
     pools = {}
     verification = {}
     try:
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             pools[executor] = PersistentWorkerPool(
                 executor=executor, worker_count=POOL_WORKERS
             )

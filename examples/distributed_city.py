@@ -3,7 +3,7 @@
 The paper argues the matching problem must be partitioned at city scale to be
 tractable — but not much further, because riders and drivers cross district
 boundaries.  This example makes that trade-off concrete, and shows the
-coordinator's *executor policy* knob (``serial`` / ``thread`` / ``process``):
+coordinator's *executor policy* knob (``serial`` / ``process``):
 
 1. build one day of the Porto market;
 2. solve it centrally with the greedy algorithm;
@@ -14,8 +14,7 @@ coordinator's *executor policy* knob (``serial`` / ``thread`` / ``process``):
    sharding retains.
 
 Pick ``executor="process"`` for city-scale instances (every core solves its
-own shards), ``"thread"`` when NumPy kernels dominate, and ``"serial"`` for
-tests and debugging — see ``repro/distributed/coordinator.py`` for the full
+own shards) and ``"serial"`` for small instances, tests and debugging — see ``repro/distributed/coordinator.py`` for the full
 decision guide.  For consuming a *live* order stream over the same shards,
 see ``examples/streaming_city.py``.
 

@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=sorted(EXECUTOR_POLICIES),
         default="serial",
-        help="streaming fan-out policy: 'serial' replays in-process, 'thread'/"
-        "'process' route shard deltas to a persistent worker pool "
+        help="streaming fan-out policy: 'serial' replays in-process, "
+        "'process' routes shard deltas to a persistent worker pool "
         "(merged results are executor-independent)",
     )
     solve.add_argument(

@@ -18,15 +18,8 @@ only decides what a slot is.  The right one depends on where the time goes:
 ``serial`` (default)
     One inline slot: shards are solved in-process, one after another.  Zero
     overhead, fully deterministic, the right choice for small instances, for
-    tests and for debugging — and the reference every other policy must
+    tests and for debugging — and the reference the process policy must
     reproduce bit-identically.
-
-``thread``
-    Single-thread slots.  Threads share the interpreter, so pure-Python
-    solver time stays GIL-bound; the win is limited to the NumPy kernels
-    (leg matrices, candidate masks) that release the GIL.  Cheap to start,
-    shares memory, good for a handful of shards whose cost is dominated by
-    vectorised work.
 
 ``process``
     Single-process slots.  Each shard is flattened into an array-backed
@@ -41,6 +34,9 @@ only decides what a slot is.  The right one depends on where the time goes:
     (hundreds of tasks per shard, or many shards) — and re-solve-heavy
     callers should pass one warm ``pool=`` to every ``solve``.
 
+Offline shards and stream batches share one shipping path,
+``PersistentWorkerPool.submit_shipment``, which picks the wire format.
+
 Choosing a shard count
 ----------------------
 
@@ -53,7 +49,7 @@ guidance: use the coarsest grid that yields at least one shard per worker
 — if it is far below the shard count, the largest shard dominates and a finer
 grid (or a better-balanced partition) is needed before more workers help.
 
-Every executor consumes the same per-shard
+Both executors consume the same per-shard
 :class:`~repro.distributed.messages.ShardWorkRequest` (including the
 deterministically derived per-shard seed) and the merge consumes results in
 shard order, so the merged solution is bit-identical across policies.
@@ -77,8 +73,8 @@ ablation sweeps.
 **Parity contract (stream == replay):** every worker session runs the exact
 ``BatchedSimulator.run_stream`` code path on a value-identical delta round
 trip, so the merged streamed solution is bit-identical to a serial per-shard
-``run_stream`` replay of the same batch schedule — across all three executor
-policies.  The optional skew-aware rebalance (split the hottest shard, merge
+``run_stream`` replay of the same batch schedule — under either executor
+policy.  The optional skew-aware rebalance (split the hottest shard, merge
 cold ones between windows) deliberately trades that fixed partition for load
 balance; its own contract is determinism: a rebalanced stream is bit-identical
 to a from-start stream over the final (post-rebalance) regions.
@@ -140,8 +136,10 @@ from .partition import (
 )
 from .payload import ShardPayload, delta_from_tasks, instance_from_payload, payload_from_shard
 from .pool import (
+    EXECUTOR_POLICIES,
     PersistentWorkerPool,
     WorkerPoolBrokenError,
+    _pool_append,
     _pool_discard,
     _pool_finish,
     _pool_open,
@@ -152,7 +150,6 @@ from .transport import (
     TRANSPORTS,
     PayloadDescriptor,
     payload_from_descriptor,
-    payload_wire_bytes,
     transport_error,
 )
 
@@ -162,9 +159,6 @@ SOLVER_NAMES = ("greedy", "nearest", "maxMargin", "lp", "auto")
 #: The exact-tier solvers: shards come back with a :class:`ShardBounds`
 #: sandwich (greedy incumbent, LP value, LP + Lagrangian bounds) attached.
 EXACT_SOLVER_NAMES = ("lp", "auto")
-
-#: Executor policies accepted by the coordinator.
-EXECUTOR_POLICIES = ("serial", "thread", "process")
 
 logger = logging.getLogger("repro.distributed.coordinator")
 
@@ -231,7 +225,7 @@ def _worker_recorder(request: ShardWorkRequest, shard_id: int):
 
     Returns ``(recorder, previous)`` where ``previous`` is whatever recorder
     the calling thread had installed (the coordinator's own, under the
-    serial/thread policies) — the caller must restore it, so worker-side
+    serial policy) — the caller must restore it, so worker-side
     span collection never leaks into the coordinator's tree except through
     the explicit ``adopt`` at merge time.
     """
@@ -276,7 +270,7 @@ def solve_shard(
     """The worker entry: run the requested solver on one shard, however it
     was shipped.
 
-    A :class:`MarketShard` (serial/thread slots share the coordinator's
+    A :class:`MarketShard` (the serial slot shares the coordinator's
     interpreter) is solved on its own sub-instance; a :class:`ShardPayload`
     (pickle transport) is rebuilt first; a :class:`PayloadDescriptor` (shm
     transport) names the shared-memory segment the payload's columns are
@@ -323,41 +317,6 @@ def solve_shard(
         bounds=bounds,
         spans=recorder.export() if recorder is not None else (),
     )
-
-
-def _submit_shard(
-    pool: PersistentWorkerPool, slot: int, shard: MarketShard, request: ShardWorkRequest
-):
-    """Submit one offline shard solve over the pool's transport.
-
-    Serial/thread slots share this interpreter and take the shard itself;
-    a process slot is shipped the shard's array-backed payload.  Mirrors
-    ``PersistentWorkerPool.submit_append``: on shm transport only a
-    descriptor is pickled and the segment is recycled when the future
-    completes; any shipping failure falls back to the pickled payload for
-    that shard (counted in ``stats.pickle_fallbacks``).
-    """
-    if pool.executor != "process":
-        return pool.submit(slot, solve_shard, shard, request)
-    payload = payload_from_shard(shard)
-    fallback = False
-    if pool.shm_active:
-        try:
-            desc = pool.shipper.ship_payload(payload)
-        except (OSError, RuntimeError, ValueError) as exc:
-            logger.warning(
-                "shm shipment failed for shard %d, falling back to pickle: %s",
-                payload.shard_id, exc,
-            )
-            fallback = True
-        else:
-            future = pool.submit(slot, solve_shard, desc, request)
-            future.add_done_callback(lambda _f: pool.shipper.release(desc.segment))
-            return future
-    pool.stats.record_pickle(
-        payload.shard_id, payload_wire_bytes(payload), fallback=fallback
-    )
-    return pool.submit(slot, solve_shard, payload, request)
 
 
 @dataclass(frozen=True)
@@ -463,9 +422,7 @@ class DistributedStreamSession:
         self._rebalance = rebalance
         self._token = next_stream_token()
         self._start = time.perf_counter()
-        # Wire-traffic baseline: the pool's stats are cumulative over its
-        # lifetime, so the report diffs against the counts at open.
-        self._stats_mark = self._stats_snapshot()
+        self._stats_mark = pool.stats.counters()  # wire-traffic baseline
         # Flight recorder: the stream's lifetime span lives on whatever
         # recorder the opening thread has active; worker sessions collect
         # their own spans (the ``trace`` flag rides ``_pool_open``) and the
@@ -514,15 +471,6 @@ class DistributedStreamSession:
         except WorkerPoolBrokenError as exc:
             raise self._shard_broken(shard_id, exc) from exc
         return PendingAppend(shard_id=shard_id, future=future)
-
-    def _stats_snapshot(self) -> Tuple[int, int, int, int]:
-        stats = self._pool.stats
-        return (
-            stats.bytes_over_pipe,
-            stats.shm_bytes,
-            stats.segment_reuses,
-            stats.pickle_fallbacks,
-        )
 
     def _shard_broken(
         self, shard_id: int, exc: WorkerPoolBrokenError
@@ -730,7 +678,9 @@ class DistributedStreamSession:
         # The pool picks the wire format: shm transport ships the delta's
         # columns through a shared segment and pickles only the descriptor.
         try:
-            future = self._pool.submit_append(shard.slot, self._token, delta)
+            future = self._pool.submit_shipment(
+                shard.slot, _pool_append, delta, self._token
+            )
         except WorkerPoolBrokenError as exc:
             raise self._shard_broken(shard.shard_id, exc) from exc
         self._inflight.append(PendingAppend(shard_id=shard.shard_id, future=future))
@@ -921,7 +871,7 @@ class DistributedStreamSession:
             stream_spans = self._recorder.spans_since(self._trace_mark)
             phase_breakdown = obs_trace.phase_totals(stream_spans)
             trace_span_count = len(stream_spans)
-        now_stats = self._stats_snapshot()
+        now_stats = self._pool.stats.counters()
         report = StreamReport(
             shard_count=len(self._shards),
             batch_count=self.batch_count,
@@ -976,11 +926,11 @@ class DistributedCoordinator:
         surfaced as ``CoordinatorReport.per_shard_bounds`` and the
         ``optimality_gap`` aggregates.
     executor:
-        Fan-out policy: ``"serial"`` (default), ``"thread"`` or
-        ``"process"`` (see the module docstring for how to choose).
+        Fan-out policy: ``"serial"`` (default) or ``"process"`` (see the
+        module docstring for how to choose).
     max_workers:
-        Pool width for the thread/process policies (``None`` lets the pool
-        pick its default).
+        Pool width for the process policy (``None`` lets the pool pick its
+        default).
     base_seed:
         Base of the deterministic per-shard seeds (shard ``k`` receives
         ``base_seed + k``), so stochastic shard solvers are reproducible and
@@ -1030,13 +980,9 @@ class DistributedCoordinator:
         """The coordinator's persistent worker pool (created lazily, kept
         alive across streams *and* ``solve(pool=coordinator.stream_pool())``
         offline solves, so re-solves and sweeps amortise its startup)."""
-        stale = self._stream_pool is not None and (
-            self._stream_pool.executor != self.executor
-            or self._stream_pool.transport != self.transport
-        )
-        if self._stream_pool is None or stale:
-            if self._stream_pool is not None:
-                self._stream_pool.close()
+        # A pool whose worker died has closed itself; hand out a fresh one
+        # rather than re-raising the stale death on every later stream.
+        if self._stream_pool is None or self._stream_pool.closed:
             self._stream_pool = self._new_pool()
         return self._stream_pool
 
@@ -1213,14 +1159,7 @@ class DistributedCoordinator:
             if recorder is not None
             else obs_trace.DROPPED
         )
-        # Wire accounting: the pool's counters are cumulative over its
-        # lifetime, so the report diffs against the counts at entry.
-        stats_mark = (
-            pool.stats.bytes_over_pipe,
-            pool.stats.shm_bytes,
-            pool.stats.segment_reuses,
-            pool.stats.pickle_fallbacks,
-        )
+        stats_mark = pool.stats.counters()  # wire-traffic baseline
         with obs_trace.span("partition"):
             plan = self.partitioner.partition(instance)
         requests = [
@@ -1248,10 +1187,15 @@ class DistributedCoordinator:
                 live.append(position)
 
         slots = self._placement_slots(plan, live, pool.worker_count, load_report)
-        futures = [
-            _submit_shard(pool, slot, plan.shards[position], requests[position])
-            for slot, position in zip(slots, live)
-        ]
+        # An inline slot shares this interpreter and takes the shard itself;
+        # a process slot is shipped the shard's array-backed payload.
+        futures = []
+        for slot, position in zip(slots, live):
+            shard = plan.shards[position]
+            shipment = payload_from_shard(shard) if pool.executor == "process" else shard
+            futures.append(
+                pool.submit_shipment(slot, solve_shard, shipment, requests[position])
+            )
         for position, future in zip(live, futures):
             results[position] = future.result()
         solved = [result for result in results if result is not None]
@@ -1279,6 +1223,7 @@ class DistributedCoordinator:
             trace_span_count = len(solve_spans)
         wall_clock = time.perf_counter() - start
         durations = tuple(r.elapsed_s for r in solved)
+        now_stats = pool.stats.counters()
         report = CoordinatorReport(
             shard_count=plan.shard_count,
             total_value=solution.total_value,
@@ -1292,10 +1237,10 @@ class DistributedCoordinator:
             empty_shard_count=len(plan.shards) - len(live),
             per_shard_task_counts=tuple(shard.task_count for shard in plan.shards),
             transport=pool.transport,
-            bytes_over_pipe=pool.stats.bytes_over_pipe - stats_mark[0],
-            shm_bytes=pool.stats.shm_bytes - stats_mark[1],
-            segment_reuses=pool.stats.segment_reuses - stats_mark[2],
-            pickle_fallbacks=pool.stats.pickle_fallbacks - stats_mark[3],
+            bytes_over_pipe=now_stats[0] - stats_mark[0],
+            shm_bytes=now_stats[1] - stats_mark[1],
+            segment_reuses=now_stats[2] - stats_mark[2],
+            pickle_fallbacks=now_stats[3] - stats_mark[3],
             per_shard_bounds=(
                 tuple(r.bounds for r in solved)
                 if self.solver_name in EXACT_SOLVER_NAMES

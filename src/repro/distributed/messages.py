@@ -36,7 +36,7 @@ class ShardWorkRequest:
     solver_name: str
     #: Seed for the shard's stochastic tie-breaking (random/nearest dispatch).
     #: The coordinator derives it deterministically from its base seed and the
-    #: shard id, so any executor — serial, thread pool or process pool —
+    #: shard id, so either executor — serial or process pool —
     #: hands every shard the same seed and the merged solution is identical.
     seed: int = 0
     #: Relative-gap knob for the exact tier: ``solver_name="auto"`` keeps the
@@ -94,7 +94,7 @@ class CoordinatorReport:
 
     #: Populated by the coordinator; kept separate from values for clarity.
     per_shard_durations: Tuple[float, ...] = ()
-    #: Executor policy the coordinator ran with ("serial", "thread", "process").
+    #: Executor policy the coordinator ran with ("serial" or "process").
     executor: str = "serial"
     #: Worker-pool width used for the fan-out (1 for the serial policy).
     worker_count: int = 1
@@ -110,8 +110,8 @@ class CoordinatorReport:
     #: Transport the fan-out shipped payloads over ("pickle" or "shm").
     transport: str = "pickle"
     #: Bytes that actually crossed executor pipes for this solve (pickled
-    #: payloads, or just descriptors on shm); 0 for serial/thread where no
-    #: pipe exists.
+    #: payloads, or just descriptors on shm); 0 for serial, where no pipe
+    #: exists.
     bytes_over_pipe: int = 0
     #: Array bytes shipped through shared-memory segments instead.
     shm_bytes: int = 0
@@ -247,7 +247,7 @@ class StreamReport:
     #: Transport the stream's appends shipped over ("pickle" or "shm").
     transport: str = "pickle"
     #: Bytes that actually crossed executor pipes for this stream's appends
-    #: (pickled deltas, or just descriptors on shm); 0 for serial/thread.
+    #: (pickled deltas, or just descriptors on shm); 0 for serial.
     bytes_over_pipe: int = 0
     #: Array bytes shipped through shared-memory segments instead.
     shm_bytes: int = 0

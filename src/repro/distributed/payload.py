@@ -24,7 +24,7 @@ Parity contracts
   caches across the process boundary.
 * **Bit-identical round trip.**  ``instance_from_payload(payload_from_shard(s))``
   is value-identical to ``s.instance``, and merged coordinator solutions are
-  bit-identical across the serial / thread / process executors.
+  bit-identical across the serial and process executors.
 * **Deltas == full rebuild.**  For the streaming path, a
   :class:`ShardPayloadDelta` ships *only the new task columns* of one arrival
   batch.  Reconstructing the batches of a stream with

@@ -8,11 +8,11 @@ workers (and the per-shard streaming state living inside them) alive:
 
 * :class:`PersistentWorkerPool` owns ``worker_count`` *slot executors*.  Each
   slot is a single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-  (or ``ThreadPoolExecutor``, or inline execution for the serial policy), so
-  every call submitted to a slot runs in the **same** process, in submission
-  order.  Shards are pinned to slots, which is what lets a worker process
-  hold a shard's :class:`~repro.market.streaming.StreamingMarketInstance`
-  across batches instead of rebuilding it.
+  (or inline execution for the serial policy), so every call submitted to a
+  slot runs in the **same** process, in submission order.  Shards are pinned
+  to slots, which is what lets a worker process hold a shard's
+  :class:`~repro.market.streaming.StreamingMarketInstance` across batches
+  instead of rebuilding it.
 * :class:`ShardStreamSession` is the worker-resident state of one shard's
   stream: a streaming instance plus a
   :class:`~repro.online.batch.BatchedSimulator` consuming it through the
@@ -29,7 +29,10 @@ workers (and the per-shard streaming state living inside them) alive:
 Only primal inputs ever cross the process boundary: drivers + cost model at
 open (plain frozen dataclasses with no derived caches) and
 :class:`~repro.distributed.payload.ShardPayloadDelta` arrays per batch (the
-new task columns only).
+new task columns only).  Stream deltas and offline
+:class:`~repro.distributed.payload.ShardPayload`s alike go onto a slot
+through :meth:`PersistentWorkerPool.submit_shipment`, the one place that
+picks the wire format, falls back to pickle and accounts the bytes.
 
 The pool is also the offline execution substrate: the coordinator's
 ``solve()`` dispatches one-shot shard solves (top-level ``solve_shard``
@@ -45,8 +48,8 @@ import itertools
 import logging
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
@@ -64,11 +67,14 @@ from .transport import (
     ShmShipper,
     TransportStats,
     delta_from_descriptor,
+    delta_wire_bytes,
+    payload_wire_bytes,
     transport_error,
 )
 
-#: Executor policies accepted by the pool (mirrors the coordinator's).
-POOL_POLICIES = ("serial", "thread", "process")
+#: The executor policies — what a pool slot is: inline in the caller's
+#: process, or a single-worker child process.
+EXECUTOR_POLICIES = ("serial", "process")
 
 logger = logging.getLogger("repro.distributed.pool")
 
@@ -129,8 +135,9 @@ class ShardStreamSession:
         # Session-lifetime flight recorder: spans from every append (and the
         # nested candidate/Hungarian spans the simulator records) accumulate
         # here and ship back on the finish result's ``spans`` tuple.  The
-        # recorder is installed thread-locally only for the duration of each
-        # call, so concurrent sessions on thread-pool slots never cross-talk.
+        # recorder is installed only for the duration of each call, so under
+        # the serial policy the coordinator's own recorder is back in place
+        # between calls.
         self._recorder = obs_trace.TraceRecorder() if trace else None
         self._root_span = (
             self._recorder.begin(
@@ -200,7 +207,7 @@ class ShardStreamSession:
 # ----------------------------------------------------------------------
 #: Sessions resident in *this* process, keyed by (stream token, shard id).
 #: In a worker process the registry holds the shards pinned to that worker;
-#: under the serial/thread policies it lives in the coordinator's process.
+#: under the serial policy it lives in the coordinator's process.
 _SESSIONS: Dict[Tuple[int, int], ShardStreamSession] = {}
 
 #: Coordinator-side token source; unique per coordinator process, which makes
@@ -228,21 +235,20 @@ def _pool_open(
     return shard_id
 
 
-def _pool_append(token: int, shard_id: int, delta: ShardPayloadDelta) -> int:
-    return _SESSIONS[(token, shard_id)].append(tasks_from_delta(delta))
-
-
-def _pool_append_shm(token: int, shard_id: int, desc: DeltaDescriptor) -> int:
-    """Shm-transport twin of :func:`_pool_append`: the batch's arrays are
-    read from shared memory instead of the pickled call arguments.  Tasks are
-    materialised inside this call (``tasks_from_delta`` builds plain objects),
-    so no view outlives the segment's recycle window."""
-    session = _SESSIONS[(token, shard_id)]
-    # Install the session recorder around the rebuild so the attach span
+def _pool_append(shipment: Union[ShardPayloadDelta, DeltaDescriptor], token: int) -> int:
+    """The stream-append worker entry: feed one arrival batch to its shard's
+    session, whether it arrived whole or (shm transport) as a descriptor of
+    the segment its columns are read from.  Tasks are materialised inside
+    this call (``tasks_from_delta`` builds plain objects), so no view
+    outlives the segment's recycle window."""
+    session = _SESSIONS[(token, shipment.shard_id)]
+    # Open the shipment under the session recorder so the attach span
     # (recorded inside ``delta_from_descriptor``) lands on this shard's trace.
     previous = obs_trace.install_recorder(session._recorder)
     try:
-        tasks = tasks_from_delta(delta_from_descriptor(desc))
+        if isinstance(shipment, DeltaDescriptor):
+            shipment = delta_from_descriptor(shipment)
+        tasks = tasks_from_delta(shipment)
     finally:
         obs_trace.install_recorder(previous)
     return session.append(tasks)
@@ -371,22 +377,22 @@ class PersistentWorkerPool:
     Parameters
     ----------
     executor:
-        ``"serial"`` (inline execution, 1 slot), ``"thread"`` or
-        ``"process"``.  Thread/process slots are **single-worker** executors:
-        work submitted to one slot runs in one OS thread/process in
-        submission order, which is the ordering + locality guarantee the
-        shard sessions rely on.
+        ``"serial"`` (inline execution, 1 slot) or ``"process"``.  Process
+        slots are **single-worker** executors: work submitted to one slot
+        runs in one OS process in submission order, which is the ordering +
+        locality guarantee the shard sessions rely on.
     worker_count:
-        Number of slots for the pooled policies (default: CPU count).
+        Number of slots for the process policy (default: CPU count).
     transport:
         ``"pickle"`` (default) ships payloads/deltas as pickled call
         arguments; ``"shm"`` ships the array columns through shared-memory
         segments owned by the pool's :class:`~repro.distributed.transport.ShmShipper`
         and only descriptors cross the pipe.  Shared memory is engaged only
-        where a pipe exists (the process policy); under serial/thread the
-        setting is accepted and recorded but nothing is shipped at all, so
-        both transports are trivially identical there.  Parity contract 16
-        pins shm == pickle merges on the process policy.
+        where a pipe exists (the process policy); under serial the setting
+        is accepted and recorded but nothing is shipped at all, so both
+        transports are trivially identical there.  Parity contract 16 pins
+        shm == pickle merges on the process policy.  Either way
+        :meth:`submit_shipment` is the one shipping path.
 
     Lifecycle
     ---------
@@ -406,7 +412,7 @@ class PersistentWorkerPool:
     ``submit(slot, ...)`` reduces ``slot`` modulo :attr:`worker_count`, so a
     caller can use any stable integer (a shard id, a round-robin counter) as
     the pinning key.  Work pinned to the same slot runs in the same
-    thread/process in submission order — the locality guarantee that lets a
+    process in submission order — the locality guarantee that lets a
     worker hold shard state across calls; work on different slots runs
     concurrently with no ordering relation.
     """
@@ -418,9 +424,9 @@ class PersistentWorkerPool:
         *,
         transport: str = "pickle",
     ) -> None:
-        if executor not in POOL_POLICIES:
+        if executor not in EXECUTOR_POLICIES:
             raise ValueError(
-                f"unknown executor {executor!r}; expected one of {POOL_POLICIES}"
+                f"unknown executor {executor!r}; expected one of {EXECUTOR_POLICIES}"
             )
         if transport not in TRANSPORTS:
             raise transport_error(transport)
@@ -430,7 +436,7 @@ class PersistentWorkerPool:
             self.worker_count = 1
         else:
             self.worker_count = max(1, worker_count or os.cpu_count() or 1)
-        self._slots: List[Optional[Executor]] = [None] * self.worker_count
+        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * self.worker_count
         self._closed = False
         self._broken: Optional[WorkerPoolBrokenError] = None
         self.stats = TransportStats(transport=transport)
@@ -475,24 +481,26 @@ class PersistentWorkerPool:
             self._log_listener = obs_logs.start_record_relay(self._log_queue)
         return (self._log_queue, level)
 
-    def _slot_executor(self, slot: int) -> Executor:
+    def _slot_executor(self, slot: int) -> ProcessPoolExecutor:
         pool = self._slots[slot]
         if pool is None:
-            if self.executor == "thread":
-                pool = ThreadPoolExecutor(max_workers=1)
-            else:
-                pool = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_slot_initializer,
-                    initargs=(self._log_spec(),),
-                )
-            self._slots[slot] = pool
+            pool = self._slots[slot] = ProcessPoolExecutor(
+                max_workers=1,
+                initializer=_slot_initializer,
+                initargs=(self._log_spec(),),
+            )
         return pool
 
     @property
     def broken(self) -> bool:
         """Whether a worker death has torn the pool down."""
         return self._broken is not None
+
+    @property
+    def closed(self) -> bool:
+        """Whether the pool has been shut down — by :meth:`close`, or by a
+        worker death (a broken pool closes itself)."""
+        return self._closed
 
     def _mark_broken(self, slot: int, cause: BaseException) -> WorkerPoolBrokenError:
         """Record a dead worker and tear the whole pool down.
@@ -522,7 +530,7 @@ class PersistentWorkerPool:
         """Run ``fn(*args)`` on a slot (inline under the serial policy).
 
         Returns a future; calls submitted to the same slot execute in order,
-        in the same thread/process.  If the slot's worker has died, raises
+        in the same process.  If the slot's worker has died, raises
         :class:`WorkerPoolBrokenError` naming the slot (and closes the pool)
         instead of the executor's bare :class:`BrokenExecutor`.
         """
@@ -542,37 +550,44 @@ class PersistentWorkerPool:
             raise self._mark_broken(slot, exc) from exc
         return _SlotFuture(self, slot, future)
 
-    def submit_append(self, slot: int, token: int, delta: ShardPayloadDelta):
-        """Submit one stream-append over the pool's transport.
+    def submit_shipment(self, slot: int, fn, shipment, /, *args):
+        """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (a
+        stream's :class:`ShardPayloadDelta` or an offline solve's
+        ``ShardPayload``) over the pool's transport.
 
-        On shm transport the delta's columns are copied into a segment and
-        only the descriptor is pickled; the segment is recycled when the
-        returned future completes (same slot, submission order — see the
-        transport module's correctness model).  Any shipping failure falls
-        back to the pickle path for that batch and is counted in
-        ``stats.pickle_fallbacks``, so a degraded environment degrades
-        throughput, never correctness.
+        An inline slot is handed the object as it is; a process slot gets it
+        pickled.  On shm transport the columns are copied into a segment and
+        only the descriptor is pickled — ``fn`` must open either form — and
+        the segment is recycled when the returned future completes (same
+        slot, submission order — see the transport module's correctness
+        model).  Any shipping failure falls back to the pickle path for that
+        shipment and is counted in ``stats.pickle_fallbacks``, so a degraded
+        environment degrades throughput, never correctness.
         """
-        from .transport import delta_wire_bytes
-
+        if self.executor != "process":
+            return self.submit(slot, fn, shipment, *args)
+        is_delta = isinstance(shipment, ShardPayloadDelta)
+        fallback = False
         if self.shm_active:
             try:
-                desc = self.shipper.ship_delta(delta)
+                shipper = self.shipper
+                ship = shipper.ship_delta if is_delta else shipper.ship_payload
+                desc = ship(shipment)
             except (OSError, RuntimeError, ValueError) as exc:
                 logger.warning(
                     "shm shipment failed for shard %d, falling back to pickle: %s",
-                    delta.shard_id, exc,
+                    shipment.shard_id, exc,
                 )
-                self.stats.record_pickle(
-                    delta.shard_id, delta_wire_bytes(delta), fallback=True
-                )
-                return self.submit(slot, _pool_append, token, delta.shard_id, delta)
-            future = self.submit(slot, _pool_append_shm, token, delta.shard_id, desc)
-            future.add_done_callback(lambda _f: self._shipper.release(desc.segment))
-            return future
-        if self.executor == "process":
-            self.stats.record_pickle(delta.shard_id, delta_wire_bytes(delta))
-        return self.submit(slot, _pool_append, token, delta.shard_id, delta)
+                fallback = True
+            else:
+                future = self.submit(slot, fn, desc, *args)
+                future.add_done_callback(lambda _f: shipper.release(desc.segment))
+                return future
+        wire_bytes = delta_wire_bytes if is_delta else payload_wire_bytes
+        self.stats.record_pickle(
+            shipment.shard_id, wire_bytes(shipment), fallback=fallback
+        )
+        return self.submit(slot, fn, shipment, *args)
 
     def close(self, cancel_pending: bool = True) -> None:
         """Shut every slot executor down (idempotent).

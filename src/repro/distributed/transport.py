@@ -217,6 +217,14 @@ class TransportStats:
     def bytes_over_pipe(self) -> int:
         return self.descriptor_bytes + self.pickle_bytes
 
+    def counters(self) -> Tuple[int, int, int, int]:
+        """``(bytes_over_pipe, shm_bytes, segment_reuses, pickle_fallbacks)``
+        so far; the counts are cumulative over the pool's lifetime, so a
+        solve or stream report carries the difference of two readings."""
+        return (
+            self.bytes_over_pipe, self.shm_bytes, self.segment_reuses, self.pickle_fallbacks
+        )
+
     def record_shm(self, shard_id: int, shm_bytes: int, descriptor_bytes: int) -> None:
         self.shm_shipments += 1
         self.shm_bytes += shm_bytes

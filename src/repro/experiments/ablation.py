@@ -152,9 +152,9 @@ def run_partition_ablation(
 ) -> PartitionAblationResult:
     """Solve the same market with increasingly fine spatial shards.
 
-    ``executor`` selects the coordinator's fan-out policy (``"serial"``,
-    ``"thread"`` or ``"process"``); the merged solutions are identical across
-    policies, only ``wall_clock_s`` changes.  With ``stream=True`` each grid
+    ``executor`` selects the coordinator's fan-out policy (``"serial"`` or
+    ``"process"``); the merged solutions are identical across policies, only
+    ``wall_clock_s`` changes.  With ``stream=True`` each grid
     point consumes the day as a *live* order stream through per-shard
     streaming sessions on the persistent worker pool (``solve_stream``)
     instead of an offline greedy re-solve — the streaming twin of the same

@@ -22,7 +22,7 @@ from .distance import (
     default_travel_model,
     time_varying_model,
 )
-from .grid import GridIndex, SpatialGrid, bounding_box_of, build_grid
+from .grid import GridIndex, bounding_box_of
 
 __all__ = [
     "coord_array",
@@ -49,8 +49,6 @@ __all__ = [
     "TimeVaryingTravelModel",
     "default_travel_model",
     "time_varying_model",
-    "SpatialGrid",
-    "build_grid",
     "GridIndex",
     "bounding_box_of",
 ]

@@ -2,23 +2,20 @@
 
 The online heuristics (Algorithms 3 and 4 of the paper) repeatedly ask
 "which drivers could reach the source of this task in time?".  A linear scan
-over all drivers is fine for a few hundred drivers but the index keeps the
-simulator comfortably fast for city-scale sweeps and is also used by the
-distributed partitioner.
+over all drivers is fine for a few hundred drivers; :class:`GridIndex`
+buckets the fleet into uniform cells so the simulators only run their exact
+checks on the drivers near a task, which keeps city-scale sweeps fast.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import batch
-from .point import EARTH_RADIUS_KM, GeoPoint, equirectangular_km
+from .point import EARTH_RADIUS_KM, GeoPoint
 from .region import BoundingBox
-
-T = TypeVar("T")
 
 
 def _grid_shape(box: BoundingBox, cell_km: float) -> Tuple[int, int]:
@@ -36,158 +33,13 @@ def _cell_of(box: BoundingBox, rows: int, cols: int, point: GeoPoint) -> Tuple[i
     return min(rows - 1, max(0, row)), min(cols - 1, max(0, col))
 
 
-class SpatialGrid(Generic[T]):
-    """A uniform grid over a bounding box holding items located at points.
-
-    Items outside the bounding box are clamped to the nearest border cell so
-    that nothing is silently dropped.
-    """
-
-    def __init__(self, box: BoundingBox, cell_km: float = 1.0) -> None:
-        if cell_km <= 0:
-            raise ValueError("cell_km must be positive")
-        self._box = box
-        self._cell_km = cell_km
-        self._rows, self._cols = _grid_shape(box, cell_km)
-        self._cells: Dict[Tuple[int, int], List[Tuple[GeoPoint, T]]] = {}
-        self._locations: Dict[int, Tuple[GeoPoint, Tuple[int, int]]] = {}
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    # basic container protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[Tuple[GeoPoint, T]]:
-        for bucket in self._cells.values():
-            yield from bucket
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """(rows, cols) of the grid."""
-        return self._rows, self._cols
-
-    @property
-    def cell_km(self) -> float:
-        return self._cell_km
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def insert(self, point: GeoPoint, item: T) -> None:
-        """Insert ``item`` at ``point``.  The same object may be re-inserted
-        after :meth:`remove` to model a driver moving."""
-        cell = self._cell_of(point)
-        self._cells.setdefault(cell, []).append((point, item))
-        self._locations[id(item)] = (point, cell)
-        self._count += 1
-
-    def remove(self, item: T) -> bool:
-        """Remove ``item`` (by identity).  Returns ``True`` if it was present."""
-        key = id(item)
-        located = self._locations.pop(key, None)
-        if located is None:
-            return False
-        _point, cell = located
-        bucket = self._cells.get(cell, [])
-        for i, (_p, existing) in enumerate(bucket):
-            if existing is item:
-                bucket.pop(i)
-                break
-        if not bucket and cell in self._cells:
-            del self._cells[cell]
-        self._count -= 1
-        return True
-
-    def move(self, item: T, new_point: GeoPoint) -> None:
-        """Relocate ``item`` to ``new_point`` (insert if not present)."""
-        self.remove(item)
-        self.insert(new_point, item)
-
-    def bulk_insert(self, located_items: Iterable[Tuple[GeoPoint, T]]) -> None:
-        for point, item in located_items:
-            self.insert(point, item)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def within_radius(self, center: GeoPoint, radius_km: float) -> List[Tuple[float, GeoPoint, T]]:
-        """All items within ``radius_km`` of ``center``.
-
-        Returns ``(distance_km, point, item)`` tuples sorted by distance.
-        """
-        if radius_km < 0:
-            raise ValueError("radius_km must be non-negative")
-        entries = list(self._candidates(center, radius_km))
-        if not entries:
-            return []
-        # One batched distance call over every candidate instead of a scalar
-        # call per item; a stable argsort keeps the historical tie order.
-        distances = batch.cross_km(
-            [center], [point for point, _item in entries], metric="equirectangular"
-        )[0]
-        results: List[Tuple[float, GeoPoint, T]] = []
-        for i in np.argsort(distances, kind="stable"):
-            d = float(distances[i])
-            if d <= radius_km:
-                point, item = entries[i]
-                results.append((d, point, item))
-        return results
-
-    def nearest(self, center: GeoPoint, k: int = 1) -> List[Tuple[float, GeoPoint, T]]:
-        """The ``k`` nearest items to ``center`` (expanding ring search)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self._count == 0:
-            return []
-        radius = self._cell_km
-        max_radius = self._box.diagonal_km() + 2 * self._cell_km
-        while True:
-            hits = self.within_radius(center, radius)
-            if len(hits) >= k or radius > max_radius:
-                return hits[:k]
-            radius *= 2.0
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _cell_of(self, point: GeoPoint) -> Tuple[int, int]:
-        return _cell_of(self._box, self._rows, self._cols, point)
-
-    def _candidates(self, center: GeoPoint, radius_km: float) -> Iterator[Tuple[GeoPoint, T]]:
-        row, col = self._cell_of(center)
-        cell_span = max(1, int(math.ceil(radius_km / self._cell_km)))
-        for r in range(row - cell_span, row + cell_span + 1):
-            if r < 0 or r >= self._rows:
-                continue
-            for c in range(col - cell_span, col + cell_span + 1):
-                if c < 0 or c >= self._cols:
-                    continue
-                bucket = self._cells.get((r, c))
-                if bucket:
-                    yield from bucket
-
-
-def build_grid(
-    box: BoundingBox,
-    located_items: Iterable[Tuple[GeoPoint, T]],
-    cell_km: float = 1.0,
-) -> SpatialGrid[T]:
-    """Convenience constructor: build a grid and bulk-insert items."""
-    grid: SpatialGrid[T] = SpatialGrid(box, cell_km=cell_km)
-    grid.bulk_insert(located_items)
-    return grid
-
-
 class GridIndex:
     """Slot-addressed bucket index over a *fixed roster* of movable points.
 
-    :class:`SpatialGrid` indexes arbitrary objects by identity; the online
-    dispatch hot path instead tracks a fixed fleet of drivers whose positions
-    change constantly and whose identities are plain array slots.  A
-    :class:`GridIndex` buckets slot numbers into the same uniform cells as
-    :class:`SpatialGrid` and answers *superset* range queries:
+    The online dispatch hot path tracks a fixed fleet of drivers whose
+    positions change constantly and whose identities are plain array slots.
+    A :class:`GridIndex` buckets slot numbers into uniform ``cell_km`` cells
+    over a bounding box and answers *superset* range queries:
 
     ``query_slots(center, radius_km)`` returns every slot whose point could be
     within ``radius_km`` (equirectangular) of ``center`` — callers run their

@@ -30,7 +30,7 @@ place both meet:
 **Parity contract 19 (traced == untraced):** enabling tracing only ever
 reads clocks and appends to buffers — it never feeds back into dispatch
 arithmetic, so merges, reports, and wait totals are bit-identical with
-tracing on or off, across serial/thread/process executors and the shm
+tracing on or off, across the serial and process executors and the shm
 transport.  Pinned by ``tests/distributed/test_obs_parity.py``.
 """
 

@@ -234,11 +234,10 @@ class TraceRecorder:
 
 # -- module-level switch ---------------------------------------------------
 #
-# The active recorder is **thread-local**: a shard session running on a
-# thread-pool slot installs its own recorder for the duration of each call
-# without ever seeing (or disturbing) the coordinator's recorder on the main
-# thread — which is what keeps worker-side span attribution correct under
-# the thread executor policy, where many shards share one process.
+# The active recorder is **thread-local**: code that installs its own
+# recorder for the duration of a call (a shard session, a service finish
+# running on an executor thread) never sees, or disturbs, the recorder of
+# another thread in the same process.
 
 _TLS = threading.local()
 

@@ -11,8 +11,8 @@ sweeps scenarios x dispatch modes on one warm worker pool and reports the
 per-scenario comparison (serve rate, revenue, mean wait, shard-load skew).
 
 Because compilation produces ordinary market inputs, every parity contract
-of the execution layers — stream == replay, serial == thread == process,
-pool == fork — extends to every scenario for free.
+of the execution layers — stream == replay, serial == process, shared
+pool == own pool — extends to every scenario for free.
 """
 
 from .compiler import CompiledScenario, ScenarioCompiler, compile_scenario

@@ -19,7 +19,7 @@ machine.  Every random draw comes from :class:`random.Random` instances
 seeded from ``(spec.name, spec.seed)``, events are applied in spec order,
 and no wall-clock or environment state is read.  Because the compiled
 instance and batches are ordinary market inputs, the existing parity
-contracts (stream == replay, serial == thread == process, pool == fork)
+contracts (stream == replay, serial == process, shared pool == own pool)
 extend to every scenario with no new execution machinery
 (``tests/scenarios/test_parity.py`` pins this per built-in scenario).
 

@@ -79,7 +79,7 @@ class TestCoordinator:
         partitioner = SpatialPartitioner(PORTO, 2, 2)
         sequential = DistributedCoordinator(partitioner, "greedy", executor="serial").solve(instance)
         parallel = DistributedCoordinator(
-            partitioner, "greedy", executor="thread", max_workers=4
+            partitioner, "greedy", executor="process", max_workers=2
         ).solve(instance)
         assert parallel.solution.assignment() == sequential.solution.assignment()
 

@@ -1,8 +1,8 @@
 """Executor-policy parity for the distributed coordinator.
 
 The coordinator promises that the merged solution is *bit-identical* across
-its serial, thread-pool and process-pool fan-outs — same assignments, same
-profits — because every executor consumes the same per-shard requests
+its serial and process-pool fan-outs — same assignments, same profits —
+because either executor consumes the same per-shard requests
 (including the deterministic per-shard seeds) and the merge consumes results
 in shard order.  These tests pin that promise, including the degenerate
 cases: a single shard, shards holding only drivers, and fully empty shards
@@ -17,7 +17,7 @@ from repro.geo import PORTO
 
 from ..conftest import build_random_instance
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,6 @@ class TestExecutorParity:
             for executor in EXECUTORS
         }
         serial = merged_fingerprint(results["serial"])
-        assert merged_fingerprint(results["thread"]) == serial
         assert merged_fingerprint(results["process"]) == serial
 
     def test_single_shard_parity(self, instance):
@@ -77,10 +76,10 @@ class TestExecutorParity:
         partitioner = SpatialPartitioner(PORTO, 3, 3)
         a = DistributedCoordinator(partitioner, "nearest", base_seed=11).solve(instance)
         b = DistributedCoordinator(partitioner, "nearest", base_seed=11).solve(instance)
-        threaded = DistributedCoordinator(
-            partitioner, "nearest", base_seed=11, executor="thread", max_workers=3
+        pooled = DistributedCoordinator(
+            partitioner, "nearest", base_seed=11, executor="process", max_workers=3
         ).solve(instance)
-        assert merged_fingerprint(a) == merged_fingerprint(b) == merged_fingerprint(threaded)
+        assert merged_fingerprint(a) == merged_fingerprint(b) == merged_fingerprint(pooled)
 
 
 class TestEmptyShardShortCircuit:
@@ -123,9 +122,9 @@ class TestEmptyShardShortCircuit:
 
     def test_report_metadata(self, instance):
         result = DistributedCoordinator(
-            SpatialPartitioner(PORTO, 2, 2), "greedy", executor="thread", max_workers=2
+            SpatialPartitioner(PORTO, 2, 2), "greedy", executor="process", max_workers=2
         ).solve(instance)
-        assert result.report.executor == "thread"
+        assert result.report.executor == "process"
         assert result.report.worker_count == 2
 
 
@@ -133,6 +132,24 @@ class TestConfiguration:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1), executor="mpi")
+
+    def test_thread_policy_is_rejected(self, capsys):
+        """The retired policy is refused everywhere an executor is named,
+        and the refusal lists the two survivors."""
+        from repro.cli import main
+        from repro.distributed import PersistentWorkerPool
+
+        for build in (
+            lambda: PersistentWorkerPool(executor="thread"),
+            lambda: DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1), executor="thread"),
+        ):
+            with pytest.raises(ValueError, match="'serial', 'process'"):
+                build()
+        with pytest.raises(SystemExit):
+            main(["solve", "--market", "unused.json", "--stream", "--executor", "thread"])
+        message = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in message
+        assert "'serial'" in message and "'process'" in message
 
     def test_default_executor_is_serial(self):
         assert DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1)).executor == "serial"

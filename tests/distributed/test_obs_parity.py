@@ -16,7 +16,7 @@ from repro.online.batch import BatchConfig
 
 from ..conftest import build_random_instance
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 WINDOW_S = 600.0
 
 
@@ -94,7 +94,7 @@ def test_traced_stream_has_worker_spans_for_every_shard(instance, executor):
 
 
 def test_traced_stream_report_carries_phase_breakdown(instance):
-    result, _ = _run_stream(instance, "thread", traced=True)
+    result, _ = _run_stream(instance, "process", traced=True)
     breakdown = dict(result.report.phase_breakdown)
     assert set(breakdown) == set(obs_trace.PHASE_NAMES)
     assert breakdown["candidates"] > 0.0
@@ -103,7 +103,7 @@ def test_traced_stream_report_carries_phase_breakdown(instance):
 
 
 def test_untraced_stream_report_has_empty_trace_fields(instance):
-    result, _ = _run_stream(instance, "thread")
+    result, _ = _run_stream(instance, "serial")
     assert result.report.phase_breakdown == ()
     assert result.report.trace_span_count == 0
 

@@ -30,7 +30,7 @@ from repro.geo import PORTO, BoundingBox
 
 from ..conftest import build_random_instance
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +84,11 @@ class TestSharedPool:
         assert pooled.report.shard_count == 64
 
     def test_report_reflects_the_pool(self, instance):
-        with PersistentWorkerPool(executor="thread", worker_count=3) as pool:
+        with PersistentWorkerPool(executor="process", worker_count=3) as pool:
             result = DistributedCoordinator(
                 SpatialPartitioner(PORTO, 2, 2), "greedy", executor="serial"
             ).solve(instance, pool=pool)
-        assert result.report.executor == "thread"
+        assert result.report.executor == "process"
         assert result.report.worker_count <= 3
 
 

@@ -72,9 +72,11 @@ class TestCoordinatorPlacement:
     def test_placement_does_not_change_the_merge(self, skewed_instance):
         config, instance = skewed_instance
         partitioner = SpatialPartitioner(config.bounding_box, 3, 3)
-        coordinator = DistributedCoordinator(partitioner, "greedy", executor="thread")
+        coordinator = DistributedCoordinator(
+            partitioner, "greedy", executor="process", max_workers=2
+        )
         own = coordinator.solve(instance)
-        with PersistentWorkerPool(executor="thread", worker_count=2) as pool:
+        with PersistentWorkerPool(executor="process", worker_count=2) as pool:
             round_robin = coordinator.solve(instance, pool=pool)
             packed = coordinator.solve(instance, pool=pool, load_report=own)
         assert self._fingerprint(round_robin) == self._fingerprint(own)

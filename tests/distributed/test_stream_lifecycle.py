@@ -130,25 +130,22 @@ class TestAbandonedStreams:
             expected = reference.solve_stream(instance, config=config)
         assert stream_fingerprint(fresh) == stream_fingerprint(expected)
 
-    def test_worker_registry_empty_after_abandon_on_thread_pool(self, instance, config):
+    def test_worker_registry_empty_after_abandon_on_serial_pool(self, instance, config):
         with DistributedCoordinator(
-            SpatialPartitioner(PORTO, 2, 2), executor="thread", max_workers=2
+            SpatialPartitioner(PORTO, 2, 2), executor="serial"
         ) as coordinator:
             session = open_with_batches(coordinator, instance, config)
             pool = coordinator._stream_pool
             session.close()
-            # Threads share one registry: barrier every slot (per-slot
-            # submission order puts the barrier after the discards), then
-            # the shared in-process count must be back to zero.
-            for slot in range(pool.worker_count):
-                pool.submit(slot, int).result()
+            # The serial slot's registry is this process's own: the
+            # in-process count must be back to zero.
             assert pool.submit(0, _pool_session_count).result() == 0
 
     def test_pool_close_with_stream_still_open(self, instance, config):
         """Closing the pool under a live stream: the stream's own close()
         must still be safe (nothing to discard into a dead pool)."""
         coordinator = DistributedCoordinator(
-            SpatialPartitioner(PORTO, 2, 2), executor="thread", max_workers=2
+            SpatialPartitioner(PORTO, 2, 2), executor="process", max_workers=2
         )
         session = open_with_batches(coordinator, instance, config)
         coordinator.close()  # pool gone, stream still open
@@ -191,10 +188,43 @@ class TestBrokenWorkers:
             with pytest.raises(WorkerPoolBrokenError):
                 coordinator.solve_stream(instance, config=config, pool=pool)
 
-    def test_serial_and_thread_pools_never_break(self, instance, config):
-        """In-process policies have no worker to lose; a failing call
+    def test_coordinator_recovers_on_a_fresh_pool_after_worker_death(
+        self, instance, config
+    ):
+        """A dead worker costs the coordinator its pool, not its future: the
+        next stream opens a fresh pool instead of re-raising the stale death,
+        and nothing of either pool outlives ``close()``."""
+        import multiprocessing
+
+        from .test_stream import stream_fingerprint
+        from .test_transport import shm_entries
+
+        stale = set(shm_entries("repro-shm-"))
+        with DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2),
+            executor="process",
+            max_workers=2,
+            transport="shm",
+        ) as coordinator:
+            doomed = coordinator.stream_pool()
+            with pytest.raises(WorkerPoolBrokenError, match="open a fresh pool"):
+                doomed.submit(0, os._exit, 1).result()
+            assert doomed.broken
+            recovered = coordinator.solve_stream(instance, config=config)
+            assert coordinator.current_pool is not doomed
+            assert doomed.closed and not coordinator.current_pool.closed
+        with DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2), executor="serial"
+        ) as reference:
+            expected = reference.solve_stream(instance, config=config)
+        assert stream_fingerprint(recovered) == stream_fingerprint(expected)
+        assert multiprocessing.active_children() == []
+        assert set(shm_entries("repro-shm-")) <= stale
+
+    def test_serial_pool_never_breaks(self, instance, config):
+        """The in-process policy has no worker to lose; a failing call
         surfaces as its own exception without closing the pool."""
-        with PersistentWorkerPool(executor="thread", worker_count=1) as pool:
+        with PersistentWorkerPool(executor="serial") as pool:
             future = pool.submit(0, int, "not-a-number")
             with pytest.raises(ValueError):
                 future.result()
@@ -353,21 +383,22 @@ class TestTeardownCancelsBacklog:
     """Satellite 3: teardown cancels queued work instead of draining it."""
 
     def test_close_cancels_queued_not_started_work(self):
-        pool = PersistentWorkerPool(executor="thread", worker_count=1)
+        pool = PersistentWorkerPool(executor="process", worker_count=1)
         try:
-            futures = [pool.submit(0, time.sleep, 0.3) for _ in range(5)]
+            futures = [pool.submit(0, time.sleep, 0.2) for _ in range(8)]
             start = time.perf_counter()
         finally:
             pool.close()
         elapsed = time.perf_counter() - start
-        # Draining the backlog would take ~1.5s; cancelling waits only for
-        # the in-flight call (one sleep plus slack).
+        # Draining the backlog would take ~1.6s; cancelling waits only for
+        # the in-flight call and the (at most two) calls already handed to
+        # the worker's pipe.
         assert elapsed < 1.0, f"close() drained the backlog ({elapsed:.2f}s)"
         states = [future.raw.cancelled() for future in futures]
         assert any(states), "no queued future was cancelled"
 
     def test_close_can_still_drain_when_asked(self):
-        pool = PersistentWorkerPool(executor="thread", worker_count=1)
+        pool = PersistentWorkerPool(executor="process", worker_count=1)
         futures = [pool.submit(0, time.sleep, 0.05) for _ in range(3)]
         pool.close(cancel_pending=False)
         assert all(future.result() is None for future in futures)

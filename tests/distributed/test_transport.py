@@ -33,7 +33,13 @@ from repro.distributed import (
     payload_wire_bytes,
     tasks_from_delta,
 )
-from repro.distributed.pool import _pool_discard, _pool_open, next_stream_token
+from repro.distributed import ShardWorkRequest, solve_shard
+from repro.distributed.pool import (
+    _pool_append,
+    _pool_discard,
+    _pool_open,
+    next_stream_token,
+)
 from repro.distributed.transport import _MAX_FREE_SEGMENTS, _decode_ids, _encode_ids
 from repro.geo import PORTO
 from repro.online.batch import BatchConfig
@@ -204,26 +210,26 @@ class TestPoolTransportSelection:
             )
 
     def test_shm_is_inert_without_a_pipe(self, plan):
-        """Serial/thread pools accept transport='shm' but ship nothing: no
-        pipe exists, so both transports are trivially identical there."""
+        """A serial pool accepts transport='shm' but ships nothing: no pipe
+        exists, so both transports are trivially identical there."""
         delta = delta_from_tasks(0, plan.shards[0].instance.tasks[:5])
-        for executor in ("serial", "thread"):
-            with PersistentWorkerPool(executor=executor, worker_count=1, transport="shm") as pool:
-                assert not pool.shm_active
-                with pytest.raises(RuntimeError, match="shm-transport process pools"):
-                    pool.shipper
-                token = next_stream_token()
-                pool.submit(
-                    0, _pool_open, token, 0,
-                    plan.shards[0].instance.drivers, plan.shards[0].instance.cost_model,
-                    BatchConfig(window_s=WINDOW_S),
-                ).result()
-                assert pool.submit_append(0, token, delta).result() == delta.task_count
-                assert pool.stats.shm_shipments == 0
-                assert pool.stats.pickle_shipments == 0  # nothing crossed a pipe
-                # Serial/thread sessions live in *this* process — discard
-                # them so the lifecycle tests' registry counts stay clean.
-                pool.submit(0, _pool_discard, token, 0).result()
+        with PersistentWorkerPool(executor="serial", transport="shm") as pool:
+            assert not pool.shm_active
+            with pytest.raises(RuntimeError, match="shm-transport process pools"):
+                pool.shipper
+            token = next_stream_token()
+            pool.submit(
+                0, _pool_open, token, 0,
+                plan.shards[0].instance.drivers, plan.shards[0].instance.cost_model,
+                BatchConfig(window_s=WINDOW_S),
+            ).result()
+            count = pool.submit_shipment(0, _pool_append, delta, token).result()
+            assert count == delta.task_count
+            assert pool.stats.shm_shipments == 0
+            assert pool.stats.pickle_shipments == 0  # nothing crossed a pipe
+            # Serial sessions live in *this* process — discard them so the
+            # lifecycle tests' registry counts stay clean.
+            pool.submit(0, _pool_discard, token, 0).result()
 
     def test_failed_shipment_falls_back_to_pickle(self, plan):
         """A shipping failure degrades throughput, never correctness: the
@@ -245,10 +251,51 @@ class TestPoolTransportSelection:
                 raise OSError("no shared memory left")
 
             shipper.ship_delta = refuse
-            count = pool.submit_append(0, token, delta).result()
+            count = pool.submit_shipment(0, _pool_append, delta, token).result()
             assert count == delta.task_count
             assert pool.stats.pickle_fallbacks == 1
             assert pool.stats.pickle_bytes >= delta_wire_bytes(delta)
+
+            # The same single path carries offline payloads: a refused
+            # ``ship_payload`` falls back the same way, result still correct.
+            shipper.ship_payload = refuse
+            payload = payload_from_shard(shard)
+            request = ShardWorkRequest(
+                shard.spec.shard_id, shard.driver_count, shard.task_count, "greedy"
+            )
+            solved = pool.submit_shipment(0, solve_shard, payload, request).result()
+            direct = solve_shard(shard, request)
+            assert solved.assignment == direct.assignment
+            assert solved.total_value == direct.total_value
+            assert pool.stats.pickle_fallbacks == 2
+            assert pool.stats.shm_shipments == 0
+
+
+class TestStreamWorkerEntry:
+    def test_pool_append_opens_a_delta_and_its_descriptor_alike(self, plan):
+        """The one append verb returns the same running count whether the
+        batch arrives whole or as a shared-memory descriptor."""
+        shard = max(plan.shards, key=lambda s: s.task_count)
+        shard_id = shard.spec.shard_id
+        tasks = shard.instance.tasks
+        deltas = [delta_from_tasks(shard_id, tasks[:4]), delta_from_tasks(shard_id, tasks[4:9])]
+        whole, shipped = next_stream_token(), next_stream_token()
+        shipper = ShmShipper()
+        try:
+            for token in (whole, shipped):
+                _pool_open(
+                    token, shard_id, shard.instance.drivers,
+                    shard.instance.cost_model, BatchConfig(window_s=WINDOW_S),
+                )
+            counts = [
+                (_pool_append(delta, whole), _pool_append(shipper.ship_delta(delta), shipped))
+                for delta in deltas
+            ]
+            assert counts == [(4, 4), (9, 9)]
+        finally:
+            shipper.close()
+            for token in (whole, shipped):
+                _pool_discard(token, shard_id)
 
 
 class TestTransportParity:

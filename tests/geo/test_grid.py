@@ -4,121 +4,12 @@ import random
 
 import pytest
 
-from repro.geo import PORTO, GeoPoint, SpatialGrid, build_grid, equirectangular_km
+from repro.geo import PORTO, equirectangular_km
 
 
 def scattered_points(count: int, seed: int = 0):
     rng = random.Random(seed)
     return [PORTO.sample_uniform(rng) for _ in range(count)]
-
-
-class TestGridBasics:
-    def test_empty_grid(self):
-        grid: SpatialGrid[str] = SpatialGrid(PORTO, cell_km=1.0)
-        assert len(grid) == 0
-        assert grid.nearest(PORTO.center) == []
-        assert grid.within_radius(PORTO.center, 5.0) == []
-
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(PORTO, cell_km=0.0)
-
-    def test_shape_covers_box(self):
-        grid: SpatialGrid[str] = SpatialGrid(PORTO, cell_km=2.0)
-        rows, cols = grid.shape
-        assert rows * 2.0 >= PORTO.height_km()
-        assert cols * 2.0 >= PORTO.width_km()
-
-    def test_insert_and_len_and_iter(self):
-        grid: SpatialGrid[int] = SpatialGrid(PORTO)
-        points = scattered_points(10)
-        grid.bulk_insert((p, i) for i, p in enumerate(points))
-        assert len(grid) == 10
-        assert {item for _p, item in grid} == set(range(10))
-
-    def test_build_grid_helper(self):
-        points = scattered_points(5)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)])
-        assert len(grid) == 5
-
-
-class TestGridQueries:
-    def test_within_radius_matches_brute_force(self):
-        points = scattered_points(200, seed=2)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)], cell_km=1.5)
-        center = PORTO.center
-        radius = 3.0
-        expected = {
-            i for i, p in enumerate(points) if equirectangular_km(center, p) <= radius
-        }
-        got = {item for _d, _p, item in grid.within_radius(center, radius)}
-        assert got == expected
-
-    def test_within_radius_sorted_by_distance(self):
-        points = scattered_points(100, seed=3)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)])
-        hits = grid.within_radius(PORTO.center, 5.0)
-        distances = [d for d, _p, _i in hits]
-        assert distances == sorted(distances)
-
-    def test_negative_radius_rejected(self):
-        grid = build_grid(PORTO, [])
-        with pytest.raises(ValueError):
-            grid.within_radius(PORTO.center, -1.0)
-
-    def test_nearest_matches_brute_force(self):
-        points = scattered_points(150, seed=4)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)], cell_km=1.0)
-        center = PORTO.sample_uniform(random.Random(9))
-        expected = min(
-            range(len(points)), key=lambda i: equirectangular_km(center, points[i])
-        )
-        hits = grid.nearest(center, k=1)
-        assert len(hits) == 1
-        assert hits[0][2] == expected
-
-    def test_nearest_k_returns_k_items(self):
-        points = scattered_points(50, seed=5)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)])
-        assert len(grid.nearest(PORTO.center, k=7)) == 7
-
-    def test_nearest_k_larger_than_population(self):
-        points = scattered_points(3, seed=6)
-        grid = build_grid(PORTO, [(p, i) for i, p in enumerate(points)])
-        assert len(grid.nearest(PORTO.center, k=10)) == 3
-
-    def test_nearest_invalid_k(self):
-        grid = build_grid(PORTO, [])
-        with pytest.raises(ValueError):
-            grid.nearest(PORTO.center, k=0)
-
-
-class TestGridMutation:
-    def test_remove_item(self):
-        p = PORTO.center
-        marker = object()
-        grid: SpatialGrid[object] = SpatialGrid(PORTO)
-        grid.insert(p, marker)
-        assert grid.remove(marker) is True
-        assert len(grid) == 0
-        assert grid.remove(marker) is False
-
-    def test_move_relocates_item(self):
-        grid: SpatialGrid[str] = SpatialGrid(PORTO, cell_km=1.0)
-        start = PORTO.south_west
-        end = PORTO.north_east
-        grid.insert(start, "driver")
-        grid.move("driver", end)
-        assert len(grid) == 1
-        hits = grid.within_radius(end, 0.5)
-        assert [item for _d, _p, item in hits] == ["driver"]
-        assert grid.within_radius(start, 0.5) == []
-
-    def test_outside_point_is_clamped_not_lost(self):
-        grid: SpatialGrid[str] = SpatialGrid(PORTO)
-        outside = GeoPoint(50.0, 0.0)
-        grid.insert(outside, "far-away")
-        assert len(grid) == 1
 
 
 class TestGridIndex:

@@ -7,8 +7,8 @@ to every scenario:
 * a 1x1 streamed solve equals the plain ``BatchedSimulator`` replay of the
   completed task set (assignments, profits and wait totals), under every
   pool policy;
-* a sharded (2x2) streamed solve is bit-identical across serial / thread /
-  process pools;
+* a sharded (2x2) streamed solve is bit-identical across serial / process
+  pools;
 * the offline ``solve()`` is bit-identical between a pool of its own and
   a shared warm pool.
 
@@ -25,7 +25,7 @@ from repro.online.batch import BatchConfig
 from repro.scenarios import compile_scenario, get_scenario, scenario_names
 
 TRIPS, DRIVERS = 90, 12
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +93,8 @@ def test_sharded_stream_is_executor_independent(name, pools, compiled_scenarios)
         )
         prints.append(_fingerprint(result.solution))
         waits.append(result.report.wait_total_s)
-    assert prints[0] == prints[1] == prints[2]
-    assert waits[0] == waits[1] == waits[2]
+    assert prints[0] == prints[1]
+    assert waits[0] == waits[1]
 
 
 @pytest.mark.parametrize("name", scenario_names())

@@ -49,7 +49,7 @@ async def feed_city(service, city, tasks):
 
 
 class TestServiceOutcomes:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_service_matches_solve_stream(self, instance, executor):
         """The headline: orders trickled through the gateway one at a time
         produce the exact merged outcome of a direct ``solve_stream``."""
@@ -172,7 +172,7 @@ class TestBackpressureAndHealth:
                 await service.finish()
                 return service.runtimes()["porto"].metrics.backpressure_events
 
-        assert asyncio.run(scenario("thread", 1)) > 0
+        assert asyncio.run(scenario("process", 1)) > 0
         assert asyncio.run(scenario("serial", 1)) == 0
 
     def test_health_snapshot_shape(self, instance):

@@ -67,7 +67,10 @@ class TestFullPipeline:
 
     def test_distributed_mode_end_to_end(self, market):
         coordinator = DistributedCoordinator(
-            SpatialPartitioner(repro.PORTO, 2, 2), solver_name="greedy", executor="thread"
+            SpatialPartitioner(repro.PORTO, 2, 2),
+            solver_name="greedy",
+            executor="process",
+            max_workers=2,
         )
         result = coordinator.solve(market)
         result.solution.validate()
