@@ -27,6 +27,7 @@ from repro.online import (
     NearestDispatcher,
     OnlineSimulator,
 )
+from repro.online import candidates as candidates_module
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +169,19 @@ class TestVectorizedKernelSpeedup:
         )
         assert speedup >= 5.0
 
-    def test_candidate_construction_speedup(self, kernel_instance, save_table):
+    def test_candidate_construction_speedup(self, kernel_instance, save_table, monkeypatch):
         """Candidate-set construction over the full task stream: vectorised
-        kernel (with and without the grid index) vs the scalar reference
-        loop.  Requires >= 5x and identical candidate sets."""
+        kernel (with the grid index, and with it kept from engaging) vs the
+        scalar oracle.  Requires >= 5x and identical candidate sets."""
         tasks = kernel_instance.tasks
         order = sorted(range(len(tasks)), key=lambda m: tasks[m].publish_ts)
         states = [DriverState.fresh(d) for d in kernel_instance.drivers]
         indexed = CandidateKernel(kernel_instance, states)
-        exhaustive = CandidateKernel(kernel_instance, states, spatial_index=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(candidates_module, "_MIN_INDEX_FLEET", float("inf"))
+            exhaustive = CandidateKernel(kernel_instance, states)
         assert indexed.uses_spatial_index
+        assert not exhaustive.uses_spatial_index
 
         def sweep(fn):
             start = time.perf_counter()
@@ -207,26 +211,22 @@ class TestVectorizedKernelSpeedup:
         assert speedup_grid >= 5.0
         assert speedup_flat >= 5.0
 
-    def test_online_simulation_end_to_end_speedup(self, kernel_instance, save_table):
-        """Whole per-order simulations at 1,000 x 1,000: vectorised config vs
-        the scalar reference config, identical outcomes required."""
-        from repro.online import SimulationConfig
-
+    def test_online_simulation_end_to_end_speedup(self, kernel_instance, save_table, monkeypatch):
+        """Whole per-order simulations at 1,000 x 1,000: the kernel's query
+        vs the scalar oracle substituted for it, identical outcomes required."""
         subset = kernel_instance.subset_tasks(300)
 
         start = time.perf_counter()
-        fast = OnlineSimulator(
-            subset, MaxMarginDispatcher(), SimulationConfig()
-        ).run()
+        fast = OnlineSimulator(subset, MaxMarginDispatcher()).run()
         fast_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        slow = OnlineSimulator(
-            subset,
-            MaxMarginDispatcher(),
-            SimulationConfig(use_vectorized_kernel=False),
-        ).run()
-        slow_s = time.perf_counter() - start
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CandidateKernel, "candidates_for", CandidateKernel.candidates_for_scalar
+            )
+            start = time.perf_counter()
+            slow = OnlineSimulator(subset, MaxMarginDispatcher()).run()
+            slow_s = time.perf_counter() - start
 
         assert [r.task_indices for r in fast.records] == [
             r.task_indices for r in slow.records

@@ -20,7 +20,7 @@ from .config import (
     build_workload,
 )
 from .fig3_4 import DistributionExperimentResult, run_distribution_experiment
-from .fig5 import Fig5Point, Fig5Result, run_fig5, run_fig5_both_models
+from .fig5 import Fig5Point, Fig5Result, run_fig5
 from .fig6_9 import FIGURE_METRICS, MarketInsightResult, run_market_insight_sweep
 from .ablation import (
     PartitionAblationResult,
@@ -51,7 +51,6 @@ __all__ = [
     "Fig5Point",
     "Fig5Result",
     "run_fig5",
-    "run_fig5_both_models",
     "FIGURE_METRICS",
     "MarketInsightResult",
     "run_market_insight_sweep",

@@ -114,18 +114,3 @@ def run_fig5(
     return Fig5Result(
         working_model=cfg.working_model, bound_kind=bound_kind, points=tuple(points)
     )
-
-
-def run_fig5_both_models(
-    scale: Optional[ExperimentScale] = None,
-    bound_kind: BoundKind = BoundKind.LP_RELAXATION,
-) -> Dict[str, Fig5Result]:
-    """Both halves of Fig. 5 (hitchhiking and home-work-home)."""
-    return {
-        WorkingModel.HITCHHIKING.value: run_fig5(
-            WorkingModel.HITCHHIKING, scale=scale, bound_kind=bound_kind
-        ),
-        WorkingModel.HOME_WORK_HOME.value: run_fig5(
-            WorkingModel.HOME_WORK_HOME, scale=scale, bound_kind=bound_kind
-        ),
-    }

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..core.objectives import Objective
 from ..core.solution import MarketSolution
@@ -212,20 +211,9 @@ def lp_flow_optimum(
             fractional_arc_count=0,
         )
 
-    with obs_trace.span("lp", variables=model.variable_count):
-        result = optimize.linprog(
-            c=-model.objective,  # linprog minimises
-            A_ub=model.A_ub,
-            b_ub=model.b_ub,
-            A_eq=model.A_eq,
-            b_eq=model.b_eq,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-    if not result.success:
-        raise FlowSolverError(f"arc-flow LP failed: {result.message}")
-    values = np.asarray(result.x)
-    upper_bound = float(-result.fun + model.constant)
+    upper_bound, values, message = model.solve_lp()
+    if upper_bound is None:
+        raise FlowSolverError(f"arc-flow LP failed: {message}")
     rounded = np.round(values)
     fractional = np.abs(values - rounded)
     fractional_count = int(np.sum(fractional > INTEGRALITY_TOL))
@@ -239,7 +227,7 @@ def lp_flow_optimum(
         return FlowResult(
             optimum=solution.total_value,
             solution=solution,
-            solver_status=str(result.message),
+            solver_status=message,
             upper_bound=upper_bound,
             integral=True,
             repaired=False,
@@ -255,7 +243,7 @@ def lp_flow_optimum(
     return FlowResult(
         optimum=chosen.total_value,
         solution=chosen,
-        solver_status=str(result.message),
+        solver_status=message,
         upper_bound=upper_bound,
         integral=False,
         repaired=True,

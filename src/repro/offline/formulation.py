@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
+from scipy import optimize, sparse
 
 from ..core.objectives import Objective
 from ..market.instance import MarketInstance
 from ..market.taskmap import SINK_NODE, SOURCE_NODE
+from ..obs import trace as obs_trace
 
 ArcKey = Tuple[str, Union[str, int], Union[str, int]]
 
@@ -67,6 +68,25 @@ class ArcFlowModel:
     @property
     def variable_count(self) -> int:
         return len(self.arcs)
+
+    def solve_lp(self) -> Tuple[Optional[float], np.ndarray, str]:
+        """Solve the LP relaxation (``0 <= x <= 1``) with HiGHS: the optimum
+        with ``constant`` added back, the primal arc flows and the solver's
+        message.  The optimum is ``None`` when the solver did not reach one;
+        the caller raises its own error around the message."""
+        with obs_trace.span("lp", variables=self.variable_count):
+            result = optimize.linprog(
+                c=-self.objective,  # linprog minimises
+                A_ub=self.A_ub,
+                b_ub=self.b_ub,
+                A_eq=self.A_eq,
+                b_eq=self.b_eq,
+                bounds=(0.0, 1.0),
+                method="highs",
+            )
+        if not result.success:
+            return None, np.zeros(0), str(result.message)
+        return float(-result.fun + self.constant), np.asarray(result.x), str(result.message)
 
     def arc_index(self, arc: ArcKey) -> int:
         """Index of an arc variable (linear scan; intended for tests)."""

@@ -5,7 +5,8 @@ linear program that is solvable in polynomial time, and its optimum ``Z*_f``
 satisfies ``Z*_f >= Z* = OPT``.  The paper uses ``Z*_f`` as the theoretical
 upper bound against which the performance ratios of Fig. 5 are computed.
 
-The LP is solved with HiGHS via :func:`scipy.optimize.linprog`.  For very
+The LP is solved with HiGHS
+(:meth:`~repro.offline.formulation.ArcFlowModel.solve_lp`).  For very
 large instances the LP itself becomes the bottleneck; the scalable
 alternative is the Lagrangian bound in :mod:`repro.offline.lagrangian`.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from ..core.objectives import Objective
 from ..market.instance import MarketInstance
@@ -78,21 +78,12 @@ def lp_relaxation_bound(
             solver_status="empty",
         )
 
-    result = optimize.linprog(
-        c=-arc_model.objective,  # linprog minimises
-        A_ub=arc_model.A_ub,
-        b_ub=arc_model.b_ub,
-        A_eq=arc_model.A_eq,
-        b_eq=arc_model.b_eq,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if not result.success:
-        raise RelaxationError(f"LP relaxation failed: {result.message}")
-    upper_bound = float(-result.fun + arc_model.constant)
+    upper_bound, arc_values, message = arc_model.solve_lp()
+    if upper_bound is None:
+        raise RelaxationError(f"LP relaxation failed: {message}")
     return RelaxationResult(
         upper_bound=upper_bound,
         model=arc_model,
-        arc_values=np.asarray(result.x),
-        solver_status=result.message,
+        arc_values=arc_values,
+        solver_status=message,
     )

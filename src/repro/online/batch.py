@@ -13,7 +13,10 @@ state as the per-order simulator:
 
 1. orders are grouped into windows of ``window_s`` seconds by publish time;
 2. at the end of each window the feasible (driver, order) pairs are priced by
-   the marginal value ``delta_{n,m}`` (Eq. 14 of the paper);
+   the marginal value ``delta_{n,m}`` (Eq. 14 of the paper) — one
+   :meth:`~repro.online.candidates.CandidateKernel.candidates_for_window`
+   matrix pass, the only way a window gets its candidates (the kernel's
+   scalar loop is a test oracle, not a configuration);
 3. a maximum-weight assignment over those pairs is solved with the Hungarian
    algorithm (``scipy.optimize.linear_sum_assignment``).  The assignment
    matrix is shrunk first: the candidate kernel's spatial index restricts the
@@ -45,6 +48,7 @@ from ..market.instance import MarketInstance
 from ..market.task import Task
 from ..obs import trace as obs_trace
 from .candidates import CandidateKernel
+from .forecast import publish_slot
 from .outcome import OnlineDriverRecord, OnlineOutcome
 from .state import Candidate, DriverState
 
@@ -69,14 +73,6 @@ class BatchConfig:
     #: duration.
     wait_for_pickup_deadline: bool = True
     use_recorded_duration: bool = True
-    #: Use the vectorised candidate kernel (one ``cross_km`` cost matrix per
-    #: window instead of nested Python loops); ``False`` falls back to the
-    #: scalar reference loop, which yields the same candidates.
-    use_vectorized_kernel: bool = True
-    #: Shrink each window's driver axis to the union of the tasks' spatial
-    #: reach (a grid range query per task).  Superset-safe: candidates and
-    #: outcomes are identical with the index on or off.
-    use_spatial_index: bool = True
     #: Rolling-horizon lookahead (see :mod:`repro.online.horizon`).  The
     #: dispatcher solves a *control window* of ``horizon`` dispatch windows
     #: (the current one exactly, the next ``horizon - 1`` in expectation via
@@ -115,14 +111,33 @@ class BatchConfig:
             raise ValueError("lookahead_weight must be non-negative")
 
 
-def _publish_slot(publish_ts: float, first_publish: float, window_s: float) -> int:
-    """The dispatch-window slot of a publish time.
+def _slot_groups(
+    tasks: Sequence[Task], window_s: float, *, keep_unpublishable: bool = False
+) -> Tuple[Optional[float], List[Tuple[int, List[int]]]]:
+    """``(first_publish, [(slot, task indices), ...])`` in slot order, each
+    group in publish order (input order on ties) — the one grouping behind
+    :func:`window_batches`, :func:`stream_schedule` and
+    :meth:`BatchedSimulator.run`, so all three cut the same windows.
 
-    The single source of truth shared by :meth:`BatchedSimulator._windows`,
-    :meth:`BatchedSimulator.run_stream` and :func:`window_batches` — the
-    stream/replay parity guarantee rests on all three agreeing.
+    Slots are anchored at the first *publishable* task.  With none there is
+    no anchor (``None``) and the tasks kept, if any, form one group.
     """
-    return int((publish_ts - first_publish) // window_s)
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
+    order = sorted(
+        (m for m, task in enumerate(tasks) if keep_unpublishable or task.is_publishable),
+        key=lambda m: tasks[m].publish_ts,
+    )
+    first_publish = next(
+        (tasks[m].publish_ts for m in order if tasks[m].is_publishable), None
+    )
+    if first_publish is None:
+        return None, [(0, order)] if order else []
+    groups: Dict[int, List[int]] = {}
+    for m in order:
+        slot = publish_slot(tasks[m].publish_ts, first_publish, window_s)
+        groups.setdefault(slot, []).append(m)
+    return first_publish, sorted(groups.items())
 
 
 def window_batches(tasks: Iterable[Task], window_s: float) -> List[List[Task]]:
@@ -133,17 +148,9 @@ def window_batches(tasks: Iterable[Task], window_s: float) -> List[List[Task]]:
     exactly the windows :meth:`BatchedSimulator.run` derives from the full
     task set, which makes replay/stream parity testable.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    publishable = [t for t in tasks if t.is_publishable]
-    publishable.sort(key=lambda t: t.publish_ts)  # stable: input order on ties
-    if not publishable:
-        return []
-    first_publish = publishable[0].publish_ts
-    slots: Dict[int, List[Task]] = {}
-    for task in publishable:
-        slots.setdefault(_publish_slot(task.publish_ts, first_publish, window_s), []).append(task)
-    return [batch for _slot, batch in sorted(slots.items())]
+    tasks = tuple(tasks)
+    _first, groups = _slot_groups(tasks, window_s)
+    return [[tasks[m] for m in indices] for _slot, indices in groups]
 
 
 def stream_schedule(tasks: Iterable[Task], window_s: float) -> List[List[Task]]:
@@ -157,17 +164,9 @@ def stream_schedule(tasks: Iterable[Task], window_s: float) -> List[List[Task]]:
     subsequence — and therefore every dispatch decision — is identical to
     feeding :func:`window_batches` directly.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    ordered = sorted(tasks, key=lambda t: t.publish_ts)  # stable: input order on ties
-    anchor = next((t for t in ordered if t.is_publishable), None)
-    if anchor is None:
-        return [ordered] if ordered else []
-    first_publish = anchor.publish_ts
-    slots: Dict[int, List[Task]] = {}
-    for task in ordered:
-        slots.setdefault(_publish_slot(task.publish_ts, first_publish, window_s), []).append(task)
-    return [batch for _slot, batch in sorted(slots.items())]
+    tasks = tuple(tasks)
+    _first, groups = _slot_groups(tasks, window_s, keep_unpublishable=True)
+    return [[tasks[m] for m in indices] for _slot, indices in groups]
 
 
 class BatchedSimulator:
@@ -198,9 +197,9 @@ class BatchedSimulator:
     def run(self) -> OnlineOutcome:
         """Simulate the full (already known) order stream window by window."""
         self._begin()
-        for slot, window_end, arrivals in self._windows():
-            self._pending.extend(arrivals)
-            self._step_window(window_end, slot=slot, arrivals=arrivals)
+        first_publish, groups = _slot_groups(self.instance.tasks, self.config.window_s)
+        for slot, arrivals in groups:
+            self._step_window(first_publish, slot, arrivals)
         return self._finish()
 
     def run_stream(self, arrival_batches: Iterable[Sequence[Task]]) -> OnlineOutcome:
@@ -252,15 +251,10 @@ class BatchedSimulator:
         self._stream_open_arrivals: List[int] = []
 
     def _stream_flush(self) -> None:
-        if self._stream_open_slot is None or not self._stream_open_arrivals:
+        if not self._stream_open_arrivals:
             return
-        arrivals = self._stream_open_arrivals
-        self._pending.extend(arrivals)
         self._step_window(
-            self._stream_first_publish
-            + (self._stream_open_slot + 1) * self.config.window_s,
-            slot=self._stream_open_slot,
-            arrivals=arrivals,
+            self._stream_first_publish, self._stream_open_slot, self._stream_open_arrivals
         )
         self._stream_open_arrivals = []
 
@@ -273,37 +267,36 @@ class BatchedSimulator:
         batch = tuple(batch)
         if not batch:
             return 0
+        # In publish order (input order on ties).  Only the earliest can be
+        # behind the watermark, and it is refused before anything is
+        # appended: instance, kernel and open window stay as they were.
+        arrivals = sorted(
+            (task.publish_ts, offset)
+            for offset, task in enumerate(batch)
+            if task.is_publishable
+        )
+        if arrivals and arrivals[0][0] < self._stream_watermark:
+            publish_ts, offset = arrivals[0]
+            raise ValueError(
+                "arrival batches must be publish-ordered: task "
+                f"{batch[offset].task_id!r} publishes at {publish_ts} "
+                f"behind the stream watermark {self._stream_watermark}"
+            )
         window_s = self.config.window_s
         start_index = self.instance.task_count
         self.instance.append_tasks(batch)
         self._kernel.extend_tasks()
-        arrivals = [
-            start_index + offset
-            for offset, task in enumerate(batch)
-            if task.is_publishable
-        ]
         if not arrivals:
             return len(batch)
-        tasks = self.instance.tasks
-        arrivals.sort(key=lambda m: (tasks[m].publish_ts, m))
         if self._stream_first_publish is None:
-            self._stream_first_publish = tasks[arrivals[0]].publish_ts
-        for m in arrivals:
-            publish_ts = tasks[m].publish_ts
-            if publish_ts < self._stream_watermark:
-                raise ValueError(
-                    "arrival batches must be publish-ordered: task "
-                    f"{tasks[m].task_id!r} publishes at {publish_ts} "
-                    f"behind the stream watermark {self._stream_watermark}"
-                )
+            self._stream_first_publish = arrivals[0][0]
+        for publish_ts, offset in arrivals:
             self._stream_watermark = publish_ts
-            slot = _publish_slot(publish_ts, self._stream_first_publish, window_s)
-            if self._stream_open_slot is None:
-                self._stream_open_slot = slot
-            elif slot > self._stream_open_slot:
+            slot = publish_slot(publish_ts, self._stream_first_publish, window_s)
+            if slot != self._stream_open_slot:  # accepted slots never decrease
                 self._stream_flush()
                 self._stream_open_slot = slot
-            self._stream_open_arrivals.append(m)
+            self._stream_open_arrivals.append(start_index + offset)
         return len(batch)
 
     def stream_end(self) -> OnlineOutcome:
@@ -326,8 +319,6 @@ class BatchedSimulator:
             self._states.values(),
             wait_for_pickup_deadline=self.config.wait_for_pickup_deadline,
             use_recorded_duration=self.config.use_recorded_duration,
-            vectorized=self.config.use_vectorized_kernel,
-            spatial_index=self.config.use_spatial_index,
         )
         self._pending = []
         self._rejected = []
@@ -340,16 +331,20 @@ class BatchedSimulator:
             self._lookahead = LookaheadPlanner.build(self.instance, self.config)
 
     def _step_window(
-        self, window_end: float, *, slot: int = 0, arrivals: Sequence[int] = ()
+        self, first_publish: float, slot: int, arrivals: Sequence[int]
     ) -> None:
-        """Dispatch everything pending at one window boundary.
+        """Close publish window ``slot``: its ``arrivals`` join the pending
+        orders and everything pending is dispatched at the window's end.
 
-        ``slot`` / ``arrivals`` describe the publish window being flushed;
-        the replay and streaming paths derive them from the same watermark
-        arithmetic (:func:`_publish_slot`), so the lookahead planner observes
-        the identical (slot, arrivals) sequence in both — the foundation of
-        the stream == replay contract under horizon dispatch.
+        The replay and streaming paths derive ``slot`` / ``arrivals`` from
+        the same watermark arithmetic
+        (:func:`~repro.online.forecast.publish_slot`), so the lookahead
+        planner observes the identical (slot, arrivals) sequence in both —
+        the foundation of the stream == replay contract under horizon
+        dispatch.
         """
+        window_end = first_publish + (slot + 1) * self.config.window_s
+        self._pending.extend(arrivals)
         if self._lookahead is not None:
             tasks = self.instance.tasks
             self._lookahead.observe_window(slot, (tasks[m] for m in arrivals))
@@ -357,7 +352,7 @@ class BatchedSimulator:
             return
         for state in self._states.values():
             state.release_if_done(window_end)
-        assigned, expired = self._dispatch_window(window_end, self._pending, self._states)
+        assigned, expired = self._dispatch_window(window_end)
         self._rejected.extend(expired)
         expired_set = set(expired)
         still_pending = [
@@ -377,7 +372,10 @@ class BatchedSimulator:
 
     def _finish(self) -> OnlineOutcome:
         self._rejected.extend(self._pending)
-        records = tuple(self._settle(state) for state in self._states.values())
+        records = tuple(
+            OnlineDriverRecord.settle(state, self._cost_model)
+            for state in self._states.values()
+        )
         return OnlineOutcome(
             instance=self.instance,
             records=records,
@@ -385,47 +383,15 @@ class BatchedSimulator:
             dispatcher_name=self.name,
         )
 
-    def _windows(self) -> List[Tuple[int, float, List[int]]]:
-        """Group task indices into dispatch windows by publish time.
-
-        Returns ``(slot, window_end, indices)`` triples — the same
-        (slot, arrivals) pairs the streaming watermark flushes, so both paths
-        feed the lookahead planner identically.
-        """
-        indexed = [
-            (index, task)
-            for index, task in enumerate(self.instance.tasks)
-            if task.is_publishable
-        ]
-        if not indexed:
-            return []
-        indexed.sort(key=lambda pair: (pair[1].publish_ts, pair[0]))
-        first_publish = indexed[0][1].publish_ts
-        window_s = self.config.window_s
-
-        windows: Dict[int, List[int]] = {}
-        for index, task in indexed:
-            slot = _publish_slot(task.publish_ts, first_publish, window_s)
-            windows.setdefault(slot, []).append(index)
-        return [
-            (slot, first_publish + (slot + 1) * window_s, indices)
-            for slot, indices in sorted(windows.items())
-        ]
-
-    def _dispatch_window(
-        self,
-        now_ts: float,
-        pending: Sequence[int],
-        states: Dict[str, DriverState],
-    ) -> Tuple[Dict[int, str], List[int]]:
+    def _dispatch_window(self, now_ts: float) -> Tuple[Dict[int, str], List[int]]:
         """Assign the pending orders of one window.  Returns the mapping of
         assigned task index -> driver id, plus the orders whose deadline has
         already passed (they can never be served and are rejected now)."""
         expired = [
-            m for m in pending if self.instance.tasks[m].start_deadline_ts < now_ts
+            m for m in self._pending if self.instance.tasks[m].start_deadline_ts < now_ts
         ]
         expired_set = set(expired)
-        window = [m for m in pending if m not in expired_set]
+        window = [m for m in self._pending if m not in expired_set]
         # One vectorised pass builds the feasibility masks and marginal-value
         # matrix for the whole window (a cross_km call per leg kind) instead
         # of a nested Python loop over (task, driver) pairs.
@@ -449,7 +415,7 @@ class BatchedSimulator:
                 candidate_lookup[(m, candidate.driver_id)] = candidate
         if not candidate_lookup:
             return {}, expired
-        driver_ids = [driver_id for driver_id in states if driver_id in participating]
+        driver_ids = [driver_id for driver_id in self._states if driver_id in participating]
         driver_pos = {driver_id: j for j, driver_id in enumerate(driver_ids)}
         task_pos = {m: i for i, m in enumerate(live_tasks)}
 
@@ -460,8 +426,8 @@ class BatchedSimulator:
             # pressure it creates (drop-off zone) minus the pressure it
             # consumes (driver's current zone).  The bias prices the matrix
             # only — the participation filter above and the committed profits
-            # in :meth:`_commit` use the unbiased marginals, so only the
-            # control window is ever committed.
+            # (``CandidateKernel.commit``) use the unbiased marginals, so only
+            # the control window is ever committed.
             price_scale = float(
                 np.mean([self.instance.tasks[m].price for m in live_tasks])
             )
@@ -470,7 +436,7 @@ class BatchedSimulator:
                 for m in live_tasks
             }
             driver_pressure = {
-                driver_id: lookahead.pressure_at(states[driver_id].location)
+                driver_id: lookahead.pressure_at(self._states[driver_id].location)
                 for driver_id in driver_ids
             }
             weight = lookahead.lookahead_weight * price_scale
@@ -494,37 +460,9 @@ class BatchedSimulator:
             m = live_tasks[i]
             driver_id = driver_ids[j]
             candidate = candidate_lookup[(m, driver_id)]
-            self._commit(candidate, m, self.instance.tasks[m])
+            self._kernel.commit(candidate, m, self.instance.tasks[m])
             assigned[m] = driver_id
         return assigned, expired
-
-    def _commit(self, choice: Candidate, task_index: int, task: Task) -> None:
-        service_cost = float(self.instance.task_columns.service_costs[task_index])
-        profit_delta = task.price - service_cost - choice.approach_cost
-        choice.state.assign(
-            task_index=task_index,
-            pickup_location=task.source,
-            dropoff_location=task.destination,
-            dropoff_ts=choice.dropoff_ts,
-            profit_delta=profit_delta,
-            arrival_ts=choice.arrival_ts,
-        )
-        self._kernel.sync(choice.state)
-
-    def _settle(self, state: DriverState) -> OnlineDriverRecord:
-        profit = state.running_profit
-        if state.served:
-            final_leg = self._cost_model.leg(state.location, state.driver.destination)
-            direct_leg = self._cost_model.driver_direct_leg(
-                state.driver.source, state.driver.destination
-            )
-            profit = profit - final_leg.cost + direct_leg.cost
-        return OnlineDriverRecord(
-            driver_id=state.driver.driver_id,
-            task_indices=tuple(state.served),
-            profit=profit,
-            arrival_times=tuple(state.arrival_times),
-        )
 
 
 def run_batched(

@@ -21,15 +21,18 @@ persistent driver-state arrays:
   deadline, shift end) becomes a boolean mask with the *same* arithmetic and
   the same epsilons, so the surviving candidates and their marginal values
   match the scalar path to floating-point round-off;
-* an optional :class:`~repro.geo.grid.GridIndex` over driver locations turns
-  the per-task scan into a range query: only drivers within the task's
+* a :class:`~repro.geo.grid.GridIndex` over driver locations turns the
+  per-task scan into a range query: only drivers within the task's
   travel-time reach are even considered.  The index answers *supersets*, so
-  enabling it never changes the candidate set — it only skips drivers that
-  could not pass the exact checks anyway.
+  it never changes the candidate set; the kernel engages it whenever the
+  fleet and the service area make it pay — there is no switch.
 
-The scalar reference loop is kept as :meth:`candidates_for_scalar`; the
-equivalence tests in ``tests/online/test_candidate_kernel.py`` replay whole
-simulations through both paths and assert identical outcomes.
+Per-task inputs are read from ``instance.task_columns``; the kernel caches
+only the radian form of the coordinates.  The scalar loop survives as
+:meth:`CandidateKernel.candidates_for_scalar`, an oracle nothing in ``src/``
+calls: ``tests/online/test_candidate_kernel.py`` and
+``benchmarks/bench_algorithms_micro.py`` substitute it for the two queries
+and require identical candidates and whole-simulation outcomes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .state import Candidate, DriverState
 #: scan, keeping the "index never changes the outcome" guarantee.
 _MAX_INDEX_DIAGONAL_KM = 300.0
 _MAX_INDEX_ABS_LAT_DEG = 70.0
+#: Fleets below this size are scanned whole: the query costs more than it skips.
+_MIN_INDEX_FLEET = 24
+_INDEX_CELL_KM = 1.0
 
 
 class CandidateKernel:
@@ -62,19 +68,12 @@ class CandidateKernel:
         The market being simulated.
     states:
         The simulator's driver states, in dispatch order.  The kernel keeps
-        array mirrors of each state's position and free-at time; call
-        :meth:`sync` whenever a simulator mutates a state (assignment or
-        repositioning) so the mirrors stay current.
+        array mirrors of each state's position and free-at time:
+        :meth:`commit` makes an assignment and refreshes them, and a
+        simulator that moves a driver itself (repositioning) calls
+        :meth:`sync`.
     wait_for_pickup_deadline / use_recorded_duration:
         Trace-replay semantics, identical to the simulator configs.
-    vectorized:
-        ``False`` routes every query through the scalar reference loop
-        (useful for tests and for exotic estimators without batch kernels).
-    spatial_index:
-        Enable the :class:`~repro.geo.grid.GridIndex` prefilter.  Ignored
-        when the estimator cannot bound straight-line distance
-        (``prune_radius_km`` returning ``None``) or the fleet is too small
-        for the index to pay off.
     """
 
     def __init__(
@@ -84,15 +83,10 @@ class CandidateKernel:
         *,
         wait_for_pickup_deadline: bool = True,
         use_recorded_duration: bool = True,
-        vectorized: bool = True,
-        spatial_index: bool = True,
-        cell_km: float = 1.0,
-        min_drivers_for_index: int = 24,
     ) -> None:
         self.instance = instance
         self.wait_for_pickup_deadline = wait_for_pickup_deadline
         self.use_recorded_duration = use_recorded_duration
-        self.vectorized = vectorized
         self._cost_model = instance.cost_model
         travel_model = self._cost_model.travel_model
         self._estimator = travel_model.estimator
@@ -115,18 +109,11 @@ class CandidateKernel:
         if len(self._slot_by_driver) != n:
             raise ValueError("driver ids must be unique")
 
-        self._loc = np.empty((n, 2), dtype=float)
-        self._free_at = np.empty(n, dtype=float)
-        for slot, state in enumerate(self._states):
-            self._loc[slot, 0] = state.location.lat
-            self._loc[slot, 1] = state.location.lon
-            self._free_at[slot] = state.free_at
+        self._loc = coord_array([s.location for s in self._states])
+        self._free_at = np.array([s.free_at for s in self._states], dtype=float)
         self._driver_start = np.array([s.driver.start_ts for s in self._states], dtype=float)
         self._driver_end = np.array([s.driver.end_ts for s in self._states], dtype=float)
         self._dest = coord_array([s.driver.destination for s in self._states])
-
-        self._task_sources = coord_array([t.source for t in instance.tasks])
-        self._task_destinations = coord_array([t.destination for t in instance.tasks])
 
         # Fast path: the built-in estimators name their raw batch kernel, so
         # the hot loop can keep radian arrays and skip the per-call degree
@@ -136,8 +123,9 @@ class CandidateKernel:
         self._metric_scale = float(getattr(self._estimator, "circuity", 1.0))
         self._loc_rad = np.radians(self._loc)
         self._dest_rad = np.radians(self._dest)
-        self._task_sources_rad = np.radians(self._task_sources)
-        self._task_destinations_rad = np.radians(self._task_destinations)
+        columns = instance.task_columns
+        self._task_sources_rad = np.radians(columns.sources)
+        self._task_destinations_rad = np.radians(columns.destinations)
         # Current-home distances (driver location -> own destination) change
         # only when a driver moves, so they are cached and refreshed per-slot
         # in :meth:`sync` instead of being recomputed on every query.
@@ -146,12 +134,7 @@ class CandidateKernel:
         )
 
         self._grid: Optional[GridIndex] = None
-        if (
-            vectorized
-            and spatial_index
-            and n >= min_drivers_for_index
-            and self._estimator.prune_radius_km(1.0) is not None
-        ):
+        if n >= _MIN_INDEX_FLEET and self._estimator.prune_radius_km(1.0) is not None:
             box = bounding_box_of(
                 [s.location for s in self._states]
                 + [s.driver.destination for s in self._states]
@@ -163,7 +146,7 @@ class CandidateKernel:
                 and box.diagonal_km() <= _MAX_INDEX_DIAGONAL_KM
                 and max(abs(box.south), abs(box.north)) <= _MAX_INDEX_ABS_LAT_DEG
             ):
-                self._grid = GridIndex(box, cell_km=cell_km)
+                self._grid = GridIndex(box, cell_km=_INDEX_CELL_KM)
                 for state in self._states:
                     self._grid.add(state.location)
 
@@ -175,34 +158,42 @@ class CandidateKernel:
         return self._grid is not None
 
     def extend_tasks(self) -> int:
-        """Mirror tasks appended to the instance since construction (or the
-        last call) into the kernel's coordinate arrays.
+        """Extend the radian coordinate cache to the tasks a streaming
+        consumer appended to the instance since construction (or the last
+        call), from the new rows of its ``task_columns``.
 
-        Streaming consumers (:meth:`~repro.online.batch.BatchedSimulator.run_stream`)
-        append task batches to a
-        :class:`~repro.market.streaming.StreamingMarketInstance` mid-run; this
-        keeps the kernel's per-task arrays in step without rebuilding them.
         Returns the number of tasks picked up.  The spatial index keys only
         driver positions, so it needs no refresh; a task outside the original
         bounding box simply degrades that task's query to the exhaustive scan
         (the superset guarantee is unconditional).
         """
-        tasks = self.instance.tasks
-        known = self._task_sources.shape[0]
-        if len(tasks) <= known:
+        columns = self.instance.task_columns
+        known = self._task_sources_rad.shape[0]
+        fresh = columns.sources.shape[0] - known
+        if fresh <= 0:
             return 0
-        fresh = tasks[known:]
-        new_sources = coord_array([t.source for t in fresh])
-        new_destinations = coord_array([t.destination for t in fresh])
-        self._task_sources = np.concatenate([self._task_sources, new_sources])
-        self._task_destinations = np.concatenate([self._task_destinations, new_destinations])
         self._task_sources_rad = np.concatenate(
-            [self._task_sources_rad, np.radians(new_sources)]
+            [self._task_sources_rad, np.radians(columns.sources[known:])]
         )
         self._task_destinations_rad = np.concatenate(
-            [self._task_destinations_rad, np.radians(new_destinations)]
+            [self._task_destinations_rad, np.radians(columns.destinations[known:])]
         )
-        return len(fresh)
+        return fresh
+
+    def commit(self, choice: Candidate, task_index: int, task: Task) -> None:
+        """Assign ``task`` to the chosen candidate's driver: her state
+        advances to the drop-off, her running profit takes the price minus
+        the in-task and approach costs, and the array mirrors follow."""
+        service_cost = float(self.instance.task_columns.service_costs[task_index])
+        choice.state.assign(
+            task_index=task_index,
+            pickup_location=task.source,
+            dropoff_location=task.destination,
+            dropoff_ts=choice.dropoff_ts,
+            profit_delta=task.price - service_cost - choice.approach_cost,
+            arrival_ts=choice.arrival_ts,
+        )
+        self.sync(choice.state)
 
     def sync(self, state: DriverState) -> None:
         """Refresh the array mirrors after ``state`` moved or was assigned."""
@@ -271,8 +262,6 @@ class CandidateKernel:
 
     def candidates_for(self, task_index: int, task: Task, now_ts: float) -> List[Candidate]:
         """Feasible candidates for one task, in driver order."""
-        if not self.vectorized:
-            return self.candidates_for_scalar(task_index, task, now_ts)
         columns = self.instance.task_columns
         if not columns.servable[task_index]:
             return []
@@ -302,7 +291,7 @@ class CandidateKernel:
 
         approach_km = self._distances_to_point(
             self._loc_rad[slots], self._loc[slots],
-            self._task_sources_rad[task_index], self._task_sources[task_index],
+            self._task_sources_rad[task_index], columns.sources[task_index],
         )
         approach_time = approach_km / speed_kmh * 3600.0
         approach_cost = approach_km * cost_per_km
@@ -324,7 +313,7 @@ class CandidateKernel:
         approach_cost = approach_cost[feasible]
 
         home_km = self._distances_from_point(
-            self._task_destinations_rad[task_index], self._task_destinations[task_index],
+            self._task_destinations_rad[task_index], columns.destinations[task_index],
             self._dest_rad[slots], self._dest[slots],
         )
         home_time = home_km / speed_kmh * 3600.0
@@ -375,14 +364,6 @@ class CandidateKernel:
         the matrix width changes.  Returns ``{task_index: candidates}`` with
         tasks without candidates omitted.
         """
-        if not self.vectorized:
-            out: Dict[int, List[Candidate]] = {}
-            for m in task_indices:
-                candidates = self.candidates_for_scalar(m, self.instance.tasks[m], now_ts)
-                if candidates:
-                    out[m] = candidates
-            return out
-
         columns = self.instance.task_columns
         live = [m for m in task_indices if columns.servable[m]]
         if not live or not self._states:
@@ -395,11 +376,11 @@ class CandidateKernel:
             return {}
         speed_kmh, cost_per_km = self._query_rates(now_ts)
 
-        sdl = np.array([t.start_deadline_ts for t in tasks], dtype=float)
-        edl = np.array([t.end_deadline_ts for t in tasks], dtype=float)
-        prices = np.array([t.price for t in tasks], dtype=float)
+        sdl = columns.start_deadlines[idx]
+        edl = columns.end_deadlines[idx]
+        prices = columns.prices[idx]
         if self.use_recorded_duration:
-            ride_durations = np.array([t.ride_window_s for t in tasks], dtype=float)
+            ride_durations = edl - sdl
         else:
             ride_durations = columns.durations_s[idx].astype(float)
         service_costs = columns.service_costs[idx].astype(float)
@@ -411,7 +392,7 @@ class CandidateKernel:
 
         approach_km = self._distances_cross(
             self._loc_rad[slots], self._loc[slots],
-            self._task_sources_rad[idx], self._task_sources[idx],
+            self._task_sources_rad[idx], columns.sources[idx],
         )  # (D', T)
         approach_time = (approach_km / speed_kmh * 3600.0).T  # (T, D')
         approach_cost = (approach_km * cost_per_km).T
@@ -425,7 +406,7 @@ class CandidateKernel:
         feasible &= dropoff <= edl[:, None] + 1e-9
 
         home_km = self._distances_cross(
-            self._task_destinations_rad[idx], self._task_destinations[idx],
+            self._task_destinations_rad[idx], columns.destinations[idx],
             self._dest_rad[slots], self._dest[slots],
         )  # (T, D')
         home_time = home_km / speed_kmh * 3600.0
@@ -437,7 +418,7 @@ class CandidateKernel:
             home_cost + service_costs[:, None] + approach_cost - current_home_cost[None, :]
         )
 
-        out = {}
+        out: Dict[int, List[Candidate]] = {}
         task_rows, driver_cols = np.nonzero(feasible)
         for row, col in zip(task_rows, driver_cols):
             m = live[int(row)]
@@ -458,8 +439,9 @@ class CandidateKernel:
     def candidates_for_scalar(
         self, task_index: int, task: Task, now_ts: float
     ) -> List[Candidate]:
-        """The original per-driver Python loop, kept as the reference
-        implementation (and the fallback for ``vectorized=False``)."""
+        """The original per-driver Python loop: the oracle the equivalence
+        tests and the micro benchmark compare the array queries against.
+        No dispatch path calls it."""
         columns = self.instance.task_columns
         if not columns.servable[task_index]:
             return []

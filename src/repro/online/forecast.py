@@ -41,19 +41,23 @@ __all__ = [
     "DemandForecaster",
     "EwmaDemandForecaster",
     "OracleDemandForecaster",
+    "publish_slot",
     "publish_slot_of",
 ]
 
 
-def publish_slot_of(publish_ts: float, first_publish: float, window_s: float) -> int:
-    """The dispatch-window slot a publish time lands in.
-
-    Mirrors the batched simulator's watermark arithmetic
-    (:func:`repro.online.batch._publish_slot`) so forecaster slots line up
-    exactly with dispatch windows.  Kept as a tiny local copy to avoid a
-    circular import between the forecaster and the simulator.
+def publish_slot(publish_ts: float, first_publish: float, window_s: float) -> int:
+    """The dispatch-window slot of a publish time (negative before the
+    anchor).  The one slotting rule — replay windows, stream watermark,
+    arrival-batch groupers, the gateway's ``WindowBatcher`` and the
+    forecasters all call it; the stream == replay guarantee rests on that.
     """
-    return max(0, int((publish_ts - first_publish) // window_s))
+    return int((publish_ts - first_publish) // window_s)
+
+
+def publish_slot_of(publish_ts: float, first_publish: float, window_s: float) -> int:
+    """:func:`publish_slot` clamped at slot 0, for the forecasters."""
+    return max(0, publish_slot(publish_ts, first_publish, window_s))
 
 
 class ZoneGrid:

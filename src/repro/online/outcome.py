@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from ..market.cost import MarketCostModel
 from ..market.instance import MarketInstance
+from .state import DriverState
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,6 +33,25 @@ class OnlineDriverRecord:
     #: empty when the producing simulator does not track arrivals at all.
     #: The wait-time metrics skip untracked entries either way.
     arrival_times: Tuple[float, ...] = ()
+
+    @classmethod
+    def settle(cls, state: DriverState, cost_model: MarketCostModel) -> "OnlineDriverRecord":
+        """Close a driver's books at the end of the stream: a driver who
+        worked pays her final leg home and is credited the drive she would
+        have made anyway (Eq. 4)."""
+        profit = state.running_profit
+        if state.served:
+            final_leg = cost_model.leg(state.location, state.driver.destination)
+            direct_leg = cost_model.driver_direct_leg(
+                state.driver.source, state.driver.destination
+            )
+            profit = profit - final_leg.cost + direct_leg.cost
+        return cls(
+            driver_id=state.driver.driver_id,
+            task_indices=tuple(state.served),
+            profit=profit,
+            arrival_times=tuple(state.arrival_times),
+        )
 
     @property
     def task_count(self) -> int:

@@ -8,7 +8,9 @@ Implements the shared skeleton of Algorithms 3 and 4:
 2. For the arriving task, the candidate set contains every driver — unlocked
    or still finishing a previous task — who can reach the pickup before the
    task's start deadline, serve the ride, and still make it to her own
-   destination before the end of her shift.
+   destination before the end of her shift
+   (:meth:`~repro.online.candidates.CandidateKernel.candidates_for`, the one
+   way the simulator builds it).
 3. The plugged-in :class:`~repro.online.dispatchers.Dispatcher` picks one
    candidate (Nearest / maxMargin / random); the driver is locked, her
    location and busy-until time advance to the task's drop-off, and her
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..market.instance import MarketInstance
 from ..market.task import Task
@@ -31,7 +33,7 @@ from .candidates import CandidateKernel
 from .dispatchers import Dispatcher
 from .outcome import OnlineDriverRecord, OnlineOutcome
 from .repositioning import RepositioningPolicy, apply_repositioning
-from .state import Candidate, DriverState
+from .state import DriverState
 
 
 class TaskOrdering(enum.Enum):
@@ -50,9 +52,6 @@ class SimulationConfig:
     """Knobs of the online simulator."""
 
     ordering: TaskOrdering = TaskOrdering.ARRIVAL
-    #: Reject tasks whose price is below the customer's WTP?  Tasks in this
-    #: library are constructed publishable, so the default keeps every task.
-    drop_unpublishable: bool = True
     #: When ``True`` (default) a driver who reaches the pickup early waits for
     #: the task's recorded start time — in trace replay the rider is simply
     #: not there yet.  When ``False`` the ride starts the moment the driver
@@ -66,12 +65,6 @@ class SimulationConfig:
     #: the offline model.  When ``False`` the shorter distance/speed estimate
     #: is used and drivers may free up before the drop-off deadline.
     use_recorded_duration: bool = True
-    #: Use the vectorised candidate kernel (``False`` falls back to the
-    #: scalar reference loop; candidate sets are identical either way).
-    use_vectorized_kernel: bool = True
-    #: Prefilter candidates with a spatial grid index over driver locations
-    #: (a strict superset query — never changes the outcome, only the cost).
-    use_spatial_index: bool = True
 
 
 class OnlineSimulator:
@@ -89,7 +82,6 @@ class OnlineSimulator:
         self.config = config or SimulationConfig()
         self.repositioning = repositioning
         self._cost_model = instance.cost_model
-        self._kernel: Optional[CandidateKernel] = None
 
     # ------------------------------------------------------------------
     # main loop
@@ -104,10 +96,7 @@ class OnlineSimulator:
             states.values(),
             wait_for_pickup_deadline=self.config.wait_for_pickup_deadline,
             use_recorded_duration=self.config.use_recorded_duration,
-            vectorized=self.config.use_vectorized_kernel,
-            spatial_index=self.config.use_spatial_index,
         )
-        self._kernel = kernel
         rejected: List[int] = []
 
         for task_index, task in self._task_stream():
@@ -128,9 +117,11 @@ class OnlineSimulator:
             if choice is None:
                 rejected.append(task_index)
                 continue
-            self._commit(choice, task_index, task)
+            kernel.commit(choice, task_index, task)
 
-        records = tuple(self._settle(state) for state in states.values())
+        records = tuple(
+            OnlineDriverRecord.settle(state, self._cost_model) for state in states.values()
+        )
         return OnlineOutcome(
             instance=self.instance,
             records=records,
@@ -142,44 +133,15 @@ class OnlineSimulator:
     # pipeline stages
     # ------------------------------------------------------------------
     def _task_stream(self) -> List[Tuple[int, Task]]:
-        indexed = list(enumerate(self.instance.tasks))
-        if self.config.drop_unpublishable:
-            indexed = [(i, t) for i, t in indexed if t.is_publishable]
+        """The publishable tasks in dispatch order.  An unpublishable task
+        (price above the customer's WTP) is never dispatched: serving it
+        would violate her individual rationality."""
+        indexed = [(i, t) for i, t in enumerate(self.instance.tasks) if t.is_publishable]
         if self.config.ordering is TaskOrdering.ARRIVAL:
             indexed.sort(key=lambda pair: (pair[1].publish_ts, pair[0]))
         else:
             indexed.sort(key=lambda pair: (-pair[1].price, pair[1].publish_ts, pair[0]))
         return indexed
-
-    def _commit(self, choice: Candidate, task_index: int, task: Task) -> None:
-        service_cost = float(self.instance.task_columns.service_costs[task_index])
-        profit_delta = task.price - service_cost - choice.approach_cost
-        choice.state.assign(
-            task_index=task_index,
-            pickup_location=task.source,
-            dropoff_location=task.destination,
-            dropoff_ts=choice.dropoff_ts,
-            profit_delta=profit_delta,
-            arrival_ts=choice.arrival_ts,
-        )
-        self._kernel.sync(choice.state)
-
-    def _settle(self, state: DriverState) -> OnlineDriverRecord:
-        """Close a driver's books at the end of the stream (final leg home and
-        the credit for the drive she would have made anyway)."""
-        profit = state.running_profit
-        if state.served:
-            final_leg = self._cost_model.leg(state.location, state.driver.destination)
-            direct_leg = self._cost_model.driver_direct_leg(
-                state.driver.source, state.driver.destination
-            )
-            profit = profit - final_leg.cost + direct_leg.cost
-        return OnlineDriverRecord(
-            driver_id=state.driver.driver_id,
-            task_indices=tuple(state.served),
-            profit=profit,
-            arrival_times=tuple(state.arrival_times),
-        )
 
 
 def run_online(

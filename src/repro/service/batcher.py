@@ -4,7 +4,7 @@ The streaming engine consumes *batches*; the gateway receives *orders*.
 :class:`WindowBatcher` bridges the two: it accumulates orders and cuts a
 batch whenever the order stream crosses a dispatch-window boundary — the
 same ``(publish_ts - first_publish) // window_s`` slotting rule the batched
-simulator's watermark uses (:func:`repro.online.batch._publish_slot`), so a
+simulator's watermark uses (:func:`repro.online.forecast.publish_slot`), so a
 cut batch can never split a window *behind* the watermark.
 
 Correctness does **not** depend on the batcher reproducing the engine's
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..market.task import Task
-from ..online.batch import _publish_slot
+from ..online.forecast import publish_slot
 
 
 class WindowBatcher:
@@ -87,7 +87,7 @@ class WindowBatcher:
         self._watermark = task.publish_ts
         if self._anchor is None:
             self._anchor = task.publish_ts
-        slot = _publish_slot(task.publish_ts, self._anchor, self.window_s)
+        slot = publish_slot(task.publish_ts, self._anchor, self.window_s)
         closed: Optional[Tuple[Task, ...]] = None
         if self._open_slot is None:
             self._open_slot = slot

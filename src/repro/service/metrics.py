@@ -84,11 +84,6 @@ class LatencyRecorder:
         """Exact sum of every recorded sample, in seconds."""
         return self._sum
 
-    @property
-    def max_seconds(self) -> float:
-        """Exact maximum recorded sample, in seconds (0 when empty)."""
-        return self._max
-
     def bucket_counts(self) -> Tuple[int, ...]:
         """Exact per-bucket counts over :data:`BUCKET_BOUNDS_S` (+Inf last)."""
         return tuple(self._buckets)

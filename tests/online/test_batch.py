@@ -15,6 +15,7 @@ from repro.online import (
 )
 
 from ..conftest import build_chain_instance, build_random_instance
+from .conftest import index_off
 
 
 @pytest.fixture(scope="module")
@@ -104,26 +105,27 @@ class TestBatchedInvariants:
 
 
 class TestWindowSpatialPrefilter:
-    """The union-of-reach grid query is superset-safe: enabling it must never
-    change a single assignment or profit, only the matrix width."""
+    """The union-of-reach grid query is superset-safe: it must never change
+    a single assignment or profit, only the matrix width."""
 
     @pytest.mark.parametrize("window_s", [30.0, 120.0])
     def test_index_on_off_outcomes_identical(self, window_s):
-        # Enough drivers to clear the kernel's min_drivers_for_index bar.
+        # Enough drivers to clear the kernel's min-fleet bar.
         instance = build_random_instance(task_count=80, driver_count=30, seed=21)
-        with_index = BatchedSimulator(
-            instance, BatchConfig(window_s=window_s, use_spatial_index=True)
-        ).run()
-        without = BatchedSimulator(
-            instance, BatchConfig(window_s=window_s, use_spatial_index=False)
-        ).run()
+        indexed = BatchedSimulator(instance, BatchConfig(window_s=window_s))
+        with_index = indexed.run()
+        assert indexed._kernel.uses_spatial_index
+        with index_off():
+            exhaustive = BatchedSimulator(instance, BatchConfig(window_s=window_s))
+            without = exhaustive.run()
+        assert not exhaustive._kernel.uses_spatial_index
         assert with_index.assignment() == without.assignment()
         assert [r.profit for r in with_index.records] == [r.profit for r in without.records]
         assert with_index.rejected_tasks == without.rejected_tasks
 
     def test_kernel_grid_is_engaged(self):
         instance = build_random_instance(task_count=40, driver_count=30, seed=21)
-        simulator = BatchedSimulator(instance, BatchConfig(use_spatial_index=True))
+        simulator = BatchedSimulator(instance, BatchConfig())
         simulator.run()
         assert simulator._kernel.uses_spatial_index
 
@@ -185,6 +187,45 @@ class TestStreamingConsumption:
         with pytest.raises(ValueError):
             # Feed the latest order first, then one from a much earlier window.
             simulator.run_stream([[ordered[-1]], [ordered[0]]])
+
+    def test_refused_batch_leaves_the_stream_untouched(self, random_instance):
+        """An out-of-order batch is refused *before* it is appended: the
+        market, the kernel and the open window are as they were, and the
+        finished stream equals the one that never saw the bad batch."""
+        from dataclasses import replace
+
+        from repro.online.batch import stream_schedule
+
+        batches = stream_schedule(random_instance.tasks, 60.0)
+        half = len(batches) // 2
+        stale = next(t for t in batches[0] if t.is_publishable)
+
+        def stream(poison):
+            instance = StreamingMarketInstance(
+                random_instance.drivers, random_instance.cost_model
+            )
+            simulator = BatchedSimulator(instance, BatchConfig(window_s=60.0))
+            simulator.stream_begin()
+            for batch in batches[:half]:
+                simulator.stream_feed(batch)
+            if poison:
+                before = (instance.task_count, list(simulator._stream_open_arrivals))
+                with pytest.raises(ValueError, match="publish-ordered"):
+                    simulator.stream_feed([replace(stale, task_id="stale-copy")])
+                assert (instance.task_count, simulator._stream_open_arrivals) == before
+                assert simulator._kernel.extend_tasks() == 0
+            for batch in batches[half:]:
+                simulator.stream_feed(batch)
+            return simulator.stream_end(), instance
+
+        clean, clean_instance = stream(poison=False)
+        outcome, instance = stream(poison=True)
+        assert instance.task_count == random_instance.task_count
+        assert self.by_task_ids(outcome, instance) == self.by_task_ids(clean, clean_instance)
+        assert outcome.rejected_tasks == clean.rejected_tasks
+        assert outcome.total_value == clean.total_value
+        publishable = sum(1 for t in instance.tasks if t.is_publishable)
+        assert outcome.served_count + len(outcome.rejected_tasks) == publishable
 
     def test_run_stream_requires_streaming_instance(self, random_instance):
         simulator = BatchedSimulator(random_instance)

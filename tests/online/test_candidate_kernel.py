@@ -4,10 +4,13 @@ The spatial-index + vectorisation refactor must be *behaviour preserving*:
 on the same seeded instance, the per-order and batched simulators have to
 produce bit-for-bit identical dispatch decisions whether candidates come
 from the scalar reference loop, the vectorised kernel, or the vectorised
-kernel behind the grid prefilter.
+kernel behind the grid prefilter.  The kernel has one production path; the
+other two arms come from the fixtures in ``tests/online/conftest.py``.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.geo import (
     TravelModel,
 )
 from repro.geo.batch import _METRIC_FNS, METRICS
-from repro.market import MarketCostModel, MarketInstance
+from repro.market import Driver, MarketCostModel, MarketInstance, StreamingMarketInstance
 from repro.online import (
     BatchConfig,
     BatchedSimulator,
@@ -30,9 +33,11 @@ from repro.online import (
     RandomDispatcher,
     SimulationConfig,
 )
+from repro.online.outcome import OnlineDriverRecord
 from repro.online.state import DriverState
 
-from ..conftest import build_random_instance
+from ..conftest import build_random_instance, flat_travel_model, make_chain_task, point_east
+from .conftest import index_off, scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +64,8 @@ class TestKernelCandidateEquivalence:
     def test_vectorized_candidates_match_scalar_reference(self, instance):
         states = [DriverState.fresh(d) for d in instance.drivers]
         vectorized = CandidateKernel(instance, states)
-        exhaustive = CandidateKernel(instance, states, spatial_index=False)
+        with index_off():
+            exhaustive = CandidateKernel(instance, states)
         assert vectorized.uses_spatial_index
         assert not exhaustive.uses_spatial_index
         checked_any = False
@@ -234,15 +240,14 @@ class TestSimulatorOutcomeRegression:
         ids=["maxMargin", "nearest", "random"],
     )
     def test_per_order_simulator_identical_outcomes(self, instance, make_dispatcher):
-        configs = [
-            SimulationConfig(use_vectorized_kernel=False, use_spatial_index=False),
-            SimulationConfig(use_vectorized_kernel=True, use_spatial_index=False),
-            SimulationConfig(use_vectorized_kernel=True, use_spatial_index=True),
-        ]
-        outcomes = [
-            OnlineSimulator(instance, make_dispatcher(), config).run()
-            for config in configs
-        ]
+        def run():
+            return OnlineSimulator(instance, make_dispatcher(), SimulationConfig()).run()
+
+        with scalar_oracle():
+            outcomes = [run()]
+        with index_off():
+            outcomes.append(run())
+        outcomes.append(run())
         assert outcomes[0].served_count > 0
         baseline = outcome_signature(outcomes[0])
         for outcome in outcomes[1:]:
@@ -250,12 +255,9 @@ class TestSimulatorOutcomeRegression:
             assert_profits_match(outcome, outcomes[0])
 
     def test_batched_simulator_identical_outcomes(self, instance):
-        scalar = BatchedSimulator(
-            instance, BatchConfig(window_s=45.0, use_vectorized_kernel=False)
-        ).run()
-        vectorized = BatchedSimulator(
-            instance, BatchConfig(window_s=45.0, use_vectorized_kernel=True)
-        ).run()
+        with scalar_oracle():
+            scalar = BatchedSimulator(instance, BatchConfig(window_s=45.0)).run()
+        vectorized = BatchedSimulator(instance, BatchConfig(window_s=45.0)).run()
         assert scalar.served_count > 0
         assert outcome_signature(vectorized) == outcome_signature(scalar)
         assert_profits_match(vectorized, scalar)
@@ -267,3 +269,94 @@ class TestSimulatorOutcomeRegression:
         by_driver = {r.driver_id: r.task_indices for r in outcome.records}
         assert by_driver["chainer"] == (0, 1)
         assert by_driver["stranded"] == ()
+
+
+class TestOneCandidatePath:
+    """The kernel has no switches, no private copy of the task columns, and
+    owns the one commit both simulators make."""
+
+    REMOVED = {
+        SimulationConfig: ("use_vectorized_kernel", "use_spatial_index", "drop_unpublishable"),
+        BatchConfig: ("use_vectorized_kernel", "use_spatial_index"),
+        CandidateKernel: ("vectorized", "spatial_index", "cell_km", "min_drivers_for_index"),
+    }
+
+    @pytest.mark.parametrize(
+        "constructor, name",
+        [(ctor, name) for ctor, names in REMOVED.items() for name in names],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_removed_options_are_rejected(self, instance, constructor, name):
+        args = (instance, []) if constructor is CandidateKernel else ()
+        with pytest.raises(TypeError, match=name):
+            constructor(*args, **{name: True})
+
+    def test_kernel_built_before_stream_growth_matches_one_built_after(self, instance):
+        # 90 tasks in appends of 7 cross the stream's column-buffer doublings
+        # (64 rows, then 128): the early kernel must keep reading live column
+        # rows, not the views it saw when it was built.
+        stream = StreamingMarketInstance(instance.drivers, instance.cost_model)
+        states = [DriverState.fresh(d) for d in instance.drivers]
+        early = CandidateKernel(stream, states)
+        picked_up = 0
+        for first in range(0, instance.task_count, 7):
+            stream.append_tasks(instance.tasks[first : first + 7])
+            picked_up += early.extend_tasks()
+        assert picked_up == instance.task_count
+        assert early.extend_tasks() == 0
+        late = CandidateKernel(stream, states)
+
+        def cells(kernel, now_ts):
+            window = kernel.candidates_for_window(range(stream.task_count), now_ts)
+            return {
+                (m, c.driver_id): (c.arrival_ts, c.dropoff_ts, c.approach_cost, c.marginal_value)
+                for m, found in window.items()
+                for c in found
+            }
+
+        publishes = sorted(task.publish_ts for task in instance.tasks)
+        for now_ts in (publishes[0], publishes[len(publishes) // 2]):
+            assert cells(early, now_ts) == cells(late, now_ts)
+            assert cells(early, now_ts)
+
+    def test_both_simulators_share_one_commit_and_one_settle(self, monkeypatch):
+        # One driver whose shift starts after the batched window closes but
+        # before the pickup deadline: both simulators then face the same
+        # candidate (depart == shift start) for the one task.
+        task = make_chain_task(0, 0.0, 5.0, start_ts=1000.0, price=5.0)
+        driver = Driver(
+            driver_id="late-starter",
+            source=point_east(1.0),
+            destination=point_east(6.0),
+            start_ts=700.0,
+            end_ts=10_000.0,
+        )
+        market = MarketInstance.create(
+            drivers=[driver], tasks=[task], cost_model=MarketCostModel(flat_travel_model())
+        )
+        committed, settled = [], []
+        commit, settle = CandidateKernel.commit, OnlineDriverRecord.settle.__func__
+
+        def spy_commit(kernel, choice, task_index, task):
+            commit(kernel, choice, task_index, task)
+            committed.append((choice, copy.deepcopy(choice.state)))
+
+        def spy_settle(cls, state, cost_model):
+            settled.append(settle(cls, state, cost_model))
+            return settled[-1]
+
+        monkeypatch.setattr(CandidateKernel, "commit", spy_commit)
+        monkeypatch.setattr(OnlineDriverRecord, "settle", classmethod(spy_settle))
+
+        per_order = OnlineSimulator(market, MaxMarginDispatcher()).run()
+        batched = BatchedSimulator(market, BatchConfig(window_s=60.0)).run()
+
+        (choice_a, state_a), (choice_b, state_b) = committed
+        assert (choice_a.arrival_ts, choice_a.dropoff_ts, choice_a.approach_cost) == (
+            choice_b.arrival_ts, choice_b.dropoff_ts, choice_b.approach_cost
+        )
+        assert state_a == state_b
+        assert state_a.served == [0] and state_a.locked
+        assert settled[0] == settled[1]
+        assert per_order.records == batched.records == (settled[0],)
+        assert settled[0].task_indices == (0,)
