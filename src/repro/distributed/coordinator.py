@@ -121,7 +121,6 @@ from .messages import (
     ShardStreamResult,
     ShardWorkRequest,
     ShardWorkResult,
-    Stopwatch,
     StreamReport,
 )
 from .partition import (
@@ -294,15 +293,16 @@ def solve_shard(
         if isinstance(shipment, PayloadDescriptor):
             # The attach span records on the worker recorder installed above.
             shipment = payload_from_descriptor(shipment)
-        with Stopwatch() as watch:
-            if isinstance(shipment, MarketShard):
-                instance = shipment.instance
-            else:
-                with obs_trace.span("rebuild"):
-                    instance = instance_from_payload(shipment)
-            assignment, driver_profits, total_value, served, bounds = _solve_instance(
-                instance, request
-            )
+        start = time.perf_counter()
+        if isinstance(shipment, MarketShard):
+            instance = shipment.instance
+        else:
+            with obs_trace.span("rebuild"):
+                instance = instance_from_payload(shipment)
+        assignment, driver_profits, total_value, served, bounds = _solve_instance(
+            instance, request
+        )
+        elapsed_s = time.perf_counter() - start
     finally:
         if recorder is not None:
             obs_trace.install_recorder(previous)
@@ -313,10 +313,61 @@ def solve_shard(
         driver_profits=driver_profits,
         total_value=total_value,
         served_count=served,
-        elapsed_s=watch.elapsed_s,
+        elapsed_s=elapsed_s,
         bounds=bounds,
         spans=recorder.export() if recorder is not None else (),
     )
+
+
+class _FanOutRun:
+    """The bookkeeping both fan-out runs share: opening starts the clock,
+    marks the thread's flight recorder and opens the root span on it, and
+    reads the pool's wire counters; :meth:`close` ends the root and returns
+    the :class:`~repro.distributed.messages.FanOutReport` fields measured.
+    """
+
+    __slots__ = ("pool", "recorder", "root", "_start", "_trace_mark", "_wire_mark")
+
+    def __init__(
+        self, pool: PersistentWorkerPool, root_name: str, **root_attrs: object
+    ) -> None:
+        self._start = time.perf_counter()
+        self.pool = pool
+        self._wire_mark = pool.stats.counters()
+        self.recorder = obs_trace.active_recorder()
+        self._trace_mark = self.recorder.mark() if self.recorder is not None else 0
+        self.root = (
+            self.recorder.begin(root_name, **root_attrs)
+            if self.recorder is not None
+            else obs_trace.DROPPED
+        )
+
+    def adopt(self, spans: Tuple, **root_attrs: object) -> None:
+        """Graft one worker's exported spans under the run's root span."""
+        if self.recorder is not None and spans:
+            self.recorder.adopt(spans, parent_id=self.root, **root_attrs)
+
+    def close(self) -> Dict[str, object]:
+        phase_breakdown: Tuple[Tuple[str, float], ...] = ()
+        trace_span_count = 0
+        if self.recorder is not None:
+            self.recorder.end(self.root)
+            run_spans = self.recorder.spans_since(self._trace_mark)
+            phase_breakdown = obs_trace.phase_totals(run_spans)
+            trace_span_count = len(run_spans)
+        wall_clock_s = time.perf_counter() - self._start
+        wire = self.pool.stats.counters()
+        return {
+            "wall_clock_s": wall_clock_s,
+            "executor": self.pool.executor,
+            "transport": self.pool.transport,
+            "bytes_over_pipe": wire[0] - self._wire_mark[0],
+            "shm_bytes": wire[1] - self._wire_mark[1],
+            "segment_reuses": wire[2] - self._wire_mark[2],
+            "pickle_fallbacks": wire[3] - self._wire_mark[3],
+            "phase_breakdown": phase_breakdown,
+            "trace_span_count": trace_span_count,
+        }
 
 
 @dataclass(frozen=True)
@@ -421,22 +472,12 @@ class DistributedStreamSession:
         self._router = router
         self._rebalance = rebalance
         self._token = next_stream_token()
-        self._start = time.perf_counter()
-        self._stats_mark = pool.stats.counters()  # wire-traffic baseline
-        # Flight recorder: the stream's lifetime span lives on whatever
-        # recorder the opening thread has active; worker sessions collect
-        # their own spans (the ``trace`` flag rides ``_pool_open``) and the
-        # merge adopts them under this root.
-        self._recorder = obs_trace.active_recorder()
-        self._trace_mark = (
-            self._recorder.mark() if self._recorder is not None else 0
-        )
-        self._root_span = (
-            self._recorder.begin(
-                "stream", executor=pool.executor, transport=pool.transport
-            )
-            if self._recorder is not None
-            else obs_trace.DROPPED
+        # The stream's lifetime span lives on whatever recorder the opening
+        # thread has active; worker sessions collect their own spans (the
+        # ``trace`` flag rides ``_pool_open``) and the merge adopts them
+        # under this root.
+        self._run = _FanOutRun(
+            pool, "stream", executor=pool.executor, transport=pool.transport
         )
 
         self._tasks: List[Task] = []  # global task list, in arrival order
@@ -496,7 +537,7 @@ class DistributedStreamSession:
                 self._submit(
                     shard_id, slot, _pool_open, self._token, shard_id, drivers,
                     self._cost_model, self._config,
-                    self._recorder is not None,
+                    self._run.recorder is not None,
                 )
             )
         else:
@@ -605,10 +646,10 @@ class DistributedStreamSession:
         self._closed = True
         self._finished = True
         self._inflight = []
-        if self._recorder is not None:
+        if self._run.recorder is not None:
             # Abandoned stream: close the lifetime span so the trace stays
             # well-formed (no-op when finish already ended it).
-            self._recorder.end(self._root_span)
+            self._run.recorder.end(self._run.root)
         for shard in self._shards:
             if shard.drivers:
                 try:
@@ -813,17 +854,15 @@ class DistributedStreamSession:
 
         # Stitch worker-side span trees under the stream's root before the
         # merge span opens, so per-shard subtrees sit beside (not inside) it.
-        if self._recorder is not None:
-            for shard in self._shards:
-                result = results[shard.shard_id]
-                if result is not None and result.spans:
-                    self._recorder.adopt(
-                        result.spans, parent_id=self._root_span, slot=shard.slot
-                    )
+        run = self._run
+        for shard in self._shards:
+            result = results[shard.shard_id]
+            if result is not None:
+                run.adopt(result.spans, slot=shard.slot)
 
         merge_span = (
-            self._recorder.begin("merge", parent_id=self._root_span)
-            if self._recorder is not None
+            run.recorder.begin("merge", parent_id=run.root)
+            if run.recorder is not None
             else obs_trace.DROPPED
         )
         merged_assignment: Dict[str, Tuple[int, ...]] = {}
@@ -863,36 +902,21 @@ class DistributedStreamSession:
         solution = MarketSolution(
             instance=instance, plans=plans, objective=Objective.DRIVERS_PROFIT
         )
-        phase_breakdown: Tuple[Tuple[str, float], ...] = ()
-        trace_span_count = 0
-        if self._recorder is not None:
-            self._recorder.end(merge_span)
-            self._recorder.end(self._root_span)
-            stream_spans = self._recorder.spans_since(self._trace_mark)
-            phase_breakdown = obs_trace.phase_totals(stream_spans)
-            trace_span_count = len(stream_spans)
-        now_stats = self._pool.stats.counters()
+        if run.recorder is not None:
+            run.recorder.end(merge_span)
         report = StreamReport(
+            **run.close(),
             shard_count=len(self._shards),
             batch_count=self.batch_count,
             total_value=solution.total_value,
             served_count=solution.served_count,
             rejected_count=len(rejected),
-            wall_clock_s=time.perf_counter() - self._start,
             slowest_shard_s=max(durations) if durations else 0.0,
             per_shard_task_counts=self.shard_task_counts,
             per_shard_durations=tuple(durations),
-            executor=self._pool.executor,
             worker_count=self._pool.worker_count,
             rebalance_count=self._rebalances,
             wait_total_s=wait_total_s,
-            transport=self._pool.transport,
-            bytes_over_pipe=now_stats[0] - self._stats_mark[0],
-            shm_bytes=now_stats[1] - self._stats_mark[1],
-            segment_reuses=now_stats[2] - self._stats_mark[2],
-            pickle_fallbacks=now_stats[3] - self._stats_mark[3],
-            phase_breakdown=phase_breakdown,
-            trace_span_count=trace_span_count,
         )
         logger.debug(
             "stream finished: shards=%d batches=%d served=%d rejected=%d",
@@ -1149,17 +1173,9 @@ class DistributedCoordinator:
         instance: MarketInstance,
         load_report: Optional[ShardLoadReport],
     ) -> DistributedResult:
-        start = time.perf_counter()
-        recorder = obs_trace.active_recorder()
-        trace_mark = recorder.mark() if recorder is not None else 0
-        root_span = (
-            recorder.begin(
-                "solve", executor=self.executor, solver=self.solver_name
-            )
-            if recorder is not None
-            else obs_trace.DROPPED
+        run = _FanOutRun(
+            pool, "solve", executor=self.executor, solver=self.solver_name
         )
-        stats_mark = pool.stats.counters()  # wire-traffic baseline
         with obs_trace.span("partition"):
             plan = self.partitioner.partition(instance)
         requests = [
@@ -1170,7 +1186,7 @@ class DistributedCoordinator:
                 solver_name=self.solver_name,
                 seed=self.base_seed + shard.spec.shard_id,
                 gap_threshold=self.gap_threshold,
-                trace=recorder is not None,
+                trace=run.recorder is not None,
             )
             for shard in plan.shards
         ]
@@ -1201,10 +1217,8 @@ class DistributedCoordinator:
         solved = [result for result in results if result is not None]
 
         # Stitch worker-side span trees under this solve's root span.
-        if recorder is not None:
-            for result in solved:
-                if result.spans:
-                    recorder.adopt(result.spans, parent_id=root_span)
+        for result in solved:
+            run.adopt(result.spans)
 
         with obs_trace.span("merge"):
             merged: Dict[str, Tuple[int, ...]] = {}
@@ -1214,40 +1228,23 @@ class DistributedCoordinator:
                 merged_profits.update(result.driver_profits)
             solution = self._merge_solution(instance, merged, merged_profits)
 
-        phase_breakdown: Tuple[Tuple[str, float], ...] = ()
-        trace_span_count = 0
-        if recorder is not None:
-            recorder.end(root_span)
-            solve_spans = recorder.spans_since(trace_mark)
-            phase_breakdown = obs_trace.phase_totals(solve_spans)
-            trace_span_count = len(solve_spans)
-        wall_clock = time.perf_counter() - start
         durations = tuple(r.elapsed_s for r in solved)
-        now_stats = pool.stats.counters()
         report = CoordinatorReport(
+            **run.close(),
             shard_count=plan.shard_count,
             total_value=solution.total_value,
             served_count=solution.served_count,
-            wall_clock_s=wall_clock,
             slowest_shard_s=max(durations) if durations else 0.0,
             per_shard_values=tuple(r.total_value for r in solved),
             per_shard_durations=durations,
-            executor=pool.executor,
             worker_count=max(1, min(pool.worker_count, len(live))),
             empty_shard_count=len(plan.shards) - len(live),
             per_shard_task_counts=tuple(shard.task_count for shard in plan.shards),
-            transport=pool.transport,
-            bytes_over_pipe=now_stats[0] - stats_mark[0],
-            shm_bytes=now_stats[1] - stats_mark[1],
-            segment_reuses=now_stats[2] - stats_mark[2],
-            pickle_fallbacks=now_stats[3] - stats_mark[3],
             per_shard_bounds=(
                 tuple(r.bounds for r in solved)
                 if self.solver_name in EXACT_SOLVER_NAMES
                 else ()
             ),
-            phase_breakdown=phase_breakdown,
-            trace_span_count=trace_span_count,
         )
         logger.debug(
             "solve merged: shards=%d served=%d value=%.3f executor=%s",

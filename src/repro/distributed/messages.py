@@ -7,12 +7,14 @@ which are plain serialisable records.  This keeps the solve path honest about
 what information actually crosses the wire in a real deployment (each city /
 district solver needs only its own drivers and tasks, never the global
 instance).
+
+:class:`FanOutReport` declares the fields the two fan-out reports share,
+:class:`CoordinatorReport` (offline solve) and :class:`StreamReport`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps scipy off this path
@@ -72,44 +74,29 @@ class ShardWorkResult:
     spans: Tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CoordinatorReport:
-    """Summary the coordinator produces after merging every shard result."""
+@dataclass(frozen=True, slots=True, kw_only=True)
+class FanOutReport:
+    """What every fan-out run reports: shards, timing, executor, wire, trace."""
 
     shard_count: int
     total_value: float
     served_count: int
     wall_clock_s: float
     slowest_shard_s: float
-    per_shard_values: Tuple[float, ...]
-
-    @property
-    def critical_path_speedup(self) -> float:
-        """Idealised speed-up if shards ran fully in parallel: total worker
-        time divided by the slowest shard's time."""
-        total_worker_time = sum(self.per_shard_durations) if self.per_shard_durations else 0.0
-        if self.slowest_shard_s <= 0:
-            return 1.0
-        return total_worker_time / self.slowest_shard_s
-
-    #: Populated by the coordinator; kept separate from values for clarity.
+    #: Worker-side seconds per shard, in shard order.
     per_shard_durations: Tuple[float, ...] = ()
-    #: Executor policy the coordinator ran with ("serial" or "process").
+    #: Task load per shard, in shard order — the raw routed count, so a
+    #: degenerate shard (e.g. tasks but no drivers) still reports its real
+    #: load.  Feed it — via ``ShardLoadReport.from_prior`` — into a
+    #: ``LoadAwarePartitioner`` to pre-split the zones this run proved hot.
+    per_shard_task_counts: Tuple[int, ...] = ()
+    #: Executor policy the run used ("serial" or "process").
     executor: str = "serial"
     #: Worker-pool width used for the fan-out (1 for the serial policy).
     worker_count: int = 1
-    #: How many shards were degenerate (no tasks or no drivers) and were
-    #: short-circuited by the coordinator without ever reaching a worker.
-    empty_shard_count: int = 0
-    #: Task load per shard, in shard order — the raw routed count, so a
-    #: degenerate shard (e.g. tasks but no drivers) still reports its real
-    #: load.  This is the offline half of the load round trip: feed it —
-    #: via ``ShardLoadReport.from_prior`` — into a ``LoadAwarePartitioner``
-    #: to pre-split the zones this solve proved hot before the next solve.
-    per_shard_task_counts: Tuple[int, ...] = ()
-    #: Transport the fan-out shipped payloads over ("pickle" or "shm").
+    #: Transport the run shipped payloads over ("pickle" or "shm").
     transport: str = "pickle"
-    #: Bytes that actually crossed executor pipes for this solve (pickled
+    #: Bytes that actually crossed executor pipes for this run (pickled
     #: payloads, or just descriptors on shm); 0 for serial, where no pipe
     #: exists.
     bytes_over_pipe: int = 0
@@ -119,22 +106,40 @@ class CoordinatorReport:
     segment_reuses: int = 0
     #: Shm shipments that fell back to pickling (degraded environment).
     pickle_fallbacks: int = 0
-    #: Per-shard bound sandwiches in shard order, when the exact tier ran
-    #: (``solver_name`` "lp"/"auto"); degenerate shards carry the zero record,
-    #: heuristic solvers leave the tuple empty.
-    per_shard_bounds: Tuple[Optional["ShardBounds"], ...] = ()
-    #: Per-phase seconds spent in this solve, summed over the stitched span
+    #: Per-phase seconds spent in this run, summed over the stitched span
     #: tree (coordinator + every worker) when tracing was enabled — pairs in
     #: ``repro.obs.trace.PHASE_NAMES`` order (candidates / hungarian / lp /
     #: transport / merge); empty when tracing was off.
     phase_breakdown: Tuple[Tuple[str, float], ...] = ()
-    #: Spans recorded for this solve (0 when tracing was off).
+    #: Spans recorded for this run (0 when tracing was off).
     trace_span_count: int = 0
 
     @property
     def phase_seconds(self) -> Dict[str, float]:
         """``phase_breakdown`` as a dict (empty when tracing was off)."""
         return dict(self.phase_breakdown)
+
+    @property
+    def critical_path_speedup(self) -> float:
+        """Idealised speed-up if shards ran fully in parallel: total worker
+        time divided by the slowest shard's time."""
+        if self.slowest_shard_s <= 0:
+            return 1.0
+        return sum(self.per_shard_durations) / self.slowest_shard_s
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class CoordinatorReport(FanOutReport):
+    """Summary the coordinator produces after merging every shard result."""
+
+    per_shard_values: Tuple[float, ...]
+    #: How many shards were degenerate (no tasks or no drivers) and were
+    #: short-circuited by the coordinator without ever reaching a worker.
+    empty_shard_count: int = 0
+    #: Per-shard bound sandwiches in shard order, when the exact tier ran
+    #: (``solver_name`` "lp"/"auto"); degenerate shards carry the zero record,
+    #: heuristic solvers leave the tuple empty.
+    per_shard_bounds: Tuple[Optional["ShardBounds"], ...] = ()
 
     # ------------------------------------------------------------------
     # optimality-gap aggregates (exact tier only)
@@ -224,57 +229,17 @@ class ShardStreamResult:
     spans: Tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class StreamReport:
+@dataclass(frozen=True, slots=True, kw_only=True)
+class StreamReport(FanOutReport):
     """Summary of one streamed solve on the persistent worker pool."""
 
-    shard_count: int
     batch_count: int
-    total_value: float
-    served_count: int
     rejected_count: int
-    wall_clock_s: float
-    slowest_shard_s: float
-    per_shard_task_counts: Tuple[int, ...]
-    per_shard_durations: Tuple[float, ...]
-    executor: str = "serial"
-    worker_count: int = 1
     #: Skew-aware split/merge actions taken between windows.
     rebalance_count: int = 0
     #: Sum of publish->pickup waits over all served tasks (simulated time),
     #: merged from the per-shard totals in shard order.
     wait_total_s: float = 0.0
-    #: Transport the stream's appends shipped over ("pickle" or "shm").
-    transport: str = "pickle"
-    #: Bytes that actually crossed executor pipes for this stream's appends
-    #: (pickled deltas, or just descriptors on shm); 0 for serial.
-    bytes_over_pipe: int = 0
-    #: Array bytes shipped through shared-memory segments instead.
-    shm_bytes: int = 0
-    #: Shipments that reused an existing segment rather than allocating.
-    segment_reuses: int = 0
-    #: Shm shipments that fell back to pickling (degraded environment).
-    pickle_fallbacks: int = 0
-    #: Per-phase seconds spent in this stream, summed over the stitched span
-    #: tree (coordinator + every shard session) when tracing was enabled —
-    #: pairs in ``repro.obs.trace.PHASE_NAMES`` order; empty when off.
-    phase_breakdown: Tuple[Tuple[str, float], ...] = ()
-    #: Spans recorded for this stream (0 when tracing was off).
-    trace_span_count: int = 0
-
-    @property
-    def phase_seconds(self) -> Dict[str, float]:
-        """``phase_breakdown`` as a dict (empty when tracing was off)."""
-        return dict(self.phase_breakdown)
-
-    @property
-    def critical_path_speedup(self) -> float:
-        """Idealised speed-up if shards streamed fully in parallel: total
-        worker time divided by the slowest shard's time."""
-        total_worker_time = sum(self.per_shard_durations)
-        if self.slowest_shard_s <= 0:
-            return 1.0
-        return total_worker_time / self.slowest_shard_s
 
     @property
     def mean_wait_s(self) -> float:
@@ -284,18 +249,3 @@ class StreamReport:
         if self.served_count <= 0:
             return 0.0
         return self.wait_total_s / self.served_count
-
-
-class Stopwatch:
-    """A tiny context-manager stopwatch used by workers and the coordinator."""
-
-    def __init__(self) -> None:
-        self.elapsed_s = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.elapsed_s = time.perf_counter() - self._start

@@ -48,6 +48,7 @@ import itertools
 import logging
 import multiprocessing
 import os
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,7 +60,7 @@ from ..obs import logs as obs_logs
 from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig, BatchedSimulator
 from ..runtime import pin_blas_threads
-from .messages import ShardStreamResult, Stopwatch
+from .messages import ShardStreamResult
 from .payload import ShardPayloadDelta, tasks_from_delta
 from .transport import (
     TRANSPORTS,
@@ -164,11 +165,11 @@ class ShardStreamSession:
         previous = obs_trace.install_recorder(self._recorder)
         try:
             with obs_trace.span("append", batch_size=len(tasks)):
-                with Stopwatch() as watch:
-                    self._simulator.stream_feed(tasks)
+                start = time.perf_counter()
+                self._simulator.stream_feed(tasks)
+                self._elapsed_s += time.perf_counter() - start
         finally:
             obs_trace.install_recorder(previous)
-        self._elapsed_s += watch.elapsed_s
         self._task_count += len(tasks)
         return self._task_count
 
@@ -177,11 +178,11 @@ class ShardStreamSession:
         previous = obs_trace.install_recorder(self._recorder)
         try:
             with obs_trace.span("flush"):
-                with Stopwatch() as watch:
-                    outcome = self._simulator.stream_end()
+                start = time.perf_counter()
+                outcome = self._simulator.stream_end()
+                self._elapsed_s += time.perf_counter() - start
         finally:
             obs_trace.install_recorder(previous)
-        self._elapsed_s += watch.elapsed_s
         if self._recorder is not None:
             self._recorder.end(self._root_span)
         return ShardStreamResult(

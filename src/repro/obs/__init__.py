@@ -13,10 +13,11 @@ place both meet:
     solve / stream / epoch.  Disabled (the default) it is a no-op.
 
 :mod:`~repro.obs.registry`
-    Counters / gauges / fixed-bucket histograms with bounded memory, plus
-    duck-typed views that absorb :class:`~repro.service.metrics.CityMetrics`
-    and :class:`~repro.distributed.transport.TransportStats` so the service,
-    the coordinator, and the benchmarks all read one schema.
+    Counters / gauges / fixed-bucket histograms with bounded memory (each
+    histogram also keeps a seeded reservoir for its percentile summary).
+    The service records into them directly, and a scrape-time collector
+    reads each pool's :class:`~repro.distributed.transport.TransportStats`,
+    so the service, the coordinator, and the benchmarks all read one schema.
 
 :mod:`~repro.obs.export`
     Chrome trace-event JSON (loadable in Perfetto / ``chrome://tracing``),
@@ -40,7 +41,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    bind_city_metrics,
     bind_transport_stats,
 )
 from .trace import (
@@ -69,7 +69,6 @@ __all__ = [
     "PHASE_NAMES",
     "TraceRecorder",
     "active_recorder",
-    "bind_city_metrics",
     "bind_transport_stats",
     "chrome_trace_events",
     "configure_logging",

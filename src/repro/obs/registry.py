@@ -4,25 +4,26 @@ One registry, one schema: the asyncio service, the coordinator, and the
 benchmarks all describe themselves through the same three instrument kinds,
 and :func:`repro.obs.export.render_prometheus` turns any registry into text
 exposition.  Memory is bounded by construction — counters and gauges are a
-single float, histograms hold a fixed bucket array, and the latency views
-below read :class:`~repro.service.metrics.LatencyRecorder`'s fixed-size
-reservoir rather than keeping samples of their own.
+single float, and a histogram holds a fixed bucket array plus a fixed-size
+reservoir sample for its percentile summary.
 
-Existing stat carriers are **absorbed as views, not rewritten**:
-:func:`bind_city_metrics` and :func:`bind_transport_stats` register
-*collectors* — callbacks run at scrape time that copy the live object's
-current values into registry instruments.  The carriers stay the source of
-truth (and keep their ``snapshot()`` dict APIs); the registry is how they
-reach ``/metrics``.  Both binders are duck-typed on the carrier's public
-attributes so this module imports neither the service nor the transport
-layer.
+Instruments are the store, not a view: the dispatch service creates one
+registry, registers each city's instruments once and bumps them in place,
+and its ``health()`` snapshot reads the very objects ``/metrics`` renders.
+The one carrier kept outside the registry is a worker pool's
+``TransportStats``; :func:`bind_transport_stats` registers a *collector* (a
+callback run at scrape time) that reads its monotone totals.  The binder is
+duck-typed on ``snapshot()`` so this module imports no transport code.
 """
 
 from __future__ import annotations
 
-import math
+import random
+import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -30,7 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "bind_city_metrics",
     "bind_transport_stats",
 ]
 
@@ -86,33 +86,64 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram (cumulative on render, plain counts in memory)."""
+    """Bounded latency sketch: exact buckets/count/sum/max, reservoir percentiles.
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    Past :attr:`CAPACITY` samples ``observe`` replaces a random reservoir
+    slot (Vitter's algorithm R, histogram-local seeded RNG, so runs are
+    reproducible): percentiles are exact until the reservoir is full, then
+    an unbiased estimate.  Lock-guarded, because the service observes from
+    the executor threads that resolve shard appends.
+    """
+
+    __slots__ = (
+        "bounds", "counts", "sum", "count", "max", "_reservoir", "_rng", "_lock"
+    )
+
+    #: Reservoir capacity; percentiles are exact below this many samples.
+    CAPACITY = 4096
 
     def __init__(self, bounds: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_S) -> None:
         self.bounds = tuple(sorted(float(b) for b in bounds))
         self.counts = [0] * (len(self.bounds) + 1)  # last slot is +Inf
         self.sum = 0.0
         self.count = 0
+        self.max = 0.0
+        self._reservoir: List[float] = []
+        self._rng = random.Random(0x5EED)
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+        value = float(value)
+        with self._lock:
+            self.counts[bisect_left(self.bounds, value)] += 1
+            self.sum += value
+            self.count += 1
+            if value > self.max:
+                self.max = value
+            if len(self._reservoir) < self.CAPACITY:
+                self._reservoir.append(value)
+            else:
+                slot = self._rng.randrange(self.count)
+                if slot < self.CAPACITY:
+                    self._reservoir[slot] = value
 
-    def set_state(
-        self, counts: Iterable[int], total_sum: float, total_count: int
-    ) -> None:
-        """Collector hook: adopt externally-maintained bucket counts."""
-        counts = list(counts)
-        if len(counts) != len(self.counts):
-            raise ValueError(
-                f"expected {len(self.counts)} bucket counts, got {len(counts)}"
-            )
-        self.counts = counts
-        self.sum = float(total_sum)
-        self.count = int(total_count)
+    def percentile_ms(self, q: float) -> Optional[float]:
+        """The ``q``-th percentile in milliseconds (``None`` when empty)."""
+        if not self._reservoir:
+            return None
+        return float(np.percentile(np.asarray(self._reservoir), q)) * 1000.0
+
+    def summary(self) -> Dict[str, Optional[float]]:
+        """``{count, p50_ms, p99_ms, mean_ms, max_ms}`` for reports/health."""
+        if self.count == 0:
+            return {"count": 0, "p50_ms": None, "p99_ms": None, "mean_ms": None, "max_ms": None}
+        return {
+            "count": int(self.count),
+            "p50_ms": self.percentile_ms(50),
+            "p99_ms": self.percentile_ms(99),
+            "mean_ms": (self.sum / self.count) * 1000.0,
+            "max_ms": self.max * 1000.0,
+        }
 
 
 class _Family:
@@ -130,11 +161,13 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
 
 
 class MetricsRegistry:
-    """Get-or-create instrument registry keyed by (name, labels)."""
+    """Get-or-create instrument registry keyed by (name, labels); lock-guarded,
+    since the service registers per-shard histograms from executor threads."""
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        self._lock = threading.Lock()
 
     def _instrument(
         self,
@@ -144,23 +177,24 @@ class MetricsRegistry:
         labels: Mapping[str, object],
         bounds: Optional[Tuple[float, ...]] = None,
     ):
-        family = self._families.get(name)
-        if family is None:
-            family = _Family(kind, help_text, bounds)
-            self._families[name] = family
-        elif family.kind != kind:
-            raise ValueError(f"{name!r} already registered as {family.kind}")
         key = _label_key(labels)
-        metric = family.metrics.get(key)
-        if metric is None:
-            if kind == "counter":
-                metric = Counter()
-            elif kind == "gauge":
-                metric = Gauge()
-            else:
-                metric = Histogram(family.bounds or DEFAULT_LATENCY_BUCKETS_S)
-            family.metrics[key] = metric
-        return metric
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                family = _Family(kind, help_text, bounds)
+                self._families[name] = family
+            elif family.kind != kind:
+                raise ValueError(f"{name!r} already registered as {family.kind}")
+            metric = family.metrics.get(key)
+            if metric is None:
+                if kind == "counter":
+                    metric = Counter()
+                elif kind == "gauge":
+                    metric = Gauge()
+                else:
+                    metric = Histogram(family.bounds or DEFAULT_LATENCY_BUCKETS_S)
+                family.metrics[key] = metric
+            return metric
 
     def counter(self, name: str, help_text: str = "", **labels: object) -> Counter:
         return self._instrument("counter", name, help_text, labels)
@@ -180,83 +214,18 @@ class MetricsRegistry:
     def register_collector(
         self, collector: Callable[["MetricsRegistry"], None]
     ) -> None:
-        """Add a scrape-time callback that refreshes view-backed instruments."""
+        """Add a scrape-time callback that refreshes instruments it owns."""
         self._collectors.append(collector)
 
     def collect(self) -> Dict[str, Tuple[str, str, Dict[LabelKey, object]]]:
         """Run collectors, then return ``{name: (kind, help, metrics)}``."""
         for collector in self._collectors:
             collector(self)
-        return {
-            name: (family.kind, family.help, dict(family.metrics))
-            for name, family in sorted(self._families.items())
-        }
-
-
-# -- views over existing stat carriers -------------------------------------
-
-
-def _observe_recorder(histogram: Histogram, recorder: object) -> None:
-    """Copy a LatencyRecorder's exact bucket/sum/count state into a histogram."""
-    histogram.set_state(
-        recorder.bucket_counts(),  # type: ignore[attr-defined]
-        recorder.sum_seconds,  # type: ignore[attr-defined]
-        len(recorder),  # type: ignore[arg-type]
-    )
-
-
-def bind_city_metrics(
-    registry: MetricsRegistry, metrics: object, city: str = ""
-) -> None:
-    """Expose a live ``CityMetrics`` through the registry (scrape-time view).
-
-    Duck-typed on the public ``CityMetrics`` surface: integer counters
-    (orders/batches/epochs/backpressure_events/served), the ``serve_rate``
-    property, the ``dispatch`` latency recorder, and the lazy
-    ``per_shard_append`` recorder map.
-    """
-
-    def collect(reg: MetricsRegistry) -> None:
-        reg.counter(
-            "repro_orders_total", "Orders accepted by the gateway", city=city
-        ).set_total(metrics.orders)
-        reg.counter(
-            "repro_batches_total", "Publish-ordered batches shipped", city=city
-        ).set_total(metrics.batches)
-        reg.counter(
-            "repro_epochs_total", "Stream epochs rotated", city=city
-        ).set_total(metrics.epochs)
-        reg.counter(
-            "repro_backpressure_events_total",
-            "Times ingest waited on a deep shard queue",
-            city=city,
-        ).set_total(metrics.backpressure_events)
-        reg.counter(
-            "repro_served_total", "Orders served across finished epochs", city=city
-        ).set_total(metrics.served)
-        serve_rate = metrics.serve_rate
-        reg.gauge(
-            "repro_serve_rate", "served / orders over finished epochs", city=city
-        ).set(serve_rate if serve_rate is not None else math.nan)
-        bounds = tuple(metrics.dispatch.BUCKET_BOUNDS_S)
-        dispatch = reg.histogram(
-            "repro_dispatch_latency_seconds",
-            "Order submit -> dispatch decision latency",
-            buckets=bounds,
-            city=city,
-        )
-        _observe_recorder(dispatch, metrics.dispatch)
-        for shard_id, recorder in sorted(metrics.per_shard_append.items()):
-            append = reg.histogram(
-                "repro_append_latency_seconds",
-                "Batch append round-trip per shard",
-                buckets=bounds,
-                city=city,
-                shard=shard_id,
-            )
-            _observe_recorder(append, recorder)
-
-    registry.register_collector(collect)
+        with self._lock:
+            return {
+                name: (family.kind, family.help, dict(family.metrics))
+                for name, family in sorted(self._families.items())
+            }
 
 
 def bind_transport_stats(
@@ -264,25 +233,16 @@ def bind_transport_stats(
 ) -> None:
     """Expose a live ``TransportStats`` through the registry.
 
-    Duck-typed on ``snapshot()``; every numeric key becomes either a counter
-    (monotone totals) or a gauge.
+    Duck-typed on ``snapshot()``: every numeric key is a monotone total and
+    becomes the counter ``repro_transport_<key>_total``; the rest (the
+    transport name, the per-shard byte map) is skipped.
     """
 
-    _monotone = (
-        "_bytes", "_reuses", "_fallbacks", "_shipments", "_created", "_retired",
-    )
-
     def collect(reg: MetricsRegistry) -> None:
-        snapshot = stats.snapshot()  # type: ignore[attr-defined]
-        for key, value in snapshot.items():
-            if not isinstance(value, (int, float)):
-                continue
-            name = f"repro_transport_{key}"
-            if key.endswith(_monotone) or key == "bytes_over_pipe":
+        for key, value in stats.snapshot().items():  # type: ignore[attr-defined]
+            if isinstance(value, (int, float)):
                 reg.counter(
-                    name + "_total", f"TransportStats.{key}", **labels
+                    f"repro_transport_{key}_total", f"TransportStats.{key}", **labels
                 ).set_total(value)
-            else:
-                reg.gauge(name, f"TransportStats.{key}", **labels).set(value)
 
     registry.register_collector(collect)

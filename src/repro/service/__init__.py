@@ -9,8 +9,9 @@ package is that shape: an asyncio ingestion gateway
 events on an in-process queue, cuts them into publish-ordered batches per
 city (:class:`~repro.service.batcher.WindowBatcher`), ships each batch to
 that city's :class:`~repro.distributed.coordinator.DistributedStreamSession`
-on its own persistent worker pool, and tracks per-order end-to-end dispatch
-latency (:mod:`~repro.service.metrics`) while applying backpressure when a
+on its own persistent worker pool, and records per-order end-to-end
+dispatch latency and per-city counters into the service's one metrics
+registry (:mod:`~repro.service.metrics`) while applying backpressure when a
 shard's window queue runs deep.
 
 **Parity contract 15 (service == replay):** the gateway records every batch
@@ -29,13 +30,12 @@ from .batcher import WindowBatcher
 from .events import OrderEvent, OrderReceipt
 from .gateway import CityRuntime, DispatchService, replay_ingested
 from .lifecycle import SoakConfig, SoakReport, run_soak, synthesize_city_orders
-from .metrics import CityMetrics, LatencyRecorder
+from .metrics import CityMetrics
 
 __all__ = [
     "CityMetrics",
     "CityRuntime",
     "DispatchService",
-    "LatencyRecorder",
     "OrderEvent",
     "OrderReceipt",
     "SoakConfig",

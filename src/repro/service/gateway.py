@@ -13,6 +13,14 @@ event loop overlaps its own work (ingesting the next window, serving
 solves, and only *awaits* them at a backpressure barrier, an epoch rotation,
 or the final merge.
 
+Metrics
+-------
+
+The service owns one :class:`~repro.obs.registry.MetricsRegistry`;
+``register_city`` registers the city's instruments in it once and the
+gateway bumps them in place, so ``health()`` and ``/metrics`` read the same
+objects.
+
 Latency accounting
 ------------------
 
@@ -55,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as obs_trace
-from ..obs.registry import MetricsRegistry, bind_city_metrics, bind_transport_stats
+from ..obs.registry import MetricsRegistry, bind_transport_stats
 from ..distributed import (
     DistributedCoordinator,
     DistributedStreamResult,
@@ -126,7 +134,7 @@ class _BatchTracker:
     def _complete(self, now: float) -> None:
         for receipt in self._receipts:
             receipt.completed_s = now
-            self._metrics.dispatch.record(now - receipt.submitted_s)
+            self._metrics.dispatch.observe(now - receipt.submitted_s)
 
 
 @dataclass
@@ -144,7 +152,7 @@ class CityRuntime:
     max_batch: Optional[int]
     session: DistributedStreamSession
     batcher: WindowBatcher
-    metrics: CityMetrics = field(default_factory=CityMetrics)
+    metrics: CityMetrics
     #: Shipped batches, per epoch — the parity contract's replay input.
     recorded: List[List[Tuple[Task, ...]]] = field(default_factory=list)
     #: Finished epochs' merged results, in rotation order.
@@ -193,6 +201,16 @@ class DispatchService:
         self._ingest_task: Optional[asyncio.Task] = None
         self._failure: Optional[BaseException] = None
         self._shutdown = False
+        self._registry = MetricsRegistry()
+        self._city_gauge = self._registry.gauge(
+            "repro_cities", "Tenant cities registered on the gateway."
+        )
+        queue_gauge = self._registry.gauge(
+            "repro_ingest_queue_depth", "Orders waiting in the ingestion queue."
+        )
+        self._registry.register_collector(
+            lambda _reg: queue_gauge.set(self._queue.qsize())
+        )
 
     # ------------------------------------------------------------------
     # tenancy
@@ -242,9 +260,15 @@ class DispatchService:
             max_batch=max_batch,
             session=None,  # type: ignore[arg-type]  # set by fresh_epoch below
             batcher=None,  # type: ignore[arg-type]
+            metrics=CityMetrics(self._registry, name),
         )
         runtime.fresh_epoch()
         self._cities[name] = runtime
+        self._city_gauge.set(len(self._cities))
+        stats = coordinator.stream_pool().stats
+        bind_transport_stats(
+            self._registry, stats, city=name, transport=stats.transport
+        )
         logger.info(
             "registered city %s: %d drivers, %dx%d grid, %s executor",
             name, len(runtime.drivers), rows, cols, executor,
@@ -350,7 +374,7 @@ class DispatchService:
         runtime = self._city(event.city)
         runtime.open_receipts.append(event.receipt)
         batch = runtime.batcher.push(event.task)
-        runtime.metrics.orders += 1
+        runtime.metrics.orders.inc()
         if batch is not None:
             await self._ship(runtime, batch)
 
@@ -360,7 +384,7 @@ class DispatchService:
         ship_s = time.perf_counter()
         with obs_trace.span("gateway:ship", city=runtime.name, batch_size=len(batch)):
             shipped = runtime.session.append_batch(batch)
-        runtime.metrics.batches += 1
+        runtime.metrics.batches.inc()
         if self.record_batches:
             runtime.recorded[-1].append(batch)
         tracker = _BatchTracker(
@@ -376,7 +400,7 @@ class DispatchService:
                 tracker.resolve(pending)
         depths = runtime.session.pending_counts()
         if depths and max(depths.values()) >= self.backpressure_depth:
-            runtime.metrics.backpressure_events += 1
+            runtime.metrics.backpressure_events.inc()
             logger.debug(
                 "backpressure barrier for %s: deepest shard queue %d >= %d",
                 runtime.name, max(depths.values()), self.backpressure_depth,
@@ -413,8 +437,9 @@ class DispatchService:
             None, runtime.session.finish
         )
         runtime.results.append(result)
-        runtime.metrics.epochs += 1
-        runtime.metrics.served += result.report.served_count
+        runtime.metrics.finish_epoch(
+            result.report.served_count, result.solution.instance.task_count
+        )
         return result
 
     async def rotate(self, city: str) -> DistributedStreamResult:
@@ -443,36 +468,15 @@ class DispatchService:
     # observability
     # ------------------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
-        """A :class:`~repro.obs.registry.MetricsRegistry` whose collectors
-        read this service's live counters at scrape time.
+        """The service's live :class:`~repro.obs.registry.MetricsRegistry`.
 
-        Every registered city's :class:`CityMetrics` is bound under a
-        ``city`` label, and each city pool's transport counters under
-        ``city`` + ``transport`` labels; plus service-level gauges for the
-        ingestion queue depth and tenant count.  Re-call after registering
-        new cities — bindings are per-city.
+        Every registered city's instruments carry a ``city`` label and its
+        pool's transport counters ``city`` + ``transport`` labels, beside
+        service-level gauges for the ingestion queue depth and tenant count.
+        The same object on every call: a city registered later appears in
+        the next scrape.
         """
-        registry = MetricsRegistry()
-        queue_gauge = registry.gauge(
-            "repro_ingest_queue_depth", "Orders waiting in the ingestion queue."
-        )
-        city_gauge = registry.gauge(
-            "repro_cities", "Tenant cities registered on the gateway."
-        )
-
-        def _service_collector(_reg: MetricsRegistry) -> None:
-            queue_gauge.set(self._queue.qsize())
-            city_gauge.set(len(self._cities))
-
-        registry.register_collector(_service_collector)
-        for name, runtime in self._cities.items():
-            bind_city_metrics(registry, runtime.metrics, city=name)
-            pool = runtime.coordinator.current_pool
-            if pool is not None:
-                bind_transport_stats(
-                    registry, pool.stats, city=name, transport=pool.stats.transport
-                )
-        return registry
+        return self._registry
 
     def health(self) -> Dict[str, object]:
         """A JSON-serialisable snapshot: queue depth, per-city counters,

@@ -29,10 +29,10 @@ from ..distributed import DistributedStreamResult
 from ..geo import PORTO, BoundingBox, GeoPoint
 from ..market.driver import Driver
 from ..market.task import Task
+from ..obs.registry import Histogram
 from ..online.batch import BatchConfig
 from .events import OrderReceipt
 from .gateway import DispatchService, replay_ingested
-from .metrics import LatencyRecorder
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class SoakReport:
     orders_served: int = 0
     wall_clock_s: float = 0.0
     generate_s: float = 0.0
-    dispatch: LatencyRecorder = field(default_factory=LatencyRecorder)
+    dispatch: Histogram = field(default_factory=Histogram)
     #: city -> epoch results, in rotation order.
     results: Dict[str, List[DistributedStreamResult]] = field(default_factory=dict)
     health: Dict[str, object] = field(default_factory=dict)
@@ -264,7 +264,7 @@ async def _soak(
                 report.parity_ok = False
     for receipt in receipts:
         if receipt.latency_s is not None:
-            report.dispatch.record(receipt.latency_s)
+            report.dispatch.observe(receipt.latency_s)
     del finals  # per-city final results also live in report.results
     return report
 
@@ -277,18 +277,10 @@ async def _run_soak_async(config: SoakConfig, on_ready=None) -> SoakReport:
         if config.metrics_port is not None:
             from ..obs import start_http_server
 
-            # Cities register after the server starts, so rebuild the
-            # registry whenever the tenant set grows (scrapes are rare).
-            cache: Dict[str, object] = {}
-
-            def registry_fn():
-                if cache.get("cities") != len(service.runtimes()):
-                    cache["registry"] = service.metrics_registry()
-                    cache["cities"] = len(service.runtimes())
-                return cache["registry"]
-
             server = await start_http_server(
-                registry_fn, health_fn=service.health, port=config.metrics_port
+                service.metrics_registry,
+                health_fn=service.health,
+                port=config.metrics_port,
             )
         try:
             return await _soak(config, service, on_ready)

@@ -1,6 +1,8 @@
-"""Registry semantics and the view bindings over existing stat carriers."""
+"""Registry semantics, the service's own registry, and the transport view."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -11,10 +13,11 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    bind_city_metrics,
     bind_transport_stats,
 )
-from repro.service.metrics import CityMetrics
+from repro.service import DispatchService
+
+from ..conftest import build_random_instance
 
 
 class TestInstruments:
@@ -47,10 +50,34 @@ class TestInstruments:
         assert hist.sum == pytest.approx(102.5)
         assert sum(hist.counts) == hist.count
 
-    def test_histogram_set_state_validates_length(self):
-        hist = Histogram(bounds=(1.0,))
-        with pytest.raises(ValueError):
-            hist.set_state([1, 2, 3], 0.0, 6)
+    def test_concurrent_observe_and_registration_lose_nothing(self):
+        """Executor threads observe one shared histogram and lazily register
+        their own: no observation and no instrument may be lost."""
+        registry = MetricsRegistry()
+        workers, per_worker = 8, 10_000
+
+        def work(index):
+            shared = registry.histogram("repro_shared_seconds")
+            own = registry.histogram("repro_lazy_seconds", shard=index)
+            for _ in range(per_worker):
+                shared.observe(0.01)
+                own.observe(0.01)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        collected = registry.collect()
+        (shared,) = collected["repro_shared_seconds"][2].values()
+        assert shared.count == sum(shared.counts) == workers * per_worker
+        assert len(collected["repro_lazy_seconds"][2]) == workers
 
 
 class TestRegistry:
@@ -81,22 +108,30 @@ class TestRegistry:
         assert metric.value == 7
 
 
+@pytest.fixture()
+def service():
+    """A registered (not started) service; its city metrics live in the
+    service's own registry."""
+    service = DispatchService()
+    service.register_city("porto", build_random_instance(task_count=4).drivers)
+    yield service
+    service.shutdown()
+
+
 class TestCityMetricsView:
-    def _metrics(self):
-        metrics = CityMetrics()
-        metrics.orders = 10
-        metrics.batches = 3
-        metrics.epochs = 1
-        metrics.served = 6
-        metrics.dispatch.record(0.02)
-        metrics.dispatch.record(0.2)
+    def _metrics(self, service):
+        metrics = service.runtimes()["porto"].metrics
+        metrics.orders.inc(10)
+        metrics.batches.inc(3)
+        metrics.finish_epoch(served=6, orders=10)
+        metrics.dispatch.observe(0.02)
+        metrics.dispatch.observe(0.2)
         metrics.record_append(2, 0.05)
         return metrics
 
-    def test_snapshot_values_reach_the_registry(self):
-        registry = MetricsRegistry()
-        bind_city_metrics(registry, self._metrics(), city="porto")
-        collected = registry.collect()
+    def test_snapshot_values_reach_the_registry(self, service):
+        self._metrics(service)
+        collected = service.metrics_registry().collect()
         label = (("city", "porto"),)
         assert collected["repro_orders_total"][2][label].value == 10
         assert collected["repro_served_total"][2][label].value == 6
@@ -106,33 +141,25 @@ class TestCityMetricsView:
         assert dispatch.sum == pytest.approx(0.22)
         assert sum(dispatch.counts) == dispatch.count
 
-    def test_per_shard_append_histograms_get_shard_label(self):
-        registry = MetricsRegistry()
-        bind_city_metrics(registry, self._metrics(), city="porto")
-        metrics = registry.collect()["repro_append_latency_seconds"][2]
+    def test_per_shard_append_histograms_get_shard_label(self, service):
+        self._metrics(service)
+        metrics = service.metrics_registry().collect()["repro_append_latency_seconds"][2]
         assert (("city", "porto"), ("shard", "2")) in metrics
 
-    def test_serve_rate_without_finished_epochs_is_nan(self):
-        registry = MetricsRegistry()
-        metrics = CityMetrics()
-        metrics.orders = 5  # no epochs finished yet -> serve_rate is None
-        metrics.epochs = 0
-        metrics.served = 0
-        bind_city_metrics(registry, metrics, city="c")
-        value = registry.collect()["repro_serve_rate"][2][(("city", "c"),)].value
-        if metrics.serve_rate is None:
-            assert math.isnan(value)
-        else:
-            assert value == metrics.serve_rate
+    def test_serve_rate_without_finished_epochs_is_nan(self, service):
+        metrics = service.runtimes()["porto"].metrics
+        metrics.orders.inc(5)  # no epochs finished yet -> serve_rate is None
+        assert metrics.snapshot()["serve_rate"] is None
+        collected = service.metrics_registry().collect()
+        assert math.isnan(collected["repro_serve_rate"][2][(("city", "porto"),)].value)
 
-    def test_counters_monotone_across_scrapes(self):
-        registry = MetricsRegistry()
-        metrics = self._metrics()
-        bind_city_metrics(registry, metrics, city="porto")
+    def test_counters_monotone_across_scrapes(self, service):
+        metrics = self._metrics(service)
+        registry = service.metrics_registry()
         label = (("city", "porto"),)
         first = registry.collect()["repro_orders_total"][2][label].value
-        metrics.orders += 7
-        metrics.epochs += 1
+        metrics.orders.inc(7)
+        metrics.finish_epoch(served=0, orders=7)
         second = registry.collect()["repro_orders_total"][2][label].value
         assert second == first + 7
 

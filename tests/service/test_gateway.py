@@ -152,7 +152,7 @@ class TestServiceOutcomes:
                 return runtime, first, final
 
         runtime, first, final = asyncio.run(scenario())
-        assert runtime.metrics.epochs == 2
+        assert runtime.metrics.epochs.value == 2
         assert fingerprint(first) == fingerprint(replay_ingested(runtime, 0))
         assert fingerprint(final) == fingerprint(replay_ingested(runtime, 1))
 
@@ -170,7 +170,7 @@ class TestBackpressureAndHealth:
                 )
                 await feed_city(service, "porto", ordered_tasks(instance))
                 await service.finish()
-                return service.runtimes()["porto"].metrics.backpressure_events
+                return service.health()["cities"]["porto"]["backpressure_events"]
 
         assert asyncio.run(scenario("process", 1)) > 0
         assert asyncio.run(scenario("serial", 1)) == 0

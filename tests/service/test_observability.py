@@ -1,5 +1,6 @@
 """Service observability: registry schema, /metrics endpoint, health schema,
-the bounded latency recorder, and counter monotonicity across epochs."""
+the bounded latency histogram, counter monotonicity across epochs, and the
+one-store contract (health() and /metrics read the same instruments)."""
 
 import asyncio
 import json
@@ -9,9 +10,9 @@ import urllib.request
 import pytest
 
 from repro.obs import render_prometheus, start_http_server
+from repro.obs.registry import DEFAULT_LATENCY_BUCKETS_S, Histogram, MetricsRegistry
 from repro.online.batch import BatchConfig
-from repro.service import DispatchService
-from repro.service.metrics import BUCKET_BOUNDS_S, CityMetrics, LatencyRecorder
+from repro.service import CityMetrics, DispatchService
 
 from ..conftest import build_random_instance
 
@@ -37,14 +38,16 @@ def ordered_tasks(instance):
 
 
 class TestBoundedLatencyRecorder:
+    """The latency recorder is the registry :class:`Histogram`."""
+
     def test_exact_stats_beyond_reservoir_capacity(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         rng = random.Random(7)
-        samples = [rng.uniform(0.0, 2.0) for _ in range(LatencyRecorder.CAPACITY * 3)]
+        samples = [rng.uniform(0.0, 2.0) for _ in range(Histogram.CAPACITY * 3)]
         for value in samples:
-            recorder.record(value)
+            recorder.observe(value)
         summary = recorder.summary()
-        assert len(recorder) == len(samples)
+        assert recorder.count == len(samples)
         assert summary["count"] == len(samples)
         assert summary["max_ms"] == pytest.approx(max(samples) * 1000.0)
         assert summary["mean_ms"] == pytest.approx(
@@ -52,39 +55,56 @@ class TestBoundedLatencyRecorder:
         )
 
     def test_memory_is_bounded(self):
-        recorder = LatencyRecorder()
-        for _ in range(LatencyRecorder.CAPACITY * 3):
-            recorder.record(0.01)
-        assert len(recorder._reservoir) <= LatencyRecorder.CAPACITY
+        recorder = Histogram()
+        for _ in range(Histogram.CAPACITY * 3):
+            recorder.observe(0.01)
+        assert len(recorder._reservoir) <= Histogram.CAPACITY
 
     def test_bucket_counts_sum_to_exact_count(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         rng = random.Random(11)
         for _ in range(10_000):
-            recorder.record(rng.uniform(0.0, 20.0))
-        counts = recorder.bucket_counts()
-        assert len(counts) == len(BUCKET_BOUNDS_S) + 1  # +Inf slot
-        assert sum(counts) == len(recorder) == 10_000
+            recorder.observe(rng.uniform(0.0, 20.0))
+        counts = recorder.counts
+        assert len(counts) == len(DEFAULT_LATENCY_BUCKETS_S) + 1  # +Inf slot
+        assert sum(counts) == recorder.count == 10_000
 
     def test_summary_keys_unchanged(self):
-        recorder = LatencyRecorder()
-        recorder.record(0.05)
+        recorder = Histogram()
+        recorder.observe(0.05)
         assert set(recorder.summary()) == SUMMARY_KEYS
 
     def test_reservoir_sampling_is_deterministic(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
+        a, b = Histogram(), Histogram()
         rng = random.Random(3)
         samples = [rng.uniform(0.0, 1.0) for _ in range(20_000)]
         for value in samples:
-            a.record(value)
-            b.record(value)
+            a.observe(value)
+            b.observe(value)
         assert a.summary() == b.summary()
 
+    def test_seeded_summary_is_pinned(self):
+        """The reservoir's seed and replacement rule are part of the output:
+        these are the values the seeded sequence has always summarised to."""
+        recorder = Histogram()
+        rng = random.Random(3)
+        for _ in range(20_000):
+            recorder.observe(rng.uniform(0.0, 1.0))
+        assert recorder.summary() == {
+            "count": 20000,
+            "p50_ms": 497.6415193739179,
+            "p99_ms": 992.3229221991685,
+            "mean_ms": 500.60123575329527,
+            "max_ms": 999.9610609740491,
+        }
+        assert recorder.counts == [112, 114, 310, 472, 981, 2947, 5053, 10011, 0, 0, 0, 0]
+        assert recorder.sum == 10012.024715065905
+
     def test_percentiles_track_distribution(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         rng = random.Random(5)
         for _ in range(50_000):
-            recorder.record(rng.uniform(0.0, 1.0))
+            recorder.observe(rng.uniform(0.0, 1.0))
         summary = recorder.summary()
         # Uniform(0,1): p50 ~ 500ms, p99 ~ 990ms; the reservoir is 4096
         # samples so allow a loose tolerance.
@@ -111,7 +131,7 @@ class TestHealthSchema:
         json.dumps(health)  # endpoint-serialisable
 
     def test_city_metrics_snapshot_schema(self):
-        snapshot = CityMetrics().snapshot()
+        snapshot = CityMetrics(MetricsRegistry(), "porto").snapshot()
         assert set(snapshot) == SNAPSHOT_KEYS
         json.dumps(snapshot)
 
@@ -219,3 +239,122 @@ class TestMetricsEndpoint:
         payload = json.loads(health_body)
         assert payload["status"] == "ok"
         assert "porto" in payload["cities"]
+
+
+def scrape_counters(registry):
+    """``{(name, labels): value}`` for every counter in one scrape."""
+    return {
+        (name, labels): metric.value
+        for name, (kind, _help, metrics) in registry.collect().items()
+        if kind == "counter"
+        for labels, metric in metrics.items()
+    }
+
+
+class TestOneMetricsSystem:
+    """health() and /metrics read the same instruments in one live registry."""
+
+    def test_every_counter_equals_its_health_key(self, instance):
+        async def scenario():
+            async with DispatchService() as service:
+                service.register_city(
+                    "porto", instance.drivers, config=CONFIG,
+                    executor="process", workers=2,
+                )
+                tasks = ordered_tasks(instance)
+                half = len(tasks) // 2
+                for task in tasks[:half]:
+                    await service.submit("porto", task)
+                first = await service.rotate("porto")
+                for task in tasks[half:]:
+                    await service.submit("porto", task)
+                final = (await service.finish())["porto"]
+                served = first.report.served_count + final.report.served_count
+                return service.health(), scrape_counters(service.metrics_registry()), served
+
+        health, counters, served = asyncio.run(scenario())
+        city = health["cities"]["porto"]
+        assert city["epochs"] == 2
+        assert city["transport"]["pickle_shipments"] > 0
+        checked = 0
+        for (name, labels), value in counters.items():
+            assert dict(labels)["city"] == "porto"
+            if name.startswith("repro_transport_"):
+                expected = city["transport"][name[len("repro_transport_"):-len("_total")]]
+            elif name == "repro_served_total":
+                expected = served
+            else:
+                expected = city[name[len("repro_"):-len("_total")]]
+            assert value == expected, name
+            checked += 1
+        assert checked == 5 + 10  # five city counters, ten transport totals
+
+    def test_dispatch_histogram_count_is_the_health_count(self, instance):
+        async def scenario():
+            async with DispatchService() as service:
+                service.register_city("porto", instance.drivers, config=CONFIG)
+                for task in ordered_tasks(instance):
+                    await service.submit("porto", task)
+                await service.finish()
+                return service.health(), render_prometheus(service.metrics_registry())
+
+        health, text = asyncio.run(scenario())
+        count_line = 'repro_dispatch_latency_seconds_count{city="porto"} '
+        (line,) = [row for row in text.splitlines() if row.startswith(count_line)]
+        count = int(line[len(count_line):])
+        assert count == health["cities"]["porto"]["dispatch_latency"]["count"] == 60
+
+    def test_metrics_registry_is_the_live_registry(self, instance):
+        async def scenario():
+            async with DispatchService() as service:
+                first = service.metrics_registry()
+                service.register_city("porto", instance.drivers, config=CONFIG)
+                return first, service.metrics_registry()
+
+        first, again = asyncio.run(scenario())
+        assert first is again
+
+    def test_city_registered_after_first_scrape_appears(self, instance):
+        async def scenario():
+            async with DispatchService() as service:
+                service.register_city("porto", instance.drivers, config=CONFIG)
+                registry = service.metrics_registry()
+                before = render_prometheus(registry)
+                service.register_city("lisbon", instance.drivers, config=CONFIG)
+                await service.submit("lisbon", ordered_tasks(instance)[0])
+                await service.finish()
+                return before, render_prometheus(registry)
+
+        before, after = asyncio.run(scenario())
+        assert 'city="lisbon"' not in before
+        assert 'repro_orders_total{city="lisbon"} 1' in after
+        assert "repro_cities 2" in after
+
+    def test_open_epoch_orders_do_not_dilute_serve_rate(self, instance):
+        """serve_rate is finished-epoch served / finished-epoch orders:
+        orders ingested into the open epoch leave it unchanged."""
+
+        async def scenario():
+            async with DispatchService() as service:
+                service.register_city("porto", instance.drivers, config=CONFIG)
+                registry = service.metrics_registry()
+                tasks = ordered_tasks(instance)
+                for task in tasks[:30]:
+                    await service.submit("porto", task)
+                first = await service.rotate("porto")
+                before = service.health()["cities"]["porto"]
+                for task in tasks[30:]:
+                    await service.submit("porto", task)
+                while service.health()["cities"]["porto"]["orders"] < 60:
+                    await asyncio.sleep(0)
+                after = service.health()["cities"]["porto"]
+                gauge = registry.collect()["repro_serve_rate"][2][(("city", "porto"),)]
+                return first, before, after, gauge.value
+
+        first, before, after, gauge = asyncio.run(scenario())
+        expected = first.report.served_count / 30
+        assert first.report.served_count > 0
+        assert before["serve_rate"] == expected
+        assert after["epochs"] == 1
+        assert after["serve_rate"] == expected
+        assert gauge == expected
