@@ -8,8 +8,11 @@
   surplus.
 
 Both objectives are evaluated over an assignment of task lists (paths) to
-drivers; the per-driver arithmetic lives in
-:meth:`repro.market.taskmap.DriverTaskMap.path_profit`.
+drivers; the per-driver arithmetic — and the path feasibility it presumes —
+lives in :func:`repro.core.solution.evaluate_plans`, which also backs
+:func:`~repro.core.solution.path_value` and
+:func:`~repro.core.solution.assignment_value`.  This module holds the
+objective switch and the per-task totals (revenue, consumer surplus).
 """
 
 from __future__ import annotations
@@ -31,33 +34,6 @@ class Objective(enum.Enum):
     @property
     def uses_valuation(self) -> bool:
         return self is Objective.SOCIAL_WELFARE
-
-
-def path_value(
-    instance: MarketInstance,
-    driver_id: str,
-    path: Sequence[int],
-    objective: Objective = Objective.DRIVERS_PROFIT,
-) -> float:
-    """The objective contribution of assigning task list ``path`` to a driver."""
-    task_map = instance.task_map(driver_id)
-    return task_map.path_profit(path, use_valuation=objective.uses_valuation)
-
-
-def assignment_value(
-    instance: MarketInstance,
-    assignment: Mapping[str, Sequence[int]],
-    objective: Objective = Objective.DRIVERS_PROFIT,
-) -> float:
-    """Total objective value of an assignment ``driver_id -> task list``.
-
-    Drivers that do not appear in the mapping take no tasks and contribute 0,
-    exactly as the empty path does.
-    """
-    total = 0.0
-    for driver_id, path in assignment.items():
-        total += path_value(instance, driver_id, path, objective)
-    return total
 
 
 def total_revenue(instance: MarketInstance, assignment: Mapping[str, Sequence[int]]) -> float:

@@ -1,18 +1,28 @@
-"""Solution representation and feasibility validation.
+"""Solution representation, plan evaluation and feasibility validation.
 
 A :class:`MarketSolution` records which task list (path in her task map) each
 driver was assigned, regardless of which algorithm produced it — the offline
 greedy, the exact solver or the online heuristics all return this type, which
 is what makes head-to-head evaluation straightforward.
+
+Plans are priced and checked by :func:`evaluate_plans` from the legs they
+actually drive, never from a task map: scoring a hundred short paths must not
+build the ``M x M`` task network and the ``N x M`` fleet maps that searching
+for them needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from ..geo.batch import coord_array
+from ..market.driver import Driver
 from ..market.instance import MarketInstance
-from .objectives import Objective, assignment_value, consumer_surplus, total_revenue
+from .objectives import Objective, consumer_surplus, total_revenue
 
 
 class InfeasibleSolutionError(ValueError):
@@ -31,6 +41,138 @@ class DriverPlan:
     @property
     def task_count(self) -> int:
         return len(self.task_indices)
+
+
+def evaluate_plans(
+    instance: MarketInstance,
+    plans: Sequence[Tuple[Driver, Sequence[int]]],
+    objective: Objective = Objective.DRIVERS_PROFIT,
+) -> List[Optional[float]]:
+    """The Eq. (4) profit of each ``(driver, task list)`` pair, or ``None``
+    where the list is not a feasible path in the driver's task map.
+
+    Every plan's legs are gathered and priced with one elementwise batch per
+    leg kind (source, task-to-task, sink), then checked against Eqs. (1)-(3)
+    with the tolerances the task-map builders use: a task list is feasible
+    when its indices are distinct tasks in ``[0, M)``, the driver reaches its
+    first pickup in time, each pickup is reachable from the previous drop-off
+    and the driver can get home in time after *every* task (the task map's
+    ``exit_ok`` holds on each node of a path, not just the last).  Profits
+    are summed term by term in the task map's order, so they equal the
+    profit of the same path read off the driver's task map bit for bit
+    (parity contract 20).  The empty list is feasible and worth exactly 0.
+    """
+    task_count = instance.task_count
+    profits: List[Optional[float]] = [None] * len(plans)
+    positions: List[int] = []
+    drivers: List[Driver] = []
+    paths: List[Sequence[int]] = []
+    for position, (driver, path) in enumerate(plans):
+        if len(path) == 0:
+            profits[position] = 0.0
+        elif len(set(path)) == len(path) and all(0 <= m < task_count for m in path):
+            positions.append(position)
+            drivers.append(driver)
+            paths.append(path)
+    if not paths:
+        return profits
+
+    columns = instance.task_columns
+    cost_model = instance.cost_model
+    lengths = np.array([len(path) for path in paths])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    tasks = np.fromiter(chain.from_iterable(paths), dtype=np.intp, count=int(ends[-1]))
+    owner = np.repeat(np.arange(len(paths)), lengths)
+    tail_at = np.delete(np.arange(tasks.size), ends - 1)  # every task but each plan's last
+    firsts, tails, heads = tasks[starts], tasks[tail_at], tasks[tail_at + 1]
+
+    source_times, source_costs = cost_model.pairwise_legs(
+        coord_array([d.source for d in drivers]), columns.sources[firsts]
+    )
+    sink_times, sink_costs = cost_model.pairwise_legs(
+        columns.destinations[tasks], coord_array([d.destination for d in drivers])[owner]
+    )
+    chain_times, chain_costs = cost_model.pairwise_legs(
+        columns.destinations[tails], columns.sources[heads]
+    )
+
+    # Eqs. (1)-(3), exactly as build_task_network / build_driver_task_maps
+    # state them, on exactly these legs.
+    start_ts = np.array([d.start_ts for d in drivers], dtype=float)
+    end_ts = np.array([d.end_ts for d in drivers], dtype=float)
+    exit_ok = columns.servable[tasks] & (
+        sink_times <= (end_ts[owner] - columns.end_deadlines[tasks]) + 1e-9
+    )
+    arc_ok = chain_times <= (columns.start_deadlines[heads] - columns.end_deadlines[tails]) + 1e-9
+    feasible = source_times <= (columns.start_deadlines[firsts] - start_ts) + 1e-9
+    feasible[owner[~exit_ok]] = False
+    feasible[owner[tail_at][~arc_ok]] = False
+
+    values = columns.valuations if objective.uses_valuation else columns.prices
+    gains = (values[tasks] - columns.service_costs[tasks]).tolist()
+    source_costs, sink_costs, chain_costs = (
+        source_costs.tolist(), sink_costs.tolist(), chain_costs.tolist()
+    )
+    for plan in np.nonzero(feasible)[0].tolist():
+        lo, hi = int(starts[plan]), int(ends[plan])
+        driver = drivers[plan]
+        total = 0.0
+        for gain in gains[lo:hi]:
+            total += gain
+        total -= source_costs[plan]
+        # Plan p's task-to-task legs follow the p earlier plans' legs, one
+        # fewer than their tasks each.
+        for cost in chain_costs[lo - plan : hi - plan - 1]:
+            total -= cost
+        total -= sink_costs[hi - 1]
+        total += cost_model.driver_direct_leg(driver.source, driver.destination).cost
+        profits[positions[plan]] = total
+    return profits
+
+
+def _fleet(instance: MarketInstance) -> Dict[str, Driver]:
+    return {driver.driver_id: driver for driver in instance.drivers}
+
+
+def path_value(
+    instance: MarketInstance,
+    driver_id: str,
+    path: Sequence[int],
+    objective: Objective = Objective.DRIVERS_PROFIT,
+) -> float:
+    """The objective contribution of assigning task list ``path`` to a driver.
+
+    Raises ``KeyError`` for an unknown driver and ``ValueError`` when the
+    list is not a feasible path in the driver's task map.
+    """
+    return assignment_value(instance, {driver_id: path}, objective)
+
+
+def assignment_value(
+    instance: MarketInstance,
+    assignment: Mapping[str, Sequence[int]],
+    objective: Objective = Objective.DRIVERS_PROFIT,
+) -> float:
+    """Total objective value of an assignment ``driver_id -> task list``.
+
+    Drivers that do not appear in the mapping take no tasks and contribute 0,
+    exactly as the empty path does.  Raises like :func:`path_value`.
+    """
+    fleet = _fleet(instance)
+    plans = []
+    for driver_id, path in assignment.items():
+        if driver_id not in fleet:
+            raise KeyError(f"unknown driver id {driver_id!r}")
+        plans.append((fleet[driver_id], path))
+    total = 0.0
+    for (driver, path), profit in zip(plans, evaluate_plans(instance, plans, objective)):
+        if profit is None:
+            raise ValueError(
+                f"driver {driver.driver_id!r}: task list {tuple(path)} is not a feasible path"
+            )
+        total += profit
+    return total
 
 
 @dataclass(frozen=True)
@@ -52,23 +194,22 @@ class MarketSolution:
         objective: Objective = Objective.DRIVERS_PROFIT,
     ) -> "MarketSolution":
         """Build a solution from a ``driver_id -> task index list`` mapping,
-        computing each driver's profit from her task map.
+        pricing each driver's plan with :func:`evaluate_plans`.
 
         Construction is lenient: a task list that is not a feasible path in
-        the driver's task map is stored with a profit of 0 and flagged later
-        by :meth:`validate`, so callers can always build a solution object
-        first and decide how to handle infeasibility afterwards.
+        the driver's task map — out-of-range indices included — is stored
+        with a profit of 0 and flagged later by :meth:`validate`, so callers
+        can always build a solution object first and decide how to handle
+        infeasibility afterwards.
         """
-        plans: List[DriverPlan] = []
-        for driver in instance.drivers:
-            path = tuple(assignment.get(driver.driver_id, ()))
-            task_map = instance.task_map(driver.driver_id)
-            if task_map.is_feasible_path(path):
-                profit = task_map.path_profit(path, use_valuation=objective.uses_valuation)
-            else:
-                profit = 0.0
-            plans.append(DriverPlan(driver.driver_id, path, profit))
-        return cls(instance=instance, plans=tuple(plans), objective=objective)
+        pairs = [
+            (driver, tuple(assignment.get(driver.driver_id, ()))) for driver in instance.drivers
+        ]
+        plans = tuple(
+            DriverPlan(driver.driver_id, path, 0.0 if profit is None else profit)
+            for (driver, path), profit in zip(pairs, evaluate_plans(instance, pairs, objective))
+        )
+        return cls(instance=instance, plans=plans, objective=objective)
 
     @classmethod
     def empty(
@@ -158,8 +299,10 @@ class MarketSolution:
     def validate(self) -> None:
         """Check every constraint of the optimisation problem.
 
+        * every task index names a task of the instance, in ``[0, M)``;
         * each driver's task list is a feasible path in her task map
-          (flow-conservation constraints 5c-5f);
+          (flow-conservation constraints 5c-5f), checked by
+          :func:`evaluate_plans`;
         * no task is served by more than one driver (constraint 5a);
         * every driver's profit is non-negative (individual rationality, 5b);
         * every served task is publishable (customer rationality, 7a).
@@ -169,13 +312,20 @@ class MarketSolution:
         InfeasibleSolutionError
             With a message naming the violated constraint.
         """
-        known_drivers = {d.driver_id for d in self.instance.drivers}
+        fleet = _fleet(self.instance)
+        task_count = self.instance.task_count
+        known = [(fleet[p.driver_id], p.task_indices) for p in self.plans if p.driver_id in fleet]
+        profits = iter(evaluate_plans(self.instance, known, self.objective))
         seen: Dict[int, str] = {}
         for plan in self.plans:
-            if plan.driver_id not in known_drivers:
+            if plan.driver_id not in fleet:
                 raise InfeasibleSolutionError(f"unknown driver {plan.driver_id!r}")
-            task_map = self.instance.task_map(plan.driver_id)
-            if not task_map.is_feasible_path(plan.task_indices):
+            for m in plan.task_indices:
+                if not 0 <= m < task_count:
+                    raise InfeasibleSolutionError(
+                        f"driver {plan.driver_id!r}: task index {m} is outside [0, {task_count})"
+                    )
+            if next(profits) is None:
                 raise InfeasibleSolutionError(
                     f"driver {plan.driver_id!r}: task list {plan.task_indices} is not a "
                     "feasible path in her task map"

@@ -116,7 +116,23 @@ class MarketCostModel:
         floating-point round-off (historically this used an equirectangular
         approximation that could drift from the scalar path by ~0.1%).
         """
-        distance_km = self.travel_model.estimator.cross_km(origins, destinations)
+        return self._legs_for_km(self.travel_model.estimator.cross_km(origins, destinations))
+
+    def pairwise_legs(
+        self,
+        origins: Sequence[GeoPoint],
+        destinations: Sequence[GeoPoint],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Times and costs for each ``(origins[i], destinations[i])`` pair.
+
+        The elementwise twin of :meth:`pairwise_leg_matrix`: entry ``i``
+        equals the matrix entry of the same two points bit for bit, because
+        both run the estimator's batch kernel elementwise and share one
+        km -> (time, cost) conversion.
+        """
+        return self._legs_for_km(self.travel_model.estimator.pairwise_km(origins, destinations))
+
+    def _legs_for_km(self, distance_km: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         times = distance_km / self.travel_model.speed_kmh * 3600.0
         costs = distance_km * self.travel_model.cost_per_km
         return times, costs

@@ -163,15 +163,6 @@ class TaskNetwork:
         """Number of driver-independent task-to-task arcs."""
         return int(sum(len(s) for s in self.successors))
 
-    def successor_leg(self, m: int, m_prime: int) -> Optional[Leg]:
-        """The empty-drive leg of arc ``m -> m_prime`` if it exists."""
-        succ = self.successors[m]
-        positions = np.nonzero(succ == m_prime)[0]
-        if positions.size == 0:
-            return None
-        j = int(positions[0])
-        return Leg(time_s=float(self.leg_times[m][j]), cost=float(self.leg_costs[m][j]))
-
 
 def build_task_network(
     tasks: Sequence[Task],
@@ -293,84 +284,6 @@ class DriverTaskMap:
         if allowed is not None:
             mask = mask & allowed[succ]
         return succ[mask]
-
-    def arc_exists(self, tail, head) -> bool:
-        """Whether the task map contains the arc ``tail -> head``.
-
-        ``tail``/``head`` are task indices or the :data:`SOURCE_NODE` /
-        :data:`SINK_NODE` sentinels.
-        """
-        if tail == SOURCE_NODE and head == SINK_NODE:
-            return True
-        if tail == SOURCE_NODE:
-            return bool(self.entry_ok[int(head)])
-        if head == SINK_NODE:
-            return bool(self.exit_ok[int(tail)])
-        tail_i, head_i = int(tail), int(head)
-        if not self.exit_ok[head_i]:
-            return False
-        return bool(np.any(self.network.successors[tail_i] == head_i))
-
-    # ------------------------------------------------------------------
-    # path evaluation
-    # ------------------------------------------------------------------
-    def is_feasible_path(self, path: Sequence[int]) -> bool:
-        """Whether ``path`` (a sequence of task indices) is a valid task list:
-        it must start with an entry arc, follow existing arcs, and end with an
-        exit arc.  The empty path is always feasible."""
-        if len(path) == 0:
-            return True
-        if len(set(path)) != len(path):
-            return False
-        if not self.entry_ok[path[0]]:
-            return False
-        for tail, head in zip(path[:-1], path[1:]):
-            if not self.arc_exists(tail, head):
-                return False
-        return bool(self.exit_ok[path[-1]])
-
-    def path_profit(self, path: Sequence[int], use_valuation: bool = False) -> float:
-        """The profit ``r_π`` of a task list (Eq. (4) restricted to one driver).
-
-        ``sum(value_m - ĉ_m) - (source leg + connecting legs + sink leg)
-        + c_{n,0,-1}``.  With ``use_valuation=True`` the customer valuation
-        ``b_m`` replaces the price ``p_m`` (the social-welfare objective of
-        Eq. (6)).  The empty path has profit exactly 0.
-        """
-        if len(path) == 0:
-            return 0.0
-        net = self.network
-        values = net.valuations if use_valuation else net.prices
-        total = 0.0
-        for m in path:
-            total += float(values[m] - net.service_costs[m])
-        total -= float(self.source_leg_costs[path[0]])
-        for tail, head in zip(path[:-1], path[1:]):
-            leg = net.successor_leg(tail, head)
-            if leg is None:
-                raise ValueError(f"path uses a non-existent arc {tail} -> {head}")
-            total -= leg.cost
-        total -= float(self.sink_leg_costs[path[-1]])
-        total += self.direct_leg.cost
-        return total
-
-    def path_excess_cost(self, path: Sequence[int]) -> float:
-        """The excess driving cost of a task list (the parenthesised term of
-        Eq. (4) for this driver): everything she drives beyond her original
-        source-to-destination plan."""
-        if len(path) == 0:
-            return 0.0
-        net = self.network
-        cost = float(self.source_leg_costs[path[0]])
-        for m in path:
-            cost += float(net.service_costs[m])
-        for tail, head in zip(path[:-1], path[1:]):
-            leg = net.successor_leg(tail, head)
-            if leg is None:
-                raise ValueError(f"path uses a non-existent arc {tail} -> {head}")
-            cost += leg.cost
-        cost += float(self.sink_leg_costs[path[-1]])
-        return cost - self.direct_leg.cost
 
 
 def build_driver_task_map(

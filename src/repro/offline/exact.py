@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from ..core.objectives import Objective
-from ..core.solution import MarketSolution
+from ..core.solution import MarketSolution, evaluate_plans
 from ..market.instance import MarketInstance
 from .dag import enumerate_paths
 from .formulation import ArcFlowModel, build_arc_flow_model
@@ -109,16 +109,13 @@ def brute_force_optimum(
     Exponential — only usable for instances with a handful of drivers and
     tasks; exists to cross-validate the MILP and greedy solvers in tests.
     """
-    use_valuation = objective.uses_valuation
     per_driver_options: List[List[Tuple[float, Tuple[int, ...]]]] = []
     driver_ids: List[str] = []
     for driver in instance.drivers:
-        task_map = instance.task_map(driver.driver_id)
+        paths = enumerate_paths(instance.task_map(driver.driver_id), max_paths=max_paths_per_driver)
+        profits = evaluate_plans(instance, [(driver, path) for path in paths], objective)
         options: List[Tuple[float, Tuple[int, ...]]] = [(0.0, ())]
-        for path in enumerate_paths(task_map, max_paths=max_paths_per_driver):
-            profit = task_map.path_profit(path, use_valuation=use_valuation)
-            if profit > 0.0:
-                options.append((profit, tuple(path)))
+        options += [(profit, path) for path, profit in zip(paths, profits) if profit > 0.0]
         per_driver_options.append(options)
         driver_ids.append(driver.driver_id)
 

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..core.solution import evaluate_plans
 from ..geo import GeoPoint, HaversineEstimator, TravelModel
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
@@ -171,12 +172,14 @@ def build_tight_example(chain_length: int = 4, epsilon: float = 0.05) -> TightEx
     # D - (D-2)*(1-eps) (plus the small eastward offsets), each local driver's
     # single task is worth ~2-eps, and the long-haul driver's alternative
     # (task 0) is also worth ~2-eps.
-    task_maps = instance.task_maps
-    chain_path = tuple(range(chain_length))
-    greedy_value = task_maps["long-haul"].path_profit(chain_path)
-    optimal_value = task_maps["long-haul"].path_profit((chain_length,))
-    for k in range(chain_length):
-        optimal_value += task_maps[f"local-{k}"].path_profit((k,))
+    long_haul = drivers[0]
+    greedy_value, optimal_value, *local_values = evaluate_plans(
+        instance,
+        [(long_haul, tuple(range(chain_length))), (long_haul, (chain_length,))]
+        + [(driver, (k,)) for k, driver in enumerate(drivers[1:])],
+    )
+    for value in local_values:
+        optimal_value += value
 
     return TightExample(
         instance=instance,

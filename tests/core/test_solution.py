@@ -12,7 +12,11 @@ from repro.core import (
     total_revenue,
 )
 
+from repro.market import Driver, MarketInstance
+from repro.offline import greedy_assignment
+
 from ..conftest import build_chain_instance, build_random_instance
+from ..taskmap_oracle import path_profit
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +30,20 @@ class TestObjectives:
         assert Objective.SOCIAL_WELFARE.uses_valuation
 
     def test_path_value_matches_task_map(self, chain):
-        expected = chain.task_map("chainer").path_profit([0, 1])
+        expected = path_profit(chain.task_map("chainer"), [0, 1])
         assert path_value(chain, "chainer", [0, 1]) == pytest.approx(expected)
+
+    def test_path_value_rejects_infeasible_and_unknown(self, chain):
+        with pytest.raises(ValueError):
+            path_value(chain, "chainer", [1, 0])
+        with pytest.raises(ValueError):
+            path_value(chain, "stranded", [0])
+        with pytest.raises(KeyError):
+            path_value(chain, "nobody", [0])
 
     def test_assignment_value_sums_paths(self, chain):
         value = assignment_value(chain, {"chainer": [0, 1]})
-        assert value == pytest.approx(chain.task_map("chainer").path_profit([0, 1]))
+        assert value == pytest.approx(path_profit(chain.task_map("chainer"), [0, 1]))
         assert assignment_value(chain, {}) == 0.0
 
     def test_total_revenue_and_surplus(self, chain):
@@ -122,3 +134,56 @@ class TestMarketSolution:
         instance = build_random_instance(task_count=5, driver_count=2, seed=20).with_tasks([])
         solution = MarketSolution.empty(instance)
         assert solution.serve_rate == 1.0
+
+
+class TestTaskIndexRange:
+    """Indices outside ``[0, M)`` are not tasks: a negative one used to alias
+    the task ``M`` places later, an oversized one raised ``IndexError``."""
+
+    def test_negative_index_is_rejected(self, chain):
+        solution = MarketSolution.from_assignment(chain, {"chainer": (-2, 1)})
+        assert solution.plan_for("chainer").profit == 0.0
+        with pytest.raises(InfeasibleSolutionError, match="task index -2"):
+            solution.validate()
+        assert not solution.is_feasible()
+
+    def test_negative_index_cannot_serve_a_task_twice(self, chain):
+        chainer = chain.drivers[0]
+        twin = Driver("twin", chainer.source, chainer.destination, chainer.start_ts, chainer.end_ts)
+        market = chain.with_drivers([chainer, twin])
+        solution = MarketSolution.from_assignment(market, {"chainer": (0,), "twin": (-2,)})
+        assert solution.plan_for("twin").profit == 0.0
+        with pytest.raises(InfeasibleSolutionError, match="task index -2"):
+            solution.validate()
+
+    def test_out_of_range_index_is_lenient_then_rejected(self, chain):
+        solution = MarketSolution.from_assignment(chain, {"chainer": (0, 2)})
+        assert solution.plan_for("chainer").profit == 0.0
+        with pytest.raises(InfeasibleSolutionError, match="task index 2"):
+            solution.validate()
+
+
+class TestNoTaskNetwork:
+    """Pricing and checking plans never builds the task network or the
+    fleet's task maps (``MarketInstance`` caches both in ``__dict__``)."""
+
+    @staticmethod
+    def assert_unbuilt(instance):
+        assert "task_network" not in instance.__dict__
+        assert "task_maps" not in instance.__dict__
+
+    def test_empty_solution(self):
+        instance = build_random_instance(task_count=20, driver_count=5, seed=21)
+        solution = MarketSolution.empty(instance)
+        assert solution.total_value == 0.0
+        self.assert_unbuilt(instance)
+
+    def test_from_assignment_and_validate(self):
+        solved = build_random_instance(task_count=30, driver_count=8, seed=3)
+        assignment = greedy_assignment(solved).assignment()
+        assert assignment
+        fresh = MarketInstance(solved.drivers, solved.tasks, solved.cost_model)
+        solution = MarketSolution.from_assignment(fresh, assignment)
+        solution.validate()
+        assert solution.total_value == assignment_value(fresh, assignment)
+        self.assert_unbuilt(fresh)

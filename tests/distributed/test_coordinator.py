@@ -68,6 +68,16 @@ class TestCoordinator:
         assert result.report.total_value == pytest.approx(result.solution.total_value)
         assert result.report.served_count == result.solution.served_count
 
+    def test_greedy_merge_builds_no_whole_day_network(self):
+        """The merge prices the shards' plans from their own legs: the
+        whole-day instance never builds its task network or task maps."""
+        day = build_random_instance(task_count=60, driver_count=15, seed=37)
+        result = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2), solver_name="greedy").solve(day)
+        result.solution.validate()
+        assert result.solution.served_count > 0
+        assert "task_network" not in day.__dict__
+        assert "task_maps" not in day.__dict__
+
     def test_sharding_never_beats_global_greedy_by_much(self, instance):
         """Sharding removes cross-shard chains; it should not create value out
         of thin air (both solve the same objective with the same algorithm)."""

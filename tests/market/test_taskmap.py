@@ -14,6 +14,13 @@ from repro.market import (
 from repro.market.taskmap import SINK_NODE, SOURCE_NODE
 
 from ..conftest import build_chain_instance, build_random_instance, flat_travel_model, point_east
+from ..taskmap_oracle import (
+    arc_exists,
+    is_feasible_path,
+    path_excess_cost,
+    path_profit,
+    successor_leg,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +70,10 @@ class TestTaskNetwork:
 
     def test_successor_leg_lookup(self, chain):
         network = chain.task_network
-        leg = network.successor_leg(0, 1)
+        leg = successor_leg(network, 0, 1)
         assert leg is not None
         assert leg.time_s == pytest.approx(0.0, abs=1.0)  # same location
-        assert network.successor_leg(1, 0) is None
+        assert successor_leg(network, 1, 0) is None
 
     def test_topo_order_sorted_by_start_deadline(self, chain):
         network = chain.task_network
@@ -114,11 +121,11 @@ class TestDriverTaskMap:
 
     def test_arc_exists_queries(self, chain):
         task_map = chain.task_map("chainer")
-        assert task_map.arc_exists(SOURCE_NODE, 0)
-        assert task_map.arc_exists(0, 1)
-        assert task_map.arc_exists(1, SINK_NODE)
-        assert task_map.arc_exists(SOURCE_NODE, SINK_NODE)
-        assert not task_map.arc_exists(1, 0)
+        assert arc_exists(task_map, SOURCE_NODE, 0)
+        assert arc_exists(task_map, 0, 1)
+        assert arc_exists(task_map, 1, SINK_NODE)
+        assert arc_exists(task_map, SOURCE_NODE, SINK_NODE)
+        assert not arc_exists(task_map, 1, 0)
 
     def test_successors_respect_allowed_mask(self, chain):
         task_map = chain.task_map("chainer")
@@ -182,14 +189,14 @@ class TestDriverTaskMap:
         task_map = build_driver_task_map(driver, network, cost_model)
         assert task_map.task_count == 0
         assert not task_map.has_any_task()
-        assert task_map.path_profit(()) == 0.0
+        assert path_profit(task_map, ()) == 0.0
 
 
 class TestPathEvaluation:
     def test_empty_path_profit_zero(self, chain):
         task_map = chain.task_map("chainer")
-        assert task_map.path_profit([]) == 0.0
-        assert task_map.path_excess_cost([]) == 0.0
+        assert path_profit(task_map, []) == 0.0
+        assert path_excess_cost(task_map, []) == 0.0
 
     def test_single_task_profit_arithmetic(self, chain):
         """Chainer lives at task 0's source; her destination is at km 10.
@@ -199,46 +206,46 @@ class TestPathEvaluation:
         10 km she would have driven anyway: 5 - 0.6 - 0.6 + 1.2 = 5.0.
         """
         task_map = chain.task_map("chainer")
-        profit = task_map.path_profit([0])
+        profit = path_profit(task_map, [0])
         assert profit == pytest.approx(5.0, rel=0.01)
 
     def test_chain_profit_arithmetic(self, chain):
         """Both tasks cover her entire route, so she pockets both prices."""
         task_map = chain.task_map("chainer")
-        profit = task_map.path_profit([0, 1])
+        profit = path_profit(task_map, [0, 1])
         assert profit == pytest.approx(10.0, rel=0.01)
 
     def test_excess_cost_of_chain_is_zero(self, chain):
         task_map = chain.task_map("chainer")
-        assert task_map.path_excess_cost([0, 1]) == pytest.approx(0.0, abs=0.02)
+        assert path_excess_cost(task_map, [0, 1]) == pytest.approx(0.0, abs=0.02)
 
     def test_profit_plus_excess_cost_equals_prices(self, chain):
         """By Eq. (4), profit = sum of prices - excess cost for any path."""
         task_map = chain.task_map("chainer")
         for path in ([0], [1], [0, 1]):
             prices = sum(chain.tasks[m].price for m in path)
-            assert task_map.path_profit(path) == pytest.approx(
-                prices - task_map.path_excess_cost(path), rel=1e-9
+            assert path_profit(task_map, path) == pytest.approx(
+                prices - path_excess_cost(task_map, path), rel=1e-9
             )
 
     def test_social_welfare_uses_valuation(self, chain):
         task_map = chain.task_map("chainer")
         # No WTP recorded: valuation == price, so both objectives coincide.
-        assert task_map.path_profit([0, 1], use_valuation=True) == pytest.approx(
-            task_map.path_profit([0, 1])
+        assert path_profit(task_map, [0, 1], use_valuation=True) == pytest.approx(
+            path_profit(task_map, [0, 1])
         )
 
     def test_feasibility_checks(self, chain):
         task_map = chain.task_map("chainer")
-        assert task_map.is_feasible_path([])
-        assert task_map.is_feasible_path([0])
-        assert task_map.is_feasible_path([0, 1])
-        assert not task_map.is_feasible_path([1, 0])
-        assert not task_map.is_feasible_path([0, 0])
+        assert is_feasible_path(task_map, [])
+        assert is_feasible_path(task_map, [0])
+        assert is_feasible_path(task_map, [0, 1])
+        assert not is_feasible_path(task_map, [1, 0])
+        assert not is_feasible_path(task_map, [0, 0])
         stranded_map = chain.task_map("stranded")
-        assert not stranded_map.is_feasible_path([0])
+        assert not is_feasible_path(stranded_map, [0])
 
     def test_path_profit_rejects_missing_arc(self, chain):
         task_map = chain.task_map("chainer")
         with pytest.raises(ValueError):
-            task_map.path_profit([1, 0])
+            path_profit(task_map, [1, 0])

@@ -24,6 +24,7 @@ from repro.offline import (
 )
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..taskmap_oracle import path_profit
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestArcFlowModel:
         values[model.arc_index(("chainer", 0, 1))] = 1.0
         values[model.arc_index(("chainer", 1, SINK_NODE))] = 1.0
         objective_value = float(model.objective @ values) + model.constant
-        expected = chain.task_map("chainer").path_profit([0, 1])
+        expected = path_profit(chain.task_map("chainer"), [0, 1])
         assert objective_value == pytest.approx(expected, rel=1e-9)
 
 
@@ -81,7 +82,7 @@ class TestLpRelaxation:
     def test_chain_bound_equals_integral_optimum(self, chain):
         result = lp_relaxation_bound(chain)
         assert result.upper_bound == pytest.approx(
-            chain.task_map("chainer").path_profit([0, 1]), rel=1e-6
+            path_profit(chain.task_map("chainer"), [0, 1]), rel=1e-6
         )
         assert result.fractional_arc_count >= 0
 
@@ -115,7 +116,7 @@ class TestExactSolver:
         result = exact_optimum(chain)
         result.solution.validate()
         assert result.optimum == pytest.approx(
-            chain.task_map("chainer").path_profit([0, 1]), rel=1e-6
+            path_profit(chain.task_map("chainer"), [0, 1]), rel=1e-6
         )
         assert result.solution.plan_for("chainer").task_indices == (0, 1)
 

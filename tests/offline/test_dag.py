@@ -6,6 +6,7 @@ import pytest
 from repro.offline import EMPTY_PATH, best_path, best_paths_for_all, enumerate_paths
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..taskmap_oracle import is_feasible_path, path_profit
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ class TestBestPathOnChainInstance:
         task_map = chain.task_map("chainer")
         result = best_path(task_map)
         assert result.path == (0, 1)
-        assert result.profit == pytest.approx(task_map.path_profit([0, 1]))
+        assert result.profit == pytest.approx(path_profit(task_map, [0, 1]))
 
     def test_stranded_driver_gets_empty_path(self, chain):
         result = best_path(chain.task_map("stranded"))
@@ -36,7 +37,7 @@ class TestBestPathOnChainInstance:
         only_second = np.array([False, True])
         result = best_path(task_map, available=only_second)
         assert result.path == (1,)
-        assert result.profit == pytest.approx(task_map.path_profit([1]))
+        assert result.profit == pytest.approx(path_profit(task_map, [1]))
 
     def test_all_unavailable_gives_empty_path(self, chain):
         task_map = chain.task_map("chainer")
@@ -63,7 +64,7 @@ class TestBestPathAgainstEnumeration:
             candidates = enumerate_paths(task_map)
             brute = 0.0
             for path in candidates:
-                brute = max(brute, task_map.path_profit(path))
+                brute = max(brute, path_profit(task_map, path))
             assert dp.profit == pytest.approx(max(brute, 0.0), rel=1e-9, abs=1e-9)
 
     def test_matches_enumeration_with_random_masks(self, random_instance):
@@ -76,7 +77,7 @@ class TestBestPathAgainstEnumeration:
                 dp = best_path(task_map, available=mask)
                 brute = 0.0
                 for path in enumerate_paths(task_map, available=mask):
-                    brute = max(brute, task_map.path_profit(path))
+                    brute = max(brute, path_profit(task_map, path))
                 assert dp.profit == pytest.approx(max(brute, 0.0), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [17, 23, 31])
@@ -93,7 +94,7 @@ class TestBestPathAgainstEnumeration:
             shifted = best_path(task_map, values=prices - shift)
             brute = max(
                 (
-                    task_map.path_profit(path) - shift[list(path)].sum()
+                    path_profit(task_map, path) - shift[list(path)].sum()
                     for path in enumerate_paths(task_map)
                 ),
                 default=0.0,
@@ -109,9 +110,9 @@ class TestBestPathAgainstEnumeration:
         for driver in random_instance.drivers:
             task_map = random_instance.task_map(driver.driver_id)
             result = best_path(task_map)
-            assert task_map.is_feasible_path(result.path)
+            assert is_feasible_path(task_map, result.path)
             if result.path:
-                assert result.profit == pytest.approx(task_map.path_profit(result.path))
+                assert result.profit == pytest.approx(path_profit(task_map, result.path))
                 assert result.profit > 0.0
 
     def test_social_welfare_objective_never_below_profit_objective(self, random_instance):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.offline import build_tight_example, exact_optimum, greedy_assignment
 
+from ..taskmap_oracle import arc_exists
+
 
 class TestConstruction:
     def test_invalid_parameters(self):
@@ -41,8 +43,8 @@ class TestConstruction:
         long_haul = example.instance.task_map("long-haul")
         extra_index = example.instance.task_count - 1
         for k in range(4):
-            assert not long_haul.arc_exists(extra_index, k)
-            assert not long_haul.arc_exists(k, extra_index)
+            assert not arc_exists(long_haul, extra_index, k)
+            assert not arc_exists(long_haul, k, extra_index)
 
 
 class TestAdversarialBehaviour:

@@ -15,6 +15,7 @@ from repro.online import (
 )
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..taskmap_oracle import is_feasible_path
 from .conftest import index_off
 
 
@@ -77,7 +78,7 @@ class TestBatchedInvariants:
         outcome = run_batched(random_instance, window_s=60.0)
         for record in outcome.records:
             task_map = random_instance.task_map(record.driver_id)
-            assert task_map.is_feasible_path(record.task_indices)
+            assert is_feasible_path(task_map, record.task_indices)
 
     def test_bounded_by_exact_optimum(self):
         instance = build_random_instance(task_count=18, driver_count=5, seed=83)

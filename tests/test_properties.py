@@ -36,6 +36,8 @@ from repro.offline import (
 )
 from repro.online import MaxMarginDispatcher, NearestDispatcher, run_online
 
+from .taskmap_oracle import is_feasible_path, path_excess_cost, path_profit
+
 ANCHOR = GeoPoint(41.17, -8.62)
 SPEED_KMH = 30.0
 COST_PER_KM = 0.12
@@ -167,9 +169,9 @@ class TestSolverProperties:
         for driver in instance.drivers:
             task_map = instance.task_map(driver.driver_id)
             result = best_path(task_map)
-            assert task_map.is_feasible_path(result.path)
+            assert is_feasible_path(task_map, result.path)
             if result.path:
-                assert result.profit == pytest.approx(task_map.path_profit(result.path), rel=1e-9)
+                assert result.profit == pytest.approx(path_profit(task_map, result.path), rel=1e-9)
 
 
 coordinate = st.tuples(
@@ -252,7 +254,7 @@ class TestSolutionAlgebraProperties:
         for plan in solution.iter_nonempty_plans():
             task_map = instance.task_map(plan.driver_id)
             prices = sum(instance.tasks[m].price for m in plan.task_indices)
-            excess = task_map.path_excess_cost(plan.task_indices)
+            excess = path_excess_cost(task_map, plan.task_indices)
             assert plan.profit == pytest.approx(prices - excess, rel=1e-9, abs=1e-9)
 
     @given(market_params)
