@@ -12,10 +12,11 @@ to offline solutions and online outcomes because both expose the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from ..market.driver import Driver
 from ..market.instance import MarketInstance
 
 
@@ -105,10 +106,18 @@ def driver_workload(
     pickup/drop-off coordinates, so the function works for any task sequence
     (including online chains that are not task-map arcs).
     """
-    driver = instance.task_map(driver_id).driver
+    driver = next((d for d in instance.drivers if d.driver_id == driver_id), None)
+    if driver is None:
+        raise KeyError(f"unknown driver id {driver_id!r}")
+    return _workload(instance, driver, task_indices)
+
+
+def _workload(
+    instance: MarketInstance, driver: Driver, task_indices: Sequence[int]
+) -> DriverWorkload:
     cost_model = instance.cost_model
     travel_model = cost_model.travel_model
-    network = instance.task_network
+    durations_s = instance.task_columns.durations_s
 
     revenue = 0.0
     service_km = 0.0
@@ -120,7 +129,7 @@ def driver_workload(
         approach_km = travel_model.distance_km(location, task.source)
         empty_km += approach_km
         service_km += cost_model.task_distance_km(task)
-        busy_s += float(network.durations_s[m]) + travel_model.time_for_distance_s(approach_km)
+        busy_s += float(durations_s[m]) + travel_model.time_for_distance_s(approach_km)
         revenue += task.price
         location = task.destination
     if task_indices:
@@ -130,7 +139,7 @@ def driver_workload(
 
     window = max(1e-9, driver.working_duration_s)
     return DriverWorkload(
-        driver_id=driver_id,
+        driver_id=driver.driver_id,
         task_count=len(task_indices),
         revenue=revenue,
         service_km=service_km,
@@ -147,11 +156,10 @@ def fleet_stats(
     Drivers absent from the mapping are included as idle (zero workload), so
     the active fraction and the Gini coefficient describe the whole fleet.
     """
-    workloads: List[DriverWorkload] = []
-    for driver in instance.drivers:
-        workloads.append(
-            driver_workload(instance, driver.driver_id, assignment.get(driver.driver_id, ()))
-        )
+    workloads = [
+        _workload(instance, driver, assignment.get(driver.driver_id, ()))
+        for driver in instance.drivers
+    ]
     revenues = [w.revenue for w in workloads]
     active = [w for w in workloads if w.task_count > 0]
     return FleetStats(

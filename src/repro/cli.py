@@ -42,7 +42,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import BoundKind, compute_upper_bound, format_metric_dict, format_table
-from .distributed import EXECUTOR_POLICIES, TRANSPORTS, PersistentWorkerPool
+from .distributed import EXECUTOR_POLICIES, SOLVER_NAMES, TRANSPORTS, PersistentWorkerPool
 from .experiments import (
     DEFAULT_SCALE,
     PAPER_SCALE,
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_run.add_argument(
         "--solver",
-        choices=["greedy", "nearest", "maxMargin", "lp", "auto"],
+        choices=SOLVER_NAMES,
         default="greedy",
         help="offline mode only: the shard solver ('lp'/'auto' run the exact "
         "tier and report per-scenario optimality gaps)",
@@ -457,8 +457,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise SystemExit("--stream requires --algorithm batched")
     if args.algorithm != "batched" and (args.horizon != 1 or args.overlap != 0):
         raise SystemExit("--horizon/--overlap require --algorithm batched")
-    if not args.stream and (args.executor != "serial" or args.grid != "1x1"):
-        raise SystemExit("--executor and --grid only apply to --stream solves")
+    if not args.stream and (
+        args.executor != "serial" or args.grid != "1x1" or args.transport != "pickle"
+    ):
+        raise SystemExit("--executor, --grid and --transport only apply to --stream solves")
     if args.stream:
         return _cmd_solve_stream(args, instance)
     bounds = None

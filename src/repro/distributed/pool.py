@@ -188,11 +188,9 @@ class ShardStreamSession:
         return ShardStreamResult(
             shard_id=self.shard_id,
             assignment=outcome.assignment(),
-            driver_profits={
-                record.driver_id: record.profit
-                for record in outcome.records
-                if record.task_indices
-            },
+            # Every driver: under horizon dispatch an idle driver who was
+            # repositioned carries that move's cost as a negative profit.
+            driver_profits={record.driver_id: record.profit for record in outcome.records},
             rejected_tasks=outcome.rejected_tasks,
             task_count=self._task_count,
             total_value=outcome.total_value,

@@ -14,7 +14,7 @@ from .repositioning import (
     RepositioningPolicy,
     apply_repositioning,
 )
-from .simulator import OnlineSimulator, SimulationConfig, TaskOrdering, run_online
+from .simulator import OnlineSimulator, TaskOrdering, run_online
 from .state import Candidate, DriverState
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "OnlineDriverRecord",
     "OnlineOutcome",
     "OnlineSimulator",
-    "SimulationConfig",
     "TaskOrdering",
     "run_online",
 ]

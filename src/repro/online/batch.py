@@ -49,6 +49,7 @@ from ..market.task import Task
 from ..obs import trace as obs_trace
 from .candidates import CandidateKernel
 from .forecast import publish_slot
+from .horizon import LOOKAHEAD_WEIGHT, LookaheadPlanner
 from .outcome import OnlineDriverRecord, OnlineOutcome
 from .state import Candidate, DriverState
 
@@ -58,41 +59,29 @@ _INFEASIBLE = 1e12
 
 @dataclass(frozen=True, slots=True)
 class BatchConfig:
-    """Knobs of the batched dispatcher."""
+    """Knobs of the batched dispatcher.
+
+    The dispatch semantics are fixed: a pair is admissible only with a
+    positive marginal value (individual rationality, constraint 5b), a
+    driver waits at the pickup for the recorded start and is occupied for
+    the recorded ride window (trace replay), and an order left unassigned
+    retries in later windows until its pickup deadline passes.
+    """
 
     #: Length of the accumulation window in seconds.
     window_s: float = 60.0
-    #: Refuse (driver, order) pairs whose marginal value is negative, so that
-    #: individual rationality (constraint 5b) also holds online.
-    require_positive_margin: bool = True
-    #: Let orders that missed their window retry in later windows as long as
-    #: their pickup deadline has not passed.
-    allow_retries: bool = True
-    #: Trace-replay semantics (see ``SimulationConfig``): wait at the pickup
-    #: until the recorded start and occupy the driver for the recorded
-    #: duration.
-    wait_for_pickup_deadline: bool = True
-    use_recorded_duration: bool = True
     #: Rolling-horizon lookahead (see :mod:`repro.online.horizon`).  The
     #: dispatcher solves a *control window* of ``horizon`` dispatch windows
     #: (the current one exactly, the next ``horizon - 1`` in expectation via
     #: the demand forecast) plus ``overlap`` coarser blocks of
-    #: ``overlap_factor`` windows each, and commits only the control window.
+    #: ``OVERLAP_FACTOR`` windows each, and commits only the control window.
     #: ``horizon=1`` is the exact myopic dispatcher — no forecaster is even
     #: constructed, so the outputs are bit-identical to today's.
     horizon: int = 1
     overlap: int = 0
-    overlap_factor: int = 4
     #: Demand forecaster: ``"ewma"`` (causal, works on live streams) or
     #: ``"oracle"`` (true future counts; replay-only, used by tests).
     forecast: str = "ewma"
-    forecast_alpha: float = 0.35
-    #: Hungarian-matrix bias per unit of pressure difference, in units of the
-    #: window's mean price.  ``0`` keeps the assignment myopic while still
-    #: running forecast-driven repositioning.  0.1 breaks near-ties toward
-    #: forecast demand without overturning clearly better present
-    #: assignments (larger weights started losing mean wait on the suite).
-    lookahead_weight: float = 0.1
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
@@ -101,14 +90,8 @@ class BatchConfig:
             raise ValueError("horizon must be >= 1")
         if self.overlap < 0:
             raise ValueError("overlap must be >= 0")
-        if self.overlap_factor < 1:
-            raise ValueError("overlap_factor must be >= 1")
         if self.forecast not in ("ewma", "oracle"):
             raise ValueError("forecast must be 'ewma' or 'oracle'")
-        if not 0.0 < self.forecast_alpha <= 1.0:
-            raise ValueError("forecast_alpha must be in (0, 1]")
-        if self.lookahead_weight < 0:
-            raise ValueError("lookahead_weight must be non-negative")
 
 
 def _slot_groups(
@@ -314,20 +297,11 @@ class BatchedSimulator:
         self._states = {
             driver.driver_id: DriverState.fresh(driver) for driver in self.instance.drivers
         }
-        self._kernel = CandidateKernel(
-            self.instance,
-            self._states.values(),
-            wait_for_pickup_deadline=self.config.wait_for_pickup_deadline,
-            use_recorded_duration=self.config.use_recorded_duration,
-        )
+        self._kernel = CandidateKernel(self.instance, self._states.values())
         self._pending = []
         self._rejected = []
         self._lookahead = None
         if self.config.horizon > 1:
-            # Imported here: horizon.py builds on the repositioning module,
-            # which imports from this package.
-            from .horizon import LookaheadPlanner
-
             self._lookahead = LookaheadPlanner.build(self.instance, self.config)
 
     def _step_window(
@@ -355,13 +329,9 @@ class BatchedSimulator:
         assigned, expired = self._dispatch_window(window_end)
         self._rejected.extend(expired)
         expired_set = set(expired)
-        still_pending = [
+        self._pending = [
             m for m in self._pending if m not in assigned and m not in expired_set
         ]
-        if not self.config.allow_retries:
-            self._rejected.extend(still_pending)
-            still_pending = []
-        self._pending = still_pending
         if self._lookahead is not None:
             # Proactive repositioning: drivers still idle after the window's
             # dispatch start moving toward forecast demand.  The kernel's
@@ -409,7 +379,7 @@ class BatchedSimulator:
         participating: set = set()
         for m in live_tasks:
             for candidate in candidates_by_task[m]:
-                if self.config.require_positive_margin and candidate.marginal_value <= 0:
+                if candidate.marginal_value <= 0:
                     continue
                 participating.add(candidate.driver_id)
                 candidate_lookup[(m, candidate.driver_id)] = candidate
@@ -421,7 +391,7 @@ class BatchedSimulator:
 
         cost = np.full((len(live_tasks), len(driver_ids)), _INFEASIBLE)
         lookahead = self._lookahead
-        if lookahead is not None and lookahead.lookahead_weight > 0.0:
+        if lookahead is not None:
             # Overlap-horizon term: bias each admissible pair by the forecast
             # pressure it creates (drop-off zone) minus the pressure it
             # consumes (driver's current zone).  The bias prices the matrix
@@ -439,7 +409,7 @@ class BatchedSimulator:
                 driver_id: lookahead.pressure_at(self._states[driver_id].location)
                 for driver_id in driver_ids
             }
-            weight = lookahead.lookahead_weight * price_scale
+            weight = LOOKAHEAD_WEIGHT * price_scale
             for (m, driver_id), candidate in candidate_lookup.items():
                 bias = weight * (task_pressure[m] - driver_pressure[driver_id])
                 cost[task_pos[m], driver_pos[driver_id]] = -(

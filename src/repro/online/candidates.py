@@ -72,21 +72,13 @@ class CandidateKernel:
         :meth:`commit` makes an assignment and refreshes them, and a
         simulator that moves a driver itself (repositioning) calls
         :meth:`sync`.
-    wait_for_pickup_deadline / use_recorded_duration:
-        Trace-replay semantics, identical to the simulator configs.
+
+    Timing is trace replay: a driver picks up at ``max(arrival, start
+    deadline)`` and drops off one recorded ride window later.
     """
 
-    def __init__(
-        self,
-        instance: MarketInstance,
-        states: Iterable[DriverState],
-        *,
-        wait_for_pickup_deadline: bool = True,
-        use_recorded_duration: bool = True,
-    ) -> None:
+    def __init__(self, instance: MarketInstance, states: Iterable[DriverState]) -> None:
         self.instance = instance
-        self.wait_for_pickup_deadline = wait_for_pickup_deadline
-        self.use_recorded_duration = use_recorded_duration
         self._cost_model = instance.cost_model
         travel_model = self._cost_model.travel_model
         self._estimator = travel_model.estimator
@@ -270,10 +262,6 @@ class CandidateKernel:
             # Every depart time is at least ``now_ts``, so nobody can leave
             # by the pickup deadline.
             return []
-        if self.use_recorded_duration:
-            ride_duration = task.ride_window_s
-        else:
-            ride_duration = float(columns.durations_s[task_index])
         service_cost = float(columns.service_costs[task_index])
 
         slots = self._prefilter_slots(task, now_ts)
@@ -297,11 +285,8 @@ class CandidateKernel:
         approach_cost = approach_km * cost_per_km
         arrival = depart + approach_time
         feasible = arrival <= sdl + 1e-9
-        if self.wait_for_pickup_deadline:
-            pickup = np.maximum(arrival, sdl)
-        else:
-            pickup = arrival
-        dropoff = pickup + ride_duration
+        pickup = np.maximum(arrival, sdl)
+        dropoff = pickup + task.ride_window_s
         feasible &= dropoff <= task.end_deadline_ts + 1e-9
         if not feasible.any():
             return []
@@ -379,10 +364,6 @@ class CandidateKernel:
         sdl = columns.start_deadlines[idx]
         edl = columns.end_deadlines[idx]
         prices = columns.prices[idx]
-        if self.use_recorded_duration:
-            ride_durations = edl - sdl
-        else:
-            ride_durations = columns.durations_s[idx].astype(float)
         service_costs = columns.service_costs[idx].astype(float)
 
         depart = np.maximum(self._free_at[slots], self._driver_start[slots])
@@ -398,11 +379,8 @@ class CandidateKernel:
         approach_cost = (approach_km * cost_per_km).T
         arrival = depart[None, :] + approach_time
         feasible &= arrival <= sdl[:, None] + 1e-9
-        if self.wait_for_pickup_deadline:
-            pickup = np.maximum(arrival, sdl[:, None])
-        else:
-            pickup = arrival
-        dropoff = pickup + ride_durations[:, None]
+        pickup = np.maximum(arrival, sdl[:, None])
+        dropoff = pickup + (edl - sdl)[:, None]
         feasible &= dropoff <= edl[:, None] + 1e-9
 
         home_km = self._distances_cross(
@@ -445,10 +423,6 @@ class CandidateKernel:
         columns = self.instance.task_columns
         if not columns.servable[task_index]:
             return []
-        if self.use_recorded_duration:
-            ride_duration = task.ride_window_s
-        else:
-            ride_duration = float(columns.durations_s[task_index])
         service_cost = float(columns.service_costs[task_index])
 
         candidates: List[Candidate] = []
@@ -461,11 +435,8 @@ class CandidateKernel:
             arrival_ts = depart_ts + approach.time_s
             if arrival_ts > task.start_deadline_ts + 1e-9:
                 continue
-            if self.wait_for_pickup_deadline:
-                pickup_ts = max(arrival_ts, task.start_deadline_ts)
-            else:
-                pickup_ts = arrival_ts
-            dropoff_ts = pickup_ts + ride_duration
+            pickup_ts = max(arrival_ts, task.start_deadline_ts)
+            dropoff_ts = pickup_ts + task.ride_window_s
             if dropoff_ts > task.end_deadline_ts + 1e-9:
                 continue
             home_leg = self._cost_model.leg(task.destination, driver.destination, ts=now_ts)

@@ -60,21 +60,19 @@ class NearestDispatcher(Dispatcher):
 class MaxMarginDispatcher(Dispatcher):
     """Algorithm 4 — dispatch to the driver with the largest marginal value.
 
-    ``require_positive_margin`` (default ``True``) rejects the task when even
-    the best candidate would lose money on it; this keeps every driver's
-    profit non-negative, matching the individual-rationality constraint (5b)
-    of the offline model.  Set it to ``False`` for the literal Algorithm 4,
-    which always dispatches to the arg-max candidate.
+    Unlike the literal Algorithm 4, which always dispatches to the arg-max
+    candidate, the task is rejected when even the best candidate would lose
+    money on it: this keeps every driver's profit non-negative, matching the
+    individual-rationality constraint (5b) of the offline model.
     """
 
-    require_positive_margin: bool = True
     name: str = field(default="maxMargin", init=False)
 
     def select(self, task: Task, candidates: Sequence[Candidate]) -> Optional[Candidate]:
         if not candidates:
             return None
         best = max(candidates, key=lambda c: c.marginal_value)
-        if self.require_positive_margin and best.marginal_value <= 0.0:
+        if best.marginal_value <= 0.0:
             return None
         return best
 

@@ -14,7 +14,7 @@ forecast (:mod:`repro.online.forecast`) is rolled out over:
 
 * ``horizon - 1`` *fine* windows at the control resolution, each discounted
   by ``LOOKAHEAD_DECAY`` per window, and
-* ``overlap`` *coarse* blocks of ``overlap_factor`` windows each, every
+* ``overlap`` *coarse* blocks of ``OVERLAP_FACTOR`` windows each, every
   block aggregated into one discounted term —
 
 yielding a per-zone *pressure* field (normalised to ``[0, 1]``).  The
@@ -57,9 +57,20 @@ __all__ = ["ForecastHeatmap", "LookaheadPlanner"]
 #: Per-control-window discount of future demand in the pressure field.
 LOOKAHEAD_DECAY = 0.7
 
-#: Zone grid resolution of the forecast field.
+#: Dispatch windows per coarse overlap block.
+OVERLAP_FACTOR = 4
+
+#: Hungarian-matrix bias per unit of pressure difference, in units of the
+#: window's mean price.  0.1 breaks near-ties toward forecast demand without
+#: overturning clearly better present assignments (larger weights started
+#: losing mean wait on the scenario suite).
+LOOKAHEAD_WEIGHT = 0.1
+
+#: Zone grid resolution of the forecast field, and the EWMA forecaster's
+#: smoothing factor.
 FORECAST_ROWS = 6
 FORECAST_COLS = 6
+FORECAST_ALPHA = 0.35
 
 #: Proactive-repositioning knobs.  Horizon windows are typically a minute
 #: long, so drivers become candidates for a forecast-driven move after five
@@ -134,15 +145,11 @@ class LookaheadPlanner:
         *,
         horizon: int,
         overlap: int,
-        overlap_factor: int,
-        lookahead_weight: float,
     ) -> None:
         self.grid = forecaster.grid
         self.forecaster = forecaster
         self.horizon = horizon
         self.overlap = overlap
-        self.overlap_factor = overlap_factor
-        self.lookahead_weight = lookahead_weight
         self._travel_model = travel_model
         self._heatmap = ForecastHeatmap(self.grid)
         self._policy = HotspotRepositioning(
@@ -177,14 +184,12 @@ class LookaheadPlanner:
                 grid, instance.tasks, config.window_s
             )
         else:
-            forecaster = EwmaDemandForecaster(grid, alpha=config.forecast_alpha)
+            forecaster = EwmaDemandForecaster(grid, alpha=FORECAST_ALPHA)
         return cls(
             forecaster,
             instance.cost_model.travel_model,
             horizon=config.horizon,
             overlap=config.overlap,
-            overlap_factor=config.overlap_factor,
-            lookahead_weight=config.lookahead_weight,
         )
 
     # ------------------------------------------------------------------
@@ -199,7 +204,7 @@ class LookaheadPlanner:
         """Roll the forecast out over the control + overlap horizon.
 
         Fine windows (control resolution) are discounted per window; each
-        coarse overlap block aggregates ``overlap_factor`` windows into one
+        coarse overlap block aggregates ``OVERLAP_FACTOR`` windows into one
         term discounted at the block boundary — the multi-resolution scheme
         of the MPC exemplar, in expectation.
         """
@@ -210,9 +215,9 @@ class LookaheadPlanner:
             pressure += (LOOKAHEAD_DECAY ** offset) * counts
             heat += counts
         for block in range(self.overlap):
-            start = self.horizon + block * self.overlap_factor
+            start = self.horizon + block * OVERLAP_FACTOR
             block_counts = np.zeros(self.grid.zone_count, dtype=float)
-            for i in range(self.overlap_factor):
+            for i in range(OVERLAP_FACTOR):
                 block_counts += self.forecaster.predict(slot + start + i)
             pressure += (LOOKAHEAD_DECAY ** start) * block_counts
             heat += block_counts
@@ -232,13 +237,13 @@ class LookaheadPlanner:
 
         Positive when the task drops the driver in a higher-pressure zone
         than she currently occupies.  Scaled by the window's mean price so
-        the bias is bounded by ``lookahead_weight`` times a typical fare —
+        the bias is bounded by ``LOOKAHEAD_WEIGHT`` times a typical fare —
         enough to break near-ties toward future demand, never enough to
         overturn a clearly better present assignment.  Applied to the
         Hungarian matrix only; committed profits never see it.
         """
         delta = self.pressure_at(task.destination) - self.pressure_at(state.location)
-        return self.lookahead_weight * price_scale * delta
+        return LOOKAHEAD_WEIGHT * price_scale * delta
 
     def reposition(
         self,

@@ -24,7 +24,6 @@ Implements the shared skeleton of Algorithms 3 and 4:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..market.instance import MarketInstance
@@ -47,39 +46,26 @@ class TaskOrdering(enum.Enum):
     VALUE = "value"
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationConfig:
-    """Knobs of the online simulator."""
-
-    ordering: TaskOrdering = TaskOrdering.ARRIVAL
-    #: When ``True`` (default) a driver who reaches the pickup early waits for
-    #: the task's recorded start time — in trace replay the rider is simply
-    #: not there yet.  When ``False`` the ride starts the moment the driver
-    #: arrives (the paper's "task m may start earlier than t̄⁻_m" reading),
-    #: which lets dense markets serve noticeably more tasks than the
-    #: deadline-based offline model admits.
-    wait_for_pickup_deadline: bool = True
-    #: When ``True`` (default) the ride occupies the driver for the task's
-    #: recorded duration (its pickup-to-drop-off window), which is the
-    #: trace-replay semantics and keeps every online schedule realisable in
-    #: the offline model.  When ``False`` the shorter distance/speed estimate
-    #: is used and drivers may free up before the drop-off deadline.
-    use_recorded_duration: bool = True
-
-
 class OnlineSimulator:
-    """Runs one dispatcher over one market instance."""
+    """Runs one dispatcher over one market instance.
+
+    The timing is trace replay: a driver who reaches the pickup early waits
+    for the task's recorded start (the rider is not there yet), and the ride
+    occupies her for its recorded pickup-to-drop-off window, which keeps
+    every online schedule realisable in the offline model.
+    """
 
     def __init__(
         self,
         instance: MarketInstance,
         dispatcher: Dispatcher,
-        config: SimulationConfig | None = None,
+        *,
+        ordering: TaskOrdering = TaskOrdering.ARRIVAL,
         repositioning: RepositioningPolicy | None = None,
     ) -> None:
         self.instance = instance
         self.dispatcher = dispatcher
-        self.config = config or SimulationConfig()
+        self.ordering = ordering
         self.repositioning = repositioning
         self._cost_model = instance.cost_model
 
@@ -91,12 +77,7 @@ class OnlineSimulator:
         states = {
             driver.driver_id: DriverState.fresh(driver) for driver in self.instance.drivers
         }
-        kernel = CandidateKernel(
-            self.instance,
-            states.values(),
-            wait_for_pickup_deadline=self.config.wait_for_pickup_deadline,
-            use_recorded_duration=self.config.use_recorded_duration,
-        )
+        kernel = CandidateKernel(self.instance, states.values())
         rejected: List[int] = []
 
         for task_index, task in self._task_stream():
@@ -137,7 +118,7 @@ class OnlineSimulator:
         (price above the customer's WTP) is never dispatched: serving it
         would violate her individual rationality."""
         indexed = [(i, t) for i, t in enumerate(self.instance.tasks) if t.is_publishable]
-        if self.config.ordering is TaskOrdering.ARRIVAL:
+        if self.ordering is TaskOrdering.ARRIVAL:
             indexed.sort(key=lambda pair: (pair[1].publish_ts, pair[0]))
         else:
             indexed.sort(key=lambda pair: (-pair[1].price, pair[1].publish_ts, pair[0]))
@@ -150,6 +131,4 @@ def run_online(
     ordering: TaskOrdering = TaskOrdering.ARRIVAL,
 ) -> OnlineOutcome:
     """Convenience wrapper around :class:`OnlineSimulator`."""
-    return OnlineSimulator(
-        instance, dispatcher, SimulationConfig(ordering=ordering)
-    ).run()
+    return OnlineSimulator(instance, dispatcher, ordering=ordering).run()

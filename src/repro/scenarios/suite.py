@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.reporting import format_table
-from ..distributed.coordinator import DistributedCoordinator
+from ..distributed.coordinator import SOLVER_NAMES, DistributedCoordinator
 from ..distributed.partition import ShardLoadReport, SpatialPartitioner
 from ..distributed.pool import PersistentWorkerPool
 from ..online.batch import BatchConfig
@@ -41,8 +41,8 @@ from .compiler import CompiledScenario, compile_scenario
 from .library import get_scenario
 from .spec import ScenarioSpec
 
-#: Offline shard solvers the suite can sweep (mirrors the coordinator's).
-OFFLINE_SOLVERS = ("greedy", "nearest", "maxMargin", "lp", "auto")
+#: Offline shard solvers the suite can sweep: the coordinator's.
+OFFLINE_SOLVERS = SOLVER_NAMES
 
 
 def _json_float(value: float) -> Optional[float]:

@@ -105,3 +105,17 @@ class TestFleetStats:
         assert stats.active_fraction == 0.0
         assert stats.gini_revenue == 0.0
         assert stats.total_service_km == 0.0
+
+    def test_reads_columns_not_the_whole_day_network(self):
+        """A fleet summary reads the drivers and the per-task columns only;
+        its numbers equal those of a twin whose network is already built."""
+        fresh = build_random_instance(task_count=40, driver_count=10, seed=91)
+        built = build_random_instance(task_count=40, driver_count=10, seed=91)
+        built.task_network
+        assignment = run_online(fresh, MaxMarginDispatcher()).assignment()
+        stats = fleet_stats(fresh, assignment)
+        assert "task_network" not in fresh.__dict__
+        assert "task_maps" not in fresh.__dict__
+        assert stats == fleet_stats(built, assignment)
+        with pytest.raises(KeyError):
+            driver_workload(fresh, "ghost", ())

@@ -37,8 +37,6 @@ class TestBatchConfig:
     def test_defaults(self):
         cfg = BatchConfig()
         assert cfg.window_s == 60.0
-        assert cfg.require_positive_margin
-        assert cfg.allow_retries
 
 
 class TestBatchedOnChainInstance:
@@ -91,13 +89,6 @@ class TestBatchedInvariants:
         for record in outcome.records:
             if record.task_indices:
                 assert record.profit > -1e-6
-
-    def test_no_retries_rejects_leftovers(self, random_instance):
-        with_retries = BatchedSimulator(random_instance, BatchConfig(window_s=30.0)).run()
-        without = BatchedSimulator(
-            random_instance, BatchConfig(window_s=30.0, allow_retries=False)
-        ).run()
-        assert without.served_count <= with_retries.served_count
 
     def test_deterministic(self, random_instance):
         a = run_batched(random_instance, window_s=60.0)

@@ -11,6 +11,7 @@ other two arms come from the fixtures in ``tests/online/conftest.py``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from repro.online import (
     NearestDispatcher,
     OnlineSimulator,
     RandomDispatcher,
-    SimulationConfig,
 )
 from repro.online.outcome import OnlineDriverRecord
 from repro.online.state import DriverState
@@ -120,7 +120,7 @@ class TestKernelCandidateEquivalence:
         assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
 
 
-def reference_window_costs(instance, states, metric, scale, wait, now_ts):
+def reference_window_costs(instance, states, metric, scale, now_ts):
     """A deliberately naive per-cell reimplementation of the window assembly
     — scalar arithmetic over the entities themselves, sharing nothing with
     ``candidates_for_window`` but the raw metric formula — returning
@@ -146,7 +146,7 @@ def reference_window_costs(instance, states, metric, scale, wait, now_ts):
             depart = max(state.free_at, driver.start_ts, now_ts)
             approach_km = km(state.location, task.source)
             arrival = depart + approach_km / speed_kmh * 3600.0
-            pickup = max(arrival, sdl) if wait else arrival
+            pickup = max(arrival, sdl)
             dropoff = pickup + task.ride_window_s
             home_km = km(task.destination, driver.destination)
             if not (
@@ -169,7 +169,7 @@ def reference_window_costs(instance, states, metric, scale, wait, now_ts):
 
 class TestWindowOracle:
     """``candidates_for_window``'s matrix assembly against the naive per-cell
-    oracle, for every built-in metric and both pickup-wait modes."""
+    oracle, for every built-in metric."""
 
     ESTIMATORS = {
         "haversine": HaversineEstimator(circuity=1.2),
@@ -188,15 +188,14 @@ class TestWindowOracle:
         return instance, getattr(estimator, "circuity", 1.0)
 
     @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("wait", [False, True])
-    def test_naive_reference(self, metric, wait):
+    def test_naive_reference(self, metric):
         instance, scale = self._market(metric)
         states = [DriverState.fresh(d) for d in instance.drivers]
-        kernel = CandidateKernel(instance, states, wait_for_pickup_deadline=wait)
+        kernel = CandidateKernel(instance, states)
         publishes = sorted(task.publish_ts for task in instance.tasks)
         checked = 0
         for now_ts in (publishes[0], publishes[len(publishes) // 2]):
-            want = reference_window_costs(instance, states, metric, scale, wait, now_ts)
+            want = reference_window_costs(instance, states, metric, scale, now_ts)
             window = kernel.candidates_for_window(range(instance.task_count), now_ts)
             got = {
                 (m, c.driver_id): (
@@ -241,7 +240,7 @@ class TestSimulatorOutcomeRegression:
     )
     def test_per_order_simulator_identical_outcomes(self, instance, make_dispatcher):
         def run():
-            return OnlineSimulator(instance, make_dispatcher(), SimulationConfig()).run()
+            return OnlineSimulator(instance, make_dispatcher()).run()
 
         with scalar_oracle():
             outcomes = [run()]
@@ -273,12 +272,26 @@ class TestSimulatorOutcomeRegression:
 
 class TestOneCandidatePath:
     """The kernel has no switches, no private copy of the task columns, and
-    owns the one commit both simulators make."""
+    owns the one commit both simulators make.  The dispatch semantics have
+    no switches either: every removed option is rejected by every
+    constructor that could once have carried it."""
 
+    SEMANTICS = (
+        "require_positive_margin",
+        "allow_retries",
+        "wait_for_pickup_deadline",
+        "use_recorded_duration",
+        "overlap_factor",
+        "forecast_alpha",
+        "lookahead_weight",
+    )
     REMOVED = {
-        SimulationConfig: ("use_vectorized_kernel", "use_spatial_index", "drop_unpublishable"),
-        BatchConfig: ("use_vectorized_kernel", "use_spatial_index"),
-        CandidateKernel: ("vectorized", "spatial_index", "cell_km", "min_drivers_for_index"),
+        OnlineSimulator: ("use_vectorized_kernel", "use_spatial_index", "drop_unpublishable", "config")
+        + SEMANTICS,
+        BatchConfig: ("use_vectorized_kernel", "use_spatial_index") + SEMANTICS,
+        CandidateKernel: ("vectorized", "spatial_index", "cell_km", "min_drivers_for_index")
+        + SEMANTICS,
+        MaxMarginDispatcher: SEMANTICS,
     }
 
     @pytest.mark.parametrize(
@@ -287,9 +300,24 @@ class TestOneCandidatePath:
         ids=lambda value: getattr(value, "__name__", value),
     )
     def test_removed_options_are_rejected(self, instance, constructor, name):
-        args = (instance, []) if constructor is CandidateKernel else ()
+        args = {
+            OnlineSimulator: (instance, MaxMarginDispatcher()),
+            CandidateKernel: (instance, []),
+        }.get(constructor, ())
         with pytest.raises(TypeError, match=name):
             constructor(*args, **{name: True})
+
+    def test_only_the_set_options_survive(self):
+        import repro.online
+
+        assert not hasattr(repro.online, "SimulationConfig")
+        assert "SimulationConfig" not in repro.online.__all__
+        assert {f.name for f in dataclasses.fields(BatchConfig)} == {
+            "window_s",
+            "horizon",
+            "overlap",
+            "forecast",
+        }
 
     def test_kernel_built_before_stream_growth_matches_one_built_after(self, instance):
         # 90 tasks in appends of 7 cross the stream's column-buffer doublings

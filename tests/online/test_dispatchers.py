@@ -73,11 +73,6 @@ class TestMaxMarginDispatcher:
         candidates = [make_candidate("a", 100.0, -1.0), make_candidate("b", 200.0, -0.2)]
         assert dispatcher.select(TASK, candidates) is None
 
-    def test_literal_mode_accepts_negative_margins(self):
-        dispatcher = MaxMarginDispatcher(require_positive_margin=False)
-        candidates = [make_candidate("a", 100.0, -1.0), make_candidate("b", 200.0, -0.2)]
-        assert dispatcher.select(TASK, candidates).driver_id == "b"
-
     def test_empty_candidate_set_rejects(self):
         assert MaxMarginDispatcher().select(TASK, []) is None
 

@@ -10,7 +10,6 @@ from repro.online import (
     MaxMarginDispatcher,
     NearestDispatcher,
     OnlineSimulator,
-    SimulationConfig,
     TaskOrdering,
     run_online,
 )
@@ -110,19 +109,6 @@ class TestOrderingAndConfig:
         instance = chain.with_tasks([overpriced, chain.tasks[1]])
         outcome = run_online(instance, MaxMarginDispatcher())
         assert 0 not in outcome.served_tasks()
-
-    def test_early_pickup_mode_can_only_help(self, random_instance):
-        waiting = OnlineSimulator(
-            random_instance,
-            MaxMarginDispatcher(),
-            SimulationConfig(wait_for_pickup_deadline=True),
-        ).run()
-        eager = OnlineSimulator(
-            random_instance,
-            MaxMarginDispatcher(),
-            SimulationConfig(wait_for_pickup_deadline=False, use_recorded_duration=False),
-        ).run()
-        assert eager.served_count >= waiting.served_count
 
 
 class TestOutcomeInvariants:

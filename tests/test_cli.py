@@ -8,6 +8,17 @@ from repro.cli import build_parser, main
 from repro.io import load_instance
 from repro.trace import load_porto_trips
 
+#: The metrics the replayed and the streamed solve summaries share.
+SHARED_METRICS = ("total_value", "total_revenue", "served_count", "serve_rate")
+
+
+def shared_metrics(text):
+    return {
+        line.split(":")[0]: line
+        for line in text.splitlines()
+        if line.split(":")[0] in SHARED_METRICS
+    }
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -97,17 +108,19 @@ class TestBuildAndSolve:
         )
         stream_out = capsys.readouterr().out
         assert "streamed, serial executor" in stream_out
-        # The summaries share these metrics; the numbers must be identical.
-        shared = ("total_value", "total_revenue", "served_count", "serve_rate")
+        assert shared_metrics(replay_out) == shared_metrics(stream_out)
 
-        def metrics(text):
-            return {
-                line.split(":")[0]: line
-                for line in text.splitlines()
-                if line.split(":")[0] in shared
-            }
-
-        assert metrics(replay_out) == metrics(stream_out)
+    def test_solve_horizon_streamed_matches_replay(self, market_path, capsys):
+        """Rolling-horizon dispatch: --stream on a 1x1 grid is the replay."""
+        solve = ["solve", "--market", str(market_path), "--algorithm", "batched"]
+        horizon = ["--horizon", "3", "--overlap", "1"]
+        assert main(solve + horizon) == 0
+        replay_out = capsys.readouterr().out
+        assert main(solve + horizon + ["--stream"]) == 0
+        stream_out = capsys.readouterr().out
+        assert "horizon=3 dispatch" in stream_out
+        assert len(shared_metrics(replay_out)) == len(SHARED_METRICS)
+        assert shared_metrics(replay_out) == shared_metrics(stream_out)
 
     def test_solve_streamed_sharded_process(self, market_path, capsys):
         assert (
@@ -139,6 +152,8 @@ class TestBuildAndSolve:
             main(["solve", "--market", str(market_path), "--executor", "process"])
         with pytest.raises(SystemExit):
             main(["solve", "--market", str(market_path), "--grid", "2x2"])
+        with pytest.raises(SystemExit, match="--transport"):
+            main(["solve", "--market", str(market_path), "--transport", "shm"])
         with pytest.raises(SystemExit):
             main(
                 [
