@@ -147,8 +147,8 @@ from .pool import (
 )
 from .transport import (
     TRANSPORTS,
-    PayloadDescriptor,
-    payload_from_descriptor,
+    DeltaDescriptor,
+    delta_from_descriptor,
     transport_error,
 )
 
@@ -263,7 +263,7 @@ def _empty_shard_result(shard_id: int, request: ShardWorkRequest) -> ShardWorkRe
 
 
 def solve_shard(
-    shipment: Union[MarketShard, ShardPayload, PayloadDescriptor],
+    shipment: Union[MarketShard, ShardPayload, DeltaDescriptor],
     request: ShardWorkRequest,
 ) -> ShardWorkResult:
     """The worker entry: run the requested solver on one shard, however it
@@ -271,9 +271,10 @@ def solve_shard(
 
     A :class:`MarketShard` (the serial slot shares the coordinator's
     interpreter) is solved on its own sub-instance; a :class:`ShardPayload`
-    (pickle transport) is rebuilt first; a :class:`PayloadDescriptor` (shm
+    (pickle transport) is rebuilt first; a :class:`DeltaDescriptor` (shm
     transport) names the shared-memory segment the payload's columns are
-    read from.  ``instance_from_payload`` materialises plain driver/task
+    read from, and is opened exactly as the stream-append entry opens its
+    batches.  ``instance_from_payload`` materialises plain driver/task
     objects before any solving happens, so no view over a segment outlives
     this call and the coordinator is free to recycle it once the future
     resolves.  All three produce the same result for the same shard.
@@ -290,9 +291,9 @@ def solve_shard(
         shard_id = shipment.shard_id
     recorder, previous = _worker_recorder(request, shard_id)
     try:
-        if isinstance(shipment, PayloadDescriptor):
+        if isinstance(shipment, DeltaDescriptor):
             # The attach span records on the worker recorder installed above.
-            shipment = payload_from_descriptor(shipment)
+            shipment = delta_from_descriptor(shipment)
         start = time.perf_counter()
         if isinstance(shipment, MarketShard):
             instance = shipment.instance
@@ -398,7 +399,8 @@ class PendingAppend:
     """One in-flight worker-side append, returned by
     :meth:`DistributedStreamSession.append_batch`.
 
-    The ``future`` is a future-alike (``done()`` / ``result()``); awaiting it
+    The ``future`` is a :class:`concurrent.futures.Future` (already resolved
+    under the serial policy) or the pool's slot wrapper of one; awaiting it
     — directly, or via :meth:`DistributedStreamSession.wait_pending` from an
     event loop — observes the moment the shard's worker has consumed the
     delta and dispatched every window the watermark closed.  This is the
@@ -410,8 +412,7 @@ class PendingAppend:
     future: object
 
     def done(self) -> bool:
-        done = getattr(self.future, "done", None)
-        return True if done is None else bool(done())
+        return self.future.done()
 
 
 @dataclass(frozen=True)
@@ -513,6 +514,14 @@ class DistributedStreamSession:
             raise self._shard_broken(shard_id, exc) from exc
         return PendingAppend(shard_id=shard_id, future=future)
 
+    def _collect(self, pending: PendingAppend):
+        """The result of one worker call, with a worker death re-raised as
+        the loss of ``pending``'s shard."""
+        try:
+            return pending.future.result()
+        except WorkerPoolBrokenError as exc:
+            raise self._shard_broken(pending.shard_id, exc) from exc
+
     def _shard_broken(
         self, shard_id: int, exc: WorkerPoolBrokenError
     ) -> WorkerPoolBrokenError:
@@ -592,20 +601,15 @@ class DistributedStreamSession:
         inflight, self._inflight = self._inflight, []
         try:
             for pending in inflight:
-                future = pending.future
-                # Slot futures expose the executor's own future; the serial
-                # policy's immediate futures are already done.
-                raw = getattr(future, "raw", None)
-                if raw is not None and not raw.done():
+                if not pending.done():
+                    # Slot futures expose the executor's own future; the
+                    # serial policy's futures are already done.
                     try:
-                        await asyncio.wrap_future(raw)
+                        await asyncio.wrap_future(pending.future.raw)
                     except Exception:
                         pass  # re-read below so worker death is translated
                 # Collect through the wrapper so worker death is translated.
-                try:
-                    future.result()
-                except WorkerPoolBrokenError as exc:
-                    raise self._shard_broken(pending.shard_id, exc) from exc
+                self._collect(pending)
         except BaseException:
             self.close()
             raise
@@ -618,10 +622,7 @@ class DistributedStreamSession:
         try:
             for entry in self._inflight:
                 if entry.done():
-                    try:
-                        entry.future.result()
-                    except WorkerPoolBrokenError as exc:
-                        raise self._shard_broken(entry.shard_id, exc) from exc
+                    self._collect(entry)
                 else:
                     pending.append(entry)
         except BaseException:
@@ -826,26 +827,20 @@ class DistributedStreamSession:
             raise RuntimeError("stream already finished")
         try:
             for pending in self._inflight:
-                try:
-                    pending.future.result()
-                except WorkerPoolBrokenError as exc:
-                    raise self._shard_broken(pending.shard_id, exc) from exc
+                self._collect(pending)
             self._inflight = []
 
             results: Dict[int, Optional[ShardStreamResult]] = {}
-            futures = []
+            finishing = []
             for shard in self._shards:
                 if shard.drivers:
-                    futures.append(
-                        (shard, self._submit(shard.shard_id, shard.slot, _pool_finish, self._token, shard.shard_id))
+                    finishing.append(
+                        self._submit(shard.shard_id, shard.slot, _pool_finish, self._token, shard.shard_id)
                     )
                 else:
                     results[shard.shard_id] = None
-            for shard, pending in futures:
-                try:
-                    results[shard.shard_id] = pending.future.result()
-                except WorkerPoolBrokenError as exc:
-                    raise self._shard_broken(shard.shard_id, exc) from exc
+            for pending in finishing:
+                results[pending.shard_id] = self._collect(pending)
         except BaseException:
             # Leave no orphaned sessions behind in the (persistent) workers.
             self.close()

@@ -30,9 +30,15 @@ Only primal inputs ever cross the process boundary: drivers + cost model at
 open (plain frozen dataclasses with no derived caches) and
 :class:`~repro.distributed.payload.ShardPayloadDelta` arrays per batch (the
 new task columns only).  Stream deltas and offline
-:class:`~repro.distributed.payload.ShardPayload`s alike go onto a slot
-through :meth:`PersistentWorkerPool.submit_shipment`, the one place that
-picks the wire format, falls back to pickle and accounts the bytes.
+:class:`~repro.distributed.payload.ShardPayload`s (a delta plus its drivers)
+are one record kind on the wire: both go onto a slot through
+:meth:`PersistentWorkerPool.submit_shipment`, the one place that picks the
+wire format, falls back to pickle and accounts the bytes, and a worker opens
+either with the same single ``isinstance(shipment, DeltaDescriptor)`` check.
+
+Every submit returns a :class:`concurrent.futures.Future`-alike: an already
+resolved ``Future`` under the serial policy, a :class:`_SlotFuture` (which
+translates worker death) on a process slot.
 
 The pool is also the offline execution substrate: the coordinator's
 ``solve()`` dispatches one-shot shard solves (top-level ``solve_shard``
@@ -49,7 +55,7 @@ import logging
 import multiprocessing
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..market.cost import MarketCostModel
@@ -69,7 +75,6 @@ from .transport import (
     TransportStats,
     delta_from_descriptor,
     delta_wire_bytes,
-    payload_wire_bytes,
     transport_error,
 )
 
@@ -237,9 +242,10 @@ def _pool_open(
 def _pool_append(shipment: Union[ShardPayloadDelta, DeltaDescriptor], token: int) -> int:
     """The stream-append worker entry: feed one arrival batch to its shard's
     session, whether it arrived whole or (shm transport) as a descriptor of
-    the segment its columns are read from.  Tasks are materialised inside
-    this call (``tasks_from_delta`` builds plain objects), so no view
-    outlives the segment's recycle window."""
+    the segment its columns are read from — the same open as
+    ``solve_shard``.  Tasks are materialised inside this call
+    (``tasks_from_delta`` builds plain objects), so no view outlives the
+    segment's recycle window."""
     session = _SESSIONS[(token, shipment.shard_id)]
     # Open the shipment under the session recorder so the attach span
     # (recorded inside ``delta_from_descriptor``) lands on this shard's trace.
@@ -305,27 +311,6 @@ def lpt_slot_assignment(loads: Sequence[float], slot_count: int) -> List[int]:
 # ----------------------------------------------------------------------
 # the pool
 # ----------------------------------------------------------------------
-class _ImmediateFuture:
-    """Future-alike wrapping an already-computed result (serial policy)."""
-
-    __slots__ = ("_result", "_exception")
-
-    def __init__(self, result=None, exception: Optional[BaseException] = None) -> None:
-        self._result = result
-        self._exception = exception
-
-    def done(self) -> bool:
-        return True
-
-    def exception(self) -> Optional[BaseException]:
-        return self._exception
-
-    def result(self):
-        if self._exception is not None:
-            raise self._exception
-        return self._result
-
-
 class _SlotFuture:
     """A slot executor's future, with worker death translated on the way out.
 
@@ -460,6 +445,7 @@ class PersistentWorkerPool:
         """The pool's segment manager (created lazily; shm transport only)."""
         if not self.shm_active:
             raise RuntimeError("shipper is only available on shm-transport process pools")
+        self._check_open()
         if self._shipper is None:
             self._shipper = ShmShipper(stats=self.stats)
         return self._shipper
@@ -525,6 +511,13 @@ class PersistentWorkerPool:
             self.close(cancel_pending=True)
         return self._broken
 
+    def _check_open(self) -> None:
+        """Raise the worker death that broke the pool, or refuse a closed one."""
+        if self._broken is not None:
+            raise self._broken
+        if self._closed:
+            raise RuntimeError("pool is closed")
+
     def submit(self, slot: int, fn, /, *args):
         """Run ``fn(*args)`` on a slot (inline under the serial policy).
 
@@ -533,16 +526,15 @@ class PersistentWorkerPool:
         :class:`WorkerPoolBrokenError` naming the slot (and closes the pool)
         instead of the executor's bare :class:`BrokenExecutor`.
         """
-        if self._broken is not None:
-            raise self._broken
-        if self._closed:
-            raise RuntimeError("pool is closed")
+        self._check_open()
         slot %= self.worker_count
         if self.executor == "serial":
+            future: Future = Future()
             try:
-                return _ImmediateFuture(result=fn(*args))
+                future.set_result(fn(*args))
             except BaseException as exc:  # surfaced via .result(), like a Future
-                return _ImmediateFuture(exception=exc)
+                future.set_exception(exc)
+            return future
         try:
             future = self._slot_executor(slot).submit(fn, *args)
         except BrokenExecutor as exc:
@@ -551,27 +543,28 @@ class PersistentWorkerPool:
 
     def submit_shipment(self, slot: int, fn, shipment, /, *args):
         """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (a
-        stream's :class:`ShardPayloadDelta` or an offline solve's
-        ``ShardPayload``) over the pool's transport.
+        shard record: a stream's :class:`ShardPayloadDelta` or an offline
+        solve's ``ShardPayload``) over the pool's transport.
 
-        An inline slot is handed the object as it is; a process slot gets it
-        pickled.  On shm transport the columns are copied into a segment and
-        only the descriptor is pickled — ``fn`` must open either form — and
+        A closed or broken pool refuses before anything is shipped or
+        counted.  An inline slot is handed the object as it is; a process
+        slot gets it pickled.  On shm transport the columns are copied into a
+        segment and only the descriptor is pickled — ``fn`` must open either
+        form — and
         the segment is recycled when the returned future completes (same
         slot, submission order — see the transport module's correctness
         model).  Any shipping failure falls back to the pickle path for that
         shipment and is counted in ``stats.pickle_fallbacks``, so a degraded
         environment degrades throughput, never correctness.
         """
+        self._check_open()
         if self.executor != "process":
             return self.submit(slot, fn, shipment, *args)
-        is_delta = isinstance(shipment, ShardPayloadDelta)
         fallback = False
         if self.shm_active:
             try:
                 shipper = self.shipper
-                ship = shipper.ship_delta if is_delta else shipper.ship_payload
-                desc = ship(shipment)
+                desc = shipper.ship_delta(shipment)
             except (OSError, RuntimeError, ValueError) as exc:
                 logger.warning(
                     "shm shipment failed for shard %d, falling back to pickle: %s",
@@ -582,9 +575,8 @@ class PersistentWorkerPool:
                 future = self.submit(slot, fn, desc, *args)
                 future.add_done_callback(lambda _f: shipper.release(desc.segment))
                 return future
-        wire_bytes = delta_wire_bytes if is_delta else payload_wire_bytes
         self.stats.record_pickle(
-            shipment.shard_id, wire_bytes(shipment), fallback=fallback
+            shipment.shard_id, delta_wire_bytes(shipment), fallback=fallback
         )
         return self.submit(slot, fn, shipment, *args)
 

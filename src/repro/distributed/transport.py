@@ -2,25 +2,32 @@
 
 The process-pool wire format (:mod:`repro.distributed.payload`) already
 reduced what crosses the executor pipe to primal-input NumPy arrays — but it
-still *pickles* those arrays, so every ``ShardPayload`` / ``ShardPayloadDelta``
-is copied into the pipe byte for byte, then copied back out in the worker.
+still *pickles* those arrays, so every shard record (a stream's
+``ShardPayloadDelta`` or an offline solve's ``ShardPayload``, which is a delta
+plus its drivers) is copied into the pipe byte for byte, then copied back out
+in the worker.
 At city scale that serialisation is most of the dispatch cost: the benchmarks
 consistently showed ``critical_path_speedup`` of 3-4x against
 ``speedup_vs_serial`` below 1.
 
 This module moves the array bytes out of the pipe entirely:
 
-* the coordinator-side :class:`ShmShipper` copies a payload's columns into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment (one segment
-  per in-flight shipment, recycled through a free list, so a steady-state
-  stream reuses a handful of segments instead of allocating per batch);
-* only a :class:`PayloadDescriptor` / :class:`DeltaDescriptor` crosses the
-  pipe — segment name plus ``(offset, shape, dtype)`` per column, a few
-  hundred bytes regardless of shard size;
+* the coordinator-side :meth:`ShmShipper.ship_delta` copies a record's
+  columns into a :class:`multiprocessing.shared_memory.SharedMemory` segment
+  (one segment per in-flight shipment, recycled through a free list, so a
+  steady-state stream reuses a handful of segments instead of allocating per
+  batch).  Packing is generic over the record's declared columns: its
+  ``ARRAY_FIELDS``, then one UTF-8 blob and one length column per entry of
+  its ``ID_FIELDS``;
+* only a :class:`DeltaDescriptor` crosses the pipe — segment name plus
+  ``(offset, shape, dtype)`` per column, the record's class and its
+  non-column fields (a payload's cost model), a few hundred bytes regardless
+  of shard size;
 * the worker attaches the segment (cached per name, so attach cost is paid
-  once per segment, not per batch) and rebuilds the payload with NumPy views
+  once per segment, not per batch) and :func:`delta_from_descriptor` rebuilds
+  the record with NumPy views
   straight over the shared buffer — zero copies on the receive side, because
-  the payload contiguity invariant (``_coerce_arrays``) makes
+  the records' contiguity invariant (``ShardPayloadDelta.__post_init__``) makes
   ``np.ascontiguousarray`` a no-op on the views.
 
 Correctness model
@@ -33,8 +40,7 @@ segment *after* the coordinator's writes and *before* any reuse overwrites
 them.  Workers never keep views past the call: every entry point
 materialises plain :class:`~repro.market.task.Task` / driver objects
 immediately (the same rebuild the pickle path performs), so a recycled
-segment can never mutate state a worker still holds.  String ids travel
-inside the segment too, as a UTF-8 blob plus an ``int64`` length column.
+segment can never mutate state a worker still holds.
 
 Segment names are unique per process (``repro-shm-<pid>-<shipper>-<seq>``,
 with a process-global shipper counter so consecutive pools never mint the
@@ -56,9 +62,9 @@ import logging
 import mmap
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -71,7 +77,7 @@ try:  # the POSIX shm syscalls shared_memory itself is built on
 except ImportError:  # non-POSIX: SharedMemory doesn't resource-track there
     _posixshmem = None
 
-from .payload import ShardPayload, ShardPayloadDelta
+from .payload import ShardPayloadDelta
 
 #: Transport policies accepted by the pool and the coordinator.
 TRANSPORTS = ("pickle", "shm")
@@ -99,30 +105,21 @@ def transport_error(name: str) -> ValueError:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DeltaDescriptor:
-    """Where one :class:`ShardPayloadDelta` lives in shared memory.
+    """Where one shard record (:class:`ShardPayloadDelta` or its
+    :class:`~repro.distributed.payload.ShardPayload` subclass) lives in
+    shared memory.
 
-    ``specs`` covers, in order, the delta's ``ARRAY_FIELDS`` followed by the
-    task-id blob (``uint8``) and task-id lengths (``int64``).
+    ``specs`` covers, in order, the record's ``ARRAY_FIELDS`` followed by a
+    UTF-8 blob (``uint8``) and a length column (``int64``) per entry of its
+    ``ID_FIELDS``.  ``extras`` holds the record's non-column fields by name
+    (a payload's cost model), pickled along with the descriptor.
     """
 
     shard_id: int
     segment: str
     specs: Tuple[ArraySpec, ...]
-
-
-@dataclass(frozen=True)
-class PayloadDescriptor:
-    """Where one :class:`ShardPayload` lives in shared memory.
-
-    ``specs`` covers, in order, the payload's ``ARRAY_FIELDS`` followed by
-    driver-id blob, driver-id lengths, task-id blob, task-id lengths.  The
-    cost model rides along pickled — it is a tiny frozen config object.
-    """
-
-    shard_id: int
-    segment: str
-    specs: Tuple[ArraySpec, ...]
-    cost_model: object
+    record_type: Type[ShardPayloadDelta]
+    extras: Tuple[Tuple[str, object], ...]
 
 
 # ----------------------------------------------------------------------
@@ -171,20 +168,30 @@ def _read_arrays(buf: memoryview, specs: Sequence[ArraySpec]) -> List[np.ndarray
     ]
 
 
-def payload_wire_bytes(payload: ShardPayload) -> int:
-    """Bytes a pickled shipment of ``payload`` puts on the pipe, at minimum
-    (array bytes + id bytes; pickle framing adds a little more).  Used for
-    the pickle transport's side of the bytes-over-pipe accounting."""
-    n = sum(getattr(payload, f).nbytes for f in ShardPayload.ARRAY_FIELDS)
-    n += sum(len(s) for s in payload.driver_ids) + sum(len(s) for s in payload.task_ids)
-    return n
+def delta_wire_bytes(record: ShardPayloadDelta) -> int:
+    """Bytes a pickled shipment of ``record`` puts on the pipe, at minimum
+    (array bytes + UTF-8 id bytes; pickle framing adds a little more).  Used
+    for the pickle transport's side of the bytes-over-pipe accounting."""
+    n = sum(getattr(record, f).nbytes for f in record.ARRAY_FIELDS)
+    return n + sum(
+        len(s.encode("utf-8")) for f in record.ID_FIELDS for s in getattr(record, f)
+    )
 
 
-def delta_wire_bytes(delta: ShardPayloadDelta) -> int:
-    """Pickled wire size of a delta, same convention as
-    :func:`payload_wire_bytes`."""
-    n = sum(getattr(delta, f).nbytes for f in ShardPayloadDelta.ARRAY_FIELDS)
-    return n + sum(len(s) for s in delta.task_ids)
+def _columns(record: ShardPayloadDelta) -> List[np.ndarray]:
+    """The record's array fields, then a blob + lengths pair per id field."""
+    arrays = [getattr(record, f) for f in record.ARRAY_FIELDS]
+    for name in record.ID_FIELDS:
+        arrays.extend(_encode_ids(getattr(record, name)))
+    return arrays
+
+
+def _extras(record: ShardPayloadDelta) -> Tuple[Tuple[str, object], ...]:
+    """The record's fields that are neither its shard id nor a column."""
+    columns = {"shard_id", *record.ARRAY_FIELDS, *record.ID_FIELDS}
+    return tuple(
+        (f.name, getattr(record, f.name)) for f in fields(record) if f.name not in columns
+    )
 
 
 # ----------------------------------------------------------------------
@@ -335,30 +342,20 @@ class ShmShipper:
         _write_arrays(seg.buf, specs, arrays)
         return seg.name, specs, nbytes
 
-    def ship_delta(self, delta: ShardPayloadDelta) -> DeltaDescriptor:
-        with obs_trace.span("transport:ship_delta", shard=delta.shard_id):
-            blob, lens = _encode_ids(delta.task_ids)
-            arrays = [getattr(delta, f) for f in ShardPayloadDelta.ARRAY_FIELDS] + [blob, lens]
-            name, specs, nbytes = self._ship(arrays)
-            desc = DeltaDescriptor(shard_id=delta.shard_id, segment=name, specs=specs)
-            self.stats.record_shm(delta.shard_id, nbytes, len(pickle.dumps(desc)))
-            return desc
-
-    def ship_payload(self, payload: ShardPayload) -> PayloadDescriptor:
-        with obs_trace.span("transport:ship_payload", shard=payload.shard_id):
-            d_blob, d_lens = _encode_ids(payload.driver_ids)
-            t_blob, t_lens = _encode_ids(payload.task_ids)
-            arrays = [getattr(payload, f) for f in ShardPayload.ARRAY_FIELDS] + [
-                d_blob, d_lens, t_blob, t_lens,
-            ]
-            name, specs, nbytes = self._ship(arrays)
-            desc = PayloadDescriptor(
-                shard_id=payload.shard_id,
+    def ship_delta(self, record: ShardPayloadDelta) -> DeltaDescriptor:
+        """Copy a shard record's columns into a segment; returns the
+        descriptor to send in its place (any record kind — a stream delta or
+        an offline payload)."""
+        with obs_trace.span("transport:ship_delta", shard=record.shard_id):
+            name, specs, nbytes = self._ship(_columns(record))
+            desc = DeltaDescriptor(
+                shard_id=record.shard_id,
                 segment=name,
                 specs=specs,
-                cost_model=payload.cost_model,
+                record_type=type(record),
+                extras=_extras(record),
             )
-            self.stats.record_shm(payload.shard_id, nbytes, len(pickle.dumps(desc)))
+            self.stats.record_shm(record.shard_id, nbytes, len(pickle.dumps(desc)))
             return desc
 
     def close(self) -> None:
@@ -450,34 +447,22 @@ def _attach(name: str):
 
 
 def delta_from_descriptor(desc: DeltaDescriptor) -> ShardPayloadDelta:
-    """Rebuild a delta from shared memory — array views, zero copies.
+    """Rebuild a shard record from shared memory — array views, zero copies.
 
     The views are only valid until the shipping future completes; callers
-    must materialise tasks before returning (both worker entry points do)."""
+    must materialise tasks (and drivers) before returning (both worker entry
+    points do)."""
     with obs_trace.span("transport:attach", shard=desc.shard_id):
-        buf = _attach(desc.segment).buf
-        arrays = _read_arrays(buf, desc.specs)
-        *columns, blob, lens = arrays
-        return ShardPayloadDelta(
-            desc.shard_id,
-            _decode_ids(blob, lens),
-            *columns,
-        )
-
-
-def payload_from_descriptor(desc: PayloadDescriptor) -> ShardPayload:
-    """Rebuild a full payload from shared memory — array views, zero copies."""
-    with obs_trace.span("transport:attach", shard=desc.shard_id):
-        buf = _attach(desc.segment).buf
-        arrays = _read_arrays(buf, desc.specs)
-        *columns, d_blob, d_lens, t_blob, t_lens = arrays
-        driver_cols = columns[:2]
-        task_cols = columns[2:]
-        return ShardPayload(
-            desc.shard_id,
-            _decode_ids(d_blob, d_lens),
-            *driver_cols,
-            _decode_ids(t_blob, t_lens),
-            *task_cols,
-            desc.cost_model,
+        kind = desc.record_type
+        arrays = _read_arrays(_attach(desc.segment).buf, desc.specs)
+        n = len(kind.ARRAY_FIELDS)
+        ids = arrays[n:]
+        return kind(
+            shard_id=desc.shard_id,
+            **dict(zip(kind.ARRAY_FIELDS, arrays)),
+            **{
+                name: _decode_ids(blob, lens)
+                for name, blob, lens in zip(kind.ID_FIELDS, ids[::2], ids[1::2])
+            },
+            **dict(desc.extras),
         )

@@ -391,13 +391,8 @@ class DispatchService:
             receipts, runtime.metrics, ship_s, remaining=len(shipped)
         )
         for pending in shipped:
-            raw = getattr(pending.future, "raw", None)
-            if raw is not None and not raw.done():
-                raw.add_done_callback(
-                    lambda _f, p=pending: tracker.resolve(p)
-                )
-            else:
-                tracker.resolve(pending)
+            # A done future (every serial append) fires the callback at once.
+            pending.future.add_done_callback(lambda _f, p=pending: tracker.resolve(p))
         depths = runtime.session.pending_counts()
         if depths and max(depths.values()) >= self.backpressure_depth:
             runtime.metrics.backpressure_events.inc()

@@ -184,7 +184,7 @@ class TestWorkerEntry:
         try:
             shipped = [
                 solve_shard(payload, request),
-                solve_shard(shipper.ship_payload(payload), request),
+                solve_shard(shipper.ship_delta(payload), request),
             ]
         finally:
             shipper.close()

@@ -26,12 +26,14 @@ from repro.distributed import (
     PersistentWorkerPool,
     SpatialPartitioner,
     WorkerPoolBrokenError,
+    delta_from_tasks,
 )
-from repro.distributed.pool import _SESSIONS, _pool_session_count
+from repro.distributed.pool import _SESSIONS, _pool_append, _pool_session_count
 from repro.geo import PORTO
 from repro.online.batch import BatchConfig, window_batches
 
 from ..conftest import build_random_instance
+from .test_transport import shm_entries
 
 WINDOW_S = 600.0
 
@@ -197,7 +199,6 @@ class TestBrokenWorkers:
         import multiprocessing
 
         from .test_stream import stream_fingerprint
-        from .test_transport import shm_entries
 
         stale = set(shm_entries("repro-shm-"))
         with DistributedCoordinator(
@@ -230,6 +231,38 @@ class TestBrokenWorkers:
                 future.result()
             assert not pool.broken
             assert pool.submit(0, os.getpid).result() == os.getpid()
+
+
+class TestShippingOntoADeadPool:
+    """A closed or broken pool refuses a shipment before shipping or counting
+    anything: no segment is created (and leaked), no phantom pickle bytes,
+    no spurious fallback."""
+
+    @staticmethod
+    def _dead_pool(transport, state):
+        pool = PersistentWorkerPool(executor="process", worker_count=1, transport=transport)
+        if state == "broken":
+            with pytest.raises(WorkerPoolBrokenError):
+                pool.submit(0, os._exit, 1).result()
+        else:
+            pool.close()
+        return pool
+
+    @pytest.mark.parametrize("state", ["closed", "broken"])
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_refused_before_shipping(self, instance, transport, state):
+        delta = delta_from_tasks(0, instance.tasks[:5])
+        stale = set(shm_entries("repro-shm-"))
+        pool = self._dead_pool(transport, state)
+        before = pool.stats.snapshot()
+        error = WorkerPoolBrokenError if state == "broken" else RuntimeError
+        with pytest.raises(error, match="died mid-call" if state == "broken" else "pool is closed"):
+            pool.submit_shipment(0, _pool_append, delta, 1)
+        if transport == "shm":
+            with pytest.raises(error):
+                pool.shipper
+        assert pool.stats.snapshot() == before
+        assert set(shm_entries("repro-shm-")) <= stale
 
 
 #: Script for the SIGINT regression: streams over shm, prints the shipper's
@@ -303,12 +336,6 @@ class TestShmSegmentLifecycle:
     """Satellite 4 of the transport PR: no teardown path leaks /dev/shm
     segments — not close(), not a worker death, not a SIGINT."""
 
-    @staticmethod
-    def _entries(prefix):
-        from .test_transport import shm_entries
-
-        return shm_entries(prefix)
-
     def test_close_unlinks_all_segments(self, instance, config):
         with DistributedCoordinator(
             SpatialPartitioner(PORTO, 2, 2), executor="process", max_workers=2,
@@ -320,7 +347,7 @@ class TestShmSegmentLifecycle:
             # Steady state keeps recycled segments alive on the free list...
             assert pool.stats.segments_created > 0
         # ...and pool teardown (the coordinator's __exit__) unlinks them all.
-        assert self._entries(prefix) == []
+        assert shm_entries(prefix) == []
 
     def test_worker_death_unlinks_all_segments(self, instance, config):
         with DistributedCoordinator(
@@ -339,8 +366,8 @@ class TestShmSegmentLifecycle:
             # pool.close(), which closes the shipper: nothing left behind
             # even before the coordinator context exits.
             assert pool.broken
-            assert self._entries(prefix) == []
-        assert self._entries(prefix) == []
+            assert shm_entries(prefix) == []
+        assert shm_entries(prefix) == []
 
     @staticmethod
     def _run_script(script):
@@ -361,7 +388,7 @@ class TestShmSegmentLifecycle:
             line.split()[1] for line in proc.stdout.splitlines() if line.startswith("PREFIX")
         )
         assert prefix.startswith("repro-shm-")
-        assert self._entries(prefix) == []
+        assert shm_entries(prefix) == []
 
     def test_worker_attaches_make_no_resource_tracker_noise(self):
         """Readers attach segments outside the resource tracker.  If they
@@ -376,7 +403,7 @@ class TestShmSegmentLifecycle:
         prefix = next(
             line.split()[1] for line in proc.stdout.splitlines() if line.startswith("PREFIX")
         )
-        assert self._entries(prefix) == []
+        assert shm_entries(prefix) == []
 
 
 class TestTeardownCancelsBacklog:

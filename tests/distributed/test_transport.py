@@ -2,8 +2,9 @@
 
 Three layers are pinned here:
 
-* the packing layer — descriptors round-trip payloads and deltas through a
-  shared segment value-identically, ids and ``NaN`` sentinels included;
+* the packing layer — one descriptor round-trips either shard record (a
+  stream delta or an offline payload) through a shared segment
+  value-identically, ids and ``NaN`` sentinels included;
 * the shipper — segments are recycled through the free list (a steady-state
   stream reuses a handful of segments), ``release`` is idempotent,
   ``close()`` unlinks everything, and a failed shipment falls back to
@@ -13,25 +14,27 @@ Three layers are pinned here:
   transport (and the serial executor) as the reference.
 """
 
+import dataclasses
 import os
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     DistributedCoordinator,
     PersistentWorkerPool,
+    ShardPayload,
+    ShardPayloadDelta,
     ShmShipper,
     SpatialPartitioner,
     TransportStats,
     delta_from_descriptor,
     delta_from_tasks,
     delta_wire_bytes,
-    payload_from_descriptor,
     payload_from_shard,
-    payload_wire_bytes,
-    tasks_from_delta,
 )
 from repro.distributed import ShardWorkRequest, solve_shard
 from repro.distributed.pool import (
@@ -42,6 +45,7 @@ from repro.distributed.pool import (
 )
 from repro.distributed.transport import _MAX_FREE_SEGMENTS, _decode_ids, _encode_ids
 from repro.geo import PORTO
+from repro.market.cost import MarketCostModel
 from repro.online.batch import BatchConfig
 
 from ..conftest import build_random_instance
@@ -87,33 +91,49 @@ class TestIdCodec:
         assert _decode_ids(blob, lens) == ()
 
 
-class TestDescriptorRoundTrip:
-    def test_payload_round_trip_is_value_identical(self, plan):
-        shard = max(plan.shards, key=lambda s: s.task_count)
-        payload = payload_from_shard(shard)
-        shipper = ShmShipper()
-        try:
-            desc = shipper.ship_payload(payload)
-            rebuilt = payload_from_descriptor(desc)
-            assert rebuilt.shard_id == payload.shard_id
-            assert rebuilt.driver_ids == payload.driver_ids
-            assert rebuilt.task_ids == payload.task_ids
-            assert rebuilt.cost_model is payload.cost_model
-            for name in type(payload).ARRAY_FIELDS:
-                got, want = getattr(rebuilt, name), getattr(payload, name)
-                # NaN sentinels must survive, so compare with equal_nan.
-                assert np.array_equal(got, want, equal_nan=True), name
-                assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
-        finally:
-            shipper.close()
+def shard_record(kind, shard, lo, hi):
+    """``kind`` carrying the shard's tasks ``[lo:hi]`` (and, for a full
+    payload, all of its drivers)."""
+    delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks[lo:hi])
+    if kind is ShardPayloadDelta:
+        return delta
+    full = payload_from_shard(shard)
+    return ShardPayload(
+        **vars(delta),
+        driver_ids=full.driver_ids,
+        driver_coords=full.driver_coords,
+        driver_windows=full.driver_windows,
+        cost_model=full.cost_model,
+    )
 
-    def test_delta_round_trip_is_value_identical(self, plan):
+
+class TestDescriptorRoundTrip:
+    @pytest.mark.parametrize("kind", [ShardPayload, ShardPayloadDelta])
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(lo=st.integers(0, 30), width=st.integers(0, 30))
+    def test_round_trip_is_field_for_field_identical(self, plan, kind, lo, width):
+        """Either record kind, any batch cut (the empty batch included),
+        comes back from shared memory as the same type with every field
+        equal — ids, ``NaN`` sentinels and the cost model too."""
         shard = max(plan.shards, key=lambda s: s.task_count)
-        delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks)
+        record = shard_record(kind, shard, lo, lo + width)
         shipper = ShmShipper()
         try:
-            rebuilt = delta_from_descriptor(shipper.ship_delta(delta))
-            assert tasks_from_delta(rebuilt) == shard.instance.tasks
+            rebuilt = delta_from_descriptor(shipper.ship_delta(record))
+            assert type(rebuilt) is kind
+            for f in dataclasses.fields(record):
+                got, want = getattr(rebuilt, f.name), getattr(record, f.name)
+                if f.name in kind.ARRAY_FIELDS:
+                    # NaN sentinels must survive, so compare with equal_nan.
+                    assert np.array_equal(got, want, equal_nan=True), f.name
+                    assert got.shape == want.shape, f.name
+                    assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+                else:
+                    assert got == want, f.name
         finally:
             shipper.close()
 
@@ -124,11 +144,40 @@ class TestDescriptorRoundTrip:
         payload = payload_from_shard(shard)
         shipper = ShmShipper()
         try:
-            desc = shipper.ship_payload(payload)
+            desc = shipper.ship_delta(payload)
             assert len(pickle.dumps(desc)) < 1024
-            assert payload_wire_bytes(payload) > len(pickle.dumps(desc))
+            assert delta_wire_bytes(payload) > len(pickle.dumps(desc))
         finally:
             shipper.close()
+
+    def test_wire_bytes_count_utf8_not_code_points(self):
+        """The pickle side's byte count equals what the shm side packs —
+        array bytes plus the id blobs — for non-ASCII task and driver ids."""
+        payload = ShardPayload(
+            shard_id=5,
+            task_ids=("tâche-1", "注文-2"),
+            task_coords=np.zeros((2, 4)),
+            task_times=np.zeros((2, 3)),
+            task_prices=np.ones(2),
+            task_wtps=np.full(2, np.nan),
+            task_distances=np.full(2, np.nan),
+            driver_ids=("şoför", "运营司机"),
+            driver_coords=np.zeros((2, 4)),
+            driver_windows=np.zeros((2, 2)),
+            cost_model=MarketCostModel(),
+        )
+        shipper = ShmShipper()
+        try:
+            desc = shipper.ship_delta(payload)
+        finally:
+            shipper.close()
+        sizes = [
+            int(np.prod(shape)) * np.dtype(dtype).itemsize for _off, shape, dtype in desc.specs
+        ]
+        n = len(ShardPayload.ARRAY_FIELDS)
+        blobs = sizes[n::2]  # each id field packs (blob, lengths)
+        assert delta_wire_bytes(payload) == sum(sizes[:n]) + sum(blobs)
+        assert sum(blobs) > sum(len(s) for s in payload.task_ids + payload.driver_ids)
 
 
 class TestShmShipper:
@@ -188,9 +237,9 @@ class TestShmShipper:
         stats = TransportStats(transport="shm")
         shipper = ShmShipper(stats=stats)
         try:
-            shipper.ship_payload(payload)
+            shipper.ship_delta(payload)
             assert stats.shm_shipments == 1
-            assert stats.shm_bytes >= payload_wire_bytes(payload)
+            assert stats.shm_bytes >= delta_wire_bytes(payload)
             assert 0 < stats.descriptor_bytes < 1024
             assert stats.bytes_over_pipe == stats.descriptor_bytes
             snapshot = stats.snapshot()
@@ -257,8 +306,7 @@ class TestPoolTransportSelection:
             assert pool.stats.pickle_bytes >= delta_wire_bytes(delta)
 
             # The same single path carries offline payloads: a refused
-            # ``ship_payload`` falls back the same way, result still correct.
-            shipper.ship_payload = refuse
+            # shipment falls back the same way, result still correct.
             payload = payload_from_shard(shard)
             request = ShardWorkRequest(
                 shard.spec.shard_id, shard.driver_count, shard.task_count, "greedy"
