@@ -63,17 +63,6 @@ def _row_distributed_scaling(d: dict) -> list[str]:
     ]
 
 
-def _row_streaming_append(d: dict) -> list[str]:
-    return [
-        "`BENCH_streaming_append.json` — incremental task maps",
-        f"{d['task_count']} tasks, {d['driver_count']} drivers, "
-        f"{d['batch_count']} batches",
-        f"stream cost **{d['streaming_over_rebuild']:.2f}×** of per-batch rebuild "
-        f"({d['streaming_total_s']:.2f}s vs {d['rebuild_total_s']:.2f}s), "
-        "bit-identical state",
-    ]
-
-
 def _row_streaming_shards(d: dict) -> list[str]:
     runs = d.get("runs_by_workers", {})
     widths = "/".join(sorted(runs, key=int))
@@ -209,7 +198,6 @@ def _row_observability(d: dict) -> list[str]:
 
 ROW_BUILDERS = {
     "BENCH_distributed_scaling": _row_distributed_scaling,
-    "BENCH_streaming_append": _row_streaming_append,
     "BENCH_streaming_shards": _row_streaming_shards,
     "BENCH_scenarios": _row_scenarios,
     "BENCH_service_soak": _row_service_soak,

@@ -101,6 +101,11 @@ def _add_horizon_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _horizon_flags_set(args: argparse.Namespace) -> bool:
+    """Whether any of :func:`_add_horizon_args`' knobs is off its default."""
+    return args.horizon != 1 or args.overlap != 0 or args.forecast != "ewma"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -600,6 +605,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "run":
+        if args.mode == "offline" and _horizon_flags_set(args):
+            raise SystemExit("--horizon/--overlap/--forecast require --mode stream")
+        if args.mode == "stream" and args.solver != "greedy":
+            raise SystemExit("--solver requires --mode offline")
         try:
             spec = get_scenario(args.name).with_scale(args.trips, args.drivers)
         except (KeyError, ValueError) as exc:
@@ -659,6 +668,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.scenario_command == "compare":
         from .scenarios import OFFLINE_SOLVERS
 
+        if not args.stream and _horizon_flags_set(args):
+            raise SystemExit("--horizon/--overlap/--forecast require --stream")
         names = _parse_scenario_names(args.names)
         solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
         for solver in solvers:

@@ -18,7 +18,6 @@ from .taskmap import (
     DriverTaskMap,
     TaskColumns,
     TaskNetwork,
-    build_driver_task_map,
     build_driver_task_maps,
     build_task_columns,
     build_task_network,
@@ -38,7 +37,6 @@ __all__ = [
     "DriverTaskMap",
     "build_task_columns",
     "build_task_network",
-    "build_driver_task_map",
     "build_driver_task_maps",
     "SOURCE_NODE",
     "SINK_NODE",

@@ -136,17 +136,3 @@ class MarketCostModel:
         times = distance_km / self.travel_model.speed_kmh * 3600.0
         costs = distance_km * self.travel_model.cost_per_km
         return times, costs
-
-    def legs_from_point(
-        self, origin: GeoPoint, destinations: Sequence[GeoPoint]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Times and costs from one origin to many destinations."""
-        times, costs = self.pairwise_leg_matrix([origin], destinations)
-        return times[0], costs[0]
-
-    def legs_to_point(
-        self, origins: Sequence[GeoPoint], destination: GeoPoint
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Times and costs from many origins to one destination."""
-        times, costs = self.pairwise_leg_matrix(origins, [destination])
-        return times[:, 0], costs[:, 0]

@@ -286,50 +286,6 @@ class DriverTaskMap:
         return succ[mask]
 
 
-def build_driver_task_map(
-    driver: Driver,
-    network: TaskNetwork,
-    cost_model: MarketCostModel,
-) -> DriverTaskMap:
-    """Build one driver's task map on top of the shared network."""
-    count = network.task_count
-    direct_leg = cost_model.driver_direct_leg(driver.source, driver.destination)
-    if count == 0:
-        empty = np.zeros(0)
-        empty_bool = np.zeros(0, dtype=bool)
-        return DriverTaskMap(
-            driver=driver,
-            network=network,
-            entry_ok=empty_bool,
-            exit_ok=empty_bool,
-            source_leg_times=empty,
-            source_leg_costs=empty,
-            sink_leg_times=empty,
-            sink_leg_costs=empty,
-            direct_leg=direct_leg,
-        )
-
-    columns = network.columns
-    source_times, source_costs = cost_model.legs_from_point(driver.source, columns.sources)
-    sink_times, sink_costs = cost_model.legs_to_point(columns.destinations, driver.destination)
-
-    # Eq. (2)/(3) driver-dependent conditions.
-    exit_ok = columns.servable & (sink_times <= (driver.end_ts - columns.end_deadlines) + 1e-9)
-    entry_ok = exit_ok & (source_times <= (columns.start_deadlines - driver.start_ts) + 1e-9)
-
-    return DriverTaskMap(
-        driver=driver,
-        network=network,
-        entry_ok=entry_ok,
-        exit_ok=exit_ok,
-        source_leg_times=source_times,
-        source_leg_costs=source_costs,
-        sink_leg_times=sink_times,
-        sink_leg_costs=sink_costs,
-        direct_leg=direct_leg,
-    )
-
-
 def build_driver_task_maps(
     drivers: Iterable[Driver],
     network: TaskNetwork,
@@ -337,10 +293,11 @@ def build_driver_task_maps(
 ) -> Dict[str, DriverTaskMap]:
     """Task maps for a whole fleet, keyed by driver id.
 
-    The source/sink legs of *all* drivers are computed with two fleet-wide
-    batch calls (``N x M`` matrices) instead of two batch calls per driver,
-    which removes the per-driver Python overhead from instance construction.
-    The per-driver numbers are identical to :func:`build_driver_task_map`.
+    This is the one place the driver-dependent conditions of Eqs. (2)-(3)
+    are evaluated.  The source/sink legs of a fleet chunk come from two
+    batch calls (``chunk x M`` and ``M x chunk`` matrices), so no per-driver
+    leg call is made; a one-driver map is ``build_driver_task_maps([d],
+    ...)[d.driver_id]``.
     """
     fleet = list(drivers)
     seen = set()
@@ -350,10 +307,6 @@ def build_driver_task_maps(
         seen.add(driver.driver_id)
     if not fleet:
         return {}
-    if network.task_count == 0:
-        return {
-            d.driver_id: build_driver_task_map(d, network, cost_model) for d in fleet
-        }
 
     columns = network.columns
     start_deadlines, end_deadlines = columns.start_deadlines, columns.end_deadlines

@@ -81,16 +81,6 @@ class TestVectorisedLegs:
         t_flat, _ = flat.pairwise_leg_matrix([A], [B])
         assert t_curvy[0, 0] == pytest.approx(1.5 * t_flat[0, 0], rel=1e-9)
 
-    def test_legs_from_point_and_to_point(self):
-        model = flat_cost_model()
-        times_from, costs_from = model.legs_from_point(A, [B, C])
-        times_to, costs_to = model.legs_to_point([B, C], A)
-        assert times_from.shape == (2,)
-        assert times_to.shape == (2,)
-        # Symmetric metric: A->B equals B->A.
-        assert times_from[0] == pytest.approx(times_to[0], rel=1e-9)
-        assert costs_from[1] == pytest.approx(costs_to[1], rel=1e-9)
-
     def test_empty_inputs(self):
         model = flat_cost_model()
         times, costs = model.pairwise_leg_matrix([], [A])

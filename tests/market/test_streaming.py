@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.market import MarketCostModel, MarketInstance, StreamingMarketInstance
+from repro.market import MarketCostModel, MarketInstance, StreamingMarketInstance, taskmap
 from repro.market.taskmap import COLUMN_NAMES
 from repro.offline import greedy_assignment
 from repro.online import (
@@ -119,9 +119,8 @@ class TestIncrementalEquivalence:
         )
     )
     def test_any_read_schedule_is_equivalent(self, schedule):
-        """Catch-up from an arbitrary watermark: appends interleaved with
-        reads at arbitrary points match a rebuild at every read and at the
-        end."""
+        """The stale-cache guard: appends interleaved with reads at
+        arbitrary points match a rebuild at every read and at the end."""
         instance = build_random_instance(task_count=40, driver_count=8, seed=17)
         tasks = list(instance.tasks)
         stream = StreamingMarketInstance(instance.drivers, instance.cost_model)
@@ -137,7 +136,6 @@ class TestIncrementalEquivalence:
                 assert len(stream.task_network.successors) == cursor
             else:
                 assert stream.snapshot().task_count == cursor
-            assert stream.materialised_count == cursor
             assert_equivalent(stream, stream.rebuild())
         assert_equivalent(stream, instance)
 
@@ -157,7 +155,7 @@ class CountingCostModel(MarketCostModel):
 class TestMaterialisedOnRead:
     def test_dispatch_stream_builds_no_leg_block(self):
         """A whole ``run_stream`` reads columns only; the first ``task_maps``
-        read afterwards is one catch-up over every task."""
+        read afterwards is one build over every task."""
         instance = build_random_instance(task_count=120, driver_count=10, seed=41)
         cost_model = CountingCostModel(instance.cost_model.travel_model)
         batches = window_batches(instance.tasks, 30.0)
@@ -166,15 +164,13 @@ class TestMaterialisedOnRead:
         outcome = BatchedSimulator(stream, BatchConfig(window_s=30.0)).run_stream(batches)
         assert outcome.served_count > 0
         assert cost_model.blocks == []
-        assert stream.materialised_count == 0
 
         count, fleet = stream.task_count, stream.driver_count
         assert len(stream.task_maps) == fleet
-        # new -> all for the network, source and sink legs for the one fleet chunk.
+        # all -> all for the network, source and sink legs for the one fleet chunk.
         assert cost_model.blocks == [(count, count), (fleet, count), (count, fleet)]
-        assert stream.materialised_count == count
         assert stream.snapshot().task_network is stream.task_network
-        assert len(cost_model.blocks) == 3  # nothing pending: reads are free
+        assert len(cost_model.blocks) == 3  # nothing appended: reads are free
 
     @pytest.mark.parametrize("run", [
         lambda instance: run_online(instance, MaxMarginDispatcher()),
@@ -244,16 +240,71 @@ class TestStreamingApi:
         with pytest.raises(ValueError):
             StreamingMarketInstance(drivers, base_instance.cost_model)
 
-    def test_affected_drivers_are_the_ones_gaining_entry_tasks(self, base_instance):
+
+class TestOneBuilder:
+    """Arcs and maps come from one cached :class:`MarketInstance` build."""
+
+    def test_snapshot_is_cached_between_appends(self, base_instance):
+        stream = StreamingMarketInstance.from_instance(base_instance)
+        snapshot = stream.snapshot()
+        assert stream.snapshot() is snapshot
+        assert stream.task_network is snapshot.task_network
+        assert stream.task_maps is snapshot.task_maps
+        driver_id = base_instance.drivers[0].driver_id
+        assert stream.task_map(driver_id) is snapshot.task_map(driver_id)
+
+    def test_only_a_nonempty_append_drops_the_snapshot(self, base_instance):
         tasks = list(base_instance.tasks)
-        stream = StreamingMarketInstance(base_instance.drivers, base_instance.cost_model)
-        stream.append_tasks(tasks[:30])
-        before = {
-            driver_id: set(task_map.entry_tasks().tolist())
-            for driver_id, task_map in stream.task_maps.items()
-        }
+        stream = StreamingMarketInstance(
+            base_instance.drivers, base_instance.cost_model, tasks[:30]
+        )
+        before = stream.snapshot()
+        stream.append_tasks(())
+        assert stream.snapshot() is before
         stream.append_tasks(tasks[30:])
-        affected = set(stream.drivers_gaining_entry(30))
-        for driver_id, task_map in stream.task_maps.items():
-            gained = set(task_map.entry_tasks().tolist()) - before[driver_id]
-            assert (len(gained) > 0) == (driver_id in affected)
+        after = stream.snapshot()
+        assert after is not before
+        assert after.task_count == len(tasks)
+        assert before.task_count == 30
+
+    def test_earlier_snapshot_keeps_its_state(self):
+        """Later appends, a capacity doubling among them, leave an earlier
+        snapshot's tasks and arrays as they were."""
+        instance = build_random_instance(task_count=150, driver_count=5, seed=31)
+        tasks = list(instance.tasks)
+        stream = StreamingMarketInstance(instance.drivers, instance.cost_model, tasks[:10])
+        early = stream.snapshot()
+        early.task_maps
+        stream.append_tasks(tasks[10:70])
+        stream.task_maps
+        stream.append_tasks(tasks[70:])
+        assert early.task_count == 10
+        assert_equivalent(early, instance.with_tasks(tasks[:10]))
+        assert_equivalent(stream, instance)
+
+    def test_one_builder_remains(self):
+        """One fleet builder for the maps, no point-leg helpers, and a
+        stream whose only surface is the read API plus appends."""
+        assert sorted(name for name in vars(taskmap) if name.startswith("build_")) == [
+            "build_driver_task_maps",
+            "build_task_columns",
+            "build_task_network",
+        ]
+        assert [name for name in vars(MarketCostModel) if name.startswith("legs_")] == []
+        assert {name for name in vars(StreamingMarketInstance) if not name.startswith("__")} == {
+            "from_instance",
+            "drivers",
+            "tasks",
+            "cost_model",
+            "driver_count",
+            "task_count",
+            "task_columns",
+            "task_network",
+            "task_maps",
+            "task_map",
+            "task_index",
+            "snapshot",
+            "rebuild",
+            "append_tasks",
+            "_grow",
+        }

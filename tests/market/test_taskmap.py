@@ -7,7 +7,6 @@ from repro.market import (
     Driver,
     MarketCostModel,
     Task,
-    build_driver_task_map,
     build_driver_task_maps,
     build_task_network,
 )
@@ -152,8 +151,8 @@ class TestDriverTaskMap:
         early = Driver("early", point_east(0.0), point_east(10.0), 300.0, 4000.0)
         # Starting at 500 -> arrives 1100 > 1000: no entry arc.
         late = Driver("late", point_east(0.0), point_east(10.0), 500.0, 4000.0)
-        early_map = build_driver_task_map(early, network, cost_model)
-        late_map = build_driver_task_map(late, network, cost_model)
+        early_map = build_driver_task_maps([early], network, cost_model)[early.driver_id]
+        late_map = build_driver_task_maps([late], network, cost_model)[late.driver_id]
         assert early_map.entry_ok[0]
         assert not late_map.entry_ok[0]
 
@@ -174,8 +173,8 @@ class TestDriverTaskMap:
         # From the drop-off (km 5) home to km 10 takes 600 s after the 1800 s deadline.
         relaxed = Driver("relaxed", point_east(0.0), point_east(10.0), 0.0, 2500.0)
         hurried = Driver("hurried", point_east(0.0), point_east(10.0), 0.0, 2300.0)
-        assert build_driver_task_map(relaxed, network, cost_model).exit_ok[0]
-        assert not build_driver_task_map(hurried, network, cost_model).exit_ok[0]
+        assert build_driver_task_maps([relaxed], network, cost_model)[relaxed.driver_id].exit_ok[0]
+        assert not build_driver_task_maps([hurried], network, cost_model)[hurried.driver_id].exit_ok[0]
 
     def test_build_driver_task_maps_rejects_duplicates(self, chain):
         driver = chain.drivers[0]
@@ -186,7 +185,7 @@ class TestDriverTaskMap:
         cost_model = MarketCostModel(flat_travel_model())
         network = build_task_network([], cost_model)
         driver = Driver("d", point_east(0.0), point_east(1.0), 0.0, 100.0)
-        task_map = build_driver_task_map(driver, network, cost_model)
+        task_map = build_driver_task_maps([driver], network, cost_model)[driver.driver_id]
         assert task_map.task_count == 0
         assert not task_map.has_any_task()
         assert path_profit(task_map, ()) == 0.0

@@ -168,6 +168,26 @@ class TestBuildAndSolve:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--name", "airport-corridor", "--mode", "offline", "--horizon", "4"],
+             "--horizon"),
+            (["run", "--name", "airport-corridor", "--mode", "offline", "--overlap", "2"],
+             "--overlap"),
+            (["run", "--name", "airport-corridor", "--mode", "offline", "--forecast", "oracle"],
+             "--forecast"),
+            (["run", "--name", "airport-corridor", "--mode", "stream", "--solver", "lp"],
+             "--solver"),
+            (["compare", "--names", "rainy-day", "--no-stream", "--horizon", "4"],
+             "--horizon"),
+        ],
+    )
+    def test_scenario_rejects_flags_its_mode_never_reads(self, argv, flag, capsys):
+        with pytest.raises(SystemExit, match=flag):
+            main(["scenario", *argv, "--trips", "40", "--drivers", "6"])
+        assert capsys.readouterr().out == ""  # rejected before anything ran
+
     def test_bound_command(self, market_path, capsys):
         assert main(["bound", "--market", str(market_path), "--kind", "lagrangian"]) == 0
         assert "upper bound" in capsys.readouterr().out
