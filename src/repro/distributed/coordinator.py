@@ -423,8 +423,10 @@ class DistributedStreamResult:
     report: StreamReport
     #: Global indices of orders no shard could serve.
     rejected_tasks: Tuple[int, ...]
-    #: Final shard regions (post-rebalance); feed back into ``open_stream``'s
-    #: ``regions=`` to reuse a rebalanced partition, or to pin determinism.
+    #: Final shard regions (post-rebalance).  A coordinator over
+    #: ``LoadAwarePartitioner(region, result, rounds=0)`` streams over exactly
+    #: these regions from the start — to reuse a rebalanced partition, or to
+    #: pin determinism.
     regions: Tuple[Tuple[BoundingBox, ...], ...]
 
 
@@ -737,24 +739,17 @@ class DistributedStreamSession:
         action = plan_rebalance_action(self.shard_task_counts, policy)
         if action is None:
             return
-        if action.kind == "split":
-            hot = action.positions[0]
-            self._reshard([hot], list(self._router.split_group(hot)))
-        else:
-            # positions come coldest-first; boxes concatenate in that order.
-            merged = tuple(
-                box for position in action.positions for box in self._shards[position].boxes
-            )
-            self._reshard(sorted(action.positions), [merged])
+        self._reshard(*action.rewrite(self.shard_regions))
         self._rebalances += 1
 
     def _reshard(
         self,
-        removed_positions: List[int],
+        removed_positions: Tuple[int, ...],
         new_groups: List[Tuple[BoundingBox, ...]],
     ) -> None:
         """Replace the shards at ``removed_positions`` by fresh shards over
-        ``new_groups``, replaying the removed shards' order history.
+        ``new_groups`` (appended after the kept shards), replaying the
+        removed shards' order history.
 
         The replay feeds the new sessions the same publish-ordered batch
         schedule the stream itself saw, so the result is bit-identical to a
@@ -768,6 +763,22 @@ class DistributedStreamSession:
                 self._inflight.append(
                     self._submit(shard.shard_id, shard.slot, _pool_discard, self._token, shard.shard_id)
                 )
+        keep = [
+            shard
+            for position, shard in enumerate(self._shards)
+            if position not in removed_positions
+        ]
+        self._router = ZonePartition(
+            self._router.region, [shard.boxes for shard in keep] + new_groups
+        )
+
+        def fresh_positions(points) -> List[int]:
+            # The new groups tile exactly the removed shards' territory, so
+            # everything those shards held routes past the kept shards.
+            positions = self._router.route(points) - len(keep)
+            if (positions < 0).any():
+                raise RuntimeError("a rebalanced shard lost territory to a kept shard")
+            return [int(p) for p in positions]
 
         # Re-route the affected drivers (kept in fleet order, exactly as a
         # from-start partition would meet them).
@@ -775,27 +786,16 @@ class DistributedStreamSession:
             (driver for shard in removed for driver in shard.drivers),
             key=lambda driver: self._fleet_pos[driver.driver_id],
         )
-        sub_router = ZonePartition(self._router.region, new_groups)
         driver_groups: List[List[Driver]] = [[] for _ in new_groups]
-        if affected_drivers:
-            for driver, assigned in zip(
-                affected_drivers, sub_router.route(d.source for d in affected_drivers)
-            ):
-                driver_groups[int(assigned)].append(driver)
-
-        keep = [
-            shard
-            for position, shard in enumerate(self._shards)
-            if position not in set(removed_positions)
-        ]
+        for driver, assigned in zip(
+            affected_drivers, fresh_positions(d.source for d in affected_drivers)
+        ):
+            driver_groups[assigned].append(driver)
         fresh = [
-            self._new_shard(tuple(group), tuple(drivers))
+            self._new_shard(group, tuple(drivers))
             for group, drivers in zip(new_groups, driver_groups)
         ]
         self._shards = keep + fresh
-        self._router = ZonePartition(
-            self._router.region, [shard.boxes for shard in self._shards]
-        )
 
         # Replay the removed shards' history batch by batch into the fresh
         # sessions (same order, same batch boundaries as the original stream).
@@ -809,9 +809,9 @@ class DistributedStreamSession:
                 continue
             fresh_groups: Dict[int, List[Tuple[int, Task]]] = {}
             for (g, task), assigned in zip(
-                members, sub_router.route(task.source for _g, task in members)
+                members, fresh_positions(task.source for _g, task in members)
             ):
-                fresh_groups.setdefault(int(assigned), []).append((g, task))
+                fresh_groups.setdefault(assigned, []).append((g, task))
             for assigned, group_members in fresh_groups.items():
                 shard = fresh[assigned]
                 for g, _task in group_members:
@@ -934,7 +934,10 @@ class DistributedCoordinator:
     Parameters
     ----------
     partitioner:
-        The spatial partitioner producing disjoint-task shards.
+        The spatial partitioner producing disjoint-task shards (a
+        :class:`SpatialPartitioner` grid or a ``LoadAwarePartitioner``); its
+        ``zones`` are the one shard geometry of both :meth:`solve` and
+        :meth:`open_stream`.
     solver_name:
         Shard solver: ``"greedy"``, ``"nearest"``, ``"maxMargin"``, or the
         exact tier — ``"lp"`` (per-shard arc-flow LP, certified or repaired,
@@ -1036,36 +1039,27 @@ class DistributedCoordinator:
         cost_model: Optional[MarketCostModel] = None,
         *,
         config: Optional[BatchConfig] = None,
-        regions: Optional[Sequence[Sequence[BoundingBox]]] = None,
         rebalance: Optional[RebalancePolicy] = None,
         pool: Optional[PersistentWorkerPool] = None,
     ) -> DistributedStreamSession:
         """Open a live stream: per-shard streaming sessions on the pool.
 
-        Drivers are routed to shards by source over the partitioner's
-        regions (its ``box_groups`` when it exposes them — e.g. a
-        ``LoadAwarePartitioner`` — else its uniform grid), or the explicit
-        ``regions``, e.g. a previous stream's post-rebalance
-        :attr:`DistributedStreamResult.regions`.  Feed publish-ordered
-        arrival batches with ``append_batch`` and merge with ``finish``.
+        Drivers and orders are routed to shards through the partitioner's
+        :attr:`~repro.distributed.partition.SpatialPartitioner.zones` — the
+        same geometry :meth:`solve` partitions by.  To stream over a previous
+        stream's post-rebalance :attr:`DistributedStreamResult.regions`, use
+        a coordinator over ``LoadAwarePartitioner(region, result,
+        rounds=0)``.  Feed publish-ordered arrival batches with
+        ``append_batch`` and merge with ``finish``.
 
         ``pool`` overrides the coordinator's own :meth:`stream_pool` with an
         externally owned :class:`PersistentWorkerPool` — the caller keeps
         ownership (the coordinator's ``close()`` never touches it), which is
         how one warm pool is shared across many coordinators in a sweep.
         """
-        region = self.partitioner.region
-        if regions is None:
-            regions = getattr(self.partitioner, "box_groups", None)
-        if regions is None:
-            router = ZonePartition.from_grid(
-                region, self.partitioner.rows, self.partitioner.cols
-            )
-        else:
-            router = ZonePartition(region, regions)
         logger.debug(
             "opening stream: shards=%d executor=%s transport=%s",
-            len(router.box_groups),
+            self.partitioner.shard_count,
             self.executor,
             self.transport,
         )
@@ -1074,7 +1068,7 @@ class DistributedCoordinator:
             cost_model=cost_model or MarketCostModel(),
             config=config or BatchConfig(),
             pool=pool if pool is not None else self.stream_pool(),
-            router=router,
+            router=self.partitioner.zones,
             rebalance=rebalance,
         )
 
@@ -1084,7 +1078,6 @@ class DistributedCoordinator:
         arrival_batches: Optional[Iterable[Sequence[Task]]] = None,
         *,
         config: Optional[BatchConfig] = None,
-        regions: Optional[Sequence[Sequence[BoundingBox]]] = None,
         rebalance: Optional[RebalancePolicy] = None,
         pool: Optional[PersistentWorkerPool] = None,
     ) -> DistributedStreamResult:
@@ -1109,7 +1102,6 @@ class DistributedCoordinator:
             instance.drivers,
             instance.cost_model,
             config=chosen_config,
-            regions=regions,
             rebalance=rebalance,
             pool=pool,
         ) as session:
@@ -1269,10 +1261,7 @@ class DistributedCoordinator:
         if load_report is None:
             return list(range(len(live)))
         report = ShardLoadReport.from_prior(load_report)
-        plan_regions = tuple(
-            shard.spec.boxes or (shard.spec.region,) for shard in plan.shards
-        )
-        if report.regions == plan_regions:
+        if report.regions == tuple(shard.spec.boxes for shard in plan.shards):
             loads = [float(report.task_counts[position]) for position in live]
         else:
             loads = [float(plan.shards[position].task_count) for position in live]

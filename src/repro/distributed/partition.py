@@ -13,7 +13,10 @@ Tasks are routed to the shard containing their pickup point; drivers are
 routed to the shard containing their source.  Shards therefore have disjoint
 task sets, so merging shard solutions can never assign a task twice.
 
-Two partitioners produce the shards:
+Every partitioner owns exactly one shard geometry, a :class:`ZonePartition`
+(``partitioner.zones``): its offline :meth:`~SpatialPartitioner.partition`
+and the coordinator's streams both route through it, so the two execution
+modes always agree on which shard owns a point.  Two partitioners choose it:
 
 * :class:`SpatialPartitioner` — a blind, uniform ``rows x cols`` grid.  The
   right default when nothing is known about the demand.
@@ -21,9 +24,11 @@ Two partitioners produce the shards:
   report (:class:`ShardLoadReport`), it pre-splits the zones a previous day
   proved hot and pre-merges the ones that proved cold, using exactly the
   split/merge decision rule (:func:`plan_rebalance_action` under a
-  :class:`RebalancePolicy`) the streaming coordinator applies between
-  windows.  Demand is sticky across re-solves — downtown stays downtown —
-  so yesterday's skew is a good predictor of today's load balance.
+  :class:`RebalancePolicy`) and box-group rewrite
+  (:meth:`RebalanceAction.rewrite`) the streaming coordinator applies
+  between windows.  Demand is sticky across re-solves — downtown stays
+  downtown — so yesterday's skew is a good predictor of today's load
+  balance.
 """
 
 from __future__ import annotations
@@ -38,22 +43,28 @@ from ..geo.batch import coord_array
 from ..market.driver import Driver
 from ..market.instance import MarketInstance
 
+#: Float slack of the tiling check, as a fraction of the region's extent
+#: (box edges) or area (overlaps and coverage).
+TILING_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class ShardSpec:
     """Identity and extent of one shard.
 
-    ``region`` is a single representative box (for a multi-box shard, the
-    hull of its boxes — reports and area accounting only).  ``boxes`` is
-    the shard's exact box group when it has one beyond the region itself
-    (merged shards from a :class:`LoadAwarePartitioner`); routing and load
-    round trips must use ``boxes or (region,)``, never the hull, because a
-    hull can overlap other shards' territory.
+    ``boxes`` is the shard's exact box group (one grid cell, a split half,
+    or the pooled boxes of a merge) — what routing and load round trips
+    use.  ``region`` is their hull, for reports and area accounting only: a
+    merged shard's hull can overlap other shards' territory.
     """
 
     shard_id: int
-    region: BoundingBox
-    boxes: Tuple[BoundingBox, ...] = ()
+    boxes: Tuple[BoundingBox, ...]
+
+    @property
+    def region(self) -> BoundingBox:
+        """The tightest single box around :attr:`boxes`."""
+        return hull_of_boxes(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -79,125 +90,33 @@ class MarketShard:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """The result of partitioning: all shards plus anything left unassigned."""
+    """The result of partitioning: one shard per box group, every task and
+    driver in exactly one of them."""
 
     shards: Tuple[MarketShard, ...]
-    #: Global indices of tasks that fell outside every shard region (none when
-    #: the grid covers the instance's bounding box).
-    unassigned_tasks: Tuple[int, ...]
 
     @property
     def shard_count(self) -> int:
         """How many shards the plan produced (including degenerate ones)."""
         return len(self.shards)
 
-    def shard_of_task(self, global_task_index: int) -> int:
-        """Shard id serving a global task index (raises if unassigned)."""
-        for shard in self.shards:
-            if global_task_index in shard.global_task_indices:
-                return shard.spec.shard_id
-        raise KeyError(f"task {global_task_index} is not assigned to any shard")
-
-
-def _plan_from_routing(
-    instance: MarketInstance,
-    specs: Sequence[ShardSpec],
-    task_owner: np.ndarray,
-    driver_owner: np.ndarray,
-) -> PartitionPlan:
-    """Assemble a :class:`PartitionPlan` from per-task / per-driver owner
-    indices (the shard-building contract shared by every partitioner:
-    disjoint task sets, drivers kept in fleet order, one sub-instance per
-    spec)."""
-    task_buckets: Dict[int, List[int]] = {spec.shard_id: [] for spec in specs}
-    for index, owner in enumerate(task_owner):
-        task_buckets[int(owner)].append(index)
-
-    driver_buckets: Dict[int, List[Driver]] = {spec.shard_id: [] for spec in specs}
-    for driver, owner in zip(instance.drivers, driver_owner):
-        driver_buckets[int(owner)].append(driver)
-
-    shards: List[MarketShard] = []
-    for spec in specs:
-        task_indices = task_buckets[spec.shard_id]
-        drivers = driver_buckets[spec.shard_id]
-        sub_instance = MarketInstance(
-            drivers=tuple(drivers),
-            tasks=tuple(instance.tasks[i] for i in task_indices),
-            cost_model=instance.cost_model,
-        )
-        shards.append(
-            MarketShard(
-                spec=spec,
-                instance=sub_instance,
-                global_task_indices=tuple(task_indices),
-                global_driver_ids=tuple(d.driver_id for d in drivers),
-            )
-        )
-    return PartitionPlan(shards=tuple(shards), unassigned_tasks=())
-
-
-class SpatialPartitioner:
-    """Splits a market instance into a ``rows x cols`` grid of zone shards."""
-
-    def __init__(self, region: BoundingBox, rows: int, cols: int) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be >= 1")
-        self.region = region
-        self.rows = rows
-        self.cols = cols
-
-    @property
-    def shard_count(self) -> int:
-        """Number of grid cells (= shards) the partitioner produces."""
-        return self.rows * self.cols
-
-    def shard_index(self, point: GeoPoint) -> int:
-        """The shard id of a point (row-major over the grid)."""
-        row, col = self.region.cell_index(point, self.rows, self.cols)
-        return row * self.cols + col
-
-    def shard_indices(self, points: Iterable[GeoPoint]) -> np.ndarray:
-        """Vectorised :meth:`shard_index` over a point collection."""
-        coords = coord_array(list(points))
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.intp)
-        rows, cols = self.region.cell_indices(
-            coords[:, 0], coords[:, 1], self.rows, self.cols
-        )
-        return rows * self.cols + cols
-
-    def partition(self, instance: MarketInstance) -> PartitionPlan:
-        """Split ``instance`` into shards."""
-        regions = self.region.split(self.rows, self.cols)
-        specs = [
-            ShardSpec(shard_id=shard_id, region=regions[shard_id])
-            for shard_id in range(self.shard_count)
-        ]
-        return _plan_from_routing(
-            instance,
-            specs,
-            self.shard_indices(task.source for task in instance.tasks),
-            self.shard_indices(driver.source for driver in instance.drivers),
-        )
-
 
 class ZonePartition:
-    """Explicit shard regions: each shard owns a *set* of boxes.
+    """The shard geometry: each shard owns a *set* of boxes tiling a region.
 
-    The uniform grid of :class:`SpatialPartitioner` is enough for a static
-    partition, but the streaming coordinator's skew-aware rebalance produces
-    non-uniform shards: splitting the hottest shard replaces one box with its
-    two halves, merging cold shards pools their boxes into one shard.  A
-    ``ZonePartition`` routes points over such box sets deterministically:
+    A uniform grid is one box per shard (:meth:`from_grid`); the skew-aware
+    rebalance produces non-uniform shards — splitting the hottest shard
+    replaces one box with its two halves, merging cold shards pools their
+    boxes into one shard.  Construction rejects box groups that do not tile
+    the region (a box outside it, two boxes overlapping, or area left
+    uncovered, each beyond float slack), so every point has exactly one
+    owner.  Routing is deterministic:
 
-    * points are first clamped into the outer service region (mirroring the
-      grid partitioner's clamp of out-of-box points);
+    * points are first clamped into the outer service region;
     * containment is half-open (``south <= lat < north``) except on the outer
-      region's own north/east edges, so as long as the boxes tile the region
-      every point belongs to **exactly one** box — routing is independent of
-      shard order, which is what makes a rebalanced stream reproducible as a
-      from-start partition.
+      region's own north/east edges, so every point belongs to **exactly
+      one** box — routing is independent of shard order, which is what makes
+      a rebalanced stream reproducible as a from-start partition.
     """
 
     def __init__(
@@ -211,6 +130,7 @@ class ZonePartition:
         self.box_groups: Tuple[Tuple[BoundingBox, ...], ...] = tuple(
             tuple(group) for group in box_groups
         )
+        _check_tiling(region, [box for group in self.box_groups for box in group])
 
     @classmethod
     def from_grid(cls, region: BoundingBox, rows: int, cols: int) -> "ZonePartition":
@@ -238,9 +158,9 @@ class ZonePartition:
         ``south <= lat < north`` and ``west <= lon < east`` — half-open on
         the north/east edges — *except* on the outer region's own north/east
         boundary, where the comparison closes (``<=``) so clamped points on
-        the region's edge are still owned.  As long as the box groups tile
-        the region, every point therefore lands in exactly one box and the
-        result is independent of the order of the groups.
+        the region's edge are still owned.  Because the box groups tile the
+        region, every point lands in exactly one box and the result is
+        independent of the order of the groups.
         """
         coords = coord_array(list(points))
         if coords.shape[0] == 0:
@@ -257,9 +177,9 @@ class ZonePartition:
                 out[hit] = shard_index
                 unassigned &= ~hit
         if (out < 0).any():
-            # Float-boundary stragglers (boxes not exactly tiling the region):
-            # deterministically hand each to the shard whose first box centre
-            # is nearest.
+            # Float-boundary stragglers (boxes tiling the region only up to
+            # float slack): deterministically hand each to the shard whose
+            # first box centre is nearest.
             centers = np.array(
                 [[g[0].center.lat, g[0].center.lon] for g in self.box_groups]
             )
@@ -268,12 +188,99 @@ class ZonePartition:
                 out[i] = int(np.argmin(d2))
         return out
 
-    def split_group(self, shard_index: int) -> Tuple[
-        Tuple[BoundingBox, ...], Tuple[BoundingBox, ...]
-    ]:
-        """The two box groups a split of ``shard_index`` would produce
-        (see :func:`split_box_group`)."""
-        return split_box_group(self.box_groups[shard_index])
+
+def _check_tiling(region: BoundingBox, boxes: Sequence[BoundingBox]) -> None:
+    """Raise ``ValueError`` unless ``boxes`` tile ``region``: none reaches
+    outside it, no two overlap by positive area and together they cover all
+    of it — each up to :data:`TILING_TOLERANCE`."""
+    edges = np.array([[box.south, box.west, box.north, box.east] for box in boxes])
+    south, west, north, east = edges.T
+    lat_slack = TILING_TOLERANCE * (region.north - region.south)
+    lon_slack = TILING_TOLERANCE * (region.east - region.west)
+    outside = (
+        (south < region.south - lat_slack)
+        | (north > region.north + lat_slack)
+        | (west < region.west - lon_slack)
+        | (east > region.east + lon_slack)
+    )
+    if outside.any():
+        raise ValueError(
+            f"shard box {boxes[int(np.argmax(outside))]} lies outside the region {region}"
+        )
+    area = (region.north - region.south) * (region.east - region.west)
+    heights = np.minimum.outer(north, north) - np.maximum.outer(south, south)
+    widths = np.minimum.outer(east, east) - np.maximum.outer(west, west)
+    overlap = np.clip(heights, 0.0, None) * np.clip(widths, 0.0, None)
+    np.fill_diagonal(overlap, 0.0)
+    if overlap.max() > TILING_TOLERANCE * area:
+        first, second = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+        raise ValueError(f"shard boxes {boxes[first]} and {boxes[second]} overlap")
+    covered = float(((north - south) * (east - west)).sum())
+    if covered < (1.0 - TILING_TOLERANCE) * area:
+        raise ValueError(
+            f"shard boxes cover {covered / area:.6f} of the region, not all of it"
+        )
+
+
+class SpatialPartitioner:
+    """Splits a market instance into zone shards over one :class:`ZonePartition`.
+
+    ``SpatialPartitioner(region, rows, cols)`` cuts a blind uniform grid.
+    :attr:`zones` is the partitioner's only shard geometry: :meth:`partition`
+    routes an offline instance through it, and
+    :meth:`~repro.distributed.coordinator.DistributedCoordinator.open_stream`
+    routes a live stream through the same object.
+    """
+
+    def __init__(self, region: BoundingBox, rows: int, cols: int) -> None:
+        if rows < 1 or cols < 1:
+            raise ValueError("rows and cols must be >= 1")
+        self.zones = ZonePartition.from_grid(region, rows, cols)
+
+    @property
+    def box_groups(self) -> Tuple[Tuple[BoundingBox, ...], ...]:
+        """Every shard's box group, in shard order."""
+        return self.zones.box_groups
+
+    @property
+    def shard_count(self) -> int:
+        """Number of shards the partitioner produces."""
+        return self.zones.shard_count
+
+    def partition(self, instance: MarketInstance) -> PartitionPlan:
+        """Split ``instance`` into one shard per box group.
+
+        Tasks are routed by pickup and drivers by source through
+        :attr:`zones`, so shards own disjoint task sets; drivers stay in
+        fleet order within a shard.
+        """
+        task_owner = self.zones.route(task.source for task in instance.tasks)
+        driver_owner = self.zones.route(driver.source for driver in instance.drivers)
+        task_buckets: List[List[int]] = [[] for _ in self.box_groups]
+        for index, owner in enumerate(task_owner):
+            task_buckets[int(owner)].append(index)
+        driver_buckets: List[List[Driver]] = [[] for _ in self.box_groups]
+        for driver, owner in zip(instance.drivers, driver_owner):
+            driver_buckets[int(owner)].append(driver)
+
+        shards: List[MarketShard] = []
+        for shard_id, boxes in enumerate(self.box_groups):
+            task_indices = task_buckets[shard_id]
+            drivers = driver_buckets[shard_id]
+            sub_instance = MarketInstance(
+                drivers=tuple(drivers),
+                tasks=tuple(instance.tasks[i] for i in task_indices),
+                cost_model=instance.cost_model,
+            )
+            shards.append(
+                MarketShard(
+                    spec=ShardSpec(shard_id=shard_id, boxes=boxes),
+                    instance=sub_instance,
+                    global_task_indices=tuple(task_indices),
+                    global_driver_ids=tuple(d.driver_id for d in drivers),
+                )
+            )
+        return PartitionPlan(shards=tuple(shards))
 
 
 def split_box_group(
@@ -282,9 +289,7 @@ def split_box_group(
     """The two box groups a split of ``group`` would produce.
 
     A single-box shard splits its box in half along the longer axis; a
-    multi-box shard (a previous merge) splits its box list in half.  Shared
-    by the streaming rebalancer (via :meth:`ZonePartition.split_group`) and
-    the offline :class:`LoadAwarePartitioner`.
+    multi-box shard (a previous merge) splits its box list in half.
     """
     group = tuple(group)
     if len(group) > 1:
@@ -357,13 +362,30 @@ class RebalanceAction:
     """One split/merge decision produced by :func:`plan_rebalance_action`.
 
     ``kind`` is ``"split"`` (positions holds the single hot shard) or
-    ``"merge"`` (positions holds the two cold shards, coldest first — callers
-    concatenate their boxes in that order so the replayed partition is
+    ``"merge"`` (positions holds the two cold shards, coldest first — their
+    boxes concatenate in that order so the replayed partition is
     reproducible).
     """
 
     kind: str
     positions: Tuple[int, ...]
+
+    def rewrite(
+        self, groups: Sequence[Tuple[BoundingBox, ...]]
+    ) -> Tuple[Tuple[int, ...], List[Tuple[BoundingBox, ...]]]:
+        """The one rewrite of a shard box-group list under this action.
+
+        Returns ``(removed, added)``: the positions the action retires, in
+        ascending order, and the box groups that replace them — appended
+        after the surviving shards, in this order.  The streaming rebalancer
+        and :class:`LoadAwarePartitioner` both apply it, so a rebalanced
+        stream and a refined offline partition lay out the same regions.
+        """
+        if self.kind == "split":
+            (hot,) = self.positions
+            return (hot,), list(split_box_group(groups[hot]))
+        merged = tuple(box for position in self.positions for box in groups[position])
+        return tuple(sorted(self.positions)), [merged]
 
 
 def plan_rebalance_action(
@@ -401,9 +423,9 @@ def plan_rebalance_action(
 def hull_of_boxes(boxes: Sequence[BoundingBox]) -> BoundingBox:
     """The tightest single box containing every box in ``boxes``.
 
-    Used to give a merged multi-box shard a representative
-    :attr:`ShardSpec.region` (reports and area accounting only — routing
-    always uses the exact box group, never the hull).
+    Gives a shard its representative :attr:`ShardSpec.region` (reports and
+    area accounting only — routing always uses the exact box group, never
+    the hull).
     """
     if not boxes:
         raise ValueError("need at least one box")
@@ -426,8 +448,7 @@ class ShardLoadReport:
     decision: ``regions[i]`` is shard ``i``'s box group and
     ``task_counts[i]`` how many tasks it owned.  Build one with
     :meth:`from_prior` from either an offline
-    :class:`~repro.distributed.coordinator.DistributedResult` (single-box
-    grid shards) or a streamed
+    :class:`~repro.distributed.coordinator.DistributedResult` or a streamed
     :class:`~repro.distributed.coordinator.DistributedStreamResult` (whose
     possibly rebalanced ``regions`` already round-trip).
     """
@@ -446,8 +467,8 @@ class ShardLoadReport:
         """Extract the report from a prior solve's result (duck-typed).
 
         Accepts a :class:`ShardLoadReport` (returned as-is), an offline
-        ``DistributedResult`` or bare :class:`PartitionPlan` (regions come
-        from the shard specs) or a streamed ``DistributedStreamResult``
+        ``DistributedResult`` or bare :class:`PartitionPlan` (regions are the
+        shard specs' box groups) or a streamed ``DistributedStreamResult``
         (regions come from the post-rebalance ``regions`` round trip).
         """
         if isinstance(prior, ShardLoadReport):
@@ -456,13 +477,8 @@ class ShardLoadReport:
             prior if isinstance(prior, PartitionPlan) else None
         )
         if plan is not None:
-            # A merged shard's spec.region is only the hull of its boxes —
-            # round-trip the exact box group so refined partitions survive
-            # another report/refine cycle without overlapping territory.
             return cls(
-                regions=tuple(
-                    shard.spec.boxes or (shard.spec.region,) for shard in plan.shards
-                ),
+                regions=tuple(shard.spec.boxes for shard in plan.shards),
                 task_counts=tuple(shard.task_count for shard in plan.shards),
             )
         return cls(
@@ -480,7 +496,7 @@ class ShardLoadReport:
         return max(self.task_counts) / (total / len(self.task_counts))
 
 
-class LoadAwarePartitioner:
+class LoadAwarePartitioner(SpatialPartitioner):
     """Pre-split hot zones / pre-merge cold ones from a prior load report.
 
     Where :class:`SpatialPartitioner` cuts the city blind, this partitioner
@@ -491,13 +507,14 @@ class LoadAwarePartitioner:
     half), merge the coldest pair — until the rule goes quiet or ``rounds``
     is exhausted.  The refinement is a pure function of the report and the
     policy, so two partitioners built from the same prior produce identical
-    shards (pinned by ``tests/distributed/test_offline_pool.py``).
+    shards (pinned by ``tests/distributed/test_offline_pool.py``), and
+    ``rounds=0`` reproduces the prior's regions exactly.
 
-    The refined partition plugs straight into
-    :class:`~repro.distributed.coordinator.DistributedCoordinator` in place
-    of a grid partitioner: :meth:`partition` serves the offline ``solve()``
-    path, and :attr:`box_groups` serves ``open_stream``'s router, so one
-    skew profile can steer both execution modes.
+    Only its :attr:`zones` differ from a grid's: :meth:`partition`,
+    :attr:`box_groups` and :attr:`shard_count` are inherited, and the
+    coordinator's streams route through the same ``zones``, so one skew
+    profile steers both execution modes.  The report's regions must tile
+    ``region`` (see :class:`ZonePartition`).
     """
 
     def __init__(
@@ -509,7 +526,6 @@ class LoadAwarePartitioner:
     ) -> None:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
-        self.region = region
         self.policy = policy or RebalancePolicy()
         self.report = ShardLoadReport.from_prior(prior)
         self.zones = ZonePartition(
@@ -521,59 +537,20 @@ class LoadAwarePartitioner:
         report: ShardLoadReport, policy: RebalancePolicy, rounds: int
     ) -> List[Tuple[BoundingBox, ...]]:
         """Apply the split/merge rule to the report's regions ``rounds``
-        times at most, mirroring the streaming rebalancer's bookkeeping:
-        acted-on shards are removed and their replacements appended."""
+        times at most, with the streaming rebalancer's bookkeeping
+        (:meth:`RebalanceAction.rewrite`)."""
         groups: List[Tuple[BoundingBox, ...]] = [tuple(g) for g in report.regions]
         loads: List[float] = [float(count) for count in report.task_counts]
         for _ in range(rounds):
             action = plan_rebalance_action(loads, policy)
             if action is None:
                 break
-            if action.kind == "split":
-                hot = action.positions[0]
-                left, right = split_box_group(groups[hot])
-                load = loads[hot]
-                del groups[hot], loads[hot]
-                groups += [left, right]
-                # Half-and-half is the only deterministic estimate available
-                # without re-routing; the true split is measured next solve.
-                loads += [load / 2.0, load / 2.0]
-            else:
-                first, second = action.positions  # coldest first
-                merged_boxes = groups[first] + groups[second]
-                merged_load = loads[first] + loads[second]
-                for position in sorted(action.positions, reverse=True):
-                    del groups[position], loads[position]
-                groups.append(merged_boxes)
-                loads.append(merged_load)
+            removed, added = action.rewrite(groups)
+            # A merge sums its shards' loads; a split estimates half-and-half,
+            # the only deterministic guess without re-routing (the true split
+            # is measured next solve).
+            load = sum(loads[position] for position in removed) / len(added)
+            groups = [g for p, g in enumerate(groups) if p not in removed] + added
+            loads = [x for p, x in enumerate(loads) if p not in removed]
+            loads += [load] * len(added)
         return groups
-
-    @property
-    def box_groups(self) -> Tuple[Tuple[BoundingBox, ...], ...]:
-        """The refined shard regions (consumed by ``open_stream``'s router)."""
-        return self.zones.box_groups
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards after refinement."""
-        return self.zones.shard_count
-
-    def partition(self, instance: MarketInstance) -> PartitionPlan:
-        """Split ``instance`` over the refined zones.
-
-        Same contract as :meth:`SpatialPartitioner.partition`: tasks and
-        drivers are routed by source, shards own disjoint task sets, and a
-        multi-box shard's ``spec.region`` is the hull of its boxes.
-        """
-        specs = [
-            ShardSpec(
-                shard_id=shard_id, region=hull_of_boxes(group), boxes=tuple(group)
-            )
-            for shard_id, group in enumerate(self.zones.box_groups)
-        ]
-        return _plan_from_routing(
-            instance,
-            specs,
-            self.zones.route(task.source for task in instance.tasks),
-            self.zones.route(driver.source for driver in instance.drivers),
-        )

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from .point import GeoPoint, equirectangular_km
 
 
@@ -122,22 +120,6 @@ class BoundingBox:
         lon_step = (self.east - self.west) / cols
         row = min(rows - 1, int((point.lat - self.south) / lat_step))
         col = min(cols - 1, int((point.lon - self.west) / lon_step))
-        return row, col
-
-    def cell_indices(
-        self, lats: np.ndarray, lons: np.ndarray, rows: int, cols: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`cell_index` over coordinate arrays (degrees).
-
-        Returns ``(row_indices, col_indices)`` integer arrays.  Matches the
-        scalar method exactly, including the clamping of out-of-box points.
-        """
-        lats = np.clip(np.asarray(lats, dtype=float), self.south, self.north)
-        lons = np.clip(np.asarray(lons, dtype=float), self.west, self.east)
-        lat_step = (self.north - self.south) / rows
-        lon_step = (self.east - self.west) / cols
-        row = np.minimum(rows - 1, ((lats - self.south) / lat_step).astype(np.intp))
-        col = np.minimum(cols - 1, ((lons - self.west) / lon_step).astype(np.intp))
         return row, col
 
     def iter_grid_centers(self, rows: int, cols: int) -> Iterator[GeoPoint]:

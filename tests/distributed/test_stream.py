@@ -14,6 +14,7 @@ import pytest
 
 from repro.distributed import (
     DistributedCoordinator,
+    LoadAwarePartitioner,
     RebalancePolicy,
     SpatialPartitioner,
     ZonePartition,
@@ -251,9 +252,10 @@ class TestSkewAwareRebalance:
             )
             assert rebalanced.report.rebalance_count > 0
             assert rebalanced.report.shard_count > 4
-            from_start = coordinator.solve_stream(
-                instance, config=config, regions=rebalanced.regions
-            )
+        with DistributedCoordinator(
+            LoadAwarePartitioner(PORTO, rebalanced, rounds=0), executor="serial"
+        ) as coordinator:
+            from_start = coordinator.solve_stream(instance, config=config)
         assert stream_fingerprint(rebalanced) == stream_fingerprint(from_start)
 
     def test_merge_fires_for_cold_shards(self, instance, config):
@@ -271,9 +273,10 @@ class TestSkewAwareRebalance:
             merged = coordinator.solve_stream(instance, config=config, rebalance=policy)
             assert merged.report.rebalance_count > 0
             assert merged.report.shard_count < 9
-            from_start = coordinator.solve_stream(
-                instance, config=config, regions=merged.regions
-            )
+        with DistributedCoordinator(
+            LoadAwarePartitioner(PORTO, merged, rounds=0), executor="serial"
+        ) as coordinator:
+            from_start = coordinator.solve_stream(instance, config=config)
         assert stream_fingerprint(merged) == stream_fingerprint(from_start)
 
     def test_rebalance_on_process_pool(self, instance, config):
