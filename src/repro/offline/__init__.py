@@ -1,6 +1,6 @@
 """Offline optimisation: greedy approximation, exact solvers and bounds."""
 
-from .dag import EMPTY_PATH, PathResult, best_path, best_paths_for_all, enumerate_paths
+from .dag import EMPTY_PATH, PathResult, best_path, enumerate_paths
 from .exact import (
     DEFAULT_SIZE_LIMIT,
     ExactResult,
@@ -27,7 +27,6 @@ __all__ = [
     "PathResult",
     "EMPTY_PATH",
     "best_path",
-    "best_paths_for_all",
     "enumerate_paths",
     "GreedySolver",
     "GreedyResult",

@@ -6,12 +6,17 @@ graph (tasks already claimed by other drivers are removed).  Because every
 task map is a DAG whose topological order is "sort tasks by pickup deadline",
 the maximum-profit path is found by a single forward dynamic-programming pass
 over the arcs — the ``O(M²)`` "longest path in a DAG" routine the paper cites.
+
+A removed task keeps its arcs but gets a ``-inf`` gain, so no candidate
+through it can win and the pass visits only live tasks, with no per-arc mask.
+A task's predecessor changes only on a *strict* improvement, so among equal
+partial profits the earliest predecessor in topological order keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +54,8 @@ def best_path(
     available:
         Optional boolean mask over tasks; tasks with ``available[m] == False``
         are treated as removed from the graph (already served by another
-        driver).  ``None`` means every task is available.
+        driver).  ``None`` means every task is available.  Any other dtype
+        raises ``TypeError``: an integer 0/1 vector would index, not mask.
     use_valuation:
         Use the customer valuation ``b_m`` instead of the price ``p_m``
         (social-welfare objective).
@@ -78,36 +84,32 @@ def best_path(
     gains = values - net.service_costs
 
     if available is None:
-        allowed = task_map.exit_ok.copy()
+        allowed = task_map.exit_ok
     else:
         if available.shape != (count,):
             raise ValueError("available mask has the wrong shape")
+        if available.dtype != np.bool_:
+            raise TypeError(f"available mask must be boolean, not {available.dtype}")
         allowed = task_map.exit_ok & available
 
     # dp[m]: best accumulated profit of a partial path source -> ... -> m,
-    # excluding the final sink leg and the direct-cost credit.
-    dp = np.full(count, -np.inf)
+    # excluding the final sink leg and the direct-cost credit.  A removed
+    # task's gain is -inf, so no candidate into it passes the strict test.
+    masked_gains = np.where(allowed, gains, -np.inf)
+    dp = np.where(task_map.entry_ok & allowed, gains - task_map.source_leg_costs, -np.inf)
     parent = np.full(count, -1, dtype=int)
 
-    entry = task_map.entry_ok & allowed
-    entry_indices = np.nonzero(entry)[0]
-    dp[entry_indices] = gains[entry_indices] - task_map.source_leg_costs[entry_indices]
-
-    for m in (int(x) for x in net.topo_order):
-        if not np.isfinite(dp[m]) or not allowed[m]:
+    topo = net.topo_order
+    for m in topo[allowed[topo]].tolist():
+        base = dp.item(m)
+        if base == -np.inf:
             continue
         succ = net.successors[m]
-        if succ.size == 0:
-            continue
-        mask = allowed[succ]
-        if not mask.any():
-            continue
-        succ = succ[mask]
-        leg_costs = net.leg_costs[m][mask]
-        candidate = dp[m] + gains[succ] - leg_costs
+        candidate = base + masked_gains[succ]
+        candidate -= net.leg_costs[m]
         better = candidate > dp[succ]
-        if better.any():
-            improved = succ[better]
+        improved = succ[better]
+        if improved.size:
             dp[improved] = candidate[better]
             parent[improved] = m
 
@@ -130,18 +132,6 @@ def best_path(
         node = int(parent[node])
     path.reverse()
     return PathResult(profit=best_profit, path=tuple(path))
-
-
-def best_paths_for_all(
-    task_maps: Dict[str, DriverTaskMap],
-    available: Optional[np.ndarray] = None,
-    use_valuation: bool = False,
-) -> Dict[str, PathResult]:
-    """Max-profit path of every driver against the same availability mask."""
-    return {
-        driver_id: best_path(task_map, available=available, use_valuation=use_valuation)
-        for driver_id, task_map in task_maps.items()
-    }
 
 
 def enumerate_paths(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.offline import EMPTY_PATH, best_path, best_paths_for_all, enumerate_paths
+import repro.offline
+from repro.offline import EMPTY_PATH, best_path, enumerate_paths
 
 from ..conftest import build_chain_instance, build_random_instance
 from ..taskmap_oracle import is_feasible_path, path_profit
@@ -48,10 +49,17 @@ class TestBestPathOnChainInstance:
         with pytest.raises(ValueError):
             best_path(chain.task_map("chainer"), available=np.ones(5, dtype=bool))
 
-    def test_best_paths_for_all(self, chain):
-        results = best_paths_for_all(chain.task_maps)
-        assert results["chainer"].path == (0, 1)
-        assert results["stranded"].is_empty
+    @pytest.mark.parametrize("dtype", [int, np.int8, float])
+    def test_non_boolean_mask_rejected(self, chain, dtype):
+        """An integer 0/1 vector would fancy-index instead of mask: the DP
+        would see the wrong tasks as available and could return a path
+        through a removed task."""
+        with pytest.raises(TypeError):
+            best_path(chain.task_map("chainer"), available=np.array([0, 1], dtype=dtype))
+
+    def test_best_paths_for_all_is_gone(self):
+        assert not hasattr(repro.offline, "best_paths_for_all")
+        assert not hasattr(repro.offline.dag, "best_paths_for_all")
 
 
 class TestBestPathAgainstEnumeration:
