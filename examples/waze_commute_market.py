@@ -1,15 +1,17 @@
 """A Waze-Rider-style commute ("hitchhiking") market.
 
-Section IV-C of the paper highlights Google's Waze Rider: commuters offer the
-two rides of their daily commute, the platform limits every driver to a
-couple of tasks, and prices are kept near cost.  Because each driver takes at
-most D = 1 task per direction, the greedy algorithm's ``1/(D+1)`` guarantee
-becomes a crisp 1/2 — and in practice it lands essentially on the optimum.
+Section IV-C of the paper highlights Google's Waze Rider: commuters offer
+rides along their daily commute and prices are kept near cost.  A commute
+window is short, so the number of rides one driver can chain stays small.
+That number is the diameter ``D`` in the greedy algorithm's ``1/(D+1)``
+guarantee (Theorem 1).  On this seeded market D = 4, so greedy is guaranteed
+1/5 of the optimum; it reaches about 0.89 of it.
 
 The script builds a morning commute market (drivers with distinct home ->
-work travel plans, riders requesting rides inside the same window), solves it
-with the greedy algorithm, verifies the D = 1 structure, and compares against
-the exact optimum and both online heuristics.
+work travel plans, riders requesting rides inside the same window), prints
+D and the guarantee it implies, solves the market with the greedy algorithm,
+checks greedy's value against that guarantee, and compares it with the exact
+optimum and both online heuristics.
 
 Run with::
 
@@ -67,6 +69,7 @@ def main() -> None:
     optimum = exact_optimum(market)
     nearest = run_online(market, NearestDispatcher(seed=5))
     max_margin = run_online(market, MaxMarginDispatcher())
+    assert greedy.total_value >= optimum.optimum / (diameter + 1) - 1e-9, "Theorem 1 violated"
 
     rows = [
         ["Greedy (offline)", greedy.total_value, greedy.total_value / optimum.optimum, greedy.serve_rate],

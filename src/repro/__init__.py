@@ -37,7 +37,6 @@ from .market import (
     MarketCostModel,
     MarketInstance,
     Task,
-    build_market_graph,
     market_diameter,
     market_from_trace,
     tasks_from_trips,
@@ -112,7 +111,6 @@ __all__ = [
     "MarketInstance",
     "market_from_trace",
     "tasks_from_trips",
-    "build_market_graph",
     "market_diameter",
     # offline
     "GreedySolver",

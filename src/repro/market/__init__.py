@@ -2,14 +2,13 @@
 
 from .cost import Leg, MarketCostModel
 from .driver import Driver
-from .graph import (
-    build_driver_graph,
-    build_market_graph,
-    driver_diameter,
+from .instance import (
+    MarketInstance,
     graph_summary,
     market_diameter,
+    market_from_trace,
+    tasks_from_trips,
 )
-from .instance import MarketInstance, market_from_trace, tasks_from_trips
 from .streaming import StreamingMarketInstance
 from .task import Task
 from .taskmap import (
@@ -40,9 +39,6 @@ __all__ = [
     "build_driver_task_maps",
     "SOURCE_NODE",
     "SINK_NODE",
-    "build_driver_graph",
-    "build_market_graph",
     "market_diameter",
-    "driver_diameter",
     "graph_summary",
 ]

@@ -3,7 +3,9 @@
 A :class:`MarketInstance` bundles the ``N`` drivers, the ``M`` tasks and the
 travel-cost model, lazily builds the shared task network and the per-driver
 task maps, and provides the conversion from raw trace trips to priced tasks
-(the pipeline of Section VI-A of the paper).
+(the pipeline of Section VI-A of the paper).  :func:`market_diameter` and
+:func:`graph_summary` read the built maps: the diameter ``D`` of Theorem 1's
+``1/(D+1)`` ratio and the structural summary of the merged market graph.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from ..geo import TravelModel, default_travel_model
 from ..pricing import LinearPricing, PricingPolicy, RideQuote, WtpModel
 from ..trace.records import TripRecord
@@ -20,6 +24,7 @@ from .cost import MarketCostModel
 from .driver import Driver
 from .task import Task
 from .taskmap import (
+    FLEET_CHUNK,
     DriverTaskMap,
     TaskColumns,
     TaskNetwork,
@@ -138,6 +143,54 @@ class MarketInstance:
             raise ValueError("count must be non-negative")
         ordered = sorted(self.tasks, key=lambda t: (t.publish_ts, t.task_id))
         return self.with_tasks(ordered[:count])
+
+
+def market_diameter(instance: MarketInstance) -> int:
+    """``D`` — the maximum number of tasks on any feasible path of any driver.
+
+    This is the quantity in Theorem 1's ``1/(D+1)`` approximation ratio: the
+    longest chain of tasks a single driver could take in one working period.
+    One forward pass in ``topo_order`` per fleet chunk, with unit gains, no
+    leg costs and no positivity cut: ``longest[j, m]`` is the longest chain
+    driver ``j`` can take that ends at task ``m`` (0 while the driver's source
+    cannot reach ``m``), seeded with 1 on the driver's entry tasks (a subset
+    of its exit tasks) and pushed along the arcs into its exit tasks.
+    """
+    network = instance.task_network
+    maps = list(instance.task_maps.values())
+    best = 0
+    for lo in range(0, len(maps), FLEET_CHUNK):
+        chunk = maps[lo : lo + FLEET_CHUNK]
+        exit_ok = np.array([tm.exit_ok for tm in chunk])
+        longest = np.array([tm.entry_ok for tm in chunk], dtype=np.int64)  # (chunk, M)
+        for m in network.topo_order.tolist():
+            succ = network.successors[m]
+            if succ.size == 0:
+                continue
+            reach = longest[:, m]
+            live = reach > 0
+            if not live.any():
+                continue
+            pushed = np.where(exit_ok[:, succ] & live[:, None], reach[:, None] + 1, 0)
+            longest[:, succ] = np.maximum(longest[:, succ], pushed)
+        best = max(best, int(longest.max(initial=0)))
+    return best
+
+
+def graph_summary(instance: MarketInstance) -> Dict[str, float]:
+    """Summary statistics of the merged market graph (for reports/examples)."""
+    network = instance.task_network
+    total_entry_arcs = sum(int(tm.entry_ok.sum()) for tm in instance.task_maps.values())
+    total_exit_arcs = sum(int(tm.exit_ok.sum()) for tm in instance.task_maps.values())
+    return {
+        "drivers": float(instance.driver_count),
+        "tasks": float(instance.task_count),
+        "servable_tasks": float(int(network.servable.sum())),
+        "task_to_task_arcs": float(network.arc_count()),
+        "driver_entry_arcs": float(total_entry_arcs),
+        "driver_exit_arcs": float(total_exit_arcs),
+        "diameter": float(market_diameter(instance)),
+    }
 
 
 def tasks_from_trips(

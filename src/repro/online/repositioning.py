@@ -223,8 +223,7 @@ class HotspotRepositioning(RepositioningPolicy):
         ``cross_km`` batch calls — the same kernel the online candidate
         search runs on — instead of up to ``2 x idle x zones`` scalar
         estimator calls; the zone scan itself is a cheap Python loop over at
-        most three precomputed columns per driver.  Falls back to the scalar
-        path for duck-typed travel models without a batch estimator.
+        most three precomputed columns per driver.
 
         The batch kernels match the scalar estimator to floating-point
         round-off, not bit for bit, so a distance landing *exactly* on a
@@ -233,9 +232,7 @@ class HotspotRepositioning(RepositioningPolicy):
         fleets sit measurably away from those boundaries.
         """
         states = list(states)
-        estimator = getattr(self.travel_model, "estimator", None)
-        if estimator is None:
-            return [self.suggest(state, now_ts) for state in states]
+        estimator = self.travel_model.estimator
         moves: List[Optional[RepositioningMove]] = [None] * len(states)
         idle = [i for i, state in enumerate(states) if self._eligible(state, now_ts)]
         if not idle:
@@ -305,19 +302,10 @@ def apply_repositioning(
     ]
     if not moves:
         return 0
-    estimator = getattr(travel_model, "estimator", None)
-    if estimator is not None:
-        distances = estimator.pairwise_km(
-            [state.location for state, _move in moves],
-            [move.target for _state, move in moves],
-        )
-    else:
-        # Duck-typed travel models (only distance_km/cost/time conversions)
-        # keep working through the scalar path.
-        distances = [
-            travel_model.distance_km(state.location, move.target)
-            for state, move in moves
-        ]
+    distances = travel_model.estimator.pairwise_km(
+        [state.location for state, _move in moves],
+        [move.target for _state, move in moves],
+    )
     for (state, move), distance in zip(moves, distances):
         distance = float(distance)
         state.running_profit -= travel_model.cost_for_distance(distance)

@@ -1,18 +1,19 @@
-"""Tests for the merged market graph and diameter computation."""
+"""Tests for the merged market graph oracle and the diameter computation."""
 
 import networkx as nx
 import pytest
 
-from repro.market import (
-    build_driver_graph,
-    build_market_graph,
-    driver_diameter,
-    graph_summary,
-    market_diameter,
-)
-from repro.market.graph import driver_sink, driver_source, task_node
+from repro.market import graph_summary, market_diameter
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..graph_oracle import (
+    build_driver_graph,
+    build_market_graph,
+    driver_sink,
+    driver_source,
+    longest_task_chain,
+    task_node,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,23 +75,13 @@ class TestMarketGraph:
 
 class TestDiameter:
     def test_chain_instance_diameter(self, chain):
-        assert driver_diameter(chain.task_map("chainer")) == 2
-        assert driver_diameter(chain.task_map("stranded")) == 0
+        assert longest_task_chain(chain.task_map("chainer")) == 2
+        assert longest_task_chain(chain.task_map("stranded")) == 0
         assert market_diameter(chain) == 2
 
     def test_diameter_bounded_by_task_count(self, random_instance):
         d = market_diameter(random_instance)
         assert 0 <= d <= random_instance.task_count
-
-    def test_diameter_bounded_by_graph_longest_chain(self, random_instance):
-        """The source-rooted diameter can never exceed the longest task chain
-        anywhere in the driver's graph (networkx cross-check)."""
-        for driver in random_instance.drivers[:3]:
-            task_map = random_instance.task_map(driver.driver_id)
-            graph = build_driver_graph(task_map)
-            longest = nx.dag_longest_path(graph)
-            task_hops = sum(1 for node in longest if node[0] == "task")
-            assert driver_diameter(task_map) <= task_hops
 
 
 class TestSummary:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.market import market_diameter
 from repro.offline import build_tight_example, exact_optimum, greedy_assignment
 
 from ..taskmap_oracle import arc_exists
@@ -37,6 +38,13 @@ class TestConstruction:
         for k in range(4):
             local = example.instance.task_map(f"local-{k}")
             assert extra_index not in set(int(m) for m in local.usable_tasks())
+
+    @pytest.mark.parametrize("chain_length", [2, 3, 4, 8, 12])
+    def test_chain_length_is_the_market_diameter(self, chain_length):
+        """Theorem 1's bound quotes ``chain_length`` as ``D``: it must be
+        the diameter the code computes for the construction."""
+        example = build_tight_example(chain_length=chain_length, epsilon=0.05)
+        assert market_diameter(example.instance) == chain_length
 
     def test_extra_task_cannot_be_combined_with_chain(self):
         example = build_tight_example(chain_length=4, epsilon=0.05)

@@ -211,31 +211,6 @@ class TestBatchedSuggestions:
         assert len(moves) == 2
         assert all(m.target == DOWNTOWN for m in moves)
 
-    def test_scalar_fallback_without_batch_estimator(self):
-        class ScalarOnlyModel:
-            """Duck-typed travel model: no .estimator attribute."""
-
-            def distance_km(self, a, b):
-                return a.haversine_km(b)
-
-            def time_for_distance_s(self, km):
-                return km / 30.0 * 3600.0
-
-            def travel_time_s(self, a, b):
-                return self.time_for_distance_s(self.distance_km(a, b))
-
-            def cost_for_distance(self, km):
-                return km * 0.12
-
-        heatmap = make_heatmap(ts=9.0 * 3600)
-        policy = HotspotRepositioning(
-            heatmap, ScalarOnlyModel(), idle_threshold_s=0.0, max_drive_km=50.0
-        )
-        state = make_idle_state()
-        batched = policy.suggest_batch([state], 9.0 * 3600)
-        assert batched == [policy.suggest(state, 9.0 * 3600)]
-        assert batched[0] is not None
-
 
 class TestApplyRepositioning:
     def test_moves_update_state_and_charge_cost(self):

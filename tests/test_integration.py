@@ -20,6 +20,8 @@ from repro.analysis import BoundKind, PerformanceRatio, compute_upper_bound
 from repro.pricing import LinearPricing, ProportionalWtp, SurgeConfig, SurgeEngine, SurgePricing
 from repro.trace import CleaningConfig, clean_trips
 
+from .graph_oracle import build_market_graph
+
 
 @pytest.fixture(scope="module")
 def market():
@@ -117,5 +119,5 @@ class TestFullPipeline:
     def test_market_diameter_is_reported(self, market):
         diameter = repro.market_diameter(market)
         assert diameter >= 1
-        graph = repro.build_market_graph(market)
+        graph = build_market_graph(market)
         assert graph.number_of_nodes() >= market.driver_count * 2
