@@ -460,8 +460,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.market)
     if args.stream and args.algorithm != "batched":
         raise SystemExit("--stream requires --algorithm batched")
-    if args.algorithm != "batched" and (args.horizon != 1 or args.overlap != 0):
-        raise SystemExit("--horizon/--overlap require --algorithm batched")
+    if args.algorithm != "batched" and _horizon_flags_set(args):
+        raise SystemExit("--horizon/--overlap/--forecast require --algorithm batched")
     if not args.stream and (
         args.executor != "serial" or args.grid != "1x1" or args.transport != "pickle"
     ):

@@ -9,16 +9,22 @@ district solver needs only its own drivers and tasks, never the global
 instance).
 
 :class:`FanOutReport` declares the fields the two fan-out reports share,
-:class:`CoordinatorReport` (offline solve) and :class:`StreamReport`.
+:class:`CoordinatorReport` (offline solve) and :class:`StreamReport`; the
+run bookkeeping that measures them is shared too.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Tuple
+
+from ..obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps scipy off this path
     from ..offline.flow import ShardBounds
+    from .pool import PersistentWorkerPool
 
 
 def _relative_gap(value: float, bound: float) -> float:
@@ -126,6 +132,62 @@ class FanOutReport:
         if self.slowest_shard_s <= 0:
             return 1.0
         return sum(self.per_shard_durations) / self.slowest_shard_s
+
+
+class _FanOutRun:
+    """The bookkeeping both fan-out runs share: opening starts the clock,
+    opens the run's root span on the thread's flight recorder — detached, so
+    other work on the thread never nests under it — and reads the pool's
+    wire counters; :meth:`close` ends the root and returns the
+    :class:`FanOutReport` fields measured.
+    """
+
+    __slots__ = ("pool", "recorder", "root", "_start", "_wire_mark")
+
+    def __init__(
+        self, pool: "PersistentWorkerPool", root_name: str, **root_attrs: object
+    ) -> None:
+        self._start = time.perf_counter()
+        self.pool = pool
+        self._wire_mark = pool.stats.counters()
+        self.recorder = obs_trace.active_recorder()
+        self.root = obs_trace.DROPPED
+        if self.recorder is not None:
+            self.root = self.recorder.begin(root_name, **root_attrs)
+            self.recorder.detach(self.root)
+
+    def resumed(self) -> ContextManager[None]:
+        """Re-enter the root span for one block of the run's own work."""
+        if self.recorder is None:
+            return nullcontext()
+        return self.recorder.resume(self.root)
+
+    def adopt(self, spans: Tuple, **root_attrs: object) -> None:
+        """Graft one worker's exported spans under the run's root span."""
+        if self.recorder is not None and spans:
+            self.recorder.adopt(spans, parent_id=self.root, **root_attrs)
+
+    def close(self) -> Dict[str, object]:
+        phase_breakdown: Tuple[Tuple[str, float], ...] = ()
+        trace_span_count = 0
+        if self.recorder is not None:
+            self.recorder.end(self.root)
+            run_spans = self.recorder.subtree(self.root)
+            phase_breakdown = obs_trace.phase_totals(run_spans)
+            trace_span_count = len(run_spans)
+        wall_clock_s = time.perf_counter() - self._start
+        wire = self.pool.stats.counters()
+        return {
+            "wall_clock_s": wall_clock_s,
+            "executor": self.pool.executor,
+            "transport": self.pool.transport,
+            "bytes_over_pipe": wire[0] - self._wire_mark[0],
+            "shm_bytes": wire[1] - self._wire_mark[1],
+            "segment_reuses": wire[2] - self._wire_mark[2],
+            "pickle_fallbacks": wire[3] - self._wire_mark[3],
+            "phase_breakdown": phase_breakdown,
+            "trace_span_count": trace_span_count,
+        }
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -15,8 +15,9 @@ task sets, so merging shard solutions can never assign a task twice.
 
 Every partitioner owns exactly one shard geometry, a :class:`ZonePartition`
 (``partitioner.zones``): its offline :meth:`~SpatialPartitioner.partition`
-and the coordinator's streams both route through it, so the two execution
-modes always agree on which shard owns a point.  Two partitioners choose it:
+and the live streams (:mod:`repro.distributed.stream`) both route through
+its :meth:`~ZonePartition.split`, so the two execution modes always agree on
+which shard owns a point.  Two partitioners choose it:
 
 * :class:`SpatialPartitioner` — a blind, uniform ``rows x cols`` grid.  The
   right default when nothing is known about the demand.
@@ -25,8 +26,8 @@ modes always agree on which shard owns a point.  Two partitioners choose it:
   proved hot and pre-merges the ones that proved cold, using exactly the
   split/merge decision rule (:func:`plan_rebalance_action` under a
   :class:`RebalancePolicy`) and box-group rewrite
-  (:meth:`RebalanceAction.rewrite`) the streaming coordinator applies
-  between windows.  Demand is sticky across re-solves — downtown stays
+  (:meth:`RebalanceAction.rewrite`) a live stream applies between
+  windows.  Demand is sticky across re-solves — downtown stays
   downtown — so yesterday's skew is a good predictor of today's load
   balance.
 """
@@ -40,7 +41,6 @@ import numpy as np
 
 from ..geo import BoundingBox, GeoPoint
 from ..geo.batch import coord_array
-from ..market.driver import Driver
 from ..market.instance import MarketInstance
 
 #: Float slack of the tiling check, as a fraction of the region's extent
@@ -188,6 +188,15 @@ class ZonePartition:
                 out[i] = int(np.argmin(d2))
         return out
 
+    def split(self, points: Iterable[GeoPoint]) -> List[List[int]]:
+        """For each shard, in shard order, the input positions it owns (by
+        :meth:`route`), in input order — the one "route, then bucket" step
+        every offline and streamed shard assignment goes through."""
+        buckets: List[List[int]] = [[] for _ in self.box_groups]
+        for position, owner in enumerate(self.route(points).tolist()):
+            buckets[owner].append(position)
+        return buckets
+
 
 def _check_tiling(region: BoundingBox, boxes: Sequence[BoundingBox]) -> None:
     """Raise ``ValueError`` unless ``boxes`` tile ``region``: none reaches
@@ -254,21 +263,15 @@ class SpatialPartitioner:
         :attr:`zones`, so shards own disjoint task sets; drivers stay in
         fleet order within a shard.
         """
-        task_owner = self.zones.route(task.source for task in instance.tasks)
-        driver_owner = self.zones.route(driver.source for driver in instance.drivers)
-        task_buckets: List[List[int]] = [[] for _ in self.box_groups]
-        for index, owner in enumerate(task_owner):
-            task_buckets[int(owner)].append(index)
-        driver_buckets: List[List[Driver]] = [[] for _ in self.box_groups]
-        for driver, owner in zip(instance.drivers, driver_owner):
-            driver_buckets[int(owner)].append(driver)
+        task_buckets = self.zones.split(task.source for task in instance.tasks)
+        driver_buckets = self.zones.split(driver.source for driver in instance.drivers)
 
         shards: List[MarketShard] = []
         for shard_id, boxes in enumerate(self.box_groups):
             task_indices = task_buckets[shard_id]
-            drivers = driver_buckets[shard_id]
+            drivers = tuple(instance.drivers[i] for i in driver_buckets[shard_id])
             sub_instance = MarketInstance(
-                drivers=tuple(drivers),
+                drivers=drivers,
                 tasks=tuple(instance.tasks[i] for i in task_indices),
                 cost_model=instance.cost_model,
             )
@@ -321,7 +324,7 @@ def translate_assignment(
 class RebalancePolicy:
     """Skew-aware shard split/merge knobs.
 
-    The *streaming* coordinator consults the policy every
+    A live *stream* consults the policy every
     ``check_every_batches`` arrival batches; the *offline*
     :class:`LoadAwarePartitioner` applies the same rule iteratively to a
     prior solve's load report before a solve.  In both cases the decision
@@ -449,7 +452,7 @@ class ShardLoadReport:
     ``task_counts[i]`` how many tasks it owned.  Build one with
     :meth:`from_prior` from either an offline
     :class:`~repro.distributed.coordinator.DistributedResult` or a streamed
-    :class:`~repro.distributed.coordinator.DistributedStreamResult` (whose
+    :class:`~repro.distributed.stream.DistributedStreamResult` (whose
     possibly rebalanced ``regions`` already round-trip).
     """
 

@@ -31,8 +31,9 @@ the rest in :attr:`TraceRecorder.dropped`.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "NO_PARENT",
@@ -165,6 +166,27 @@ class TraceRecorder:
     def span(self, name: str, **attrs: object) -> _SpanHandle:
         return _SpanHandle(self, self.begin(name, **attrs))
 
+    def detach(self, span_id: int) -> None:
+        """Take an open span off this thread's stack without closing it, so
+        later spans on the thread stop nesting under it (a stream's lifetime
+        span, which outlives the call that opened it)."""
+        stack = self._stack()
+        if span_id in stack:
+            stack.remove(span_id)
+
+    @contextmanager
+    def resume(self, span_id: int) -> Iterator[None]:
+        """Re-enter a detached open span for one block: spans begun inside
+        nest under it, and the thread's stack is restored on exit."""
+        stack = self._stack()
+        depth = len(stack)
+        if span_id >= 0:
+            stack.append(span_id)
+        try:
+            yield
+        finally:
+            del stack[depth:]
+
     def annotate(self, span_id: int, **attrs: object) -> None:
         """Append attributes to an open or closed span."""
         if span_id < 0:
@@ -177,20 +199,31 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def mark(self) -> int:
-        """Position marker for :meth:`spans_since`."""
-        return len(self._spans)
-
     def export(self) -> Tuple[SpanTuple, ...]:
         """All spans as immutable wire tuples (open spans closed at *now*)."""
         return self.spans_since(0)
 
     def spans_since(self, mark: int) -> Tuple[SpanTuple, ...]:
+        """Spans from position ``mark`` on (``len(recorder)`` marks *now*)."""
         now = perf_counter()
         out = []
         for entry in self._spans[mark:]:
             end_s = entry[4] if entry[4] is not None else now
             out.append((entry[0], entry[1], entry[2], entry[3], end_s, entry[5]))
+        return tuple(out)
+
+    def subtree(self, span_id: int) -> Tuple[SpanTuple, ...]:
+        """``span_id`` and every span below it, as wire tuples (empty for a
+        dropped span).  A parent always begins before its children, so one
+        pass from the root's position suffices."""
+        if span_id < 0:
+            return ()
+        members = {span_id}
+        out = []
+        for span in self.spans_since(span_id):
+            if span[0] == span_id or span[1] in members:
+                members.add(span[0])
+                out.append(span)
         return tuple(out)
 
     def adopt(

@@ -8,7 +8,7 @@ package is that shape: an asyncio ingestion gateway
 (:class:`~repro.service.gateway.DispatchService`) that accepts single order
 events on an in-process queue, cuts them into publish-ordered batches per
 city (:class:`~repro.service.batcher.WindowBatcher`), ships each batch to
-that city's :class:`~repro.distributed.coordinator.DistributedStreamSession`
+that city's :class:`~repro.distributed.stream.DistributedStreamSession`
 on its own persistent worker pool, and records per-order end-to-end
 dispatch latency and per-city counters into the service's one metrics
 registry (:mod:`~repro.service.metrics`) while applying backpressure when a

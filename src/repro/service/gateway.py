@@ -4,10 +4,10 @@
 engine: orders enter one at a time on an in-process ``asyncio.Queue``, are
 cut into publish-ordered batches per city by a
 :class:`~repro.service.batcher.WindowBatcher`, and are shipped to that
-city's :class:`~repro.distributed.coordinator.DistributedStreamSession` —
+city's :class:`~repro.distributed.stream.DistributedStreamSession` —
 one coordinator + one persistent worker pool per city, all behind a single
 gateway (multi-city tenancy).  Because ``append_batch`` returns its
-in-flight :class:`~repro.distributed.coordinator.PendingAppend` handles, the
+in-flight :class:`~repro.distributed.stream.PendingAppend` handles, the
 event loop overlaps its own work (ingesting the next window, serving
 :meth:`DispatchService.health` probes) with the workers' Hungarian window
 solves, and only *awaits* them at a backpressure barrier, an epoch rotation,

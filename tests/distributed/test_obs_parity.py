@@ -12,7 +12,7 @@ import pytest
 from repro.distributed import DistributedCoordinator, SpatialPartitioner
 from repro.geo import PORTO
 from repro.obs import trace as obs_trace
-from repro.online.batch import BatchConfig
+from repro.online.batch import BatchConfig, window_batches
 
 from ..conftest import build_random_instance
 
@@ -153,3 +153,64 @@ def test_disabled_tracing_records_nothing(instance):
     result, _ = _run_stream(instance, "serial")
     assert obs_trace.active_recorder() is None
     assert result.report.trace_span_count == 0
+
+
+def _subtree(spans, root_id):
+    """``root_id``'s span and its descendants, by parent links (parents
+    always precede their children)."""
+    members = {root_id}
+    for span in spans:
+        if span[1] in members:
+            members.add(span[0])
+    return [span for span in spans if span[0] in members]
+
+
+def _ancestors(spans, span_id):
+    parent_of = {span[0]: span[1] for span in spans}
+    chain = []
+    while parent_of[span_id] != obs_trace.NO_PARENT:
+        span_id = parent_of[span_id]
+        chain.append(span_id)
+    return chain
+
+
+def _open_streams(instance, count):
+    """``count`` 1x1 streams on one serial coordinator, appended in
+    lock-step, then finished in opening order."""
+    batches = window_batches(instance.tasks, WINDOW_S)
+    with DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1)) as coordinator:
+        sessions = [
+            coordinator.open_stream(
+                instance.drivers, instance.cost_model, config=BatchConfig(window_s=WINDOW_S)
+            )
+            for _ in range(count)
+        ]
+        for batch in batches:
+            for session in sessions:
+                session.append_batch(batch)
+        return [session.finish() for session in sessions]
+
+
+def test_interleaved_streams_on_one_thread_trace_as_sibling_roots(instance):
+    """A stream's lifetime span never captures another stream's spans, so
+    two streams interleaved on one thread (the service runs every city's
+    stream on its event loop) each report exactly what they would alone."""
+    recorder = obs_trace.enable_tracing()
+    (solo,) = _open_streams(instance, 1)
+    obs_trace.disable_tracing()
+    solo_spans = recorder.export()
+    (solo_root,) = [s[0] for s in solo_spans if s[2] == "stream"]
+    solo_names = sorted(s[2] for s in _subtree(solo_spans, solo_root))
+
+    recorder = obs_trace.enable_tracing()
+    results = _open_streams(instance, 2)
+    obs_trace.disable_tracing()
+    spans = recorder.export()
+    roots = [s[0] for s in spans if s[2] == "stream"]
+    assert len(roots) == 2
+    first, second = roots
+    assert first not in _ancestors(spans, second)
+    assert second not in _ancestors(spans, first)
+    for result, root in zip(results, roots):
+        assert result.report.trace_span_count == solo.report.trace_span_count
+        assert sorted(s[2] for s in _subtree(spans, root)) == solo_names

@@ -93,10 +93,29 @@ class TestRecorder:
         recorder = TraceRecorder()
         with recorder.span("before"):
             pass
-        mark = recorder.mark()
+        mark = len(recorder)
         with recorder.span("after"):
             pass
         assert [s[2] for s in recorder.spans_since(mark)] == ["after"]
+
+    def test_detached_span_is_resumed_for_one_block(self):
+        recorder = TraceRecorder()
+        root = recorder.begin("root")
+        recorder.detach(root)
+        with recorder.span("outside"):
+            pass
+        with recorder.resume(root):
+            with recorder.span("inside"):
+                pass
+        with recorder.span("after"):
+            pass
+        recorder.end(root)
+        parents = {s[2]: s[1] for s in recorder.export()}
+        assert parents == {
+            "root": NO_PARENT, "outside": NO_PARENT, "inside": root, "after": NO_PARENT
+        }
+        assert [s[2] for s in recorder.subtree(root)] == ["root", "inside"]
+        assert recorder.subtree(DROPPED) == ()
 
     def test_per_thread_stacks_do_not_interleave(self):
         recorder = TraceRecorder()

@@ -169,6 +169,15 @@ class TestBuildAndSolve:
             )
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--horizon", "3"], ["--overlap", "1"], ["--forecast", "oracle"]],
+    )
+    def test_horizon_flags_require_batched(self, market_path, flags):
+        """No horizon knob is silently ignored off the batched algorithm."""
+        with pytest.raises(SystemExit, match="--forecast require --algorithm batched"):
+            main(["solve", "--market", str(market_path), "--algorithm", "greedy", *flags])
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["run", "--name", "airport-corridor", "--mode", "offline", "--horizon", "4"],
