@@ -12,7 +12,9 @@ the scalar reference loops by at least 5x while producing identical results.
 """
 
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,10 @@ from repro.online import (
     OnlineSimulator,
 )
 from repro.online import candidates as candidates_module
+
+# The scalar oracle is test code: import it from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.candidate_oracle import candidates_for_scalar  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +194,9 @@ class TestVectorizedKernelSpeedup:
             count = sum(len(fn(m, tasks[m], tasks[m].publish_ts)) for m in order)
             return count, time.perf_counter() - start
 
-        scalar_count, scalar_s = sweep(indexed.candidates_for_scalar)
+        scalar_count, scalar_s = sweep(
+            lambda m, task, now_ts: candidates_for_scalar(indexed, m, task, now_ts)
+        )
         grid_count, grid_s = sweep(indexed.candidates_for)
         flat_count, flat_s = sweep(exhaustive.candidates_for)
 
@@ -221,9 +229,7 @@ class TestVectorizedKernelSpeedup:
         fast_s = time.perf_counter() - start
 
         with monkeypatch.context() as patch:
-            patch.setattr(
-                CandidateKernel, "candidates_for", CandidateKernel.candidates_for_scalar
-            )
+            patch.setattr(CandidateKernel, "candidates_for", candidates_for_scalar)
             start = time.perf_counter()
             slow = OnlineSimulator(subset, MaxMarginDispatcher()).run()
             slow_s = time.perf_counter() - start

@@ -24,7 +24,7 @@ only decides what a slot is.  The right one depends on where the time goes:
     reproduce bit-identically.
 
 ``process``
-    Single-process slots.  Each shard is flattened into an array-backed
+    Single-process slots.  The pool flattens each shard into an array-backed
     :class:`~repro.distributed.payload.ShardPayload` (primal inputs only —
     never the object graph or cached task maps; pickled, or shipped through
     shared memory under ``transport="shm"``), the worker rebuilds the
@@ -37,7 +37,7 @@ only decides what a slot is.  The right one depends on where the time goes:
     callers should pass one warm ``pool=`` to every ``solve``.
 
 Offline shards and stream batches share one shipping path,
-``PersistentWorkerPool.submit_shipment``, which picks the wire format.
+``PersistentWorkerPool.submit_shipment``, which alone flattens a shard.
 
 Choosing a shard count
 ----------------------
@@ -78,7 +78,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.objectives import Objective
 from ..core.solution import MarketSolution
@@ -94,22 +94,25 @@ from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
 from ..online.simulator import OnlineSimulator
 from .messages import CoordinatorReport, ShardWorkRequest, ShardWorkResult, _FanOutRun
 from .partition import (
-    MarketShard,
     PartitionPlan,
     RebalancePolicy,
     ShardLoadReport,
     SpatialPartitioner,
     translate_assignment,
 )
-from .payload import ShardPayload, instance_from_payload, payload_from_shard
-from .pool import EXECUTOR_POLICIES, PersistentWorkerPool, lpt_slot_assignment
+from .pool import (
+    EXECUTOR_POLICIES,
+    PersistentWorkerPool,
+    _open_shipment,
+    lpt_slot_assignment,
+)
 from .stream import (  # PendingAppend: re-exported for callers of this module
     DistributedStreamResult,
     DistributedStreamSession,
     PendingAppend,
     priced_solution,
 )
-from .transport import TRANSPORTS, DeltaDescriptor, delta_from_descriptor, transport_error
+from .transport import TRANSPORTS, transport_error
 
 #: Shard solvers available to workers, by name.
 SOLVER_NAMES = ("greedy", "nearest", "maxMargin", "lp", "auto")
@@ -167,35 +170,13 @@ def _solve_instance(
     )
 
 
-def _worker_recorder(request: ShardWorkRequest, shard_id: int):
-    """A per-call flight recorder when the request asks for tracing.
-
-    Returns ``(recorder, previous)`` where ``previous`` is whatever recorder
-    the calling thread had installed (the coordinator's own, under the
-    serial policy) — the caller must restore it, so worker-side
-    span collection never leaks into the coordinator's tree except through
-    the explicit ``adopt`` at merge time.
-    """
-    if not request.trace:
-        return None, None
-    recorder = obs_trace.TraceRecorder()
-    previous = obs_trace.install_recorder(recorder)
-    recorder.begin(
-        "shard_solve",
-        shard=shard_id,
-        solver=request.solver_name,
-        pid=os.getpid(),
-    )
-    return recorder, previous
-
-
-def _empty_shard_result(shard_id: int, request: ShardWorkRequest) -> ShardWorkResult:
+def _empty_shard_result(request: ShardWorkRequest) -> ShardWorkResult:
     """The (trivial) result of a degenerate shard — no tasks or no drivers.
 
     The coordinator synthesises it in-line, so no future is ever submitted
     for such a shard."""
     return ShardWorkResult(
-        shard_id=shard_id,
+        shard_id=request.shard_id,
         solver_name=request.solver_name,
         assignment={},
         driver_profits={},
@@ -210,53 +191,35 @@ def _empty_shard_result(shard_id: int, request: ShardWorkRequest) -> ShardWorkRe
     )
 
 
-def solve_shard(
-    shipment: Union[MarketShard, ShardPayload, DeltaDescriptor],
-    request: ShardWorkRequest,
-) -> ShardWorkResult:
-    """The worker entry: run the requested solver on one shard, however it
-    was shipped.
+def solve_shard(shipment, request: ShardWorkRequest) -> ShardWorkResult:
+    """The worker entry: run the requested solver on one shard, in whatever
+    form ``PersistentWorkerPool.submit_shipment`` delivered it (opened by
+    the pool's one opener; every form yields the same result).  The shard's
+    id and size come from ``request``.
 
-    A :class:`MarketShard` (the serial slot shares the coordinator's
-    interpreter) is solved on its own sub-instance; a :class:`ShardPayload`
-    (pickle transport) is rebuilt first; a :class:`DeltaDescriptor` (shm
-    transport) names the shared-memory segment the payload's columns are
-    read from, and is opened exactly as the stream-append entry opens its
-    batches.  ``instance_from_payload`` materialises plain driver/task
-    objects before any solving happens, so no view over a segment outlives
-    this call and the coordinator is free to recycle it once the future
-    resolves.  All three produce the same result for the same shard.
+    Under tracing the solve records on a per-call flight recorder, never on
+    the calling thread's (the coordinator's own, under the serial policy):
+    its spans reach the coordinator's tree only through the explicit
+    ``adopt`` at merge time.
 
     Top-level (picklable by reference) on purpose.
     """
     if request.solver_name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
-    if isinstance(shipment, MarketShard):
-        shard_id = shipment.spec.shard_id
-        if shipment.task_count == 0 or shipment.driver_count == 0:
-            return _empty_shard_result(shard_id, request)
-    else:
-        shard_id = shipment.shard_id
-    recorder, previous = _worker_recorder(request, shard_id)
-    try:
-        if isinstance(shipment, DeltaDescriptor):
-            # The attach span records on the worker recorder installed above.
-            shipment = delta_from_descriptor(shipment)
+    if request.task_count == 0 or request.driver_count == 0:
+        return _empty_shard_result(request)
+    recorder = obs_trace.TraceRecorder() if request.trace else None
+    with obs_trace.recording(recorder), obs_trace.span(
+        "shard_solve", shard=request.shard_id, solver=request.solver_name, pid=os.getpid()
+    ):
         start = time.perf_counter()
-        if isinstance(shipment, MarketShard):
-            instance = shipment.instance
-        else:
-            with obs_trace.span("rebuild"):
-                instance = instance_from_payload(shipment)
+        instance = _open_shipment(shipment)
         assignment, driver_profits, total_value, served, bounds = _solve_instance(
             instance, request
         )
         elapsed_s = time.perf_counter() - start
-    finally:
-        if recorder is not None:
-            obs_trace.install_recorder(previous)
     return ShardWorkResult(
-        shard_id=shard_id,
+        shard_id=request.shard_id,
         solver_name=request.solver_name,
         assignment=assignment,
         driver_profits=driver_profits,
@@ -536,20 +499,17 @@ class DistributedCoordinator:
             live: List[int] = []
             for position, (shard, request) in enumerate(zip(plan.shards, requests)):
                 if shard.task_count == 0 or shard.driver_count == 0:
-                    results[position] = _empty_shard_result(shard.spec.shard_id, request)
+                    results[position] = _empty_shard_result(request)
                 else:
                     live.append(position)
 
             slots = self._placement_slots(plan, live, pool.worker_count, load_report)
-            # An inline slot shares this interpreter and takes the shard itself;
-            # a process slot is shipped the shard's array-backed payload.
-            futures = []
-            for slot, position in zip(slots, live):
-                shard = plan.shards[position]
-                shipment = payload_from_shard(shard) if pool.executor == "process" else shard
-                futures.append(
-                    pool.submit_shipment(slot, solve_shard, shipment, requests[position])
+            futures = [
+                pool.submit_shipment(
+                    slot, solve_shard, plan.shards[position], requests[position]
                 )
+                for slot, position in zip(slots, live)
+            ]
             for position, future in zip(live, futures):
                 results[position] = future.result()
             solved = [result for result in results if result is not None]

@@ -4,9 +4,10 @@ A :class:`~repro.distributed.partition.MarketShard` carries a full
 :class:`~repro.market.instance.MarketInstance` object graph — drivers, tasks
 and (possibly) the lazily cached task network and per-driver task maps.
 Pickling that graph into a worker process would ship megabytes of derived
-state the worker is going to rebuild anyway, so the process executor ships
+state the worker is going to rebuild anyway, so a process slot is shipped
 flat records instead: the *primal* inputs flattened into a handful of NumPy
-columns.
+columns.  Only the pool flattens (``submit_shipment``) and rebuilds (its one
+opener); an inline slot never sees a record.
 
 There is one record shape.  A :class:`ShardPayloadDelta` is a shard id plus
 a set of tasks — one stream arrival batch.  A :class:`ShardPayload` (one
@@ -31,9 +32,9 @@ Parity contracts
 * **Bit-identical round trip.**  ``instance_from_payload(payload_from_shard(s))``
   is value-identical to ``s.instance``, and merged coordinator solutions are
   bit-identical across the serial and process executors.
-* **Deltas == full rebuild.**  For the streaming path, a
+* **Deltas == full rebuild.**  For a stream on process slots, a
   :class:`ShardPayloadDelta` ships *only the new task columns* of one arrival
-  batch.  Reconstructing the batches of a stream with
+  batch (a serial stream's sessions hold the caller's tasks, no delta).  Reconstructing the batches of a stream with
   :func:`tasks_from_delta` and appending them in order yields exactly the
   task tuple a full :class:`ShardPayload` rebuild would produce (pinned by a
   hypothesis test in ``tests/distributed/test_payload.py``), which is what
@@ -67,7 +68,7 @@ class ShardPayloadDelta:
     ``(publish_ts, start_deadline_ts, end_deadline_ts)``.  Optional task
     fields (willingness to pay, recorded trip distance) use ``NaN`` as the
     "not supplied" sentinel, which is unambiguous because both are validated
-    non-negative on construction; :func:`tasks_from_delta` restores
+    finite on construction; :func:`tasks_from_delta` restores
     value-identical tasks.
     """
 

@@ -26,15 +26,12 @@ workers (and the per-shard streaming state living inside them) alive:
   (re-solves, ablation sweeps) back to back — the startup cost of the worker
   processes is paid once per pool, not once per solve.
 
-Only primal inputs ever cross the process boundary: drivers + cost model at
-open (plain frozen dataclasses with no derived caches) and
-:class:`~repro.distributed.payload.ShardPayloadDelta` arrays per batch (the
-new task columns only).  Stream deltas and offline
-:class:`~repro.distributed.payload.ShardPayload`s (a delta plus its drivers)
-are one record kind on the wire: both go onto a slot through
-:meth:`PersistentWorkerPool.submit_shipment`, the one place that picks the
-wire format, falls back to pickle and accounts the bytes, and a worker opens
-either with the same single ``isinstance(shipment, DeltaDescriptor)`` check.
+The pool owns the wire.  Callers hand :meth:`PersistentWorkerPool.submit_shipment`
+what they hold — an offline solve's ``MarketShard`` or a stream batch's
+``(shard_id, tasks)`` — and it is the one place a record is flattened: an
+inline slot gets the caller's objects, a process slot their primal inputs as
+flat columns (:mod:`repro.distributed.payload`).  Both worker entries open
+what arrived with the one opener, :func:`_open_shipment`.
 
 Every submit returns a :class:`concurrent.futures.Future`-alike: an already
 resolved ``Future`` under the serial policy, a :class:`_SlotFuture` (which
@@ -60,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
+from ..market.instance import MarketInstance
 from ..market.streaming import StreamingMarketInstance
 from ..market.task import Task
 from ..obs import logs as obs_logs
@@ -67,7 +65,14 @@ from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig, BatchedSimulator
 from ..runtime import pin_blas_threads
 from .messages import ShardStreamResult
-from .payload import ShardPayloadDelta, tasks_from_delta
+from .partition import MarketShard
+from .payload import (
+    ShardPayload,
+    delta_from_tasks,
+    instance_from_payload,
+    payload_from_shard,
+    tasks_from_delta,
+)
 from .transport import (
     TRANSPORTS,
     DeltaDescriptor,
@@ -152,11 +157,8 @@ class ShardStreamSession:
             if self._recorder is not None
             else obs_trace.DROPPED
         )
-        previous = obs_trace.install_recorder(self._recorder)
-        try:
+        with obs_trace.recording(self._recorder):
             self._simulator.stream_begin()
-        finally:
-            obs_trace.install_recorder(previous)
         self._elapsed_s = 0.0
         self._task_count = 0
 
@@ -167,27 +169,21 @@ class ShardStreamSession:
 
     def append(self, tasks: Sequence[Task]) -> int:
         """Feed one arrival batch; returns the shard's running task count."""
-        previous = obs_trace.install_recorder(self._recorder)
-        try:
-            with obs_trace.span("append", batch_size=len(tasks)):
-                start = time.perf_counter()
-                self._simulator.stream_feed(tasks)
-                self._elapsed_s += time.perf_counter() - start
-        finally:
-            obs_trace.install_recorder(previous)
+        with obs_trace.recording(self._recorder), obs_trace.span(
+            "append", batch_size=len(tasks)
+        ):
+            start = time.perf_counter()
+            self._simulator.stream_feed(tasks)
+            self._elapsed_s += time.perf_counter() - start
         self._task_count += len(tasks)
         return self._task_count
 
     def finish(self) -> ShardStreamResult:
         """Flush the last window, settle every driver, report the result."""
-        previous = obs_trace.install_recorder(self._recorder)
-        try:
-            with obs_trace.span("flush"):
-                start = time.perf_counter()
-                outcome = self._simulator.stream_end()
-                self._elapsed_s += time.perf_counter() - start
-        finally:
-            obs_trace.install_recorder(previous)
+        with obs_trace.recording(self._recorder), obs_trace.span("flush"):
+            start = time.perf_counter()
+            outcome = self._simulator.stream_end()
+            self._elapsed_s += time.perf_counter() - start
         if self._recorder is not None:
             self._recorder.end(self._root_span)
         return ShardStreamResult(
@@ -239,23 +235,28 @@ def _pool_open(
     return shard_id
 
 
-def _pool_append(shipment: Union[ShardPayloadDelta, DeltaDescriptor], token: int) -> int:
-    """The stream-append worker entry: feed one arrival batch to its shard's
-    session, whether it arrived whole or (shm transport) as a descriptor of
-    the segment its columns are read from — the same open as
-    ``solve_shard``.  Tasks are materialised inside this call
-    (``tasks_from_delta`` builds plain objects), so no view outlives the
-    segment's recycle window."""
-    session = _SESSIONS[(token, shipment.shard_id)]
-    # Open the shipment under the session recorder so the attach span
-    # (recorded inside ``delta_from_descriptor``) lands on this shard's trace.
-    previous = obs_trace.install_recorder(session._recorder)
-    try:
-        if isinstance(shipment, DeltaDescriptor):
-            shipment = delta_from_descriptor(shipment)
-        tasks = tasks_from_delta(shipment)
-    finally:
-        obs_trace.install_recorder(previous)
+def _open_shipment(shipment) -> Union[MarketInstance, Tuple[Task, ...]]:
+    """What a slot received, as the caller shipped it: a shard's sub-instance
+    or a batch's tasks.  Records are rebuilt into plain objects here, so no
+    view over a shm segment outlives the call."""
+    if isinstance(shipment, MarketShard):
+        return shipment.instance
+    if isinstance(shipment, tuple):
+        return shipment[1]
+    if isinstance(shipment, DeltaDescriptor):
+        shipment = delta_from_descriptor(shipment)
+    if isinstance(shipment, ShardPayload):
+        with obs_trace.span("rebuild"):
+            return instance_from_payload(shipment)
+    return tasks_from_delta(shipment)
+
+
+def _pool_append(shipment, token: int, shard_id: int) -> int:
+    """The stream-append worker entry: feed one batch to its shard's session."""
+    session = _SESSIONS[(token, shard_id)]
+    # Open under the session recorder so the attach span lands on this shard.
+    with obs_trace.recording(session._recorder):
+        tasks = _open_shipment(shipment)
     return session.append(tasks)
 
 
@@ -542,24 +543,28 @@ class PersistentWorkerPool:
         return _SlotFuture(self, slot, future)
 
     def submit_shipment(self, slot: int, fn, shipment, /, *args):
-        """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (a
-        shard record: a stream's :class:`ShardPayloadDelta` or an offline
-        solve's ``ShardPayload``) over the pool's transport.
+        """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (an
+        offline solve's :class:`MarketShard` or a stream batch's
+        ``(shard_id, tasks)``) over the pool's transport.
 
         A closed or broken pool refuses before anything is shipped or
-        counted.  An inline slot is handed the object as it is; a process
-        slot gets it pickled.  On shm transport the columns are copied into a
-        segment and only the descriptor is pickled — ``fn`` must open either
-        form — and
-        the segment is recycled when the returned future completes (same
-        slot, submission order — see the transport module's correctness
-        model).  Any shipping failure falls back to the pickle path for that
-        shipment and is counted in ``stats.pickle_fallbacks``, so a degraded
-        environment degrades throughput, never correctness.
+        counted.  An inline slot is handed the objects as they are; a
+        process slot gets them flattened and pickled.  On shm transport the
+        columns are copied into a segment and only the descriptor is
+        pickled, and the segment is recycled when the returned future
+        completes (same slot, submission order — see the transport module's
+        correctness model).  Any shipping failure falls back to the pickle
+        path for that shipment and is counted in ``stats.pickle_fallbacks``,
+        so a degraded environment degrades throughput, never correctness.
         """
         self._check_open()
         if self.executor != "process":
             return self.submit(slot, fn, shipment, *args)
+        # The one place a shard record is flattened: only a pipe needs it.
+        if isinstance(shipment, MarketShard):
+            shipment = payload_from_shard(shipment)
+        else:
+            shipment = delta_from_tasks(*shipment)
         fallback = False
         if self.shm_active:
             try:

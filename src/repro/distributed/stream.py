@@ -7,11 +7,10 @@ batches are routed to per-shard
 :class:`~repro.market.streaming.StreamingMarketInstance` sessions kept alive
 inside a :class:`~repro.distributed.pool.PersistentWorkerPool`, each shard
 dispatching its windows with the batched Hungarian simulator while the
-coordinator is already routing the next batch.  Only
-:class:`~repro.distributed.payload.ShardPayloadDelta` arrays (the new task
-columns) cross the process boundary per batch, and the pool outlives
-individual streams, so process startup is amortised across re-solves and
-ablation sweeps.
+coordinator is already routing the next batch.  A shard's batch goes to the
+pool as its ``Task`` objects, which only a process slot gets flattened (the
+new task columns), and the pool outlives individual streams, so process
+startup is amortised across re-solves and ablation sweeps.
 
 Drivers and orders are routed by the same
 :meth:`~repro.distributed.partition.ZonePartition.split` the offline
@@ -20,10 +19,10 @@ ships every order to its shard — whether it arrives live or is replayed
 into a freshly rebalanced shard.
 
 **Parity contract (stream == replay):** every worker session runs the exact
-``BatchedSimulator.run_stream`` code path on a value-identical delta round
-trip, so the merged streamed solution is bit-identical to a serial per-shard
-``run_stream`` replay of the same batch schedule — under either executor
-policy.  The optional skew-aware rebalance (split the hottest shard, merge
+``BatchedSimulator.run_stream`` code path on the caller's tasks or their
+value-identical delta round trip, so the merged streamed solution is
+bit-identical to a serial per-shard ``run_stream`` replay of the same batch
+schedule — under either executor policy.  The optional skew-aware rebalance (split the hottest shard, merge
 cold ones between windows) deliberately trades that fixed partition for load
 balance; its own contract is determinism: a rebalanced stream is bit-identical
 to a from-start stream over the final (post-rebalance) regions.
@@ -47,7 +46,6 @@ from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig
 from .messages import ShardStreamResult, StreamReport, _FanOutRun
 from .partition import RebalancePolicy, ZonePartition, plan_rebalance_action
-from .payload import delta_from_tasks
 from .pool import (
     PersistentWorkerPool,
     WorkerPoolBrokenError,
@@ -104,7 +102,7 @@ class PendingAppend:
     under the serial policy) or the pool's slot wrapper of one; awaiting it
     — directly, or via :meth:`DistributedStreamSession.wait_pending` from an
     event loop — observes the moment the shard's worker has consumed the
-    delta and dispatched every window the watermark closed.  This is the
+    batch and dispatched every window the watermark closed.  This is the
     awaitable hook the async dispatch service builds its append-latency and
     backpressure accounting on.
     """
@@ -137,8 +135,8 @@ class DistributedStreamSession:
     Created by :meth:`DistributedCoordinator.open_stream`.  Call
     :meth:`append_batch` for every publish-ordered arrival batch, then
     :meth:`finish` to drain the shards and merge.  Appends are asynchronous
-    under the pooled policies: the coordinator keeps routing and building
-    deltas while workers run their Hungarian windows.
+    under the pooled policies: the coordinator keeps routing and shipping
+    batches while workers run their Hungarian windows.
 
     Lifecycle
     ---------
@@ -292,7 +290,7 @@ class DistributedStreamSession:
     def pending_counts(self) -> Dict[int, int]:
         """Not-yet-completed worker appends per shard id.
 
-        The live window-queue depth of each shard: how many deltas its pinned
+        The live window-queue depth of each shard: how many batches its pinned
         worker has accepted but not finished dispatching.  The dispatch
         service's backpressure triggers on the max over shards; under the
         serial policy appends complete inline, so every count is 0.
@@ -388,7 +386,7 @@ class DistributedStreamSession:
         """Route one publish-ordered arrival batch to its shards.
 
         Under the pooled policies this returns as soon as the per-shard
-        deltas are queued; the workers' window dispatches overlap with the
+        batches are queued; the workers' window dispatches overlap with the
         next batch's routing.  Returns this batch's in-flight worker appends
         (one :class:`PendingAppend` per shard the batch touched, in shard
         order) — await or poll them to observe per-shard append completion;
@@ -415,7 +413,7 @@ class DistributedStreamSession:
     ) -> Tuple[PendingAppend, ...]:
         """Route ``tasks`` (global indices ``indices``) over the shards from
         position ``first`` on: each owner records the indices and, if it has
-        drivers, is shipped its delta.  The one loop that grows a shard."""
+        drivers, is shipped its batch.  The one loop that grows a shard."""
         shipped = []
         for shard, bucket in zip(
             self._shards[first:], self._split(first, (t.source for t in tasks))
@@ -424,11 +422,11 @@ class DistributedStreamSession:
                 continue
             shard.global_indices.extend(indices[i] for i in bucket)
             if shard.drivers:
-                # The pool picks the wire format: shm transport ships the
-                # delta's columns through a shared segment and pickles only
-                # the descriptor.
-                delta = delta_from_tasks(shard.shard_id, [tasks[i] for i in bucket])
-                shipped.append(self._submit(shard, _pool_append, self._token, ship=delta))
+                # The pool flattens the batch only where a pipe is crossed.
+                batch = (shard.shard_id, tuple(tasks[i] for i in bucket))
+                shipped.append(
+                    self._submit(shard, _pool_append, self._token, shard.shard_id, ship=batch)
+                )
         self._inflight.extend(shipped)
         return tuple(shipped)
 

@@ -37,10 +37,11 @@ A segment is recycled only after the future of the call that references it
 completes (the pool wires this through ``add_done_callback``), and slot
 executors process calls in submission order — so a worker always reads a
 segment *after* the coordinator's writes and *before* any reuse overwrites
-them.  Workers never keep views past the call: every entry point
-materialises plain :class:`~repro.market.task.Task` / driver objects
-immediately (the same rebuild the pickle path performs), so a recycled
-segment can never mutate state a worker still holds.
+them.  Workers never keep views past the call: both worker entries open
+their shipment with the pool's one opener, which materialises plain
+:class:`~repro.market.task.Task` / driver objects immediately (the same
+rebuild the pickle path performs), so a recycled segment can never mutate
+state a worker still holds.
 
 Segment names are unique per process (``repro-shm-<pid>-<shipper>-<seq>``,
 with a process-global shipper counter so consecutive pools never mint the

@@ -10,6 +10,7 @@ endpoints correspond to the "hitchhiking" model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Tuple
 
 from ..geo import GeoPoint
@@ -40,6 +41,8 @@ class Driver:
     end_ts: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.start_ts) and isfinite(self.end_ts)):
+            raise ValueError(f"driver {self.driver_id!r}: start_ts and end_ts must be finite")
         if self.end_ts <= self.start_ts:
             raise ValueError(
                 f"driver {self.driver_id!r}: end_ts must be strictly after start_ts"

@@ -13,6 +13,7 @@ start before ``t̄⁻_m`` and finish before ``t̄⁺_m``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Optional
 
 from ..geo import GeoPoint
@@ -39,6 +40,17 @@ class Task:
     distance_km: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN and +-inf pass every comparison below (and NaN is the wire's
+        # "not supplied" for wtp and distance).
+        if not (
+            isfinite(self.publish_ts) and isfinite(self.start_deadline_ts)
+            and isfinite(self.end_deadline_ts) and isfinite(self.price)
+            and (self.wtp is None or isfinite(self.wtp))
+            and (self.distance_km is None or isfinite(self.distance_km))
+        ):
+            raise ValueError(
+                f"task {self.task_id!r}: times, price, wtp and distance must be finite"
+            )
         if not self.publish_ts <= self.start_deadline_ts:
             raise ValueError(
                 f"task {self.task_id!r}: publish time must not exceed start deadline"

@@ -45,6 +45,7 @@ __all__ = [
     "enable_tracing",
     "phase_of",
     "phase_totals",
+    "recording",
     "span",
     "tracing_enabled",
 ]
@@ -294,6 +295,17 @@ def install_recorder(recorder: Optional[TraceRecorder]) -> Optional[TraceRecorde
     previous = getattr(_TLS, "recorder", None)
     _TLS.recorder = recorder
     return previous
+
+
+@contextmanager
+def recording(recorder: Optional[TraceRecorder]) -> Iterator[None]:
+    """Make ``recorder`` (or none) the thread's active recorder for one
+    block, restoring the previous one however the block ends."""
+    previous = install_recorder(recorder)
+    try:
+        yield
+    finally:
+        install_recorder(previous)
 
 
 def active_recorder() -> Optional[TraceRecorder]:

@@ -28,9 +28,9 @@ persistent driver-state arrays:
   fleet and the service area make it pay — there is no switch.
 
 Per-task inputs are read from ``instance.task_columns``; the kernel caches
-only the radian form of the coordinates.  The scalar loop survives as
-:meth:`CandidateKernel.candidates_for_scalar`, an oracle nothing in ``src/``
-calls: ``tests/online/test_candidate_kernel.py`` and
+only the radian form of the coordinates.  The scalar loop it replaced is
+``tests/candidate_oracle.py::candidates_for_scalar``:
+``tests/online/test_candidate_kernel.py`` and
 ``benchmarks/bench_algorithms_micro.py`` substitute it for the two queries
 and require identical candidates and whole-simulation outcomes.
 """
@@ -79,8 +79,7 @@ class CandidateKernel:
 
     def __init__(self, instance: MarketInstance, states: Iterable[DriverState]) -> None:
         self.instance = instance
-        self._cost_model = instance.cost_model
-        travel_model = self._cost_model.travel_model
+        travel_model = instance.cost_model.travel_model
         self._estimator = travel_model.estimator
         self._speed_kmh = travel_model.speed_kmh
         self._cost_per_km = travel_model.cost_per_km
@@ -410,54 +409,6 @@ class CandidateKernel:
                 )
             )
         return out
-
-    # ------------------------------------------------------------------
-    # scalar reference path
-    # ------------------------------------------------------------------
-    def candidates_for_scalar(
-        self, task_index: int, task: Task, now_ts: float
-    ) -> List[Candidate]:
-        """The original per-driver Python loop: the oracle the equivalence
-        tests and the micro benchmark compare the array queries against.
-        No dispatch path calls it."""
-        columns = self.instance.task_columns
-        if not columns.servable[task_index]:
-            return []
-        service_cost = float(columns.service_costs[task_index])
-
-        candidates: List[Candidate] = []
-        for state in self._states:
-            driver = state.driver
-            depart_ts = max(state.free_at, now_ts, driver.start_ts)
-            if depart_ts > task.start_deadline_ts:
-                continue
-            approach = self._cost_model.leg(state.location, task.source, ts=now_ts)
-            arrival_ts = depart_ts + approach.time_s
-            if arrival_ts > task.start_deadline_ts + 1e-9:
-                continue
-            pickup_ts = max(arrival_ts, task.start_deadline_ts)
-            dropoff_ts = pickup_ts + task.ride_window_s
-            if dropoff_ts > task.end_deadline_ts + 1e-9:
-                continue
-            home_leg = self._cost_model.leg(task.destination, driver.destination, ts=now_ts)
-            if dropoff_ts + home_leg.time_s > driver.end_ts + 1e-9:
-                continue
-            current_home_leg = self._cost_model.leg(
-                state.location, driver.destination, ts=now_ts
-            )
-            marginal = task.price - (
-                home_leg.cost + service_cost + approach.cost - current_home_leg.cost
-            )
-            candidates.append(
-                Candidate(
-                    state=state,
-                    arrival_ts=arrival_ts,
-                    dropoff_ts=dropoff_ts,
-                    approach_cost=approach.cost,
-                    marginal_value=marginal,
-                )
-            )
-        return candidates
 
     # ------------------------------------------------------------------
     # internals

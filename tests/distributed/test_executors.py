@@ -13,6 +13,7 @@ import pytest
 
 from repro.distributed import DistributedCoordinator, SpatialPartitioner
 from repro.distributed import coordinator as coordinator_module
+from repro.distributed import pool as pool_module
 from repro.geo import PORTO
 
 from ..conftest import build_random_instance
@@ -103,13 +104,13 @@ class TestEmptyShardShortCircuit:
         assert len(seen) == live
         # ... and no payload is built for them on the process path either.
         built = []
-        original_payload = coordinator_module.payload_from_shard
+        original_payload = pool_module.payload_from_shard
 
         def counting_payload(shard):
             built.append(shard.spec.shard_id)
             return original_payload(shard)
 
-        monkeypatch.setattr(coordinator_module, "payload_from_shard", counting_payload)
+        monkeypatch.setattr(pool_module, "payload_from_shard", counting_payload)
         DistributedCoordinator(partitioner, "greedy", executor="process", max_workers=2).solve(
             instance
         )

@@ -1,8 +1,8 @@
 """Stream==replay parity for the persistent shard pool.
 
 The streaming coordinator promises that ``solve_stream()`` — per-shard
-streaming sessions on a persistent worker pool, fed incremental
-``ShardPayloadDelta``s — is **bit-identical** to a serial per-shard
+streaming sessions on a persistent worker pool, fed each batch's tasks (as
+incremental ``ShardPayloadDelta``s on a process slot) — is **bit-identical** to a serial per-shard
 ``BatchedSimulator.run_stream`` replay of the same batch schedule, under
 every executor policy.  Today that parity is pinned here, including the
 ``process`` executor (the one that actually crosses a pickle boundary), the

@@ -26,7 +26,6 @@ from repro.distributed import (
     PersistentWorkerPool,
     SpatialPartitioner,
     WorkerPoolBrokenError,
-    delta_from_tasks,
 )
 from repro.distributed.pool import _SESSIONS, _pool_append, _pool_session_count
 from repro.geo import PORTO
@@ -251,13 +250,13 @@ class TestShippingOntoADeadPool:
     @pytest.mark.parametrize("state", ["closed", "broken"])
     @pytest.mark.parametrize("transport", ["pickle", "shm"])
     def test_refused_before_shipping(self, instance, transport, state):
-        delta = delta_from_tasks(0, instance.tasks[:5])
+        batch = (0, instance.tasks[:5])
         stale = set(shm_entries("repro-shm-"))
         pool = self._dead_pool(transport, state)
         before = pool.stats.snapshot()
         error = WorkerPoolBrokenError if state == "broken" else RuntimeError
         with pytest.raises(error, match="died mid-call" if state == "broken" else "pool is closed"):
-            pool.submit_shipment(0, _pool_append, delta, 1)
+            pool.submit_shipment(0, _pool_append, batch, 1, 0)
         if transport == "shm":
             with pytest.raises(error):
                 pool.shipper

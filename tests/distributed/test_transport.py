@@ -1,6 +1,6 @@
 """Zero-copy shared-memory transport: layout, lifecycle, parity (contract 16).
 
-Three layers are pinned here:
+Four layers are pinned here:
 
 * the packing layer — one descriptor round-trips either shard record (a
   stream delta or an offline payload) through a shared segment
@@ -9,6 +9,8 @@ Three layers are pinned here:
   stream reuses a handful of segments), ``release`` is idempotent,
   ``close()`` unlinks everything, and a failed shipment falls back to
   pickle without losing the batch;
+* the pool as the one flattener — a serial pool hands the caller's objects
+  through, a process pool flattens once per shard and batch;
 * **parity contract 16** — shm == pickle merges, bit-identical, for the
   offline path and the streaming path alike, with the pickle
   transport (and the serial executor) as the reference.
@@ -31,13 +33,16 @@ from repro.distributed import (
     ShmShipper,
     SpatialPartitioner,
     TransportStats,
+    ZonePartition,
     delta_from_descriptor,
     delta_from_tasks,
     delta_wire_bytes,
     payload_from_shard,
 )
 from repro.distributed import ShardWorkRequest, solve_shard
+from repro.distributed import pool as pool_module
 from repro.distributed.pool import (
+    _SESSIONS,
     _pool_append,
     _pool_discard,
     _pool_open,
@@ -46,7 +51,7 @@ from repro.distributed.pool import (
 from repro.distributed.transport import _MAX_FREE_SEGMENTS, _decode_ids, _encode_ids
 from repro.geo import PORTO
 from repro.market.cost import MarketCostModel
-from repro.online.batch import BatchConfig
+from repro.online.batch import BatchConfig, window_batches
 
 from ..conftest import build_random_instance
 from .test_stream import stream_fingerprint
@@ -261,7 +266,8 @@ class TestPoolTransportSelection:
     def test_shm_is_inert_without_a_pipe(self, plan):
         """A serial pool accepts transport='shm' but ships nothing: no pipe
         exists, so both transports are trivially identical there."""
-        delta = delta_from_tasks(0, plan.shards[0].instance.tasks[:5])
+        tasks = plan.shards[0].instance.tasks[:5]
+        delta = delta_from_tasks(0, tasks)
         with PersistentWorkerPool(executor="serial", transport="shm") as pool:
             assert not pool.shm_active
             with pytest.raises(RuntimeError, match="shm-transport process pools"):
@@ -272,7 +278,7 @@ class TestPoolTransportSelection:
                 plan.shards[0].instance.drivers, plan.shards[0].instance.cost_model,
                 BatchConfig(window_s=WINDOW_S),
             ).result()
-            count = pool.submit_shipment(0, _pool_append, delta, token).result()
+            count = pool.submit_shipment(0, _pool_append, (0, tasks), token, 0).result()
             assert count == delta.task_count
             assert pool.stats.shm_shipments == 0
             assert pool.stats.pickle_shipments == 0  # nothing crossed a pipe
@@ -284,7 +290,8 @@ class TestPoolTransportSelection:
         """A shipping failure degrades throughput, never correctness: the
         batch is re-sent pickled and counted as a fallback."""
         shard = max(plan.shards, key=lambda s: s.task_count)
-        delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks[:6])
+        tasks = shard.instance.tasks[:6]
+        delta = delta_from_tasks(shard.spec.shard_id, tasks)
         with PersistentWorkerPool(
             executor="process", worker_count=1, transport="shm"
         ) as pool:
@@ -300,18 +307,19 @@ class TestPoolTransportSelection:
                 raise OSError("no shared memory left")
 
             shipper.ship_delta = refuse
-            count = pool.submit_shipment(0, _pool_append, delta, token).result()
+            count = pool.submit_shipment(
+                0, _pool_append, (shard.spec.shard_id, tasks), token, shard.spec.shard_id
+            ).result()
             assert count == delta.task_count
             assert pool.stats.pickle_fallbacks == 1
             assert pool.stats.pickle_bytes >= delta_wire_bytes(delta)
 
-            # The same single path carries offline payloads: a refused
+            # The same single path carries offline shards: a refused
             # shipment falls back the same way, result still correct.
-            payload = payload_from_shard(shard)
             request = ShardWorkRequest(
                 shard.spec.shard_id, shard.driver_count, shard.task_count, "greedy"
             )
-            solved = pool.submit_shipment(0, solve_shard, payload, request).result()
+            solved = pool.submit_shipment(0, solve_shard, shard, request).result()
             direct = solve_shard(shard, request)
             assert solved.assignment == direct.assignment
             assert solved.total_value == direct.total_value
@@ -336,7 +344,10 @@ class TestStreamWorkerEntry:
                     shard.instance.cost_model, BatchConfig(window_s=WINDOW_S),
                 )
             counts = [
-                (_pool_append(delta, whole), _pool_append(shipper.ship_delta(delta), shipped))
+                (
+                    _pool_append(delta, whole, shard_id),
+                    _pool_append(shipper.ship_delta(delta), shipped, shard_id),
+                )
                 for delta in deltas
             ]
             assert counts == [(4, 4), (9, 9)]
@@ -344,6 +355,94 @@ class TestStreamWorkerEntry:
             shipper.close()
             for token in (whole, shipped):
                 _pool_discard(token, shard_id)
+
+
+class TestThePoolOwnsTheWire:
+    """``submit_shipment`` is the only flattener: an inline slot gets the
+    caller's objects, a process slot one flat record per shipment."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(pool_module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pool_module, name, counting)
+        return calls
+
+    @staticmethod
+    def _stream(instance, executor, transport, batches):
+        with DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2),
+            executor=executor,
+            max_workers=2,
+            transport=transport,
+        ) as coordinator:
+            session = coordinator.open_stream(
+                instance.drivers, instance.cost_model, config=BatchConfig(window_s=WINDOW_S)
+            )
+            with session:
+                for batch in batches:
+                    session.append_batch(batch)
+                resident = {
+                    shard.shard_id: _SESSIONS.get((session._token, shard.shard_id))
+                    for shard in session._shards
+                }
+                return session.finish(), resident
+
+    def test_a_serial_stream_shares_the_callers_tasks(self, instance, monkeypatch):
+        flattened = self._count(monkeypatch, "delta_from_tasks")
+        rebuilt = self._count(monkeypatch, "tasks_from_delta")
+        batches = window_batches(instance.tasks, WINDOW_S)
+        result, resident = self._stream(instance, "serial", "pickle", batches)
+        assert flattened == [] and rebuilt == []
+        held = [
+            task for session in resident.values() if session is not None
+            for task in session._instance.tasks
+        ]
+        staffed = sum(
+            count
+            for session, count in zip(resident.values(), result.report.per_shard_task_counts)
+            if session is not None
+        )
+        assert len(held) == staffed > 0
+        callers = {id(task) for batch in batches for task in batch}
+        assert all(id(task) in callers for task in held)
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_a_process_stream_flattens_once_per_shard_and_batch(
+        self, instance, monkeypatch, transport
+    ):
+        flattened = self._count(monkeypatch, "delta_from_tasks")
+        batches = window_batches(instance.tasks, WINDOW_S)
+        router = ZonePartition.from_grid(PORTO, 2, 2)
+        staffed = set(router.route(d.source for d in instance.drivers).tolist())
+        expected = sorted(
+            (shard, position)
+            for position, batch in enumerate(batches)
+            for shard in set(router.route(t.source for t in batch).tolist()) & staffed
+        )
+        self._stream(instance, "process", transport, batches)
+        position_of = {id(task): p for p, batch in enumerate(batches) for task in batch}
+        assert sorted(
+            (shard_id, position_of[id(tasks[0])]) for shard_id, tasks in flattened
+        ) == expected
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_a_process_solve_flattens_each_live_shard_once(
+        self, instance, plan, monkeypatch, transport
+    ):
+        flattened = self._count(monkeypatch, "payload_from_shard")
+        with DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2), executor="process", max_workers=2,
+            transport=transport,
+        ) as coordinator:
+            coordinator.solve(instance, pool=coordinator.stream_pool())
+        live = [s.spec.shard_id for s in plan.shards if s.task_count and s.driver_count]
+        assert sorted(shard.spec.shard_id for (shard,) in flattened) == live
 
 
 class TestTransportParity:

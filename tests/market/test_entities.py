@@ -1,5 +1,7 @@
 """Tests for the Driver and Task entities."""
 
+import math
+
 import pytest
 
 from repro.geo import GeoPoint
@@ -86,3 +88,29 @@ class TestTask:
         assert repriced.wtp == 12.0
         assert repriced.task_id == task.task_id
         assert task.price == 8.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "entity, field",
+    [
+        ("task", "publish_ts"),
+        ("task", "start_deadline_ts"),
+        ("task", "end_deadline_ts"),
+        ("task", "price"),
+        ("task", "wtp"),
+        ("task", "distance_km"),
+        ("driver", "start_ts"),
+        ("driver", "end_ts"),
+    ],
+)
+def test_non_finite_fields_rejected(entity, field, value):
+    """NaN and +-inf slip past every ordering and sign check; a NaN wtp or
+    distance would also read back as "not supplied" after a delta round
+    trip, so a serial and a process solve of the same task would differ."""
+    with pytest.raises(ValueError, match="finite"):
+        if entity == "task":
+            TestTask().make(**{field: value})
+        else:
+            Driver(**{"driver_id": "d1", "source": A, "destination": B,
+                      "start_ts": 0.0, "end_ts": 100.0, field: value})

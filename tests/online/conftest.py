@@ -15,11 +15,13 @@ import pytest
 from repro.online import candidates as candidates_module
 from repro.online.candidates import CandidateKernel
 
+from ..candidate_oracle import candidates_for_scalar
+
 
 def _scalar_window(kernel, task_indices, now_ts):
     out = {}
     for m in task_indices:
-        found = kernel.candidates_for_scalar(m, kernel.instance.tasks[m], now_ts)
+        found = candidates_for_scalar(kernel, m, kernel.instance.tasks[m], now_ts)
         if found:
             out[m] = found
     return out
@@ -29,7 +31,7 @@ def _scalar_window(kernel, task_indices, now_ts):
 def scalar_oracle():
     """Every kernel query inside the block runs the scalar reference loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CandidateKernel, "candidates_for", CandidateKernel.candidates_for_scalar)
+        patch.setattr(CandidateKernel, "candidates_for", candidates_for_scalar)
         patch.setattr(CandidateKernel, "candidates_for_window", _scalar_window)
         yield
 

@@ -36,6 +36,7 @@ from repro.online import (
 from repro.online.outcome import OnlineDriverRecord
 from repro.online.state import DriverState
 
+from ..candidate_oracle import candidates_for_scalar
 from ..conftest import build_random_instance, flat_travel_model, make_chain_task, point_east
 from .conftest import index_off, scalar_oracle
 
@@ -73,7 +74,7 @@ class TestKernelCandidateEquivalence:
             now_ts = task.publish_ts
             fast = vectorized.candidates_for(task_index, task, now_ts)
             full = exhaustive.candidates_for(task_index, task, now_ts)
-            reference = vectorized.candidates_for_scalar(task_index, task, now_ts)
+            reference = candidates_for_scalar(vectorized, task_index, task, now_ts)
             assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
             assert [c.driver_id for c in full] == [c.driver_id for c in reference]
             for got, want in zip(fast, reference):
@@ -115,7 +116,7 @@ class TestKernelCandidateEquivalence:
         moved.location = task.source
         moved.free_at = task.publish_ts
         kernel.sync(moved)
-        reference = kernel.candidates_for_scalar(0, task, task.publish_ts)
+        reference = candidates_for_scalar(kernel, 0, task, task.publish_ts)
         fast = kernel.candidates_for(0, task, task.publish_ts)
         assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
 
