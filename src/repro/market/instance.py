@@ -186,7 +186,7 @@ def graph_summary(instance: MarketInstance) -> Dict[str, float]:
         "drivers": float(instance.driver_count),
         "tasks": float(instance.task_count),
         "servable_tasks": float(int(network.servable.sum())),
-        "task_to_task_arcs": float(network.arc_count()),
+        "task_to_task_arcs": float(network.arc_head.size),
         "driver_entry_arcs": float(total_entry_arcs),
         "driver_exit_arcs": float(total_exit_arcs),
         "diameter": float(market_diameter(instance)),

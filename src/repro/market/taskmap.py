@@ -21,7 +21,8 @@ evaluation (1000 tasks, up to 300 drivers):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,10 +119,12 @@ class TaskNetwork:
         The per-task :class:`TaskColumns`; ``durations_s`` /
         ``service_costs`` / ``prices`` / ``valuations`` / ``servable`` are
         readable directly on the network.
-    successors / leg_times / leg_costs:
-        For every task ``m``, the tasks ``m'`` reachable after it (the
-        driver-independent part of Eq. (3)) with the empty-drive leg time and
-        cost of the connection.
+    arc_ptr / arc_head / arc_cost:
+        The task-to-task arcs (the driver-independent part of Eq. (3)) as one
+        CSR table: the arcs out of task ``m`` are positions
+        ``arc_ptr[m]:arc_ptr[m + 1]``, with heads ``m'`` in ascending order
+        and the empty-drive leg cost of each connection.  ``successors`` /
+        ``leg_costs`` are the same arrays split per task, as views.
     topo_order:
         Task indices sorted by pickup deadline — a valid topological order of
         every driver's task map, because every arc goes from an earlier
@@ -130,9 +133,9 @@ class TaskNetwork:
 
     tasks: Tuple[Task, ...]
     columns: TaskColumns
-    successors: Tuple[np.ndarray, ...]
-    leg_times: Tuple[np.ndarray, ...]
-    leg_costs: Tuple[np.ndarray, ...]
+    arc_ptr: np.ndarray
+    arc_head: np.ndarray
+    arc_cost: np.ndarray
     topo_order: np.ndarray
 
     @property
@@ -159,9 +162,19 @@ class TaskNetwork:
     def servable(self) -> np.ndarray:
         return self.columns.servable
 
-    def arc_count(self) -> int:
-        """Number of driver-independent task-to-task arcs."""
-        return int(sum(len(s) for s in self.successors))
+    @cached_property
+    def successors(self) -> Tuple[np.ndarray, ...]:
+        """For every task ``m``, the heads of its arcs (a view per task)."""
+        return self._per_task(self.arc_head)
+
+    @cached_property
+    def leg_costs(self) -> Tuple[np.ndarray, ...]:
+        """For every task ``m``, the leg costs of its arcs (a view per task)."""
+        return self._per_task(self.arc_cost)
+
+    def _per_task(self, values: np.ndarray) -> Tuple[np.ndarray, ...]:
+        bounds = self.arc_ptr.tolist()
+        return tuple(values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def build_task_network(
@@ -175,18 +188,8 @@ def build_task_network(
     holds them (they are shared, not copied); built here otherwise.
     """
     task_tuple = tuple(tasks)
-    count = len(task_tuple)
     if columns is None:
         columns = build_task_columns(task_tuple, cost_model)
-    if count == 0:
-        return TaskNetwork(
-            tasks=task_tuple,
-            columns=columns,
-            successors=(),
-            leg_times=(),
-            leg_costs=(),
-            topo_order=np.zeros(0, dtype=int),
-        )
     servable = columns.servable
 
     # Driver-independent part of Eq. (3): destination of m can reach the
@@ -201,21 +204,14 @@ def build_task_network(
     connectable &= servable[None, :]
     connectable &= servable[:, None]
 
-    successors: List[np.ndarray] = []
-    leg_times: List[np.ndarray] = []
-    leg_costs: List[np.ndarray] = []
-    for m in range(count):
-        succ = np.nonzero(connectable[m])[0]
-        successors.append(succ)
-        leg_times.append(leg_time_matrix[m, succ])
-        leg_costs.append(leg_cost_matrix[m, succ])
-
+    # Row-major nonzeros: the arcs grouped by tail, heads ascending.
+    tails, heads = np.nonzero(connectable)
     return TaskNetwork(
         tasks=task_tuple,
         columns=columns,
-        successors=tuple(successors),
-        leg_times=tuple(leg_times),
-        leg_costs=tuple(leg_costs),
+        arc_ptr=np.searchsorted(tails, np.arange(len(task_tuple) + 1)),
+        arc_head=np.ascontiguousarray(heads),
+        arc_cost=leg_cost_matrix[connectable],
         topo_order=np.argsort(columns.start_deadlines, kind="stable"),
     )
 

@@ -56,7 +56,8 @@ def exact_optimum(
     size_limit:
         ``(max_drivers, max_tasks)`` guard; pass ``None`` to lift it.
     time_limit_s:
-        MILP time limit handed to HiGHS.
+        MILP time limit handed to HiGHS.  A run the limit stops raises
+        :class:`ExactSolverError`; its incumbent is not reported as ``Z*``.
     """
     if size_limit is not None:
         max_drivers, max_tasks = size_limit
@@ -88,7 +89,7 @@ def exact_optimum(
         integrality=np.ones(model.variable_count),
         options=options,
     )
-    if result.x is None:
+    if result.status != 0:
         raise ExactSolverError(f"MILP failed: {result.message}")
     assignment = model.solution_to_assignment(np.asarray(result.x))
     solution = MarketSolution.from_assignment(instance, assignment, objective)

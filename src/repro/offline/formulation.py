@@ -30,8 +30,9 @@ Constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import itertools
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import optimize, sparse
@@ -132,125 +133,94 @@ def build_arc_flow_model(
     objective: Objective = Objective.DRIVERS_PROFIT,
     include_rationality: bool = True,
 ) -> ArcFlowModel:
-    """Assemble the arc-flow model for ``instance``."""
+    """Assemble the arc-flow model for ``instance``.
+
+    Each driver contributes one block of variables, in this order: the idle
+    arc, the source -> m arcs, the m -> sink arcs and the m -> m' arcs (the
+    network's CSR arcs with both ends usable).  Equality rows are numbered
+    per driver: source, sink, then one per usable task.  Inequality rows
+    ``0..M-1`` are the task capacities; with ``include_rationality`` row
+    ``M + i`` is driver ``i``'s rationality row.
+    """
     network = instance.task_network
+    task_count = instance.task_count
     gains = (
         network.valuations if objective.uses_valuation else network.prices
     ) - network.service_costs
+    arc_tail = np.repeat(np.arange(task_count), np.diff(network.arc_ptr))
+    # Nodes are task indices, with the source and sink as -2 and -1: they
+    # index the last two slots of a per-driver ``node_row`` and of ``labels``.
+    source, sink = -2, -1
+    labels = np.array([*range(task_count), SOURCE_NODE, SINK_NODE], dtype=object)
 
     arcs: List[ArcKey] = []
-    coefficients: List[float] = []
-    constant = 0.0
-
-    # Per-arc bookkeeping for the constraint matrices.
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_data: List[float] = []
-    eq_rhs: List[float] = []
-
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_data: List[float] = []
-    ub_rhs: List[float] = []
-
-    # Task-capacity rows are allocated first so that their indices are stable
-    # regardless of the driver count.
-    task_capacity_row: Dict[int, int] = {}
-    for m in range(instance.task_count):
-        task_capacity_row[m] = len(ub_rhs)
-        ub_rhs.append(1.0)
-
-    next_eq_row = 0
-    for driver in instance.drivers:
+    direct_costs: List[float] = []
+    # Per arc: the eq rows of its tail and head, its tail and head nodes,
+    # its objective coefficient and its rationality row (-1: none).
+    no_rows = np.zeros(0, dtype=np.intp)
+    blocks = [(no_rows, no_rows, no_rows, no_rows, np.zeros(0), no_rows)]
+    eq_row = 0
+    for position, driver in enumerate(instance.drivers):
         task_map = instance.task_map(driver.driver_id)
-        constant += task_map.direct_leg.cost
+        direct_costs.append(task_map.direct_leg.cost)
+        usable, entry = task_map.usable_tasks(), task_map.entry_tasks()
+        pair = task_map.exit_ok[arc_tail] & task_map.exit_ok[network.arc_head]
+        tails, heads = arc_tail[pair], network.arc_head[pair]
+        tail = np.concatenate((np.full(1 + entry.size, source), usable, tails))
+        head = np.concatenate(([sink], entry, np.full(usable.size, sink), heads))
+        coefficients = np.concatenate((
+            [-task_map.direct_leg.cost],
+            gains[entry] - task_map.source_leg_costs[entry],
+            -task_map.sink_leg_costs[usable],
+            gains[heads] - network.arc_cost[pair],
+        ))
 
-        usable = [int(m) for m in task_map.usable_tasks()]
-        usable_set = set(usable)
-        entry = [int(m) for m in task_map.entry_tasks()]
+        node_row = np.empty(task_count + 2, dtype=np.intp)
+        node_row[[source, sink]] = eq_row, eq_row + 1
+        node_row[usable] = np.arange(eq_row + 2, eq_row + 2 + usable.size)
+        eq_row += 2 + usable.size
+        rationality_row = task_count + position if include_rationality else -1
+        blocks.append((
+            node_row[tail], node_row[head], tail, head, coefficients,
+            np.full(coefficients.size, rationality_row),
+        ))
+        arcs.extend(zip(
+            itertools.repeat(driver.driver_id), labels[tail].tolist(), labels[head].tolist()
+        ))
 
-        source_row = next_eq_row
-        sink_row = next_eq_row + 1
-        next_eq_row += 2
-        eq_rhs.extend([1.0, 1.0])
-        task_rows = {}
-        for m in usable:
-            task_rows[m] = next_eq_row
-            next_eq_row += 1
-            eq_rhs.append(0.0)
-
-        rationality_row: Optional[int] = None
-        if include_rationality:
-            rationality_row = len(ub_rhs)
-            ub_rhs.append(task_map.direct_leg.cost)
-
-        def add_arc(tail, head, coefficient: float) -> int:
-            index = len(arcs)
-            arcs.append((driver.driver_id, tail, head))
-            coefficients.append(coefficient)
-            if rationality_row is not None:
-                # Individual rationality: -(per-driver profit) <= direct cost.
-                ub_rows.append(rationality_row)
-                ub_cols.append(index)
-                ub_data.append(-coefficient)
-            return index
-
-        # source -> sink (driver idles)
-        idx = add_arc(SOURCE_NODE, SINK_NODE, -task_map.direct_leg.cost)
-        eq_rows.extend([source_row, sink_row])
-        eq_cols.extend([idx, idx])
-        eq_data.extend([1.0, 1.0])
-
-        # source -> m
-        for m in entry:
-            coefficient = float(gains[m] - task_map.source_leg_costs[m])
-            idx = add_arc(SOURCE_NODE, m, coefficient)
-            eq_rows.extend([source_row, task_rows[m]])
-            eq_cols.extend([idx, idx])
-            eq_data.extend([1.0, 1.0])
-            ub_rows.append(task_capacity_row[m])
-            ub_cols.append(idx)
-            ub_data.append(1.0)
-
-        # m -> sink
-        for m in usable:
-            coefficient = float(-task_map.sink_leg_costs[m])
-            idx = add_arc(m, SINK_NODE, coefficient)
-            eq_rows.extend([task_rows[m], sink_row])
-            eq_cols.extend([idx, idx])
-            eq_data.extend([-1.0, 1.0])
-
-        # m -> m'
-        for m in usable:
-            successors = network.successors[m]
-            leg_costs = network.leg_costs[m]
-            for j, m_prime in enumerate(int(x) for x in successors):
-                if m_prime not in usable_set:
-                    continue
-                coefficient = float(gains[m_prime] - leg_costs[j])
-                idx = add_arc(m, m_prime, coefficient)
-                eq_rows.extend([task_rows[m], task_rows[m_prime]])
-                eq_cols.extend([idx, idx])
-                eq_data.extend([-1.0, 1.0])
-                ub_rows.append(task_capacity_row[m_prime])
-                ub_cols.append(idx)
-                ub_data.append(1.0)
-
-    variable_count = len(arcs)
-    A_eq = sparse.csr_matrix(
-        (eq_data, (eq_rows, eq_cols)), shape=(len(eq_rhs), variable_count)
+    tail_row, head_row, tail, head, coefficients, rationality_row = (
+        np.concatenate(parts) for parts in zip(*blocks)
     )
+    variable_count = len(arcs)
+    columns = np.repeat(np.arange(variable_count), 2)
+    ones = np.ones(variable_count)
+    # Flow: every arc has two eq entries, its tail's (+1 from the source,
+    # -1 from a task) then its head's (+1).  Source and sink rows equal 1.
+    A_eq = sparse.csr_matrix(
+        (np.column_stack((np.where(tail == source, 1.0, -1.0), ones)).ravel(),
+         (np.column_stack((tail_row, head_row)).ravel(), columns)),
+        shape=(eq_row, variable_count),
+    )
+    b_eq = np.zeros(eq_row)
+    b_eq[tail_row[tail == source]] = b_eq[head_row[head == sink]] = 1.0
+    # An arc's ub entries: its rationality entry (-coefficient, as the 5b row
+    # reads -(driver profit) <= direct cost), then, if it enters task m, its
+    # entry in m's capacity row m (+1).
+    ub_rows = np.column_stack((rationality_row, head)).ravel()
+    ub_data = np.column_stack((-coefficients, ones)).ravel()
+    kept = ub_rows >= 0
+    b_ub = np.concatenate((np.ones(task_count), direct_costs if include_rationality else []))
     A_ub = sparse.csr_matrix(
-        (ub_data, (ub_rows, ub_cols)), shape=(len(ub_rhs), variable_count)
+        (ub_data[kept], (ub_rows[kept], columns[kept])), shape=(b_ub.size, variable_count)
     )
     return ArcFlowModel(
         instance=instance,
         objective_sense=objective,
         arcs=tuple(arcs),
-        objective=np.array(coefficients, dtype=float),
-        constant=constant,
+        objective=coefficients,
+        constant=sum(direct_costs, 0.0),
         A_eq=A_eq,
-        b_eq=np.array(eq_rhs, dtype=float),
+        b_eq=b_eq,
         A_ub=A_ub,
-        b_ub=np.array(ub_rhs, dtype=float),
+        b_ub=b_ub,
     )

@@ -70,9 +70,7 @@ def lp_relaxation_bound(
     )
     if arc_model.variable_count == 0:
         return RelaxationResult(
-            upper_bound=arc_model.constant - sum(
-                instance.task_map(d.driver_id).direct_leg.cost for d in instance.drivers
-            ),
+            upper_bound=0.0,
             model=arc_model,
             arc_values=np.zeros(0),
             solver_status="empty",

@@ -16,6 +16,7 @@ from typing import Tuple
 
 import networkx as nx
 
+from repro.market.cost import MarketCostModel
 from repro.market.instance import MarketInstance
 from repro.market.taskmap import DriverTaskMap
 
@@ -35,11 +36,12 @@ def task_node(index: int) -> Tuple[str, int]:
     return ("task", index)
 
 
-def build_driver_graph(task_map: DriverTaskMap) -> nx.DiGraph:
+def build_driver_graph(task_map: DriverTaskMap, cost_model: MarketCostModel) -> nx.DiGraph:
     """One driver's task map as an explicit :class:`networkx.DiGraph`.
 
     Arc attributes carry the empty-drive leg cost (``cost``) and time
-    (``time_s``); task nodes carry the price, service cost and deadlines.
+    (``time_s``; task-to-task times from ``cost_model``); task nodes carry
+    the price, service cost and deadlines.
     """
     graph = nx.DiGraph()
     driver_id = task_map.driver.driver_id
@@ -50,6 +52,9 @@ def build_driver_graph(task_map: DriverTaskMap) -> nx.DiGraph:
     graph.add_edge(src, dst, cost=task_map.direct_leg.cost, time_s=task_map.direct_leg.time_s)
 
     net = task_map.network
+    leg_times, _ = cost_model.pairwise_leg_matrix(
+        net.columns.destinations, net.columns.sources
+    )
     usable = set(int(m) for m in task_map.usable_tasks())
     for m in usable:
         task = net.tasks[m]
@@ -84,7 +89,7 @@ def build_driver_graph(task_map: DriverTaskMap) -> nx.DiGraph:
                 task_node(m),
                 task_node(m_prime),
                 cost=float(net.leg_costs[m][j]),
-                time_s=float(net.leg_times[m][j]),
+                time_s=float(leg_times[m, m_prime]),
             )
     return graph
 
@@ -93,15 +98,17 @@ def build_market_graph(instance: MarketInstance) -> nx.DiGraph:
     """The merged DAG ``G`` over all drivers (Section IV-A)."""
     graph = nx.DiGraph()
     for driver in instance.drivers:
-        driver_graph = build_driver_graph(instance.task_map(driver.driver_id))
+        driver_graph = build_driver_graph(
+            instance.task_map(driver.driver_id), instance.cost_model
+        )
         graph = nx.compose(graph, driver_graph)
     return graph
 
 
-def longest_task_chain(task_map: DriverTaskMap) -> int:
+def longest_task_chain(task_map: DriverTaskMap, cost_model: MarketCostModel) -> int:
     """Most task nodes on any path of the driver's graph that starts at her
     source: the longest path of the subgraph her source reaches."""
-    graph = build_driver_graph(task_map)
+    graph = build_driver_graph(task_map, cost_model)
     src = driver_source(task_map.driver.driver_id)
     reached = graph.subgraph({src} | nx.descendants(graph, src))
     return sum(1 for node in nx.dag_longest_path(reached) if node[0] == "task")

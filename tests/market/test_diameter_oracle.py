@@ -23,10 +23,11 @@ from repro.geo import GeoPoint
 from repro.io import save_instance
 from repro.market import Driver, MarketCostModel, MarketInstance, Task, market_diameter
 from repro.market.cost import Leg
-from repro.market.taskmap import DriverTaskMap, TaskColumns, TaskNetwork
+from repro.market.taskmap import DriverTaskMap, TaskColumns
 
 from ..conftest import build_chain_instance, build_random_instance
 from ..graph_oracle import longest_task_chain
+from ..taskmap_oracle import network_from_rows
 
 ORIGIN = GeoPoint(41.15, -8.61)
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -42,7 +43,10 @@ REMOVED_NAMES = (
 
 def oracle_diameter(instance: MarketInstance) -> int:
     return max(
-        (longest_task_chain(instance.task_map(d.driver_id)) for d in instance.drivers),
+        (
+            longest_task_chain(instance.task_map(d.driver_id), instance.cost_model)
+            for d in instance.drivers
+        ),
         default=0,
     )
 
@@ -77,13 +81,8 @@ def hand_built_market(start_deadlines, successors, entry_rows, exit_rows) -> Mar
         sources=np.zeros((count, 2)),
         destinations=np.zeros((count, 2)),
     )
-    network = TaskNetwork(
-        tasks=tasks,
-        columns=columns,
-        successors=tuple(np.asarray(succ, dtype=int) for succ in successors),
-        leg_times=tuple(np.zeros(len(succ)) for succ in successors),
-        leg_costs=tuple(np.zeros(len(succ)) for succ in successors),
-        topo_order=np.argsort(start_deadlines, kind="stable"),
+    network = network_from_rows(
+        tasks, columns, successors, [np.zeros(len(succ)) for succ in successors]
     )
     drivers = tuple(Driver(f"d{j}", ORIGIN, ORIGIN, 0.0, 10.0) for j in range(len(entry_rows)))
     instance = MarketInstance(drivers=drivers, tasks=tasks, cost_model=MarketCostModel())
@@ -170,7 +169,7 @@ class TestPassEqualsExplicitGraph:
         the first chunk and the last chunk's is shorter."""
         instance = build_random_instance(task_count=40, driver_count=10, seed=21)
         chains = {
-            d.driver_id: longest_task_chain(instance.task_map(d.driver_id))
+            d.driver_id: longest_task_chain(instance.task_map(d.driver_id), instance.cost_model)
             for d in instance.drivers
         }
         longest_first = sorted(instance.drivers, key=lambda d: -chains[d.driver_id])

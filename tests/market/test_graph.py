@@ -28,7 +28,7 @@ def random_instance():
 
 class TestDriverGraph:
     def test_chainer_graph_structure(self, chain):
-        graph = build_driver_graph(chain.task_map("chainer"))
+        graph = build_driver_graph(chain.task_map("chainer"), chain.cost_model)
         src = driver_source("chainer")
         dst = driver_sink("chainer")
         assert graph.has_edge(src, dst)
@@ -38,12 +38,12 @@ class TestDriverGraph:
         assert not graph.has_edge(task_node(1), task_node(0))
 
     def test_stranded_graph_has_only_direct_edge(self, chain):
-        graph = build_driver_graph(chain.task_map("stranded"))
+        graph = build_driver_graph(chain.task_map("stranded"), chain.cost_model)
         assert graph.number_of_edges() == 1
         assert graph.has_edge(driver_source("stranded"), driver_sink("stranded"))
 
     def test_edge_attributes_present(self, chain):
-        graph = build_driver_graph(chain.task_map("chainer"))
+        graph = build_driver_graph(chain.task_map("chainer"), chain.cost_model)
         data = graph.get_edge_data(driver_source("chainer"), task_node(0))
         assert "cost" in data and "time_s" in data
         node_data = graph.nodes[task_node(0)]
@@ -52,7 +52,9 @@ class TestDriverGraph:
 
     def test_driver_graphs_are_acyclic(self, random_instance):
         for driver in random_instance.drivers:
-            graph = build_driver_graph(random_instance.task_map(driver.driver_id))
+            graph = build_driver_graph(
+                random_instance.task_map(driver.driver_id), random_instance.cost_model
+            )
             assert nx.is_directed_acyclic_graph(graph)
 
 
@@ -75,8 +77,8 @@ class TestMarketGraph:
 
 class TestDiameter:
     def test_chain_instance_diameter(self, chain):
-        assert longest_task_chain(chain.task_map("chainer")) == 2
-        assert longest_task_chain(chain.task_map("stranded")) == 0
+        assert longest_task_chain(chain.task_map("chainer"), chain.cost_model) == 2
+        assert longest_task_chain(chain.task_map("stranded"), chain.cost_model) == 0
         assert market_diameter(chain) == 2
 
     def test_diameter_bounded_by_task_count(self, random_instance):

@@ -26,7 +26,17 @@ from repro.online import (
 
 from ..conftest import build_random_instance
 
-NETWORK_ARRAYS = ("durations_s", "service_costs", "prices", "valuations", "servable", "topo_order")
+NETWORK_ARRAYS = (
+    "durations_s",
+    "service_costs",
+    "prices",
+    "valuations",
+    "servable",
+    "arc_ptr",
+    "arc_head",
+    "arc_cost",
+    "topo_order",
+)
 MAP_ARRAYS = (
     "entry_ok",
     "exit_ok",
@@ -49,8 +59,16 @@ def assert_equivalent(stream: StreamingMarketInstance, reference: MarketInstance
         assert np.array_equal(getattr(net_a, name), getattr(net_b, name)), name
     for m in range(net_a.task_count):
         assert np.array_equal(net_a.successors[m], net_b.successors[m])
-        assert np.array_equal(net_a.leg_times[m], net_b.leg_times[m])
         assert np.array_equal(net_a.leg_costs[m], net_b.leg_costs[m])
+    # The arcs' leg times, from each side's cost model over its own columns.
+    tails = np.repeat(np.arange(net_a.task_count), np.diff(net_a.arc_ptr))
+    times_a, _ = stream.cost_model.pairwise_leg_matrix(
+        net_a.columns.destinations, net_a.columns.sources
+    )
+    times_b, _ = reference.cost_model.pairwise_leg_matrix(
+        net_b.columns.destinations, net_b.columns.sources
+    )
+    assert np.array_equal(times_a[tails, net_a.arc_head], times_b[tails, net_b.arc_head])
     reference_maps = reference.task_maps
     assert set(stream.task_maps) == set(reference_maps)
     for driver_id, incremental in stream.task_maps.items():

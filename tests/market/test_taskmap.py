@@ -31,7 +31,8 @@ class TestTaskNetwork:
     def test_empty_network(self):
         network = build_task_network([], MarketCostModel(flat_travel_model()))
         assert network.task_count == 0
-        assert network.arc_count() == 0
+        assert network.arc_head.size == 0
+        assert network.successors == ()
 
     def test_servable_eq1(self):
         cost_model = MarketCostModel(flat_travel_model())
@@ -69,10 +70,39 @@ class TestTaskNetwork:
 
     def test_successor_leg_lookup(self, chain):
         network = chain.task_network
-        leg = successor_leg(network, 0, 1)
+        leg = successor_leg(network, chain.cost_model, 0, 1)
         assert leg is not None
         assert leg.time_s == pytest.approx(0.0, abs=1.0)  # same location
-        assert successor_leg(network, 1, 0) is None
+        assert successor_leg(network, chain.cost_model, 1, 0) is None
+
+    def test_csr_arcs_are_the_rows_of_eq3(self):
+        """Row ``m`` of the CSR table holds, heads ascending, every servable
+        ``m' != m`` whose pickup deadline the leg from ``m`` reaches, with that
+        leg's cost; ``successors`` / ``leg_costs`` are views of the table."""
+        instance = build_random_instance(task_count=40, driver_count=5, seed=10)
+        network, columns = instance.task_network, instance.task_columns
+        times, costs = instance.cost_model.pairwise_leg_matrix(
+            columns.destinations, columns.sources
+        )
+        count = network.task_count
+        assert network.arc_ptr.shape == (count + 1,)
+        assert network.arc_head.size == network.arc_cost.size == network.arc_ptr[-1]
+        for m in range(count):
+            expected = [
+                m_prime
+                for m_prime in range(count)
+                if m_prime != m
+                and columns.servable[m]
+                and columns.servable[m_prime]
+                and times[m, m_prime]
+                <= columns.start_deadlines[m_prime] - columns.end_deadlines[m] + 1e-9
+            ]
+            lo, hi = network.arc_ptr[m], network.arc_ptr[m + 1]
+            assert network.arc_head[lo:hi].tolist() == expected
+            assert np.array_equal(network.arc_cost[lo:hi], costs[m, expected])
+            assert network.successors[m].base is network.arc_head
+            assert network.leg_costs[m].base is network.arc_cost
+        assert sum(succ.size for succ in network.successors) > 0
 
     def test_topo_order_sorted_by_start_deadline(self, chain):
         network = chain.task_network
@@ -100,9 +130,10 @@ class TestTaskNetwork:
         network = instance.task_network
         for m, successors in enumerate(network.successors):
             end_m = instance.tasks[m].end_deadline_ts
-            for j, m_prime in enumerate(int(x) for x in successors):
+            for m_prime in (int(x) for x in successors):
                 slack = instance.tasks[m_prime].start_deadline_ts - end_m
-                assert network.leg_times[m][j] <= slack + 1e-6
+                leg = successor_leg(network, instance.cost_model, m, m_prime)
+                assert leg.time_s <= slack + 1e-6
 
 
 class TestDriverTaskMap:

@@ -10,6 +10,7 @@ evaluation methodology:
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.core import MarketSolution, Objective
 from repro.market.taskmap import SINK_NODE, SOURCE_NODE
@@ -133,6 +134,23 @@ class TestExactSolver:
     def test_size_guard(self, small):
         with pytest.raises(ExactSolverError):
             exact_optimum(small, size_limit=(2, 5))
+
+    def test_time_limited_incumbent_is_not_the_optimum(self, small, monkeypatch):
+        """HiGHS stopped by its time limit returns status 1 with an incumbent
+        ``x``; that incumbent is not ``Z*``, so the solver must raise."""
+
+        def stopped_by_time_limit(c, **kwargs):
+            return optimize.OptimizeResult(
+                x=np.zeros(len(c)),
+                fun=0.0,
+                status=1,
+                success=False,
+                message="Time limit reached. (HiGHS Status 13: model_status is Time limit reached)",
+            )
+
+        monkeypatch.setattr("repro.offline.exact.optimize.milp", stopped_by_time_limit)
+        with pytest.raises(ExactSolverError, match="Time limit reached"):
+            exact_optimum(small)
 
     def test_matches_brute_force_on_tiny_instance(self):
         instance = build_random_instance(task_count=8, driver_count=3, seed=41)

@@ -14,12 +14,13 @@ from repro.distributed import SpatialPartitioner
 from repro.geo import GeoPoint
 from repro.market import Driver, Task
 from repro.market.cost import Leg
-from repro.market.taskmap import DriverTaskMap, TaskColumns, TaskNetwork
+from repro.market.taskmap import DriverTaskMap, TaskColumns
 from repro.offline import GreedySolver, best_path
 from repro.scenarios import compile_scenario, get_scenario, scenario_names
 
 from ..conftest import build_random_instance
 from ..dag_oracle import best_path_oracle
+from ..taskmap_oracle import network_from_rows
 
 ORIGIN = GeoPoint(41.15, -8.61)
 
@@ -72,14 +73,7 @@ def build_task_map(
         sources=np.zeros((count, 2)),
         destinations=np.zeros((count, 2)),
     )
-    network = TaskNetwork(
-        tasks=tasks,
-        columns=columns,
-        successors=tuple(np.asarray(succ, dtype=int) for succ in successors),
-        leg_times=tuple(np.zeros(len(succ)) for succ in successors),
-        leg_costs=tuple(np.asarray(costs, dtype=float) for costs in leg_costs),
-        topo_order=np.argsort(start_deadlines, kind="stable"),
-    )
+    network = network_from_rows(tasks, columns, successors, leg_costs)
     return DriverTaskMap(
         driver=Driver("d0", ORIGIN, ORIGIN, 0.0, 10.0),
         network=network,

@@ -15,18 +15,45 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.market.cost import Leg
+from repro.market.cost import Leg, MarketCostModel
 from repro.market.taskmap import SINK_NODE, SOURCE_NODE, DriverTaskMap, TaskNetwork
 
 
-def successor_leg(network: TaskNetwork, m: int, m_prime: int) -> Optional[Leg]:
-    """The empty-drive leg of arc ``m -> m_prime`` if it exists."""
-    succ = network.successors[m]
-    positions = np.nonzero(succ == m_prime)[0]
-    if positions.size == 0:
+def network_from_rows(tasks, columns, successors, leg_costs) -> TaskNetwork:
+    """A hand-built :class:`TaskNetwork` from per-task successor and leg-cost
+    lists, stored as the CSR arc table; ``topo_order`` sorts by pickup
+    deadline, as :func:`~repro.market.taskmap.build_task_network` does."""
+    lengths = [len(succ) for succ in successors]
+    return TaskNetwork(
+        tasks=tuple(tasks),
+        columns=columns,
+        arc_ptr=np.concatenate(([0], np.cumsum(lengths, dtype=int))),
+        arc_head=np.array([m for succ in successors for m in succ], dtype=int),
+        arc_cost=np.array([c for costs in leg_costs for c in costs], dtype=float),
+        topo_order=np.argsort(columns.start_deadlines, kind="stable"),
+    )
+
+
+def arc_position(network: TaskNetwork, m: int, m_prime: int) -> Optional[int]:
+    """Position of arc ``m -> m_prime`` in the network's arc table, if it exists."""
+    lo = int(network.arc_ptr[m])
+    positions = np.nonzero(network.arc_head[lo : network.arc_ptr[m + 1]] == m_prime)[0]
+    return lo + int(positions[0]) if positions.size else None
+
+
+def successor_leg(
+    network: TaskNetwork, cost_model: MarketCostModel, m: int, m_prime: int
+) -> Optional[Leg]:
+    """The empty-drive leg of arc ``m -> m_prime`` if it exists: its cost read
+    off the network, its time from the cost model on the one pair."""
+    j = arc_position(network, m, m_prime)
+    if j is None:
         return None
-    j = int(positions[0])
-    return Leg(time_s=float(network.leg_times[m][j]), cost=float(network.leg_costs[m][j]))
+    columns = network.columns
+    times, _ = cost_model.pairwise_leg_matrix(
+        columns.destinations[m : m + 1], columns.sources[m_prime : m_prime + 1]
+    )
+    return Leg(time_s=float(times[0, 0]), cost=float(network.arc_cost[j]))
 
 
 def arc_exists(task_map: DriverTaskMap, tail, head) -> bool:
@@ -44,7 +71,7 @@ def arc_exists(task_map: DriverTaskMap, tail, head) -> bool:
     tail_i, head_i = int(tail), int(head)
     if not task_map.exit_ok[head_i]:
         return False
-    return bool(np.any(task_map.network.successors[tail_i] == head_i))
+    return arc_position(task_map.network, tail_i, head_i) is not None
 
 
 def is_feasible_path(task_map: DriverTaskMap, path: Sequence[int]) -> bool:
@@ -81,10 +108,7 @@ def path_profit(task_map: DriverTaskMap, path: Sequence[int], use_valuation: boo
         total += float(values[m] - net.service_costs[m])
     total -= float(task_map.source_leg_costs[path[0]])
     for tail, head in zip(path[:-1], path[1:]):
-        leg = successor_leg(net, tail, head)
-        if leg is None:
-            raise ValueError(f"path uses a non-existent arc {tail} -> {head}")
-        total -= leg.cost
+        total -= _arc_cost(net, tail, head)
     total -= float(task_map.sink_leg_costs[path[-1]])
     total += task_map.direct_leg.cost
     return total
@@ -101,9 +125,13 @@ def path_excess_cost(task_map: DriverTaskMap, path: Sequence[int]) -> float:
     for m in path:
         cost += float(net.service_costs[m])
     for tail, head in zip(path[:-1], path[1:]):
-        leg = successor_leg(net, tail, head)
-        if leg is None:
-            raise ValueError(f"path uses a non-existent arc {tail} -> {head}")
-        cost += leg.cost
+        cost += _arc_cost(net, tail, head)
     cost += float(task_map.sink_leg_costs[path[-1]])
     return cost - task_map.direct_leg.cost
+
+
+def _arc_cost(network: TaskNetwork, tail: int, head: int) -> float:
+    j = arc_position(network, tail, head)
+    if j is None:
+        raise ValueError(f"path uses a non-existent arc {tail} -> {head}")
+    return float(network.arc_cost[j])
