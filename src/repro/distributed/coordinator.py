@@ -104,6 +104,7 @@ from .pool import (
     EXECUTOR_POLICIES,
     PersistentWorkerPool,
     _open_shipment,
+    check_worker_count,
     lpt_slot_assignment,
 )
 from .stream import (  # PendingAppend: re-exported for callers of this module
@@ -264,7 +265,7 @@ class DistributedCoordinator:
         module docstring for how to choose).
     max_workers:
         Pool width for the process policy (``None`` lets the pool pick its
-        default).
+        default, one per CPU); an explicit value below 1 is refused.
     base_seed:
         Base of the deterministic per-shard seeds (shard ``k`` receives
         ``base_seed + k``), so stochastic shard solvers are reproducible and
@@ -298,6 +299,7 @@ class DistributedCoordinator:
             )
         if transport not in TRANSPORTS:
             raise transport_error(transport)
+        check_worker_count(max_workers)
         self.partitioner = partitioner
         self.solver_name = solver_name
         self.executor = executor

@@ -6,10 +6,11 @@ where the same shards receive dozens of arrival batches and for ablation
 sweeps that re-solve the same city many times.  This module keeps the
 workers (and the per-shard streaming state living inside them) alive:
 
-* :class:`PersistentWorkerPool` owns ``worker_count`` *slot executors*.  Each
-  slot is a single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-  (or inline execution for the serial policy), so every call submitted to a
-  slot runs in the **same** process, in submission order.  Shards are pinned
+* :class:`PersistentWorkerPool` owns ``worker_count`` *slots*.  A process
+  slot is one worker process the pool starts and owns, running one command
+  loop (:func:`_slot_main`) over a :mod:`multiprocessing` connection, so
+  every call submitted to a slot runs in the **same** process, in
+  submission order; a serial slot runs the call inline.  Shards are pinned
   to slots, which is what lets a worker process hold a shard's
   :class:`~repro.market.streaming.StreamingMarketInstance` across batches
   instead of rebuilding it.
@@ -33,16 +34,16 @@ inline slot gets the caller's objects, a process slot their primal inputs as
 flat columns (:mod:`repro.distributed.payload`).  Both worker entries open
 what arrived with the one opener, :func:`_open_shipment`.
 
-Every submit returns a :class:`concurrent.futures.Future`-alike: an already
-resolved ``Future`` under the serial policy, a :class:`_SlotFuture` (which
-translates worker death) on a process slot.
+Every submit returns a plain :class:`concurrent.futures.Future`: already
+resolved under the serial policy, resolved by the slot's reader thread on a
+process slot — with a :class:`WorkerPoolBrokenError` if the worker died.
 
 The pool is also the offline execution substrate: the coordinator's
 ``solve()`` dispatches one-shot shard solves (top-level ``solve_shard``
-calls) onto the same slot executors, so streaming sessions and offline
-re-solves share one set of warm workers.  Slots make no assumption about
-what runs on them — they are plain single-worker executors with a
-submission-order guarantee.
+calls) onto the same slots, so streaming sessions and offline re-solves
+share one set of warm workers.  Slots make no assumption about what runs on
+them — a slot runs any picklable ``fn(*args)``, with a submission-order
+guarantee.
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ import itertools
 import logging
 import multiprocessing
 import os
+import signal
+import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import traceback
+import weakref
+from collections import deque
+from concurrent.futures import Future, InvalidStateError
+from multiprocessing.reduction import ForkingPickler
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
@@ -90,6 +97,14 @@ EXECUTOR_POLICIES = ("serial", "process")
 logger = logging.getLogger("repro.distributed.pool")
 
 
+def check_worker_count(worker_count: Optional[int]) -> None:
+    """Refuse an explicit pool width below 1 (``None`` means one per CPU)."""
+    if worker_count is not None and worker_count < 1:
+        raise ValueError(
+            f"worker count must be at least 1 (or None for one per CPU), got {worker_count}"
+        )
+
+
 def _slot_initializer(log_spec=None) -> None:
     """Runs once in every pool worker process, before any shard work.
 
@@ -105,17 +120,63 @@ def _slot_initializer(log_spec=None) -> None:
     logger.debug("slot worker initialised: pid=%d", os.getpid())
 
 
+#: A worker's reply to a call it skipped because a cancelling ``close()``
+#: had begun: the parent cancels that call's future.
+_CANCELLED = ("cancelled", None)
+
+
+def _slot_main(conn, log_spec, cancelled) -> None:
+    """A process slot's worker: one command loop over ``conn``.
+
+    Runs :func:`_slot_initializer` once, then answers every ``(fn, args)``
+    message with ``(True, result)`` or ``(False, (exception, traceback))``,
+    in the order received, until ``None`` or end-of-file arrives.  A call
+    read after the pool set ``cancelled`` is answered with
+    :data:`_CANCELLED` instead of run.  A message that does not unpickle, or
+    a result that does not pickle, is answered with that error, so every
+    message gets exactly one reply and the parent's FIFO of futures stays
+    aligned.  SIGINT is ignored: the parent owns teardown, and a Ctrl-C
+    reaches the worker as the parent's ``close()``.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _slot_initializer(log_spec)
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        try:
+            call = ForkingPickler.loads(message)
+            if call is None:
+                return
+            if cancelled.is_set():
+                reply = _CANCELLED
+            else:
+                fn, args = call
+                reply = (True, fn(*args))
+        except BaseException as exc:  # even SystemExit fails the call, not the worker
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            data = ForkingPickler.dumps(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            data = ForkingPickler.dumps((False, (exc, traceback.format_exc())))
+        try:
+            conn.send_bytes(data)
+        except OSError:  # the parent is gone
+            return
+
+
 class WorkerPoolBrokenError(RuntimeError):
     """A slot's worker died (OOM-kill, ``os._exit``, crash) and the pool shut
     itself down.
 
-    Raised instead of the opaque :class:`concurrent.futures.BrokenExecutor`
-    a dead ``ProcessPoolExecutor`` produces: the message names the slot (and,
-    when the failing call is a stream append, the coordinator re-raises with
-    the shard id), and by the time the caller sees it the pool is already
-    **closed** — every other slot has been shut down with its queued work
-    cancelled — so a crash can never leave a half-poisoned pool accepting
-    new submissions on the surviving slots.
+    The slot notices the death as end-of-file on its connection (or a broken
+    pipe on send).  The message names the slot (and, when the failing call is
+    a stream append, the coordinator re-raises with the shard id), and by the
+    time the caller sees it the pool is already **closed**: every call still
+    outstanding on *any* slot fails with this error, and the surviving
+    workers are stopped — so a crash can never leave a half-poisoned pool
+    accepting new submissions on the surviving slots.
     """
 
     def __init__(self, message: str, *, slot: Optional[int] = None) -> None:
@@ -312,62 +373,170 @@ def lpt_slot_assignment(loads: Sequence[float], slot_count: int) -> List[int]:
 # ----------------------------------------------------------------------
 # the pool
 # ----------------------------------------------------------------------
-class _SlotFuture:
-    """A slot executor's future, with worker death translated on the way out.
+class _RemoteTraceback(Exception):
+    """A failed call's worker-side traceback, chained as its ``__cause__``."""
 
-    Delegates to the wrapped :class:`concurrent.futures.Future`; when the
-    result is a :class:`BrokenExecutor` (the worker process died mid-call),
-    the pool is torn down and the caller gets a :class:`WorkerPoolBrokenError`
-    naming the slot instead of the executor's context-free crash.
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _settle(future: Future, reply) -> None:
+    """Resolve ``future`` from a worker's ``(ok, value)`` reply.  A future
+    that is already done — failed by a broken pool, or cancelled by its
+    caller — keeps its outcome."""
+    ok, value = reply
+    try:
+        if ok is True:
+            future.set_result(value)
+        elif ok is False:
+            exc, remote = value
+            if remote is not None:
+                exc.__cause__ = _RemoteTraceback(f'\n"""\n{remote}"""')
+            future.set_exception(exc)
+        else:
+            future.cancel()
+    except InvalidStateError:
+        pass
+
+
+class _ProcessSlot:
+    """One pool-owned worker process and the parent's end of its pipe.
+
+    :meth:`submit` pickles ``(fn, args)`` on the caller's thread, then queues
+    the call's future and sends the message under the slot lock, so the FIFO
+    of futures is in the order the worker receives the calls.  One reader
+    thread resolves that FIFO from the worker's replies — done-callbacks run
+    on it, so they must not wait on this slot — and reports end-of-file it
+    did not ask for as the worker's death.  The slot holds its pool weakly, so a pool dropped without
+    ``close()`` is still collected, and its finalizer stops the workers.
     """
 
-    __slots__ = ("_pool", "_slot", "_future")
+    def __init__(self, pool: "PersistentWorkerPool", index: int) -> None:
+        context = multiprocessing.get_context()
+        self._conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_slot_main,
+            args=(child, pool._log_spec(), pool._cancelled),
+            name=f"repro-slot-{index}",
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+        self._pool = weakref.ref(pool)
+        self._index = index
+        self._futures: Deque[Future] = deque()
+        # _lock orders sends with the FIFO; _fifo_lock, never held across
+        # I/O, orders the reader's pops with a claim's snapshot.
+        self._lock = threading.Lock()
+        self._fifo_lock = threading.Lock()
+        # No message is sent once the slot was stopped or claimed.  A worker
+        # death claims the outstanding futures: their replies are dropped,
+        # and the claimant fails them after teardown.
+        self._stopped = False
+        self._claimed = False
+        self._reader = threading.Thread(
+            target=self._read, name=f"repro-slot-{index}-reader", daemon=True
+        )
+        self._reader.start()
 
-    def __init__(self, pool: "PersistentWorkerPool", slot: int, future) -> None:
-        self._pool = pool
-        self._slot = slot
-        self._future = future
-
-    @property
-    def raw(self):
-        """The underlying :class:`concurrent.futures.Future` (for
-        ``asyncio.wrap_future`` interop; errors read through it are *not*
-        translated — prefer :meth:`result`)."""
-        return self._future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-    def add_done_callback(self, fn) -> None:
-        self._future.add_done_callback(lambda _f: fn(self))
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The call's exception, untranslated (observability only — use
-        :meth:`result` to get worker deaths translated and the pool closed)."""
-        return self._future.exception(timeout)
-
-    def result(self, timeout: Optional[float] = None):
+    def submit(self, fn, args) -> Future:
+        future: Future = Future()
         try:
-            return self._future.result(timeout)
-        except BrokenExecutor as exc:
-            raise self._pool._mark_broken(self._slot, exc) from exc
+            message = ForkingPickler.dumps((fn, args))
+        except Exception as exc:  # only this call fails; nothing was queued
+            future.set_exception(exc)
+            return future
+        with self._lock:
+            if self._stopped or self._claimed:
+                # Raises: a slot stops accepting only once the pool closed.
+                self._pool()._check_open()
+            self._futures.append(future)
+            try:
+                self._conn.send_bytes(message)
+            except OSError as exc:  # a broken pipe: the worker is gone
+                lost = exc
+            else:
+                return future
+        raise self._pool()._lose(self, f"{type(lost).__name__}: {lost}") from lost
+
+    def _read(self) -> None:
+        while True:
+            try:
+                data = self._conn.recv_bytes()
+            except (EOFError, OSError):
+                break
+            try:
+                reply = ForkingPickler.loads(data)
+            except Exception as exc:  # a reply that does not unpickle here
+                reply = (False, (exc, None))
+            with self._fifo_lock:
+                future = self._futures.popleft()
+                owed = not self._claimed
+            if owed:
+                _settle(future, reply)
+        if self._stopped and (self._claimed or not self._futures):
+            return  # the exit this slot asked for
+        self.process.join(timeout=1.0)
+        cause = f"exit code {self.process.exitcode}"
+        pool = self._pool()
+        if pool is not None:
+            pool._lose(self, cause)
+            return
+        # The pool was dropped unclosed: nothing to tear down, but the
+        # futures still owed must resolve.
+        error = WorkerPoolBrokenError(
+            f"worker slot {self._index} died ({cause})", slot=self._index
+        )
+        for future in self.claim():
+            _settle(future, (False, (error, None)))
+
+    def claim(self) -> Tuple[Future, ...]:
+        """Stop accepting calls and hand over the outstanding futures (once;
+        a second claim gets none), for the caller to fail."""
+        with self._lock, self._fifo_lock:
+            if self._claimed:
+                return ()
+            self._claimed = True
+            return tuple(self._futures)
+
+    def stop(self) -> None:
+        """Ask the worker to exit once it has answered every queued call."""
+        with self._lock:
+            self._stopped = True
+            try:
+                self._conn.send_bytes(ForkingPickler.dumps(None))
+            except OSError:
+                pass  # already dead; the reader reports it
+
+    def join(self) -> None:
+        """Wait for the reader to drain the replies and the worker to exit."""
+        if threading.current_thread() is not self._reader:
+            self._reader.join()
+        self.process.join()
+        self._conn.close()
+
+
+def _stop_slots(slots: List[Optional[_ProcessSlot]]) -> None:
+    """Finalizer of a process pool: stop whatever slots ``close()`` left."""
+    for slot in slots:
+        if slot is not None:
+            slot.stop()
 
 
 class PersistentWorkerPool:
-    """A fixed set of slot executors that stay alive across streams.
+    """A fixed set of worker slots that stay alive across streams.
 
     Parameters
     ----------
     executor:
-        ``"serial"`` (inline execution, 1 slot) or ``"process"``.  Process
-        slots are **single-worker** executors: work submitted to one slot
-        runs in one OS process in submission order, which is the ordering +
-        locality guarantee the shard sessions rely on.
+        ``"serial"`` (inline execution, 1 slot) or ``"process"``.  A process
+        slot is one worker process the pool owns, answering calls from one
+        command loop: work submitted to one slot runs in one OS process in
+        submission order, which is the ordering + locality guarantee the
+        shard sessions rely on.
     worker_count:
-        Number of slots for the process policy (default: CPU count).
+        Number of slots for the process policy (``None``: CPU count); an
+        explicit value must be at least 1.
     transport:
         ``"pickle"`` (default) ships payloads/deltas as pickled call
         arguments; ``"shm"`` ships the array columns through shared-memory
@@ -382,14 +551,16 @@ class PersistentWorkerPool:
     Lifecycle
     ---------
 
-    Slot executors are created lazily on first submit to a slot and stay
-    alive until :meth:`close` — there is no per-stream or per-solve setup or
+    A slot's worker process is started lazily on the first submit to the
+    slot and stays alive until :meth:`close` — there is no per-stream or per-solve setup or
     teardown.  The pool is reusable across *kinds* of work, not just across
     streams: open as many consecutive streams on it as needed (each
     identified by :func:`next_stream_token`), interleave offline
     ``solve(pool=...)`` fan-outs on the same slots, and ``close()`` it once.
     ``close()`` is idempotent and terminal: a closed pool raises on submit
-    rather than silently re-forking.
+    rather than silently re-forking.  A process pool dropped (or still open
+    at interpreter exit) without ``close()`` stops its workers from a
+    finalizer, after they drain the calls already queued.
 
     Slot pinning
     ------------
@@ -415,15 +586,28 @@ class PersistentWorkerPool:
             )
         if transport not in TRANSPORTS:
             raise transport_error(transport)
+        check_worker_count(worker_count)
         self.executor = executor
         self.transport = transport
         if executor == "serial":
             self.worker_count = 1
-        else:
-            self.worker_count = max(1, worker_count or os.cpu_count() or 1)
-        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * self.worker_count
+        else:  # validated above: None or at least 1
+            self.worker_count = worker_count or os.cpu_count() or 1
+        self._slots: List[Optional[_ProcessSlot]] = [None] * self.worker_count
         self._closed = False
         self._broken: Optional[WorkerPoolBrokenError] = None
+        # _state_lock guards _broken/_closed against two slots dying at once;
+        # _close_lock serialises slot starts and teardown.  A death during
+        # close() takes only the first, so close() can wait for its reader.
+        self._state_lock = threading.Lock()
+        self._close_lock = threading.Lock()
+        # Set by a cancelling close(): workers skip the calls still queued.
+        self._cancelled = None
+        if executor == "process":
+            self._cancelled = multiprocessing.get_context().Event()
+            # A pool dropped (or still open at exit) without close() stops
+            # its workers anyway; the slots hold the pool only weakly.
+            weakref.finalize(self, _stop_slots, self._slots)
         self.stats = TransportStats(transport=transport)
         self._shipper: Optional[ShmShipper] = None
         self._log_queue = None
@@ -467,15 +651,15 @@ class PersistentWorkerPool:
             self._log_listener = obs_logs.start_record_relay(self._log_queue)
         return (self._log_queue, level)
 
-    def _slot_executor(self, slot: int) -> ProcessPoolExecutor:
-        pool = self._slots[slot]
-        if pool is None:
-            pool = self._slots[slot] = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_slot_initializer,
-                initargs=(self._log_spec(),),
-            )
-        return pool
+    def _process_slot(self, index: int) -> _ProcessSlot:
+        slot = self._slots[index]
+        if slot is None:
+            with self._close_lock:
+                self._check_open()
+                slot = self._slots[index]
+                if slot is None:
+                    slot = self._slots[index] = _ProcessSlot(self, index)
+        return slot
 
     @property
     def broken(self) -> bool:
@@ -488,28 +672,39 @@ class PersistentWorkerPool:
         worker death (a broken pool closes itself)."""
         return self._closed
 
-    def _mark_broken(self, slot: int, cause: BaseException) -> WorkerPoolBrokenError:
+    def _lose(self, slot: _ProcessSlot, cause: str) -> WorkerPoolBrokenError:
         """Record a dead worker and tear the whole pool down.
 
-        Every slot is shut down with its queued work cancelled, so the crash
-        of one worker can never leave the pool half-poisoned — alive on some
-        slots, broken on others.  Returns (does not raise) the diagnostic
-        error so callers can chain it onto the executor's own exception.
+        The pool is marked closed and every slot stops accepting calls; the
+        surviving workers are stopped, and only then does every call still
+        outstanding on every slot fail with the diagnostic error (firing its
+        done-callbacks) — so whoever sees the error finds the pool already
+        torn down, and the crash of one worker can never leave the pool
+        half-poisoned, alive on some slots, broken on others.  Returns (does
+        not raise) the error so callers can chain it onto the cause.
         """
-        if self._broken is None:
-            logger.error(
-                "worker slot %d/%d died mid-call (%s); closing the pool",
-                slot,
-                self.worker_count,
-                type(cause).__name__,
-            )
-            self._broken = WorkerPoolBrokenError(
-                f"worker slot {slot}/{self.worker_count} of this {self.executor!r} "
-                f"pool died mid-call ({type(cause).__name__}: {cause}); the pool "
-                "has been closed — open a fresh pool to continue",
-                slot=slot,
-            )
-            self.close(cancel_pending=True)
+        with self._state_lock:
+            if self._broken is None:
+                logger.error(
+                    "worker slot %d/%d died mid-call (%s); closing the pool",
+                    slot._index, self.worker_count, cause,
+                )
+                self._broken = WorkerPoolBrokenError(
+                    f"worker slot {slot._index}/{self.worker_count} of this "
+                    f"{self.executor!r} pool died mid-call ({cause}); the pool "
+                    "has been closed — open a fresh pool to continue",
+                    slot=slot._index,
+                )
+            teardown = not self._closed
+            self._closed = True
+        owed = list(slot.claim())
+        for other in self._slots:
+            if other is not None and other is not slot:
+                owed.extend(other.claim())
+        if teardown:
+            self.close()
+        for future in owed:
+            _settle(future, (False, (self._broken, None)))
         return self._broken
 
     def _check_open(self) -> None:
@@ -522,10 +717,12 @@ class PersistentWorkerPool:
     def submit(self, slot: int, fn, /, *args):
         """Run ``fn(*args)`` on a slot (inline under the serial policy).
 
-        Returns a future; calls submitted to the same slot execute in order,
-        in the same process.  If the slot's worker has died, raises
-        :class:`WorkerPoolBrokenError` naming the slot (and closes the pool)
-        instead of the executor's bare :class:`BrokenExecutor`.
+        Returns a :class:`concurrent.futures.Future`; calls submitted to the
+        same slot execute in order, in the same process.  A call whose
+        callable or arguments do not pickle fails on its own future.  If the
+        slot's worker has died, the future (or this call, when the death
+        shows on send) raises :class:`WorkerPoolBrokenError` naming the
+        slot, and the pool is closed.
         """
         self._check_open()
         slot %= self.worker_count
@@ -536,11 +733,7 @@ class PersistentWorkerPool:
             except BaseException as exc:  # surfaced via .result(), like a Future
                 future.set_exception(exc)
             return future
-        try:
-            future = self._slot_executor(slot).submit(fn, *args)
-        except BrokenExecutor as exc:
-            raise self._mark_broken(slot, exc) from exc
-        return _SlotFuture(self, slot, future)
+        return self._process_slot(slot).submit(fn, args)
 
     def submit_shipment(self, slot: int, fn, shipment, /, *args):
         """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (an
@@ -586,35 +779,43 @@ class PersistentWorkerPool:
         return self.submit(slot, fn, shipment, *args)
 
     def close(self, cancel_pending: bool = True) -> None:
-        """Shut every slot executor down (idempotent).
+        """Stop every slot's worker (idempotent).
 
         ``cancel_pending`` (default) drops work that is queued but not yet
-        running, so teardown — a Ctrl-C, an error-path ``with`` exit, a
-        broken-worker shutdown — returns as soon as the in-flight call
-        finishes instead of draining the whole backlog first.  Pass
-        ``cancel_pending=False`` to wait for every queued call (only sound
-        when the caller has already collected all its futures).
+        running — each worker answers it as cancelled instead of running it —
+        so teardown — a Ctrl-C, an error-path ``with`` exit, a broken-worker
+        shutdown — returns as soon as the in-flight call finishes instead of
+        draining the whole backlog first.  Pass ``cancel_pending=False`` to
+        wait for every queued call (only sound when the caller has already
+        collected all its futures).  Returns once every worker has exited
+        and every future it owed is resolved.
         """
-        self._closed = True
-        slots, self._slots = self._slots, [None] * self.worker_count
-        for pool in slots:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=cancel_pending)
-        # After the workers are gone nothing can be reading the segments, so
-        # unlink them all — every teardown path (context exit, SIGINT unwind,
-        # broken-worker shutdown) funnels through here and leaves /dev/shm
-        # clean.
-        if self._shipper is not None:
-            self._shipper.close()
-        # Workers are gone, so the relay queue can't receive more records;
-        # drain and stop the listener, then drop the queue's feeder thread.
-        if self._log_listener is not None:
-            self._log_listener.stop()
-            self._log_listener = None
-        if self._log_queue is not None:
-            self._log_queue.close()
-            self._log_queue.cancel_join_thread()
-            self._log_queue = None
+        with self._close_lock:
+            self._closed = True
+            slots = [slot for slot in self._slots if slot is not None]
+            self._slots[:] = [None] * self.worker_count
+            if cancel_pending and self._cancelled is not None:
+                self._cancelled.set()
+            for slot in slots:
+                slot.stop()
+            for slot in slots:
+                slot.join()
+            # After the workers are gone nothing can be reading the
+            # segments, so unlink them all — every teardown path (context
+            # exit, SIGINT unwind, broken-worker shutdown) funnels through
+            # here and leaves /dev/shm clean.
+            if self._shipper is not None:
+                self._shipper.close()
+            # Workers are gone, so the relay queue can't receive more
+            # records; drain and stop the listener, then drop the queue's
+            # feeder thread.
+            if self._log_listener is not None:
+                self._log_listener.stop()
+                self._log_listener = None
+            if self._log_queue is not None:
+                self._log_queue.close()
+                self._log_queue.cancel_join_thread()
+                self._log_queue = None
         logger.debug("pool closed: executor=%s", self.executor)
 
     def __enter__(self) -> "PersistentWorkerPool":

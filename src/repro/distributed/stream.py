@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -98,8 +99,9 @@ class PendingAppend:
     """One in-flight worker-side append, returned by
     :meth:`DistributedStreamSession.append_batch`.
 
-    The ``future`` is a :class:`concurrent.futures.Future` (already resolved
-    under the serial policy) or the pool's slot wrapper of one; awaiting it
+    The ``future`` is a plain :class:`concurrent.futures.Future` on either
+    policy (already resolved under the serial one, resolved by the slot's
+    reader thread on a process slot); awaiting it
     — directly, or via :meth:`DistributedStreamSession.wait_pending` from an
     event loop — observes the moment the shard's worker has consumed the
     batch and dispatched every window the watermark closed.  This is the
@@ -108,7 +110,7 @@ class PendingAppend:
     """
 
     shard_id: int
-    future: object
+    future: Future
 
     def done(self) -> bool:
         return self.future.done()
@@ -317,13 +319,11 @@ class DistributedStreamSession:
         try:
             for pending in inflight:
                 if not pending.done():
-                    # Slot futures expose the executor's own future; the
-                    # serial policy's futures are already done.
+                    # The serial policy's futures are already done.
                     try:
-                        await asyncio.wrap_future(pending.future.raw)
+                        await asyncio.wrap_future(pending.future)
                     except Exception:
-                        pass  # re-read below so worker death is translated
-                # Collect through the wrapper so worker death is translated.
+                        pass  # re-read below so worker death names the shard
                 self._collect(pending)
         except BaseException:
             self.close()

@@ -1,7 +1,7 @@
 """Zero-copy shard transport over POSIX shared memory.
 
 The process-pool wire format (:mod:`repro.distributed.payload`) already
-reduced what crosses the executor pipe to primal-input NumPy arrays — but it
+reduced what crosses a slot's pipe to primal-input NumPy arrays — but it
 still *pickles* those arrays, so every shard record (a stream's
 ``ShardPayloadDelta`` or an offline solve's ``ShardPayload``, which is a delta
 plus its drivers) is copied into the pipe byte for byte, then copied back out
@@ -34,8 +34,9 @@ Correctness model
 -----------------
 
 A segment is recycled only after the future of the call that references it
-completes (the pool wires this through ``add_done_callback``), and slot
-executors process calls in submission order — so a worker always reads a
+completes (the pool wires this through ``add_done_callback``; the callback
+runs on the slot's reader thread), and each slot's worker answers the calls
+on its FIFO connection in submission order — so a worker always reads a
 segment *after* the coordinator's writes and *before* any reuse overwrites
 them.  Workers never keep views past the call: both worker entries open
 their shipment with the pool's one opener, which materialises plain

@@ -8,7 +8,7 @@ place both meet:
 :mod:`~repro.obs.trace`
     A span-based flight recorder on the monotonic clock.  Spans carry a
     name, parent, and small attribute tuples; worker-side spans are
-    collected inside slot executors and shipped back as plain tuples on the
+    collected inside slot workers and shipped back as plain tuples on the
     existing result wire, then stitched into one cross-process tree per
     solve / stream / epoch.  Disabled (the default) it is a no-op.
 

@@ -12,7 +12,7 @@ this module to be carried around.
 
 Timestamps come from :func:`time.perf_counter`.  On Linux that is
 ``CLOCK_MONOTONIC``, which shares one epoch across every process on the
-machine — so spans recorded inside slot executors can be stitched into the
+machine — so spans recorded inside slot workers can be stitched into the
 coordinator's tree by :meth:`TraceRecorder.adopt` without clock translation.
 (On platforms where ``perf_counter`` is per-process the stitched tree still
 nests correctly; only cross-process gaps become approximate.)

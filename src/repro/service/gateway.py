@@ -87,9 +87,9 @@ logger = logging.getLogger("repro.service.gateway")
 class _BatchTracker:
     """Completion barrier for one shipped batch's pending appends.
 
-    Callbacks fire on executor threads, so the countdown is lock-guarded;
-    when the last append resolves cleanly the tracker stamps every receipt
-    in the batch and records their dispatch latencies.  A failed append
+    Callbacks fire on the slots' reader threads, so the countdown is
+    lock-guarded; when the last append resolves cleanly the tracker stamps
+    every receipt in the batch and records their dispatch latencies.  A failed append
     leaves the receipts incomplete — the error itself surfaces through the
     session on the next append/finish, not here.
     """

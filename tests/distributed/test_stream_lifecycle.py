@@ -420,7 +420,7 @@ class TestTeardownCancelsBacklog:
         # the in-flight call and the (at most two) calls already handed to
         # the worker's pipe.
         assert elapsed < 1.0, f"close() drained the backlog ({elapsed:.2f}s)"
-        states = [future.raw.cancelled() for future in futures]
+        states = [future.cancelled() for future in futures]
         assert any(states), "no queued future was cancelled"
 
     def test_close_can_still_drain_when_asked(self):
