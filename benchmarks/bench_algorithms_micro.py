@@ -33,7 +33,10 @@ from repro.online import candidates as candidates_module
 
 # The scalar oracle is test code: import it from the repository root.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.candidate_oracle import candidates_for_scalar  # noqa: E402
+from tests.candidate_oracle import (  # noqa: E402
+    candidates_for_scalar,
+    candidates_for_window_scalar,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +179,11 @@ class TestVectorizedKernelSpeedup:
         assert speedup >= 5.0
 
     def test_candidate_construction_speedup(self, kernel_instance, save_table, monkeypatch):
-        """Candidate-set construction over the full task stream: vectorised
-        kernel (with the grid index, and with it kept from engaging) vs the
-        scalar oracle.  Requires >= 5x and identical candidate sets."""
+        """Candidate-set construction over the full task stream, one task at
+        a time as the per-order simulator asks it (a one-task window):
+        vectorised kernel (with the grid index, and with it kept from
+        engaging) vs the scalar oracle.  Requires >= 5x and identical
+        candidate sets."""
         tasks = kernel_instance.tasks
         order = sorted(range(len(tasks)), key=lambda m: tasks[m].publish_ts)
         states = [DriverState.fresh(d) for d in kernel_instance.drivers]
@@ -197,8 +202,11 @@ class TestVectorizedKernelSpeedup:
         scalar_count, scalar_s = sweep(
             lambda m, task, now_ts: candidates_for_scalar(indexed, m, task, now_ts)
         )
-        grid_count, grid_s = sweep(indexed.candidates_for)
-        flat_count, flat_s = sweep(exhaustive.candidates_for)
+        def one_task_window(kernel):
+            return lambda m, task, now_ts: kernel.candidates_for_window([m], now_ts).get(m, [])
+
+        grid_count, grid_s = sweep(one_task_window(indexed))
+        flat_count, flat_s = sweep(one_task_window(exhaustive))
 
         assert grid_count == scalar_count
         assert flat_count == scalar_count
@@ -229,7 +237,7 @@ class TestVectorizedKernelSpeedup:
         fast_s = time.perf_counter() - start
 
         with monkeypatch.context() as patch:
-            patch.setattr(CandidateKernel, "candidates_for", candidates_for_scalar)
+            patch.setattr(CandidateKernel, "candidates_for_window", candidates_for_window_scalar)
             start = time.perf_counter()
             slow = OnlineSimulator(subset, MaxMarginDispatcher()).run()
             slow_s = time.perf_counter() - start

@@ -3,11 +3,13 @@
 Both online simulators (the per-order :class:`~repro.online.simulator.OnlineSimulator`
 implementing Algorithms 3-4 and the rolling-horizon
 :class:`~repro.online.batch.BatchedSimulator`) repeatedly answer the same
-question: *which drivers can feasibly serve this task, and at what marginal
-value?*  The original implementation walked every driver in Python and
-called the scalar distance estimator three times per (driver, task) pair —
-an ``O(N x M)`` scalar-haversine loop that dominated wall-clock on every
-benchmark.
+question: *which drivers can feasibly serve these tasks, and at what marginal
+value?*  They ask it through one query,
+:meth:`CandidateKernel.candidates_for_window` — the per-order simulator with
+a one-task window.  The original implementation walked every driver in
+Python and called the scalar distance estimator three times per (driver,
+task) pair — an ``O(N x M)`` scalar-haversine loop that dominated wall-clock
+on every benchmark.
 
 :class:`CandidateKernel` replaces that loop with NumPy arithmetic over
 persistent driver-state arrays:
@@ -29,10 +31,11 @@ persistent driver-state arrays:
 
 Per-task inputs are read from ``instance.task_columns``; the kernel caches
 only the radian form of the coordinates.  The scalar loop it replaced is
-``tests/candidate_oracle.py::candidates_for_scalar``:
+``tests/candidate_oracle.py`` (``candidates_for_scalar`` per task,
+``candidates_for_window_scalar`` per window):
 ``tests/online/test_candidate_kernel.py`` and
-``benchmarks/bench_algorithms_micro.py`` substitute it for the two queries
-and require identical candidates and whole-simulation outcomes.
+``benchmarks/bench_algorithms_micro.py`` substitute it for the query and
+require identical candidates and whole-simulation outcomes.
 """
 
 from __future__ import annotations
@@ -205,24 +208,6 @@ class CandidateKernel:
     # ------------------------------------------------------------------
     # batch distances (fast radian path for the built-in estimators)
     # ------------------------------------------------------------------
-    def _distances_to_point(self, origins_rad: np.ndarray, origins_deg: np.ndarray,
-                            point_rad: np.ndarray, point_deg: np.ndarray) -> np.ndarray:
-        """Estimator distances from many origins to one destination."""
-        if self._metric is not None:
-            return self._metric_scale * self._metric(
-                origins_rad[:, 0], origins_rad[:, 1], point_rad[0], point_rad[1]
-            )
-        return self._estimator.cross_km(origins_deg, point_deg[None, :])[:, 0]
-
-    def _distances_from_point(self, point_rad: np.ndarray, point_deg: np.ndarray,
-                              dests_rad: np.ndarray, dests_deg: np.ndarray) -> np.ndarray:
-        """Estimator distances from one origin to many destinations."""
-        if self._metric is not None:
-            return self._metric_scale * self._metric(
-                point_rad[0], point_rad[1], dests_rad[:, 0], dests_rad[:, 1]
-            )
-        return self._estimator.cross_km(point_deg[None, :], dests_deg)[0]
-
     def _distances_elementwise(self, a_rad: np.ndarray, a_deg: np.ndarray,
                                b_rad: np.ndarray, b_deg: np.ndarray) -> np.ndarray:
         """Estimator distances ``a[i] -> b[i]``."""
@@ -251,101 +236,20 @@ class CandidateKernel:
             return self._speed_kmh, self._cost_per_km
         return self._rates_at(now_ts)
 
-    def candidates_for(self, task_index: int, task: Task, now_ts: float) -> List[Candidate]:
-        """Feasible candidates for one task, in driver order."""
-        columns = self.instance.task_columns
-        if not columns.servable[task_index]:
-            return []
-        sdl = task.start_deadline_ts
-        if now_ts > sdl:
-            # Every depart time is at least ``now_ts``, so nobody can leave
-            # by the pickup deadline.
-            return []
-        service_cost = float(columns.service_costs[task_index])
-
-        slots = self._prefilter_slots(task, now_ts)
-        if slots.size == 0:
-            return []
-        speed_kmh, cost_per_km = self._query_rates(now_ts)
-
-        depart = np.maximum(self._free_at[slots], self._driver_start[slots])
-        depart = np.maximum(depart, now_ts)
-        feasible = depart <= sdl
-        if not feasible.any():
-            return []
-        slots = slots[feasible]
-        depart = depart[feasible]
-
-        approach_km = self._distances_to_point(
-            self._loc_rad[slots], self._loc[slots],
-            self._task_sources_rad[task_index], columns.sources[task_index],
-        )
-        approach_time = approach_km / speed_kmh * 3600.0
-        approach_cost = approach_km * cost_per_km
-        arrival = depart + approach_time
-        feasible = arrival <= sdl + 1e-9
-        pickup = np.maximum(arrival, sdl)
-        dropoff = pickup + task.ride_window_s
-        feasible &= dropoff <= task.end_deadline_ts + 1e-9
-        if not feasible.any():
-            return []
-        # Narrow before the remaining two leg computations — with tight
-        # pickup deadlines most of the fleet is already out at this point.
-        slots = slots[feasible]
-        arrival = arrival[feasible]
-        dropoff = dropoff[feasible]
-        approach_cost = approach_cost[feasible]
-
-        home_km = self._distances_from_point(
-            self._task_destinations_rad[task_index], columns.destinations[task_index],
-            self._dest_rad[slots], self._dest[slots],
-        )
-        home_time = home_km / speed_kmh * 3600.0
-        home_cost = home_km * cost_per_km
-        feasible = dropoff + home_time <= self._driver_end[slots] + 1e-9
-        if not feasible.any():
-            return []
-        slots = slots[feasible]
-        arrival = arrival[feasible]
-        dropoff = dropoff[feasible]
-        approach_cost = approach_cost[feasible]
-        home_cost = home_cost[feasible]
-
-        current_home_cost = self._current_home_km[slots] * cost_per_km
-        marginal = task.price - (
-            home_cost + service_cost + approach_cost - current_home_cost
-        )
-
-        states = self._states
-        return [
-            Candidate(
-                state=states[slot],
-                arrival_ts=arr,
-                dropoff_ts=drop,
-                approach_cost=cost,
-                marginal_value=margin,
-            )
-            for slot, arr, drop, cost, margin in zip(
-                slots.tolist(),
-                arrival.tolist(),
-                dropoff.tolist(),
-                approach_cost.tolist(),
-                marginal.tolist(),
-            )
-        ]
-
     def candidates_for_window(
         self, task_indices: Sequence[int], now_ts: float
     ) -> Dict[int, List[Candidate]]:
         """Feasible candidates for a whole dispatch window at once.
 
         Builds the window's approach/home cost matrices with one ``cross_km``
-        call each instead of per-task scans; used by the batched simulator.
-        When the spatial index is active, the driver axis is first shrunk to
-        the *union of reach* of the window's tasks (every driver inside some
-        task's grid range query) — a superset of every feasible pair, so the
-        returned candidates are identical with the index on or off and only
-        the matrix width changes.  Returns ``{task_index: candidates}`` with
+        call each instead of per-task scans.  This is the kernel's one query:
+        the batched simulator asks it for a dispatch window, the per-order
+        simulator for a one-task window ``[task_index]``.  When the spatial
+        index is active, the driver axis is first shrunk to the *union of
+        reach* of the window's tasks (every driver inside some task's grid
+        range query) — a superset of every feasible pair, so the returned
+        candidates are identical with the index on or off and only the
+        matrix width changes.  Returns ``{task_index: candidates}`` with
         tasks without candidates omitted.
         """
         columns = self.instance.task_columns
@@ -395,19 +299,36 @@ class CandidateKernel:
             home_cost + service_costs[:, None] + approach_cost - current_home_cost[None, :]
         )
 
-        out: Dict[int, List[Candidate]] = {}
-        task_rows, driver_cols = np.nonzero(feasible)
-        for row, col in zip(task_rows, driver_cols):
-            m = live[int(row)]
-            out.setdefault(m, []).append(
-                Candidate(
-                    state=self._states[int(slots[col])],
-                    arrival_ts=float(arrival[row, col]),
-                    dropoff_ts=float(dropoff[row, col]),
-                    approach_cost=float(approach_cost[row, col]),
-                    marginal_value=float(marginal[row, col]),
-                )
+        # Every feasible cell in one set of flat ``.tolist()`` gathers (row
+        # major, so each task's cells are one contiguous run in fleet
+        # order), then one slice per task with candidates.
+        cells = np.flatnonzero(feasible)
+        if not cells.size:
+            return {}
+        cols = cells % feasible.shape[1]
+        states = self._states
+        found = [
+            Candidate(
+                state=states[slot],
+                arrival_ts=arr,
+                dropoff_ts=drop,
+                approach_cost=cost,
+                marginal_value=margin,
             )
+            for slot, arr, drop, cost, margin in zip(
+                slots[cols].tolist(),
+                arrival.take(cells).tolist(),
+                dropoff.take(cells).tolist(),
+                approach_cost.take(cells).tolist(),
+                marginal.take(cells).tolist(),
+            )
+        ]
+        out: Dict[int, List[Candidate]] = {}
+        stop = 0
+        for m, count in zip(live, feasible.sum(axis=1).tolist()):
+            if count:
+                start, stop = stop, stop + count
+                out[m] = found[start:stop]
         return out
 
     # ------------------------------------------------------------------
@@ -423,27 +344,20 @@ class CandidateKernel:
             return np.arange(n, dtype=np.intp)
         union = np.zeros(n, dtype=bool)
         for task in tasks:
-            slots = self._prefilter_slots(task, now_ts)
+            # A driver departing no earlier than ``now_ts`` must cover the
+            # whole approach within the pickup-deadline budget; convert that
+            # distance budget into a safe straight-line radius for the grid
+            # query.  The profile's *maximum* speed keeps the range query a
+            # superset of the exact checks: a faster future window can never
+            # shrink the reach below this bound (and it equals the historical
+            # radius for flat profiles and plain models).
+            budget_s = max(0.0, task.start_deadline_ts - now_ts) + 1.0
+            reach_km = budget_s / 3600.0 * self._max_speed_kmh
+            prune_km = self._estimator.prune_radius_km(reach_km)
+            if prune_km is None:
+                return np.arange(n, dtype=np.intp)
+            slots = self._grid.query_slots(task.source, prune_km)
             if slots.size == n:
                 return slots
             union[slots] = True
         return np.nonzero(union)[0]
-
-    def _prefilter_slots(self, task: Task, now_ts: float) -> np.ndarray:
-        """Slots worth checking for ``task``: a grid range query when the
-        spatial index is active, otherwise the whole fleet."""
-        if self._grid is None:
-            return np.arange(len(self._states), dtype=np.intp)
-        # A driver departing no earlier than ``now_ts`` must cover the whole
-        # approach within the pickup-deadline budget; convert that distance
-        # budget into a safe straight-line radius for the grid query.
-        budget_s = max(0.0, task.start_deadline_ts - now_ts) + 1.0
-        # Use the profile's *maximum* speed: a faster future window can never
-        # shrink the reach below this bound, so the range query stays a
-        # superset of the exact checks (and equals the historical radius for
-        # flat profiles and plain models).
-        reach_km = budget_s / 3600.0 * self._max_speed_kmh
-        prune_km = self._estimator.prune_radius_km(reach_km)
-        if prune_km is None:
-            return np.arange(len(self._states), dtype=np.intp)
-        return self._grid.query_slots(task.source, prune_km)

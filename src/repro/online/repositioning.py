@@ -127,31 +127,24 @@ class RepositioningMove:
 
 
 class RepositioningPolicy(abc.ABC):
-    """Decides whether (and where) an idle driver should reposition."""
+    """Decides whether (and where) idle drivers should reposition."""
 
     @abc.abstractmethod
-    def suggest(self, state: DriverState, now_ts: float) -> Optional[RepositioningMove]:
-        """A move for ``state`` at time ``now_ts``, or ``None`` to stay put."""
-
     def suggest_batch(
         self, states: Sequence[DriverState], now_ts: float
     ) -> List[Optional[RepositioningMove]]:
-        """Moves for a whole fleet, aligned with ``states``.
-
-        The default walks the scalar :meth:`suggest` per driver, so custom
-        policies keep working; policies with a vectorisable rule (see
-        :meth:`HotspotRepositioning.suggest_batch`) override it with a
-        batched kernel.
-        """
-        return [self.suggest(state, now_ts) for state in states]
+        """Moves for a whole fleet at time ``now_ts``, aligned with
+        ``states``; ``None`` where a driver stays put."""
 
 
 @dataclass
 class NoRepositioning(RepositioningPolicy):
     """Baseline: idle drivers wait where they are."""
 
-    def suggest(self, state: DriverState, now_ts: float) -> Optional[RepositioningMove]:
-        return None
+    def suggest_batch(
+        self, states: Sequence[DriverState], now_ts: float
+    ) -> List[Optional[RepositioningMove]]:
+        return [None] * len(states)
 
 
 @dataclass
@@ -188,35 +181,14 @@ class HotspotRepositioning(RepositioningPolicy):
         if self.improvement_factor < 1.0:
             raise ValueError("improvement_factor must be >= 1")
 
-    def suggest(self, state: DriverState, now_ts: float) -> Optional[RepositioningMove]:
-        """Scalar reference rule (one driver).
-
-        Kept as the parity baseline for :meth:`suggest_batch`; the batched
-        kernel replicates this decision sequence with the estimator's batch
-        distances, which match the scalar estimator to floating-point
-        round-off.
-        """
-        if not self._eligible(state, now_ts):
-            return None
-        driver = state.driver
-        current_demand = self.heatmap.demand_at(state.location, now_ts)
-        for target, demand in self.heatmap.hottest_zones(now_ts, top=3):
-            if demand < self.improvement_factor * max(1, current_demand):
-                continue
-            drive_km = self.travel_model.distance_km(state.location, target)
-            if drive_km > self.max_drive_km or drive_km < 0.2:
-                continue
-            drive_s = self.travel_model.time_for_distance_s(drive_km)
-            home_s = self.travel_model.travel_time_s(target, driver.destination)
-            if now_ts + drive_s + home_s > driver.end_ts:
-                continue
-            return RepositioningMove(target=target, depart_ts=now_ts)
-        return None
-
     def suggest_batch(
         self, states: Sequence[DriverState], now_ts: float
     ) -> List[Optional[RepositioningMove]]:
-        """Vectorised :meth:`suggest` over the whole fleet.
+        """Each idle driver goes to the first of the hour's three hottest
+        zones that has ``improvement_factor`` times the demand of the
+        driver's current zone, lies 0.2 km to ``max_drive_km`` away, and
+        still leaves time to reach the driver's own destination before the
+        shift ends.
 
         The idle fleet's drive legs (driver location -> zone centre) and home
         legs (zone centre -> driver destination) are computed with two
@@ -228,8 +200,9 @@ class HotspotRepositioning(RepositioningPolicy):
         The batch kernels match the scalar estimator to floating-point
         round-off, not bit for bit, so a distance landing *exactly* on a
         threshold (``max_drive_km``, the 0.2 km floor, the shift-end budget)
-        could in principle decide differently from :meth:`suggest`; real
-        fleets sit measurably away from those boundaries.
+        could in principle decide differently from the per-driver rule
+        (``tests/repositioning_oracle.py::suggest_scalar``); real fleets sit
+        measurably away from those boundaries.
         """
         states = list(states)
         estimator = self.travel_model.estimator
@@ -289,9 +262,8 @@ def apply_repositioning(
     drive would.  ``on_move`` (if given) is called with every state that
     moved, so callers tracking driver positions — e.g. the candidate
     kernel's spatial index — stay in sync.  Suggestions come from the
-    policy's (possibly vectorised) ``suggest_batch`` and the empty-drive
-    distances of all accepted moves are computed with one batched estimator
-    call, which means every suggestion observes the fleet as it stood
+    policy's ``suggest_batch`` and the empty-drive distances of all accepted
+    moves are computed with one batched estimator call, which means every suggestion observes the fleet as it stood
     *before* this round of moves (the built-in policies only read the
     suggesting driver's own state, so they are unaffected).
     """

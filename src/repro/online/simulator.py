@@ -9,8 +9,9 @@ Implements the shared skeleton of Algorithms 3 and 4:
    or still finishing a previous task — who can reach the pickup before the
    task's start deadline, serve the ride, and still make it to her own
    destination before the end of her shift
-   (:meth:`~repro.online.candidates.CandidateKernel.candidates_for`, the one
-   way the simulator builds it).
+   (a one-task window of
+   :meth:`~repro.online.candidates.CandidateKernel.candidates_for_window`,
+   the same query the batched simulator makes).
 3. The plugged-in :class:`~repro.online.dispatchers.Dispatcher` picks one
    candidate (Nearest / maxMargin / random); the driver is locked, her
    location and busy-until time advance to the task's drop-off, and her
@@ -93,7 +94,7 @@ class OnlineSimulator:
                     on_move=kernel.sync,
                 )
 
-            candidates = kernel.candidates_for(task_index, task, now_ts)
+            candidates = kernel.candidates_for_window([task_index], now_ts).get(task_index, [])
             choice = self.dispatcher.select(task, candidates)
             if choice is None:
                 rejected.append(task_index)

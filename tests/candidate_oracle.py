@@ -1,17 +1,18 @@
 """The per-driver candidate loop: the reference side of parity contract 2.
 
-:class:`repro.online.candidates.CandidateKernel` answers both candidate
-queries with array masks over the fleet.  This is the scalar loop it
-replaced: one Python pass over the kernel's driver states, three
-``cost_model.leg`` calls per (driver, task) pair, the same feasibility tests
-and epsilons.  The tests and the micro benchmark substitute it for the
-kernel's queries and require identical candidates and whole-simulation
-outcomes.  No ``src/`` code calls it.
+:meth:`repro.online.candidates.CandidateKernel.candidates_for_window`, the
+kernel's one candidate query, answers with array masks over the fleet.  This
+is the scalar loop it replaced: one Python pass over the kernel's driver
+states, three ``cost_model.leg`` calls per (driver, task) pair, the same
+feasibility tests and epsilons.  The tests and the micro benchmark
+substitute :func:`candidates_for_window_scalar` for the query and require
+identical candidates and whole-simulation outcomes.  No ``src/`` code calls
+it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Sequence
 
 from repro.market.task import Task
 from repro.online.candidates import CandidateKernel
@@ -21,8 +22,8 @@ from repro.online.state import Candidate
 def candidates_for_scalar(
     kernel: CandidateKernel, task_index: int, task: Task, now_ts: float
 ) -> List[Candidate]:
-    """``kernel.candidates_for(task_index, task, now_ts)``, computed by the
-    per-driver loop (a drop-in replacement for the method)."""
+    """``kernel.candidates_for_window([task_index], now_ts).get(task_index,
+    [])``, computed by the per-driver loop."""
     columns = kernel.instance.task_columns
     if not columns.servable[task_index]:
         return []
@@ -60,3 +61,16 @@ def candidates_for_scalar(
             )
         )
     return candidates
+
+
+def candidates_for_window_scalar(
+    kernel: CandidateKernel, task_indices: Sequence[int], now_ts: float
+) -> Dict[int, List[Candidate]]:
+    """``kernel.candidates_for_window(task_indices, now_ts)``, one per-driver
+    loop per task (a drop-in replacement for the method)."""
+    out: Dict[int, List[Candidate]] = {}
+    for m in task_indices:
+        found = candidates_for_scalar(kernel, m, kernel.instance.tasks[m], now_ts)
+        if found:
+            out[m] = found
+    return out

@@ -2,8 +2,8 @@
 
 Production dispatch has one candidate path and no switch.  The comparisons
 that used to flip a config flag get their second arm here instead: the scalar
-oracle substituted for both kernel queries, or the grid prefilter kept from
-engaging.
+oracle substituted for the kernel's one query, or the grid prefilter kept
+from engaging.
 """
 
 from __future__ import annotations
@@ -15,24 +15,14 @@ import pytest
 from repro.online import candidates as candidates_module
 from repro.online.candidates import CandidateKernel
 
-from ..candidate_oracle import candidates_for_scalar
-
-
-def _scalar_window(kernel, task_indices, now_ts):
-    out = {}
-    for m in task_indices:
-        found = candidates_for_scalar(kernel, m, kernel.instance.tasks[m], now_ts)
-        if found:
-            out[m] = found
-    return out
+from ..candidate_oracle import candidates_for_window_scalar
 
 
 @contextmanager
 def scalar_oracle():
     """Every kernel query inside the block runs the scalar reference loop."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CandidateKernel, "candidates_for", candidates_for_scalar)
-        patch.setattr(CandidateKernel, "candidates_for_window", _scalar_window)
+        patch.setattr(CandidateKernel, "candidates_for_window", candidates_for_window_scalar)
         yield
 
 

@@ -28,10 +28,12 @@ from repro.online import (
     BatchConfig,
     BatchedSimulator,
     CandidateKernel,
+    HotspotRepositioning,
     MaxMarginDispatcher,
     NearestDispatcher,
     OnlineSimulator,
     RandomDispatcher,
+    RepositioningPolicy,
 )
 from repro.online.outcome import OnlineDriverRecord
 from repro.online.state import DriverState
@@ -55,6 +57,11 @@ def outcome_signature(outcome):
     )
 
 
+def one_task_window(kernel, task_index, now_ts):
+    """The per-order simulator's query: a one-task window."""
+    return kernel.candidates_for_window([task_index], now_ts).get(task_index, [])
+
+
 def assert_profits_match(a, b):
     for ra, rb in zip(a.records, b.records):
         assert ra.driver_id == rb.driver_id
@@ -72,8 +79,8 @@ class TestKernelCandidateEquivalence:
         checked_any = False
         for task_index, task in enumerate(instance.tasks):
             now_ts = task.publish_ts
-            fast = vectorized.candidates_for(task_index, task, now_ts)
-            full = exhaustive.candidates_for(task_index, task, now_ts)
+            fast = one_task_window(vectorized, task_index, now_ts)
+            full = one_task_window(exhaustive, task_index, now_ts)
             reference = candidates_for_scalar(vectorized, task_index, task, now_ts)
             assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
             assert [c.driver_id for c in full] == [c.driver_id for c in reference]
@@ -111,14 +118,18 @@ class TestKernelCandidateEquivalence:
     def test_sync_tracks_moved_drivers(self, instance):
         states = [DriverState.fresh(d) for d in instance.drivers]
         kernel = CandidateKernel(instance, states)
+        with index_off():
+            exhaustive = CandidateKernel(instance, states)
         task = instance.tasks[0]
         moved = states[0]
         moved.location = task.source
         moved.free_at = task.publish_ts
         kernel.sync(moved)
+        exhaustive.sync(moved)
         reference = candidates_for_scalar(kernel, 0, task, task.publish_ts)
-        fast = kernel.candidates_for(0, task, task.publish_ts)
-        assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
+        for synced in (kernel, exhaustive):
+            fast = one_task_window(synced, 0, task.publish_ts)
+            assert [c.driver_id for c in fast] == [c.driver_id for c in reference]
 
 
 def reference_window_costs(instance, states, metric, scale, now_ts):
@@ -307,6 +318,13 @@ class TestOneCandidatePath:
         }.get(constructor, ())
         with pytest.raises(TypeError, match=name):
             constructor(*args, **{name: True})
+
+    def test_one_query_and_one_repositioning_rule(self):
+        # The per-order simulator asks the window query for a one-task
+        # window; the scalar twins live in tests/ as oracles.
+        assert not hasattr(CandidateKernel, "candidates_for")
+        assert not hasattr(HotspotRepositioning, "suggest")
+        assert not hasattr(RepositioningPolicy, "suggest")
 
     def test_only_the_set_options_survive(self):
         import repro.online

@@ -12,14 +12,13 @@ from repro.online import (
     MaxMarginDispatcher,
     NoRepositioning,
     OnlineSimulator,
-    RepositioningMove,
-    RepositioningPolicy,
     apply_repositioning,
 )
 from repro.online.state import DriverState
 from repro.trace import generate_trace
 
 from ..conftest import build_random_instance
+from ..repositioning_oracle import suggest_scalar
 
 DOWNTOWN = PORTO.center
 EDGE = GeoPoint(PORTO.south + 0.005, PORTO.west + 0.005)
@@ -36,6 +35,11 @@ def make_idle_state(location=EDGE, start=0.0, end=12.0 * 3600) -> DriverState:
     state = DriverState.fresh(driver)
     state.location = location
     return state
+
+
+def suggest_one(policy, state, now_ts):
+    """The policy's move for a single driver, through the fleet query."""
+    return policy.suggest_batch([state], now_ts)[0]
 
 
 class TestDemandHeatmap:
@@ -92,7 +96,7 @@ class TestHotspotPolicy:
             heatmap, default_travel_model(), idle_threshold_s=300.0, max_drive_km=50.0
         )
         state = make_idle_state()
-        move = policy.suggest(state, now_ts=9.0 * 3600)
+        move = suggest_one(policy, state, now_ts=9.0 * 3600)
         assert move is not None
         # The target is in the hot zone, i.e. closer to downtown than before.
         assert move.target.haversine_km(DOWNTOWN) < state.location.haversine_km(DOWNTOWN)
@@ -102,9 +106,9 @@ class TestHotspotPolicy:
         policy = HotspotRepositioning(heatmap, default_travel_model(), idle_threshold_s=600.0)
         busy = make_idle_state()
         busy.locked = True
-        assert policy.suggest(busy, 9.0 * 3600) is None
+        assert suggest_one(policy, busy, 9.0 * 3600) is None
         fresh = make_idle_state(start=9.0 * 3600 - 60.0)
-        assert policy.suggest(fresh, 9.0 * 3600) is None
+        assert suggest_one(policy, fresh, 9.0 * 3600) is None
 
     def test_never_strands_the_driver(self):
         heatmap = make_heatmap(ts=9.0 * 3600)
@@ -113,7 +117,7 @@ class TestHotspotPolicy:
         )
         # Shift ends in two minutes: no repositioning drive can be justified.
         state = make_idle_state(end=9.0 * 3600 + 120.0)
-        assert policy.suggest(state, 9.0 * 3600) is None
+        assert suggest_one(policy, state, 9.0 * 3600) is None
 
     def test_respects_max_drive_distance(self):
         heatmap = make_heatmap(ts=9.0 * 3600)
@@ -121,15 +125,16 @@ class TestHotspotPolicy:
             heatmap, default_travel_model(), idle_threshold_s=0.0, max_drive_km=1.0
         )
         # The edge of the box is much more than 1 km from downtown.
-        assert policy.suggest(make_idle_state(), 9.0 * 3600) is None
+        assert suggest_one(policy, make_idle_state(), 9.0 * 3600) is None
 
     def test_no_repositioning_baseline(self):
-        assert NoRepositioning().suggest(make_idle_state(), 1e6) is None
+        assert suggest_one(NoRepositioning(), make_idle_state(), 1e6) is None
 
 
 class TestBatchedSuggestions:
-    """suggest_batch is the vectorised twin of the scalar suggest loop: same
-    decisions for every driver, computed with two cross_km calls."""
+    """suggest_batch against the scalar per-driver rule
+    (``tests/repositioning_oracle.py``): same decisions for every driver,
+    computed with two cross_km calls."""
 
     def make_fleet(self, count=40, seed=5):
         import random
@@ -159,7 +164,7 @@ class TestBatchedSuggestions:
         states = self.make_fleet()
         now_ts = 9.0 * 3600
         batched = policy.suggest_batch(states, now_ts)
-        scalar = [policy.suggest(state, now_ts) for state in states]
+        scalar = [suggest_scalar(policy, state, now_ts) for state in states]
         assert batched == scalar
         assert any(move is not None for move in batched)  # the case is non-trivial
 
@@ -181,8 +186,9 @@ class TestBatchedSuggestions:
     def test_batch_equals_scalar_on_random_fleets(
         self, seed, fleet_size, hot_zones, now_hour, max_drive_km
     ):
-        """suggest_batch == [suggest(s) for s in states] for arbitrary fleets,
-        demand fields and policy knobs (the vectorised twin never diverges)."""
+        """suggest_batch == [suggest_scalar(s) for s in states] for arbitrary
+        fleets, demand fields and policy knobs (the batched rule never
+        diverges from the scalar one)."""
         heatmap = DemandHeatmap(PORTO, rows=4, cols=4)
         now_ts = now_hour * 3600.0
         for frac_lat, frac_lon, count in hot_zones:
@@ -199,17 +205,7 @@ class TestBatchedSuggestions:
         )
         states = self.make_fleet(count=fleet_size, seed=seed)
         batched = policy.suggest_batch(states, now_ts)
-        assert batched == [policy.suggest(state, now_ts) for state in states]
-
-    def test_base_class_default_walks_scalar_suggest(self):
-        class EveryoneDowntown(RepositioningPolicy):
-            def suggest(self, state, now_ts):
-                return RepositioningMove(target=DOWNTOWN, depart_ts=now_ts)
-
-        states = [make_idle_state(), make_idle_state()]
-        moves = EveryoneDowntown().suggest_batch(states, 0.0)
-        assert len(moves) == 2
-        assert all(m.target == DOWNTOWN for m in moves)
+        assert batched == [suggest_scalar(policy, state, now_ts) for state in states]
 
 
 class TestApplyRepositioning:
