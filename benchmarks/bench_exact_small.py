@@ -9,9 +9,9 @@ Z*, and the LP relaxation Z*_f is verified to sit above Z*.
 
 import pytest
 
-from repro.analysis import format_table
+from repro.analysis import compute_upper_bound, format_table
 from repro.experiments import ExperimentConfig, ExperimentScale, build_workload, run_all
-from repro.offline import exact_optimum, lp_relaxation_bound
+from repro.offline import exact_optimum
 from repro.trace import WorkingModel
 
 SMALL_SCALE = ExperimentScale(task_count=60, driver_counts=(12,), trips_generated=600)
@@ -28,7 +28,7 @@ def small_instance():
 @pytest.mark.benchmark(group="exact")
 def test_exact_small_scale_check(benchmark, small_instance, save_table):
     exact = benchmark.pedantic(exact_optimum, args=(small_instance,), rounds=1, iterations=1)
-    lp = lp_relaxation_bound(small_instance).upper_bound
+    lp = compute_upper_bound(small_instance)
     achieved = {name: result.total_value for name, result in run_all(small_instance).items()}
 
     rows = [["Z* (exact)", exact.optimum], ["Z*_f (LP relaxation)", lp]]

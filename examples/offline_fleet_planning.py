@@ -22,11 +22,11 @@ Run with::
 from __future__ import annotations
 
 from repro import (
+    compute_upper_bound,
     exact_optimum,
     generate_drivers,
     generate_trace,
     greedy_assignment,
-    lp_relaxation_bound,
     market_diameter,
     market_from_trace,
 )
@@ -50,7 +50,7 @@ def main() -> None:
     greedy = greedy_assignment(market)
     greedy.validate()
     exact = exact_optimum(market)
-    bound = lp_relaxation_bound(market).upper_bound
+    bound = compute_upper_bound(market)
 
     print()
     print(

@@ -18,10 +18,10 @@ from repro import (
     MaxMarginDispatcher,
     NearestDispatcher,
     OnlineSimulator,
+    compute_upper_bound,
     generate_drivers,
     generate_trace,
     greedy_assignment,
-    lp_relaxation_bound,
     market_from_trace,
 )
 from repro.analysis import format_table
@@ -43,7 +43,7 @@ def main() -> None:
     nearest = OnlineSimulator(market, NearestDispatcher()).run()
 
     print("Computing the LP-relaxation upper bound Z*_f ...")
-    bound = lp_relaxation_bound(market).upper_bound
+    bound = compute_upper_bound(market)
 
     rows = []
     for name, result in (

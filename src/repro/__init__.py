@@ -44,12 +44,10 @@ from .market import (
 from .offline import (
     GreedySolver,
     best_path,
-    brute_force_optimum,
     build_tight_example,
     exact_optimum,
     greedy_assignment,
     lagrangian_bound,
-    lp_relaxation_bound,
 )
 from .online import (
     BatchedSimulator,
@@ -116,10 +114,8 @@ __all__ = [
     "GreedySolver",
     "greedy_assignment",
     "best_path",
-    "lp_relaxation_bound",
     "lagrangian_bound",
     "exact_optimum",
-    "brute_force_optimum",
     "build_tight_example",
     # online
     "OnlineSimulator",

@@ -19,9 +19,9 @@ from typing import Dict, Optional
 
 from ..core.objectives import Objective
 from ..market.instance import MarketInstance
-from ..offline.exact import exact_optimum
+from ..offline.flow import exact_optimum
+from ..offline.formulation import build_arc_flow_model
 from ..offline.lagrangian import lagrangian_bound
-from ..offline.relaxation import lp_relaxation_bound
 
 
 class BoundKind(enum.Enum):
@@ -71,9 +71,13 @@ def compute_upper_bound(
     objective: Objective = Objective.DRIVERS_PROFIT,
     lagrangian_iterations: int = 30,
 ) -> float:
-    """Compute the requested upper bound for an instance."""
+    """Compute the requested upper bound for an instance.
+
+    This is the one public entry to the LP relaxation ``Z*_f``: the arc-flow
+    model's LP optimum, with the rationality rows (5b) kept.
+    """
     if bound_kind is BoundKind.LP_RELAXATION:
-        return lp_relaxation_bound(instance, objective=objective).upper_bound
+        return build_arc_flow_model(instance, objective=objective).solve().upper_bound
     if bound_kind is BoundKind.EXACT:
         return exact_optimum(instance, objective=objective).optimum
     if bound_kind is BoundKind.LAGRANGIAN:

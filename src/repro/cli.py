@@ -57,7 +57,7 @@ from .experiments import (
 )
 from .io import load_instance, save_instance, save_solution
 from .market import graph_summary, market_from_trace
-from .offline import exact_optimum, greedy_assignment
+from .offline import ExactSolverError, exact_optimum, greedy_assignment
 from .online import BatchedSimulator, MaxMarginDispatcher, NearestDispatcher, OnlineSimulator
 from .pricing import FareSchedule, LinearPricing
 from .trace import WorkingModel, generate_drivers, generate_trace, write_porto_csv
@@ -473,7 +473,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = greedy_assignment(instance)
         summary = result.summary()
     elif args.algorithm == "exact":
-        result = exact_optimum(instance).solution
+        try:
+            result = exact_optimum(instance).solution
+        except ExactSolverError as exc:
+            raise SystemExit(f"error: {exc.args[0]}; --algorithm lp has no size limit")
         summary = result.summary()
     elif args.algorithm in ("lp", "auto"):
         from .offline import solve_exact_tier
@@ -513,7 +516,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     instance = load_instance(args.market)
-    value = compute_upper_bound(instance, _BOUNDS[args.kind])
+    try:
+        value = compute_upper_bound(instance, _BOUNDS[args.kind])
+    except ExactSolverError as exc:
+        raise SystemExit(f"error: {exc.args[0]}; --kind lp has no size limit")
     print(f"{args.kind} upper bound: {value:.4f}")
     return 0
 

@@ -104,14 +104,12 @@ class Workload:
 
     def instance_with_drivers(self, driver_count: int) -> MarketInstance:
         """The sweep instance for a given driver count (a prefix of the pool,
-        so larger markets strictly contain smaller ones)."""
+        so larger markets strictly contain smaller ones).  It shares the base
+        instance's task network, built on the first read by any of them."""
         if driver_count < 1 or driver_count > len(self.driver_pool):
             raise ValueError(
                 f"driver_count must be in [1, {len(self.driver_pool)}], got {driver_count}"
             )
-        # Materialise the shared task network on the base instance first so
-        # every sweep point reuses it instead of rebuilding the O(M^2) arcs.
-        self.base_instance.task_network
         return self.base_instance.with_drivers(self.driver_pool[:driver_count])
 
     @property

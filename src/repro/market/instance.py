@@ -84,15 +84,30 @@ class MarketInstance:
     # derived structures (cached)
     # ------------------------------------------------------------------
     @cached_property
+    def _shared_builds(self) -> Dict[str, object]:
+        """The task columns and network, shared with every instance
+        :meth:`with_drivers` derives from this one: each is built once, on
+        the first read by any of them."""
+        return {}
+
+    @cached_property
     def task_columns(self) -> TaskColumns:
         """The per-task columns (Eq. 1, durations, costs, prices) — all the
         online algorithms read; ``O(M)`` to build, no leg matrix."""
-        return build_task_columns(self.tasks, self.cost_model)
+        shared = self._shared_builds
+        if "task_columns" not in shared:
+            shared["task_columns"] = build_task_columns(self.tasks, self.cost_model)
+        return shared["task_columns"]
 
     @cached_property
     def task_network(self) -> TaskNetwork:
         """The shared driver-independent task network (columns + arcs)."""
-        return build_task_network(self.tasks, self.cost_model, self.task_columns)
+        shared = self._shared_builds
+        if "task_network" not in shared:
+            shared["task_network"] = build_task_network(
+                self.tasks, self.cost_model, self.task_columns
+            )
+        return shared["task_network"]
 
     @cached_property
     def task_maps(self) -> Dict[str, DriverTaskMap]:
@@ -124,13 +139,12 @@ class MarketInstance:
     def with_drivers(self, drivers: Iterable[Driver]) -> "MarketInstance":
         """A new instance with a different driver fleet but the same tasks.
 
-        Used by the driver-count sweeps of Figs. 5-9; the (expensive) shared
-        task network is reused when it has already been built.
+        Used by the driver-count sweeps of Figs. 5-9.  The two instances
+        share one lazily filled cache of the task columns and the (expensive)
+        task network: neither is built here, and a sweep builds each once.
         """
         new = MarketInstance(drivers=tuple(drivers), tasks=self.tasks, cost_model=self.cost_model)
-        for shared in ("task_columns", "task_network"):
-            if shared in self.__dict__:
-                new.__dict__[shared] = self.__dict__[shared]
+        new.__dict__["_shared_builds"] = self._shared_builds
         return new
 
     def with_tasks(self, tasks: Iterable[Task]) -> "MarketInstance":

@@ -132,40 +132,3 @@ def best_path(
         node = int(parent[node])
     path.reverse()
     return PathResult(profit=best_profit, path=tuple(path))
-
-
-def enumerate_paths(
-    task_map: DriverTaskMap,
-    available: Optional[np.ndarray] = None,
-    max_paths: int = 100_000,
-) -> List[Tuple[int, ...]]:
-    """Exhaustively enumerate every feasible non-empty path of a driver.
-
-    Exponential in the worst case — intended for the tiny instances used by
-    the exact brute-force solver and by tests that cross-check the DP.
-    """
-    net = task_map.network
-    count = net.task_count
-    if count == 0:
-        return []
-    if available is None:
-        allowed = task_map.exit_ok
-    else:
-        allowed = task_map.exit_ok & available
-
-    results: List[Tuple[int, ...]] = []
-
-    def extend(prefix: List[int]) -> None:
-        if len(results) >= max_paths:
-            raise RuntimeError(f"more than {max_paths} paths; refusing to enumerate")
-        results.append(tuple(prefix))
-        last = prefix[-1]
-        for nxt in (int(x) for x in task_map.successors_of(last)):
-            if allowed[nxt] and nxt not in prefix:
-                prefix.append(nxt)
-                extend(prefix)
-                prefix.pop()
-
-    for start in (int(x) for x in np.nonzero(task_map.entry_ok & allowed)[0]):
-        extend([start])
-    return results

@@ -1,12 +1,19 @@
-"""Exact tier at scale — per-shard LP / min-cost-flow solver (ROADMAP item).
+"""The exact tier: ``Z*`` for small instances, and the LP tier at shard size.
 
 The arc-flow model of :mod:`repro.offline.formulation` is a min-cost-flow
 program on each driver's task-map DAG: one unit of flow per driver from her
 source to her sink, task-capacity coupling across drivers, profit-maximising
-arc costs.  :mod:`repro.offline.exact` solves it as a MILP but refuses past
-toy sizes; :mod:`repro.offline.relaxation` solves the LP but returns only the
-bound.  This module closes the gap for shard-sized instances: solve the LP
-once, and
+arc costs.  Both tiers below are one :meth:`ArcFlowModel.solve
+<repro.offline.formulation.ArcFlowModel.solve>` and a decode, and both
+return an :class:`ExactResult`.
+
+:func:`exact_optimum` is Section VI-B's small-instance reference: "for n <=
+50 and m <= 100, we can use the integer programming solvers of CPLEX or
+MOSEK to calculate the exact value of the best integer solution Z*".
+Neither commercial solver is available offline, so the binary program is
+solved with the open-source HiGHS solver, behind a size guard.
+
+:func:`lp_flow_optimum` serves shard-sized instances: solve the LP once, and
 
 * **certify** the solution when the LP optimum lands on an integral vertex —
   the per-driver subproblems are path polytopes over DAGs, so an integral
@@ -43,7 +50,7 @@ back over the existing ``ShardWorkResult`` wire format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,24 +59,15 @@ from ..core.solution import MarketSolution
 from ..market.instance import MarketInstance
 from ..obs import trace as obs_trace
 from .dag import best_path
-from .exact import ExactSolverError
-from .formulation import ArcFlowModel, build_arc_flow_model
+from .formulation import ArcFlowModel, ExactSolverError, build_arc_flow_model
 from .greedy import GreedySolver
 from .lagrangian import lagrangian_bound
-
-#: Arc values closer to an integer than this are treated as integral.
-INTEGRALITY_TOL = 1e-6
 
 #: Default relative-gap threshold below which ``mode="auto"`` keeps greedy.
 DEFAULT_GAP_THRESHOLD = 0.02
 
 #: Subgradient iterations for the per-shard Lagrangian bound.
 DEFAULT_LAGRANGIAN_ITERATIONS = 40
-
-
-class FlowSolverError(ExactSolverError):
-    """Raised when the LP solver itself fails (never for empty/degenerate
-    instances, which short-circuit like greedy does)."""
 
 
 def relative_gap(value: float, bound: float) -> float:
@@ -148,14 +146,15 @@ class ShardBounds:
 
 
 @dataclass(frozen=True)
-class FlowResult:
-    """LP-tier solution plus its certificate.
+class ExactResult:
+    """A solution of the arc-flow program plus its certificate.
 
-    The first three fields mirror :class:`repro.offline.exact.ExactResult`
-    so downstream consumers treat both tiers interchangeably; the rest is the
-    certificate: ``upper_bound`` is ``Z*_f``, ``integral`` says whether the
-    LP vertex itself was the optimum (then ``optimum == upper_bound`` up to
-    float noise), ``repaired`` whether the rounding pass ran.
+    ``optimum`` is the shipped solution's objective value.  ``upper_bound``
+    certifies it: the MILP's dual bound for :func:`exact_optimum` (within
+    HiGHS's relative MIP gap of ``optimum``), ``Z*_f`` for
+    :func:`lp_flow_optimum`.  ``integral`` says whether the solver's vertex
+    itself was decoded (then ``optimum`` is ``Z*``), ``repaired`` whether the
+    LP rounding pass ran.
     """
 
     optimum: float
@@ -171,12 +170,53 @@ class FlowResult:
         return relative_gap(self.optimum, self.upper_bound)
 
 
+#: Instance sizes above which :func:`exact_optimum` refuses to run by default
+#: (mirroring the paper's "small-scale problems" remark).
+DEFAULT_SIZE_LIMIT = (60, 150)
+
+
+def exact_optimum(
+    instance: MarketInstance,
+    objective: Objective = Objective.DRIVERS_PROFIT,
+    size_limit: Optional[Tuple[int, int]] = DEFAULT_SIZE_LIMIT,
+    time_limit_s: Optional[float] = 120.0,
+) -> ExactResult:
+    """Solve the binary program exactly with HiGHS.
+
+    Parameters
+    ----------
+    size_limit:
+        ``(max_drivers, max_tasks)`` guard; pass ``None`` to lift it.
+    time_limit_s:
+        MILP time limit handed to HiGHS.  A run the limit stops raises
+        :class:`ExactSolverError`; its incumbent is not reported as ``Z*``.
+    """
+    if size_limit is not None:
+        max_drivers, max_tasks = size_limit
+        if instance.driver_count > max_drivers or instance.task_count > max_tasks:
+            raise ExactSolverError(
+                f"instance with {instance.driver_count} drivers / {instance.task_count} tasks "
+                f"exceeds the exact-solver size limit {size_limit}"
+            )
+    model = build_arc_flow_model(instance, objective=objective)
+    solved = model.solve(integral=True, time_limit_s=time_limit_s)
+    assignment = model.solution_to_assignment(solved.x)
+    return ExactResult(
+        optimum=solved.value,
+        solution=MarketSolution.from_assignment(instance, assignment, objective),
+        solver_status=solved.status,
+        upper_bound=solved.upper_bound,
+        integral=True,
+        repaired=False,
+        fractional_arc_count=solved.fractional_arc_count,
+    )
+
+
 def lp_flow_optimum(
     instance: MarketInstance,
     objective: Objective = Objective.DRIVERS_PROFIT,
-    include_rationality: bool = True,
     incumbent: Optional[MarketSolution] = None,
-) -> FlowResult:
+) -> ExactResult:
     """Solve the arc-flow LP and return a feasible solution + certified bound.
 
     Parameters
@@ -185,8 +225,6 @@ def lp_flow_optimum(
         The market (shard) instance; any size the LP can hold in memory.
     objective:
         Drivers' profit (Eq. 4) or social welfare (Eq. 6).
-    include_rationality:
-        Keep the per-driver individual-rationality rows (5b).
     incumbent:
         A known feasible solution (typically greedy's).  When the LP vertex
         is fractional, the repaired solution is compared against it and the
@@ -194,60 +232,33 @@ def lp_flow_optimum(
         ``None`` computes the greedy incumbent on demand.
 
     Degenerate instances (no tasks, no drivers, or no usable arcs) return the
-    empty solution with status ``"empty"`` — matching greedy's short-circuit —
-    and never raise.
+    empty solution — matching greedy's short-circuit — and never raise; with
+    no drivers the status is ``"empty"``.
     """
-    model = build_arc_flow_model(
-        instance, objective=objective, include_rationality=include_rationality
-    )
-    if model.variable_count == 0:
-        return FlowResult(
-            optimum=0.0,
-            solution=MarketSolution.empty(instance, objective),
-            solver_status="empty",
-            upper_bound=0.0,
-            integral=True,
-            repaired=False,
-            fractional_arc_count=0,
-        )
-
-    upper_bound, values, message = model.solve_lp()
-    if upper_bound is None:
-        raise FlowSolverError(f"arc-flow LP failed: {message}")
-    rounded = np.round(values)
-    fractional = np.abs(values - rounded)
-    fractional_count = int(np.sum(fractional > INTEGRALITY_TOL))
-
-    if fractional_count == 0:
+    model = build_arc_flow_model(instance, objective=objective)
+    solved = model.solve()
+    integral = solved.fractional_arc_count == 0
+    if integral:
         # Integral vertex: the LP optimum *is* the exact optimum.  A DAG flow
         # with integral values decomposes into one source->sink path per
         # driver (no cycles possible), so the decode below cannot fail.
-        assignment = model.solution_to_assignment(rounded)
+        assignment = model.solution_to_assignment(np.round(solved.x))
         solution = MarketSolution.from_assignment(instance, assignment, objective)
-        return FlowResult(
-            optimum=solution.total_value,
-            solution=solution,
-            solver_status=message,
-            upper_bound=upper_bound,
-            integral=True,
-            repaired=False,
-            fractional_arc_count=0,
-        )
-
-    # Fractional vertex: repair (LP-guided sequential rounding, module
-    # docstring) and keep the better of repaired vs incumbent.
-    if incumbent is None:
-        incumbent = GreedySolver(objective).solve(instance).solution
-    repaired = _lp_guided_rounding(instance, model, values, objective)
-    chosen = repaired if repaired.total_value > incumbent.total_value else incumbent
-    return FlowResult(
-        optimum=chosen.total_value,
-        solution=chosen,
-        solver_status=message,
-        upper_bound=upper_bound,
-        integral=False,
-        repaired=True,
-        fractional_arc_count=fractional_count,
+    else:
+        # Fractional vertex: repair (LP-guided sequential rounding, module
+        # docstring) and keep the better of repaired vs incumbent.
+        if incumbent is None:
+            incumbent = GreedySolver(objective).solve(instance).solution
+        repaired = _lp_guided_rounding(instance, model, solved.x, objective)
+        solution = repaired if repaired.total_value > incumbent.total_value else incumbent
+    return ExactResult(
+        optimum=solution.total_value,
+        solution=solution,
+        solver_status=solved.status,
+        upper_bound=solved.upper_bound,
+        integral=integral,
+        repaired=not integral,
+        fractional_arc_count=solved.fractional_arc_count,
     )
 
 

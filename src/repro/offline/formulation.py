@@ -1,8 +1,8 @@
 """Arc-flow formulation of the optimisation problem (Eqs. 4-7).
 
-Builds the sparse linear model shared by the LP-relaxation bound
-(:mod:`repro.offline.relaxation`) and the exact MILP solver
-(:mod:`repro.offline.exact`).
+Builds the sparse linear model and solves it with HiGHS in one place,
+:meth:`ArcFlowModel.solve`: as the LP relaxation ``Z*_f`` (Section III-E,
+Fig. 5's bound) or as the binary program ``Z*`` (Section VI-B).
 
 Variables.  One flow variable per arc of every driver's task map:
 
@@ -45,6 +45,34 @@ from ..obs import trace as obs_trace
 ArcKey = Tuple[str, Union[str, int], Union[str, int]]
 
 
+#: Arc values closer to an integer than this are treated as integral.
+INTEGRALITY_TOL = 1e-6
+
+
+class ExactSolverError(RuntimeError):
+    """Raised when HiGHS does not return an optimum of the arc-flow program,
+    or when :func:`repro.offline.flow.exact_optimum` refuses an instance
+    above its size limit."""
+
+
+@dataclass(frozen=True)
+class ArcFlowSolution:
+    """One HiGHS solve of an :class:`ArcFlowModel`.
+
+    ``value`` is the objective of ``x`` with the model's ``constant`` added
+    back.  ``upper_bound`` is the solver's certified bound on the same
+    scale: the LP optimum itself, or the MILP's ``mip_dual_bound``.
+    ``status`` is the solver's message, and ``fractional_arc_count`` counts
+    the arc values farther than :data:`INTEGRALITY_TOL` from an integer.
+    """
+
+    value: float
+    upper_bound: float
+    x: np.ndarray
+    status: str
+    fractional_arc_count: int
+
+
 @dataclass(frozen=True)
 class ArcFlowModel:
     """The assembled sparse model.
@@ -70,24 +98,44 @@ class ArcFlowModel:
     def variable_count(self) -> int:
         return len(self.arcs)
 
-    def solve_lp(self) -> Tuple[Optional[float], np.ndarray, str]:
-        """Solve the LP relaxation (``0 <= x <= 1``) with HiGHS: the optimum
-        with ``constant`` added back, the primal arc flows and the solver's
-        message.  The optimum is ``None`` when the solver did not reach one;
-        the caller raises its own error around the message."""
+    def solve(
+        self, integral: bool = False, time_limit_s: Optional[float] = None
+    ) -> ArcFlowSolution:
+        """Solve the model with HiGHS: the LP relaxation (``0 <= x <= 1``),
+        or with ``integral`` the binary program.
+
+        One ``milp`` call (scipy's HiGHS wrapper), with ``time_limit_s``
+        handed to HiGHS.  Raises :class:`ExactSolverError` unless HiGHS
+        reports an optimum (status 0): a time-limited incumbent is not
+        ``Z*``.  A model with no variables (no drivers) solves to 0 without
+        a solver call.
+        """
+        if self.variable_count == 0:
+            return ArcFlowSolution(0.0, 0.0, np.zeros(0), "empty", 0)
+        options = {} if time_limit_s is None else {"time_limit": float(time_limit_s)}
         with obs_trace.span("lp", variables=self.variable_count):
-            result = optimize.linprog(
-                c=-self.objective,  # linprog minimises
-                A_ub=self.A_ub,
-                b_ub=self.b_ub,
-                A_eq=self.A_eq,
-                b_eq=self.b_eq,
-                bounds=(0.0, 1.0),
-                method="highs",
+            result = optimize.milp(
+                c=-self.objective,  # milp minimises
+                integrality=np.full(self.variable_count, int(integral)),
+                bounds=optimize.Bounds(0.0, 1.0),
+                # Capacity rows before flow rows: HiGHS's vertex, down to
+                # the last bit of Z*_f, depends on the row order.
+                constraints=[
+                    optimize.LinearConstraint(self.A_ub, -np.inf, self.b_ub),
+                    optimize.LinearConstraint(self.A_eq, self.b_eq, self.b_eq),
+                ],
+                options=options,
             )
-        if not result.success:
-            return None, np.zeros(0), str(result.message)
-        return float(-result.fun + self.constant), np.asarray(result.x), str(result.message)
+        if result.status != 0:
+            kind = "MILP" if integral else "arc-flow LP"
+            raise ExactSolverError(f"{kind} failed: {result.message}")
+        x = np.asarray(result.x)
+        value = float(-result.fun + self.constant)
+        upper_bound = float(-result.mip_dual_bound + self.constant) if integral else value
+        fractional = np.abs(x - np.round(x)) > INTEGRALITY_TOL
+        return ArcFlowSolution(
+            value, upper_bound, x, str(result.message), int(np.count_nonzero(fractional))
+        )
 
     def arc_index(self, arc: ArcKey) -> int:
         """Index of an arc variable (linear scan; intended for tests)."""

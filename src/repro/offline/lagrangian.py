@@ -1,8 +1,9 @@
 """Lagrangian-relaxation upper bound.
 
-The LP relaxation ``Z*_f`` of :mod:`repro.offline.relaxation` is exact but
-its size grows with (drivers x task-map arcs), which makes it the bottleneck
-for city-scale sweeps.  Dualising the coupling constraint (5a) — "each task is
+The LP relaxation ``Z*_f``
+(:meth:`repro.offline.formulation.ArcFlowModel.solve`) is exact but its size
+grows with (drivers x task-map arcs), which makes it the bottleneck for
+city-scale sweeps.  Dualising the coupling constraint (5a) — "each task is
 served by at most one driver" — with multipliers ``λ_m >= 0`` decomposes the
 problem into independent per-driver max-profit-path problems:
 

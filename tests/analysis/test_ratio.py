@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.analysis import BoundKind, PerformanceRatio, compute_upper_bound, performance_ratios
-from repro.offline import exact_optimum, greedy_assignment, lp_relaxation_bound
+from repro.offline import build_arc_flow_model, exact_optimum, greedy_assignment
 
 from ..conftest import build_random_instance
 
@@ -45,7 +45,7 @@ class TestPerformanceRatio:
 class TestComputeUpperBound:
     def test_lp_bound_matches_direct_call(self, instance):
         via_helper = compute_upper_bound(instance, BoundKind.LP_RELAXATION)
-        direct = lp_relaxation_bound(instance).upper_bound
+        direct = build_arc_flow_model(instance).solve().upper_bound
         assert via_helper == pytest.approx(direct)
 
     def test_exact_bound_matches_direct_call(self, instance):

@@ -65,6 +65,28 @@ class TestBuildWorkload:
         # Tasks and the shared network are reused across the sweep.
         assert small.task_network is workload.base_instance.task_network
 
+    def test_sweep_points_share_one_lazy_network_build(self, monkeypatch):
+        """``instance_with_drivers`` builds no network (a city that is
+        sharded first never needs the whole-city one), and sweep points that
+        do read it share a single build with the base instance."""
+        import repro.market.instance as instance_module
+
+        workload = build_workload(ExperimentConfig(scale=TINY_SCALE))
+        builds = []
+        build = instance_module.build_task_network
+        monkeypatch.setattr(
+            instance_module,
+            "build_task_network",
+            lambda *args: builds.append(args) or build(*args),
+        )
+        small = workload.instance_with_drivers(2)
+        bigger = workload.instance_with_drivers(6)
+        assert builds == []
+        assert "task_network" not in workload.base_instance.__dict__
+        assert small.task_network is bigger.task_network
+        assert workload.base_instance.task_network is small.task_network
+        assert len(builds) == 1
+
     def test_instance_with_drivers_bounds(self, workload):
         with pytest.raises(ValueError):
             workload.instance_with_drivers(0)

@@ -12,19 +12,19 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from repro.analysis import compute_upper_bound
 from repro.core import MarketSolution, Objective
 from repro.market.taskmap import SINK_NODE, SOURCE_NODE
 from repro.offline import (
     ExactSolverError,
-    brute_force_optimum,
     build_arc_flow_model,
     exact_optimum,
     greedy_assignment,
     lagrangian_bound,
-    lp_relaxation_bound,
 )
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..exact_oracle import brute_force_optimum
 from ..taskmap_oracle import path_profit
 
 
@@ -81,7 +81,7 @@ class TestArcFlowModel:
 
 class TestLpRelaxation:
     def test_chain_bound_equals_integral_optimum(self, chain):
-        result = lp_relaxation_bound(chain)
+        result = build_arc_flow_model(chain).solve()
         assert result.upper_bound == pytest.approx(
             path_profit(chain.task_map("chainer"), [0, 1]), rel=1e-6
         )
@@ -89,27 +89,27 @@ class TestLpRelaxation:
 
     def test_bound_dominates_greedy(self, small):
         greedy = greedy_assignment(small).total_value
-        bound = lp_relaxation_bound(small).upper_bound
+        bound = compute_upper_bound(small)
         assert bound >= greedy - 1e-6
 
     def test_bound_dominates_exact(self, small):
         exact = exact_optimum(small).optimum
-        bound = lp_relaxation_bound(small).upper_bound
+        bound = compute_upper_bound(small)
         assert bound >= exact - 1e-6
 
     def test_rationality_flag_only_tightens(self, small):
-        with_ir = lp_relaxation_bound(small, include_rationality=True).upper_bound
-        without_ir = lp_relaxation_bound(small, include_rationality=False).upper_bound
+        with_ir = build_arc_flow_model(small, include_rationality=True).solve().upper_bound
+        without_ir = build_arc_flow_model(small, include_rationality=False).solve().upper_bound
         assert with_ir <= without_ir + 1e-6
 
     def test_social_welfare_bound_at_least_profit_bound(self, small):
-        profit = lp_relaxation_bound(small, objective=Objective.DRIVERS_PROFIT).upper_bound
-        welfare = lp_relaxation_bound(small, objective=Objective.SOCIAL_WELFARE).upper_bound
+        profit = compute_upper_bound(small, objective=Objective.DRIVERS_PROFIT)
+        welfare = compute_upper_bound(small, objective=Objective.SOCIAL_WELFARE)
         assert welfare >= profit - 1e-6
 
     def test_no_driver_instance(self, chain):
         empty = chain.with_drivers([])
-        assert lp_relaxation_bound(empty).upper_bound == pytest.approx(0.0)
+        assert compute_upper_bound(empty) == pytest.approx(0.0)
 
 
 class TestExactSolver:
@@ -148,7 +148,7 @@ class TestExactSolver:
                 message="Time limit reached. (HiGHS Status 13: model_status is Time limit reached)",
             )
 
-        monkeypatch.setattr("repro.offline.exact.optimize.milp", stopped_by_time_limit)
+        monkeypatch.setattr("repro.offline.formulation.optimize.milp", stopped_by_time_limit)
         with pytest.raises(ExactSolverError, match="Time limit reached"):
             exact_optimum(small)
 
@@ -211,7 +211,7 @@ class TestLagrangianBound:
         """With the Polyak step the Lagrangian bound should land in the same
         ballpark as the LP bound (they coincide at the optimum multipliers)."""
         greedy = greedy_assignment(small).total_value
-        lp = lp_relaxation_bound(small).upper_bound
+        lp = compute_upper_bound(small)
         lagr = lagrangian_bound(small, iterations=60, target_value=greedy).upper_bound
         assert lagr >= lp - 1e-6
         assert lagr <= lp * 1.5 + 1.0

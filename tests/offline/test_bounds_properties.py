@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import Objective
 from repro.offline import (
-    brute_force_optimum,
     greedy_assignment,
     lagrangian_bound,
     lp_flow_optimum,
@@ -29,6 +28,7 @@ from repro.offline import (
 )
 
 from ..conftest import build_random_instance
+from ..exact_oracle import brute_force_optimum
 
 TOL = 1e-6
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import repro.offline
-from repro.offline import EMPTY_PATH, best_path, enumerate_paths
+from repro.offline import EMPTY_PATH, best_path
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..exact_oracle import enumerate_paths
 from ..taskmap_oracle import is_feasible_path, path_profit
 
 

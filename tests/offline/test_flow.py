@@ -19,7 +19,6 @@ from repro.offline import (
     DEFAULT_GAP_THRESHOLD,
     ExactSolverError,
     ShardBounds,
-    brute_force_optimum,
     exact_optimum,
     greedy_assignment,
     lagrangian_bound,
@@ -29,6 +28,7 @@ from repro.offline import (
 )
 
 from ..conftest import build_chain_instance, build_random_instance
+from ..exact_oracle import brute_force_optimum
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +236,52 @@ class TestSolveExactTier:
         solution, _ = solve_exact_tier(small)
         assert isinstance(solution, MarketSolution)
         solution.validate()
+
+
+class TestOneExactTier:
+    """The arc-flow program has one solve (``ArcFlowModel.solve``), one
+    decoded result (``ExactResult``) and one error (``ExactSolverError``).
+    The LP bound's public entry is ``compute_upper_bound``; the exhaustive
+    references live in ``tests/exact_oracle.py``."""
+
+    REMOVED = (
+        "lp_relaxation_bound",
+        "brute_force_optimum",
+        "enumerate_paths",
+        "RelaxationResult",
+        "RelaxationError",
+        "FlowResult",
+        "FlowSolverError",
+    )
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_names_are_not_exported(self, name):
+        import repro
+        import repro.offline
+
+        assert not hasattr(repro, name)
+        assert not hasattr(repro.offline, name)
+
+    @pytest.mark.parametrize("module", ["repro.offline.exact", "repro.offline.relaxation"])
+    def test_removed_modules_do_not_import(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_one_solve_on_the_model(self):
+        from repro.offline import ArcFlowModel
+
+        assert not hasattr(ArcFlowModel, "solve_lp")
+        assert callable(ArcFlowModel.solve)
+
+    def test_wrapper_pass_through_options_are_rejected(self, small):
+        with pytest.raises(TypeError, match="include_rationality"):
+            lp_flow_optimum(small, include_rationality=False)
+
+    def test_exact_optimum_carries_its_dual_bound(self, small):
+        exact = exact_optimum(small)
+        assert exact.upper_bound >= exact.optimum
+        assert exact.optimality_gap <= 1e-4  # HiGHS's default relative MIP gap
+        assert exact.integral and not exact.repaired
+        assert exact.fractional_arc_count == 0

@@ -5,7 +5,6 @@ import pytest
 from repro.core import Objective
 from repro.offline import (
     GreedySolver,
-    brute_force_optimum,
     build_tight_example,
     greedy_assignment,
 )

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.analysis import compute_upper_bound
 from repro.core import Objective
 from repro.geo import GeoPoint
 from repro.market import Driver, MarketCostModel, MarketInstance, Task
-from repro.offline import exact_optimum, lp_relaxation_bound
+from repro.offline import exact_optimum
 from repro.online import (
     MaxMarginDispatcher,
     NearestDispatcher,
@@ -133,7 +134,7 @@ class TestOutcomeInvariants:
         feasible offline assignment, so no online outcome can beat Z*."""
         instance = build_random_instance(task_count=20, driver_count=6, seed=29)
         optimum = exact_optimum(instance).optimum
-        bound = lp_relaxation_bound(instance).upper_bound
+        bound = compute_upper_bound(instance)
         for dispatcher in (NearestDispatcher(), MaxMarginDispatcher()):
             outcome = run_online(instance, dispatcher)
             assert outcome.total_value <= optimum + 1e-6

@@ -392,3 +392,46 @@ class TestExactTierCli:
         out = capsys.readouterr().out
         assert "offline-auto" in out
         assert "opt_gap" in out
+
+
+class TestExactSolverErrorExit:
+    """A market above the exact solver's size limit ends in a one-line
+    ``error:`` exit pointing at the LP tier, not in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def large_market(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-large") / "market.json"
+        assert main(
+            ["build-market", "--trips", "400", "--drivers", "80", "--seed", "5",
+             "--output", str(path)]
+        ) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, lp_flag",
+        [(["solve", "--algorithm", "exact"], "--algorithm lp"),
+         (["bound", "--kind", "exact"], "--kind lp")],
+    )
+    def test_size_guard_is_a_cli_error(self, large_market, argv, lp_flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--market", str(large_market), *argv[1:]])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed to stderr, exit status 1
+        assert message.startswith("error: instance with 80 drivers / 400 tasks")
+        assert lp_flag in message
+        assert "size_limit" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_exit_status_is_one(self, large_market):
+        import subprocess
+        import sys
+
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "bound", "--market", str(large_market),
+             "--kind", "exact"],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("error: ")
+        assert "Traceback" not in completed.stderr

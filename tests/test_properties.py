@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import compute_upper_bound
 from repro.core import MarketSolution
 from repro.geo import (
     EquirectangularEstimator,
@@ -32,7 +33,6 @@ from repro.offline import (
     exact_optimum,
     greedy_assignment,
     lagrangian_bound,
-    lp_relaxation_bound,
 )
 from repro.online import MaxMarginDispatcher, NearestDispatcher, run_online
 
@@ -124,7 +124,7 @@ class TestSolverProperties:
         instance = build_instance(seed, tasks, drivers)
         greedy = greedy_assignment(instance).total_value
         exact = exact_optimum(instance).optimum
-        lp = lp_relaxation_bound(instance).upper_bound
+        lp = compute_upper_bound(instance)
         lagrangian = lagrangian_bound(instance, iterations=15, target_value=greedy).upper_bound
         assert greedy <= exact + 1e-6
         assert exact <= lp + 1e-6
