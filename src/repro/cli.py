@@ -101,9 +101,71 @@ def _add_horizon_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _horizon_flags_set(args: argparse.Namespace) -> bool:
-    """Whether any of :func:`_add_horizon_args`' knobs is off its default."""
-    return args.horizon != 1 or args.overlap != 0 or args.forecast != "ewma"
+def _add_executor_arg(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--executor", choices=sorted(EXECUTOR_POLICIES), default="serial", help=help
+    )
+
+
+def _add_grid_arg(parser: argparse.ArgumentParser, default: str, help: str) -> None:
+    parser.add_argument("--grid", default=default, metavar="RxC", help=help)
+
+
+def _add_transport_arg(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--transport", choices=sorted(TRANSPORTS), default="pickle", help=help)
+
+
+def _add_gap_threshold_arg(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--gap-threshold", type=float, default=0.02, help=help)
+
+
+def _add_stream_arg(parser: argparse.ArgumentParser, default: bool, help: str) -> None:
+    parser.add_argument(
+        "--stream", action=argparse.BooleanOptionalAction, default=default, help=help
+    )
+
+
+_HORIZON_DEFAULTS = {"horizon": 1, "overlap": 0, "forecast": "ewma"}
+
+#: Flags only some modes of a command read: ``(command, flag defaults,
+#: does this mode read them, message)``.  A flag off its default in a mode
+#: that never reads it is rejected before the command runs, so no option is
+#: silently ignored.
+_MODE_ONLY_FLAGS = (
+    ("solve", {"stream": False}, lambda a: a.algorithm == "batched",
+     "--stream requires --algorithm batched"),
+    ("solve", _HORIZON_DEFAULTS, lambda a: a.algorithm == "batched",
+     "--horizon/--overlap/--forecast require --algorithm batched"),
+    ("solve", {"executor": "serial", "grid": "1x1", "transport": "pickle"},
+     lambda a: a.stream, "--executor, --grid and --transport only apply to --stream solves"),
+    ("solve", {"batch_window": 60.0}, lambda a: a.algorithm == "batched",
+     "--batch-window requires --algorithm batched"),
+    ("solve", {"gap_threshold": 0.02}, lambda a: a.algorithm in ("lp", "auto"),
+     "--gap-threshold requires --algorithm lp or auto"),
+    ("experiment", {"scenarios": None}, lambda a: a.figure == "all",
+     "--scenarios requires --figure all"),
+    ("experiment", {"executor": "serial", "stream": False},
+     lambda a: a.figure in ("all", "ablations"),
+     "--executor and --stream require --figure all or ablations"),
+    ("scenario run", _HORIZON_DEFAULTS, lambda a: a.mode == "stream",
+     "--horizon/--overlap/--forecast require --mode stream"),
+    ("scenario run", {"solver": "greedy"}, lambda a: a.mode == "offline",
+     "--solver requires --mode offline"),
+    ("scenario run", {"gap_threshold": 0.02}, lambda a: a.mode == "offline",
+     "--gap-threshold requires --mode offline"),
+    ("scenario compare", _HORIZON_DEFAULTS, lambda a: a.stream,
+     "--horizon/--overlap/--forecast require --stream"),
+)
+
+
+def _reject_unread_flags(args: argparse.Namespace) -> None:
+    """Exit with the first :data:`_MODE_ONLY_FLAGS` rule ``args`` breaks."""
+    command = " ".join(filter(None, (args.command, getattr(args, "scenario_command", None))))
+    for rule_command, defaults, reads, message in _MODE_ONLY_FLAGS:
+        if rule_command != command or reads(args):
+            continue
+        if any(getattr(args, dest) != default for dest, default in defaults.items()):
+            raise SystemExit(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,37 +209,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--batch-window", type=float, default=60.0, help="batched: window in seconds")
     _add_horizon_args(solve)
-    solve.add_argument(
-        "--gap-threshold", type=float, default=0.02,
-        help="lp/auto: relative optimality-gap threshold below which 'auto' "
+    _add_gap_threshold_arg(
+        solve,
+        "lp/auto: relative optimality-gap threshold below which 'auto' "
         "keeps the greedy solution instead of solving the LP",
     )
-    solve.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="batched only: consume the orders as a live publish-ordered stream "
+    _add_stream_arg(
+        solve, False,
+        "batched only: consume the orders as a live publish-ordered stream "
         "(incremental per-shard streaming instances; bit-identical to the "
         "offline replay on a 1x1 grid)",
     )
-    solve.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_POLICIES),
-        default="serial",
-        help="streaming fan-out policy: 'serial' replays in-process, "
+    _add_executor_arg(
+        solve,
+        "streaming fan-out policy: 'serial' replays in-process, "
         "'process' routes shard deltas to a persistent worker pool "
         "(merged results are executor-independent)",
     )
-    solve.add_argument(
-        "--grid",
-        default="1x1",
-        metavar="RxC",
-        help="streaming shard grid over the market's bounding box, e.g. 2x2 "
+    _add_grid_arg(
+        solve, "1x1",
+        "streaming shard grid over the market's bounding box, e.g. 2x2 "
         "(finer grids parallelise further but lose cross-shard trips)",
     )
-    solve.add_argument(
-        "--transport", choices=sorted(TRANSPORTS), default="pickle",
-        help="streaming wire format: 'shm' ships shard arrays through "
+    _add_transport_arg(
+        solve,
+        "streaming wire format: 'shm' ships shard arrays through "
         "shared memory on the process executor (results are "
         "transport-independent)",
     )
@@ -198,18 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     experiment.add_argument("--scale", choices=sorted(_SCALES), default="default")
-    experiment.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_POLICIES),
-        default="serial",
-        help="distributed fan-out for the partitioning ablation "
+    _add_executor_arg(
+        experiment,
+        "distributed fan-out for the partitioning ablation "
         "('process' uses every core; merged solutions are executor-independent)",
     )
-    experiment.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="run the partitioning ablation as a live order stream on the "
+    _add_stream_arg(
+        experiment, False,
+        "run the partitioning ablation as a live order stream on the "
         "persistent shard pool instead of offline greedy re-solves",
     )
     experiment.add_argument(
@@ -244,22 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline mode only: the shard solver ('lp'/'auto' run the exact "
         "tier and report per-scenario optimality gaps)",
     )
-    scenario_run.add_argument(
-        "--gap-threshold", type=float, default=0.02,
-        help="lp/auto solvers: relative gap below which 'auto' keeps greedy "
-        "on a shard",
+    _add_gap_threshold_arg(
+        scenario_run,
+        "lp/auto solvers: relative gap below which 'auto' keeps greedy on a shard",
     )
     scenario_run.add_argument("--trips", type=int, help="rescale the scenario's demand volume")
     scenario_run.add_argument("--drivers", type=int, help="rescale the scenario's fleet")
     scenario_run.add_argument("--seed", type=int, help="override the scenario's seed")
-    scenario_run.add_argument(
-        "--executor", choices=sorted(EXECUTOR_POLICIES), default="serial",
-        help="shard fan-out policy (results are executor-independent)",
+    _add_executor_arg(
+        scenario_run, "shard fan-out policy (results are executor-independent)"
     )
-    scenario_run.add_argument(
-        "--grid", default="2x2", metavar="RxC",
-        help="shard grid over the scenario's service region",
-    )
+    _add_grid_arg(scenario_run, "2x2", "shard grid over the scenario's service region")
     _add_horizon_args(scenario_run)
     _add_trace_arg(scenario_run)
 
@@ -274,22 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", default="greedy",
         help="comma-separated offline shard solvers (empty string to skip offline)",
     )
-    scenario_compare.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="include the streamed batched-Hungarian mode",
-    )
+    _add_stream_arg(scenario_compare, True, "include the streamed batched-Hungarian mode")
     scenario_compare.add_argument("--trips", type=int, help="rescale every scenario's demand")
     scenario_compare.add_argument("--drivers", type=int, help="rescale every scenario's fleet")
-    scenario_compare.add_argument(
-        "--executor", choices=sorted(EXECUTOR_POLICIES), default="serial",
-        help="worker-pool policy the whole sweep shares",
-    )
-    scenario_compare.add_argument(
-        "--grid", default="2x2", metavar="RxC",
-        help="shard grid over each scenario's service region",
-    )
+    _add_executor_arg(scenario_compare, "worker-pool policy the whole sweep shares")
+    _add_grid_arg(scenario_compare, "2x2", "shard grid over each scenario's service region")
     scenario_compare.add_argument(
         "--bounds",
         action=argparse.BooleanOptionalAction,
@@ -297,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the exact tier once per scenario and stamp optimality-gap "
         "columns (greedy/lp revenue, Lagrangian bound) onto every row",
     )
-    scenario_compare.add_argument(
-        "--gap-threshold", type=float, default=0.02,
-        help="relative gap below which the 'auto' solver keeps greedy on a shard",
+    _add_gap_threshold_arg(
+        scenario_compare,
+        "relative gap below which the 'auto' solver keeps greedy on a shard",
     )
     _add_horizon_args(scenario_compare)
 
@@ -317,21 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream rotations per city (bounds per-stream task-network size)",
     )
     serve.add_argument("--drivers", type=int, default=24, help="fleet size per city")
-    serve.add_argument(
-        "--executor", choices=sorted(EXECUTOR_POLICIES), default="serial",
-        help="per-city worker-pool policy",
-    )
+    _add_executor_arg(serve, "per-city worker-pool policy")
     serve.add_argument(
         "--workers", type=int, default=None, help="pool width per city (pooled policies)"
     )
-    serve.add_argument(
-        "--transport", choices=sorted(TRANSPORTS), default="pickle",
-        help="per-city pool wire format ('shm' = zero-copy shared memory on "
+    _add_transport_arg(
+        serve,
+        "per-city pool wire format ('shm' = zero-copy shared memory on "
         "the process executor; outcomes are transport-independent)",
     )
-    serve.add_argument(
-        "--grid", default="2x2", metavar="RxC", help="shard grid per city"
-    )
+    _add_grid_arg(serve, "2x2", "shard grid per city")
     serve.add_argument(
         "--window", type=float, default=120.0, help="dispatch-window length in seconds"
     )
@@ -458,14 +489,6 @@ def _cmd_solve_stream(args: argparse.Namespace, instance) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.market)
-    if args.stream and args.algorithm != "batched":
-        raise SystemExit("--stream requires --algorithm batched")
-    if args.algorithm != "batched" and _horizon_flags_set(args):
-        raise SystemExit("--horizon/--overlap/--forecast require --algorithm batched")
-    if not args.stream and (
-        args.executor != "serial" or args.grid != "1x1" or args.transport != "pickle"
-    ):
-        raise SystemExit("--executor, --grid and --transport only apply to --stream solves")
     if args.stream:
         return _cmd_solve_stream(args, instance)
     bounds = None
@@ -533,8 +556,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = _SCALES[args.scale]
     config = ExperimentConfig(scale=scale)
-    if args.scenarios and args.figure != "all":
-        raise SystemExit("--scenarios requires --figure all")
     if args.figure == "all":
         scenarios = _parse_scenario_names(args.scenarios or None)
         # One warm worker pool for every distributed solve in the run: the
@@ -611,10 +632,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "run":
-        if args.mode == "offline" and _horizon_flags_set(args):
-            raise SystemExit("--horizon/--overlap/--forecast require --mode stream")
-        if args.mode == "stream" and args.solver != "greedy":
-            raise SystemExit("--solver requires --mode offline")
         try:
             spec = get_scenario(args.name).with_scale(args.trips, args.drivers)
         except (KeyError, ValueError) as exc:
@@ -674,8 +691,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.scenario_command == "compare":
         from .scenarios import OFFLINE_SOLVERS
 
-        if not args.stream and _horizon_flags_set(args):
-            raise SystemExit("--horizon/--overlap/--forecast require --stream")
         names = _parse_scenario_names(args.names)
         solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
         for solver in solvers:
@@ -807,6 +822,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_unread_flags(args)
     try:
         configure_logging(args.log_level)  # None falls back to REPRO_LOG
     except ValueError as exc:

@@ -17,10 +17,8 @@ from .distance import (
     EquirectangularEstimator,
     HaversineEstimator,
     ManhattanEstimator,
-    TimeVaryingTravelModel,
     TravelModel,
     default_travel_model,
-    time_varying_model,
 )
 from .grid import GridIndex, bounding_box_of
 
@@ -46,9 +44,7 @@ __all__ = [
     "EquirectangularEstimator",
     "ManhattanEstimator",
     "TravelModel",
-    "TimeVaryingTravelModel",
     "default_travel_model",
-    "time_varying_model",
     "GridIndex",
     "bounding_box_of",
 ]

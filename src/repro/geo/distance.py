@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -181,17 +181,61 @@ class TravelModel:
     cost_per_km:
         Driver's marginal cost of driving one kilometre (fuel + wear), used
         for both empty drives and in-task drives.
+    window_s / speed_factors / cost_factors / origin_ts:
+        An optional piecewise-constant time profile: window ``k`` covers
+        ``[origin_ts + k * window_s, origin_ts + (k + 1) * window_s)`` and
+        multiplies the base rates by ``speed_factors[k]`` /
+        ``cost_factors[k]``.  Timestamps before the profile clamp to the
+        first window and timestamps past its end clamp to the last, so the
+        model is total over all of time.  The default is one window of
+        ones: the paper's time-invariant model.
+
+    Distances never depend on time; only the distance -> time and
+    distance -> cost conversions do, and only when they are given a
+    timestamp (``ts``).  Without one, and everywhere on a flat profile
+    (every factor ``1.0``), the base ``speed_kmh`` / ``cost_per_km`` apply.
+    A windowed rate is always ``base * factor`` and ``x * 1.0 == x``, so a
+    flat multi-window profile reproduces the one-window model bit for bit
+    (parity contract 18).
     """
 
     estimator: DistanceEstimator
     speed_kmh: float = 30.0
     cost_per_km: float = 0.12
+    window_s: float = 3600.0
+    speed_factors: Tuple[float, ...] = (1.0,)
+    cost_factors: Tuple[float, ...] = (1.0,)
+    origin_ts: float = 0.0
+    #: True when every window leaves the base rates untouched; computed once
+    #: so the flat case skips window lookups entirely.
+    is_flat: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.speed_kmh) or self.speed_kmh <= 0:
             raise ValueError("speed_kmh must be positive and finite")
         if not math.isfinite(self.cost_per_km) or self.cost_per_km < 0:
             raise ValueError("cost_per_km must be non-negative and finite")
+        object.__setattr__(self, "speed_factors", tuple(float(f) for f in self.speed_factors))
+        object.__setattr__(self, "cost_factors", tuple(float(f) for f in self.cost_factors))
+        if not math.isfinite(self.window_s) or self.window_s <= 0:
+            raise ValueError("window_s must be positive and finite")
+        if not math.isfinite(self.origin_ts):
+            raise ValueError("origin_ts must be finite")
+        if not self.speed_factors:
+            raise ValueError("speed_factors must contain at least one window")
+        if len(self.cost_factors) != len(self.speed_factors):
+            raise ValueError("speed_factors and cost_factors must have equal length")
+        for factor in self.speed_factors:
+            if not math.isfinite(factor) or factor <= 0:
+                raise ValueError("speed factors must be positive and finite")
+        for factor in self.cost_factors:
+            if not math.isfinite(factor) or factor < 0:
+                raise ValueError("cost factors must be non-negative and finite")
+        object.__setattr__(
+            self,
+            "is_flat",
+            all(f == 1.0 for f in self.speed_factors) and all(f == 1.0 for f in self.cost_factors),
+        )
 
     # ------------------------------------------------------------------
     # distance / time / cost between arbitrary points
@@ -209,133 +253,13 @@ class TravelModel:
         return self.cost_for_distance(self.distance_km(origin, destination))
 
     # ------------------------------------------------------------------
-    # derived models
-    # ------------------------------------------------------------------
-    def scaled(self, speed_factor: float = 1.0, cost_factor: float = 1.0) -> "TravelModel":
-        """A copy of this model with speed and per-km cost scaled.
-
-        The hook the scenario engine uses to express city-wide conditions —
-        a rainy day halves speeds (``speed_factor=0.5``), a fuel-price spike
-        raises ``cost_factor`` — without touching the estimator or any
-        caller: the scaled model is a plain :class:`TravelModel`, so every
-        batch kernel and cache keyed on it keeps working.
-        """
-        if not math.isfinite(speed_factor) or speed_factor <= 0:
-            raise ValueError("speed_factor must be positive and finite")
-        if not math.isfinite(cost_factor) or cost_factor < 0:
-            raise ValueError("cost_factor must be non-negative and finite")
-        return TravelModel(
-            estimator=self.estimator,
-            speed_kmh=self.speed_kmh * speed_factor,
-            cost_per_km=self.cost_per_km * cost_factor,
-        )
-
-    # ------------------------------------------------------------------
-    # conversions for known distances (e.g. taken from the trace itself)
-    # ------------------------------------------------------------------
-    def time_for_distance_s(self, distance_km: float) -> float:
-        """Seconds needed to drive ``distance_km`` at the average speed."""
-        if distance_km < 0:
-            raise ValueError("distance must be non-negative")
-        return distance_km / self.speed_kmh * 3600.0
-
-    def cost_for_distance(self, distance_km: float) -> float:
-        """Monetary cost of driving ``distance_km``."""
-        if distance_km < 0:
-            raise ValueError("distance must be non-negative")
-        return distance_km * self.cost_per_km
-
-
-@dataclass(frozen=True, slots=True)
-class TimeVaryingTravelModel:
-    """A :class:`TravelModel` whose speed and per-km cost follow a
-    piecewise-constant time profile.
-
-    The profile is a sequence of multiplicative factors applied to the
-    ``base`` model's rates, one pair per window of ``window_s`` seconds
-    starting at ``origin_ts``.  Timestamps before the profile clamp to the
-    first window and timestamps past its end clamp to the last, so the model
-    is total over all of time and replaying a day never indexes out of
-    range.
-
-    Distances are time-invariant (the estimator never changes); only the
-    distance -> time and distance -> cost conversions are indexed by time.
-    The model intentionally quacks like a plain :class:`TravelModel` at the
-    *base* rates (``speed_kmh`` / ``cost_per_km`` / ``estimator`` and the
-    un-timestamped conversion methods), so existing callers that are not
-    time-aware — task-map builders, repositioning heuristics, checksums —
-    keep working unchanged; time-aware callers resolve per-window rates via
-    :meth:`at` / :meth:`rates_at`.
-
-    **Flat-profile identity:** a window whose factors are exactly
-    ``(1.0, 1.0)`` resolves to the ``base`` model object itself and every
-    rate arithmetic multiplies by the literal ``1.0``, so a flat profile
-    reproduces the plain model's outputs bit-for-bit (parity contract 18).
-    """
-
-    base: TravelModel
-    window_s: float = 3600.0
-    speed_factors: Tuple[float, ...] = (1.0,)
-    cost_factors: Tuple[float, ...] = (1.0,)
-    origin_ts: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "speed_factors", tuple(float(f) for f in self.speed_factors))
-        object.__setattr__(self, "cost_factors", tuple(float(f) for f in self.cost_factors))
-        if not math.isfinite(self.window_s) or self.window_s <= 0:
-            raise ValueError("window_s must be positive and finite")
-        if not math.isfinite(self.origin_ts):
-            raise ValueError("origin_ts must be finite")
-        if not self.speed_factors:
-            raise ValueError("speed_factors must contain at least one window")
-        if len(self.cost_factors) != len(self.speed_factors):
-            raise ValueError("speed_factors and cost_factors must have equal length")
-        for factor in self.speed_factors:
-            if not math.isfinite(factor) or factor <= 0:
-                raise ValueError("speed factors must be positive and finite")
-        for factor in self.cost_factors:
-            if not math.isfinite(factor) or factor < 0:
-                raise ValueError("cost factors must be non-negative and finite")
-
-    # ------------------------------------------------------------------
-    # plain-TravelModel duck API (base rates)
-    # ------------------------------------------------------------------
-    @property
-    def estimator(self) -> DistanceEstimator:
-        return self.base.estimator
-
-    @property
-    def speed_kmh(self) -> float:
-        """Base-window speed; time-aware callers use :meth:`rates_at`."""
-        return self.base.speed_kmh
-
-    @property
-    def cost_per_km(self) -> float:
-        """Base-window per-km cost; time-aware callers use :meth:`rates_at`."""
-        return self.base.cost_per_km
-
-    def distance_km(self, origin: GeoPoint, destination: GeoPoint) -> float:
-        return self.base.distance_km(origin, destination)
-
-    # ------------------------------------------------------------------
     # time indexing
     # ------------------------------------------------------------------
-    @property
-    def window_count(self) -> int:
-        return len(self.speed_factors)
-
-    @property
-    def is_flat(self) -> bool:
-        """True when every window leaves the base rates untouched."""
-        return all(f == 1.0 for f in self.speed_factors) and all(
-            f == 1.0 for f in self.cost_factors
-        )
-
     @property
     def max_speed_kmh(self) -> float:
         """Largest speed over the whole profile — the safe rate for turning a
         time budget into a reach radius (a superset bound for pruning)."""
-        return self.base.speed_kmh * max(self.speed_factors)
+        return self.speed_kmh * max(self.speed_factors)
 
     def window_index(self, ts: float) -> int:
         """Profile window containing ``ts`` (clamped to the profile range)."""
@@ -348,85 +272,59 @@ class TimeVaryingTravelModel:
         """``(speed_kmh, cost_per_km)`` in effect at ``ts``."""
         index = self.window_index(ts)
         return (
-            self.base.speed_kmh * self.speed_factors[index],
-            self.base.cost_per_km * self.cost_factors[index],
+            self.speed_kmh * self.speed_factors[index],
+            self.cost_per_km * self.cost_factors[index],
         )
 
-    def at(self, ts: float) -> TravelModel:
-        """The plain :class:`TravelModel` in effect at ``ts``.
-
-        Identity windows return the ``base`` object itself, so flat profiles
-        share every cache keyed on the model instance.
-        """
-        index = self.window_index(ts)
-        speed_factor = self.speed_factors[index]
-        cost_factor = self.cost_factors[index]
-        if speed_factor == 1.0 and cost_factor == 1.0:
-            return self.base
-        return TravelModel(
-            estimator=self.base.estimator,
-            speed_kmh=self.base.speed_kmh * speed_factor,
-            cost_per_km=self.base.cost_per_km * cost_factor,
-        )
-
-    # ------------------------------------------------------------------
-    # timestamped conversions (fall back to base rates when ts is omitted)
-    # ------------------------------------------------------------------
-    def travel_time_s(
-        self, origin: GeoPoint, destination: GeoPoint, ts: Optional[float] = None
-    ) -> float:
-        return self.time_for_distance_s(self.distance_km(origin, destination), ts)
-
-    def travel_cost(
-        self, origin: GeoPoint, destination: GeoPoint, ts: Optional[float] = None
-    ) -> float:
-        return self.cost_for_distance(self.distance_km(origin, destination), ts)
-
-    def time_for_distance_s(self, distance_km: float, ts: Optional[float] = None) -> float:
-        model = self.base if ts is None else self.at(ts)
-        return model.time_for_distance_s(distance_km)
-
-    def cost_for_distance(self, distance_km: float, ts: Optional[float] = None) -> float:
-        model = self.base if ts is None else self.at(ts)
-        return model.cost_for_distance(distance_km)
+    def at(self, ts: float) -> "TravelModel":
+        """The time-invariant model in effect at ``ts`` (this model itself
+        when the profile is flat)."""
+        if self.is_flat:
+            return self
+        speed_kmh, cost_per_km = self.rates_at(ts)
+        return TravelModel(self.estimator, speed_kmh=speed_kmh, cost_per_km=cost_per_km)
 
     # ------------------------------------------------------------------
     # derived models
     # ------------------------------------------------------------------
-    def scaled(
-        self, speed_factor: float = 1.0, cost_factor: float = 1.0
-    ) -> "TimeVaryingTravelModel":
-        """Scale the *base* rates, keeping the time profile intact."""
-        return TimeVaryingTravelModel(
-            base=self.base.scaled(speed_factor, cost_factor),
-            window_s=self.window_s,
-            speed_factors=self.speed_factors,
-            cost_factors=self.cost_factors,
-            origin_ts=self.origin_ts,
+    def scaled(self, speed_factor: float = 1.0, cost_factor: float = 1.0) -> "TravelModel":
+        """A copy of this model with its base speed and per-km cost scaled.
+
+        The hook the scenario engine uses to express city-wide conditions —
+        a rainy day halves speeds (``speed_factor=0.5``), a fuel-price spike
+        raises ``cost_factor`` — without touching the estimator or any
+        caller.  The time profile is kept.
+        """
+        if not math.isfinite(speed_factor) or speed_factor <= 0:
+            raise ValueError("speed_factor must be positive and finite")
+        if not math.isfinite(cost_factor) or cost_factor < 0:
+            raise ValueError("cost_factor must be non-negative and finite")
+        return replace(
+            self,
+            speed_kmh=self.speed_kmh * speed_factor,
+            cost_per_km=self.cost_per_km * cost_factor,
         )
 
+    # ------------------------------------------------------------------
+    # conversions for known distances (e.g. taken from the trace itself)
+    # ------------------------------------------------------------------
+    def time_for_distance_s(self, distance_km: float, ts: Optional[float] = None) -> float:
+        """Seconds needed to drive ``distance_km`` at the speed in effect at
+        ``ts`` (the base speed when ``ts`` is ``None``)."""
+        if distance_km < 0:
+            raise ValueError("distance must be non-negative")
+        if ts is None or self.is_flat:
+            return distance_km / self.speed_kmh * 3600.0
+        return distance_km / self.rates_at(ts)[0] * 3600.0
 
-def time_varying_model(
-    base: TravelModel,
-    window_s: float,
-    speed_factors: Sequence[float],
-    cost_factors: Optional[Sequence[float]] = None,
-    origin_ts: float = 0.0,
-) -> TimeVaryingTravelModel:
-    """Convenience constructor; ``cost_factors`` defaults to all-ones."""
-    speeds = tuple(float(f) for f in speed_factors)
-    costs = (
-        tuple(float(f) for f in cost_factors)
-        if cost_factors is not None
-        else (1.0,) * len(speeds)
-    )
-    return TimeVaryingTravelModel(
-        base=base,
-        window_s=window_s,
-        speed_factors=speeds,
-        cost_factors=costs,
-        origin_ts=origin_ts,
-    )
+    def cost_for_distance(self, distance_km: float, ts: Optional[float] = None) -> float:
+        """Monetary cost of driving ``distance_km`` at the per-km cost in
+        effect at ``ts`` (the base cost when ``ts`` is ``None``)."""
+        if distance_km < 0:
+            raise ValueError("distance must be non-negative")
+        if ts is None or self.is_flat:
+            return distance_km * self.cost_per_km
+        return distance_km * self.rates_at(ts)[1]
 
 
 def _as_points(points: batch.PointsLike) -> list:

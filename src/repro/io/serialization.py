@@ -5,7 +5,8 @@ produced a number can be written to disk and reloaded bit-for-bit.  The
 format is plain JSON with an explicit ``format`` / ``version`` header:
 
 * drivers and tasks serialise all of their model attributes;
-* the travel model serialises its estimator type, circuity, speed and cost;
+* the travel model serialises its estimator type, circuity, speed and cost,
+  plus its time profile when that profile is not flat;
 * solutions/outcomes serialise the assignment, per-driver profits and the
   producing algorithm, referencing tasks by index within the instance.
 
@@ -123,12 +124,20 @@ def travel_model_to_dict(model: TravelModel) -> Dict[str, Any]:
         raise SerializationError(
             f"cannot serialise custom distance estimator {type(model.estimator).__name__}"
         )
-    return {
+    data: Dict[str, Any] = {
         "estimator": estimator_name,
         "circuity": float(getattr(model.estimator, "circuity", 1.0)),
         "speed_kmh": model.speed_kmh,
         "cost_per_km": model.cost_per_km,
     }
+    if not model.is_flat:
+        data.update(
+            window_s=model.window_s,
+            speed_factors=list(model.speed_factors),
+            cost_factors=list(model.cost_factors),
+            origin_ts=model.origin_ts,
+        )
+    return data
 
 
 def travel_model_from_dict(data: Mapping[str, Any]) -> TravelModel:
@@ -146,6 +155,10 @@ def travel_model_from_dict(data: Mapping[str, Any]) -> TravelModel:
         estimator,
         speed_kmh=float(data.get("speed_kmh", 30.0)),
         cost_per_km=float(data.get("cost_per_km", 0.12)),
+        window_s=float(data.get("window_s", 3600.0)),
+        speed_factors=tuple(data.get("speed_factors", (1.0,))),
+        cost_factors=tuple(data.get("cost_factors", (1.0,))),
+        origin_ts=float(data.get("origin_ts", 0.0)),
     )
 
 

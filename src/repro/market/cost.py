@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo import GeoPoint, TimeVaryingTravelModel, TravelModel, default_travel_model
+from ..geo import GeoPoint, TravelModel, default_travel_model
 from .task import Task
 
 
@@ -37,40 +37,29 @@ class Leg:
 class MarketCostModel:
     """Derives the ``l``/``c`` quantities of the paper from a travel model.
 
-    The travel model may be a plain :class:`TravelModel` or a
-    :class:`TimeVaryingTravelModel`.  Task quantities (``l̂_m`` / ``ĉ_m``)
-    resolve the rates in effect at the task's pickup deadline
-    (``start_deadline_ts``) — a pure function of the task and the model, so
-    the streaming task maps' incremental-maintenance parity (incremental ==
-    rebuild, bit for bit) holds with no extra bookkeeping.  For a plain
-    model every timestamp resolves to the model itself, reproducing the
-    historical outputs exactly.
+    Task quantities (``l̂_m`` / ``ĉ_m``) use the travel model's rates in
+    effect at the task's pickup deadline (``start_deadline_ts``) — a pure
+    function of the task and the model, so the streaming task maps'
+    incremental-maintenance parity (incremental == rebuild, bit for bit)
+    holds with no extra bookkeeping.  Empty-drive legs (the task-to-task
+    arcs, :meth:`pairwise_leg_matrix` / :meth:`pairwise_legs`, and
+    :meth:`leg` without a timestamp) use the base rates.  On a flat profile
+    the two coincide, reproducing the paper's time-invariant model.
     """
 
-    def __init__(self, travel_model: TravelModel | TimeVaryingTravelModel | None = None) -> None:
+    def __init__(self, travel_model: TravelModel | None = None) -> None:
         self.travel_model = travel_model or default_travel_model()
-        self._time_indexed = hasattr(self.travel_model, "at")
-
-    # ------------------------------------------------------------------
-    # time indexing
-    # ------------------------------------------------------------------
-    def model_at(self, ts: Optional[float]) -> TravelModel:
-        """The plain :class:`TravelModel` in effect at ``ts`` (the configured
-        model itself when it is time-invariant or ``ts`` is ``None``)."""
-        if ts is None or not self._time_indexed:
-            return self.travel_model  # type: ignore[return-value]
-        return self.travel_model.at(ts)  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
     # point-to-point estimates (the paper's l / c)
     # ------------------------------------------------------------------
     def leg(self, origin: GeoPoint, destination: GeoPoint, ts: Optional[float] = None) -> Leg:
         """Empty-drive travel time and cost between two points at ``ts``."""
-        model = self.model_at(ts)
+        model = self.travel_model
         distance = model.distance_km(origin, destination)
         return Leg(
-            time_s=model.time_for_distance_s(distance),
-            cost=model.cost_for_distance(distance),
+            time_s=model.time_for_distance_s(distance, ts),
+            cost=model.cost_for_distance(distance, ts),
         )
 
     def task_duration_s(self, task: Task) -> float:
@@ -81,13 +70,14 @@ class MarketCostModel:
         estimate between the endpoints; rates are the ones in effect at the
         task's pickup deadline.
         """
-        distance = self.task_distance_km(task)
-        return self.model_at(task.start_deadline_ts).time_for_distance_s(distance)
+        return self.travel_model.time_for_distance_s(
+            self.task_distance_km(task), task.start_deadline_ts
+        )
 
     def task_cost(self, task: Task) -> float:
         """``ĉ_m`` — driving cost of serving the task."""
-        return self.model_at(task.start_deadline_ts).cost_for_distance(
-            self.task_distance_km(task)
+        return self.travel_model.cost_for_distance(
+            self.task_distance_km(task), task.start_deadline_ts
         )
 
     def task_distance_km(self, task: Task) -> float:

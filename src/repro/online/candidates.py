@@ -84,16 +84,9 @@ class CandidateKernel:
         self.instance = instance
         travel_model = instance.cost_model.travel_model
         self._estimator = travel_model.estimator
-        self._speed_kmh = travel_model.speed_kmh
-        self._cost_per_km = travel_model.cost_per_km
-        # Time-indexed models expose per-window rates; every query resolves
-        # the rates in effect at its ``now_ts``.  Plain models resolve to the
-        # scalar snapshots above, keeping the historical arithmetic (and its
-        # bit-for-bit outputs) untouched.
-        self._rates_at = getattr(travel_model, "rates_at", None)
-        self._max_speed_kmh = float(
-            getattr(travel_model, "max_speed_kmh", travel_model.speed_kmh)
-        )
+        # Every query resolves the rates in effect at its ``now_ts``.
+        self._rates_at = travel_model.rates_at
+        self._max_speed_kmh = travel_model.max_speed_kmh
 
         self._states: List[DriverState] = list(states)
         n = len(self._states)
@@ -230,12 +223,6 @@ class CandidateKernel:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _query_rates(self, now_ts: float) -> tuple:
-        """``(speed_kmh, cost_per_km)`` in effect for a query at ``now_ts``."""
-        if self._rates_at is None:
-            return self._speed_kmh, self._cost_per_km
-        return self._rates_at(now_ts)
-
     def candidates_for_window(
         self, task_indices: Sequence[int], now_ts: float
     ) -> Dict[int, List[Candidate]]:
@@ -262,7 +249,7 @@ class CandidateKernel:
         slots = self._window_slots(tasks, now_ts)  # (D',) union of reach
         if slots.size == 0:
             return {}
-        speed_kmh, cost_per_km = self._query_rates(now_ts)
+        speed_kmh, cost_per_km = self._rates_at(now_ts)
 
         sdl = columns.start_deadlines[idx]
         edl = columns.end_deadlines[idx]
@@ -349,8 +336,8 @@ class CandidateKernel:
             # distance budget into a safe straight-line radius for the grid
             # query.  The profile's *maximum* speed keeps the range query a
             # superset of the exact checks: a faster future window can never
-            # shrink the reach below this bound (and it equals the historical
-            # radius for flat profiles and plain models).
+            # shrink the reach below this bound (on a flat profile it is the
+            # base speed).
             budget_s = max(0.0, task.start_deadline_ts - now_ts) + 1.0
             reach_km = budget_s / 3600.0 * self._max_speed_kmh
             prune_km = self._estimator.prune_radius_km(reach_km)

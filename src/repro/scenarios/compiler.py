@@ -39,9 +39,9 @@ SupplyShock        Rewrites the fleet: joining drivers get fresh shifts
                    truncated (or are dropped when their shift had not
                    started) — both stacks enforce windows already.
 TravelSlowdown     Day-level events compose multiplicatively into the travel
-                   model via :meth:`~repro.geo.distance.TravelModel.scaled`;
-                   windowed events compile into a
-                   :class:`~repro.geo.TimeVaryingTravelModel` slot profile.
+                   model's base rates via
+                   :meth:`~repro.geo.distance.TravelModel.scaled`; windowed
+                   events fill its per-slot time profile.
 HotspotMigration   Pickup sampler moves a fraction of in-window demand from
                    the source footprint into the target footprint.
 =================  ==========================================================
@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..geo import BoundingBox, GeoPoint, TimeVaryingTravelModel, default_travel_model
+from ..geo import BoundingBox, GeoPoint, default_travel_model
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
 from ..market.instance import MarketInstance, tasks_from_trips
@@ -145,8 +145,7 @@ class CompiledScenario:
             digest.update(f"{task.task_id}|{task.publish_ts!r}|{task.price!r}\n".encode())
         model = self.instance.cost_model.travel_model
         digest.update(f"{model.speed_kmh!r}|{model.cost_per_km!r}".encode())
-        profile = getattr(model, "speed_factors", None)
-        if profile is not None:
+        if not model.is_flat:
             digest.update(
                 f"|{model.window_s!r}|{model.speed_factors!r}|"
                 f"{model.cost_factors!r}|{model.origin_ts!r}".encode()
@@ -411,28 +410,21 @@ class ScenarioCompiler:
     def cost_model(self) -> MarketCostModel:
         """The market cost model, with every slowdown composed in.
 
-        Day-level slowdowns scale the base model (a plain
-        :class:`~repro.geo.TravelModel`, exactly as before); windowed
-        slowdowns wrap it in a :class:`~repro.geo.TimeVaryingTravelModel`
-        whose profile carries their factors slot by slot.
+        Day-level slowdowns scale the default
+        :class:`~repro.geo.TravelModel`'s base rates; windowed slowdowns
+        fill its time profile, one window per demand slot.
         """
-        speed_factor, cost_factor = self.slowdown_factors()
-        model = default_travel_model()
-        if speed_factor != 1.0 or cost_factor != 1.0:
-            model = model.scaled(speed_factor=speed_factor, cost_factor=cost_factor)
+        model = default_travel_model().scaled(*self.slowdown_factors())
         profile = self.slowdown_profile()
-        if profile is None:
-            return MarketCostModel(model)
-        speed_factors, cost_factors = profile
-        return MarketCostModel(
-            TimeVaryingTravelModel(
-                base=model,
+        if profile is not None:
+            speed_factors, cost_factors = profile
+            model = replace(
+                model,
                 window_s=86400.0 / SLOT_COUNT,
                 speed_factors=speed_factors,
                 cost_factors=cost_factors,
-                origin_ts=0.0,
             )
-        )
+        return MarketCostModel(model)
 
     # ------------------------------------------------------------------
     # compilation

@@ -179,15 +179,14 @@ class TravelSlowdown:
 
     ``speed_factor`` scales the average speed (0.7 ≈ a rainy day),
     ``cost_factor`` the per-km cost.  Multiple slowdowns compose
-    multiplicatively.  The default window is the whole day, which compiles
-    to a plain scaled :class:`~repro.geo.TravelModel` exactly as before; a
-    narrower ``[start_hour, end_hour)`` window compiles into a
-    :class:`~repro.geo.TimeVaryingTravelModel` whose per-slot profile
-    carries the factors only inside the window (rush-hour congestion, a
-    storm cell passing through).  Task durations/costs resolve the rates at
-    each task's pickup deadline — a pure function of (task, model) — so the
-    incremental-maintenance and stream == replay parity contracts hold
-    under windowed slowdowns too.
+    multiplicatively.  The default window is the whole day, which scales
+    the :class:`~repro.geo.TravelModel`'s base rates; a narrower
+    ``[start_hour, end_hour)`` window fills the model's per-slot time
+    profile, so the factors apply only inside the window (rush-hour
+    congestion, a storm cell passing through).  Task durations/costs
+    resolve the rates at each task's pickup deadline — a pure function of
+    (task, model) — so the incremental-maintenance and stream == replay
+    parity contracts hold under windowed slowdowns too.
     """
 
     speed_factor: float

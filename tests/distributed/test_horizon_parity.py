@@ -8,10 +8,12 @@ it must inherit every parity guarantee of the myopic stream:
   policies (the process one crosses a real pickle boundary);
 * provided warm pool == coordinator-owned pool;
 * ``horizon=1`` degrades exactly to the myopic streamed dispatch;
-* a flat time-indexed travel model reproduces the plain model's distributed
-  stream bit for bit, and a genuinely time-varying model keeps executor
-  parity.
+* an all-ones multi-window travel-model profile reproduces the default
+  one-window model's distributed stream bit for bit, and a genuinely
+  time-varying profile keeps executor parity.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.distributed import (
     PersistentWorkerPool,
     SpatialPartitioner,
 )
-from repro.geo import PORTO, TimeVaryingTravelModel
+from repro.geo import PORTO
 from repro.market.cost import MarketCostModel
 from repro.market.instance import MarketInstance
 from repro.online.batch import BatchConfig
@@ -44,8 +46,8 @@ def time_varying_instance(instance):
     publishable = [t for t in instance.tasks if t.is_publishable]
     origin = min(t.publish_ts for t in publishable)
     span = max(t.start_deadline_ts for t in instance.tasks) - origin
-    varying = TimeVaryingTravelModel(
-        base=instance.cost_model.travel_model,
+    varying = replace(
+        instance.cost_model.travel_model,
         window_s=max(span / 4.0, 1.0),
         speed_factors=(1.0, 0.7, 1.2, 1.0),
         cost_factors=(1.0, 1.1, 1.0, 1.0),
@@ -115,7 +117,12 @@ class TestDegradation:
             drivers=instance.drivers,
             tasks=instance.tasks,
             cost_model=MarketCostModel(
-                TimeVaryingTravelModel(base=instance.cost_model.travel_model)
+                replace(
+                    instance.cost_model.travel_model,
+                    window_s=600.0,
+                    speed_factors=(1.0,) * 4,
+                    cost_factors=(1.0,) * 4,
+                )
             ),
         )
         plain = solve(instance, HORIZON_CONFIG, "process")

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.geo import GeoPoint, ManhattanEstimator, TravelModel
@@ -48,6 +49,51 @@ class TestTravelModelRoundTrip:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(SerializationError):
             travel_model_from_dict({"estimator": "teleporter"})
+
+    def test_flat_model_writes_no_profile(self):
+        model = TravelModel(ManhattanEstimator(), speed_kmh=25.0, cost_per_km=0.2)
+        assert set(travel_model_to_dict(model)) == {
+            "estimator", "circuity", "speed_kmh", "cost_per_km"
+        }
+
+    def test_documents_without_a_profile_load_flat(self):
+        rebuilt = travel_model_from_dict({"estimator": "haversine", "speed_kmh": 28.0})
+        assert rebuilt.is_flat
+        assert (rebuilt.window_s, rebuilt.speed_factors, rebuilt.origin_ts) == (
+            3600.0, (1.0,), 0.0
+        )
+
+    def test_profile_round_trip(self):
+        model = TravelModel(
+            ManhattanEstimator(), speed_kmh=25.0, cost_per_km=0.2, window_s=900.0,
+            speed_factors=(1.0, 0.55, 1.0), cost_factors=(1.0, 1.3, 1.0),
+            origin_ts=1800.0,
+        )
+        data = json.loads(json.dumps(travel_model_to_dict(model)))
+        assert travel_model_from_dict(data) == model
+
+
+class TestWindowedSlowdownRoundTrip:
+    """A saved windowed-slowdown market reloads with its time profile, so
+    every per-task column is unchanged."""
+
+    def test_task_columns_survive_save_and_load(self, tmp_path):
+        from repro.scenarios import ScenarioSpec, TravelSlowdown, compile_scenario
+
+        spec = ScenarioSpec(
+            name="storm",
+            events=(TravelSlowdown(speed_factor=0.5, start_hour=7.0, end_hour=10.0),),
+            trip_count=300,
+            driver_count=10,
+        )
+        instance = compile_scenario(spec).instance
+        path = tmp_path / "storm.json"
+        save_instance(instance, path)
+        loaded = load_instance(path)
+        assert loaded.cost_model.travel_model == instance.cost_model.travel_model
+        before, after = instance.task_columns, loaded.task_columns
+        for name in before.__dataclass_fields__:
+            assert np.array_equal(getattr(before, name), getattr(after, name)), name
 
 
 class TestInstanceRoundTrip:

@@ -4,8 +4,8 @@ The in-process half of parity contract 18:
 
 * ``horizon=1`` degrades bit-identically to the myopic dispatcher, on both
   the replayed ``run()`` and the streamed ``run_stream()`` paths;
-* a *flat* time-indexed travel model reproduces the plain model's outputs
-  bit for bit;
+* an all-ones multi-window travel-model profile reproduces the default
+  one-window model's outputs bit for bit;
 * under a genuinely time-varying model, stream == replay still holds;
 * the oracle forecaster is rejected at ``stream_begin`` (the future is
   unknown on a live stream);
@@ -13,10 +13,12 @@ The in-process half of parity contract 18:
   bounded, repositioning moves drivers toward forecast demand).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.geo import PORTO, TimeVaryingTravelModel
+from repro.geo import PORTO
 from repro.market import StreamingMarketInstance
 from repro.market.cost import MarketCostModel
 from repro.market.instance import MarketInstance
@@ -101,13 +103,14 @@ class TestHorizonOneIsMyopic:
 
 
 class TestFlatProfileParity:
-    """A flat time-indexed profile is the plain model, bit for bit."""
+    """An all-ones multi-window profile is the default one-window model,
+    bit for bit."""
 
     def test_replay_bit_identical(self):
         instance = build_random_instance(task_count=40, driver_count=8, seed=23)
         plain = instance.cost_model.travel_model
-        flat = TimeVaryingTravelModel(
-            base=plain, window_s=900.0,
+        flat = replace(
+            plain, window_s=900.0,
             speed_factors=(1.0,) * 8, cost_factors=(1.0,) * 8,
         )
         config = BatchConfig(window_s=60.0)
@@ -118,7 +121,9 @@ class TestFlatProfileParity:
     def test_replay_bit_identical_under_horizon(self):
         instance = build_random_instance(task_count=40, driver_count=8, seed=24)
         plain = instance.cost_model.travel_model
-        flat = TimeVaryingTravelModel(base=plain)
+        flat = replace(
+            plain, window_s=600.0, speed_factors=(1.0,) * 4, cost_factors=(1.0,) * 4
+        )
         config = BatchConfig(**HORIZON_CONFIG)
         baseline = BatchedSimulator(instance, config).run()
         flat_run = BatchedSimulator(with_travel_model(instance, flat), config).run()
@@ -133,8 +138,8 @@ class TestTimeVaryingModel:
         origin = min(t.publish_ts for t in publishable)
         span = max(t.start_deadline_ts for t in tasks) - origin
         window = max(span / 6.0, 1.0)
-        varying = TimeVaryingTravelModel(
-            base=instance.cost_model.travel_model,
+        varying = replace(
+            instance.cost_model.travel_model,
             window_s=window,
             speed_factors=(1.0, 0.7, 0.7, 1.0, 1.2, 1.0),
             cost_factors=(1.0, 1.1, 1.1, 1.0, 1.0, 1.0),
@@ -144,8 +149,9 @@ class TestTimeVaryingModel:
 
     def test_time_variation_changes_outcomes(self):
         instance = self.make_time_varying_instance()
+        varying = instance.cost_model.travel_model
         plain = with_travel_model(
-            instance, instance.cost_model.travel_model.base
+            instance, replace(varying, speed_factors=(1.0,), cost_factors=(1.0,))
         )
         config = BatchConfig(window_s=60.0)
         varying_run = BatchedSimulator(instance, config).run()

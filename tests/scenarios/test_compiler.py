@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import TimeVaryingTravelModel, TravelModel
+from repro.geo import TravelModel
 from repro.online.batch import stream_schedule
 from repro.online.forecast import publish_slot_of
 from repro.scenarios import (
@@ -87,8 +87,8 @@ def shocks():
 
 
 def slowdowns():
-    # Half day-level (plain scaled model), half windowed (compiled into a
-    # TimeVaryingTravelModel slot profile).
+    # Half day-level (scaled base rates), half windowed (compiled into the
+    # travel model's slot profile).
     day_level = st.builds(TravelSlowdown, speed_factor=st.floats(0.6, 1.0))
     windowed = st.builds(
         lambda window, speed, cost: TravelSlowdown(
@@ -256,12 +256,14 @@ class TestTravelSlowdown:
 
 
 class TestWindowedSlowdown:
-    """Windowed TravelSlowdown events compile into a TimeVaryingTravelModel
-    slot profile; day-level events keep the plain scaled-model path."""
+    """Windowed TravelSlowdown events compile into the travel model's slot
+    profile; day-level events scale its base rates and keep it flat."""
 
     def test_day_level_event_keeps_plain_model(self):
         compiled = compile_scenario(tiny("rain", [TravelSlowdown(speed_factor=0.7)]))
-        assert isinstance(compiled.instance.cost_model.travel_model, TravelModel)
+        model = compiled.instance.cost_model.travel_model
+        assert isinstance(model, TravelModel)
+        assert model.is_flat and model.speed_factors == (1.0,)
         assert ScenarioCompiler(compiled.spec).slowdown_profile() is None
 
     def test_windowed_event_compiles_a_slot_profile(self):
@@ -269,8 +271,8 @@ class TestWindowedSlowdown:
                                start_hour=8.0, end_hour=10.0)
         compiled = compile_scenario(tiny("rush", [event]))
         model = compiled.instance.cost_model.travel_model
-        assert isinstance(model, TimeVaryingTravelModel)
-        assert model.window_count == SLOT_COUNT
+        assert not model.is_flat
+        assert len(model.speed_factors) == SLOT_COUNT
         assert model.window_s == pytest.approx(86400.0 / SLOT_COUNT)
         assert model.origin_ts == 0.0
         slot_s = 86400.0 / SLOT_COUNT
@@ -311,8 +313,7 @@ class TestWindowedSlowdown:
         ]
         compiled = compile_scenario(tiny("layered", events))
         model = compiled.instance.cost_model.travel_model
-        assert isinstance(model, TimeVaryingTravelModel)
-        assert model.base.speed_kmh == pytest.approx(30.0 * 0.9)
+        assert model.speed_kmh == pytest.approx(30.0 * 0.9)
         in_window_speed, _ = model.rates_at(8.5 * 3600.0)
         assert in_window_speed == pytest.approx(30.0 * 0.9 * 0.5)
         out_window_speed, _ = model.rates_at(12.0 * 3600.0)

@@ -36,6 +36,26 @@ class TestParser:
             assert args.command == command
 
 
+class TestModeOnlyFlagTable:
+    """The defaults the mode-only table compares against are the parser's."""
+
+    REQUIRED = {
+        "solve": ["solve", "--market", "m"],
+        "experiment": ["experiment"],
+        "scenario run": ["scenario", "run", "--name", "n"],
+        "scenario compare": ["scenario", "compare"],
+    }
+
+    def test_table_defaults_match_the_parser(self):
+        from repro.cli import _MODE_ONLY_FLAGS
+
+        parser = build_parser()
+        for command, defaults, _reads, _message in _MODE_ONLY_FLAGS:
+            args = parser.parse_args(self.REQUIRED[command])
+            for dest, default in defaults.items():
+                assert getattr(args, dest) == default, (command, dest)
+
+
 class TestGenerateTrace:
     def test_writes_porto_csv(self, tmp_path, capsys):
         output = tmp_path / "trace.csv"
@@ -195,6 +215,27 @@ class TestBuildAndSolve:
     def test_scenario_rejects_flags_its_mode_never_reads(self, argv, flag, capsys):
         with pytest.raises(SystemExit, match=flag):
             main(["scenario", *argv, "--trips", "40", "--drivers", "6"])
+        assert capsys.readouterr().out == ""  # rejected before anything ran
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "--algorithm", "greedy", "--gap-threshold", "0.5"], "--gap-threshold"),
+            (["solve", "--algorithm", "batched", "--gap-threshold", "0.5"], "--gap-threshold"),
+            (["solve", "--algorithm", "greedy", "--batch-window", "30"], "--batch-window"),
+            (["solve", "--algorithm", "lp", "--batch-window", "30"], "--batch-window"),
+            (["experiment", "--figure", "fig5", "--executor", "process"], "--executor"),
+            (["experiment", "--figure", "fig3-4", "--stream"], "--stream"),
+            (["scenario", "run", "--name", "airport-corridor", "--mode", "stream",
+              "--gap-threshold", "0.5", "--trips", "40", "--drivers", "6"],
+             "--gap-threshold"),
+        ],
+    )
+    def test_flags_their_mode_never_reads_are_rejected(self, market_path, argv, flag, capsys):
+        if argv[0] == "solve":
+            argv = [argv[0], "--market", str(market_path), *argv[1:]]
+        with pytest.raises(SystemExit, match=flag):
+            main(argv)
         assert capsys.readouterr().out == ""  # rejected before anything ran
 
     def test_bound_command(self, market_path, capsys):
