@@ -243,8 +243,8 @@ class TestVectorizedKernelSpeedup:
             slow = OnlineSimulator(subset, MaxMarginDispatcher()).run()
             slow_s = time.perf_counter() - start
 
-        assert [r.task_indices for r in fast.records] == [
-            r.task_indices for r in slow.records
+        assert [p.task_indices for p in fast.plans] == [
+            p.task_indices for p in slow.plans
         ]
         save_table(
             "micro_online_simulation",

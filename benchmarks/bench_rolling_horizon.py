@@ -52,11 +52,11 @@ POOL_WORKERS = 2
 GATE_WINS = 4
 
 
-def _outcome_fingerprint(outcome) -> tuple:
+def _outcome_fingerprint(solution) -> tuple:
     return (
-        tuple((r.driver_id, r.task_indices, r.profit) for r in outcome.records),
-        outcome.total_value,
-        outcome.total_wait_s,
+        tuple((p.driver_id, p.task_indices, p.profit) for p in solution.plans),
+        solution.total_value,
+        solution.total_wait_s,
     )
 
 

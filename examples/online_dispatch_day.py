@@ -89,7 +89,7 @@ def main() -> None:
     )
 
     max_margin = outcomes["maxMargin (Algorithm 4)"]
-    busiest = max(max_margin.records, key=lambda r: r.task_count)
+    busiest = max(max_margin.plans, key=lambda p: p.task_count)
     print(
         f"\nUnder maxMargin the busiest driver ({busiest.driver_id}) chained "
         f"{busiest.task_count} rides for {busiest.profit:.2f} in profit."

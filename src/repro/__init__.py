@@ -53,7 +53,6 @@ from .online import (
     BatchedSimulator,
     MaxMarginDispatcher,
     NearestDispatcher,
-    OnlineOutcome,
     OnlineSimulator,
     run_batched,
     run_online,
@@ -124,7 +123,6 @@ __all__ = [
     "run_batched",
     "NearestDispatcher",
     "MaxMarginDispatcher",
-    "OnlineOutcome",
     # pricing
     "FareSchedule",
     "LinearPricing",

@@ -5,8 +5,8 @@ operators care about how the work and the income are *distributed* across the
 fleet: how many drivers got any work at all, how unequal the incomes are
 (Gini coefficient), how much of the driven distance is empty repositioning,
 and how busy the working time actually is.  These statistics apply uniformly
-to offline solutions and online outcomes because both expose the same
-``driver_id -> task list`` assignment.
+to every algorithm's :class:`~repro.core.MarketSolution`, offline or online,
+through its ``driver_id -> task list`` assignment.
 """
 
 from __future__ import annotations

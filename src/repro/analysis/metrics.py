@@ -1,38 +1,18 @@
 """Market-level metrics shared by the experiments.
 
-Both :class:`repro.core.MarketSolution` (offline algorithms) and
-:class:`repro.online.OnlineOutcome` (online heuristics) expose the same
-metric vocabulary through ``summary()``; this module adds the cross-cutting
-aggregations the evaluation section of the paper plots — most importantly the
-market-density sweeps of Figs. 6-9.
+Every algorithm, offline or online, returns a
+:class:`repro.core.MarketSolution`, whose ``summary()`` is the per-run
+metric vocabulary; this module adds the cross-cutting aggregations the
+evaluation section of the paper plots — most importantly the market-density
+sweeps of Figs. 6-9.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Protocol, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-
-class SolutionLike(Protocol):
-    """Anything that quantifies an assignment of tasks to drivers."""
-
-    @property
-    def total_value(self) -> float: ...
-
-    @property
-    def total_revenue(self) -> float: ...
-
-    @property
-    def served_count(self) -> int: ...
-
-    @property
-    def serve_rate(self) -> float: ...
-
-    def revenue_per_driver(self) -> float: ...
-
-    def tasks_per_driver(self) -> float: ...
-
-    def summary(self) -> Dict[str, float]: ...
+from ..core.solution import MarketSolution
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +35,7 @@ class MarketMetrics:
         algorithm: str,
         driver_count: int,
         task_count: int,
-        solution: SolutionLike,
+        solution: MarketSolution,
     ) -> "MarketMetrics":
         return cls(
             algorithm=algorithm,

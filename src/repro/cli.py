@@ -38,10 +38,11 @@ Installed as the ``repro`` console script (also reachable as
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
-from .analysis import BoundKind, compute_upper_bound, format_metric_dict, format_table
+from .analysis import BoundKind, compute_upper_bound, format_metric_dict
 from .distributed import EXECUTOR_POLICIES, SOLVER_NAMES, TRANSPORTS, PersistentWorkerPool
 from .experiments import (
     DEFAULT_SCALE,
@@ -55,7 +56,7 @@ from .experiments import (
     run_partition_ablation,
     run_surge_ablation,
 )
-from .io import load_instance, save_instance, save_solution
+from .io import SerializationError, load_instance, save_instance, save_solution
 from .market import graph_summary, market_from_trace
 from .offline import ExactSolverError, exact_optimum, greedy_assignment
 from .online import BatchedSimulator, MaxMarginDispatcher, NearestDispatcher, OnlineSimulator
@@ -487,58 +488,52 @@ def _cmd_solve_stream(args: argparse.Namespace, instance) -> int:
     return 0
 
 
+def _load_market(path: str):
+    """:func:`load_instance`, with a bad market file — missing, unreadable,
+    not JSON or not a market document — ending in one ``error:`` line."""
+    try:
+        return load_instance(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SerializationError) as exc:
+        raise SystemExit(f"error: cannot load market {path}: {exc}")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = load_instance(args.market)
+    instance = _load_market(args.market)
     if args.stream:
         return _cmd_solve_stream(args, instance)
     bounds = None
     if args.algorithm == "greedy":
-        result = greedy_assignment(instance)
-        summary = result.summary()
+        solution = greedy_assignment(instance)
     elif args.algorithm == "exact":
         try:
-            result = exact_optimum(instance).solution
+            solution = exact_optimum(instance).solution
         except ExactSolverError as exc:
             raise SystemExit(f"error: {exc.args[0]}; --algorithm lp has no size limit")
-        summary = result.summary()
     elif args.algorithm in ("lp", "auto"):
         from .offline import solve_exact_tier
 
-        result, bounds = solve_exact_tier(
+        solution, bounds = solve_exact_tier(
             instance, mode=args.algorithm, gap_threshold=args.gap_threshold
         )
-        summary = result.summary()
     elif args.algorithm == "batched":
-        outcome = BatchedSimulator(instance, _batch_config(args, args.batch_window)).run()
-        result, summary = outcome, outcome.summary()
+        solution = BatchedSimulator(instance, _batch_config(args, args.batch_window)).run()
     else:
         dispatcher = MaxMarginDispatcher() if args.algorithm == "maxMargin" else NearestDispatcher()
-        outcome = OnlineSimulator(instance, dispatcher).run()
-        result, summary = outcome, outcome.summary()
+        solution = OnlineSimulator(instance, dispatcher).run()
 
     print(f"algorithm: {args.algorithm}")
     if bounds is not None:
         print(f"exact tier chose: {bounds.chosen_solver}")
         print(format_metric_dict(bounds.as_dict()))
-    print(format_metric_dict(summary))
+    print(format_metric_dict(solution.summary()))
     if args.output:
-        if hasattr(result, "plans"):
-            save_solution(result, args.output, algorithm=args.algorithm)
-        else:
-            from .io import outcome_to_dict
-            import json
-
-            from pathlib import Path
-
-            Path(args.output).write_text(
-                json.dumps(outcome_to_dict(result), indent=2), encoding="utf-8"
-            )
+        save_solution(solution, args.output, algorithm=args.algorithm)
         print(f"solution written to {args.output}")
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    instance = load_instance(args.market)
+    instance = _load_market(args.market)
     try:
         value = compute_upper_bound(instance, _BOUNDS[args.kind])
     except ExactSolverError as exc:
@@ -548,7 +543,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    instance = load_instance(args.market)
+    instance = _load_market(args.market)
     print(format_metric_dict(graph_summary(instance)))
     return 0
 
@@ -741,7 +736,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     every stream and pool even on Ctrl-C, which exits 130 without orphaning
     worker processes).
     """
-    import json
     import multiprocessing
 
     from .service import SoakConfig, run_soak

@@ -1,9 +1,17 @@
 """Solution representation, plan evaluation and feasibility validation.
 
-A :class:`MarketSolution` records which task list (path in her task map) each
-driver was assigned, regardless of which algorithm produced it — the offline
-greedy, the exact solver or the online heuristics all return this type, which
-is what makes head-to-head evaluation straightforward.
+A :class:`MarketSolution` records which task list each driver was assigned,
+regardless of which algorithm produced it — the offline greedy, the exact
+solver, the online simulators and the sharded merges all return this type,
+which is what makes head-to-head evaluation straightforward.  An online plan
+also records when the driver reached each pickup, and an online solution the
+orders it rejected, so one ``summary()`` carries the revenue, serve-rate and
+wait metrics of every algorithm.
+
+Online plans are accounted from the drives actually simulated, not read off
+a task map: a driver who finishes a ride before its drop-off deadline may
+legitimately chain a task the deadline-based task map rules out (Section V
+of the paper), so a simulator's plan carries the profit it simulated.
 
 Plans are priced and checked by :func:`evaluate_plans` from the legs they
 actually drive, never from a task map: scoring a hundred short paths must not
@@ -13,6 +21,7 @@ for them needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -37,6 +46,12 @@ class DriverPlan:
     driver_id: str
     task_indices: Tuple[int, ...]
     profit: float
+    #: When the driver reached each served task's pickup point, aligned
+    #: entry-for-entry with ``task_indices`` (NaN for untracked commits);
+    #: empty when the producing algorithm does not simulate arrivals at all
+    #: (the offline solvers).  The wait-time metrics skip untracked entries
+    #: either way.
+    arrival_times: Tuple[float, ...] = ()
 
     @property
     def task_count(self) -> int:
@@ -182,6 +197,8 @@ class MarketSolution:
     instance: MarketInstance
     plans: Tuple[DriverPlan, ...]
     objective: Objective = Objective.DRIVERS_PROFIT
+    #: Orders an online run could not serve (empty for the offline solvers).
+    rejected_tasks: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # construction
@@ -294,6 +311,44 @@ class MarketSolution:
         return self.served_count / self.instance.driver_count
 
     # ------------------------------------------------------------------
+    # wait-time metrics (publish -> pickup)
+    # ------------------------------------------------------------------
+    def wait_times_s(self) -> Dict[int, float]:
+        """Per served task: seconds from publication until a driver arrived
+        at the pickup point.
+
+        Only tasks whose plan tracked an arrival appear (all of them for
+        the built-in simulators, none for the offline solvers).  This is the
+        latency half of the dispatch quality story that serve rate and
+        revenue do not show — under trace-replay semantics the *ride* then
+        starts at the recorded start time, but the customer's wait for a car
+        ends at arrival — and the per-scenario comparison the scenario suite
+        reports.
+        """
+        tasks = self.instance.tasks
+        waits: Dict[int, float] = {}
+        for plan in self.plans:
+            for m, arrival_ts in zip(plan.task_indices, plan.arrival_times):
+                if not math.isnan(arrival_ts):
+                    waits[m] = arrival_ts - tasks[m].publish_ts
+        return waits
+
+    @property
+    def total_wait_s(self) -> float:
+        """Sum of all tracked publish->arrival waits (deterministic: summed
+        in driver order — dict insertion order — so shard merges reproduce
+        it bit for bit)."""
+        return sum(self.wait_times_s().values())
+
+    @property
+    def mean_wait_s(self) -> float:
+        """Mean publish->arrival wait over the tracked served tasks."""
+        waits = self.wait_times_s()
+        if not waits:
+            return 0.0
+        return sum(waits.values()) / len(waits)
+
+    # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -368,4 +423,6 @@ class MarketSolution:
             "tasks_per_driver": self.tasks_per_driver(),
             "active_drivers": float(self.active_driver_count),
             "consumer_surplus": self.consumer_surplus,
+            "rejected_tasks": float(len(self.rejected_tasks)),
+            "mean_wait_s": self.mean_wait_s,
         }

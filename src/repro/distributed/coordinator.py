@@ -78,7 +78,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.objectives import Objective
 from ..core.solution import MarketSolution
@@ -98,7 +98,6 @@ from .partition import (
     RebalancePolicy,
     ShardLoadReport,
     SpatialPartitioner,
-    translate_assignment,
 )
 from .pool import (
     EXECUTOR_POLICIES,
@@ -111,7 +110,7 @@ from .stream import (  # PendingAppend: re-exported for callers of this module
     DistributedStreamResult,
     DistributedStreamSession,
     PendingAppend,
-    priced_solution,
+    merge_shard_plans,
 )
 from .transport import TRANSPORTS, transport_error
 
@@ -127,48 +126,25 @@ logger = logging.getLogger("repro.distributed.coordinator")
 
 def _solve_instance(
     instance: MarketInstance, request: ShardWorkRequest
-) -> Tuple[
-    Dict[str, Tuple[int, ...]], Dict[str, float], float, int, Optional[ShardBounds]
-]:
+) -> Tuple[MarketSolution, Optional[ShardBounds]]:
     """Run the requested solver on one (sub-)instance.
 
-    Returns ``(assignment, driver_profits, total_value, served_count,
-    bounds)`` with the assignment in shard-local task indices; ``bounds`` is
-    the exact tier's :class:`ShardBounds` record ("lp"/"auto" solvers only,
-    ``None`` otherwise).
+    Returns the shard's solution, in shard-local task indices, and the exact
+    tier's :class:`ShardBounds` record ("lp"/"auto" solvers only, ``None``
+    otherwise).
     """
-    bounds = None
     if request.solver_name == "greedy":
-        solution = GreedySolver().solve(instance).solution
-    elif request.solver_name in EXACT_SOLVER_NAMES:
-        solution, bounds = solve_exact_tier(
-            instance,
-            mode=request.solver_name,
-            gap_threshold=request.gap_threshold,
+        return GreedySolver().solve(instance).solution, None
+    if request.solver_name in EXACT_SOLVER_NAMES:
+        return solve_exact_tier(
+            instance, mode=request.solver_name, gap_threshold=request.gap_threshold
         )
-    else:
-        dispatcher = (
-            NearestDispatcher(seed=request.seed)
-            if request.solver_name == "nearest"
-            else MaxMarginDispatcher()
-        )
-        outcome = OnlineSimulator(instance, dispatcher).run()
-        driver_profits = {
-            record.driver_id: record.profit
-            for record in outcome.records
-            if record.task_indices
-        }
-        return (
-            outcome.assignment(), driver_profits, outcome.total_value,
-            outcome.served_count, None,
-        )
-    driver_profits = {
-        plan.driver_id: plan.profit for plan in solution.iter_nonempty_plans()
-    }
-    return (
-        solution.assignment(), driver_profits, solution.total_value,
-        solution.served_count, bounds,
+    dispatcher = (
+        NearestDispatcher(seed=request.seed)
+        if request.solver_name == "nearest"
+        else MaxMarginDispatcher()
     )
+    return OnlineSimulator(instance, dispatcher).run(), None
 
 
 def _empty_shard_result(request: ShardWorkRequest) -> ShardWorkResult:
@@ -179,10 +155,7 @@ def _empty_shard_result(request: ShardWorkRequest) -> ShardWorkResult:
     return ShardWorkResult(
         shard_id=request.shard_id,
         solver_name=request.solver_name,
-        assignment={},
-        driver_profits={},
-        total_value=0.0,
-        served_count=0,
+        plans=(),
         elapsed_s=0.0,
         bounds=(
             ShardBounds.zero()
@@ -215,17 +188,12 @@ def solve_shard(shipment, request: ShardWorkRequest) -> ShardWorkResult:
     ):
         start = time.perf_counter()
         instance = _open_shipment(shipment)
-        assignment, driver_profits, total_value, served, bounds = _solve_instance(
-            instance, request
-        )
+        solution, bounds = _solve_instance(instance, request)
         elapsed_s = time.perf_counter() - start
     return ShardWorkResult(
         shard_id=request.shard_id,
         solver_name=request.solver_name,
-        assignment=assignment,
-        driver_profits=driver_profits,
-        total_value=total_value,
-        served_count=served,
+        plans=solution.plans,
         elapsed_s=elapsed_s,
         bounds=bounds,
         spans=recorder.export() if recorder is not None else (),
@@ -521,12 +489,20 @@ class DistributedCoordinator:
                 run.adopt(result.spans)
 
             with obs_trace.span("merge"):
-                merged: Dict[str, Tuple[int, ...]] = {}
-                merged_profits: Dict[str, float] = {}
-                for shard, result in zip(plan.shards, solved):
-                    merged.update(translate_assignment(shard, result.assignment))
-                    merged_profits.update(result.driver_profits)
-                solution = self._merge_solution(instance, merged, merged_profits)
+                solution = merge_shard_plans(
+                    instance,
+                    (
+                        (shard.global_task_indices, result.plans)
+                        for shard, result in zip(plan.shards, solved)
+                    ),
+                )
+                if self.solver_name == "greedy" or self.solver_name in EXACT_SOLVER_NAMES:
+                    # Task-map paths: re-priced (and later revalidated) by the
+                    # standard constructor.  The online shard solvers keep the
+                    # profits they simulated.
+                    solution = MarketSolution.from_assignment(
+                        instance, solution.assignment(), Objective.DRIVERS_PROFIT
+                    )
 
         durations = tuple(r.elapsed_s for r in solved)
         report = CoordinatorReport(
@@ -579,26 +555,3 @@ class DistributedCoordinator:
         else:
             loads = [float(plan.shards[position].task_count) for position in live]
         return lpt_slot_assignment(loads, max(1, min(slot_count, len(live))))
-
-    # ------------------------------------------------------------------
-    # merge
-    # ------------------------------------------------------------------
-    def _merge_solution(
-        self,
-        instance: MarketInstance,
-        merged: Dict[str, Tuple[int, ...]],
-        merged_profits: Dict[str, float],
-    ) -> MarketSolution:
-        """Assemble the global solution from the shard results.
-
-        For the greedy and exact-tier shard solvers the plans are valid
-        task-map paths and the solution is rebuilt (and revalidated) through
-        the standard constructor.  The online shard solvers may chain tasks
-        that the deadline-based task map rules out (a driver who finishes
-        early can legally reach them), so their plans carry the profits
-        computed by the simulator instead of being re-derived from the task
-        map.
-        """
-        if self.solver_name == "greedy" or self.solver_name in EXACT_SOLVER_NAMES:
-            return MarketSolution.from_assignment(instance, merged, Objective.DRIVERS_PROFIT)
-        return priced_solution(instance, merged, merged_profits)

@@ -20,6 +20,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Tuple
 
+from ..core.solution import DriverPlan
 from ..obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps scipy off this path
@@ -57,18 +58,31 @@ class ShardWorkRequest:
     trace: bool = False
 
 
+class _ShardPlans:
+    """The value and size of a shard result, read off its ``plans``."""
+
+    __slots__ = ()
+    plans: Tuple[DriverPlan, ...]
+
+    @property
+    def total_value(self) -> float:
+        return sum(plan.profit for plan in self.plans)
+
+    @property
+    def served_count(self) -> int:
+        return sum(plan.task_count for plan in self.plans)
+
+
 @dataclass(frozen=True, slots=True)
-class ShardWorkResult:
-    """A worker's answer: the shard-local assignment and its value."""
+class ShardWorkResult(_ShardPlans):
+    """A worker's answer: the shard solution's plans."""
 
     shard_id: int
     solver_name: str
-    #: driver id -> shard-local task indices.
-    assignment: Dict[str, Tuple[int, ...]]
-    #: driver id -> profit of that driver's shard-local plan.
-    driver_profits: Dict[str, float]
-    total_value: float
-    served_count: int
+    #: One plan per shard driver, in shard fleet order and shard-local task
+    #: indices, with the profit the shard solver priced (empty for a
+    #: degenerate shard, which the coordinator answers without a solve).
+    plans: Tuple[DriverPlan, ...]
     elapsed_s: float
     #: Bound sandwich computed by the exact tier (``solver_name`` "lp"/"auto");
     #: ``None`` for the heuristic solvers.
@@ -266,24 +280,23 @@ class CoordinatorReport(FanOutReport):
 
 
 @dataclass(frozen=True, slots=True)
-class ShardStreamResult:
+class ShardStreamResult(_ShardPlans):
     """A streaming worker's answer after its shard's stream is drained."""
 
     shard_id: int
-    #: driver id -> shard-local task indices (drivers with work only).
-    assignment: Dict[str, Tuple[int, ...]]
-    #: driver id -> profit of that driver's simulated plan.
-    driver_profits: Dict[str, float]
+    #: One simulated plan per shard driver, in shard fleet order and
+    #: shard-local task indices.  Every driver: under horizon dispatch an
+    #: idle driver who was repositioned carries that move's cost as a
+    #: negative profit.
+    plans: Tuple[DriverPlan, ...]
     #: Shard-local indices of orders the stream could not serve.
     rejected_tasks: Tuple[int, ...]
     task_count: int
-    total_value: float
-    served_count: int
     #: Worker-side time spent in this shard's appends + final flush.
     elapsed_s: float
     #: Sum of publish->pickup waits over the shard's served tasks (simulated
-    #: time, not wall clock).  Computed worker-side from the same outcome as
-    #: the assignment, so it is executor-independent like everything else.
+    #: time, not wall clock).  Computed worker-side from the same solution as
+    #: the plans, so it is executor-independent like everything else.
     wait_total_s: float = 0.0
     #: Flight-recorder spans collected worker-side across the shard stream's
     #: whole life (open -> appends -> finish), as plain

@@ -35,7 +35,7 @@ which shard owns a point.  Two partitioners choose it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -304,17 +304,6 @@ def split_box_group(
     else:
         first, second = box.split(1, 2)
     return (first,), (second,)
-
-
-def translate_assignment(
-    shard: MarketShard, local_assignment: Dict[str, Sequence[int]]
-) -> Dict[str, Tuple[int, ...]]:
-    """Convert a shard-local ``driver -> task indices`` assignment into global
-    task indices of the parent instance."""
-    translated: Dict[str, Tuple[int, ...]] = {}
-    for driver_id, path in local_assignment.items():
-        translated[driver_id] = tuple(shard.global_task_indices[m] for m in path)
-    return translated
 
 
 # ----------------------------------------------------------------------

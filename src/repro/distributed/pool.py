@@ -243,22 +243,17 @@ class ShardStreamSession:
         """Flush the last window, settle every driver, report the result."""
         with obs_trace.recording(self._recorder), obs_trace.span("flush"):
             start = time.perf_counter()
-            outcome = self._simulator.stream_end()
+            solution = self._simulator.stream_end()
             self._elapsed_s += time.perf_counter() - start
         if self._recorder is not None:
             self._recorder.end(self._root_span)
         return ShardStreamResult(
             shard_id=self.shard_id,
-            assignment=outcome.assignment(),
-            # Every driver: under horizon dispatch an idle driver who was
-            # repositioned carries that move's cost as a negative profit.
-            driver_profits={record.driver_id: record.profit for record in outcome.records},
-            rejected_tasks=outcome.rejected_tasks,
+            plans=solution.plans,
+            rejected_tasks=solution.rejected_tasks,
             task_count=self._task_count,
-            total_value=outcome.total_value,
-            served_count=outcome.served_count,
             elapsed_s=self._elapsed_s,
-            wait_total_s=outcome.total_wait_s,
+            wait_total_s=solution.total_wait_s,
             spans=self._recorder.export() if self._recorder is not None else (),
         )
 

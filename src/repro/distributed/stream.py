@@ -36,7 +36,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.objectives import Objective
 from ..core.solution import DriverPlan, MarketSolution
 from ..geo import BoundingBox, GeoPoint
 from ..market.cost import MarketCostModel
@@ -60,24 +59,38 @@ from .pool import (
 logger = logging.getLogger("repro.distributed.stream")
 
 
-def priced_solution(
+def merge_shard_plans(
     instance: MarketInstance,
-    assignment: Dict[str, Tuple[int, ...]],
-    profits: Dict[str, float],
+    shard_plans: Iterable[Tuple[Sequence[int], Sequence[DriverPlan]]],
+    rejected_tasks: Sequence[int] = (),
 ) -> MarketSolution:
-    """The merged solution with one plan per driver, in fleet order, carrying
-    the profit its shard computed rather than one re-derived from the task
-    maps (a simulated driver who finishes early may chain tasks the
-    deadline-based task map rules out)."""
-    plans = tuple(
-        DriverPlan(
-            driver_id=driver.driver_id,
-            task_indices=assignment.get(driver.driver_id, ()),
-            profit=profits.get(driver.driver_id, 0.0),
-        )
-        for driver in instance.drivers
+    """The merged solution of shard results.
+
+    ``shard_plans`` pairs each shard's plans, in shard-local task indices,
+    with the shard's local -> global task index table.  Every plan is
+    translated to ``instance``'s indices and keeps the profit and arrivals
+    its shard computed.  A simulated driver who finishes early may chain
+    tasks the deadline-based task map rules out, so no profit is re-derived
+    here.  The solution has one plan per driver, in fleet order; a driver
+    no shard planned for is idle.
+    """
+    merged: Dict[str, DriverPlan] = {}
+    for global_of, plans in shard_plans:
+        for plan in plans:
+            merged[plan.driver_id] = DriverPlan(
+                plan.driver_id,
+                tuple(global_of[m] for m in plan.task_indices),
+                plan.profit,
+                plan.arrival_times,
+            )
+    return MarketSolution(
+        instance=instance,
+        plans=tuple(
+            merged.get(driver.driver_id) or DriverPlan(driver.driver_id, (), 0.0)
+            for driver in instance.drivers
+        ),
+        rejected_tasks=tuple(rejected_tasks),
     )
-    return MarketSolution(instance=instance, plans=plans, objective=Objective.DRIVERS_PROFIT)
 
 
 @dataclass
@@ -122,7 +135,7 @@ class DistributedStreamResult:
 
     solution: MarketSolution
     report: StreamReport
-    #: Global indices of orders no shard could serve.
+    #: Global indices of orders no shard could serve (``solution.rejected_tasks``).
     rejected_tasks: Tuple[int, ...]
     #: Final shard regions (post-rebalance).  A coordinator over
     #: ``LoadAwarePartitioner(region, result, rounds=0)`` streams over exactly
@@ -528,8 +541,7 @@ class DistributedStreamSession:
             if run.recorder is not None
             else obs_trace.DROPPED
         )
-        merged_assignment: Dict[str, Tuple[int, ...]] = {}
-        merged_profits: Dict[str, float] = {}
+        shard_plans = []
         rejected: set = set()
         durations: List[float] = []
         wait_total_s = 0.0
@@ -542,21 +554,17 @@ class DistributedStreamSession:
                 )
                 durations.append(0.0)
                 continue
-            for driver_id, local_path in result.assignment.items():
-                merged_assignment[driver_id] = tuple(
-                    shard.global_indices[m] for m in local_path
-                )
-            merged_profits.update(result.driver_profits)
+            shard_plans.append((shard.global_indices, result.plans))
             rejected.update(shard.global_indices[m] for m in result.rejected_tasks)
             durations.append(result.elapsed_s)
             wait_total_s += result.wait_total_s
 
-        solution = priced_solution(
+        solution = merge_shard_plans(
             MarketInstance(
                 drivers=self._fleet, tasks=tuple(self._tasks), cost_model=self._cost_model
             ),
-            merged_assignment,
-            merged_profits,
+            shard_plans,
+            sorted(rejected),
         )
         if run.recorder is not None:
             run.recorder.end(merge_span)
@@ -584,6 +592,6 @@ class DistributedStreamSession:
         return DistributedStreamResult(
             solution=solution,
             report=report,
-            rejected_tasks=tuple(sorted(rejected)),
+            rejected_tasks=solution.rejected_tasks,
             regions=self.shard_regions,
         )

@@ -4,22 +4,19 @@ The evaluation compares three algorithms throughout (Figs. 5-9): the offline
 greedy (Algorithm 1), the online maximum-marginal-value heuristic
 (Algorithm 4) and the online nearest-driver heuristic (Algorithm 3).  This
 module gives them their canonical names and a single ``run`` entry point that
-returns objects sharing the common metric vocabulary.
+returns a :class:`~repro.core.MarketSolution` for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 from ..core.solution import MarketSolution
 from ..market.instance import MarketInstance
 from ..offline.greedy import greedy_assignment
 from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
-from ..online.outcome import OnlineOutcome
 from ..online.simulator import OnlineSimulator
-
-AlgorithmResult = Union[MarketSolution, OnlineOutcome]
 
 #: Canonical algorithm names used in every table and figure.
 GREEDY = "Greedy"
@@ -34,18 +31,18 @@ class AlgorithmSpec:
     """Name plus the callable that runs the algorithm on an instance."""
 
     name: str
-    run: Callable[[MarketInstance], AlgorithmResult]
+    run: Callable[[MarketInstance], MarketSolution]
 
 
 def _run_greedy(instance: MarketInstance) -> MarketSolution:
     return greedy_assignment(instance)
 
 
-def _run_max_margin(instance: MarketInstance) -> OnlineOutcome:
+def _run_max_margin(instance: MarketInstance) -> MarketSolution:
     return OnlineSimulator(instance, MaxMarginDispatcher()).run()
 
 
-def _run_nearest(instance: MarketInstance) -> OnlineOutcome:
+def _run_nearest(instance: MarketInstance) -> MarketSolution:
     return OnlineSimulator(instance, NearestDispatcher(seed=13)).run()
 
 
@@ -58,6 +55,6 @@ def standard_algorithms() -> Tuple[AlgorithmSpec, ...]:
     )
 
 
-def run_all(instance: MarketInstance) -> Dict[str, AlgorithmResult]:
+def run_all(instance: MarketInstance) -> Dict[str, MarketSolution]:
     """Run every standard algorithm on the same instance."""
     return {spec.name: spec.run(instance) for spec in standard_algorithms()}

@@ -1,4 +1,4 @@
-"""JSON serialization of market instances, solutions and outcomes.
+"""JSON serialization of market instances and solutions.
 
 Experiments are cheaper to debug and share when the exact instance that
 produced a number can be written to disk and reloaded bit-for-bit.  The
@@ -7,8 +7,12 @@ format is plain JSON with an explicit ``format`` / ``version`` header:
 * drivers and tasks serialise all of their model attributes;
 * the travel model serialises its estimator type, circuity, speed and cost,
   plus its time profile when that profile is not flat;
-* solutions/outcomes serialise the assignment, per-driver profits and the
-  producing algorithm, referencing tasks by index within the instance.
+* solutions serialise every plan (task indices within the instance, profit
+  and, for the online simulators, pickup arrival times), the rejected
+  orders and the producing algorithm.
+
+A malformed document — a missing or mistyped field, or values the model
+refuses — raises :class:`SerializationError` naming what is wrong.
 
 Round-tripping an instance rebuilds the task maps lazily as usual, so a
 loaded instance behaves exactly like a freshly constructed one.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.objectives import Objective
 from ..core.solution import DriverPlan, MarketSolution
@@ -34,7 +38,6 @@ from ..market.cost import MarketCostModel
 from ..market.driver import Driver
 from ..market.instance import MarketInstance
 from ..market.task import Task
-from ..online.outcome import OnlineDriverRecord, OnlineOutcome
 
 FORMAT_NAME = "repro-market"
 FORMAT_VERSION = 1
@@ -51,6 +54,46 @@ class SerializationError(ValueError):
 
 
 # ----------------------------------------------------------------------
+# decoding helpers
+# ----------------------------------------------------------------------
+_REQUIRED = object()
+
+
+def _field(
+    data: Any, kind: str, name: str, convert: Callable[[Any], Any], default: Any = _REQUIRED
+) -> Any:
+    """``convert(data[name])`` — or of ``default`` when the field is absent
+    and has one — with a missing or malformed field raised as a
+    :class:`SerializationError` naming it."""
+    if not isinstance(data, Mapping):
+        raise SerializationError(f"{kind} must be an object, not {type(data).__name__}")
+    if name not in data and default is _REQUIRED:
+        raise SerializationError(f"{kind} is missing field {name!r}")
+    try:
+        return convert(data.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"{kind} field {name!r}: {exc}") from exc
+
+
+def _built(kind: str, factory: Callable[..., Any], **fields: Any) -> Any:
+    """``factory(**fields)``, with the model's own validation error (say, a
+    task whose deadlines are out of order) raised as a
+    :class:`SerializationError`."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise SerializationError(f"{kind}: {exc}") from exc
+
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+def _floats(value: Any) -> Tuple[float, ...]:
+    return tuple(float(x) for x in value)
+
+
+# ----------------------------------------------------------------------
 # primitives
 # ----------------------------------------------------------------------
 def point_to_dict(point: GeoPoint) -> Dict[str, float]:
@@ -58,10 +101,12 @@ def point_to_dict(point: GeoPoint) -> Dict[str, float]:
 
 
 def point_from_dict(data: Mapping[str, Any]) -> GeoPoint:
-    try:
-        return GeoPoint(float(data["lat"]), float(data["lon"]))
-    except KeyError as exc:
-        raise SerializationError(f"point is missing field {exc}") from exc
+    return _built(
+        "point",
+        GeoPoint,
+        lat=_field(data, "point", "lat", float),
+        lon=_field(data, "point", "lon", float),
+    )
 
 
 def driver_to_dict(driver: Driver) -> Dict[str, Any]:
@@ -75,16 +120,15 @@ def driver_to_dict(driver: Driver) -> Dict[str, Any]:
 
 
 def driver_from_dict(data: Mapping[str, Any]) -> Driver:
-    try:
-        return Driver(
-            driver_id=str(data["driver_id"]),
-            source=point_from_dict(data["source"]),
-            destination=point_from_dict(data["destination"]),
-            start_ts=float(data["start_ts"]),
-            end_ts=float(data["end_ts"]),
-        )
-    except KeyError as exc:
-        raise SerializationError(f"driver is missing field {exc}") from exc
+    return _built(
+        "driver",
+        Driver,
+        driver_id=_field(data, "driver", "driver_id", str),
+        source=_field(data, "driver", "source", point_from_dict),
+        destination=_field(data, "driver", "destination", point_from_dict),
+        start_ts=_field(data, "driver", "start_ts", float),
+        end_ts=_field(data, "driver", "end_ts", float),
+    )
 
 
 def task_to_dict(task: Task) -> Dict[str, Any]:
@@ -102,20 +146,19 @@ def task_to_dict(task: Task) -> Dict[str, Any]:
 
 
 def task_from_dict(data: Mapping[str, Any]) -> Task:
-    try:
-        return Task(
-            task_id=str(data["task_id"]),
-            publish_ts=float(data["publish_ts"]),
-            source=point_from_dict(data["source"]),
-            destination=point_from_dict(data["destination"]),
-            start_deadline_ts=float(data["start_deadline_ts"]),
-            end_deadline_ts=float(data["end_deadline_ts"]),
-            price=float(data["price"]),
-            wtp=None if data.get("wtp") is None else float(data["wtp"]),
-            distance_km=None if data.get("distance_km") is None else float(data["distance_km"]),
-        )
-    except KeyError as exc:
-        raise SerializationError(f"task is missing field {exc}") from exc
+    return _built(
+        "task",
+        Task,
+        task_id=_field(data, "task", "task_id", str),
+        publish_ts=_field(data, "task", "publish_ts", float),
+        source=_field(data, "task", "source", point_from_dict),
+        destination=_field(data, "task", "destination", point_from_dict),
+        start_deadline_ts=_field(data, "task", "start_deadline_ts", float),
+        end_deadline_ts=_field(data, "task", "end_deadline_ts", float),
+        price=_field(data, "task", "price", float),
+        wtp=_field(data, "task", "wtp", _optional_float, None),
+        distance_km=_field(data, "task", "distance_km", _optional_float, None),
+    )
 
 
 def travel_model_to_dict(model: TravelModel) -> Dict[str, Any]:
@@ -141,24 +184,27 @@ def travel_model_to_dict(model: TravelModel) -> Dict[str, Any]:
 
 
 def travel_model_from_dict(data: Mapping[str, Any]) -> TravelModel:
-    name = data.get("estimator", "haversine")
-    circuity = float(data.get("circuity", 1.3))
+    kind = "travel model"
+    name = _field(data, kind, "estimator", str, "haversine")
+    circuity = _field(data, kind, "circuity", float, 1.3)
     if name == "haversine":
-        estimator = HaversineEstimator(circuity=circuity)
+        estimator = _built(kind, HaversineEstimator, circuity=circuity)
     elif name == "equirectangular":
-        estimator = EquirectangularEstimator(circuity=circuity)
+        estimator = _built(kind, EquirectangularEstimator, circuity=circuity)
     elif name == "manhattan":
         estimator = ManhattanEstimator()
     else:
         raise SerializationError(f"unknown estimator {name!r}")
-    return TravelModel(
-        estimator,
-        speed_kmh=float(data.get("speed_kmh", 30.0)),
-        cost_per_km=float(data.get("cost_per_km", 0.12)),
-        window_s=float(data.get("window_s", 3600.0)),
-        speed_factors=tuple(data.get("speed_factors", (1.0,))),
-        cost_factors=tuple(data.get("cost_factors", (1.0,))),
-        origin_ts=float(data.get("origin_ts", 0.0)),
+    return _built(
+        kind,
+        TravelModel,
+        estimator=estimator,
+        speed_kmh=_field(data, kind, "speed_kmh", float, 30.0),
+        cost_per_km=_field(data, kind, "cost_per_km", float, 0.12),
+        window_s=_field(data, kind, "window_s", float, 3600.0),
+        speed_factors=_field(data, kind, "speed_factors", _floats, (1.0,)),
+        cost_factors=_field(data, kind, "cost_factors", _floats, (1.0,)),
+        origin_ts=_field(data, kind, "origin_ts", float, 0.0),
     )
 
 
@@ -178,15 +224,20 @@ def instance_to_dict(instance: MarketInstance) -> Dict[str, Any]:
 
 def instance_from_dict(data: Mapping[str, Any]) -> MarketInstance:
     """Rebuild a market instance from :func:`instance_to_dict` output."""
-    if data.get("format") != FORMAT_NAME:
+    kind = "market"
+    if _field(data, kind, "format", str, None) != FORMAT_NAME:
         raise SerializationError(f"not a {FORMAT_NAME} document")
-    if int(data.get("version", -1)) != FORMAT_VERSION:
+    if _field(data, kind, "version", int, -1) != FORMAT_VERSION:
         raise SerializationError(f"unsupported format version {data.get('version')!r}")
-    travel_model = travel_model_from_dict(data.get("travel_model", {}))
-    drivers = [driver_from_dict(d) for d in data.get("drivers", [])]
-    tasks = [task_from_dict(t) for t in data.get("tasks", [])]
-    return MarketInstance.create(
-        drivers=drivers, tasks=tasks, cost_model=MarketCostModel(travel_model)
+    travel_model = _field(data, kind, "travel_model", travel_model_from_dict, {})
+    drivers = _field(data, kind, "drivers", lambda ds: [driver_from_dict(d) for d in ds], [])
+    tasks = _field(data, kind, "tasks", lambda ts: [task_from_dict(t) for t in ts], [])
+    return _built(
+        kind,
+        MarketInstance.create,
+        drivers=drivers,
+        tasks=tasks,
+        cost_model=MarketCostModel(travel_model),
     )
 
 
@@ -201,10 +252,12 @@ def load_instance(path: Union[str, Path]) -> MarketInstance:
 
 
 # ----------------------------------------------------------------------
-# solutions / outcomes
+# solutions
 # ----------------------------------------------------------------------
 def solution_to_dict(solution: MarketSolution, algorithm: str = "unknown") -> Dict[str, Any]:
-    """Serialise an (offline) solution's assignment and per-driver profits."""
+    """Serialise a solution: its plans (assignment, per-driver profits and,
+    for the online simulators, pickup arrivals), its rejected orders and
+    the producing algorithm."""
     return {
         "format": f"{FORMAT_NAME}-solution",
         "version": FORMAT_VERSION,
@@ -215,74 +268,47 @@ def solution_to_dict(solution: MarketSolution, algorithm: str = "unknown") -> Di
                 "driver_id": plan.driver_id,
                 "task_indices": list(plan.task_indices),
                 "profit": plan.profit,
-            }
-            for plan in solution.plans
-        ],
-    }
-
-
-def solution_from_dict(data: Mapping[str, Any], instance: MarketInstance) -> MarketSolution:
-    """Rebuild a solution against an already-loaded instance."""
-    if data.get("format") != f"{FORMAT_NAME}-solution":
-        raise SerializationError("not a solution document")
-    objective = Objective(data.get("objective", Objective.DRIVERS_PROFIT.value))
-    plans = tuple(
-        DriverPlan(
-            driver_id=str(entry["driver_id"]),
-            task_indices=tuple(int(m) for m in entry["task_indices"]),
-            profit=float(entry["profit"]),
-        )
-        for entry in data.get("plans", [])
-    )
-    return MarketSolution(instance=instance, plans=plans, objective=objective)
-
-
-def outcome_to_dict(outcome: OnlineOutcome) -> Dict[str, Any]:
-    """Serialise an online outcome (assignment, profits, rejections)."""
-    return {
-        "format": f"{FORMAT_NAME}-outcome",
-        "version": FORMAT_VERSION,
-        "dispatcher": outcome.dispatcher_name,
-        "records": [
-            {
-                "driver_id": record.driver_id,
-                "task_indices": list(record.task_indices),
-                "profit": record.profit,
                 # Untracked commits carry NaN in memory; ship null so the
                 # document stays valid strict JSON.
                 "arrival_times": [
-                    None if math.isnan(ts) else ts for ts in record.arrival_times
+                    None if math.isnan(ts) else ts for ts in plan.arrival_times
                 ],
             }
-            for record in outcome.records
+            for plan in solution.plans
         ],
-        "rejected_tasks": list(outcome.rejected_tasks),
+        "rejected_tasks": list(solution.rejected_tasks),
     }
 
 
-def outcome_from_dict(data: Mapping[str, Any], instance: MarketInstance) -> OnlineOutcome:
-    """Rebuild an online outcome against an already-loaded instance."""
-    if data.get("format") != f"{FORMAT_NAME}-outcome":
-        raise SerializationError("not an outcome document")
-    records = tuple(
-        OnlineDriverRecord(
-            driver_id=str(entry["driver_id"]),
-            task_indices=tuple(int(m) for m in entry["task_indices"]),
-            profit=float(entry["profit"]),
-            # Documents written before wait tracking have no arrival_times;
-            # default to untracked rather than failing the load.
-            arrival_times=tuple(
-                math.nan if ts is None else float(ts)
-                for ts in entry.get("arrival_times", ())
-            ),
-        )
-        for entry in data.get("records", [])
+def _plan_from_dict(data: Mapping[str, Any]) -> DriverPlan:
+    kind = "plan"
+    return DriverPlan(
+        driver_id=_field(data, kind, "driver_id", str),
+        task_indices=_field(data, kind, "task_indices", lambda ms: tuple(int(m) for m in ms)),
+        profit=_field(data, kind, "profit", float),
+        arrival_times=_field(
+            data,
+            kind,
+            "arrival_times",
+            lambda ts: tuple(math.nan if t is None else float(t) for t in ts),
+            (),
+        ),
     )
-    return OnlineOutcome(
+
+
+def solution_from_dict(data: Mapping[str, Any], instance: MarketInstance) -> MarketSolution:
+    """Rebuild a solution against an already-loaded instance.  Documents
+    without ``arrival_times`` or ``rejected_tasks`` read them as empty."""
+    kind = "solution"
+    if _field(data, kind, "format", str, None) != f"{FORMAT_NAME}-solution":
+        raise SerializationError("not a solution document")
+    return MarketSolution(
         instance=instance,
-        records=records,
-        rejected_tasks=tuple(int(m) for m in data.get("rejected_tasks", [])),
-        dispatcher_name=str(data.get("dispatcher", "unknown")),
+        plans=_field(data, kind, "plans", lambda ps: tuple(_plan_from_dict(p) for p in ps), ()),
+        objective=_field(data, kind, "objective", Objective, Objective.DRIVERS_PROFIT.value),
+        rejected_tasks=_field(
+            data, kind, "rejected_tasks", lambda ms: tuple(int(m) for m in ms), ()
+        ),
     )
 
 

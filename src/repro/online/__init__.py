@@ -5,7 +5,6 @@ from .candidates import CandidateKernel
 from .dispatchers import Dispatcher, MaxMarginDispatcher, NearestDispatcher, RandomDispatcher
 from .forecast import EwmaDemandForecaster, OracleDemandForecaster, ZoneGrid
 from .horizon import ForecastHeatmap, LookaheadPlanner
-from .outcome import OnlineDriverRecord, OnlineOutcome
 from .repositioning import (
     DemandHeatmap,
     HotspotRepositioning,
@@ -41,8 +40,6 @@ __all__ = [
     "apply_repositioning",
     "DriverState",
     "Candidate",
-    "OnlineDriverRecord",
-    "OnlineOutcome",
     "OnlineSimulator",
     "TaskOrdering",
     "run_online",

@@ -44,13 +44,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
+from ..core.solution import MarketSolution
 from ..market.instance import MarketInstance
 from ..market.task import Task
 from ..obs import trace as obs_trace
 from .candidates import CandidateKernel
 from .forecast import publish_slot
 from .horizon import LOOKAHEAD_WEIGHT, LookaheadPlanner
-from .outcome import OnlineDriverRecord, OnlineOutcome
 from .state import Candidate, DriverState
 
 #: Cost assigned to infeasible pairs in the assignment matrix.
@@ -161,8 +161,6 @@ class BatchedSimulator:
     consumption of arrival batches via :meth:`run_stream`).
     """
 
-    name = "batched"
-
     def __init__(self, instance: MarketInstance, config: BatchConfig | None = None) -> None:
         self.instance = instance
         self.config = config or BatchConfig()
@@ -177,7 +175,7 @@ class BatchedSimulator:
     # ------------------------------------------------------------------
     # main loops
     # ------------------------------------------------------------------
-    def run(self) -> OnlineOutcome:
+    def run(self) -> MarketSolution:
         """Simulate the full (already known) order stream window by window."""
         self._begin()
         first_publish, groups = _slot_groups(self.instance.tasks, self.config.window_s)
@@ -185,7 +183,7 @@ class BatchedSimulator:
             self._step_window(first_publish, slot, arrivals)
         return self._finish()
 
-    def run_stream(self, arrival_batches: Iterable[Sequence[Task]]) -> OnlineOutcome:
+    def run_stream(self, arrival_batches: Iterable[Sequence[Task]]) -> MarketSolution:
         """Consume a live order stream through a streaming instance.
 
         Each batch is appended to the instance incrementally
@@ -282,7 +280,7 @@ class BatchedSimulator:
             self._stream_open_arrivals.append(start_index + offset)
         return len(batch)
 
-    def stream_end(self) -> OnlineOutcome:
+    def stream_end(self) -> MarketSolution:
         """Dispatch the final open window and settle every driver."""
         if not self._streaming:
             raise RuntimeError("call stream_begin() before stream_end()")
@@ -340,17 +338,12 @@ class BatchedSimulator:
                 self._states.values(), window_end, on_move=self._kernel.sync
             )
 
-    def _finish(self) -> OnlineOutcome:
+    def _finish(self) -> MarketSolution:
         self._rejected.extend(self._pending)
-        records = tuple(
-            OnlineDriverRecord.settle(state, self._cost_model)
-            for state in self._states.values()
-        )
-        return OnlineOutcome(
+        return MarketSolution(
             instance=self.instance,
-            records=records,
+            plans=tuple(state.settle(self._cost_model) for state in self._states.values()),
             rejected_tasks=tuple(sorted(set(self._rejected))),
-            dispatcher_name=self.name,
         )
 
     def _dispatch_window(self, now_ts: float) -> Tuple[Dict[int, str], List[int]]:
@@ -437,7 +430,7 @@ class BatchedSimulator:
 
 def run_batched(
     instance: MarketInstance, window_s: float = 60.0, config: Optional[BatchConfig] = None
-) -> OnlineOutcome:
+) -> MarketSolution:
     """Convenience wrapper around :class:`BatchedSimulator`."""
     if config is None:
         config = BatchConfig(window_s=window_s)
@@ -449,7 +442,7 @@ def run_batched_stream(
     arrival_batches: Iterable[Sequence[Task]],
     window_s: float = 60.0,
     config: Optional[BatchConfig] = None,
-) -> OnlineOutcome:
+) -> MarketSolution:
     """Convenience wrapper around :meth:`BatchedSimulator.run_stream` for a
     :class:`~repro.market.streaming.StreamingMarketInstance`."""
     if config is None:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import enum
 from typing import List, Tuple
 
+from ..core.solution import MarketSolution
 from ..market.instance import MarketInstance
 from ..market.task import Task
 from .candidates import CandidateKernel
 from .dispatchers import Dispatcher
-from .outcome import OnlineDriverRecord, OnlineOutcome
 from .repositioning import RepositioningPolicy, apply_repositioning
 from .state import DriverState
 
@@ -73,8 +73,9 @@ class OnlineSimulator:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self) -> OnlineOutcome:
-        """Simulate the full task stream and return the outcome."""
+    def run(self) -> MarketSolution:
+        """Simulate the full task stream; the solution has one plan per
+        driver, in fleet order."""
         states = {
             driver.driver_id: DriverState.fresh(driver) for driver in self.instance.drivers
         }
@@ -101,14 +102,10 @@ class OnlineSimulator:
                 continue
             kernel.commit(choice, task_index, task)
 
-        records = tuple(
-            OnlineDriverRecord.settle(state, self._cost_model) for state in states.values()
-        )
-        return OnlineOutcome(
+        return MarketSolution(
             instance=self.instance,
-            records=records,
+            plans=tuple(state.settle(self._cost_model) for state in states.values()),
             rejected_tasks=tuple(rejected),
-            dispatcher_name=self.dispatcher.name,
         )
 
     # ------------------------------------------------------------------
@@ -130,6 +127,6 @@ def run_online(
     instance: MarketInstance,
     dispatcher: Dispatcher,
     ordering: TaskOrdering = TaskOrdering.ARRIVAL,
-) -> OnlineOutcome:
+) -> MarketSolution:
     """Convenience wrapper around :class:`OnlineSimulator`."""
     return OnlineSimulator(instance, dispatcher, ordering=ordering).run()

@@ -2,7 +2,9 @@
 
 Algorithms 3 and 4 of the paper track, for every driver, whether she is
 *locked* (committed to a task she has not finished yet), her *last task*, and
-where/when she will next be free.  :class:`DriverState` is that record;
+where/when she will next be free.  :class:`DriverState` is that record, and
+:meth:`DriverState.settle` closes it into the driver's
+:class:`~repro.core.solution.DriverPlan` when the stream ends;
 :class:`Candidate` is one entry of the candidate set built for an arriving
 task, annotated with everything the dispatch rules need (arrival time at the
 pickup and the marginal value ``delta_{n,m}`` of Eq. 14).
@@ -14,7 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..core.solution import DriverPlan
 from ..geo import GeoPoint
+from ..market.cost import MarketCostModel
 from ..market.driver import Driver
 
 
@@ -83,6 +87,24 @@ class DriverState:
         """Unlock the driver once the current time passes her busy-until time."""
         if self.locked and now_ts >= self.free_at:
             self.locked = False
+
+    def settle(self, cost_model: MarketCostModel) -> DriverPlan:
+        """Close the driver's books at the end of the stream: a driver who
+        worked pays her final leg home and is credited the drive she would
+        have made anyway (Eq. 4)."""
+        profit = self.running_profit
+        if self.served:
+            final_leg = cost_model.leg(self.location, self.driver.destination)
+            direct_leg = cost_model.driver_direct_leg(
+                self.driver.source, self.driver.destination
+            )
+            profit = profit - final_leg.cost + direct_leg.cost
+        return DriverPlan(
+            driver_id=self.driver.driver_id,
+            task_indices=tuple(self.served),
+            profit=profit,
+            arrival_times=tuple(self.arrival_times),
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,8 @@
 """Tests for MarketSolution, DriverPlan and the objective helpers."""
 
+import dataclasses
+import importlib
+
 import pytest
 
 from repro.core import (
@@ -12,8 +15,10 @@ from repro.core import (
     total_revenue,
 )
 
+from repro.distributed import ShardStreamResult, ShardWorkResult
 from repro.market import Driver, MarketInstance
 from repro.offline import greedy_assignment
+from repro.online import BatchConfig, BatchedSimulator, MaxMarginDispatcher, OnlineSimulator
 
 from ..conftest import build_chain_instance, build_random_instance
 from ..taskmap_oracle import path_profit
@@ -187,3 +192,57 @@ class TestNoTaskNetwork:
         solution.validate()
         assert solution.total_value == assignment_value(fresh, assignment)
         self.assert_unbuilt(fresh)
+
+
+class TestOneResultType:
+    """Every algorithm returns a :class:`MarketSolution`: the online result
+    type, its serializer, the shard results' dicts, the metric protocol and
+    the algorithm-result union are gone."""
+
+    def test_online_outcome_module_does_not_import(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.online.outcome")
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro", "OnlineOutcome"),
+            ("repro.online", "OnlineOutcome"),
+            ("repro.online", "OnlineDriverRecord"),
+            ("repro.io", "outcome_to_dict"),
+            ("repro.io", "outcome_from_dict"),
+            ("repro.io.serialization", "outcome_to_dict"),
+            ("repro.io.serialization", "outcome_from_dict"),
+            ("repro.distributed.stream", "priced_solution"),
+            ("repro.distributed.coordinator", "priced_solution"),
+            ("repro.distributed", "translate_assignment"),
+            ("repro.distributed.partition", "translate_assignment"),
+            ("repro.analysis.metrics", "SolutionLike"),
+            ("repro.experiments.algorithms", "AlgorithmResult"),
+        ],
+    )
+    def test_removed_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_simulators_return_market_solutions(self, chain):
+        for solution in (
+            OnlineSimulator(chain, MaxMarginDispatcher()).run(),
+            BatchedSimulator(chain, BatchConfig(window_s=120.0)).run(),
+        ):
+            assert type(solution) is MarketSolution
+            assert [p.driver_id for p in solution.plans] == [d.driver_id for d in chain.drivers]
+            assert all(len(p.arrival_times) == p.task_count for p in solution.plans)
+            assert solution.served_count == 2 and solution.rejected_tasks == ()
+
+    def test_one_summary_for_every_algorithm(self, chain):
+        offline = greedy_assignment(chain).summary()
+        online = OnlineSimulator(chain, MaxMarginDispatcher()).run().summary()
+        assert list(offline) == list(online)
+        assert {"consumer_surplus", "rejected_tasks", "mean_wait_s"} <= set(online)
+        assert offline["mean_wait_s"] == 0.0 < online["mean_wait_s"]
+
+    @pytest.mark.parametrize("result_type", [ShardWorkResult, ShardStreamResult])
+    def test_shard_results_carry_plans(self, result_type):
+        names = {f.name for f in dataclasses.fields(result_type)}
+        assert "plans" in names
+        assert not names & {"assignment", "driver_profits", "total_value", "served_count"}

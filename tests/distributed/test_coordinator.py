@@ -33,9 +33,11 @@ class TestSolveShard:
         request = ShardWorkRequest(shard.spec.shard_id, shard.driver_count, shard.task_count, solver)
         result = solve_shard(shard, request)
         assert result.solver_name == solver
-        assert result.served_count == len({m for path in result.assignment.values() for m in path})
-        assert set(result.driver_profits) == set(result.assignment)
-        assert result.total_value == pytest.approx(sum(result.driver_profits.values()), rel=1e-6, abs=1e-6)
+        # One plan per shard driver, in shard fleet order.
+        assert [p.driver_id for p in result.plans] == [d.driver_id for d in shard.instance.drivers]
+        served = [m for p in result.plans for m in p.task_indices]
+        assert result.served_count == len(served) == len(set(served)) > 0
+        assert result.total_value == sum(p.profit for p in result.plans)
         assert result.elapsed_s >= 0.0
 
     def test_empty_shard(self, instance):
@@ -43,8 +45,9 @@ class TestSolveShard:
         empty = next(s for s in plan.shards if s.task_count == 0 or s.driver_count == 0)
         request = ShardWorkRequest(empty.spec.shard_id, empty.driver_count, empty.task_count, "greedy")
         result = solve_shard(empty, request)
-        assert result.assignment == {}
+        assert result.plans == ()
         assert result.total_value == 0.0
+        assert result.served_count == 0
 
 
 class TestCoordinator:

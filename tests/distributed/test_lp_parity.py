@@ -35,8 +35,7 @@ def merged_fingerprint(result):
     """Everything contract 17 pins: solution, per-shard values *and* the full
     per-shard bound records (floats compared exactly — bit-identical)."""
     return (
-        result.solution.assignment(),
-        tuple((p.driver_id, p.task_indices, p.profit) for p in result.solution.plans),
+        result.solution.plans,
         result.report.total_value,
         result.report.served_count,
         result.report.per_shard_values,

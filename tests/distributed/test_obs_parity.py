@@ -35,8 +35,8 @@ def _no_leaked_recorder():
 def stream_fingerprint(result):
     """Everything the contract pins (excludes the trace-only report fields)."""
     return (
-        result.solution.assignment(),
-        tuple((p.driver_id, p.task_indices, p.profit) for p in result.solution.plans),
+        result.solution.plans,
+        result.solution.rejected_tasks,
         result.rejected_tasks,
         result.report.total_value,
         result.report.served_count,
@@ -46,8 +46,7 @@ def stream_fingerprint(result):
 
 def solve_fingerprint(result):
     return (
-        result.solution.assignment(),
-        tuple((p.driver_id, p.task_indices, p.profit) for p in result.solution.plans),
+        result.solution.plans,
         result.report.total_value,
         result.report.served_count,
     )

@@ -11,8 +11,9 @@ from repro.distributed import (
     ShardLoadReport,
     SpatialPartitioner,
     ZonePartition,
-    translate_assignment,
 )
+from repro.core import DriverPlan
+from repro.distributed.stream import merge_shard_plans
 from repro.geo import BEIJING, NYC, PORTO, BoundingBox, GeoPoint
 from repro.market import Driver, MarketCostModel, MarketInstance, Task
 
@@ -243,14 +244,21 @@ class TestRemovedSurface:
         assert hasattr(BoundingBox, "cell_index")
 
 
-class TestTranslateAssignment:
+class TestMergeShardPlans:
     def test_local_indices_map_back_to_global(self, instance):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
         shard = max(plan.shards, key=lambda s: s.task_count)
-        local_assignment = {"some-driver": (0,)}
-        translated = translate_assignment(shard, local_assignment)
-        assert translated == {"some-driver": (shard.global_task_indices[0],)}
+        driver_id = instance.drivers[0].driver_id
+        local = (DriverPlan(driver_id, (0,), 1.5, (7.0,)),)
+        merged = merge_shard_plans(instance, [(shard.global_task_indices, local)], (3,))
+        assert merged.plan_for(driver_id) == DriverPlan(
+            driver_id, (shard.global_task_indices[0],), 1.5, (7.0,)
+        )
+        assert merged.rejected_tasks == (3,)
 
-    def test_empty_assignment(self, instance):
-        plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
-        assert translate_assignment(plan.shards[0], {}) == {}
+    def test_unplanned_drivers_are_idle_in_fleet_order(self, instance):
+        merged = merge_shard_plans(instance, [])
+        assert merged.plans == tuple(
+            DriverPlan(driver.driver_id, (), 0.0) for driver in instance.drivers
+        )
+        assert merged.rejected_tasks == ()

@@ -190,8 +190,7 @@ class TestWorkerEntry:
             shipper.close()
         for result in shipped:
             assert result.shard_id == direct.shard_id
-            assert result.assignment == direct.assignment
-            assert result.driver_profits == direct.driver_profits
+            assert result.plans == direct.plans
             assert result.total_value == direct.total_value
             assert result.served_count == direct.served_count
 

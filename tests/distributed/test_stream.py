@@ -12,6 +12,7 @@ pool-reuse path and the skew-aware rebalance's determinism contract
 
 import pytest
 
+from repro.core import DriverPlan
 from repro.distributed import (
     DistributedCoordinator,
     LoadAwarePartitioner,
@@ -42,8 +43,8 @@ def config():
 def stream_fingerprint(result):
     """Everything that must be identical across executors."""
     return (
-        result.solution.assignment(),
-        tuple((p.driver_id, p.task_indices, p.profit) for p in result.solution.plans),
+        result.solution.plans,
+        result.solution.rejected_tasks,
         result.rejected_tasks,
         result.report.total_value,
         result.report.served_count,
@@ -53,7 +54,12 @@ def stream_fingerprint(result):
 
 def serial_replay_reference(instance, rows, cols, config):
     """The contract's reference: route the same batch schedule to per-shard
-    ``run_stream`` replays in-process and merge the records."""
+    ``run_stream`` replays in-process and merge their solutions by hand.
+
+    Returns the merged plans — one per driver in fleet order, in the global
+    arrival-order task indices the streamed solution uses, arrival times
+    included — and the rejected orders (a driverless shard loses every
+    publishable order it owns)."""
     router = ZonePartition.from_grid(PORTO, rows, cols)
     driver_of = router.route(d.source for d in instance.drivers)
     shard_drivers = {
@@ -63,6 +69,9 @@ def serial_replay_reference(instance, rows, cols, config):
         for s in range(router.shard_count)
     }
     batches = window_batches(instance.tasks, config.window_s)
+    global_of = {
+        task.task_id: g for g, task in enumerate(t for batch in batches for t in batch)
+    }
     shard_batches = {s: [] for s in range(router.shard_count)}
     for batch in batches:
         owners = router.route(t.source for t in batch)
@@ -71,21 +80,32 @@ def serial_replay_reference(instance, rows, cols, config):
             if members:
                 shard_batches[s].append(members)
 
-    profits = {}
-    assignment = {}
+    plans = {}
+    rejected = set()
     for s in range(router.shard_count):
         if not shard_drivers[s]:
+            rejected.update(
+                global_of[t.task_id]
+                for batch in shard_batches[s]
+                for t in batch
+                if t.is_publishable
+            )
             continue
         stream = StreamingMarketInstance(shard_drivers[s], instance.cost_model)
-        outcome = BatchedSimulator(stream, config).run_stream(shard_batches[s])
-        for record in outcome.records:
-            profits[record.driver_id] = record.profit
-            if record.task_indices:
-                # Translate shard-local indices to the shard's task ids.
-                assignment[record.driver_id] = tuple(
-                    stream.tasks[m].task_id for m in record.task_indices
-                )
-    return profits, assignment
+        solution = BatchedSimulator(stream, config).run_stream(shard_batches[s])
+        to_global = [global_of[t.task_id] for t in stream.tasks]
+        for plan in solution.plans:
+            plans[plan.driver_id] = DriverPlan(
+                plan.driver_id,
+                tuple(to_global[m] for m in plan.task_indices),
+                plan.profit,
+                plan.arrival_times,
+            )
+        rejected.update(to_global[m] for m in solution.rejected_tasks)
+    return (
+        tuple(plans[d.driver_id] for d in instance.drivers),
+        tuple(sorted(rejected)),
+    )
 
 
 class TestStreamReplayParity:
@@ -96,17 +116,10 @@ class TestStreamReplayParity:
             SpatialPartitioner(PORTO, 2, 2), executor=executor, max_workers=2
         ) as coordinator:
             result = coordinator.solve_stream(instance, config=config)
-        ref_profits, ref_assignment = serial_replay_reference(instance, 2, 2, config)
-
-        for plan in result.solution.plans:
-            assert plan.profit == ref_profits.get(plan.driver_id, 0.0), plan.driver_id
-        streamed_assignment = {
-            driver_id: tuple(
-                result.solution.instance.tasks[m].task_id for m in path
-            )
-            for driver_id, path in result.solution.assignment().items()
-        }
-        assert streamed_assignment == ref_assignment
+        ref_plans, ref_rejected = serial_replay_reference(instance, 2, 2, config)
+        assert any(plan.arrival_times for plan in ref_plans)
+        assert result.solution.plans == ref_plans
+        assert result.solution.rejected_tasks == result.rejected_tasks == ref_rejected
 
     def test_executor_fingerprints_identical(self, instance, config):
         partitioner = SpatialPartitioner(PORTO, 2, 2)
@@ -120,20 +133,19 @@ class TestStreamReplayParity:
         assert stream_fingerprint(results["process"]) == serial
 
     def test_single_shard_equals_plain_stream(self, instance, config):
-        """A 1x1 grid is exactly an unsharded ``run_stream`` replay."""
+        """A 1x1 grid is exactly an unsharded ``run_stream`` replay: the
+        same solution, plan for plan."""
         with DistributedCoordinator(
             SpatialPartitioner(PORTO, 1, 1), executor="serial"
         ) as coordinator:
             result = coordinator.solve_stream(instance, config=config)
         stream = StreamingMarketInstance(instance.drivers, instance.cost_model)
-        outcome = BatchedSimulator(stream, config).run_stream(
+        solution = BatchedSimulator(stream, config).run_stream(
             window_batches(instance.tasks, config.window_s)
         )
-        assert result.solution.assignment() == outcome.assignment()
-        assert [p.profit for p in result.solution.plans] == [
-            r.profit for r in outcome.records
-        ]
-        assert result.rejected_tasks == outcome.rejected_tasks
+        assert result.solution.plans == solution.plans
+        assert result.solution.rejected_tasks == result.rejected_tasks == solution.rejected_tasks
+        assert result.solution.summary() == solution.summary()
 
     def test_explicit_batches_match_default_windowing(self, instance, config):
         partitioner = SpatialPartitioner(PORTO, 2, 2)

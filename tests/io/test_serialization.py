@@ -1,6 +1,8 @@
-"""Tests for JSON serialization of instances, solutions and outcomes."""
+"""Tests for JSON serialization of instances and solutions."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +14,6 @@ from repro.io import (
     instance_to_dict,
     load_instance,
     load_solution,
-    outcome_from_dict,
-    outcome_to_dict,
     save_instance,
     save_solution,
     solution_from_dict,
@@ -21,6 +21,7 @@ from repro.io import (
     travel_model_from_dict,
     travel_model_to_dict,
 )
+from repro.io.serialization import driver_from_dict, point_from_dict, task_from_dict
 from repro.offline import greedy_assignment
 from repro.online import MaxMarginDispatcher, run_online
 
@@ -159,32 +160,92 @@ class TestSolutionRoundTrip:
             solution_from_dict({"format": "nope"}, instance)
 
 
-class TestOutcomeRoundTrip:
-    def test_outcome_round_trip(self, instance):
-        outcome = run_online(instance, MaxMarginDispatcher())
-        data = outcome_to_dict(outcome)
-        rebuilt = outcome_from_dict(data, instance)
-        assert rebuilt.total_value == pytest.approx(outcome.total_value, rel=1e-9)
-        assert rebuilt.assignment() == outcome.assignment()
-        assert rebuilt.rejected_tasks == outcome.rejected_tasks
-        assert rebuilt.dispatcher_name == outcome.dispatcher_name
-        # Wait-time tracking survives the round trip value-identically.
-        for original, loaded in zip(outcome.records, rebuilt.records):
-            assert loaded.arrival_times == original.arrival_times
-        assert rebuilt.wait_times_s() == outcome.wait_times_s()
-        assert rebuilt.mean_wait_s == outcome.mean_wait_s
+class TestOnlineSolutionRoundTrip:
+    def test_online_solution_round_trip(self, instance, tmp_path):
+        solution = run_online(instance, MaxMarginDispatcher())
+        path = tmp_path / "online.json"
+        save_solution(solution, path, algorithm="maxMargin")
+        loaded = load_solution(path, instance)
+        # Plans (with their arrival times) and rejections survive the round
+        # trip value-identically, and so do the metrics derived from them.
+        assert loaded.plans == solution.plans
+        assert any(plan.arrival_times for plan in loaded.plans)
+        assert loaded.rejected_tasks == solution.rejected_tasks
+        assert loaded.wait_times_s() == solution.wait_times_s()
+        assert loaded.summary() == solution.summary()
 
-    def test_outcome_documents_without_arrivals_still_load(self, instance):
-        """Documents written before wait tracking lack arrival_times."""
-        outcome = run_online(instance, MaxMarginDispatcher())
-        data = outcome_to_dict(outcome)
-        for entry in data["records"]:
+    def test_untracked_arrivals_are_null_in_the_document(self, instance):
+        solution = run_online(instance, MaxMarginDispatcher())
+        busy = next(i for i, plan in enumerate(solution.plans) if plan.task_indices)
+        plan = solution.plans[busy]
+        untracked = replace(plan, arrival_times=(math.nan,) * plan.task_count)
+        plans = solution.plans[:busy] + (untracked,) + solution.plans[busy + 1 :]
+        data = json.loads(json.dumps(solution_to_dict(replace(solution, plans=plans))))
+        assert data["plans"][busy]["arrival_times"] == [None] * plan.task_count
+        rebuilt = solution_from_dict(data, instance)
+        assert all(math.isnan(ts) for ts in rebuilt.plans[busy].arrival_times)
+        assert set(rebuilt.wait_times_s()) == solution.served_tasks() - set(plan.task_indices)
+
+    def test_documents_without_arrivals_or_rejections_still_load(self, instance):
+        """Documents written before online solutions shared this format
+        lack arrival_times and rejected_tasks."""
+        solution = run_online(instance, MaxMarginDispatcher())
+        data = solution_to_dict(solution)
+        for entry in data["plans"]:
             del entry["arrival_times"]
-        rebuilt = outcome_from_dict(data, instance)
-        assert rebuilt.assignment() == outcome.assignment()
-        assert all(record.arrival_times == () for record in rebuilt.records)
+        del data["rejected_tasks"]
+        rebuilt = solution_from_dict(data, instance)
+        assert rebuilt.assignment() == solution.assignment()
+        assert all(plan.arrival_times == () for plan in rebuilt.plans)
+        assert rebuilt.rejected_tasks == ()
         assert rebuilt.mean_wait_s == 0.0
 
-    def test_outcome_wrong_format_rejected(self, instance):
-        with pytest.raises(SerializationError):
-            outcome_from_dict({"format": "nope"}, instance)
+
+class TestMalformedDocuments:
+    """A bad field raises SerializationError naming it, never a bare
+    TypeError / ValueError."""
+
+    POINT = {"lat": 41.15, "lon": -8.61}
+
+    def task(self, **fields):
+        return {
+            "task_id": "t", "publish_ts": 0.0, "source": self.POINT,
+            "destination": self.POINT, "start_deadline_ts": 60.0,
+            "end_deadline_ts": 120.0, "price": 5.0, **fields,
+        }
+
+    def driver(self, **fields):
+        return {
+            "driver_id": "d", "source": self.POINT, "destination": self.POINT,
+            "start_ts": 0.0, "end_ts": 3600.0, **fields,
+        }
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [({"speed_factors": 5}, "speed_factors"), ({"window_s": "x"}, "window_s")],
+    )
+    def test_travel_model_fields(self, data, field):
+        with pytest.raises(SerializationError, match=field):
+            travel_model_from_dict(data)
+
+    def test_point_field(self):
+        with pytest.raises(SerializationError, match="lat"):
+            point_from_dict({"lat": "north", "lon": 0.0})
+
+    def test_task_field(self):
+        assert task_from_dict(self.task()).price == 5.0
+        with pytest.raises(SerializationError, match="price"):
+            task_from_dict(self.task(price="cheap"))
+
+    def test_driver_field(self):
+        assert driver_from_dict(self.driver()).end_ts == 3600.0
+        with pytest.raises(SerializationError, match="start_ts"):
+            driver_from_dict(self.driver(start_ts=[0]))
+
+    def test_model_validation_is_a_serialization_error(self):
+        with pytest.raises(SerializationError, match="latitude"):
+            point_from_dict({"lat": 95.0, "lon": 0.0})
+
+    def test_market_that_is_not_an_object(self):
+        with pytest.raises(SerializationError, match="object"):
+            instance_from_dict([])

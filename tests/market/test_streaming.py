@@ -113,7 +113,7 @@ class TestIncrementalEquivalence:
         streamed = run_online(stream, MaxMarginDispatcher())
         static = run_online(base_instance, MaxMarginDispatcher())
         assert streamed.assignment() == static.assignment()
-        assert [r.profit for r in streamed.records] == [r.profit for r in static.records]
+        assert [r.profit for r in streamed.plans] == [r.profit for r in static.plans]
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=4))

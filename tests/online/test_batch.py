@@ -42,9 +42,8 @@ class TestBatchConfig:
 class TestBatchedOnChainInstance:
     def test_serves_both_tasks(self, chain):
         outcome = run_batched(chain, window_s=120.0)
-        assert outcome.record_for("chainer").task_indices == (0, 1)
+        assert outcome.plan_for("chainer").task_indices == (0, 1)
         assert outcome.total_value == pytest.approx(10.0, rel=0.02)
-        assert outcome.dispatcher_name == "batched"
 
     def test_overly_wide_window_misses_deadlines(self, chain):
         # Batching is a latency/quality trade-off: with a window far longer
@@ -65,7 +64,7 @@ class TestBatchedInvariants:
     @pytest.mark.parametrize("window_s", [30.0, 120.0, 600.0])
     def test_no_task_served_twice(self, random_instance, window_s):
         outcome = run_batched(random_instance, window_s=window_s)
-        served = [m for r in outcome.records for m in r.task_indices]
+        served = [m for r in outcome.plans for m in r.task_indices]
         assert len(served) == len(set(served))
 
     def test_served_plus_rejected_cover_all_tasks(self, random_instance):
@@ -74,9 +73,9 @@ class TestBatchedInvariants:
 
     def test_each_chain_is_a_feasible_offline_path(self, random_instance):
         outcome = run_batched(random_instance, window_s=60.0)
-        for record in outcome.records:
-            task_map = random_instance.task_map(record.driver_id)
-            assert is_feasible_path(task_map, record.task_indices)
+        for plan in outcome.plans:
+            task_map = random_instance.task_map(plan.driver_id)
+            assert is_feasible_path(task_map, plan.task_indices)
 
     def test_bounded_by_exact_optimum(self):
         instance = build_random_instance(task_count=18, driver_count=5, seed=83)
@@ -86,9 +85,9 @@ class TestBatchedInvariants:
 
     def test_drivers_never_lose_money(self, random_instance):
         outcome = run_batched(random_instance, window_s=60.0)
-        for record in outcome.records:
-            if record.task_indices:
-                assert record.profit > -1e-6
+        for plan in outcome.plans:
+            if plan.task_indices:
+                assert plan.profit > -1e-6
 
     def test_deterministic(self, random_instance):
         a = run_batched(random_instance, window_s=60.0)
@@ -112,7 +111,7 @@ class TestWindowSpatialPrefilter:
             without = exhaustive.run()
         assert not exhaustive._kernel.uses_spatial_index
         assert with_index.assignment() == without.assignment()
-        assert [r.profit for r in with_index.records] == [r.profit for r in without.records]
+        assert [r.profit for r in with_index.plans] == [r.profit for r in without.plans]
         assert with_index.rejected_tasks == without.rejected_tasks
 
     def test_kernel_grid_is_engaged(self):
@@ -129,11 +128,11 @@ class TestStreamingConsumption:
     @staticmethod
     def by_task_ids(outcome, instance):
         return {
-            record.driver_id: tuple(
-                instance.tasks[m].task_id for m in record.task_indices
+            plan.driver_id: tuple(
+                instance.tasks[m].task_id for m in plan.task_indices
             )
-            for record in outcome.records
-            if record.task_indices
+            for plan in outcome.plans
+            if plan.task_indices
         }
 
     @pytest.mark.parametrize("window_s", [30.0, 90.0])

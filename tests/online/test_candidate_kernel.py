@@ -35,7 +35,6 @@ from repro.online import (
     RandomDispatcher,
     RepositioningPolicy,
 )
-from repro.online.outcome import OnlineDriverRecord
 from repro.online.state import DriverState
 
 from ..candidate_oracle import candidates_for_scalar
@@ -52,7 +51,7 @@ def instance():
 
 def outcome_signature(outcome):
     return (
-        tuple(record.task_indices for record in outcome.records),
+        tuple(plan.task_indices for plan in outcome.plans),
         outcome.rejected_tasks,
     )
 
@@ -63,7 +62,7 @@ def one_task_window(kernel, task_index, now_ts):
 
 
 def assert_profits_match(a, b):
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(a.plans, b.plans):
         assert ra.driver_id == rb.driver_id
         assert ra.profit == pytest.approx(rb.profit, abs=1e-9)
 
@@ -277,7 +276,7 @@ class TestSimulatorOutcomeRegression:
         # A tiny fleet disables the spatial index; the vectorised kernel must
         # still reproduce the handcrafted chain assignment exactly.
         outcome = OnlineSimulator(chain_instance, MaxMarginDispatcher()).run()
-        by_driver = {r.driver_id: r.task_indices for r in outcome.records}
+        by_driver = {p.driver_id: p.task_indices for p in outcome.plans}
         assert by_driver["chainer"] == (0, 1)
         assert by_driver["stranded"] == ()
 
@@ -382,18 +381,18 @@ class TestOneCandidatePath:
             drivers=[driver], tasks=[task], cost_model=MarketCostModel(flat_travel_model())
         )
         committed, settled = [], []
-        commit, settle = CandidateKernel.commit, OnlineDriverRecord.settle.__func__
+        commit, settle = CandidateKernel.commit, DriverState.settle
 
         def spy_commit(kernel, choice, task_index, task):
             commit(kernel, choice, task_index, task)
             committed.append((choice, copy.deepcopy(choice.state)))
 
-        def spy_settle(cls, state, cost_model):
-            settled.append(settle(cls, state, cost_model))
+        def spy_settle(state, cost_model):
+            settled.append(settle(state, cost_model))
             return settled[-1]
 
         monkeypatch.setattr(CandidateKernel, "commit", spy_commit)
-        monkeypatch.setattr(OnlineDriverRecord, "settle", classmethod(spy_settle))
+        monkeypatch.setattr(DriverState, "settle", spy_settle)
 
         per_order = OnlineSimulator(market, MaxMarginDispatcher()).run()
         batched = BatchedSimulator(market, BatchConfig(window_s=60.0)).run()
@@ -405,5 +404,5 @@ class TestOneCandidatePath:
         assert state_a == state_b
         assert state_a.served == [0] and state_a.locked
         assert settled[0] == settled[1]
-        assert per_order.records == batched.records == (settled[0],)
+        assert per_order.plans == batched.plans == (settled[0],)
         assert settled[0].task_indices == (0,)

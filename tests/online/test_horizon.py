@@ -31,7 +31,7 @@ from ..conftest import build_random_instance, flat_travel_model
 
 def outcome_fingerprint(outcome) -> tuple:
     return (
-        tuple((r.driver_id, r.task_indices, r.profit) for r in outcome.records),
+        tuple((r.driver_id, r.task_indices, r.profit) for r in outcome.plans),
         outcome.total_value,
         outcome.total_wait_s,
         tuple(sorted(outcome.rejected_tasks)),

@@ -244,7 +244,7 @@ class TestSimulatorIntegration:
             instance, MaxMarginDispatcher(), repositioning=policy
         ).run()
         # Same stream, same invariants.
-        served = [m for r in repositioned.records for m in r.task_indices]
+        served = [m for r in repositioned.plans for m in r.task_indices]
         assert len(served) == len(set(served))
         assert repositioned.served_count + len(repositioned.rejected_tasks) == instance.task_count
         # Repositioning changes behaviour but stays in a sane range.

@@ -32,8 +32,8 @@ def random_instance():
 class TestSimulatorOnChainInstance:
     def test_chainer_serves_both_tasks(self, chain):
         outcome = run_online(chain, MaxMarginDispatcher())
-        assert outcome.record_for("chainer").task_indices == (0, 1)
-        assert outcome.record_for("stranded").task_indices == ()
+        assert outcome.plan_for("chainer").task_indices == (0, 1)
+        assert outcome.plan_for("stranded").task_indices == ()
         assert outcome.total_value == pytest.approx(10.0, rel=0.02)
         assert outcome.serve_rate == 1.0
         assert outcome.rejected_tasks == ()
@@ -42,9 +42,9 @@ class TestSimulatorOnChainInstance:
         outcome = run_online(chain, NearestDispatcher())
         assert outcome.served_count == 2
 
-    def test_dispatcher_name_recorded(self, chain):
-        assert run_online(chain, NearestDispatcher()).dispatcher_name == "nearest"
-        assert run_online(chain, MaxMarginDispatcher()).dispatcher_name == "maxMargin"
+    def test_one_plan_per_driver_in_fleet_order(self, chain):
+        outcome = run_online(chain, NearestDispatcher())
+        assert [p.driver_id for p in outcome.plans] == [d.driver_id for d in chain.drivers]
 
 
 class TestCandidateFiltering:
@@ -92,7 +92,7 @@ class TestCandidateFiltering:
         instance = self._single_task_instance(ok_driver)
         outcome = run_online(instance, NearestDispatcher())
         assert outcome.served_count == 1
-        assert outcome.record_for("ok").profit > 0.0
+        assert outcome.plan_for("ok").profit > 0.0
 
 
 class TestOrderingAndConfig:
@@ -116,7 +116,7 @@ class TestOutcomeInvariants:
     @pytest.mark.parametrize("dispatcher_cls", [NearestDispatcher, MaxMarginDispatcher])
     def test_no_task_served_twice(self, random_instance, dispatcher_cls):
         outcome = run_online(random_instance, dispatcher_cls())
-        served = [m for r in outcome.records for m in r.task_indices]
+        served = [m for r in outcome.plans for m in r.task_indices]
         assert len(served) == len(set(served))
 
     def test_served_plus_rejected_covers_all_tasks(self, random_instance):
@@ -125,9 +125,9 @@ class TestOutcomeInvariants:
 
     def test_max_margin_drivers_never_lose_money(self, random_instance):
         outcome = run_online(random_instance, MaxMarginDispatcher())
-        for record in outcome.records:
-            if record.task_indices:
-                assert record.profit > -1e-6
+        for plan in outcome.plans:
+            if plan.task_indices:
+                assert plan.profit > -1e-6
 
     def test_online_value_bounded_by_offline_optimum(self):
         """With the default trace-replay semantics every online schedule is a
@@ -144,9 +144,9 @@ class TestOutcomeInvariants:
         """Under default settings each driver's served sequence is a valid
         path in her task map."""
         outcome = run_online(random_instance, MaxMarginDispatcher())
-        for record in outcome.records:
-            task_map = random_instance.task_map(record.driver_id)
-            assert is_feasible_path(task_map, record.task_indices)
+        for plan in outcome.plans:
+            task_map = random_instance.task_map(plan.driver_id)
+            assert is_feasible_path(task_map, plan.task_indices)
 
     def test_summary_keys(self, random_instance):
         outcome = run_online(random_instance, NearestDispatcher())
@@ -163,19 +163,19 @@ class TestOutcomeInvariants:
         ):
             assert key in summary
 
-    def test_record_lookup_raises_for_unknown_driver(self, chain):
+    def test_plan_lookup_raises_for_unknown_driver(self, chain):
         outcome = run_online(chain, NearestDispatcher())
         with pytest.raises(KeyError):
-            outcome.record_for("ghost")
+            outcome.plan_for("ghost")
 
 
 class TestWaitTimeTracking:
     def test_arrivals_align_with_served_tasks(self, random_instance):
         outcome = run_online(random_instance, NearestDispatcher())
         tasks = random_instance.tasks
-        for record in outcome.records:
-            assert len(record.arrival_times) == len(record.task_indices)
-            for m, arrival_ts in zip(record.task_indices, record.arrival_times):
+        for plan in outcome.plans:
+            assert len(plan.arrival_times) == len(plan.task_indices)
+            for m, arrival_ts in zip(plan.task_indices, plan.arrival_times):
                 # A driver can only be dispatched after the order publishes
                 # and must arrive by the pickup deadline.
                 assert arrival_ts >= tasks[m].publish_ts

@@ -5,8 +5,8 @@ are ordinary market inputs — so every existing parity contract must extend
 to every scenario:
 
 * a 1x1 streamed solve equals the plain ``BatchedSimulator`` replay of the
-  completed task set (assignments, profits and wait totals), under every
-  pool policy;
+  completed task set (the whole solution: every plan with its arrival
+  times, the rejected orders and the wait totals), under every pool policy;
 * a sharded (2x2) streamed solve is bit-identical across serial / process
   pools;
 * the offline ``solve()`` is bit-identical between a pool of its own and
@@ -48,11 +48,7 @@ def compiled_scenarios():
 
 
 def _fingerprint(solution):
-    return (
-        solution.assignment(),
-        tuple((p.driver_id, p.task_indices, p.profit) for p in solution.plans),
-        solution.total_value,
-    )
+    return (solution.plans, solution.rejected_tasks, solution.total_value)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -71,9 +67,10 @@ def test_stream_equals_offline_replay_under_every_executor(
         result = coordinator.solve_stream(
             compiled.instance, batches, config=config, pool=pool
         )
-        assert result.solution.assignment() == replay.assignment(), executor
+        assert result.solution.plans == replay.plans, executor
+        assert result.solution.rejected_tasks == replay.rejected_tasks, executor
         assert result.report.wait_total_s == replay.total_wait_s, executor
-        assert result.solution.total_value == pytest.approx(replay.total_value)
+        assert result.solution.summary() == replay.summary(), executor
 
 
 @pytest.mark.parametrize("name", scenario_names())

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.io import load_instance
+from repro.io import load_instance, load_solution
 from repro.trace import load_porto_trips
 
 #: The metrics the replayed and the streamed solve summaries share.
@@ -433,6 +433,81 @@ class TestExactTierCli:
         out = capsys.readouterr().out
         assert "offline-auto" in out
         assert "opt_gap" in out
+
+
+class TestReplayAndStreamAgree:
+    """On the recipe market, ``solve --algorithm batched`` and its ``--stream``
+    twin write the same solution document and print the same metrics."""
+
+    @pytest.fixture(scope="class")
+    def recipe_market(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-recipe") / "market.json"
+        assert main(
+            ["build-market", "--trips", "150", "--drivers", "40", "--seed", "5",
+             "--output", str(path)]
+        ) == 0
+        return path
+
+    def test_output_documents_and_metric_lines_agree(self, recipe_market, tmp_path, capsys):
+        capsys.readouterr()
+        solve = ["solve", "--market", str(recipe_market), "--algorithm", "batched"]
+        replay_path, stream_path = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(solve + ["--output", str(replay_path)]) == 0
+        replay_out = capsys.readouterr().out
+        assert main(solve + ["--stream", "--output", str(stream_path)]) == 0
+        stream_out = capsys.readouterr().out
+
+        replay_doc = json.loads(replay_path.read_text())
+        stream_doc = json.loads(stream_path.read_text())
+        assert replay_doc["plans"] == stream_doc["plans"]
+        assert replay_doc["rejected_tasks"] == stream_doc["rejected_tasks"]
+        assert replay_doc["rejected_tasks"]
+        assert any(plan["arrival_times"] for plan in replay_doc["plans"])
+
+        instance = load_instance(recipe_market)
+        replay, stream = (load_solution(p, instance) for p in (replay_path, stream_path))
+        assert replay.plans == stream.plans
+        assert replay.rejected_tasks == stream.rejected_tasks
+        metric_lines = [f"{key}: " for key in replay.summary()]
+        lines = {
+            name: [line for line in out.splitlines() if line.startswith(tuple(metric_lines))]
+            for name, out in (("replay", replay_out), ("stream", stream_out))
+        }
+        assert len(lines["replay"]) == len(metric_lines)
+        assert lines["replay"] == lines["stream"]
+
+
+class TestBadMarketFile:
+    """A market file the program did not write ends in one ``error:`` line
+    naming the problem, for every command that reads one."""
+
+    COMMANDS = (["info"], ["solve", "--algorithm", "greedy"], ["bound", "--kind", "lp"])
+
+    def run(self, market, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--market", str(market), *argv[1:]])
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error: ")
+        assert capsys.readouterr().out == ""
+        return message
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_missing_file(self, tmp_path, argv, capsys):
+        message = self.run(tmp_path / "nonexistent.json", argv, capsys)
+        assert "No such file" in message
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_file_that_is_not_json(self, tmp_path, argv, capsys):
+        market = tmp_path / "market.json"
+        market.write_text("lat,lon\n41.1,-8.6\n", encoding="utf-8")
+        self.run(market, argv, capsys)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_json_that_is_not_a_market(self, tmp_path, argv, capsys):
+        market = tmp_path / "market.json"
+        market.write_text(json.dumps({"format": "x"}), encoding="utf-8")
+        message = self.run(market, argv, capsys)
+        assert "not a repro-market document" in message
 
 
 class TestExactSolverErrorExit:

@@ -158,7 +158,7 @@ class TestSolverProperties:
         for dispatcher in (NearestDispatcher(seed=seed), MaxMarginDispatcher()):
             outcome = run_online(instance, dispatcher)
             assert outcome.total_value <= exact + 1e-6
-            served = [m for r in outcome.records for m in r.task_indices]
+            served = [m for r in outcome.plans for m in r.task_indices]
             assert len(served) == len(set(served))
 
     @given(market_params)
