@@ -2,7 +2,7 @@
 """Docs gate: link/reference check over ``docs/`` + README, and execute the
 README quickstart snippet.
 
-Three checks, so the project's front door cannot rot:
+Four checks, so the project's front door cannot rot:
 
 1. **Markdown links** — every relative link target in ``README.md`` and
    ``docs/*.md`` must exist on disk (external ``http(s)`` links are left
@@ -12,7 +12,13 @@ Three checks, so the project's front door cannot rot:
    contains a ``/`` and looks like a repo path; the file (or, for globs, at
    least one match) must exist.  Docs that name a test pinning a contract
    stay honest this way.
-3. **Quickstart execution** — the first ``python`` code block in the README
+3. **Cited test names** — after a backticked ``tests/…py`` or
+   ``benchmarks/…py`` path, every backticked ``Test…`` / ``test_…`` name in
+   the parenthesis that follows it must be defined in that file, and so
+   must every name of a backticked ``path.py::Name`` reference (a function,
+   class or module-level assignment; ``::``-chained names each).  A renamed
+   or deleted test cannot leave a contract row citing it.
+4. **Quickstart execution** — the first ``python`` code block in the README
    is extracted and executed with ``src/`` on the path; the snippet every
    new reader copy-pastes must actually run.
 
@@ -22,6 +28,7 @@ Run from anywhere: ``python scripts/check_docs.py``.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -37,6 +44,12 @@ BACKTICK_REF = re.compile(r"`([^`\s]+)`")
 #: Path-looking backticked tokens: contain a slash and end in a known
 #: extension (or a trailing slash for directories).
 PATH_SUFFIXES = (".py", ".md", ".json", ".txt", ".yml", ".csv", "/")
+#: A backticked test or benchmark file and the parenthesis right after it.
+CITED_FILE = re.compile(r"`((?:tests|benchmarks)/[^`\s]+\.py)`\s*\(([^()]*)\)")
+#: A backticked test name (``Test…`` / ``test_…``, ``::``-chained allowed).
+TEST_NAME = re.compile(r"`((?:Test|test_)\w*(?:::\w+)*)`")
+#: A backticked ``path.py::Name[::Name...]`` reference.
+QUALIFIED_REF = re.compile(r"`([^`\s]+\.py)((?:::\w+)+)`")
 
 
 def check_links(path: Path, text: str) -> list[str]:
@@ -68,6 +81,50 @@ def check_path_references(path: Path, text: str) -> list[str]:
             problems.append(
                 f"{path.relative_to(REPO_ROOT)}: dangling path reference -> {token}"
             )
+    return problems
+
+
+def _resolve(candidate: str) -> Path | None:
+    """A repo path, or a library path in the docs' layer shorthand."""
+    for root in (REPO_ROOT, REPO_ROOT / "src" / "repro"):
+        if (root / candidate).is_file():
+            return root / candidate
+    return None
+
+
+def defined_names(source: Path) -> set[str]:
+    """Every function, class and assigned name a Python file defines."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def check_cited_names(path: Path, text: str) -> list[str]:
+    cited: list[tuple[str, str]] = []
+    for file, parenthesis in CITED_FILE.findall(text):
+        for name in TEST_NAME.findall(parenthesis):
+            cited.extend((file, part) for part in name.split("::"))
+    for file, chain in QUALIFIED_REF.findall(text):
+        cited.extend((file, part) for part in chain.split("::")[1:])
+    problems = []
+    cache: dict[str, set[str] | None] = {}
+    for file, name in cited:
+        if file not in cache:
+            source = _resolve(file)
+            cache[file] = defined_names(source) if source is not None else None
+        names = cache[file]
+        if names is None:
+            problem = f"cites a name in a missing file -> {file}::{name}"
+        elif name not in names:
+            problem = f"dangling test or name reference -> {file}::{name}"
+        else:
+            continue
+        problems.append(f"{path.relative_to(REPO_ROOT)}: {problem}")
     return problems
 
 
@@ -112,6 +169,7 @@ def main() -> int:
         text = path.read_text(encoding="utf-8")
         problems += check_links(path, text)
         problems += check_path_references(path, text)
+        problems += check_cited_names(path, text)
 
     readme_text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     snippet = extract_quickstart(readme_text)

@@ -1,21 +1,8 @@
 """Distributed (sharded) solving of city-scale markets."""
 
 from .coordinator import SOLVER_NAMES, DistributedCoordinator, DistributedResult, solve_shard
-from .messages import (
-    CoordinatorReport,
-    ShardStreamResult,
-    ShardWorkRequest,
-    ShardWorkResult,
-    StreamReport,
-)
-from .payload import (
-    ShardPayload,
-    ShardPayloadDelta,
-    delta_from_tasks,
-    instance_from_payload,
-    payload_from_shard,
-    tasks_from_delta,
-)
+from .messages import CoordinatorReport, ShardResult, ShardWorkRequest, StreamReport
+from .payload import ShardPayloadDelta, delta_from_tasks, tasks_from_delta
 from .partition import (
     LoadAwarePartitioner,
     MarketShard,
@@ -58,8 +45,7 @@ __all__ = [
     "plan_rebalance_action",
     "hull_of_boxes",
     "ShardWorkRequest",
-    "ShardWorkResult",
-    "ShardStreamResult",
+    "ShardResult",
     "StreamReport",
     "CoordinatorReport",
     "DistributedCoordinator",
@@ -81,10 +67,7 @@ __all__ = [
     "DeltaDescriptor",
     "delta_from_descriptor",
     "delta_wire_bytes",
-    "ShardPayload",
     "ShardPayloadDelta",
-    "payload_from_shard",
-    "instance_from_payload",
     "delta_from_tasks",
     "tasks_from_delta",
 ]

@@ -24,20 +24,24 @@ only decides what a slot is.  The right one depends on where the time goes:
     reproduce bit-identically.
 
 ``process``
-    Single-process slots.  The pool flattens each shard into an array-backed
-    :class:`~repro.distributed.payload.ShardPayload` (primal inputs only —
-    never the object graph or cached task maps; pickled, or shipped through
-    shared memory under ``transport="shm"``), the worker rebuilds the
-    sub-instance and solves it with its own interpreter, so the whole solve
-    — task-network construction, task maps, greedy / simulator —
-    parallelises across cores.  This is the policy that makes city-scale
+    Single-process slots.  The pool flattens each shard's tasks into one
+    array-backed :class:`~repro.distributed.payload.ShardPayloadDelta`
+    (primal inputs only — never the object graph or cached task maps;
+    pickled, or shipped through shared memory under ``transport="shm"``)
+    and pickles the shard's drivers and cost model beside it; the worker
+    rebuilds the sub-instance and solves it with its own interpreter, so
+    the whole solve — task-network construction, task maps, greedy /
+    simulator — parallelises across cores.  This is the policy that makes city-scale
     instances scale with the machine; it pays a per-worker fork and a
     per-shard shipment, so it only wins when per-shard solve time dominates
     (hundreds of tasks per shard, or many shards) — and re-solve-heavy
     callers should pass one warm ``pool=`` to every ``solve``.
 
-Offline shards and stream batches share one shipping path,
-``PersistentWorkerPool.submit_shipment``, which alone flattens a shard.
+Offline shards and stream batches share one wire: a shard's tasks go
+through ``PersistentWorkerPool.submit_shipment``, which alone flattens
+them, and its drivers as plain call arguments.  Every shard answers with a
+:class:`~repro.distributed.messages.ShardResult`, and one function,
+:func:`~repro.distributed.stream.merge_shard_results`, merges them.
 
 Choosing a shard count
 ----------------------
@@ -92,7 +96,7 @@ from ..offline.greedy import GreedySolver
 from ..online.batch import BatchConfig, stream_schedule
 from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
 from ..online.simulator import OnlineSimulator
-from .messages import CoordinatorReport, ShardWorkRequest, ShardWorkResult, _FanOutRun
+from .messages import CoordinatorReport, ShardResult, ShardWorkRequest, _FanOutRun
 from .partition import (
     PartitionPlan,
     RebalancePolicy,
@@ -110,7 +114,7 @@ from .stream import (  # PendingAppend: re-exported for callers of this module
     DistributedStreamResult,
     DistributedStreamSession,
     PendingAppend,
-    merge_shard_plans,
+    merge_shard_results,
 )
 from .transport import TRANSPORTS, transport_error
 
@@ -147,29 +151,28 @@ def _solve_instance(
     return OnlineSimulator(instance, dispatcher).run(), None
 
 
-def _empty_shard_result(request: ShardWorkRequest) -> ShardWorkResult:
+def _empty_shard_result(solver_name: str) -> ShardResult:
     """The (trivial) result of a degenerate shard — no tasks or no drivers.
 
-    The coordinator synthesises it in-line, so no future is ever submitted
-    for such a shard."""
-    return ShardWorkResult(
-        shard_id=request.shard_id,
-        solver_name=request.solver_name,
+    The coordinator synthesises it in-line for its report, so no future is
+    ever submitted for such a shard."""
+    return ShardResult(
         plans=(),
-        elapsed_s=0.0,
-        bounds=(
-            ShardBounds.zero()
-            if request.solver_name in EXACT_SOLVER_NAMES
-            else None
-        ),
+        bounds=ShardBounds.zero() if solver_name in EXACT_SOLVER_NAMES else None,
     )
 
 
-def solve_shard(shipment, request: ShardWorkRequest) -> ShardWorkResult:
-    """The worker entry: run the requested solver on one shard, in whatever
-    form ``PersistentWorkerPool.submit_shipment`` delivered it (opened by
-    the pool's one opener; every form yields the same result).  The shard's
-    id and size come from ``request``.
+def solve_shard(
+    shipment,
+    drivers: Sequence[Driver],
+    cost_model: MarketCostModel,
+    request: ShardWorkRequest,
+) -> ShardResult:
+    """The worker entry: run the requested solver on one shard — its tasks
+    in whatever form ``PersistentWorkerPool.submit_shipment`` delivered them
+    (opened by the pool's one opener; every form yields the same tasks), its
+    drivers and cost model as plain arguments.  The shard's id and size
+    come from ``request``.
 
     Under tracing the solve records on a per-call flight recorder, never on
     the calling thread's (the coordinator's own, under the serial policy):
@@ -181,21 +184,21 @@ def solve_shard(shipment, request: ShardWorkRequest) -> ShardWorkResult:
     if request.solver_name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
     if request.task_count == 0 or request.driver_count == 0:
-        return _empty_shard_result(request)
+        return _empty_shard_result(request.solver_name)
     recorder = obs_trace.TraceRecorder() if request.trace else None
     with obs_trace.recording(recorder), obs_trace.span(
         "shard_solve", shard=request.shard_id, solver=request.solver_name, pid=os.getpid()
     ):
         start = time.perf_counter()
-        instance = _open_shipment(shipment)
+        instance = MarketInstance.create(drivers, _open_shipment(shipment), cost_model)
         solution, bounds = _solve_instance(instance, request)
         elapsed_s = time.perf_counter() - start
-    return ShardWorkResult(
-        shard_id=request.shard_id,
-        solver_name=request.solver_name,
+    return ShardResult(
         plans=solution.plans,
+        rejected_tasks=solution.rejected_tasks,
         elapsed_s=elapsed_s,
         bounds=bounds,
+        wait_total_s=solution.total_wait_s,
         spans=recorder.export() if recorder is not None else (),
     )
 
@@ -402,8 +405,8 @@ class DistributedCoordinator:
 
         Every live shard becomes one :func:`solve_shard` call on a slot of a
         :class:`PersistentWorkerPool`; the pool's executor and transport
-        decide how the shard is shipped (the shard itself in-process, a
-        pickled payload, or a shared-memory descriptor).
+        decide how the shard's tasks are shipped (the ``Task`` objects
+        in-process, a pickled task delta, or a shared-memory descriptor).
 
         ``pool``
             The pool to run on; the caller keeps ownership and ``close()``s
@@ -449,61 +452,61 @@ class DistributedCoordinator:
         with run.resumed():
             with obs_trace.span("partition"):
                 plan = self.partitioner.partition(instance)
-            requests = [
-                ShardWorkRequest(
-                    shard_id=shard.spec.shard_id,
-                    driver_count=shard.driver_count,
-                    task_count=shard.task_count,
-                    solver_name=self.solver_name,
-                    seed=self.base_seed + shard.spec.shard_id,
-                    gap_threshold=self.gap_threshold,
-                    trace=run.recorder is not None,
-                )
-                for shard in plan.shards
-            ]
-
             # Degenerate shards (no tasks or no drivers) are short-circuited
             # in-line: they never reach the pool, but they keep their slot in
             # the per-shard report series so merged reports still count them.
-            results: List[Optional[ShardWorkResult]] = [None] * len(plan.shards)
-            live: List[int] = []
-            for position, (shard, request) in enumerate(zip(plan.shards, requests)):
-                if shard.task_count == 0 or shard.driver_count == 0:
-                    results[position] = _empty_shard_result(request)
-                else:
-                    live.append(position)
-
-            slots = self._placement_slots(plan, live, pool.worker_count, load_report)
-            futures = [
-                pool.submit_shipment(
-                    slot, solve_shard, plan.shards[position], requests[position]
-                )
-                for slot, position in zip(slots, live)
+            results: List[Optional[ShardResult]] = [None] * len(plan.shards)
+            live = [
+                position
+                for position, shard in enumerate(plan.shards)
+                if shard.task_count and shard.driver_count
             ]
+            slots = self._placement_slots(plan, live, pool.worker_count, load_report)
+            futures = []
+            for slot, position in zip(slots, live):
+                shard = plan.shards[position]
+                shard_id = shard.spec.shard_id
+                request = ShardWorkRequest(
+                    shard_id=shard_id,
+                    driver_count=shard.driver_count,
+                    task_count=shard.task_count,
+                    solver_name=self.solver_name,
+                    seed=self.base_seed + shard_id,
+                    gap_threshold=self.gap_threshold,
+                    trace=run.recorder is not None,
+                )
+                futures.append(
+                    pool.submit_shipment(
+                        slot,
+                        solve_shard,
+                        (shard_id, shard.instance.tasks),
+                        shard.instance.drivers,
+                        shard.instance.cost_model,
+                        request,
+                    )
+                )
             for position, future in zip(live, futures):
                 results[position] = future.result()
-            solved = [result for result in results if result is not None]
 
             # Stitch worker-side span trees under this solve's root span.
-            for result in solved:
-                run.adopt(result.spans)
+            for position in live:
+                run.adopt(results[position].spans)
 
             with obs_trace.span("merge"):
-                solution = merge_shard_plans(
+                solution = merge_shard_results(
                     instance,
-                    (
-                        (shard.global_task_indices, result.plans)
-                        for shard, result in zip(plan.shards, solved)
-                    ),
+                    zip((shard.global_task_indices for shard in plan.shards), results),
                 )
                 if self.solver_name == "greedy" or self.solver_name in EXACT_SOLVER_NAMES:
                     # Task-map paths: re-priced (and later revalidated) by the
                     # standard constructor.  The online shard solvers keep the
-                    # profits they simulated.
+                    # profits they simulated and the orders they rejected.
                     solution = MarketSolution.from_assignment(
                         instance, solution.assignment(), Objective.DRIVERS_PROFIT
                     )
 
+        empty = _empty_shard_result(self.solver_name)
+        solved = [empty if result is None else result for result in results]
         durations = tuple(r.elapsed_s for r in solved)
         report = CoordinatorReport(
             **run.close(),

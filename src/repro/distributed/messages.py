@@ -1,12 +1,13 @@
 """Message types exchanged between the coordinator and shard workers.
 
 The distributed mode in this library is simulated in-process, but the
-coordinator/worker boundary is kept explicit: workers only ever see a
-:class:`ShardWorkRequest` and answer with a :class:`ShardWorkResult`, both of
-which are plain serialisable records.  This keeps the solve path honest about
-what information actually crosses the wire in a real deployment (each city /
-district solver needs only its own drivers and tasks, never the global
-instance).
+coordinator/worker boundary is kept explicit: a shard's worker sees only
+the shard's drivers and tasks (and, offline, a :class:`ShardWorkRequest`)
+and answers with a :class:`ShardResult` — offline solve and streamed shard
+alike — all plain serialisable records.  This keeps the solve path honest
+about what information actually crosses the wire in a real deployment (each
+city / district solver needs only its own drivers and tasks, never the
+global instance).
 
 :class:`FanOutReport` declares the fields the two fan-out reports share,
 :class:`CoordinatorReport` (offline solve) and :class:`StreamReport`; the
@@ -22,15 +23,10 @@ from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Tuple
 
 from ..core.solution import DriverPlan
 from ..obs import trace as obs_trace
+from ..offline.flow import ShardBounds, relative_gap
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, keeps scipy off this path
-    from ..offline.flow import ShardBounds
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import PersistentWorkerPool
-
-
-def _relative_gap(value: float, bound: float) -> float:
-    """Relative gap, clamped >= 0 (same rule as ``repro.offline.flow``)."""
-    return max(0.0, bound - value) / max(abs(bound), 1e-9)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +49,39 @@ class ShardWorkRequest:
     #: already below this threshold (ignored by the other solvers).
     gap_threshold: float = 0.02
     #: Ask the worker to record flight-recorder spans while solving and ship
-    #: them back on :attr:`ShardWorkResult.spans`.  Solvers never read this —
+    #: them back on :attr:`ShardResult.spans`.  Solvers never read this —
     #: parity contract 19 (traced == untraced merges) is structural.
     trace: bool = False
 
 
-class _ShardPlans:
-    """The value and size of a shard result, read off its ``plans``."""
+@dataclass(frozen=True, slots=True)
+class ShardResult:
+    """A shard worker's answer: an offline shard solve or a drained shard
+    stream."""
 
-    __slots__ = ()
+    #: One plan per shard driver, in shard fleet order and shard-local task
+    #: indices, with the profit the shard solver priced (empty for a
+    #: degenerate shard, which the coordinator answers without a solve).
+    #: Under horizon dispatch an idle driver who was repositioned carries
+    #: that move's cost as a negative profit.
     plans: Tuple[DriverPlan, ...]
+    #: Shard-local indices of the orders the shard's simulator could not
+    #: serve (empty for greedy and the exact tier, which reject nothing).
+    rejected_tasks: Tuple[int, ...] = ()
+    #: Worker-side seconds: the solve, or a stream's appends + final flush.
+    elapsed_s: float = 0.0
+    #: Bound sandwich computed by the exact tier (``solver_name`` "lp"/"auto");
+    #: ``None`` for every other solver and for streams.
+    bounds: Optional[ShardBounds] = None
+    #: Sum of publish->pickup waits over the shard's served tasks (simulated
+    #: time, not wall clock), computed worker-side from the same solution as
+    #: the plans, so it is executor-independent like everything else.
+    wait_total_s: float = 0.0
+    #: Flight-recorder spans collected worker-side (a solve, or a shard
+    #: stream's whole life), as plain ``repro.obs.trace.SpanTuple`` tuples
+    #: (pickle-safe; empty when tracing was off).  The coordinator stitches
+    #: them into its own span tree via ``TraceRecorder.adopt``.
+    spans: Tuple = ()
 
     @property
     def total_value(self) -> float:
@@ -71,27 +90,6 @@ class _ShardPlans:
     @property
     def served_count(self) -> int:
         return sum(plan.task_count for plan in self.plans)
-
-
-@dataclass(frozen=True, slots=True)
-class ShardWorkResult(_ShardPlans):
-    """A worker's answer: the shard solution's plans."""
-
-    shard_id: int
-    solver_name: str
-    #: One plan per shard driver, in shard fleet order and shard-local task
-    #: indices, with the profit the shard solver priced (empty for a
-    #: degenerate shard, which the coordinator answers without a solve).
-    plans: Tuple[DriverPlan, ...]
-    elapsed_s: float
-    #: Bound sandwich computed by the exact tier (``solver_name`` "lp"/"auto");
-    #: ``None`` for the heuristic solvers.
-    bounds: Optional["ShardBounds"] = None
-    #: Flight-recorder spans collected worker-side while solving, as plain
-    #: ``repro.obs.trace.SpanTuple`` tuples (pickle-safe; empty when the
-    #: request did not ask for tracing).  The coordinator stitches these into
-    #: its own span tree via ``TraceRecorder.adopt``.
-    spans: Tuple = ()
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -116,9 +114,10 @@ class FanOutReport:
     worker_count: int = 1
     #: Transport the run shipped payloads over ("pickle" or "shm").
     transport: str = "pickle"
-    #: Bytes that actually crossed executor pipes for this run (pickled
-    #: payloads, or just descriptors on shm); 0 for serial, where no pipe
-    #: exists.
+    #: Bytes of the task records ``submit_shipment`` shipped for this run
+    #: (the pickled records, or just their descriptors on shm); 0 for
+    #: serial, where no pipe exists.  Drivers, cost model and requests ride
+    #: as plain call arguments and are not counted.
     bytes_over_pipe: int = 0
     #: Array bytes shipped through shared-memory segments instead.
     shm_bytes: int = 0
@@ -215,7 +214,7 @@ class CoordinatorReport(FanOutReport):
     #: Per-shard bound sandwiches in shard order, when the exact tier ran
     #: (``solver_name`` "lp"/"auto"); degenerate shards carry the zero record,
     #: heuristic solvers leave the tuple empty.
-    per_shard_bounds: Tuple[Optional["ShardBounds"], ...] = ()
+    per_shard_bounds: Tuple[Optional[ShardBounds], ...] = ()
 
     # ------------------------------------------------------------------
     # optimality-gap aggregates (exact tier only)
@@ -268,7 +267,7 @@ class CoordinatorReport(FanOutReport):
         clamped >= 0 (NaN without bounds)."""
         if not self.bounds_reported:
             return float("nan")
-        return _relative_gap(self.lp_revenue, self.upper_bound)
+        return relative_gap(self.lp_revenue, self.upper_bound)
 
     @property
     def greedy_gap(self) -> float:
@@ -276,32 +275,7 @@ class CoordinatorReport(FanOutReport):
         the scenario-level "error bar" (NaN without bounds)."""
         if not self.bounds_reported:
             return float("nan")
-        return _relative_gap(self.greedy_revenue, self.upper_bound)
-
-
-@dataclass(frozen=True, slots=True)
-class ShardStreamResult(_ShardPlans):
-    """A streaming worker's answer after its shard's stream is drained."""
-
-    shard_id: int
-    #: One simulated plan per shard driver, in shard fleet order and
-    #: shard-local task indices.  Every driver: under horizon dispatch an
-    #: idle driver who was repositioned carries that move's cost as a
-    #: negative profit.
-    plans: Tuple[DriverPlan, ...]
-    #: Shard-local indices of orders the stream could not serve.
-    rejected_tasks: Tuple[int, ...]
-    task_count: int
-    #: Worker-side time spent in this shard's appends + final flush.
-    elapsed_s: float
-    #: Sum of publish->pickup waits over the shard's served tasks (simulated
-    #: time, not wall clock).  Computed worker-side from the same solution as
-    #: the plans, so it is executor-independent like everything else.
-    wait_total_s: float = 0.0
-    #: Flight-recorder spans collected worker-side across the shard stream's
-    #: whole life (open -> appends -> finish), as plain
-    #: ``repro.obs.trace.SpanTuple`` tuples; empty when tracing was off.
-    spans: Tuple = ()
+        return relative_gap(self.greedy_revenue, self.upper_bound)
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

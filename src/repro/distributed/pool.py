@@ -28,11 +28,12 @@ workers (and the per-shard streaming state living inside them) alive:
   processes is paid once per pool, not once per solve.
 
 The pool owns the wire.  Callers hand :meth:`PersistentWorkerPool.submit_shipment`
-what they hold — an offline solve's ``MarketShard`` or a stream batch's
-``(shard_id, tasks)`` — and it is the one place a record is flattened: an
-inline slot gets the caller's objects, a process slot their primal inputs as
-flat columns (:mod:`repro.distributed.payload`).  Both worker entries open
-what arrived with the one opener, :func:`_open_shipment`.
+one ``(shard_id, tasks)`` — an offline shard's tasks or a stream batch — and
+it is the one place a record is flattened: an inline slot gets the caller's
+``Task`` objects, a process slot their primal inputs as one flat record
+(:mod:`repro.distributed.payload`).  Drivers travel as plain call arguments
+(``_pool_open``, ``solve_shard``).  Both worker entries open what arrived
+with the one opener, :func:`_open_shipment`.
 
 Every submit returns a plain :class:`concurrent.futures.Future`: already
 resolved under the serial policy, resolved by the slot's reader thread on a
@@ -60,26 +61,18 @@ import weakref
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from multiprocessing.reduction import ForkingPickler
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..market.cost import MarketCostModel
 from ..market.driver import Driver
-from ..market.instance import MarketInstance
 from ..market.streaming import StreamingMarketInstance
 from ..market.task import Task
 from ..obs import logs as obs_logs
 from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig, BatchedSimulator
 from ..runtime import pin_blas_threads
-from .messages import ShardStreamResult
-from .partition import MarketShard
-from .payload import (
-    ShardPayload,
-    delta_from_tasks,
-    instance_from_payload,
-    payload_from_shard,
-    tasks_from_delta,
-)
+from .messages import ShardResult
+from .payload import delta_from_tasks, tasks_from_delta
 from .transport import (
     TRANSPORTS,
     DeltaDescriptor,
@@ -201,7 +194,6 @@ class ShardStreamSession:
         config: Optional[BatchConfig] = None,
         trace: bool = False,
     ) -> None:
-        self.shard_id = shard_id
         self._instance = StreamingMarketInstance(drivers, cost_model)
         self._simulator = BatchedSimulator(self._instance, config or BatchConfig())
         # Session-lifetime flight recorder: spans from every append (and the
@@ -223,11 +215,6 @@ class ShardStreamSession:
         self._elapsed_s = 0.0
         self._task_count = 0
 
-    @property
-    def task_count(self) -> int:
-        """How many tasks this shard's stream has accumulated so far."""
-        return self._task_count
-
     def append(self, tasks: Sequence[Task]) -> int:
         """Feed one arrival batch; returns the shard's running task count."""
         with obs_trace.recording(self._recorder), obs_trace.span(
@@ -239,7 +226,7 @@ class ShardStreamSession:
         self._task_count += len(tasks)
         return self._task_count
 
-    def finish(self) -> ShardStreamResult:
+    def finish(self) -> ShardResult:
         """Flush the last window, settle every driver, report the result."""
         with obs_trace.recording(self._recorder), obs_trace.span("flush"):
             start = time.perf_counter()
@@ -247,11 +234,9 @@ class ShardStreamSession:
             self._elapsed_s += time.perf_counter() - start
         if self._recorder is not None:
             self._recorder.end(self._root_span)
-        return ShardStreamResult(
-            shard_id=self.shard_id,
+        return ShardResult(
             plans=solution.plans,
             rejected_tasks=solution.rejected_tasks,
-            task_count=self._task_count,
             elapsed_s=self._elapsed_s,
             wait_total_s=solution.total_wait_s,
             spans=self._recorder.export() if self._recorder is not None else (),
@@ -291,19 +276,14 @@ def _pool_open(
     return shard_id
 
 
-def _open_shipment(shipment) -> Union[MarketInstance, Tuple[Task, ...]]:
-    """What a slot received, as the caller shipped it: a shard's sub-instance
-    or a batch's tasks.  Records are rebuilt into plain objects here, so no
-    view over a shm segment outlives the call."""
-    if isinstance(shipment, MarketShard):
-        return shipment.instance
+def _open_shipment(shipment) -> Sequence[Task]:
+    """The tasks a slot received, as the caller shipped them.  A record is
+    rebuilt into plain ``Task`` objects here, so no view over a shm segment
+    outlives the call."""
     if isinstance(shipment, tuple):
         return shipment[1]
     if isinstance(shipment, DeltaDescriptor):
         shipment = delta_from_descriptor(shipment)
-    if isinstance(shipment, ShardPayload):
-        with obs_trace.span("rebuild"):
-            return instance_from_payload(shipment)
     return tasks_from_delta(shipment)
 
 
@@ -316,7 +296,7 @@ def _pool_append(shipment, token: int, shard_id: int) -> int:
     return session.append(tasks)
 
 
-def _pool_finish(token: int, shard_id: int) -> ShardStreamResult:
+def _pool_finish(token: int, shard_id: int) -> ShardResult:
     return _SESSIONS.pop((token, shard_id)).finish()
 
 
@@ -533,7 +513,7 @@ class PersistentWorkerPool:
         Number of slots for the process policy (``None``: CPU count); an
         explicit value must be at least 1.
     transport:
-        ``"pickle"`` (default) ships payloads/deltas as pickled call
+        ``"pickle"`` (default) ships task records as pickled call
         arguments; ``"shm"`` ships the array columns through shared-memory
         segments owned by the pool's :class:`~repro.distributed.transport.ShmShipper`
         and only descriptors cross the pipe.  Shared memory is engaged only
@@ -731,9 +711,9 @@ class PersistentWorkerPool:
         return self._process_slot(slot).submit(fn, args)
 
     def submit_shipment(self, slot: int, fn, shipment, /, *args):
-        """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` (an
-        offline solve's :class:`MarketShard` or a stream batch's
-        ``(shard_id, tasks)``) over the pool's transport.
+        """Run ``fn(shipment, *args)`` on a slot, shipping ``shipment`` — one
+        ``(shard_id, tasks)``: an offline shard's tasks or a stream batch —
+        over the pool's transport.
 
         A closed or broken pool refuses before anything is shipped or
         counted.  An inline slot is handed the objects as they are; a
@@ -749,10 +729,7 @@ class PersistentWorkerPool:
         if self.executor != "process":
             return self.submit(slot, fn, shipment, *args)
         # The one place a shard record is flattened: only a pipe needs it.
-        if isinstance(shipment, MarketShard):
-            shipment = payload_from_shard(shipment)
-        else:
-            shipment = delta_from_tasks(*shipment)
+        shipment = delta_from_tasks(*shipment)
         fallback = False
         if self.shm_active:
             try:

@@ -44,7 +44,7 @@ from ..market.instance import MarketInstance
 from ..market.task import Task
 from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig
-from .messages import ShardStreamResult, StreamReport, _FanOutRun
+from .messages import ShardResult, StreamReport, _FanOutRun
 from .partition import RebalancePolicy, ZonePartition, plan_rebalance_action
 from .pool import (
     PersistentWorkerPool,
@@ -91,6 +91,30 @@ def merge_shard_plans(
         ),
         rejected_tasks=tuple(rejected_tasks),
     )
+
+
+def merge_shard_results(
+    instance: MarketInstance,
+    shard_results: Iterable[Tuple[Sequence[int], Optional[ShardResult]]],
+) -> MarketSolution:
+    """The one merge of a fan-out run: offline solve and stream alike.
+
+    ``shard_results`` pairs each shard's local -> global task index table
+    with its :class:`ShardResult`, or ``None`` for a shard no worker solved
+    (no drivers, or no tasks).  Plans are translated by
+    :func:`merge_shard_plans`; the rejected orders are the union of the
+    shards' rejections plus every publishable order of a shard without a
+    result, which no driver could ever be offered.
+    """
+    shard_plans = []
+    rejected = set()
+    for global_of, result in shard_results:
+        if result is None:
+            rejected.update(g for g in global_of if instance.tasks[g].is_publishable)
+            continue
+        shard_plans.append((global_of, result.plans))
+        rejected.update(global_of[m] for m in result.rejected_tasks)
+    return merge_shard_plans(instance, shard_plans, sorted(rejected))
 
 
 @dataclass
@@ -520,7 +544,7 @@ class DistributedStreamSession:
                 if shard.drivers
             ]
             # Driverless shards have no session and no result.
-            results: Dict[int, ShardStreamResult] = {
+            results: Dict[int, ShardResult] = {
                 pending.shard_id: self._collect(pending) for pending in finishing
             }
         except BaseException:
@@ -541,46 +565,32 @@ class DistributedStreamSession:
             if run.recorder is not None
             else obs_trace.DROPPED
         )
-        shard_plans = []
-        rejected: set = set()
-        durations: List[float] = []
-        wait_total_s = 0.0
-        for shard in self._shards:
-            result = results.get(shard.shard_id)
-            if result is None:
-                # Driverless shard: every publishable order it owns is lost.
-                rejected.update(
-                    g for g in shard.global_indices if self._tasks[g].is_publishable
-                )
-                durations.append(0.0)
-                continue
-            shard_plans.append((shard.global_indices, result.plans))
-            rejected.update(shard.global_indices[m] for m in result.rejected_tasks)
-            durations.append(result.elapsed_s)
-            wait_total_s += result.wait_total_s
-
-        solution = merge_shard_plans(
+        solution = merge_shard_results(
             MarketInstance(
                 drivers=self._fleet, tasks=tuple(self._tasks), cost_model=self._cost_model
             ),
-            shard_plans,
-            sorted(rejected),
+            ((shard.global_indices, results.get(shard.shard_id)) for shard in self._shards),
         )
         if run.recorder is not None:
             run.recorder.end(merge_span)
+        durations = tuple(
+            results[shard.shard_id].elapsed_s if shard.shard_id in results else 0.0
+            for shard in self._shards
+        )
         report = StreamReport(
             **run.close(),
             shard_count=len(self._shards),
             batch_count=self.batch_count,
             total_value=solution.total_value,
             served_count=solution.served_count,
-            rejected_count=len(rejected),
+            rejected_count=len(solution.rejected_tasks),
             slowest_shard_s=max(durations) if durations else 0.0,
             per_shard_task_counts=self.shard_task_counts,
-            per_shard_durations=tuple(durations),
+            per_shard_durations=durations,
             worker_count=self._pool.worker_count,
             rebalance_count=self._rebalances,
-            wait_total_s=wait_total_s,
+            # Summed in shard order (``results`` is filled in shard order).
+            wait_total_s=sum(result.wait_total_s for result in results.values()),
         )
         logger.debug(
             "stream finished: shards=%d batches=%d served=%d rejected=%d",

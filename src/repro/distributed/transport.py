@@ -2,10 +2,9 @@
 
 The process-pool wire format (:mod:`repro.distributed.payload`) already
 reduced what crosses a slot's pipe to primal-input NumPy arrays — but it
-still *pickles* those arrays, so every shard record (a stream's
-``ShardPayloadDelta`` or an offline solve's ``ShardPayload``, which is a delta
-plus its drivers) is copied into the pipe byte for byte, then copied back out
-in the worker.
+still *pickles* those arrays, so every shard record (one
+``ShardPayloadDelta``: an offline shard's tasks or a stream batch) is copied
+into the pipe byte for byte, then copied back out in the worker.
 At city scale that serialisation is most of the dispatch cost: the benchmarks
 consistently showed ``critical_path_speedup`` of 3-4x against
 ``speedup_vs_serial`` below 1.
@@ -16,13 +15,12 @@ This module moves the array bytes out of the pipe entirely:
   columns into a :class:`multiprocessing.shared_memory.SharedMemory` segment
   (one segment per in-flight shipment, recycled through a free list, so a
   steady-state stream reuses a handful of segments instead of allocating per
-  batch).  Packing is generic over the record's declared columns: its
+  batch).  The layout follows the record's declared columns: its
   ``ARRAY_FIELDS``, then one UTF-8 blob and one length column per entry of
   its ``ID_FIELDS``;
-* only a :class:`DeltaDescriptor` crosses the pipe — segment name plus
-  ``(offset, shape, dtype)`` per column, the record's class and its
-  non-column fields (a payload's cost model), a few hundred bytes regardless
-  of shard size;
+* only a :class:`DeltaDescriptor` crosses the pipe — the shard id, the
+  segment name and ``(offset, shape, dtype)`` per column, a few hundred
+  bytes regardless of shard size;
 * the worker attaches the segment (cached per name, so attach cost is paid
   once per segment, not per batch) and :func:`delta_from_descriptor` rebuilds
   the record with NumPy views
@@ -40,9 +38,9 @@ on its FIFO connection in submission order — so a worker always reads a
 segment *after* the coordinator's writes and *before* any reuse overwrites
 them.  Workers never keep views past the call: both worker entries open
 their shipment with the pool's one opener, which materialises plain
-:class:`~repro.market.task.Task` / driver objects immediately (the same
-rebuild the pickle path performs), so a recycled segment can never mutate
-state a worker still holds.
+:class:`~repro.market.task.Task` objects immediately (the same rebuild the
+pickle path performs), so a recycled segment can never mutate state a
+worker still holds.
 
 Segment names are unique per process (``repro-shm-<pid>-<shipper>-<seq>``,
 with a process-global shipper counter so consecutive pools never mint the
@@ -64,9 +62,9 @@ import logging
 import mmap
 import os
 import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,21 +105,16 @@ def transport_error(name: str) -> ValueError:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DeltaDescriptor:
-    """Where one shard record (:class:`ShardPayloadDelta` or its
-    :class:`~repro.distributed.payload.ShardPayload` subclass) lives in
-    shared memory.
+    """Where one :class:`ShardPayloadDelta` lives in shared memory.
 
     ``specs`` covers, in order, the record's ``ARRAY_FIELDS`` followed by a
     UTF-8 blob (``uint8``) and a length column (``int64``) per entry of its
-    ``ID_FIELDS``.  ``extras`` holds the record's non-column fields by name
-    (a payload's cost model), pickled along with the descriptor.
+    ``ID_FIELDS``.
     """
 
     shard_id: int
     segment: str
     specs: Tuple[ArraySpec, ...]
-    record_type: Type[ShardPayloadDelta]
-    extras: Tuple[Tuple[str, object], ...]
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +181,6 @@ def _columns(record: ShardPayloadDelta) -> List[np.ndarray]:
     return arrays
 
 
-def _extras(record: ShardPayloadDelta) -> Tuple[Tuple[str, object], ...]:
-    """The record's fields that are neither its shard id nor a column."""
-    columns = {"shard_id", *record.ARRAY_FIELDS, *record.ID_FIELDS}
-    return tuple(
-        (f.name, getattr(record, f.name)) for f in fields(record) if f.name not in columns
-    )
-
-
 # ----------------------------------------------------------------------
 # transport accounting
 # ----------------------------------------------------------------------
@@ -203,9 +188,10 @@ def _extras(record: ShardPayloadDelta) -> Tuple[Tuple[str, object], ...]:
 class TransportStats:
     """Wire traffic counters for one pool (coordinator side).
 
-    ``bytes_over_pipe`` is the headline number: what actually crossed an
-    executor pipe — pickled payload bytes on the pickle transport, only the
-    tiny descriptors on shm.  ``shm_bytes`` counts the array bytes that went
+    ``bytes_over_pipe`` is the headline number: what the shipped task
+    records put on an executor pipe — pickled record bytes on the pickle
+    transport, only the tiny descriptors on shm (call arguments such as a
+    shard's drivers are not counted).  ``shm_bytes`` counts the array bytes that went
     through shared memory instead; ``shard_bytes`` attributes over-pipe
     bytes to shards for the health endpoint.
     """
@@ -346,17 +332,10 @@ class ShmShipper:
 
     def ship_delta(self, record: ShardPayloadDelta) -> DeltaDescriptor:
         """Copy a shard record's columns into a segment; returns the
-        descriptor to send in its place (any record kind — a stream delta or
-        an offline payload)."""
+        descriptor to send in its place."""
         with obs_trace.span("transport:ship_delta", shard=record.shard_id):
             name, specs, nbytes = self._ship(_columns(record))
-            desc = DeltaDescriptor(
-                shard_id=record.shard_id,
-                segment=name,
-                specs=specs,
-                record_type=type(record),
-                extras=_extras(record),
-            )
+            desc = DeltaDescriptor(shard_id=record.shard_id, segment=name, specs=specs)
             self.stats.record_shm(record.shard_id, nbytes, len(pickle.dumps(desc)))
             return desc
 
@@ -452,19 +431,16 @@ def delta_from_descriptor(desc: DeltaDescriptor) -> ShardPayloadDelta:
     """Rebuild a shard record from shared memory — array views, zero copies.
 
     The views are only valid until the shipping future completes; callers
-    must materialise tasks (and drivers) before returning (both worker entry
-    points do)."""
+    must materialise tasks before returning (both worker entry points do)."""
     with obs_trace.span("transport:attach", shard=desc.shard_id):
-        kind = desc.record_type
         arrays = _read_arrays(_attach(desc.segment).buf, desc.specs)
-        n = len(kind.ARRAY_FIELDS)
-        ids = arrays[n:]
-        return kind(
-            shard_id=desc.shard_id,
-            **dict(zip(kind.ARRAY_FIELDS, arrays)),
+        columns, ids = ShardPayloadDelta.ARRAY_FIELDS, ShardPayloadDelta.ID_FIELDS
+        blobs = arrays[len(columns):]
+        return ShardPayloadDelta(
+            desc.shard_id,
+            **dict(zip(columns, arrays)),
             **{
                 name: _decode_ids(blob, lens)
-                for name, blob, lens in zip(kind.ID_FIELDS, ids[::2], ids[1::2])
+                for name, blob, lens in zip(ids, blobs[::2], blobs[1::2])
             },
-            **dict(desc.extras),
         )

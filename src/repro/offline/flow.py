@@ -44,7 +44,7 @@ holds unconditionally (the last inequality by weak duality, see
 coordinator: greedy incumbent, Lagrangian bound, optional gap-gated LP
 (``mode="auto"`` skips the LP on shards where greedy is already within the
 gap threshold of the bound), and a :class:`ShardBounds` record that travels
-back over the existing ``ShardWorkResult`` wire format.
+back on the shard's ``ShardResult``.
 """
 
 from __future__ import annotations

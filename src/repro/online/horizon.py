@@ -18,10 +18,11 @@ forecast (:mod:`repro.online.forecast`) is rolled out over:
   block aggregated into one discounted term —
 
 yielding a per-zone *pressure* field (normalised to ``[0, 1]``).  The
-pressure reshapes the control-window assignment through a bounded bias on
-the Hungarian matrix (see :meth:`LookaheadPlanner.pair_bias`): pairs that
-drop a driver in a zone expecting demand gain, pairs that pull supply out of
-one lose.  The bias only ever touches the assignment matrix — committed
+pressure reshapes the control-window assignment through a bias on the
+Hungarian matrix, added by ``BatchedSimulator._dispatch_window`` and bounded
+by ``LOOKAHEAD_WEIGHT`` times the window's mean price (pressure lies in
+``[0, 1]``): pairs that drop a driver in a zone expecting demand gain, pairs
+that pull supply out of one lose.  The bias only ever touches the assignment matrix — committed
 profits keep the paper's exact marginal arithmetic, which is what "commit
 only the control window" means here.
 
@@ -133,8 +134,8 @@ class LookaheadPlanner:
 
     One planner per :class:`~repro.online.batch.BatchedSimulator` run; the
     simulator calls :meth:`observe_window` once per dispatched window (in
-    slot order), then prices the window's Hungarian matrix through
-    :meth:`pair_bias` and finally repositions idle drivers via
+    slot order), then biases the window's Hungarian matrix by
+    :meth:`pressure_at` and finally repositions idle drivers via
     :meth:`reposition`.
     """
 
@@ -231,19 +232,6 @@ class LookaheadPlanner:
     def pressure_at(self, location) -> float:
         """Normalised (``[0, 1]``) lookahead pressure of a location's zone."""
         return float(self._pressure[self.grid.zone_of(location)])
-
-    def pair_bias(self, task: Task, state: DriverState, price_scale: float) -> float:
-        """Assignment-matrix bias for pairing ``state`` with ``task``.
-
-        Positive when the task drops the driver in a higher-pressure zone
-        than she currently occupies.  Scaled by the window's mean price so
-        the bias is bounded by ``LOOKAHEAD_WEIGHT`` times a typical fare —
-        enough to break near-ties toward future demand, never enough to
-        overturn a clearly better present assignment.  Applied to the
-        Hungarian matrix only; committed profits never see it.
-        """
-        delta = self.pressure_at(task.destination) - self.pressure_at(state.location)
-        return LOOKAHEAD_WEIGHT * price_scale * delta
 
     def reposition(
         self,

@@ -15,7 +15,7 @@ from repro.core import (
     total_revenue,
 )
 
-from repro.distributed import ShardStreamResult, ShardWorkResult
+from repro.distributed import ShardResult
 from repro.market import Driver, MarketInstance
 from repro.offline import greedy_assignment
 from repro.online import BatchConfig, BatchedSimulator, MaxMarginDispatcher, OnlineSimulator
@@ -241,8 +241,7 @@ class TestOneResultType:
         assert {"consumer_surplus", "rejected_tasks", "mean_wait_s"} <= set(online)
         assert offline["mean_wait_s"] == 0.0 < online["mean_wait_s"]
 
-    @pytest.mark.parametrize("result_type", [ShardWorkResult, ShardStreamResult])
-    def test_shard_results_carry_plans(self, result_type):
-        names = {f.name for f in dataclasses.fields(result_type)}
+    def test_shard_results_carry_plans(self):
+        names = {f.name for f in dataclasses.fields(ShardResult)}
         assert "plans" in names
         assert not names & {"assignment", "driver_profits", "total_value", "served_count"}

@@ -1,15 +1,20 @@
 """Tests for the distributed coordinator and shard workers."""
 
+import dataclasses
+import importlib
+
 import pytest
 
 from repro.distributed import (
     DistributedCoordinator,
+    ShardResult,
     ShardWorkRequest,
     SpatialPartitioner,
     solve_shard,
 )
 from repro.geo import PORTO
 from repro.offline import greedy_assignment
+from repro.online import MaxMarginDispatcher, NearestDispatcher, OnlineSimulator
 
 from ..conftest import build_random_instance
 
@@ -19,20 +24,26 @@ def instance():
     return build_random_instance(task_count=60, driver_count=15, seed=37)
 
 
+def shard_call(shard):
+    """``solve_shard``'s arguments before the request, as a serial slot
+    receives them: the shard's ``(shard_id, tasks)``, drivers, cost model."""
+    sub = shard.instance
+    return (shard.spec.shard_id, sub.tasks), sub.drivers, sub.cost_model
+
+
 class TestSolveShard:
     def test_unknown_solver_rejected(self, instance):
         plan = SpatialPartitioner(PORTO, 1, 1).partition(instance)
         request = ShardWorkRequest(0, 1, 1, solver_name="simplex")
         with pytest.raises(ValueError):
-            solve_shard(plan.shards[0], request)
+            solve_shard(*shard_call(plan.shards[0]), request)
 
     @pytest.mark.parametrize("solver", ["greedy", "nearest", "maxMargin"])
     def test_shard_result_consistency(self, instance, solver):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
         shard = max(plan.shards, key=lambda s: s.task_count)
         request = ShardWorkRequest(shard.spec.shard_id, shard.driver_count, shard.task_count, solver)
-        result = solve_shard(shard, request)
-        assert result.solver_name == solver
+        result = solve_shard(*shard_call(shard), request)
         # One plan per shard driver, in shard fleet order.
         assert [p.driver_id for p in result.plans] == [d.driver_id for d in shard.instance.drivers]
         served = [m for p in result.plans for m in p.task_indices]
@@ -44,7 +55,7 @@ class TestSolveShard:
         plan = SpatialPartitioner(PORTO, 8, 8).partition(instance)
         empty = next(s for s in plan.shards if s.task_count == 0 or s.driver_count == 0)
         request = ShardWorkRequest(empty.spec.shard_id, empty.driver_count, empty.task_count, "greedy")
-        result = solve_shard(empty, request)
+        result = solve_shard(*shard_call(empty), request)
         assert result.plans == ()
         assert result.total_value == 0.0
         assert result.served_count == 0
@@ -110,3 +121,95 @@ class TestCoordinator:
         result = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2), "greedy").solve(instance)
         assert result.report.slowest_shard_s >= 0.0
         assert result.report.critical_path_speedup >= 1.0 or result.report.slowest_shard_s == 0.0
+
+
+class TestOfflineRejections:
+    """An online shard solver's rejections reach the merged solution, and so
+    do the orders of a shard without drivers."""
+
+    DISPATCHERS = {"maxMargin": MaxMarginDispatcher, "nearest": lambda: NearestDispatcher(seed=0)}
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("solver", ["maxMargin", "nearest"])
+    def test_one_shard_equals_the_unsharded_simulator(self, instance, solver, executor):
+        unsharded = OnlineSimulator(instance, self.DISPATCHERS[solver]()).run()
+        merged = DistributedCoordinator(
+            SpatialPartitioner(PORTO, 1, 1), solver, executor=executor, max_workers=1
+        ).solve(instance).solution
+        assert merged.plans == unsharded.plans
+        assert merged.rejected_tasks == unsharded.rejected_tasks
+        assert len(merged.rejected_tasks) > 0
+
+    @pytest.mark.parametrize("grid", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("solver", ["maxMargin", "nearest"])
+    def test_served_and_rejected_partition_the_publishable_orders(
+        self, instance, solver, grid
+    ):
+        merged = DistributedCoordinator(SpatialPartitioner(PORTO, *grid), solver).solve(
+            instance
+        ).solution
+        served = {m for p in merged.plans for m in p.task_indices}
+        rejected = set(merged.rejected_tasks)
+        assert served.isdisjoint(rejected)
+        assert served | rejected == {
+            m for m, task in enumerate(instance.tasks) if task.is_publishable
+        }
+        assert merged.summary()["rejected_tasks"] == len(rejected) > 0
+
+    def test_a_driverless_shard_rejects_its_orders(self, instance):
+        partitioner = SpatialPartitioner(PORTO, 3, 3)
+        stranded = {
+            g
+            for shard in partitioner.partition(instance).shards
+            if not shard.driver_count
+            for g in shard.global_task_indices
+            if instance.tasks[g].is_publishable
+        }
+        assert stranded
+        merged = DistributedCoordinator(partitioner, "maxMargin").solve(instance).solution
+        assert stranded <= set(merged.rejected_tasks)
+
+    def test_repriced_merges_reject_nothing(self, instance):
+        merged = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2), "greedy").solve(instance)
+        assert merged.solution.rejected_tasks == ()
+
+
+class TestOneShardProtocol:
+    """An offline shard ships as one task delta beside its drivers and
+    answers with the stream's result type: the offline record, its
+    flattener and rebuilder, and the second result type are gone."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (module, name)
+            for module in (
+                "repro.distributed",
+                "repro.distributed.payload",
+                "repro.distributed.pool",
+                "repro.distributed.transport",
+            )
+            for name in ("ShardPayload", "payload_from_shard", "instance_from_payload")
+        ]
+        + [
+            (module, name)
+            for module in (
+                "repro.distributed",
+                "repro.distributed.messages",
+                "repro.distributed.pool",
+                "repro.distributed.coordinator",
+                "repro.distributed.stream",
+            )
+            for name in ("ShardWorkResult", "ShardStreamResult")
+        ],
+    )
+    def test_removed_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_one_shard_result_type(self, instance):
+        assert [f.name for f in dataclasses.fields(ShardResult)] == [
+            "plans", "rejected_tasks", "elapsed_s", "bounds", "wait_total_s", "spans"
+        ]
+        shard = SpatialPartitioner(PORTO, 1, 1).partition(instance).shards[0]
+        request = ShardWorkRequest(0, shard.driver_count, shard.task_count, "maxMargin")
+        assert type(solve_shard(*shard_call(shard), request)) is ShardResult

@@ -93,24 +93,24 @@ class TestEmptyShardShortCircuit:
         seen = []
         original = coordinator_module.solve_shard
 
-        def counting(shard, request):
-            seen.append(shard.spec.shard_id)
-            return original(shard, request)
+        def counting(shipment, drivers, cost_model, request):
+            seen.append(request.shard_id)
+            return original(shipment, drivers, cost_model, request)
 
         # Scoped: the process policy below pickles ``solve_shard`` by name.
         with monkeypatch.context() as patch:
             patch.setattr(coordinator_module, "solve_shard", counting)
             result = DistributedCoordinator(partitioner, "greedy").solve(instance)
         assert len(seen) == live
-        # ... and no payload is built for them on the process path either.
+        # ... and no record is built for them on the process path either.
         built = []
-        original_payload = pool_module.payload_from_shard
+        original_delta = pool_module.delta_from_tasks
 
-        def counting_payload(shard):
-            built.append(shard.spec.shard_id)
-            return original_payload(shard)
+        def counting_delta(shard_id, tasks):
+            built.append(shard_id)
+            return original_delta(shard_id, tasks)
 
-        monkeypatch.setattr(pool_module, "payload_from_shard", counting_payload)
+        monkeypatch.setattr(pool_module, "delta_from_tasks", counting_delta)
         DistributedCoordinator(partitioner, "greedy", executor="process", max_workers=2).solve(
             instance
         )

@@ -2,15 +2,16 @@
 
 Four layers are pinned here:
 
-* the packing layer — one descriptor round-trips either shard record (a
-  stream delta or an offline payload) through a shared segment
+* the packing layer — one descriptor round-trips the one shard record (an
+  offline shard's tasks or a stream batch) through a shared segment
   value-identically, ids and ``NaN`` sentinels included;
 * the shipper — segments are recycled through the free list (a steady-state
   stream reuses a handful of segments), ``release`` is idempotent,
   ``close()`` unlinks everything, and a failed shipment falls back to
   pickle without losing the batch;
 * the pool as the one flattener — a serial pool hands the caller's objects
-  through, a process pool flattens once per shard and batch;
+  through, a process pool flattens once per offline shard and per stream
+  (shard, batch);
 * **parity contract 16** — shm == pickle merges, bit-identical, for the
   offline path and the streaming path alike, with the pickle
   transport (and the serial executor) as the reference.
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 
 from repro.distributed import (
     DistributedCoordinator,
+    DeltaDescriptor,
     PersistentWorkerPool,
-    ShardPayload,
     ShardPayloadDelta,
     ShmShipper,
     SpatialPartitioner,
@@ -37,7 +38,6 @@ from repro.distributed import (
     delta_from_descriptor,
     delta_from_tasks,
     delta_wire_bytes,
-    payload_from_shard,
 )
 from repro.distributed import ShardWorkRequest, solve_shard
 from repro.distributed import pool as pool_module
@@ -50,7 +50,6 @@ from repro.distributed.pool import (
 )
 from repro.distributed.transport import _MAX_FREE_SEGMENTS, _decode_ids, _encode_ids
 from repro.geo import PORTO
-from repro.market.cost import MarketCostModel
 from repro.online.batch import BatchConfig, window_batches
 
 from ..conftest import build_random_instance
@@ -96,43 +95,25 @@ class TestIdCodec:
         assert _decode_ids(blob, lens) == ()
 
 
-def shard_record(kind, shard, lo, hi):
-    """``kind`` carrying the shard's tasks ``[lo:hi]`` (and, for a full
-    payload, all of its drivers)."""
-    delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks[lo:hi])
-    if kind is ShardPayloadDelta:
-        return delta
-    full = payload_from_shard(shard)
-    return ShardPayload(
-        **vars(delta),
-        driver_ids=full.driver_ids,
-        driver_coords=full.driver_coords,
-        driver_windows=full.driver_windows,
-        cost_model=full.cost_model,
-    )
-
-
 class TestDescriptorRoundTrip:
-    @pytest.mark.parametrize("kind", [ShardPayload, ShardPayloadDelta])
     @settings(
         max_examples=15,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     @given(lo=st.integers(0, 30), width=st.integers(0, 30))
-    def test_round_trip_is_field_for_field_identical(self, plan, kind, lo, width):
-        """Either record kind, any batch cut (the empty batch included),
-        comes back from shared memory as the same type with every field
-        equal — ids, ``NaN`` sentinels and the cost model too."""
+    def test_round_trip_is_field_for_field_identical(self, plan, lo, width):
+        """Any batch cut (the empty batch included) comes back from shared
+        memory with every field equal — ids and ``NaN`` sentinels too."""
         shard = max(plan.shards, key=lambda s: s.task_count)
-        record = shard_record(kind, shard, lo, lo + width)
+        record = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks[lo : lo + width])
         shipper = ShmShipper()
         try:
             rebuilt = delta_from_descriptor(shipper.ship_delta(record))
-            assert type(rebuilt) is kind
+            assert type(rebuilt) is ShardPayloadDelta
             for f in dataclasses.fields(record):
                 got, want = getattr(rebuilt, f.name), getattr(record, f.name)
-                if f.name in kind.ARRAY_FIELDS:
+                if f.name in ShardPayloadDelta.ARRAY_FIELDS:
                     # NaN sentinels must survive, so compare with equal_nan.
                     assert np.array_equal(got, want, equal_nan=True), f.name
                     assert got.shape == want.shape, f.name
@@ -146,43 +127,46 @@ class TestDescriptorRoundTrip:
         """The point of the transport: what crosses the pipe shrinks from the
         full array bytes to a descriptor of a few hundred bytes."""
         shard = max(plan.shards, key=lambda s: s.task_count)
-        payload = payload_from_shard(shard)
+        delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks)
         shipper = ShmShipper()
         try:
-            desc = shipper.ship_delta(payload)
+            desc = shipper.ship_delta(delta)
             assert len(pickle.dumps(desc)) < 1024
-            assert delta_wire_bytes(payload) > len(pickle.dumps(desc))
+            assert delta_wire_bytes(delta) > len(pickle.dumps(desc))
         finally:
             shipper.close()
 
+    def test_the_descriptor_names_only_where_the_columns_are(self):
+        """One record kind: the descriptor carries no record type and no
+        non-column fields."""
+        assert [f.name for f in dataclasses.fields(DeltaDescriptor)] == [
+            "shard_id", "segment", "specs"
+        ]
+
     def test_wire_bytes_count_utf8_not_code_points(self):
         """The pickle side's byte count equals what the shm side packs —
-        array bytes plus the id blobs — for non-ASCII task and driver ids."""
-        payload = ShardPayload(
+        array bytes plus the id blob — for non-ASCII task ids."""
+        delta = ShardPayloadDelta(
             shard_id=5,
-            task_ids=("tâche-1", "注文-2"),
-            task_coords=np.zeros((2, 4)),
-            task_times=np.zeros((2, 3)),
-            task_prices=np.ones(2),
-            task_wtps=np.full(2, np.nan),
-            task_distances=np.full(2, np.nan),
-            driver_ids=("şoför", "运营司机"),
-            driver_coords=np.zeros((2, 4)),
-            driver_windows=np.zeros((2, 2)),
-            cost_model=MarketCostModel(),
+            task_ids=("tâche-1", "注文-2", "şoför-3"),
+            task_coords=np.zeros((3, 4)),
+            task_times=np.zeros((3, 3)),
+            task_prices=np.ones(3),
+            task_wtps=np.full(3, np.nan),
+            task_distances=np.full(3, np.nan),
         )
         shipper = ShmShipper()
         try:
-            desc = shipper.ship_delta(payload)
+            desc = shipper.ship_delta(delta)
         finally:
             shipper.close()
         sizes = [
             int(np.prod(shape)) * np.dtype(dtype).itemsize for _off, shape, dtype in desc.specs
         ]
-        n = len(ShardPayload.ARRAY_FIELDS)
+        n = len(ShardPayloadDelta.ARRAY_FIELDS)
         blobs = sizes[n::2]  # each id field packs (blob, lengths)
-        assert delta_wire_bytes(payload) == sum(sizes[:n]) + sum(blobs)
-        assert sum(blobs) > sum(len(s) for s in payload.task_ids + payload.driver_ids)
+        assert delta_wire_bytes(delta) == sum(sizes[:n]) + sum(blobs)
+        assert sum(blobs) > sum(len(s) for s in delta.task_ids)
 
 
 class TestShmShipper:
@@ -238,18 +222,18 @@ class TestShmShipper:
 
     def test_stats_account_bytes_on_both_sides(self, plan):
         shard = max(plan.shards, key=lambda s: s.task_count)
-        payload = payload_from_shard(shard)
+        delta = delta_from_tasks(shard.spec.shard_id, shard.instance.tasks)
         stats = TransportStats(transport="shm")
         shipper = ShmShipper(stats=stats)
         try:
-            shipper.ship_delta(payload)
+            shipper.ship_delta(delta)
             assert stats.shm_shipments == 1
-            assert stats.shm_bytes >= delta_wire_bytes(payload)
+            assert stats.shm_bytes >= delta_wire_bytes(delta)
             assert 0 < stats.descriptor_bytes < 1024
             assert stats.bytes_over_pipe == stats.descriptor_bytes
             snapshot = stats.snapshot()
             assert snapshot["transport"] == "shm"
-            assert snapshot["shard_bytes"] == {payload.shard_id: stats.descriptor_bytes}
+            assert snapshot["shard_bytes"] == {delta.shard_id: stats.descriptor_bytes}
         finally:
             shipper.close()
 
@@ -319,8 +303,10 @@ class TestPoolTransportSelection:
             request = ShardWorkRequest(
                 shard.spec.shard_id, shard.driver_count, shard.task_count, "greedy"
             )
-            solved = pool.submit_shipment(0, solve_shard, shard, request).result()
-            direct = solve_shard(shard, request)
+            sub = shard.instance
+            args = (shard.spec.shard_id, sub.tasks), sub.drivers, sub.cost_model, request
+            solved = pool.submit_shipment(0, solve_shard, *args).result()
+            direct = solve_shard(*args)
             assert solved.plans == direct.plans
             assert solved.total_value == direct.total_value
             assert pool.stats.pickle_fallbacks == 2
@@ -435,14 +421,22 @@ class TestThePoolOwnsTheWire:
     def test_a_process_solve_flattens_each_live_shard_once(
         self, instance, plan, monkeypatch, transport
     ):
-        flattened = self._count(monkeypatch, "payload_from_shard")
+        """An offline shard crosses the pipe as one task delta: each live
+        shard's whole task tuple is flattened once, through the stream's
+        ``delta_from_tasks``."""
+        flattened = self._count(monkeypatch, "delta_from_tasks")
         with DistributedCoordinator(
             SpatialPartitioner(PORTO, 2, 2), executor="process", max_workers=2,
             transport=transport,
         ) as coordinator:
             coordinator.solve(instance, pool=coordinator.stream_pool())
-        live = [s.spec.shard_id for s in plan.shards if s.task_count and s.driver_count]
-        assert sorted(shard.spec.shard_id for (shard,) in flattened) == live
+        live = {
+            s.spec.shard_id: s.instance.tasks
+            for s in plan.shards
+            if s.task_count and s.driver_count
+        }
+        assert sorted(shard_id for shard_id, _tasks in flattened) == sorted(live)
+        assert all(tasks == live[shard_id] for shard_id, tasks in flattened)
 
 
 class TestTransportParity:

@@ -24,7 +24,7 @@ from repro.market.cost import MarketCostModel
 from repro.market.instance import MarketInstance
 from repro.online import BatchedSimulator, LookaheadPlanner, ZoneGrid
 from repro.online.batch import BatchConfig, stream_schedule
-from repro.online.horizon import LOOKAHEAD_WEIGHT, ForecastHeatmap
+from repro.online.horizon import ForecastHeatmap
 
 from ..conftest import build_random_instance, flat_travel_model
 
@@ -208,16 +208,6 @@ class TestPlannerMechanics:
         )
         assert pressure.max() == pytest.approx(1.0)
         assert (pressure >= 0.0).all() and (pressure <= 1.0).all()
-
-    def test_pair_bias_bounded_by_weight_times_scale(self):
-        planner, instance = self.make_planner()
-        planner.observe_window(0, instance.tasks)
-        states = [type("S", (), {"location": c})() for c in planner.grid.centers]
-        price_scale = 7.5
-        for task in instance.tasks[:10]:
-            for state in states:
-                bias = planner.pair_bias(task, state, price_scale)
-                assert abs(bias) <= LOOKAHEAD_WEIGHT * price_scale + 1e-12
 
 
 class TestForecastHeatmap:
