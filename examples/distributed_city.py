@@ -105,7 +105,9 @@ def main() -> None:
                 result.solution.served_count,
             ]
         )
-        busiest = max(result.plan.shards, key=lambda s: s.task_count)
+        busiest = max(
+            coordinator.partitioner.partition(market).shards, key=lambda s: s.task_count
+        )
         print(
             f"  {grid[0]}x{grid[1]}: slowest shard {result.report.slowest_shard_s * 1000:.0f} ms, "
             f"busiest district has {busiest.task_count} tasks / {busiest.driver_count} drivers"

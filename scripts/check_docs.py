@@ -2,7 +2,7 @@
 """Docs gate: link/reference check over ``docs/`` + README, and execute the
 README quickstart snippet.
 
-Four checks, so the project's front door cannot rot:
+Five checks, so the project's front door cannot rot:
 
 1. **Markdown links** — every relative link target in ``README.md`` and
    ``docs/*.md`` must exist on disk (external ``http(s)`` links are left
@@ -18,7 +18,12 @@ Four checks, so the project's front door cannot rot:
    must every name of a backticked ``path.py::Name`` reference (a function,
    class or module-level assignment; ``::``-chained names each).  A renamed
    or deleted test cannot leave a contract row citing it.
-4. **Quickstart execution** — the first ``python`` code block in the README
+4. **Named code** — every backticked CamelCase name, bare or with a
+   ``.attr`` chain (``FanOutReport``, ``FanOutReport.mean_wait_s``), must be
+   defined — a class, function or assignment — somewhere under ``src/``,
+   ``tests/``, ``benchmarks/`` or ``scripts/``, except the names in
+   :data:`UNDEFINED_NAMES_ALLOWED`.  A deleted class cannot linger in prose.
+5. **Quickstart execution** — the first ``python`` code block in the README
    is extracted and executed with ``src/`` on the path; the snippet every
    new reader copy-pastes must actually run.
 
@@ -50,6 +55,21 @@ CITED_FILE = re.compile(r"`((?:tests|benchmarks)/[^`\s]+\.py)`\s*\(([^()]*)\)")
 TEST_NAME = re.compile(r"`((?:Test|test_)\w*(?:::\w+)*)`")
 #: A backticked ``path.py::Name[::Name...]`` reference.
 QUALIFIED_REF = re.compile(r"`([^`\s]+\.py)((?:::\w+)+)`")
+#: A backticked CamelCase name — a capital first, a lower-case letter
+#: somewhere (so ``REPRO_LOG`` and ``D`` are not names) — with an optional
+#: ``.attr`` chain.
+CAMEL_NAME = re.compile(r"`([A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*)(?:\.\w+)*`")
+#: Where the named code lives.
+CODE_ROOTS = ("src", "tests", "benchmarks", "scripts")
+#: CamelCase names the docs may cite without a definition in the code.
+UNDEFINED_NAMES_ALLOWED = (
+    # Benchmark artifact stems (``benchmarks/results/<stem>.json``).
+    re.compile(r"BENCH_\w+"),
+    # Standard-library classes.
+    re.compile(r"QueueListener"),
+    # Names the docs cite as deleted (retired parity contract 5).
+    re.compile(r"ShardPayload"),
+)
 
 
 def check_links(path: Path, text: str) -> list[str]:
@@ -128,6 +148,26 @@ def check_cited_names(path: Path, text: str) -> list[str]:
     return problems
 
 
+def code_names() -> set[str]:
+    """Every name defined by a Python file under :data:`CODE_ROOTS`."""
+    names: set[str] = set()
+    for root in CODE_ROOTS:
+        for source in sorted((REPO_ROOT / root).rglob("*.py")):
+            names |= defined_names(source)
+    return names
+
+
+def check_named_code(path: Path, text: str, names: set[str]) -> list[str]:
+    problems = []
+    for name in dict.fromkeys(CAMEL_NAME.findall(text)):
+        if name in names or any(p.fullmatch(name) for p in UNDEFINED_NAMES_ALLOWED):
+            continue
+        problems.append(
+            f"{path.relative_to(REPO_ROOT)}: names code defined nowhere -> {name}"
+        )
+    return problems
+
+
 def extract_quickstart(readme_text: str) -> str | None:
     match = re.search(r"```python\n(.*?)```", readme_text, flags=re.DOTALL)
     return match.group(1) if match else None
@@ -165,11 +205,13 @@ def run_quickstart(snippet: str) -> list[str]:
 
 def main() -> int:
     problems: list[str] = []
+    names = code_names()
     for path in DOC_FILES:
         text = path.read_text(encoding="utf-8")
         problems += check_links(path, text)
         problems += check_path_references(path, text)
         problems += check_cited_names(path, text)
+        problems += check_named_code(path, text, names)
 
     readme_text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     snippet = extract_quickstart(readme_text)

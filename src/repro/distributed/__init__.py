@@ -1,7 +1,7 @@
 """Distributed (sharded) solving of city-scale markets."""
 
-from .coordinator import SOLVER_NAMES, DistributedCoordinator, DistributedResult, solve_shard
-from .messages import CoordinatorReport, ShardResult, ShardWorkRequest, StreamReport
+from .coordinator import SOLVER_NAMES, DistributedCoordinator, solve_shard
+from .messages import DistributedResult, FanOutReport, ShardResult, ShardWorkRequest
 from .payload import ShardPayloadDelta, delta_from_tasks, tasks_from_delta
 from .partition import (
     LoadAwarePartitioner,
@@ -23,7 +23,7 @@ from .pool import (
     WorkerPoolBrokenError,
     lpt_slot_assignment,
 )
-from .stream import DistributedStreamResult, DistributedStreamSession, PendingAppend
+from .stream import DistributedStreamSession, PendingAppend
 from .transport import (
     TRANSPORTS,
     DeltaDescriptor,
@@ -46,12 +46,10 @@ __all__ = [
     "hull_of_boxes",
     "ShardWorkRequest",
     "ShardResult",
-    "StreamReport",
-    "CoordinatorReport",
+    "FanOutReport",
     "DistributedCoordinator",
     "DistributedResult",
     "DistributedStreamSession",
-    "DistributedStreamResult",
     "PendingAppend",
     "RebalancePolicy",
     "PersistentWorkerPool",

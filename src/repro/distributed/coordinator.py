@@ -41,7 +41,10 @@ Offline shards and stream batches share one wire: a shard's tasks go
 through ``PersistentWorkerPool.submit_shipment``, which alone flattens
 them, and its drivers as plain call arguments.  Every shard answers with a
 :class:`~repro.distributed.messages.ShardResult`, and one function,
-:func:`~repro.distributed.stream.merge_shard_results`, merges them.
+:func:`~repro.distributed.stream.merge_shard_results`, merges them.  A run
+answers with one :class:`~repro.distributed.messages.DistributedResult`
+whose :class:`~repro.distributed.messages.FanOutReport` is built in one
+place, offline solve and stream alike.
 
 Choosing a shard count
 ----------------------
@@ -51,7 +54,7 @@ workers, but every extra boundary loses the cross-shard trips the paper warns
 about (the partitioning ablation quantifies the retention loss).  Practical
 guidance: use the coarsest grid that yields at least one shard per worker
 (e.g. ``4x2`` for 4-8 workers), check
-:attr:`~repro.distributed.messages.CoordinatorReport.critical_path_speedup`
+:attr:`~repro.distributed.messages.FanOutReport.critical_path_speedup`
 — if it is far below the shard count, the largest shard dominates and a finer
 grid (or a better-balanced partition) is needed before more workers help.
 
@@ -72,8 +75,8 @@ what-if solves — pay worker startup once per pool; given none, the solve
 opens a pool of the configured executor / width / transport for the one call
 and closes it.  Pair it with a
 :class:`~repro.distributed.partition.LoadAwarePartitioner` to feed one
-solve's per-shard load report (``CoordinatorReport.per_shard_task_counts`` /
-``DistributedStreamResult.regions``) back into the next solve's partition.
+run's per-shard load report (``DistributedResult.regions`` /
+``FanOutReport.per_shard_task_counts``) back into the next solve's partition.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.objectives import Objective
@@ -96,7 +98,7 @@ from ..offline.greedy import GreedySolver
 from ..online.batch import BatchConfig, stream_schedule
 from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
 from ..online.simulator import OnlineSimulator
-from .messages import CoordinatorReport, ShardResult, ShardWorkRequest, _FanOutRun
+from .messages import DistributedResult, ShardResult, ShardWorkRequest, _FanOutRun
 from .partition import (
     PartitionPlan,
     RebalancePolicy,
@@ -111,7 +113,6 @@ from .pool import (
     lpt_slot_assignment,
 )
 from .stream import (  # PendingAppend: re-exported for callers of this module
-    DistributedStreamResult,
     DistributedStreamSession,
     PendingAppend,
     merge_shard_results,
@@ -151,17 +152,6 @@ def _solve_instance(
     return OnlineSimulator(instance, dispatcher).run(), None
 
 
-def _empty_shard_result(solver_name: str) -> ShardResult:
-    """The (trivial) result of a degenerate shard — no tasks or no drivers.
-
-    The coordinator synthesises it in-line for its report, so no future is
-    ever submitted for such a shard."""
-    return ShardResult(
-        plans=(),
-        bounds=ShardBounds.zero() if solver_name in EXACT_SOLVER_NAMES else None,
-    )
-
-
 def solve_shard(
     shipment,
     drivers: Sequence[Driver],
@@ -184,7 +174,8 @@ def solve_shard(
     if request.solver_name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {request.solver_name!r}; expected one of {SOLVER_NAMES}")
     if request.task_count == 0 or request.driver_count == 0:
-        return _empty_shard_result(request.solver_name)
+        exact = request.solver_name in EXACT_SOLVER_NAMES
+        return ShardResult(plans=(), bounds=ShardBounds.zero() if exact else None)
     recorder = obs_trace.TraceRecorder() if request.trace else None
     with obs_trace.recording(recorder), obs_trace.span(
         "shard_solve", shard=request.shard_id, solver=request.solver_name, pid=os.getpid()
@@ -201,15 +192,6 @@ def solve_shard(
         wait_total_s=solution.total_wait_s,
         spans=recorder.export() if recorder is not None else (),
     )
-
-
-@dataclass(frozen=True)
-class DistributedResult:
-    """The merged global solution plus the coordinator's report."""
-
-    solution: MarketSolution
-    report: CoordinatorReport
-    plan: PartitionPlan
 
 
 class DistributedCoordinator:
@@ -229,7 +211,7 @@ class DistributedCoordinator:
         whose greedy solution is not already within ``gap_threshold`` of the
         Lagrangian bound).  The exact tier attaches a per-shard
         :class:`~repro.offline.flow.ShardBounds` sandwich to every result,
-        surfaced as ``CoordinatorReport.per_shard_bounds`` and the
+        surfaced as ``FanOutReport.per_shard_bounds`` and the
         ``optimality_gap`` aggregates.
     executor:
         Fan-out policy: ``"serial"`` (default) or ``"process"`` (see the
@@ -332,7 +314,7 @@ class DistributedCoordinator:
         Drivers and orders are routed to shards through the partitioner's
         :attr:`~repro.distributed.partition.SpatialPartitioner.zones` — the
         same geometry :meth:`solve` partitions by.  To stream over a previous
-        stream's post-rebalance :attr:`DistributedStreamResult.regions`, use
+        stream's post-rebalance :attr:`DistributedResult.regions`, use
         a coordinator over ``LoadAwarePartitioner(region, result,
         rounds=0)``.  Feed publish-ordered arrival batches with
         ``append_batch`` and merge with ``finish``.
@@ -365,7 +347,7 @@ class DistributedCoordinator:
         config: Optional[BatchConfig] = None,
         rebalance: Optional[RebalancePolicy] = None,
         pool: Optional[PersistentWorkerPool] = None,
-    ) -> DistributedStreamResult:
+    ) -> DistributedResult:
         """Stream ``instance``'s orders through the sharded pool and merge.
 
         ``arrival_batches`` defaults to the instance's own tasks — *all* of
@@ -420,7 +402,7 @@ class DistributedCoordinator:
         ``load_report`` switches the shard->slot placement from round-robin
         to longest-processing-time-first over the loads a *prior* solve
         observed (anything :meth:`ShardLoadReport.from_prior` accepts — a
-        report, a prior ``DistributedResult``/stream result, or a bare
+        report, a prior solve's or stream's ``DistributedResult``, or a bare
         plan).  When the report's shard count no longer matches the current
         partition, the current shards' own task counts stand in.  Packing
         the hottest shards onto separate single-worker slots first caps the
@@ -492,38 +474,26 @@ class DistributedCoordinator:
             for position in live:
                 run.adopt(results[position].spans)
 
-            with obs_trace.span("merge"):
-                solution = merge_shard_results(
-                    instance,
-                    zip((shard.global_task_indices for shard in plan.shards), results),
+        with run.merging():
+            solution = merge_shard_results(
+                instance,
+                zip((shard.global_task_indices for shard in plan.shards), results),
+            )
+            if self.solver_name == "greedy" or self.solver_name in EXACT_SOLVER_NAMES:
+                # Task-map paths: re-priced (and later revalidated) by the
+                # standard constructor.  The online shard solvers keep the
+                # profits they simulated and the orders they rejected.
+                solution = MarketSolution.from_assignment(
+                    instance, solution.assignment(), Objective.DRIVERS_PROFIT
                 )
-                if self.solver_name == "greedy" or self.solver_name in EXACT_SOLVER_NAMES:
-                    # Task-map paths: re-priced (and later revalidated) by the
-                    # standard constructor.  The online shard solvers keep the
-                    # profits they simulated and the orders they rejected.
-                    solution = MarketSolution.from_assignment(
-                        instance, solution.assignment(), Objective.DRIVERS_PROFIT
-                    )
 
-        empty = _empty_shard_result(self.solver_name)
-        solved = [empty if result is None else result for result in results]
-        durations = tuple(r.elapsed_s for r in solved)
-        report = CoordinatorReport(
-            **run.close(),
-            shard_count=plan.shard_count,
-            total_value=solution.total_value,
-            served_count=solution.served_count,
-            slowest_shard_s=max(durations) if durations else 0.0,
-            per_shard_values=tuple(r.total_value for r in solved),
-            per_shard_durations=durations,
-            worker_count=max(1, min(pool.worker_count, len(live))),
-            empty_shard_count=len(plan.shards) - len(live),
-            per_shard_task_counts=tuple(shard.task_count for shard in plan.shards),
-            per_shard_bounds=(
-                tuple(r.bounds for r in solved)
-                if self.solver_name in EXACT_SOLVER_NAMES
-                else ()
-            ),
+        # A degenerate shard carries the exact tier's zero record.
+        bounds = [ShardBounds.zero() if r is None else r.bounds for r in results]
+        report = run.close(
+            solution,
+            [(shard.task_count, result) for shard, result in zip(plan.shards, results)],
+            len(live),
+            per_shard_bounds=tuple(bounds) if self.solver_name in EXACT_SOLVER_NAMES else (),
         )
         logger.debug(
             "solve merged: shards=%d served=%d value=%.3f executor=%s",
@@ -532,7 +502,9 @@ class DistributedCoordinator:
             report.total_value,
             report.executor,
         )
-        return DistributedResult(solution=solution, report=report, plan=plan)
+        return DistributedResult(
+            solution=solution, report=report, regions=self.partitioner.box_groups
+        )
 
     def _placement_slots(
         self,

@@ -9,19 +9,20 @@ about what information actually crosses the wire in a real deployment (each
 city / district solver needs only its own drivers and tasks, never the
 global instance).
 
-:class:`FanOutReport` declares the fields the two fan-out reports share,
-:class:`CoordinatorReport` (offline solve) and :class:`StreamReport`; the
-run bookkeeping that measures them is shared too.
+A whole fan-out run — an offline solve or a finished stream — answers with
+one :class:`DistributedResult` carrying one :class:`FanOutReport`, which
+the run's bookkeeping (:class:`_FanOutRun`) builds in one place.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, ContextManager, Dict, Iterator, Optional, Sequence, Tuple
 
-from ..core.solution import DriverPlan
+from ..core.solution import DriverPlan, MarketSolution
+from ..geo import BoundingBox
 from ..obs import trace as obs_trace
 from ..offline.flow import ShardBounds, relative_gap
 
@@ -94,44 +95,63 @@ class ShardResult:
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class FanOutReport:
-    """What every fan-out run reports: shards, timing, executor, wire, trace."""
+    """What a fan-out run reports — an offline solve and a stream alike:
+    shards, outcome, timing, executor, wire and trace.  Every per-shard
+    series is in shard order; a shard no worker answered (no drivers, or
+    offline no tasks) counts with zeros."""
 
     shard_count: int
     total_value: float
     served_count: int
+    #: ``len(solution.rejected_tasks)`` (0 for greedy and the exact tier).
+    rejected_count: int
     wall_clock_s: float
     slowest_shard_s: float
-    #: Worker-side seconds per shard, in shard order.
-    per_shard_durations: Tuple[float, ...] = ()
-    #: Task load per shard, in shard order — the raw routed count, so a
-    #: degenerate shard (e.g. tasks but no drivers) still reports its real
-    #: load.  Feed it — via ``ShardLoadReport.from_prior`` — into a
-    #: ``LoadAwarePartitioner`` to pre-split the zones this run proved hot.
-    per_shard_task_counts: Tuple[int, ...] = ()
+    #: Objective value each shard's plans earned.
+    per_shard_values: Tuple[float, ...]
+    #: Worker-side seconds per shard.
+    per_shard_durations: Tuple[float, ...]
+    #: Task load per shard — the raw routed count, so a degenerate shard
+    #: (e.g. tasks but no drivers) still reports its real load.  Feed it —
+    #: via ``ShardLoadReport.from_prior`` — into a ``LoadAwarePartitioner``
+    #: to pre-split the zones this run proved hot.
+    per_shard_task_counts: Tuple[int, ...]
+    #: Shards no worker answered: no drivers, or (offline) no tasks.
+    empty_shard_count: int
+    #: Sum of publish->pickup waits over all served tasks (simulated time),
+    #: summed from the per-shard totals in shard order.
+    wait_total_s: float
     #: Executor policy the run used ("serial" or "process").
-    executor: str = "serial"
-    #: Worker-pool width used for the fan-out (1 for the serial policy).
-    worker_count: int = 1
+    executor: str
+    #: Pool slots that ran a shard (at least 1, at most the pool's width).
+    worker_count: int
     #: Transport the run shipped payloads over ("pickle" or "shm").
-    transport: str = "pickle"
+    transport: str
     #: Bytes of the task records ``submit_shipment`` shipped for this run
     #: (the pickled records, or just their descriptors on shm); 0 for
     #: serial, where no pipe exists.  Drivers, cost model and requests ride
     #: as plain call arguments and are not counted.
-    bytes_over_pipe: int = 0
+    bytes_over_pipe: int
     #: Array bytes shipped through shared-memory segments instead.
-    shm_bytes: int = 0
+    shm_bytes: int
     #: Shipments that reused an existing segment rather than allocating.
-    segment_reuses: int = 0
+    segment_reuses: int
     #: Shm shipments that fell back to pickling (degraded environment).
-    pickle_fallbacks: int = 0
+    pickle_fallbacks: int
     #: Per-phase seconds spent in this run, summed over the stitched span
     #: tree (coordinator + every worker) when tracing was enabled — pairs in
     #: ``repro.obs.trace.PHASE_NAMES`` order (candidates / hungarian / lp /
     #: transport / merge); empty when tracing was off.
-    phase_breakdown: Tuple[Tuple[str, float], ...] = ()
+    phase_breakdown: Tuple[Tuple[str, float], ...]
     #: Spans recorded for this run (0 when tracing was off).
-    trace_span_count: int = 0
+    trace_span_count: int
+    #: Per-shard bound sandwiches when the exact tier ran ("lp"/"auto"); a
+    #: degenerate shard carries the zero record.  Empty for every other run.
+    per_shard_bounds: Tuple[Optional[ShardBounds], ...] = ()
+    #: Arrival batches a stream was fed (0 offline).
+    batch_count: int = 0
+    #: Skew-aware split/merge actions a stream took between windows.
+    rebalance_count: int = 0
 
     @property
     def phase_seconds(self) -> Dict[str, float]:
@@ -146,13 +166,103 @@ class FanOutReport:
             return 1.0
         return sum(self.per_shard_durations) / self.slowest_shard_s
 
+    @property
+    def mean_wait_s(self) -> float:
+        """Mean publish->pickup wait of a served task (0 when nothing was
+        served) — the latency counterpart of ``total_value``/``served_count``
+        in per-scenario comparisons."""
+        if self.served_count <= 0:
+            return 0.0
+        return self.wait_total_s / self.served_count
+
+    # ------------------------------------------------------------------
+    # optimality-gap aggregates (exact tier only)
+    # ------------------------------------------------------------------
+    @property
+    def bounds_reported(self) -> bool:
+        """Whether the exact tier ran and every shard carries bounds."""
+        return bool(self.per_shard_bounds) and all(
+            b is not None for b in self.per_shard_bounds
+        )
+
+    def _bound_total(self, name: str) -> float:
+        """One ``ShardBounds`` field summed over the shards (NaN without
+        bounds)."""
+        if not self.bounds_reported:
+            return float("nan")
+        return sum(getattr(b, name) for b in self.per_shard_bounds)
+
+    @property
+    def greedy_revenue(self) -> float:
+        """Summed greedy objective value across shards (NaN without bounds).
+
+        "Revenue" here is the objective the solvers optimise — drivers'
+        profit (Eq. 4) or social welfare — matching the ROADMAP's
+        "revenue with error bars" naming, not the fare total.
+        """
+        return self._bound_total("greedy_value")
+
+    @property
+    def lp_revenue(self) -> float:
+        """Summed exact-tier objective value across shards (NaN without bounds)."""
+        return self._bound_total("lp_value")
+
+    @property
+    def lagrangian_bound(self) -> float:
+        """Summed per-shard Lagrangian bounds (NaN without bounds)."""
+        return self._bound_total("lagrangian_bound")
+
+    @property
+    def upper_bound(self) -> float:
+        """Summed per-shard certified bounds — each shard contributes its
+        tightest (min of LP and Lagrangian), so the sum bounds the sharded
+        optimum (NaN without bounds)."""
+        return self._bound_total("upper_bound")
+
+    @property
+    def optimality_gap(self) -> float:
+        """Relative gap of the shipped solution against the certified bound,
+        clamped >= 0 (NaN without bounds)."""
+        if not self.bounds_reported:
+            return float("nan")
+        return relative_gap(self.lp_revenue, self.upper_bound)
+
+    @property
+    def greedy_gap(self) -> float:
+        """Relative gap of the greedy incumbent against the certified bound —
+        the scenario-level "error bar" (NaN without bounds)."""
+        if not self.bounds_reported:
+            return float("nan")
+        return relative_gap(self.greedy_revenue, self.upper_bound)
+
+
+@dataclass(frozen=True)
+class DistributedResult:
+    """A fan-out run's answer: the merged solution, the run's report and
+    the shard regions it ran over — an offline solve and a finished stream
+    alike."""
+
+    solution: MarketSolution
+    report: FanOutReport
+    #: Shard regions in shard order: the partitioner's box groups offline,
+    #: a stream's final (post-rebalance) regions.  A coordinator over
+    #: ``LoadAwarePartitioner(region, result, rounds=0)`` runs over exactly
+    #: these regions — to reuse a rebalanced partition, or to pin
+    #: determinism.
+    regions: Tuple[Tuple[BoundingBox, ...], ...]
+
+    @property
+    def rejected_tasks(self) -> Tuple[int, ...]:
+        """Global indices of the orders no shard served."""
+        return self.solution.rejected_tasks
+
 
 class _FanOutRun:
-    """The bookkeeping both fan-out runs share: opening starts the clock,
-    opens the run's root span on the thread's flight recorder — detached, so
+    """The bookkeeping of one fan-out run: opening starts the clock, opens
+    the run's root span on the thread's flight recorder — detached, so
     other work on the thread never nests under it — and reads the pool's
-    wire counters; :meth:`close` ends the root and returns the
-    :class:`FanOutReport` fields measured.
+    wire counters; :meth:`close` ends the root and builds the run's one
+    :class:`FanOutReport`.
     """
 
     __slots__ = ("pool", "recorder", "root", "_start", "_wire_mark")
@@ -180,7 +290,30 @@ class _FanOutRun:
         if self.recorder is not None and spans:
             self.recorder.adopt(spans, parent_id=self.root, **root_attrs)
 
-    def close(self) -> Dict[str, object]:
+    @contextmanager
+    def merging(self) -> Iterator[None]:
+        """The run's ``merge`` span under its root, on the run's own recorder:
+        a stream may finish on another thread than the one that opened it."""
+        if self.recorder is None:
+            yield
+            return
+        merge = self.recorder.begin("merge", parent_id=self.root)
+        try:
+            yield
+        finally:
+            self.recorder.end(merge)
+
+    def close(
+        self,
+        solution: MarketSolution,
+        shards: Sequence[Tuple[int, Optional[ShardResult]]],
+        slots_used: int,
+        **extras: object,
+    ) -> FanOutReport:
+        """End the run and report it: ``shards`` pairs each shard's routed
+        task count with its :class:`ShardResult` (``None`` where no worker
+        answered), ``slots_used`` counts the shards placed on pool slots and
+        ``extras`` are the fields only one kind of run fills."""
         phase_breakdown: Tuple[Tuple[str, float], ...] = ()
         trace_span_count = 0
         if self.recorder is not None:
@@ -190,111 +323,28 @@ class _FanOutRun:
             trace_span_count = len(run_spans)
         wall_clock_s = time.perf_counter() - self._start
         wire = self.pool.stats.counters()
-        return {
-            "wall_clock_s": wall_clock_s,
-            "executor": self.pool.executor,
-            "transport": self.pool.transport,
-            "bytes_over_pipe": wire[0] - self._wire_mark[0],
-            "shm_bytes": wire[1] - self._wire_mark[1],
-            "segment_reuses": wire[2] - self._wire_mark[2],
-            "pickle_fallbacks": wire[3] - self._wire_mark[3],
-            "phase_breakdown": phase_breakdown,
-            "trace_span_count": trace_span_count,
-        }
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class CoordinatorReport(FanOutReport):
-    """Summary the coordinator produces after merging every shard result."""
-
-    per_shard_values: Tuple[float, ...]
-    #: How many shards were degenerate (no tasks or no drivers) and were
-    #: short-circuited by the coordinator without ever reaching a worker.
-    empty_shard_count: int = 0
-    #: Per-shard bound sandwiches in shard order, when the exact tier ran
-    #: (``solver_name`` "lp"/"auto"); degenerate shards carry the zero record,
-    #: heuristic solvers leave the tuple empty.
-    per_shard_bounds: Tuple[Optional[ShardBounds], ...] = ()
-
-    # ------------------------------------------------------------------
-    # optimality-gap aggregates (exact tier only)
-    # ------------------------------------------------------------------
-    @property
-    def bounds_reported(self) -> bool:
-        """Whether the exact tier ran and every shard carries bounds."""
-        return bool(self.per_shard_bounds) and all(
-            b is not None for b in self.per_shard_bounds
+        results = [result for _, result in shards]
+        durations = tuple(0.0 if r is None else r.elapsed_s for r in results)
+        return FanOutReport(
+            shard_count=len(shards),
+            total_value=solution.total_value,
+            served_count=solution.served_count,
+            rejected_count=len(solution.rejected_tasks),
+            wall_clock_s=wall_clock_s,
+            slowest_shard_s=max(durations, default=0.0),
+            per_shard_values=tuple(0.0 if r is None else r.total_value for r in results),
+            per_shard_durations=durations,
+            per_shard_task_counts=tuple(count for count, _ in shards),
+            empty_shard_count=sum(r is None for r in results),
+            wait_total_s=sum(r.wait_total_s for r in results if r is not None),
+            executor=self.pool.executor,
+            worker_count=max(1, min(self.pool.worker_count, slots_used)),
+            transport=self.pool.transport,
+            bytes_over_pipe=wire[0] - self._wire_mark[0],
+            shm_bytes=wire[1] - self._wire_mark[1],
+            segment_reuses=wire[2] - self._wire_mark[2],
+            pickle_fallbacks=wire[3] - self._wire_mark[3],
+            phase_breakdown=phase_breakdown,
+            trace_span_count=trace_span_count,
+            **extras,
         )
-
-    @property
-    def greedy_revenue(self) -> float:
-        """Summed greedy objective value across shards (NaN without bounds).
-
-        "Revenue" here is the objective the solvers optimise — drivers'
-        profit (Eq. 4) or social welfare — matching the ROADMAP's
-        "revenue with error bars" naming, not the fare total.
-        """
-        if not self.bounds_reported:
-            return float("nan")
-        return sum(b.greedy_value for b in self.per_shard_bounds)
-
-    @property
-    def lp_revenue(self) -> float:
-        """Summed exact-tier objective value across shards (NaN without bounds)."""
-        if not self.bounds_reported:
-            return float("nan")
-        return sum(b.lp_value for b in self.per_shard_bounds)
-
-    @property
-    def lagrangian_bound(self) -> float:
-        """Summed per-shard Lagrangian bounds (NaN without bounds)."""
-        if not self.bounds_reported:
-            return float("nan")
-        return sum(b.lagrangian_bound for b in self.per_shard_bounds)
-
-    @property
-    def upper_bound(self) -> float:
-        """Summed per-shard certified bounds — each shard contributes its
-        tightest (min of LP and Lagrangian), so the sum bounds the sharded
-        optimum (NaN without bounds)."""
-        if not self.bounds_reported:
-            return float("nan")
-        return sum(b.upper_bound for b in self.per_shard_bounds)
-
-    @property
-    def optimality_gap(self) -> float:
-        """Relative gap of the shipped solution against the certified bound,
-        clamped >= 0 (NaN without bounds)."""
-        if not self.bounds_reported:
-            return float("nan")
-        return relative_gap(self.lp_revenue, self.upper_bound)
-
-    @property
-    def greedy_gap(self) -> float:
-        """Relative gap of the greedy incumbent against the certified bound —
-        the scenario-level "error bar" (NaN without bounds)."""
-        if not self.bounds_reported:
-            return float("nan")
-        return relative_gap(self.greedy_revenue, self.upper_bound)
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class StreamReport(FanOutReport):
-    """Summary of one streamed solve on the persistent worker pool."""
-
-    batch_count: int
-    rejected_count: int
-    #: Skew-aware split/merge actions taken between windows.
-    rebalance_count: int = 0
-    #: Sum of publish->pickup waits over all served tasks (simulated time),
-    #: merged from the per-shard totals in shard order.
-    wait_total_s: float = 0.0
-
-    @property
-    def mean_wait_s(self) -> float:
-        """Mean publish->pickup wait of a served task (0 when nothing was
-        served) — the latency counterpart of ``total_value``/``served_count``
-        in per-scenario comparisons."""
-        if self.served_count <= 0:
-            return 0.0
-        return self.wait_total_s / self.served_count

@@ -42,6 +42,7 @@ import numpy as np
 from ..geo import BoundingBox, GeoPoint
 from ..geo.batch import coord_array
 from ..market.instance import MarketInstance
+from .messages import DistributedResult
 
 #: Float slack of the tiling check, as a fraction of the region's extent
 #: (box edges) or area (overlaps and coverage).
@@ -329,9 +330,9 @@ class RebalancePolicy:
     Rebalancing is deterministic but *replaces* the fixed partition, so it
     forfeits parity with the original grid; instead the streaming contract is
     that the rebalanced stream is bit-identical to a from-start stream over
-    the final regions (``DistributedStreamResult.regions``), and the offline
-    contract is that the refined partition is a pure function of the prior
-    load report.
+    the final regions (the stream's ``DistributedResult.regions``), and the
+    offline contract is that the refined partition is a pure function of the
+    prior load report.
     """
 
     check_every_batches: int = 4
@@ -439,10 +440,10 @@ class ShardLoadReport:
     The exchange format between one solve and the next partitioning
     decision: ``regions[i]`` is shard ``i``'s box group and
     ``task_counts[i]`` how many tasks it owned.  Build one with
-    :meth:`from_prior` from either an offline
-    :class:`~repro.distributed.coordinator.DistributedResult` or a streamed
-    :class:`~repro.distributed.stream.DistributedStreamResult` (whose
-    possibly rebalanced ``regions`` already round-trip).
+    :meth:`from_prior` from a
+    :class:`~repro.distributed.messages.DistributedResult` — an offline
+    solve's or a stream's, whose possibly rebalanced ``regions`` round-trip
+    — or from a :class:`PartitionPlan`.
     """
 
     regions: Tuple[Tuple[BoundingBox, ...], ...]
@@ -455,27 +456,28 @@ class ShardLoadReport:
             raise ValueError("a load report needs at least one shard")
 
     @classmethod
-    def from_prior(cls, prior) -> "ShardLoadReport":
-        """Extract the report from a prior solve's result (duck-typed).
+    def from_prior(
+        cls, prior: ShardLoadReport | PartitionPlan | DistributedResult
+    ) -> ShardLoadReport:
+        """The load report of a prior run.
 
-        Accepts a :class:`ShardLoadReport` (returned as-is), an offline
-        ``DistributedResult`` or bare :class:`PartitionPlan` (regions are the
-        shard specs' box groups) or a streamed ``DistributedStreamResult``
-        (regions come from the post-rebalance ``regions`` round trip).
+        Accepts a :class:`ShardLoadReport` (returned as-is), a
+        :class:`PartitionPlan` (regions are the shard specs' box groups) or
+        a ``DistributedResult`` (its ``regions`` — post-rebalance for a
+        stream — and its report's per-shard task counts).
         """
         if isinstance(prior, ShardLoadReport):
             return prior
-        plan = getattr(prior, "plan", None) or (
-            prior if isinstance(prior, PartitionPlan) else None
-        )
-        if plan is not None:
+        if isinstance(prior, PartitionPlan):
             return cls(
-                regions=tuple(shard.spec.boxes for shard in plan.shards),
-                task_counts=tuple(shard.task_count for shard in plan.shards),
+                regions=tuple(shard.spec.boxes for shard in prior.shards),
+                task_counts=tuple(shard.task_count for shard in prior.shards),
             )
-        return cls(
-            regions=tuple(tuple(group) for group in prior.regions),
-            task_counts=tuple(prior.report.per_shard_task_counts),
+        if isinstance(prior, DistributedResult):
+            return cls(prior.regions, prior.report.per_shard_task_counts)
+        raise TypeError(
+            "expected a ShardLoadReport, PartitionPlan or DistributedResult, "
+            f"got {type(prior).__name__}"
         )
 
     @property

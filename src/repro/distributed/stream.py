@@ -42,9 +42,8 @@ from ..market.cost import MarketCostModel
 from ..market.driver import Driver
 from ..market.instance import MarketInstance
 from ..market.task import Task
-from ..obs import trace as obs_trace
 from ..online.batch import BatchConfig
-from .messages import ShardResult, StreamReport, _FanOutRun
+from .messages import DistributedResult, ShardResult, _FanOutRun
 from .partition import RebalancePolicy, ZonePartition, plan_rebalance_action
 from .pool import (
     PersistentWorkerPool,
@@ -151,21 +150,6 @@ class PendingAppend:
 
     def done(self) -> bool:
         return self.future.done()
-
-
-@dataclass(frozen=True)
-class DistributedStreamResult:
-    """The merged streamed solution plus the stream report."""
-
-    solution: MarketSolution
-    report: StreamReport
-    #: Global indices of orders no shard could serve (``solution.rejected_tasks``).
-    rejected_tasks: Tuple[int, ...]
-    #: Final shard regions (post-rebalance).  A coordinator over
-    #: ``LoadAwarePartitioner(region, result, rounds=0)`` streams over exactly
-    #: these regions from the start — to reuse a rebalanced partition, or to
-    #: pin determinism.
-    regions: Tuple[Tuple[BoundingBox, ...], ...]
 
 
 class DistributedStreamSession:
@@ -529,7 +513,7 @@ class DistributedStreamSession:
     # ------------------------------------------------------------------
     # merge
     # ------------------------------------------------------------------
-    def finish(self) -> DistributedStreamResult:
+    def finish(self) -> DistributedResult:
         """Drain every shard, settle the drivers and merge the results."""
         if self._closed:
             raise RuntimeError("stream already finished")
@@ -560,37 +544,22 @@ class DistributedStreamSession:
             if shard.shard_id in results:
                 run.adopt(results[shard.shard_id].spans, slot=shard.slot)
 
-        merge_span = (
-            run.recorder.begin("merge", parent_id=run.root)
-            if run.recorder is not None
-            else obs_trace.DROPPED
-        )
-        solution = merge_shard_results(
-            MarketInstance(
-                drivers=self._fleet, tasks=tuple(self._tasks), cost_model=self._cost_model
-            ),
-            ((shard.global_indices, results.get(shard.shard_id)) for shard in self._shards),
-        )
-        if run.recorder is not None:
-            run.recorder.end(merge_span)
-        durations = tuple(
-            results[shard.shard_id].elapsed_s if shard.shard_id in results else 0.0
-            for shard in self._shards
-        )
-        report = StreamReport(
-            **run.close(),
-            shard_count=len(self._shards),
+        with run.merging():
+            solution = merge_shard_results(
+                MarketInstance(
+                    drivers=self._fleet, tasks=tuple(self._tasks), cost_model=self._cost_model
+                ),
+                ((shard.global_indices, results.get(shard.shard_id)) for shard in self._shards),
+            )
+        report = run.close(
+            solution,
+            [
+                (len(shard.global_indices), results.get(shard.shard_id))
+                for shard in self._shards
+            ],
+            self._slot_counter,
             batch_count=self.batch_count,
-            total_value=solution.total_value,
-            served_count=solution.served_count,
-            rejected_count=len(solution.rejected_tasks),
-            slowest_shard_s=max(durations) if durations else 0.0,
-            per_shard_task_counts=self.shard_task_counts,
-            per_shard_durations=durations,
-            worker_count=self._pool.worker_count,
             rebalance_count=self._rebalances,
-            # Summed in shard order (``results`` is filled in shard order).
-            wait_total_s=sum(result.wait_total_s for result in results.values()),
         )
         logger.debug(
             "stream finished: shards=%d batches=%d served=%d rejected=%d",
@@ -599,9 +568,6 @@ class DistributedStreamSession:
             report.served_count,
             report.rejected_count,
         )
-        return DistributedStreamResult(
-            solution=solution,
-            report=report,
-            rejected_tasks=solution.rejected_tasks,
-            regions=self.shard_regions,
+        return DistributedResult(
+            solution=solution, report=report, regions=self.shard_regions
         )

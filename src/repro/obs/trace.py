@@ -326,7 +326,7 @@ def span(name: str, **attrs: object):
 
 # -- phase aggregation -----------------------------------------------------
 
-#: Per-phase breakdown columns reported by CoordinatorReport / StreamReport.
+#: Per-phase breakdown columns of a fan-out run's ``FanOutReport``.
 PHASE_NAMES: Tuple[str, ...] = ("candidates", "hungarian", "lp", "transport", "merge")
 
 _PHASE_BY_SPAN: Dict[str, str] = {

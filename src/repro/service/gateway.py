@@ -66,7 +66,7 @@ from ..obs import trace as obs_trace
 from ..obs.registry import MetricsRegistry, bind_transport_stats
 from ..distributed import (
     DistributedCoordinator,
-    DistributedStreamResult,
+    DistributedResult,
     DistributedStreamSession,
     PendingAppend,
     SpatialPartitioner,
@@ -156,7 +156,7 @@ class CityRuntime:
     #: Shipped batches, per epoch — the parity contract's replay input.
     recorded: List[List[Tuple[Task, ...]]] = field(default_factory=list)
     #: Finished epochs' merged results, in rotation order.
-    results: List[DistributedStreamResult] = field(default_factory=list)
+    results: List[DistributedResult] = field(default_factory=list)
     #: Receipts of orders accumulated in the batcher's open batch.
     open_receipts: List[OrderReceipt] = field(default_factory=list)
 
@@ -420,7 +420,7 @@ class DispatchService:
     # ------------------------------------------------------------------
     # epochs and the final merge
     # ------------------------------------------------------------------
-    async def _close_epoch(self, runtime: CityRuntime) -> DistributedStreamResult:
+    async def _close_epoch(self, runtime: CityRuntime) -> DistributedResult:
         """Flush, drain the shard queues and merge the city's open epoch."""
         final = runtime.batcher.flush()
         if final is not None:
@@ -437,7 +437,7 @@ class DispatchService:
         )
         return result
 
-    async def rotate(self, city: str) -> DistributedStreamResult:
+    async def rotate(self, city: str) -> DistributedResult:
         """Close the city's current epoch and open a fresh stream on the same
         warm pool — the day-rollover operation.  Returns the epoch's merged
         result."""
@@ -448,13 +448,13 @@ class DispatchService:
         runtime.fresh_epoch()
         return result
 
-    async def finish(self) -> Dict[str, DistributedStreamResult]:
+    async def finish(self) -> Dict[str, DistributedResult]:
         """Drain the queue, close every city's open epoch and return the
         final per-city merged results.  The service stays up (health keeps
         answering) until ``aclose``/``__aexit__``."""
         self._check_usable()
         await self._drain()
-        results: Dict[str, DistributedStreamResult] = {}
+        results: Dict[str, DistributedResult] = {}
         for name, runtime in self._cities.items():
             results[name] = await self._close_epoch(runtime)
         return results
@@ -509,7 +509,7 @@ class DispatchService:
 
 def replay_ingested(
     runtime: CityRuntime, epoch: int = 0
-) -> DistributedStreamResult:
+) -> DistributedResult:
     """Parity contract 15's reference: replay one epoch's recorded batches
     through a fresh **serial** coordinator over the same partition.
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..distributed import DistributedStreamResult
+from ..distributed import DistributedResult
 from ..geo import PORTO, BoundingBox, GeoPoint
 from ..market.driver import Driver
 from ..market.task import Task
@@ -85,7 +85,7 @@ class SoakReport:
     generate_s: float = 0.0
     dispatch: Histogram = field(default_factory=Histogram)
     #: city -> epoch results, in rotation order.
-    results: Dict[str, List[DistributedStreamResult]] = field(default_factory=dict)
+    results: Dict[str, List[DistributedResult]] = field(default_factory=dict)
     health: Dict[str, object] = field(default_factory=dict)
     parity_checked: int = 0
     parity_ok: bool = True
@@ -255,11 +255,11 @@ async def _soak(
             replayed = replay_ingested(runtime, epoch)
             served = runtime.results[epoch]
             report.parity_checked += 1
+            # Whole plans, arrival times included: every kernel commit sets
+            # one, so no NaN defeats the comparison.
             if (
-                served.solution.assignment() != replayed.solution.assignment()
+                served.solution.plans != replayed.solution.plans
                 or served.rejected_tasks != replayed.rejected_tasks
-                or [p.profit for p in served.solution.plans]
-                != [p.profit for p in replayed.solution.plans]
             ):
                 report.parity_ok = False
     for receipt in receipts:

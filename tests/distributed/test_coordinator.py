@@ -7,6 +7,9 @@ import pytest
 
 from repro.distributed import (
     DistributedCoordinator,
+    DistributedResult,
+    FanOutReport,
+    PersistentWorkerPool,
     ShardResult,
     ShardWorkRequest,
     SpatialPartitioner,
@@ -213,3 +216,66 @@ class TestOneShardProtocol:
         shard = SpatialPartitioner(PORTO, 1, 1).partition(instance).shards[0]
         request = ShardWorkRequest(0, shard.driver_count, shard.task_count, "maxMargin")
         assert type(solve_shard(*shard_call(shard), request)) is ShardResult
+
+
+class TestOneFanOutResult:
+    """An offline solve and a stream answer with one result type carrying
+    one report, built from the same shard results."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (module, name)
+            for module in (
+                "repro.distributed",
+                "repro.distributed.messages",
+                "repro.distributed.coordinator",
+                "repro.distributed.stream",
+            )
+            for name in ("StreamReport", "CoordinatorReport", "DistributedStreamResult")
+        ],
+    )
+    def test_removed_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_offline_report_counts_rejections_and_waits(self, instance, executor):
+        result = DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2), solver_name="maxMargin",
+            executor=executor, max_workers=2,
+        ).solve(instance)
+        report, solution = result.report, result.solution
+        assert type(result) is DistributedResult and type(report) is FanOutReport
+        assert result.rejected_tasks == solution.rejected_tasks
+        assert report.rejected_count == len(solution.rejected_tasks) > 0
+        assert report.served_count + report.rejected_count == 60
+        assert report.wait_total_s > 0
+        assert report.mean_wait_s == pytest.approx(solution.mean_wait_s, rel=1e-12)
+        assert result.regions == SpatialPartitioner(PORTO, 2, 2).box_groups
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_stream_report_per_shard_values(self, instance, executor):
+        partitioner = SpatialPartitioner(PORTO, 3, 3)
+        with DistributedCoordinator(
+            partitioner, executor=executor, max_workers=2
+        ) as coordinator:
+            result = coordinator.solve_stream(instance)
+        report = result.report
+        assert type(result) is DistributedResult and type(report) is FanOutReport
+        assert len(report.per_shard_values) == report.shard_count == 9
+        assert sum(report.per_shard_values) == pytest.approx(report.total_value, rel=1e-12)
+        driverless = [
+            not shard.driver_count for shard in partitioner.partition(instance).shards
+        ]
+        assert report.empty_shard_count == sum(driverless) > 0
+
+    def test_worker_count_is_the_slots_used(self, instance):
+        """One shard on a 2-slot pool runs on one slot, offline and streamed."""
+        coordinator = DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1))
+        with PersistentWorkerPool(executor="process", worker_count=2) as pool:
+            streamed = coordinator.solve_stream(instance, pool=pool)
+            solved = coordinator.solve(instance, pool=pool)
+        assert streamed.report.worker_count == solved.report.worker_count == 1
+
+    def test_report_has_no_subclass(self):
+        assert FanOutReport.__subclasses__() == []

@@ -77,7 +77,7 @@ class TestSharedPool:
             pooled = DistributedCoordinator(partitioner, "greedy").solve(
                 instance, pool=pool
             )
-        live = sum(1 for s in serial.plan.shards if s.task_count and s.driver_count)
+        live = 64 - serial.report.empty_shard_count
         assert live < 64
         assert len(submitted) == live
         assert merged_fingerprint(pooled) == merged_fingerprint(serial)
@@ -181,6 +181,10 @@ class TestShardLoadReport:
     def test_round_trips_itself(self):
         report = ShardLoadReport(regions=((PORTO,),), task_counts=(3,))
         assert ShardLoadReport.from_prior(report) is report
+
+    def test_unknown_prior_rejected(self):
+        with pytest.raises(TypeError):
+            ShardLoadReport.from_prior(((PORTO,),))
 
     def test_misaligned_report_rejected(self):
         with pytest.raises(ValueError):

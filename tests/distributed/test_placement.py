@@ -101,7 +101,7 @@ class TestCoordinatorPlacement:
             coordinator.solve(instance, pool=pool, load_report=prior)
             pool.worker_count = 1
 
-        plan = prior.plan
+        plan = partitioner.partition(instance)
         live = [
             position
             for position, shard in enumerate(plan.shards)
@@ -135,7 +135,7 @@ class TestCoordinatorPlacement:
         coordinator = DistributedCoordinator(
             SpatialPartitioner(config.bounding_box, 2, 2), "greedy", executor="serial"
         )
-        plan = coordinator.solve(instance).plan
+        plan = coordinator.partitioner.partition(instance)
         # Four shards, but cut the other way (1x4): same count, other boxes.
         foreign = ShardLoadReport(
             regions=tuple((box,) for box in config.bounding_box.split(1, 4)),
