@@ -158,7 +158,7 @@ def test_rolling_horizon_smoke(save_json):
 
     start = time.perf_counter()
     prints = {}
-    reports = {}
+    waits = {}
     pools = {}
     try:
         for executor in ("serial", "process"):
@@ -171,7 +171,7 @@ def test_rolling_horizon_smoke(save_json):
                 instance, batches, config=horizon_cfg, pool=pool
             )
             prints[executor] = _solution_fingerprint(result.solution)
-            reports[executor] = result.report
+            waits[executor] = result.solution.mean_wait_s
         # Own-pool path (workers forked by the coordinator) must agree too.
         own = DistributedCoordinator(
             partitioner, executor="process"
@@ -209,11 +209,11 @@ def test_rolling_horizon_smoke(save_json):
         "horizon1_equals_myopic": degradation,
         "myopic": {
             "serve_rate": myopic.solution.serve_rate,
-            "mean_wait_s": myopic.report.mean_wait_s,
+            "mean_wait_s": myopic.solution.mean_wait_s,
         },
         "horizon_stream": {
             "serve_rate": own.solution.serve_rate,
-            "mean_wait_s": reports["serial"].mean_wait_s,
+            "mean_wait_s": waits["serial"],
         },
         "wall_clock_s": time.perf_counter() - start,
         "cpu_count": os.cpu_count(),
@@ -221,4 +221,4 @@ def test_rolling_horizon_smoke(save_json):
     save_json("rolling_horizon_smoke", payload)
     assert parity, f"horizon stream fingerprints diverge: { {k: hash(v) for k, v in prints.items()} }"
     assert degradation, "horizon=1 stream != myopic stream"
-    assert all(r.mean_wait_s == reports["serial"].mean_wait_s for r in reports.values())
+    assert all(w == waits["serial"] for w in waits.values())

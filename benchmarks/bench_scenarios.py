@@ -84,7 +84,7 @@ def _verify_scenario(spec, pools) -> dict:
         coordinator = DistributedCoordinator(partitioner, executor=executor)
         result = coordinator.solve_stream(instance, batches, config=config, pool=pool)
         stream_prints.append(_solution_fingerprint(result.solution))
-        wait_means.append(result.report.mean_wait_s)
+        wait_means.append(result.solution.mean_wait_s)
     stream_parity = all(p == stream_prints[0] for p in stream_prints)
     wait_parity = all(w == wait_means[0] for w in wait_means)
 

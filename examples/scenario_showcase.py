@@ -96,7 +96,7 @@ def run_festival(spec: ScenarioSpec) -> None:
         print(
             f"stream-batched : serve {streamed.solution.serve_rate:.3f}, "
             f"value {streamed.solution.total_value:.1f}, "
-            f"mean wait {streamed.report.mean_wait_s:.0f}s, "
+            f"mean wait {streamed.solution.mean_wait_s:.0f}s, "
             f"{streamed.report.batch_count} batches"
         )
     print()

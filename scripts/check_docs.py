@@ -19,7 +19,7 @@ Five checks, so the project's front door cannot rot:
    class or module-level assignment; ``::``-chained names each).  A renamed
    or deleted test cannot leave a contract row citing it.
 4. **Named code** — every backticked CamelCase name, bare or with a
-   ``.attr`` chain (``FanOutReport``, ``FanOutReport.mean_wait_s``), must be
+   ``.attr`` chain (``FanOutReport``, ``MarketSolution.mean_wait_s``), must be
    defined — a class, function or assignment — somewhere under ``src/``,
    ``tests/``, ``benchmarks/`` or ``scripts/``, except the names in
    :data:`UNDEFINED_NAMES_ALLOWED`.  A deleted class cannot linger in prose.

@@ -678,7 +678,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 print(
                     f"mode: {mode} ({args.executor}, {rows}x{cols} grid), "
                     f"{report.batch_count} batches, mean wait "
-                    f"{report.mean_wait_s:.1f}s, wall {report.wall_clock_s:.2f}s"
+                    f"{result.solution.mean_wait_s:.1f}s, wall {report.wall_clock_s:.2f}s"
                 )
                 print(format_metric_dict(result.solution.summary()))
         return 0

@@ -342,10 +342,12 @@ class MarketSolution:
 
     @property
     def mean_wait_s(self) -> float:
-        """Mean publish->arrival wait over the tracked served tasks."""
+        """Mean publish->arrival wait over the tracked served tasks; NaN
+        when no served task tracked an arrival (the offline solvers), so an
+        untracked wait never reads as an instant pickup."""
         waits = self.wait_times_s()
         if not waits:
-            return 0.0
+            return math.nan
         return sum(waits.values()) / len(waits)
 
     # ------------------------------------------------------------------

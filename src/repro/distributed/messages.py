@@ -166,15 +166,6 @@ class FanOutReport:
             return 1.0
         return sum(self.per_shard_durations) / self.slowest_shard_s
 
-    @property
-    def mean_wait_s(self) -> float:
-        """Mean publish->pickup wait of a served task (0 when nothing was
-        served) — the latency counterpart of ``total_value``/``served_count``
-        in per-scenario comparisons."""
-        if self.served_count <= 0:
-            return 0.0
-        return self.wait_total_s / self.served_count
-
     # ------------------------------------------------------------------
     # optimality-gap aggregates (exact tier only)
     # ------------------------------------------------------------------

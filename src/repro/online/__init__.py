@@ -4,15 +4,8 @@ from .batch import BatchConfig, BatchedSimulator, run_batched, run_batched_strea
 from .candidates import CandidateKernel
 from .dispatchers import Dispatcher, MaxMarginDispatcher, NearestDispatcher, RandomDispatcher
 from .forecast import EwmaDemandForecaster, OracleDemandForecaster, ZoneGrid
-from .horizon import ForecastHeatmap, LookaheadPlanner
-from .repositioning import (
-    DemandHeatmap,
-    HotspotRepositioning,
-    NoRepositioning,
-    RepositioningMove,
-    RepositioningPolicy,
-    apply_repositioning,
-)
+from .horizon import LookaheadPlanner
+from .repositioning import DemandHeatmap, HotspotRepositioning
 from .simulator import OnlineSimulator, TaskOrdering, run_online
 from .state import Candidate, DriverState
 
@@ -31,13 +24,8 @@ __all__ = [
     "ZoneGrid",
     "EwmaDemandForecaster",
     "OracleDemandForecaster",
-    "ForecastHeatmap",
     "LookaheadPlanner",
-    "RepositioningPolicy",
-    "RepositioningMove",
     "HotspotRepositioning",
-    "NoRepositioning",
-    "apply_repositioning",
     "DriverState",
     "Candidate",
     "OnlineSimulator",

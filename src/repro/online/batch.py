@@ -334,7 +334,7 @@ class BatchedSimulator:
             # Proactive repositioning: drivers still idle after the window's
             # dispatch start moving toward forecast demand.  The kernel's
             # mirrors follow via sync, exactly as an assignment would.
-            self._lookahead.reposition(
+            self._lookahead.repositioning.reposition(
                 self._states.values(), window_end, on_move=self._kernel.sync
             )
 

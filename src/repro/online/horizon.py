@@ -26,9 +26,10 @@ that pull supply out of one lose.  The bias only ever touches the assignment mat
 profits keep the paper's exact marginal arithmetic, which is what "commit
 only the control window" means here.
 
-The *undiscounted* expected counts over the same lookahead feed a
-:class:`ForecastHeatmap` driving proactive
-:class:`~repro.online.repositioning.HotspotRepositioning` after each
+The *undiscounted* expected counts over the same lookahead, normalised to
+the mean positive zone count, are the planner's own demand field
+(:meth:`LookaheadPlanner.at`); the planner is the heatmap of a proactive
+:class:`~repro.online.repositioning.HotspotRepositioning` run after each
 window's dispatch, so idle drivers start moving toward forecast demand
 before the orders publish.
 
@@ -39,7 +40,7 @@ executor-parity contracts of the myopic dispatcher (parity contract 18).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -50,10 +51,9 @@ from .forecast import (
     OracleDemandForecaster,
     ZoneGrid,
 )
-from .repositioning import HotspotRepositioning, apply_repositioning
-from .state import DriverState
+from .repositioning import HotspotRepositioning
 
-__all__ = ["ForecastHeatmap", "LookaheadPlanner"]
+__all__ = ["LookaheadPlanner"]
 
 #: Per-control-window discount of future demand in the pressure field.
 LOOKAHEAD_DECAY = 0.7
@@ -86,49 +86,6 @@ REPOSITION_MAX_KM = 6.0
 REPOSITION_IMPROVEMENT = 1.5
 
 
-class ForecastHeatmap:
-    """Expected-demand heatmap quacking like
-    :class:`~repro.online.repositioning.DemandHeatmap`.
-
-    :class:`HotspotRepositioning` reads only ``demand_at`` and
-    ``hottest_zones``; this adapter serves both from the planner's expected
-    per-zone counts.  Counts over a short lookahead are fractional (often
-    well below 1 per zone), while the hotspot policy's improvement rule uses
-    a ``max(1, current)`` floor calibrated for whole-hour historical counts —
-    so the adapter normalises the field to the *mean positive zone count*:
-    an average zone reads 1.0 and a zone reading 1.5 forecasts 1.5x the
-    fleet-mean demand, which is exactly the relative rule the policy's
-    ``improvement_factor`` expresses.
-    """
-
-    def __init__(self, grid: ZoneGrid) -> None:
-        self.grid = grid
-        self._heat = np.zeros(grid.zone_count, dtype=float)
-        self._scale = 0.0
-
-    def update(self, expected_counts: np.ndarray) -> None:
-        self._heat = expected_counts
-        positive = expected_counts[expected_counts > 0.0]
-        self._scale = 1.0 / float(positive.mean()) if positive.size else 0.0
-
-    # -- DemandHeatmap duck API -----------------------------------------
-    def demand_at(self, location, ts: float) -> float:
-        return float(self._heat[self.grid.zone_of(location)] * self._scale)
-
-    def hottest_zones(self, ts: float, top: int = 3) -> List[Tuple[object, float]]:
-        if top < 1:
-            raise ValueError("top must be >= 1")
-        # Stable argsort on the negated field: ties break on zone index, so
-        # the ranking is a pure function of the field.
-        order = np.argsort(-self._heat, kind="stable")
-        zones: List[Tuple[object, float]] = []
-        for z in order[:top]:
-            if self._heat[z] <= 0.0:
-                break
-            zones.append((self.grid.centers[int(z)], float(self._heat[z] * self._scale)))
-        return zones
-
-
 class LookaheadPlanner:
     """Holds the forecast state of one rolling-horizon dispatcher.
 
@@ -136,7 +93,16 @@ class LookaheadPlanner:
     simulator calls :meth:`observe_window` once per dispatched window (in
     slot order), then biases the window's Hungarian matrix by
     :meth:`pressure_at` and finally repositions idle drivers via
-    :meth:`reposition`.
+    ``repositioning.reposition``.
+
+    The planner is also that policy's heatmap: it serves ``grid`` and
+    :meth:`at`.  Counts over a short lookahead are fractional (often well
+    below 1 per zone), while the hotspot policy's improvement rule uses a
+    ``max(1, current)`` floor calibrated for whole-hour historical counts —
+    so the field is normalised to the *mean positive zone count*: an average
+    zone reads 1.0 and a zone reading 1.5 forecasts 1.5x the fleet-mean
+    demand, which is exactly the relative rule the policy's
+    ``improvement_factor`` expresses.
     """
 
     def __init__(
@@ -151,10 +117,9 @@ class LookaheadPlanner:
         self.forecaster = forecaster
         self.horizon = horizon
         self.overlap = overlap
-        self._travel_model = travel_model
-        self._heatmap = ForecastHeatmap(self.grid)
-        self._policy = HotspotRepositioning(
-            heatmap=self._heatmap,
+        self._demand = np.zeros(self.grid.zone_count, dtype=float)
+        self.repositioning = HotspotRepositioning(
+            heatmap=self,
             travel_model=travel_model,
             idle_threshold_s=REPOSITION_IDLE_S,
             max_drive_km=REPOSITION_MAX_KM,
@@ -224,23 +189,18 @@ class LookaheadPlanner:
             heat += block_counts
         peak = float(pressure.max())
         self._pressure = pressure / peak if peak > 0.0 else pressure
-        self._heatmap.update(heat)
+        positive = heat[heat > 0.0]
+        self._demand = heat * (1.0 / float(positive.mean()) if positive.size else 0.0)
 
     # ------------------------------------------------------------------
-    # pricing and repositioning
+    # pricing and the repositioning field
     # ------------------------------------------------------------------
     def pressure_at(self, location) -> float:
         """Normalised (``[0, 1]``) lookahead pressure of a location's zone."""
         return float(self._pressure[self.grid.zone_of(location)])
 
-    def reposition(
-        self,
-        states: Iterable[DriverState],
-        now_ts: float,
-        on_move: Optional[Callable[[DriverState], None]] = None,
-    ) -> int:
-        """Proactively move idle drivers toward forecast demand.  Returns the
-        number of drivers moved."""
-        return apply_repositioning(
-            self._policy, states, now_ts, self._travel_model, on_move=on_move
-        )
+    def at(self, ts: float) -> np.ndarray:
+        """Expected per-zone demand over the current lookahead, normalised
+        to the mean positive zone count (the field is refreshed per window,
+        so ``ts`` is not read)."""
+        return self._demand

@@ -4,29 +4,35 @@ Section VI-C of the paper concludes that "an effective matching market
 designer should make the market dense enough to ensure a high service rate".
 Dispatch alone cannot do that when idle drivers sit where their last
 drop-off happened to be; production platforms therefore *reposition* idle
-drivers towards predicted demand.  This module adds that capability as an
-optional plug-in for the online simulator:
+drivers towards predicted demand.  This module holds the one repositioning
+rule, used by the online simulator (``OnlineSimulator(repositioning=...)``,
+``None`` being the do-nothing baseline) and by the rolling-horizon planner:
 
 * :class:`DemandHeatmap` — a zone-by-hour count of historical ride requests
-  (built from tasks or trips), answering "where is demand expected around
-  time t?".
+  (built from tasks or trips) over a :class:`~repro.online.forecast.ZoneGrid`,
+  answering "where is demand expected around time t?" with one per-zone
+  count vector (:meth:`DemandHeatmap.at`).
 * :class:`HotspotRepositioning` — moves a driver who has been idle for a
   while towards the busiest reachable zone centre, provided she can still
   make it to her own destination in time afterwards.  The empty drive is paid
   for by the driver, so repositioning only pays off when it wins her
   subsequent rides — exactly the trade-off the ablation benchmark measures.
-* :class:`NoRepositioning` — the do-nothing baseline.
+  It reads any heatmap with a ``grid`` and an ``at(ts)`` vector: the
+  historical :class:`DemandHeatmap` or the rolling-horizon
+  :class:`~repro.online.horizon.LookaheadPlanner`.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..geo import BoundingBox, GeoPoint, PORTO
 from ..market.task import Task
 from ..trace.records import TripRecord
+from .forecast import ZoneGrid
 from .state import DriverState
 
 
@@ -34,12 +40,8 @@ class DemandHeatmap:
     """Zone-by-hour demand counts over a service area."""
 
     def __init__(self, bounding_box: BoundingBox = PORTO, rows: int = 6, cols: int = 6) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be >= 1")
-        self.bounding_box = bounding_box
-        self.rows = rows
-        self.cols = cols
-        self._counts: Dict[Tuple[int, int, int], int] = {}
+        self.grid = ZoneGrid(bounding_box, rows, cols)
+        self._counts: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # building
@@ -48,8 +50,10 @@ class DemandHeatmap:
         """Record ``count`` ride requests at ``location`` around time ``ts``."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        key = self._key(location, ts)
-        self._counts[key] = self._counts.get(key, 0) + count
+        hour = int(ts // 3600.0)
+        if hour not in self._counts:
+            self._counts[hour] = np.zeros(self.grid.zone_count, dtype=float)
+        self._counts[hour][self.grid.zone_of(location)] += count
 
     @classmethod
     def from_tasks(
@@ -83,81 +87,28 @@ class DemandHeatmap:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def demand_at(self, location: GeoPoint, ts: float) -> int:
-        """Demand count of the zone containing ``location`` in the hour of ``ts``."""
-        return self._counts.get(self._key(location, ts), 0)
-
-    def hottest_zones(self, ts: float, top: int = 3) -> List[Tuple[GeoPoint, int]]:
-        """The ``top`` busiest zone centres for the hour containing ``ts``."""
-        if top < 1:
-            raise ValueError("top must be >= 1")
-        hour = self._hour(ts)
-        cells = [
-            ((row, col), count)
-            for (row, col, h), count in self._counts.items()
-            if h == hour and count > 0
-        ]
-        cells.sort(key=lambda item: -item[1])
-        centres: List[Tuple[GeoPoint, int]] = []
-        zone_boxes = self.bounding_box.split(self.rows, self.cols)
-        for (row, col), count in cells[:top]:
-            centres.append((zone_boxes[row * self.cols + col].center, count))
-        return centres
+    def at(self, ts: float) -> np.ndarray:
+        """Per-zone demand counts of the hour containing ``ts``."""
+        counts = self._counts.get(int(ts // 3600.0))
+        return np.zeros(self.grid.zone_count, dtype=float) if counts is None else counts
 
     def total_demand(self) -> int:
-        return sum(self._counts.values())
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _hour(self, ts: float) -> int:
-        return int(ts // 3600.0)
-
-    def _key(self, location: GeoPoint, ts: float) -> Tuple[int, int, int]:
-        row, col = self.bounding_box.cell_index(location, self.rows, self.cols)
-        return (row, col, self._hour(ts))
-
-
-@dataclass(frozen=True, slots=True)
-class RepositioningMove:
-    """A suggested empty drive for an idle driver."""
-
-    target: GeoPoint
-    depart_ts: float
-
-
-class RepositioningPolicy(abc.ABC):
-    """Decides whether (and where) idle drivers should reposition."""
-
-    @abc.abstractmethod
-    def suggest_batch(
-        self, states: Sequence[DriverState], now_ts: float
-    ) -> List[Optional[RepositioningMove]]:
-        """Moves for a whole fleet at time ``now_ts``, aligned with
-        ``states``; ``None`` where a driver stays put."""
+        return int(sum(counts.sum() for counts in self._counts.values()))
 
 
 @dataclass
-class NoRepositioning(RepositioningPolicy):
-    """Baseline: idle drivers wait where they are."""
-
-    def suggest_batch(
-        self, states: Sequence[DriverState], now_ts: float
-    ) -> List[Optional[RepositioningMove]]:
-        return [None] * len(states)
-
-
-@dataclass
-class HotspotRepositioning(RepositioningPolicy):
+class HotspotRepositioning:
     """Move long-idle drivers towards the busiest reachable demand zone.
 
     Parameters
     ----------
     heatmap:
-        The demand forecast.
+        The demand forecast: anything with a ``grid``
+        (:class:`~repro.online.forecast.ZoneGrid`) and an ``at(ts)``
+        returning that grid's per-zone demand vector.
     travel_model:
-        Used to estimate the repositioning drive and to check the driver can
-        still reach her own destination afterwards.
+        Used to estimate the repositioning drive, to check the driver can
+        still reach her own destination afterwards, and to charge the move.
     idle_threshold_s:
         Only drivers idle for at least this long are repositioned.
     max_drive_km:
@@ -167,7 +118,7 @@ class HotspotRepositioning(RepositioningPolicy):
         driver's current zone to justify the move.
     """
 
-    heatmap: DemandHeatmap
+    heatmap: object
     travel_model: object
     idle_threshold_s: float = 600.0
     max_drive_km: float = 5.0
@@ -181,14 +132,25 @@ class HotspotRepositioning(RepositioningPolicy):
         if self.improvement_factor < 1.0:
             raise ValueError("improvement_factor must be >= 1")
 
+    def hotspots(self, now_ts: float) -> Tuple[np.ndarray, List[int]]:
+        """The heatmap's demand vector at ``now_ts`` and its (up to three)
+        hottest positive zones, hottest first.  The sort is a stable
+        ``argsort`` of the negated vector, so equal demand ranks by zone
+        index and the ranking is a pure function of the field."""
+        demand = self.heatmap.at(now_ts)
+        order = np.argsort(-demand, kind="stable")[:3]
+        return demand, [int(z) for z in order if demand[z] > 0.0]
+
     def suggest_batch(
         self, states: Sequence[DriverState], now_ts: float
-    ) -> List[Optional[RepositioningMove]]:
-        """Each idle driver goes to the first of the hour's three hottest
-        zones that has ``improvement_factor`` times the demand of the
-        driver's current zone, lies 0.2 km to ``max_drive_km`` away, and
-        still leaves time to reach the driver's own destination before the
-        shift ends.
+    ) -> List[Optional[GeoPoint]]:
+        """Target zone centres for a whole fleet at ``now_ts``, aligned with
+        ``states``; ``None`` where a driver stays put.
+
+        Each idle driver goes to the first of the :meth:`hotspots` that has
+        ``improvement_factor`` times the demand of the driver's current zone,
+        lies 0.2 km to ``max_drive_km`` away, and still leaves time to reach
+        the driver's own destination before the shift ends.
 
         The idle fleet's drive legs (driver location -> zone centre) and home
         legs (zone centre -> driver destination) are computed with two
@@ -205,15 +167,16 @@ class HotspotRepositioning(RepositioningPolicy):
         measurably away from those boundaries.
         """
         states = list(states)
-        estimator = self.travel_model.estimator
-        moves: List[Optional[RepositioningMove]] = [None] * len(states)
+        targets: List[Optional[GeoPoint]] = [None] * len(states)
         idle = [i for i, state in enumerate(states) if self._eligible(state, now_ts)]
         if not idle:
-            return moves
-        zones = self.heatmap.hottest_zones(now_ts, top=3)
+            return targets
+        demand, zones = self.hotspots(now_ts)
         if not zones:
-            return moves
-        centres = [target for target, _demand in zones]
+            return targets
+        grid = self.heatmap.grid
+        centres = [grid.centers[z] for z in zones]
+        estimator = self.travel_model.estimator
         drive_km = estimator.cross_km(
             [states[i].location for i in idle], centres
         )  # (idle, zones)
@@ -222,21 +185,61 @@ class HotspotRepositioning(RepositioningPolicy):
         )  # (zones, idle)
         for row, i in enumerate(idle):
             state = states[i]
-            driver = state.driver
-            current_demand = self.heatmap.demand_at(state.location, now_ts)
-            for z, (target, demand) in enumerate(zones):
-                if demand < self.improvement_factor * max(1, current_demand):
+            current_demand = float(demand[grid.zone_of(state.location)])
+            for column, z in enumerate(zones):
+                if demand[z] < self.improvement_factor * max(1, current_demand):
                     continue
-                distance = float(drive_km[row, z])
+                distance = float(drive_km[row, column])
                 if distance > self.max_drive_km or distance < 0.2:
                     continue
                 drive_s = self.travel_model.time_for_distance_s(distance)
-                home_s = self.travel_model.time_for_distance_s(float(home_km[z, row]))
-                if now_ts + drive_s + home_s > driver.end_ts:
+                home_s = self.travel_model.time_for_distance_s(float(home_km[column, row]))
+                if now_ts + drive_s + home_s > state.driver.end_ts:
                     continue
-                moves[i] = RepositioningMove(target=target, depart_ts=now_ts)
+                targets[i] = centres[column]
                 break
-        return moves
+        return targets
+
+    def reposition(
+        self,
+        states: Iterable[DriverState],
+        now_ts: float,
+        on_move: Optional[Callable[[DriverState], None]] = None,
+    ) -> int:
+        """Move every idle driver :meth:`suggest_batch` picks; returns how
+        many moved.
+
+        The empty drive is charged to the driver's running profit and her
+        location / free-at time advance to the target, exactly as an approach
+        drive would.  ``on_move`` (if given) is called with every state that
+        moved, so callers tracking driver positions — e.g. the candidate
+        kernel's spatial index — stay in sync.  The empty-drive distances of
+        all moves are computed with one batched estimator call, and every
+        suggestion observes the fleet as it stood *before* this round of
+        moves (the rule only reads the suggesting driver's own state, so
+        that changes nothing).
+        """
+        state_list = list(states)
+        moves = [
+            (state, target)
+            for state, target in zip(state_list, self.suggest_batch(state_list, now_ts))
+            if target is not None
+        ]
+        if not moves:
+            return 0
+        model = self.travel_model
+        distances = model.estimator.pairwise_km(
+            [state.location for state, _target in moves],
+            [target for _state, target in moves],
+        )
+        for (state, target), distance in zip(moves, distances):
+            distance = float(distance)
+            state.running_profit -= model.cost_for_distance(distance)
+            state.location = target
+            state.free_at = now_ts + model.time_for_distance_s(distance)
+            if on_move is not None:
+                on_move(state)
+        return len(moves)
 
     def _eligible(self, state: DriverState, now_ts: float) -> bool:
         """Whether a driver is idle long enough to be repositioned at all."""
@@ -246,43 +249,3 @@ class HotspotRepositioning(RepositioningPolicy):
         if now_ts < driver.start_ts:
             return False
         return now_ts - max(state.free_at, driver.start_ts) >= self.idle_threshold_s
-
-
-def apply_repositioning(
-    policy: RepositioningPolicy,
-    states: Iterable[DriverState],
-    now_ts: float,
-    travel_model,
-    on_move: Optional[Callable[[DriverState], None]] = None,
-) -> int:
-    """Apply a policy to every idle driver; returns how many moved.
-
-    The empty drive is charged to the driver's running profit and her
-    location / free-at time advance to the target, exactly as an approach
-    drive would.  ``on_move`` (if given) is called with every state that
-    moved, so callers tracking driver positions — e.g. the candidate
-    kernel's spatial index — stay in sync.  Suggestions come from the
-    policy's ``suggest_batch`` and the empty-drive distances of all accepted
-    moves are computed with one batched estimator call, which means every suggestion observes the fleet as it stood
-    *before* this round of moves (the built-in policies only read the
-    suggesting driver's own state, so they are unaffected).
-    """
-    state_list = list(states)
-    suggestions = policy.suggest_batch(state_list, now_ts)
-    moves: List[Tuple[DriverState, RepositioningMove]] = [
-        (state, move) for state, move in zip(state_list, suggestions) if move is not None
-    ]
-    if not moves:
-        return 0
-    distances = travel_model.estimator.pairwise_km(
-        [state.location for state, _move in moves],
-        [move.target for _state, move in moves],
-    )
-    for (state, move), distance in zip(moves, distances):
-        distance = float(distance)
-        state.running_profit -= travel_model.cost_for_distance(distance)
-        state.location = move.target
-        state.free_at = move.depart_ts + travel_model.time_for_distance_s(distance)
-        if on_move is not None:
-            on_move(state)
-    return len(moves)

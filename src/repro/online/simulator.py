@@ -32,7 +32,7 @@ from ..market.instance import MarketInstance
 from ..market.task import Task
 from .candidates import CandidateKernel
 from .dispatchers import Dispatcher
-from .repositioning import RepositioningPolicy, apply_repositioning
+from .repositioning import HotspotRepositioning
 from .state import DriverState
 
 
@@ -62,7 +62,7 @@ class OnlineSimulator:
         dispatcher: Dispatcher,
         *,
         ordering: TaskOrdering = TaskOrdering.ARRIVAL,
-        repositioning: RepositioningPolicy | None = None,
+        repositioning: HotspotRepositioning | None = None,
     ) -> None:
         self.instance = instance
         self.dispatcher = dispatcher
@@ -87,13 +87,7 @@ class OnlineSimulator:
             for state in states.values():
                 state.release_if_done(now_ts)
             if self.repositioning is not None:
-                apply_repositioning(
-                    self.repositioning,
-                    states.values(),
-                    now_ts,
-                    self._cost_model.travel_model,
-                    on_move=kernel.sync,
-                )
+                self.repositioning.reposition(states.values(), now_ts, on_move=kernel.sync)
 
             candidates = kernel.candidates_for_window([task_index], now_ts).get(task_index, [])
             choice = self.dispatcher.select(task, candidates)

@@ -63,8 +63,8 @@ class ScenarioRunMetrics:
     serve_rate: float
     total_value: float
     total_revenue: float
-    #: Mean publish->pickup wait of a served task; NaN for offline solvers
-    #: (their assignment has no dispatch clock).
+    #: Mean publish->pickup wait of a served task; NaN where no arrival was
+    #: tracked (greedy / lp / auto / exact have no dispatch clock).
     mean_wait_s: float
     #: Hottest shard's task load over the mean (1.0 = perfectly balanced).
     shard_skew: float
@@ -331,7 +331,7 @@ def _run_one(
                 serve_rate=solution.serve_rate,
                 total_value=solution.total_value,
                 total_revenue=solution.total_revenue,
-                mean_wait_s=float("nan"),
+                mean_wait_s=solution.mean_wait_s,
                 shard_skew=report.max_over_mean,
                 wall_clock_s=wall,
                 **bound_columns,
@@ -374,7 +374,7 @@ def _run_one(
                     serve_rate=result.solution.serve_rate,
                     total_value=result.solution.total_value,
                     total_revenue=result.solution.total_revenue,
-                    mean_wait_s=result.report.mean_wait_s,
+                    mean_wait_s=result.solution.mean_wait_s,
                     shard_skew=ShardLoadReport.from_prior(result).max_over_mean,
                     wall_clock_s=wall,
                     **bound_columns,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 
 import pytest
 
@@ -239,7 +240,7 @@ class TestOneResultType:
         online = OnlineSimulator(chain, MaxMarginDispatcher()).run().summary()
         assert list(offline) == list(online)
         assert {"consumer_surplus", "rejected_tasks", "mean_wait_s"} <= set(online)
-        assert offline["mean_wait_s"] == 0.0 < online["mean_wait_s"]
+        assert math.isnan(offline["mean_wait_s"]) and online["mean_wait_s"] > 0.0
 
     def test_shard_results_carry_plans(self):
         names = {f.name for f in dataclasses.fields(ShardResult)}

@@ -33,7 +33,6 @@ from repro.online import (
     NearestDispatcher,
     OnlineSimulator,
     RandomDispatcher,
-    RepositioningPolicy,
 )
 from repro.online.state import DriverState
 
@@ -323,7 +322,6 @@ class TestOneCandidatePath:
         # window; the scalar twins live in tests/ as oracles.
         assert not hasattr(CandidateKernel, "candidates_for")
         assert not hasattr(HotspotRepositioning, "suggest")
-        assert not hasattr(RepositioningPolicy, "suggest")
 
     def test_only_the_set_options_survive(self):
         import repro.online

@@ -24,7 +24,7 @@ from repro.market.cost import MarketCostModel
 from repro.market.instance import MarketInstance
 from repro.online import BatchedSimulator, LookaheadPlanner, ZoneGrid
 from repro.online.batch import BatchConfig, stream_schedule
-from repro.online.horizon import ForecastHeatmap
+from repro.online.forecast import DemandForecaster
 
 from ..conftest import build_random_instance, flat_travel_model
 
@@ -210,30 +210,52 @@ class TestPlannerMechanics:
         assert (pressure >= 0.0).all() and (pressure <= 1.0).all()
 
 
-class TestForecastHeatmap:
-    def test_heatmap_normalises_to_mean_positive_zone(self):
-        grid = ZoneGrid(PORTO, rows=2, cols=2)
-        heatmap = ForecastHeatmap(grid)
-        heatmap.update(np.array([3.0, 1.0, 0.0, 0.0]))
-        # mean positive count is 2.0 -> scale 0.5
-        assert heatmap.demand_at(grid.centers[0], 0.0) == pytest.approx(1.5)
-        assert heatmap.demand_at(grid.centers[2], 0.0) == 0.0
+class FixedForecaster(DemandForecaster):
+    """Predicts the same per-zone counts for every future window."""
 
-    def test_hottest_zones_ranked_and_truncated_at_zero(self):
+    def __init__(self, grid, counts):
+        self.grid = grid
+        self.counts = np.asarray(counts, dtype=float)
+
+    def observe(self, slot, tasks):
+        return None
+
+    def predict(self, slot):
+        return self.counts
+
+
+class TestPlannerDemandField:
+    """The planner's ``at`` field and the hotspot ranking read off it."""
+
+    def planner_over(self, counts):
         grid = ZoneGrid(PORTO, rows=2, cols=2)
-        heatmap = ForecastHeatmap(grid)
-        heatmap.update(np.array([1.0, 4.0, 0.0, 2.0]))
-        zones = heatmap.hottest_zones(0.0, top=4)
-        assert [grid.zone_of(p) for p, _ in zones] == [1, 3, 0]
-        with pytest.raises(ValueError):
-            heatmap.hottest_zones(0.0, top=0)
+        # horizon 2, no overlap: the lookahead is exactly one future window.
+        planner = LookaheadPlanner(
+            FixedForecaster(grid, counts), flat_travel_model(), horizon=2, overlap=0
+        )
+        planner.observe_window(0, [])
+        return planner
+
+    def test_field_normalises_to_mean_positive_zone(self):
+        planner = self.planner_over([3.0, 1.0, 0.0, 0.0])
+        # mean positive count is 2.0 -> scale 0.5
+        assert planner.at(0.0) == pytest.approx([1.5, 0.5, 0.0, 0.0])
+        demand, _zones = planner.repositioning.hotspots(0.0)
+        assert demand is planner.at(0.0)
+
+    def test_hotspots_ranked_and_cut_at_zero(self):
+        planner = self.planner_over([0.0, 4.0, 0.0, 2.0])
+        _demand, zones = planner.repositioning.hotspots(0.0)
+        assert zones == [1, 3]
+        planner = self.planner_over([1.0, 4.0, 0.5, 2.0])
+        _demand, zones = planner.repositioning.hotspots(0.0)
+        assert zones == [1, 3, 0]  # the three hottest, hottest first
 
     def test_empty_field_has_no_hot_zones(self):
-        grid = ZoneGrid(PORTO, rows=2, cols=2)
-        heatmap = ForecastHeatmap(grid)
-        heatmap.update(np.zeros(4))
-        assert heatmap.hottest_zones(0.0) == []
-        assert heatmap.demand_at(grid.centers[0], 0.0) == 0.0
+        planner = self.planner_over(np.zeros(4))
+        demand, zones = planner.repositioning.hotspots(0.0)
+        assert zones == []
+        assert not demand.any()
 
 
 class TestHorizonEffect:

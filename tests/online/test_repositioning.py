@@ -1,6 +1,7 @@
 """Tests for the demand heatmap and idle-driver repositioning."""
 
 import pytest
+import repro.online
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,10 +11,9 @@ from repro.online import (
     DemandHeatmap,
     HotspotRepositioning,
     MaxMarginDispatcher,
-    NoRepositioning,
     OnlineSimulator,
-    apply_repositioning,
 )
+from repro.online import horizon, repositioning
 from repro.online.state import DriverState
 from repro.trace import generate_trace
 
@@ -45,10 +45,12 @@ def suggest_one(policy, state, now_ts):
 class TestDemandHeatmap:
     def test_record_and_query(self):
         heatmap = make_heatmap()
-        assert heatmap.demand_at(DOWNTOWN, 9.0 * 3600 + 120.0) == 50
-        assert heatmap.demand_at(EDGE, 9.0 * 3600) == 0
+        demand = heatmap.at(9.0 * 3600 + 120.0)
+        assert demand[heatmap.grid.zone_of(DOWNTOWN)] == 50
+        assert demand[heatmap.grid.zone_of(EDGE)] == 0
+        assert demand.sum() == 50
         # Different hour -> different bucket.
-        assert heatmap.demand_at(DOWNTOWN, 11.0 * 3600) == 0
+        assert not heatmap.at(11.0 * 3600).any()
         assert heatmap.total_demand() == 50
 
     def test_invalid_arguments(self):
@@ -57,18 +59,39 @@ class TestDemandHeatmap:
         heatmap = make_heatmap()
         with pytest.raises(ValueError):
             heatmap.record(DOWNTOWN, 0.0, count=-1)
-        with pytest.raises(ValueError):
-            heatmap.hottest_zones(0.0, top=0)
 
-    def test_hottest_zones_ordering(self):
+    def test_hotspots_ordering(self):
         heatmap = DemandHeatmap(PORTO, rows=4, cols=4)
         heatmap.record(DOWNTOWN, 3600.0, count=30)
         heatmap.record(EDGE, 3600.0, count=10)
-        zones = heatmap.hottest_zones(3600.0, top=2)
-        assert len(zones) == 2
-        assert zones[0][1] == 30
-        assert zones[1][1] == 10
-        assert PORTO.contains(zones[0][0])
+        policy = HotspotRepositioning(heatmap, default_travel_model())
+        demand, zones = policy.hotspots(3600.0)
+        assert [demand[z] for z in zones] == [30, 10]
+        assert PORTO.contains(heatmap.grid.centers[zones[0]])
+
+    def test_tied_counts_ignore_record_order(self):
+        """Equal counts rank by zone index, so the order the history was
+        recorded in cannot change a suggestion."""
+        north = GeoPoint(PORTO.north - 0.005, PORTO.center.lon)
+        heatmaps = []
+        for order in ((DOWNTOWN, north), (north, DOWNTOWN)):
+            heatmap = DemandHeatmap(PORTO, rows=4, cols=4)
+            for hot in order:
+                heatmap.record(hot, 9.0 * 3600, count=20)
+            heatmaps.append(heatmap)
+        state = make_idle_state()
+        targets = [
+            suggest_one(
+                HotspotRepositioning(
+                    heatmap, default_travel_model(), idle_threshold_s=0.0, max_drive_km=50.0
+                ),
+                state,
+                9.0 * 3600,
+            )
+            for heatmap in heatmaps
+        ]
+        assert targets[0] is not None
+        assert targets[0] == targets[1]
 
     def test_from_tasks_and_from_trips(self):
         trips = generate_trace(trip_count=100, seed=5)
@@ -96,10 +119,10 @@ class TestHotspotPolicy:
             heatmap, default_travel_model(), idle_threshold_s=300.0, max_drive_km=50.0
         )
         state = make_idle_state()
-        move = suggest_one(policy, state, now_ts=9.0 * 3600)
-        assert move is not None
+        target = suggest_one(policy, state, now_ts=9.0 * 3600)
+        assert target is not None
         # The target is in the hot zone, i.e. closer to downtown than before.
-        assert move.target.haversine_km(DOWNTOWN) < state.location.haversine_km(DOWNTOWN)
+        assert target.haversine_km(DOWNTOWN) < state.location.haversine_km(DOWNTOWN)
 
     def test_busy_or_fresh_drivers_stay(self):
         heatmap = make_heatmap(ts=9.0 * 3600)
@@ -126,9 +149,6 @@ class TestHotspotPolicy:
         )
         # The edge of the box is much more than 1 km from downtown.
         assert suggest_one(policy, make_idle_state(), 9.0 * 3600) is None
-
-    def test_no_repositioning_baseline(self):
-        assert suggest_one(NoRepositioning(), make_idle_state(), 1e6) is None
 
 
 class TestBatchedSuggestions:
@@ -166,7 +186,7 @@ class TestBatchedSuggestions:
         batched = policy.suggest_batch(states, now_ts)
         scalar = [suggest_scalar(policy, state, now_ts) for state in states]
         assert batched == scalar
-        assert any(move is not None for move in batched)  # the case is non-trivial
+        assert any(target is not None for target in batched)  # the case is non-trivial
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -208,24 +228,46 @@ class TestBatchedSuggestions:
         assert batched == [suggest_scalar(policy, state, now_ts) for state in states]
 
 
-class TestApplyRepositioning:
+class TestReposition:
     def test_moves_update_state_and_charge_cost(self):
         heatmap = make_heatmap(ts=9.0 * 3600)
         model = default_travel_model()
         policy = HotspotRepositioning(heatmap, model, idle_threshold_s=0.0, max_drive_km=50.0)
         state = make_idle_state()
         before_location = state.location
-        moved = apply_repositioning(policy, [state], 9.0 * 3600, model)
+        moved = policy.reposition([state], 9.0 * 3600)
         assert moved == 1
         assert state.location != before_location
         assert state.running_profit < 0.0  # the empty drive was paid for
         assert state.free_at > 9.0 * 3600
 
-    def test_noop_policy_changes_nothing(self):
+    def test_empty_heatmap_changes_nothing(self):
         state = make_idle_state()
-        moved = apply_repositioning(NoRepositioning(), [state], 1e6, default_travel_model())
-        assert moved == 0
+        policy = HotspotRepositioning(
+            DemandHeatmap(PORTO), default_travel_model(), idle_threshold_s=0.0
+        )
+        assert policy.reposition([state], 1e6) == 0
         assert state.running_profit == 0.0
+
+
+class TestOneRepositioningRule:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ForecastHeatmap",
+            "RepositioningPolicy",
+            "NoRepositioning",
+            "RepositioningMove",
+            "apply_repositioning",
+        ],
+    )
+    def test_removed_names(self, name):
+        for module in (repro.online, repositioning, horizon):
+            assert not hasattr(module, name)
+
+    def test_heatmap_answers_only_through_its_vector(self):
+        assert not hasattr(DemandHeatmap, "demand_at")
+        assert not hasattr(DemandHeatmap, "hottest_zones")
 
 
 class TestSimulatorIntegration:

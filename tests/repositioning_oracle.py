@@ -2,30 +2,37 @@
 
 :meth:`repro.online.repositioning.HotspotRepositioning.suggest_batch` decides
 for the whole idle fleet with two ``cross_km`` calls.  This is the scalar
-rule it replaced, kept verbatim: one driver at a time, two scalar estimator
-calls per (driver, zone).  The batched rule must make the same suggestion
-for every driver.  No ``src/`` code calls it.
+rule it replaced: one driver at a time, two scalar estimator calls per
+(driver, zone).  Both read the policy's one ranking
+(:meth:`~repro.online.repositioning.HotspotRepositioning.hotspots`), so the
+contract compares only the batched distance rule against the scalar one.
+The batched rule must make the same suggestion for every driver.  No
+``src/`` code calls it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.online.repositioning import HotspotRepositioning, RepositioningMove
+from repro.geo import GeoPoint
+from repro.online.repositioning import HotspotRepositioning
 from repro.online.state import DriverState
 
 
 def suggest_scalar(
     policy: HotspotRepositioning, state: DriverState, now_ts: float
-) -> Optional[RepositioningMove]:
+) -> Optional[GeoPoint]:
     """``policy.suggest_batch([state], now_ts)[0]``, computed by the scalar
     rule."""
     if not policy._eligible(state, now_ts):
         return None
     driver = state.driver
-    current_demand = policy.heatmap.demand_at(state.location, now_ts)
-    for target, demand in policy.heatmap.hottest_zones(now_ts, top=3):
-        if demand < policy.improvement_factor * max(1, current_demand):
+    grid = policy.heatmap.grid
+    demand, zones = policy.hotspots(now_ts)
+    current_demand = float(demand[grid.zone_of(state.location)])
+    for z in zones:
+        target = grid.centers[z]
+        if demand[z] < policy.improvement_factor * max(1, current_demand):
             continue
         drive_km = policy.travel_model.distance_km(state.location, target)
         if drive_km > policy.max_drive_km or drive_km < 0.2:
@@ -34,5 +41,5 @@ def suggest_scalar(
         home_s = policy.travel_model.travel_time_s(target, driver.destination)
         if now_ts + drive_s + home_s > driver.end_ts:
             continue
-        return RepositioningMove(target=target, depart_ts=now_ts)
+        return target
     return None
