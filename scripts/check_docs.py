@@ -22,7 +22,10 @@ Five checks, so the project's front door cannot rot:
    ``.attr`` chain (``FanOutReport``, ``MarketSolution.mean_wait_s``), must be
    defined — a class, function or assignment — somewhere under ``src/``,
    ``tests/``, ``benchmarks/`` or ``scripts/``, except the names in
-   :data:`UNDEFINED_NAMES_ALLOWED`.  A deleted class cannot linger in prose.
+   :data:`UNDEFINED_NAMES_ALLOWED`.  When the name is a class, the chain's
+   first ``.attr`` must be one of its members — a method, a field, or a
+   class-level or ``self.`` assignment — or a member of a base class,
+   followed by name.  A deleted class or method cannot linger in prose.
 5. **Quickstart execution** — the first ``python`` code block in the README
    is extracted and executed with ``src/`` on the path; the snippet every
    new reader copy-pastes must actually run.
@@ -57,8 +60,8 @@ TEST_NAME = re.compile(r"`((?:Test|test_)\w*(?:::\w+)*)`")
 QUALIFIED_REF = re.compile(r"`([^`\s]+\.py)((?:::\w+)+)`")
 #: A backticked CamelCase name — a capital first, a lower-case letter
 #: somewhere (so ``REPRO_LOG`` and ``D`` are not names) — with an optional
-#: ``.attr`` chain.
-CAMEL_NAME = re.compile(r"`([A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*)(?:\.\w+)*`")
+#: ``.attr`` chain, whose first attribute is captured.
+CAMEL_NAME = re.compile(r"`([A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*)(?:\.(\w+))?(?:\.\w+)*`")
 #: Where the named code lives.
 CODE_ROOTS = ("src", "tests", "benchmarks", "scripts")
 #: CamelCase names the docs may cite without a definition in the code.
@@ -114,8 +117,13 @@ def _resolve(candidate: str) -> Path | None:
 
 def defined_names(source: Path) -> set[str]:
     """Every function, class and assigned name a Python file defines."""
+    return tree_names(ast.parse(source.read_text(encoding="utf-8")))
+
+
+def tree_names(tree: ast.AST) -> set[str]:
+    """Every function, class and assigned name a parsed file defines."""
     names: set[str] = set()
-    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -148,24 +156,79 @@ def check_cited_names(path: Path, text: str) -> list[str]:
     return problems
 
 
-def code_names() -> set[str]:
-    """Every name defined by a Python file under :data:`CODE_ROOTS`."""
+def class_members(node: ast.ClassDef) -> set[str]:
+    """A class's methods, fields, nested classes and class-level or
+    ``self.`` assignments."""
+    members: set[str] = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(item.name)
+    for item in ast.walk(node):
+        if isinstance(item, ast.Assign):
+            targets = item.targets
+        elif isinstance(item, (ast.AnnAssign, ast.AugAssign)):
+            targets = [item.target]
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name) and item in node.body:
+                    members.add(leaf.id)
+                elif (
+                    isinstance(leaf, ast.Attribute)
+                    and isinstance(leaf.value, ast.Name)
+                    and leaf.value.id == "self"
+                ):
+                    members.add(leaf.attr)
+    return members
+
+
+def code_names() -> tuple[set[str], dict[str, list[tuple[set[str], list[str]]]]]:
+    """Every name defined by a Python file under :data:`CODE_ROOTS`, and
+    every class definition among them by name: its members and the names
+    of its bases."""
     names: set[str] = set()
+    classes: dict[str, list[tuple[set[str], list[str]]]] = {}
     for root in CODE_ROOTS:
         for source in sorted((REPO_ROOT / root).rglob("*.py")):
-            names |= defined_names(source)
-    return names
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            names |= tree_names(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases = [
+                        base.id if isinstance(base, ast.Name) else base.attr
+                        for base in node.bases
+                        if isinstance(base, (ast.Name, ast.Attribute))
+                    ]
+                    classes.setdefault(node.name, []).append((class_members(node), bases))
+    return names, classes
 
 
-def check_named_code(path: Path, text: str, names: set[str]) -> list[str]:
+def has_member(classes, name: str, attr: str, seen: set[str]) -> bool:
+    """Whether any class called ``name``, or a base of one, defines ``attr``."""
+    if name in seen:
+        return False
+    seen.add(name)
+    return any(
+        attr in members or any(has_member(classes, base, attr, seen) for base in bases)
+        for members, bases in classes.get(name, ())
+    )
+
+
+def check_named_code(path: Path, text: str, names: set[str], classes) -> list[str]:
     problems = []
-    for name in dict.fromkeys(CAMEL_NAME.findall(text)):
-        if name in names or any(p.fullmatch(name) for p in UNDEFINED_NAMES_ALLOWED):
+    for name, attr in dict.fromkeys(CAMEL_NAME.findall(text)):
+        if any(p.fullmatch(name) for p in UNDEFINED_NAMES_ALLOWED):
             continue
-        problems.append(
-            f"{path.relative_to(REPO_ROOT)}: names code defined nowhere -> {name}"
-        )
-    return problems
+        if name not in names:
+            problem = f"names code defined nowhere -> {name}"
+        elif attr and name in classes and not has_member(classes, name, attr, set()):
+            problem = f"names a member its class does not define -> {name}.{attr}"
+        else:
+            continue
+        problems.append(f"{path.relative_to(REPO_ROOT)}: {problem}")
+    # A head cited bare and with a chain is one finding.
+    return list(dict.fromkeys(problems))
 
 
 def extract_quickstart(readme_text: str) -> str | None:
@@ -205,13 +268,13 @@ def run_quickstart(snippet: str) -> list[str]:
 
 def main() -> int:
     problems: list[str] = []
-    names = code_names()
+    names, classes = code_names()
     for path in DOC_FILES:
         text = path.read_text(encoding="utf-8")
         problems += check_links(path, text)
         problems += check_path_references(path, text)
         problems += check_cited_names(path, text)
-        problems += check_named_code(path, text, names)
+        problems += check_named_code(path, text, names, classes)
 
     readme_text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     snippet = extract_quickstart(readme_text)

@@ -4,16 +4,12 @@ from .coordinator import SOLVER_NAMES, DistributedCoordinator, solve_shard
 from .messages import DistributedResult, FanOutReport, ShardResult, ShardWorkRequest
 from .payload import ShardPayloadDelta, delta_from_tasks, tasks_from_delta
 from .partition import (
-    LoadAwarePartitioner,
     MarketShard,
     PartitionPlan,
-    RebalanceAction,
     RebalancePolicy,
-    ShardLoadReport,
     ShardSpec,
     SpatialPartitioner,
     ZonePartition,
-    hull_of_boxes,
     plan_rebalance_action,
 )
 from .pool import (
@@ -35,15 +31,11 @@ from .transport import (
 
 __all__ = [
     "SpatialPartitioner",
-    "LoadAwarePartitioner",
-    "ShardLoadReport",
     "ZonePartition",
     "PartitionPlan",
     "MarketShard",
     "ShardSpec",
-    "RebalanceAction",
     "plan_rebalance_action",
-    "hull_of_boxes",
     "ShardWorkRequest",
     "ShardResult",
     "FanOutReport",

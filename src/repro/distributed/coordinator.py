@@ -73,10 +73,10 @@ the per-shard ``ShardWorkRequest``s go onto its warm slots, so re-solve-heavy
 offline workloads — the partitioning ablation, figure sweeps, repeated
 what-if solves — pay worker startup once per pool; given none, the solve
 opens a pool of the configured executor / width / transport for the one call
-and closes it.  Pair it with a
-:class:`~repro.distributed.partition.LoadAwarePartitioner` to feed one
-run's per-shard load report (``DistributedResult.regions`` /
-``FanOutReport.per_shard_task_counts``) back into the next solve's partition.
+and closes it.  The live shards go onto the pool's slots
+longest-processing-time-first over their own task counts
+(:func:`~repro.distributed.pool.lpt_slot_assignment`): the hottest shards
+land on separate slots before any slot takes a second one.
 """
 
 from __future__ import annotations
@@ -99,12 +99,7 @@ from ..online.batch import BatchConfig, stream_schedule
 from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
 from ..online.simulator import OnlineSimulator
 from .messages import DistributedResult, ShardResult, ShardWorkRequest, _FanOutRun
-from .partition import (
-    PartitionPlan,
-    RebalancePolicy,
-    ShardLoadReport,
-    SpatialPartitioner,
-)
+from .partition import RebalancePolicy, SpatialPartitioner
 from .pool import (
     EXECUTOR_POLICIES,
     PersistentWorkerPool,
@@ -200,8 +195,7 @@ class DistributedCoordinator:
     Parameters
     ----------
     partitioner:
-        The spatial partitioner producing disjoint-task shards (a
-        :class:`SpatialPartitioner` grid or a ``LoadAwarePartitioner``); its
+        The spatial partitioner producing disjoint-task shards; its
         ``zones`` are the one shard geometry of both :meth:`solve` and
         :meth:`open_stream`.
     solver_name:
@@ -313,28 +307,27 @@ class DistributedCoordinator:
 
         Drivers and orders are routed to shards through the partitioner's
         :attr:`~repro.distributed.partition.SpatialPartitioner.zones` — the
-        same geometry :meth:`solve` partitions by.  To stream over a previous
-        stream's post-rebalance :attr:`DistributedResult.regions`, use
-        a coordinator over ``LoadAwarePartitioner(region, result,
-        rounds=0)``.  Feed publish-ordered arrival batches with
-        ``append_batch`` and merge with ``finish``.
+        same geometry :meth:`solve` partitions by.  Feed publish-ordered
+        arrival batches with ``append_batch`` and merge with ``finish``.
 
         ``pool`` overrides the coordinator's own :meth:`stream_pool` with an
         externally owned :class:`PersistentWorkerPool` — the caller keeps
         ownership (the coordinator's ``close()`` never touches it), which is
         how one warm pool is shared across many coordinators in a sweep.
         """
+        if pool is None:
+            pool = self.stream_pool()
         logger.debug(
             "opening stream: shards=%d executor=%s transport=%s",
             self.partitioner.shard_count,
-            self.executor,
-            self.transport,
+            pool.executor,
+            pool.transport,
         )
         return DistributedStreamSession(
             fleet=drivers,
             cost_model=cost_model or MarketCostModel(),
             config=config or BatchConfig(),
-            pool=pool if pool is not None else self.stream_pool(),
+            pool=pool,
             router=self.partitioner.zones,
             rebalance=rebalance,
         )
@@ -381,7 +374,6 @@ class DistributedCoordinator:
         instance: MarketInstance,
         *,
         pool: Optional[PersistentWorkerPool] = None,
-        load_report: Optional[ShardLoadReport] = None,
     ) -> DistributedResult:
         """Solve ``instance`` shard by shard and merge the results.
 
@@ -399,36 +391,32 @@ class DistributedCoordinator:
             opens a pool of the coordinator's configured executor, width and
             transport and closes it before returning.
 
-        ``load_report`` switches the shard->slot placement from round-robin
-        to longest-processing-time-first over the loads a *prior* solve
-        observed (anything :meth:`ShardLoadReport.from_prior` accepts — a
-        report, a prior solve's or stream's ``DistributedResult``, or a bare
-        plan).  When the report's shard count no longer matches the current
-        partition, the current shards' own task counts stand in.  Packing
-        the hottest shards onto separate single-worker slots first caps the
-        slowest slot far below what round-robin risks on skewed cities.
+        The live shards are placed on the pool's slots
+        longest-processing-time-first over their own task counts
+        (:func:`~repro.distributed.pool.lpt_slot_assignment`), so the
+        hottest shards never share a slot while a colder one is free.
 
-        **Parity contract (executor-, transport- and placement-independent):**
-        every policy runs :func:`solve_shard` on the same per-shard requests
-        and merges in the same shard order — placement only moves shards
-        between slots — so the merged solution is bit-identical under every
-        executor policy, either transport and any placement (pinned by
-        ``tests/distributed/test_executors.py``, ``test_transport.py`` and
-        ``test_placement.py``).
+        **Parity contract (executor- and transport-independent):** every
+        policy runs :func:`solve_shard` on the same per-shard requests and
+        merges in the same shard order — placement only moves shards between
+        slots — so the merged solution is bit-identical under every executor
+        policy, pool width and transport (pinned by
+        ``tests/distributed/test_executors.py`` and ``test_transport.py``).
         """
         if pool is not None:
-            return self._solve_on(pool, instance, load_report)
+            return self._solve_on(pool, instance)
         with self._new_pool() as ephemeral:
-            return self._solve_on(ephemeral, instance, load_report)
+            return self._solve_on(ephemeral, instance)
 
     def _solve_on(
-        self,
-        pool: PersistentWorkerPool,
-        instance: MarketInstance,
-        load_report: Optional[ShardLoadReport],
+        self, pool: PersistentWorkerPool, instance: MarketInstance
     ) -> DistributedResult:
         run = _FanOutRun(
-            pool, "solve", executor=self.executor, solver=self.solver_name
+            pool,
+            "solve",
+            executor=pool.executor,
+            transport=pool.transport,
+            solver=self.solver_name,
         )
         # The run's own work nests under its root span.
         with run.resumed():
@@ -443,7 +431,10 @@ class DistributedCoordinator:
                 for position, shard in enumerate(plan.shards)
                 if shard.task_count and shard.driver_count
             ]
-            slots = self._placement_slots(plan, live, pool.worker_count, load_report)
+            slots = lpt_slot_assignment(
+                [plan.shards[position].task_count for position in live],
+                pool.worker_count,
+            )
             futures = []
             for slot, position in zip(slots, live):
                 shard = plan.shards[position]
@@ -505,28 +496,3 @@ class DistributedCoordinator:
         return DistributedResult(
             solution=solution, report=report, regions=self.partitioner.box_groups
         )
-
-    def _placement_slots(
-        self,
-        plan: PartitionPlan,
-        live: List[int],
-        slot_count: int,
-        load_report: Optional[ShardLoadReport],
-    ) -> List[int]:
-        """One pool slot per live shard.
-
-        Round-robin in shard order by default; with a prior load report,
-        longest-processing-time-first over the reported loads.  The report's
-        loads are only trusted when its regions match the current partition
-        shard-for-shard — a report from a different grid (or a rebalanced
-        stream) falls back to the current shards' own task counts rather
-        than attributing loads to the wrong shards.
-        """
-        if load_report is None:
-            return list(range(len(live)))
-        report = ShardLoadReport.from_prior(load_report)
-        if report.regions == tuple(shard.spec.boxes for shard in plan.shards):
-            loads = [float(report.task_counts[position]) for position in live]
-        else:
-            loads = [float(plan.shards[position].task_count) for position in live]
-        return lpt_slot_assignment(loads, max(1, min(slot_count, len(live))))

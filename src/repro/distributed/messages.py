@@ -112,9 +112,7 @@ class FanOutReport:
     #: Worker-side seconds per shard.
     per_shard_durations: Tuple[float, ...]
     #: Task load per shard — the raw routed count, so a degenerate shard
-    #: (e.g. tasks but no drivers) still reports its real load.  Feed it —
-    #: via ``ShardLoadReport.from_prior`` — into a ``LoadAwarePartitioner``
-    #: to pre-split the zones this run proved hot.
+    #: (e.g. tasks but no drivers) still reports its real load.
     per_shard_task_counts: Tuple[int, ...]
     #: Shards no worker answered: no drivers, or (offline) no tasks.
     empty_shard_count: int
@@ -157,6 +155,17 @@ class FanOutReport:
     def phase_seconds(self) -> Dict[str, float]:
         """``phase_breakdown`` as a dict (empty when tracing was off)."""
         return dict(self.phase_breakdown)
+
+    @property
+    def shard_skew(self) -> float:
+        """Load balance of the run: the hottest shard's routed task count
+        over the mean (1.0 is perfectly balanced, and reads 1.0 when no
+        shard holds a task)."""
+        counts = self.per_shard_task_counts
+        total = sum(counts)
+        if total == 0:
+            return 1.0
+        return max(counts) / (total / len(counts))
 
     @property
     def critical_path_speedup(self) -> float:
@@ -236,10 +245,9 @@ class DistributedResult:
     solution: MarketSolution
     report: FanOutReport
     #: Shard regions in shard order: the partitioner's box groups offline,
-    #: a stream's final (post-rebalance) regions.  A coordinator over
-    #: ``LoadAwarePartitioner(region, result, rounds=0)`` runs over exactly
-    #: these regions — to reuse a rebalanced partition, or to pin
-    #: determinism.
+    #: a stream's final (post-rebalance) regions.  A stream routed by
+    #: ``ZonePartition(region, result.regions)`` from its first batch
+    #: reproduces a rebalanced stream bit for bit.
     regions: Tuple[Tuple[BoundingBox, ...], ...]
 
     @property

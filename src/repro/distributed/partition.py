@@ -13,27 +13,19 @@ Tasks are routed to the shard containing their pickup point; drivers are
 routed to the shard containing their source.  Shards therefore have disjoint
 task sets, so merging shard solutions can never assign a task twice.
 
-Every partitioner owns exactly one shard geometry, a :class:`ZonePartition`
-(``partitioner.zones``): its offline :meth:`~SpatialPartitioner.partition`
-and the live streams (:mod:`repro.distributed.stream`) both route through
-its :meth:`~ZonePartition.split`, so the two execution modes always agree on
-which shard owns a point.  Two partitioners choose it:
-
-* :class:`SpatialPartitioner` — a blind, uniform ``rows x cols`` grid.  The
-  right default when nothing is known about the demand.
-* :class:`LoadAwarePartitioner` — seeded by a *prior* solve's per-shard load
-  report (:class:`ShardLoadReport`), it pre-splits the zones a previous day
-  proved hot and pre-merges the ones that proved cold, using exactly the
-  split/merge decision rule (:func:`plan_rebalance_action` under a
-  :class:`RebalancePolicy`) and box-group rewrite
-  (:meth:`RebalanceAction.rewrite`) a live stream applies between
-  windows.  Demand is sticky across re-solves — downtown stays
-  downtown — so yesterday's skew is a good predictor of today's load
-  balance.
+The partitioner owns exactly one shard geometry, a :class:`ZonePartition`
+(``partitioner.zones``): :meth:`SpatialPartitioner.partition` and the live
+streams (:mod:`repro.distributed.stream`) both route through its
+:meth:`~ZonePartition.split`, so the two execution modes always agree on
+which shard owns a point.  :class:`SpatialPartitioner` cuts a blind, uniform
+``rows x cols`` grid; a live stream may then rewrite its own copy of the
+geometry between windows — split the hottest shard, merge cold ones — by
+the one rule :func:`plan_rebalance_action` under a :class:`RebalancePolicy`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -42,7 +34,6 @@ import numpy as np
 from ..geo import BoundingBox, GeoPoint
 from ..geo.batch import coord_array
 from ..market.instance import MarketInstance
-from .messages import DistributedResult
 
 #: Float slack of the tiling check, as a fraction of the region's extent
 #: (box edges) or area (overlaps and coverage).
@@ -51,21 +42,11 @@ TILING_TOLERANCE = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class ShardSpec:
-    """Identity and extent of one shard.
-
-    ``boxes`` is the shard's exact box group (one grid cell, a split half,
-    or the pooled boxes of a merge) — what routing and load round trips
-    use.  ``region`` is their hull, for reports and area accounting only: a
-    merged shard's hull can overlap other shards' territory.
-    """
+    """Identity and extent of one shard: ``boxes`` is the shard's exact box
+    group (one grid cell, a split half, or the pooled boxes of a merge)."""
 
     shard_id: int
     boxes: Tuple[BoundingBox, ...]
-
-    @property
-    def region(self) -> BoundingBox:
-        """The tightest single box around :attr:`boxes`."""
-        return hull_of_boxes(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -312,27 +293,23 @@ def split_box_group(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class RebalancePolicy:
-    """Skew-aware shard split/merge knobs.
+    """Skew-aware shard split/merge knobs of a live stream.
 
-    A live *stream* consults the policy every
-    ``check_every_batches`` arrival batches; the *offline*
-    :class:`LoadAwarePartitioner` applies the same rule iteratively to a
-    prior solve's load report before a solve.  In both cases the decision
-    (:func:`plan_rebalance_action`) is: if the hottest shard holds at least
-    ``hot_factor`` times the mean task load (and at least
-    ``min_split_tasks`` tasks), split it — one box shard into its two halves
-    along the longer axis, a multi-box shard into its two half lists.
-    Otherwise, if the two coldest shards are both under ``cold_factor``
-    times the mean, merge them into one multi-box shard.  Splitting lifts
-    the ``total/slowest`` critical-path cap toward the shard count; merging
+    The stream consults the policy every ``check_every_batches`` arrival
+    batches, and the decision (:func:`plan_rebalance_action`) is: if the
+    hottest shard holds at least ``hot_factor`` times the mean task load
+    (and at least ``min_split_tasks`` tasks, and fewer than ``max_shards``
+    shards exist), split it — one box shard into its two halves along the
+    longer axis, a multi-box shard into its two half lists.  Otherwise, if
+    the two coldest shards are both under ``cold_factor`` times the mean,
+    merge them into one multi-box shard.  Splitting lifts the
+    ``total/slowest`` critical-path cap toward the shard count; merging
     stops starving workers on empty districts.
 
     Rebalancing is deterministic but *replaces* the fixed partition, so it
-    forfeits parity with the original grid; instead the streaming contract is
-    that the rebalanced stream is bit-identical to a from-start stream over
-    the final regions (the stream's ``DistributedResult.regions``), and the
-    offline contract is that the refined partition is a pure function of the
-    prior load report.
+    forfeits parity with the original grid; instead the contract is that
+    the rebalanced stream is bit-identical to a from-start stream over the
+    final regions (the stream's ``DistributedResult.regions``).
     """
 
     check_every_batches: int = 4
@@ -344,54 +321,32 @@ class RebalancePolicy:
     def __post_init__(self) -> None:
         if self.check_every_batches < 1:
             raise ValueError("check_every_batches must be >= 1")
-        if self.hot_factor <= 1.0:
-            raise ValueError("hot_factor must be > 1")
-        if self.cold_factor < 0.0:
-            raise ValueError("cold_factor must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class RebalanceAction:
-    """One split/merge decision produced by :func:`plan_rebalance_action`.
-
-    ``kind`` is ``"split"`` (positions holds the single hot shard) or
-    ``"merge"`` (positions holds the two cold shards, coldest first — their
-    boxes concatenate in that order so the replayed partition is
-    reproducible).
-    """
-
-    kind: str
-    positions: Tuple[int, ...]
-
-    def rewrite(
-        self, groups: Sequence[Tuple[BoundingBox, ...]]
-    ) -> Tuple[Tuple[int, ...], List[Tuple[BoundingBox, ...]]]:
-        """The one rewrite of a shard box-group list under this action.
-
-        Returns ``(removed, added)``: the positions the action retires, in
-        ascending order, and the box groups that replace them — appended
-        after the surviving shards, in this order.  The streaming rebalancer
-        and :class:`LoadAwarePartitioner` both apply it, so a rebalanced
-        stream and a refined offline partition lay out the same regions.
-        """
-        if self.kind == "split":
-            (hot,) = self.positions
-            return (hot,), list(split_box_group(groups[hot]))
-        merged = tuple(box for position in self.positions for box in groups[position])
-        return tuple(sorted(self.positions)), [merged]
+        if not (math.isfinite(self.hot_factor) and self.hot_factor > 1.0):
+            raise ValueError("hot_factor must be finite and > 1")
+        if not (math.isfinite(self.cold_factor) and self.cold_factor >= 0.0):
+            raise ValueError("cold_factor must be finite and >= 0")
+        if self.min_split_tasks < 0:
+            raise ValueError("min_split_tasks must be >= 0")
+        if self.max_shards is not None and self.max_shards < 1:
+            raise ValueError("max_shards must be >= 1 (or None for no cap)")
 
 
 def plan_rebalance_action(
-    counts: Sequence[float], policy: RebalancePolicy
-) -> Optional[RebalanceAction]:
-    """Decide the next split/merge over per-shard task loads, or ``None``.
+    counts: Sequence[float],
+    groups: Sequence[Tuple[BoundingBox, ...]],
+    policy: RebalancePolicy,
+) -> Optional[Tuple[Tuple[int, ...], List[Tuple[BoundingBox, ...]]]]:
+    """The next split/merge of the shard box groups ``groups`` (aligned
+    with their task loads ``counts``), or ``None`` when the rule is quiet.
 
-    This is the single decision rule shared by the streaming rebalancer and
-    the offline :class:`LoadAwarePartitioner`: deterministic (ties broken by
-    shard position — lowest position wins for the hot shard, coldest-first
-    ordering for the merge pair) and purely a function of ``counts`` and the
-    policy, which is what makes both the rebalanced stream and the pre-split
-    offline partition reproducible.
+    Returns ``(removed, added)``: the positions the action retires, in
+    ascending order, and the box groups that replace them — to be appended
+    after the surviving shards, in this order.  A split retires the hottest
+    shard (ties to the lowest position) for its two halves
+    (:func:`split_box_group`); a merge retires the two coldest shards and
+    pools their boxes coldest first (ties to the lower position).  The
+    result is purely a function of its arguments, which is what makes a
+    rebalanced stream reproducible from the start.
     """
     total = sum(counts)
     if total == 0 or len(counts) == 0:
@@ -404,147 +359,11 @@ def plan_rebalance_action(
         and counts[hot] >= policy.hot_factor * mean
         and counts[hot] >= policy.min_split_tasks
     ):
-        return RebalanceAction(kind="split", positions=(hot,))
+        return (hot,), list(split_box_group(groups[hot]))
     if len(counts) < 2:
         return None
     cold = sorted(range(len(counts)), key=lambda i: (counts[i], i))[:2]
     if all(counts[i] <= policy.cold_factor * mean for i in cold):
-        return RebalanceAction(kind="merge", positions=tuple(cold))
+        merged = tuple(box for position in cold for box in groups[position])
+        return tuple(sorted(cold)), [merged]
     return None
-
-
-def hull_of_boxes(boxes: Sequence[BoundingBox]) -> BoundingBox:
-    """The tightest single box containing every box in ``boxes``.
-
-    Gives a shard its representative :attr:`ShardSpec.region` (reports and
-    area accounting only — routing always uses the exact box group, never
-    the hull).
-    """
-    if not boxes:
-        raise ValueError("need at least one box")
-    return BoundingBox(
-        south=min(box.south for box in boxes),
-        west=min(box.west for box in boxes),
-        north=max(box.north for box in boxes),
-        east=max(box.east for box in boxes),
-    )
-
-
-# ----------------------------------------------------------------------
-# load-aware partitioning (offline path)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardLoadReport:
-    """Per-shard regions + task loads observed by a prior solve.
-
-    The exchange format between one solve and the next partitioning
-    decision: ``regions[i]`` is shard ``i``'s box group and
-    ``task_counts[i]`` how many tasks it owned.  Build one with
-    :meth:`from_prior` from a
-    :class:`~repro.distributed.messages.DistributedResult` — an offline
-    solve's or a stream's, whose possibly rebalanced ``regions`` round-trip
-    — or from a :class:`PartitionPlan`.
-    """
-
-    regions: Tuple[Tuple[BoundingBox, ...], ...]
-    task_counts: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.regions) != len(self.task_counts):
-            raise ValueError("regions and task_counts must align shard-for-shard")
-        if not self.regions:
-            raise ValueError("a load report needs at least one shard")
-
-    @classmethod
-    def from_prior(
-        cls, prior: ShardLoadReport | PartitionPlan | DistributedResult
-    ) -> ShardLoadReport:
-        """The load report of a prior run.
-
-        Accepts a :class:`ShardLoadReport` (returned as-is), a
-        :class:`PartitionPlan` (regions are the shard specs' box groups) or
-        a ``DistributedResult`` (its ``regions`` — post-rebalance for a
-        stream — and its report's per-shard task counts).
-        """
-        if isinstance(prior, ShardLoadReport):
-            return prior
-        if isinstance(prior, PartitionPlan):
-            return cls(
-                regions=tuple(shard.spec.boxes for shard in prior.shards),
-                task_counts=tuple(shard.task_count for shard in prior.shards),
-            )
-        if isinstance(prior, DistributedResult):
-            return cls(prior.regions, prior.report.per_shard_task_counts)
-        raise TypeError(
-            "expected a ShardLoadReport, PartitionPlan or DistributedResult, "
-            f"got {type(prior).__name__}"
-        )
-
-    @property
-    def max_over_mean(self) -> float:
-        """Load-balance figure of merit: hottest shard load over the mean
-        (1.0 is perfectly balanced; the critical-path cap scales with it)."""
-        total = sum(self.task_counts)
-        if total == 0:
-            return 1.0
-        return max(self.task_counts) / (total / len(self.task_counts))
-
-
-class LoadAwarePartitioner(SpatialPartitioner):
-    """Pre-split hot zones / pre-merge cold ones from a prior load report.
-
-    Where :class:`SpatialPartitioner` cuts the city blind, this partitioner
-    consumes the per-shard loads a *previous* solve observed
-    (:class:`ShardLoadReport`) and refines that solve's regions **before**
-    the next solve: iteratively apply :func:`plan_rebalance_action` under
-    ``policy`` — split the hottest shard (estimating half the load per
-    half), merge the coldest pair — until the rule goes quiet or ``rounds``
-    is exhausted.  The refinement is a pure function of the report and the
-    policy, so two partitioners built from the same prior produce identical
-    shards (pinned by ``tests/distributed/test_offline_pool.py``), and
-    ``rounds=0`` reproduces the prior's regions exactly.
-
-    Only its :attr:`zones` differ from a grid's: :meth:`partition`,
-    :attr:`box_groups` and :attr:`shard_count` are inherited, and the
-    coordinator's streams route through the same ``zones``, so one skew
-    profile steers both execution modes.  The report's regions must tile
-    ``region`` (see :class:`ZonePartition`).
-    """
-
-    def __init__(
-        self,
-        region: BoundingBox,
-        prior,
-        policy: Optional[RebalancePolicy] = None,
-        rounds: int = 8,
-    ) -> None:
-        if rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        self.policy = policy or RebalancePolicy()
-        self.report = ShardLoadReport.from_prior(prior)
-        self.zones = ZonePartition(
-            region, self._refine(self.report, self.policy, rounds)
-        )
-
-    @staticmethod
-    def _refine(
-        report: ShardLoadReport, policy: RebalancePolicy, rounds: int
-    ) -> List[Tuple[BoundingBox, ...]]:
-        """Apply the split/merge rule to the report's regions ``rounds``
-        times at most, with the streaming rebalancer's bookkeeping
-        (:meth:`RebalanceAction.rewrite`)."""
-        groups: List[Tuple[BoundingBox, ...]] = [tuple(g) for g in report.regions]
-        loads: List[float] = [float(count) for count in report.task_counts]
-        for _ in range(rounds):
-            action = plan_rebalance_action(loads, policy)
-            if action is None:
-                break
-            removed, added = action.rewrite(groups)
-            # A merge sums its shards' loads; a split estimates half-and-half,
-            # the only deterministic guess without re-routing (the true split
-            # is measured next solve).
-            load = sum(loads[position] for position in removed) / len(added)
-            groups = [g for p, g in enumerate(groups) if p not in removed] + added
-            loads = [x for p, x in enumerate(loads) if p not in removed]
-            loads += [load] * len(added)
-        return groups

@@ -329,9 +329,10 @@ def lpt_slot_assignment(loads: Sequence[float], slot_count: int) -> List[int]:
     can put the two hottest shards on the same slot, LPT never does while a
     colder slot exists.
 
-    Used by ``DistributedCoordinator.solve(load_report=...)``;
-    placement only changes *where* a shard runs, never its request or the
-    merge order, so the merged solution is placement-independent.
+    ``DistributedCoordinator.solve`` places its live shards by it, over
+    their own task counts; placement only changes *where* a shard runs,
+    never its request or the merge order, so the merged solution is
+    placement-independent.
     """
     if slot_count < 1:
         raise ValueError("slot_count must be >= 1")

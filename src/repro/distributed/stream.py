@@ -458,10 +458,12 @@ class DistributedStreamSession:
         policy = self._rebalance
         if policy is None or self.batch_count % policy.check_every_batches != 0:
             return
-        action = plan_rebalance_action(self.shard_task_counts, policy)
+        action = plan_rebalance_action(
+            self.shard_task_counts, self.shard_regions, policy
+        )
         if action is None:
             return
-        self._reshard(*action.rewrite(self.shard_regions))
+        self._reshard(*action)
         self._rebalances += 1
 
     def _reshard(

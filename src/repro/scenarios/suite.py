@@ -11,12 +11,9 @@ four-mode sweep pays worker startup once, exactly like the ablation sweeps.
 Per (scenario, mode) the suite records the comparison row the ISSUE asks
 for: serve rate, revenue/value, mean customer wait (streamed modes; the
 offline solver has no clock) and the shard-load skew
-(:attr:`~repro.distributed.partition.ShardLoadReport.max_over_mean`) the
+(:attr:`~repro.distributed.messages.FanOutReport.shard_skew`) the
 scenario induced on the partition — the number that tells you a stadium
-scenario needs a rebalance policy while a rainy day does not.  The first
-offline solve's load report also feeds the pool's LPT placement
-(``solve(pool=..., load_report=...)``) for the remaining solvers, so the
-suite itself exercises the load round trip it reports on.
+scenario needs a rebalance policy while a rainy day does not.
 
 With ``bounds=True`` (the default) every scenario additionally runs the
 exact tier once (``solver="lp"``, :mod:`repro.offline.flow`) and stamps the
@@ -34,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.reporting import format_table
 from ..distributed.coordinator import SOLVER_NAMES, DistributedCoordinator
-from ..distributed.partition import ShardLoadReport, SpatialPartitioner
+from ..distributed.partition import SpatialPartitioner
 from ..distributed.pool import PersistentWorkerPool
 from ..online.batch import BatchConfig
 from .compiler import CompiledScenario, compile_scenario
@@ -271,7 +268,6 @@ def _run_one(
     spec = compiled.spec
     instance = compiled.instance
     out: List[ScenarioRunMetrics] = []
-    load_report: Optional[ShardLoadReport] = None
 
     def coordinator_for(solver: str) -> DistributedCoordinator:
         return DistributedCoordinator(
@@ -303,22 +299,14 @@ def _run_one(
             "lagrangian_bound": report.lagrangian_bound,
             "optimality_gap": report.greedy_gap,
         }
-        # The bounds pass's skew steers slot placement for every later solve.
-        load_report = ShardLoadReport.from_prior(lp_result)
 
     for solver in solvers:
         if solver == "lp" and lp_precomputed is not None:
             result, wall = lp_precomputed
         else:
             start = time.perf_counter()
-            result = coordinator_for(solver).solve(
-                instance, pool=pool, load_report=load_report
-            )
+            result = coordinator_for(solver).solve(instance, pool=pool)
             wall = time.perf_counter() - start
-        report = ShardLoadReport.from_prior(result)
-        if load_report is None:
-            # The first solve's skew steers slot placement for the rest.
-            load_report = report
         solution = result.solution
         out.append(
             ScenarioRunMetrics(
@@ -332,7 +320,7 @@ def _run_one(
                 total_value=solution.total_value,
                 total_revenue=solution.total_revenue,
                 mean_wait_s=solution.mean_wait_s,
-                shard_skew=report.max_over_mean,
+                shard_skew=result.report.shard_skew,
                 wall_clock_s=wall,
                 **bound_columns,
             )
@@ -375,7 +363,7 @@ def _run_one(
                     total_value=result.solution.total_value,
                     total_revenue=result.solution.total_revenue,
                     mean_wait_s=result.solution.mean_wait_s,
-                    shard_skew=ShardLoadReport.from_prior(result).max_over_mean,
+                    shard_skew=result.report.shard_skew,
                     wall_clock_s=wall,
                     **bound_columns,
                 )

@@ -14,6 +14,7 @@ from hypothesis import settings
 settings.register_profile("repro-ci", derandomize=True, deadline=None, max_examples=50)
 settings.load_profile("repro-ci")
 
+from repro.distributed import DistributedStreamSession, PersistentWorkerPool, ZonePartition
 from repro.geo import GeoPoint, HaversineEstimator, TravelModel
 from repro.market.cost import MarketCostModel
 from repro.market.driver import Driver
@@ -101,6 +102,22 @@ def build_random_instance(
     )
     drivers = generator.generate_from_trips(trips, count=driver_count)
     return market_from_trace(trips, drivers)
+
+
+def stream_from_start(instance, region, regions, batches, config):
+    """Contract 10's reference: a serial stream that never rebalances,
+    routed over ``regions`` (a finished stream's ``result.regions``) from its
+    first batch and fed ``batches``."""
+    with PersistentWorkerPool("serial") as pool, DistributedStreamSession(
+        fleet=instance.drivers,
+        cost_model=instance.cost_model,
+        config=config,
+        pool=pool,
+        router=ZonePartition(region, regions),
+    ) as session:
+        for batch in batches:
+            session.append_batch(batch)
+        return session.finish()
 
 
 @pytest.fixture(scope="session")

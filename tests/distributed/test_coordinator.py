@@ -272,6 +272,13 @@ class TestOneFanOutResult:
         ]
         assert report.empty_shard_count == sum(driverless) > 0
 
+    def test_shard_skew_is_the_hottest_count_over_the_mean(self, instance):
+        report = DistributedCoordinator(SpatialPartitioner(PORTO, 3, 3)).solve(instance).report
+        counts = report.per_shard_task_counts
+        assert report.shard_skew == max(counts) / (sum(counts) / len(counts)) > 1.0
+        idle = dataclasses.replace(report, per_shard_task_counts=(0,) * len(counts))
+        assert idle.shard_skew == 1.0
+
     def test_worker_count_is_the_slots_used(self, instance):
         """One shard on a 2-slot pool runs on one slot, offline and streamed."""
         coordinator = DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1))

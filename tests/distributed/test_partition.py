@@ -5,13 +5,8 @@ import random
 
 import pytest
 
-from repro.distributed import (
-    DistributedCoordinator,
-    LoadAwarePartitioner,
-    ShardLoadReport,
-    SpatialPartitioner,
-    ZonePartition,
-)
+import repro.distributed
+from repro.distributed import DistributedCoordinator, SpatialPartitioner, ZonePartition
 from repro.core import DriverPlan
 from repro.distributed.stream import merge_shard_plans
 from repro.geo import BEIJING, NYC, PORTO, BoundingBox, GeoPoint
@@ -140,14 +135,13 @@ class TestPartitioner:
 
     def test_shard_regions_tile_the_city(self, instance):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
-        total_area = sum(s.spec.region.area_km2() for s in plan.shards)
+        total_area = sum(b.area_km2() for s in plan.shards for b in s.spec.boxes)
         assert total_area == pytest.approx(PORTO.area_km2(), rel=0.01)
 
-    def test_spec_region_is_the_hull_of_its_boxes(self, instance):
+    def test_spec_boxes_are_the_grid_cells(self, instance):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
         for shard, box in zip(plan.shards, PORTO.split(2, 2)):
             assert shard.spec.boxes == (box,)
-            assert shard.spec.region == box
 
 
 class TestOneShardGeometry:
@@ -163,13 +157,10 @@ class TestOneShardGeometry:
         partitioner = SpatialPartitioner(region, rows, cols)
         plan = partitioner.partition(market)
         offline_tasks, offline_drivers = plan_owners(plan, len(points))
-        replayed_tasks, replayed_drivers = plan_owners(
-            LoadAwarePartitioner(region, plan, rounds=0).partition(market),
-            len(points),
-        )
+        replayed = ZonePartition(region, [shard.spec.boxes for shard in plan.shards])
         assert offline_drivers == offline_tasks
         assert stream_task_owners(partitioner, points) == offline_tasks
-        assert (replayed_tasks, replayed_drivers) == (offline_tasks, offline_drivers)
+        assert replayed.route(points).tolist() == offline_tasks
 
     def test_row_boundary_point_lands_in_one_shard(self):
         """The point on PORTO's 2x2 row boundary: solve() and open_stream()
@@ -193,15 +184,13 @@ class TestZoneTiling:
                 assert ZonePartition.from_grid(region, rows, cols).shard_count == rows * cols
 
     def test_overlapping_groups_rejected(self):
-        report = ShardLoadReport(regions=((PORTO,), (PORTO,)), task_counts=(30, 30))
         with pytest.raises(ValueError, match="overlap"):
-            LoadAwarePartitioner(PORTO, report, rounds=0)
+            ZonePartition(PORTO, [(PORTO,), (PORTO,)])
 
     def test_uncovered_area_rejected(self):
         west, _east = PORTO.split(1, 2)
-        report = ShardLoadReport(regions=((west,),), task_counts=(30,))
         with pytest.raises(ValueError, match="cover"):
-            LoadAwarePartitioner(PORTO, report, rounds=0)
+            ZonePartition(PORTO, [(west,)])
 
     def test_box_outside_region_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -217,6 +206,20 @@ class TestZoneTiling:
 
 
 class TestRemovedSurface:
+    def test_load_report_option_is_gone(self, instance):
+        coordinator = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2))
+        prior = coordinator.solve(instance)
+        with pytest.raises(TypeError):
+            coordinator.solve(instance, load_report=prior)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["LoadAwarePartitioner", "ShardLoadReport", "RebalanceAction", "hull_of_boxes"],
+    )
+    def test_removed_names_are_gone(self, name):
+        assert not hasattr(repro.distributed, name)
+        assert not hasattr(repro.distributed.partition, name)
+
     def test_stream_regions_option_is_gone(self, instance):
         regions = ((PORTO,),)
         with DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1)) as coordinator:
@@ -233,13 +236,11 @@ class TestRemovedSurface:
         assert public(partitioner) == {"zones", "box_groups", "shard_count", "partition"}
         plan = partitioner.partition(instance)
         assert public(plan) == {"shards", "shard_count"}
-        assert public(plan.shards[0].spec) == {"shard_id", "boxes", "region"}
+        assert public(plan.shards[0].spec) == {"shard_id", "boxes"}
         assert {f.name for f in dataclasses.fields(plan.shards[0].spec)} == {
             "shard_id",
             "boxes",
         }
-        refined = LoadAwarePartitioner(PORTO, plan, rounds=0)
-        assert public(refined) == public(partitioner) | {"policy", "report"}
         assert not hasattr(ZonePartition, "split_group")
         assert not hasattr(BoundingBox, "cell_indices")
         assert hasattr(BoundingBox, "cell_index")

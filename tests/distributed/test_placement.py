@@ -1,9 +1,9 @@
 """Pool-aware shard placement (LPT) for offline solves.
 
 Two halves: the :func:`lpt_slot_assignment` rule itself, and the
-coordinator-level contract — ``solve(load_report=...)`` packs slots
-longest-processing-time-first but the merged solution is bit-identical to
-round-robin placement, on a shared pool or one of its own (placement moves
+coordinator-level placement — ``solve`` packs its live shards onto the
+pool's slots longest-processing-time-first over their own task counts, and
+the merged solution does not depend on the pool's width (placement moves
 work between slots, never changes it).
 """
 
@@ -12,7 +12,6 @@ import pytest
 from repro.distributed import (
     DistributedCoordinator,
     PersistentWorkerPool,
-    ShardLoadReport,
     SpatialPartitioner,
     lpt_slot_assignment,
 )
@@ -72,21 +71,20 @@ class TestCoordinatorPlacement:
     def test_placement_does_not_change_the_merge(self, skewed_instance):
         config, instance = skewed_instance
         partitioner = SpatialPartitioner(config.bounding_box, 3, 3)
+        serial = DistributedCoordinator(partitioner, "greedy").solve(instance)
         coordinator = DistributedCoordinator(
             partitioner, "greedy", executor="process", max_workers=2
         )
         own = coordinator.solve(instance)
         with PersistentWorkerPool(executor="process", worker_count=2) as pool:
-            round_robin = coordinator.solve(instance, pool=pool)
-            packed = coordinator.solve(instance, pool=pool, load_report=own)
-        assert self._fingerprint(round_robin) == self._fingerprint(own)
-        assert self._fingerprint(packed) == self._fingerprint(own)
+            shared = coordinator.solve(instance, pool=pool)
+        assert self._fingerprint(own) == self._fingerprint(serial)
+        assert self._fingerprint(shared) == self._fingerprint(serial)
 
-    def test_lpt_slots_follow_the_prior_report(self, skewed_instance):
+    def test_lpt_slots_follow_the_live_task_counts(self, skewed_instance):
         config, instance = skewed_instance
         partitioner = SpatialPartitioner(config.bounding_box, 3, 3)
         coordinator = DistributedCoordinator(partitioner, "greedy", executor="serial")
-        prior = coordinator.solve(instance)
 
         submitted = []
         with PersistentWorkerPool(executor="serial") as pool:
@@ -98,7 +96,7 @@ class TestCoordinatorPlacement:
 
             pool.worker_count = 2  # route the placement math through 2 slots
             pool.submit = recording_submit
-            coordinator.solve(instance, pool=pool, load_report=prior)
+            coordinator.solve(instance, pool=pool)
             pool.worker_count = 1
 
         plan = partitioner.partition(instance)
@@ -108,59 +106,8 @@ class TestCoordinatorPlacement:
             if shard.task_count > 0 and shard.driver_count > 0
         ]
         expected = lpt_slot_assignment(
-            [float(plan.shards[position].task_count) for position in live],
-            min(2, len(live)),
+            [float(plan.shards[position].task_count) for position in live], 2
         )
         assert submitted == expected
         # A skewed city must actually diverge from round-robin placement.
-        assert submitted != list(range(len(live)))
-
-    def test_mismatched_report_falls_back_to_current_counts(self, skewed_instance):
-        config, instance = skewed_instance
-        partitioner = SpatialPartitioner(config.bounding_box, 2, 2)
-        coordinator = DistributedCoordinator(partitioner, "greedy", executor="serial")
-        stale = ShardLoadReport(
-            regions=((config.bounding_box,),), task_counts=(999,)
-        )  # one shard; the plan has four
-        with PersistentWorkerPool(executor="serial") as pool:
-            fresh = coordinator.solve(instance, pool=pool)
-            packed = coordinator.solve(instance, pool=pool, load_report=stale)
-        assert self._fingerprint(packed) == self._fingerprint(fresh)
-
-    def test_same_count_different_regions_is_not_trusted(self, skewed_instance):
-        """A report from a *different* partition with a coincidentally equal
-        shard count must fall back to the current shards' own loads, not
-        attribute its counts to the wrong shards."""
-        config, instance = skewed_instance
-        coordinator = DistributedCoordinator(
-            SpatialPartitioner(config.bounding_box, 2, 2), "greedy", executor="serial"
-        )
-        plan = coordinator.partitioner.partition(instance)
-        # Four shards, but cut the other way (1x4): same count, other boxes.
-        foreign = ShardLoadReport(
-            regions=tuple((box,) for box in config.bounding_box.split(1, 4)),
-            # Loads that, if trusted positionally, would invert the ordering.
-            task_counts=(1, 1, 1, 1000),
-        )
-        live = [
-            position
-            for position, shard in enumerate(plan.shards)
-            if shard.task_count > 0 and shard.driver_count > 0
-        ]
-        expected = lpt_slot_assignment(
-            [float(plan.shards[position].task_count) for position in live],
-            min(2, len(live)),
-        )
-        submitted = []
-        with PersistentWorkerPool(executor="serial") as pool:
-            original = pool.submit
-
-            def recording_submit(slot, fn, /, *args):
-                submitted.append(slot)
-                return original(slot, fn, *args)
-
-            pool.worker_count = 2
-            pool.submit = recording_submit
-            coordinator.solve(instance, pool=pool, load_report=foreign)
-            pool.worker_count = 1
-        assert submitted == expected
+        assert submitted != [position % 2 for position in range(len(live))]

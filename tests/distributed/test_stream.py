@@ -15,16 +15,15 @@ import pytest
 from repro.core import DriverPlan
 from repro.distributed import (
     DistributedCoordinator,
-    LoadAwarePartitioner,
     RebalancePolicy,
     SpatialPartitioner,
     ZonePartition,
 )
 from repro.geo import PORTO
 from repro.market import StreamingMarketInstance
-from repro.online.batch import BatchConfig, BatchedSimulator, window_batches
+from repro.online.batch import BatchConfig, BatchedSimulator, stream_schedule, window_batches
 
-from ..conftest import build_random_instance
+from ..conftest import build_random_instance, stream_from_start
 
 WINDOW_S = 600.0
 EXECUTORS = ("serial", "process")
@@ -264,10 +263,13 @@ class TestSkewAwareRebalance:
             )
             assert rebalanced.report.rebalance_count > 0
             assert rebalanced.report.shard_count > 4
-        with DistributedCoordinator(
-            LoadAwarePartitioner(PORTO, rebalanced, rounds=0), executor="serial"
-        ) as coordinator:
-            from_start = coordinator.solve_stream(instance, config=config)
+        from_start = stream_from_start(
+            instance,
+            PORTO,
+            rebalanced.regions,
+            stream_schedule(instance.tasks, config.window_s),
+            config,
+        )
         assert stream_fingerprint(rebalanced) == stream_fingerprint(from_start)
 
     def test_merge_fires_for_cold_shards(self, instance, config):
@@ -285,10 +287,13 @@ class TestSkewAwareRebalance:
             merged = coordinator.solve_stream(instance, config=config, rebalance=policy)
             assert merged.report.rebalance_count > 0
             assert merged.report.shard_count < 9
-        with DistributedCoordinator(
-            LoadAwarePartitioner(PORTO, merged, rounds=0), executor="serial"
-        ) as coordinator:
-            from_start = coordinator.solve_stream(instance, config=config)
+        from_start = stream_from_start(
+            instance,
+            PORTO,
+            merged.regions,
+            stream_schedule(instance.tasks, config.window_s),
+            config,
+        )
         assert stream_fingerprint(merged) == stream_fingerprint(from_start)
 
     def test_rebalance_on_process_pool(self, instance, config):

@@ -18,17 +18,16 @@ from hypothesis import strategies as st
 
 from repro.distributed import (
     DistributedCoordinator,
-    LoadAwarePartitioner,
     PersistentWorkerPool,
     RebalancePolicy,
     SpatialPartitioner,
     ZonePartition,
 )
-from repro.distributed.partition import RebalanceAction
+from repro.distributed.partition import split_box_group
 from repro.geo import PORTO, GeoPoint
 from repro.online.batch import BatchConfig
 
-from ..conftest import build_random_instance
+from ..conftest import build_random_instance, stream_from_start
 
 CONFIG = BatchConfig(window_s=600.0)
 
@@ -89,20 +88,6 @@ def fingerprint(result):
     )
 
 
-def from_start(instance, result, slices):
-    """The contract-10 reference: a serial, never-rebalancing stream that
-    uses ``result``'s final regions from its first batch."""
-    with DistributedCoordinator(
-        LoadAwarePartitioner(PORTO, result, rounds=0), executor="serial"
-    ) as coordinator:
-        with coordinator.open_stream(
-            instance.drivers, instance.cost_model, config=CONFIG
-        ) as session:
-            for batch in slices:
-                session.append_batch(batch)
-            return session.finish()
-
-
 def run_schedule(instance, schedule, ending, pool=None):
     rows, cols, policy, sizes = schedule
     slices = cut(publish_ordered(instance), sizes)
@@ -142,7 +127,8 @@ def run_schedule(instance, schedule, ending, pool=None):
         g for g, task in enumerate(appended) if task.is_publishable
     }
     assert sum(result.report.per_shard_task_counts) == len(appended)
-    assert fingerprint(result) == fingerprint(from_start(instance, result, slices))
+    reference = stream_from_start(instance, PORTO, result.regions, slices, CONFIG)
+    assert fingerprint(result) == fingerprint(reference)
 
 
 @pytest.mark.parametrize("ending", ["finish", "close"])
@@ -167,13 +153,11 @@ def zone_partitions(draw):
     for _ in range(draw(st.integers(0, 3))):
         if len(groups) > 1 and draw(st.booleans()):
             pair = draw(st.permutations(range(len(groups))))[:2]
-            action = RebalanceAction(kind="merge", positions=tuple(pair))
+            added = [tuple(box for p in pair for box in groups[p])]
         else:
-            action = RebalanceAction(
-                kind="split", positions=(draw(st.integers(0, len(groups) - 1)),)
-            )
-        removed, added = action.rewrite(groups)
-        groups = [g for p, g in enumerate(groups) if p not in removed] + added
+            pair = [draw(st.integers(0, len(groups) - 1))]
+            added = list(split_box_group(groups[pair[0]]))
+        groups = [g for p, g in enumerate(groups) if p not in pair] + added
     return ZonePartition(PORTO, groups)
 
 

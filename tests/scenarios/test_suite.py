@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.distributed import PersistentWorkerPool
+from repro.distributed import PersistentWorkerPool, SpatialPartitioner
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
     DemandSurge,
@@ -12,6 +12,7 @@ from repro.scenarios import (
     TravelSlowdown,
     ZoneClosure,
     HotspotMigration,
+    compile_scenario,
     get_scenario,
     run_scenario_suite,
     scenario_names,
@@ -60,6 +61,34 @@ class TestSuite:
                 assert math.isnan(row.mean_wait_s)  # no arrival tracked
             else:
                 assert row.mean_wait_s >= 0.0
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 2)])
+    def test_shard_skew_is_max_over_mean_of_the_grid_loads(self, rows, cols):
+        """Every offline row, and every (never-rebalancing) stream row,
+        reports the hottest grid shard's task count over the mean."""
+        specs = [
+            get_scenario("morning-surge").with_scale(TRIPS, DRIVERS),
+            get_scenario("airport-corridor").with_scale(TRIPS, DRIVERS),
+        ]
+        suite = run_scenario_suite(
+            specs,
+            solvers=("greedy", "nearest"),
+            rows=rows,
+            cols=cols,
+            executor="serial",
+            bounds=False,
+            horizon=2,
+        )
+        for spec in specs:
+            instance = compile_scenario(spec).instance
+            plan = SpatialPartitioner(spec.region, rows, cols).partition(instance)
+            counts = [shard.task_count for shard in plan.shards]
+            expected = max(counts) / (sum(counts) / len(counts))
+            modes = [row.mode for row in suite.rows_for(spec.name)]
+            assert modes == [
+                "offline-greedy", "offline-nearest", "stream-batched", "stream-horizon"
+            ]
+            assert [row.shard_skew for row in suite.rows_for(spec.name)] == [expected] * 4
 
     def test_render_mentions_every_scenario(self):
         suite = run_scenario_suite(
