@@ -109,12 +109,12 @@ def _transport_block(report, wall_s: float) -> dict:
 def _run_city(instance, partitioner, workers: int, rounds: int):
     """Offline + streaming over serial / pickle-pool / shm-pool; returns the
     JSON payload (parity already verified)."""
-    serial = DistributedCoordinator(partitioner, "greedy", executor="serial")
-    serial_result, serial_s = _timed(lambda: serial.solve(instance), rounds)
-    serial_stream, serial_stream_s = _timed(
-        lambda: serial.solve_stream(instance, config=BatchConfig(window_s=WINDOW_S)),
-        rounds,
-    )
+    with DistributedCoordinator(partitioner, "greedy", executor="serial") as serial:
+        serial_result, serial_s = _timed(lambda: serial.solve(instance), rounds)
+        serial_stream, serial_stream_s = _timed(
+            lambda: serial.solve_stream(instance, config=BatchConfig(window_s=WINDOW_S)),
+            rounds,
+        )
 
     offline = {}
     streaming = {}
@@ -124,10 +124,7 @@ def _run_city(instance, partitioner, workers: int, rounds: int):
             partitioner, "greedy", executor="process",
             max_workers=workers, transport=transport,
         ) as coordinator:
-            result, wall_s = _timed(
-                lambda: coordinator.solve(instance, pool=coordinator.stream_pool()),
-                rounds,
-            )
+            result, wall_s = _timed(lambda: coordinator.solve(instance), rounds)
             stream, stream_s = _timed(
                 lambda: coordinator.solve_stream(
                     instance, config=BatchConfig(window_s=WINDOW_S)

@@ -53,9 +53,10 @@ def _gap_record(spec, pools) -> dict:
     instance = compiled.instance
     partitioner = SpatialPartitioner(spec.region, GRID_ROWS, GRID_COLS)
 
-    greedy_start = time.perf_counter()
-    greedy = DistributedCoordinator(partitioner, "greedy").solve(instance)
-    greedy_wall = time.perf_counter() - greedy_start
+    with DistributedCoordinator(partitioner, "greedy") as coordinator:
+        greedy_start = time.perf_counter()
+        greedy = coordinator.solve(instance)
+        greedy_wall = time.perf_counter() - greedy_start
 
     lp_prints, auto_prints = [], []
     lp_result = None
@@ -80,9 +81,10 @@ def _gap_record(spec, pools) -> dict:
     report = lp_result.report
     assert report.bounds_reported
     shard_gaps = [b.optimality_gap for b in report.per_shard_bounds]
-    auto_report = DistributedCoordinator(
+    with DistributedCoordinator(
         partitioner, "auto", gap_threshold=DEFAULT_GAP_THRESHOLD
-    ).solve(instance).report
+    ) as coordinator:
+        auto_report = coordinator.solve(instance).report
 
     return {
         "task_count": instance.task_count,

@@ -173,9 +173,8 @@ def test_rolling_horizon_smoke(save_json):
             prints[executor] = _solution_fingerprint(result.solution)
             waits[executor] = result.solution.mean_wait_s
         # Own-pool path (workers forked by the coordinator) must agree too.
-        own = DistributedCoordinator(
-            partitioner, executor="process"
-        ).solve_stream(instance, batches, config=horizon_cfg)
+        with DistributedCoordinator(partitioner, executor="process") as coordinator:
+            own = coordinator.solve_stream(instance, batches, config=horizon_cfg)
         prints["own-pool"] = _solution_fingerprint(own.solution)
         # Myopic baseline and horizon=1 degradation on the warm serial pool.
         coordinator = DistributedCoordinator(partitioner, executor="serial")

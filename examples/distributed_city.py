@@ -56,12 +56,12 @@ def main() -> None:
     policy_rows = []
     fingerprints = set()
     for executor in EXECUTOR_POLICIES:
-        coordinator = DistributedCoordinator(
+        with DistributedCoordinator(
             SpatialPartitioner(PORTO, 2, 2), solver_name="greedy", executor=executor
-        )
-        start = time.perf_counter()
-        result = coordinator.solve(market)
-        elapsed = time.perf_counter() - start
+        ) as coordinator:
+            start = time.perf_counter()
+            result = coordinator.solve(market)
+            elapsed = time.perf_counter() - start
         fingerprints.add(
             (
                 result.solution.total_value,
@@ -88,12 +88,12 @@ def main() -> None:
     # --- grid sweep: the retention/speed trade-off ------------------------
     rows = [["central (1 shard)", 1, central.total_value, 1.0, central_time, central.served_count]]
     for grid in ((2, 2), (4, 4)):
-        coordinator = DistributedCoordinator(
+        with DistributedCoordinator(
             SpatialPartitioner(PORTO, *grid), solver_name="greedy", executor="process"
-        )
-        start = time.perf_counter()
-        result = coordinator.solve(market)
-        elapsed = time.perf_counter() - start
+        ) as coordinator:
+            start = time.perf_counter()
+            result = coordinator.solve(market)
+            elapsed = time.perf_counter() - start
         result.solution.validate()
         rows.append(
             [

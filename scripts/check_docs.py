@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docs gate: link/reference check over ``docs/`` + README, and execute the
-README quickstart snippet.
+"""Docs gate: link/reference check over ``docs/`` + README, a reader for
+every public name in ``src/repro``, and execute the README quickstart snippet.
 
-Five checks, so the project's front door cannot rot:
+Six checks, so the project's front door cannot rot:
 
 1. **Markdown links** — every relative link target in ``README.md`` and
    ``docs/*.md`` must exist on disk (external ``http(s)`` links are left
@@ -29,6 +29,13 @@ Five checks, so the project's front door cannot rot:
 5. **Quickstart execution** — the first ``python`` code block in the README
    is extracted and executed with ``src/`` on the path; the snippet every
    new reader copy-pastes must actually run.
+6. **Unread public names** — every public top-level function or class in
+   ``src/repro/**/*.py``, and every public method or property of a public
+   class, must have a reader: a whole-word occurrence of its name in a
+   Python file under :data:`READER_ROOTS`.  The name's own ``def`` /
+   ``class`` line, the ``src/repro/**/__init__.py`` re-exports and
+   ``tests/`` are not readers; :data:`UNREAD_NAMES_ALLOWED` names the few
+   kept on purpose.  Code only tests call cannot accrete in ``src/``.
 
 Exit code 0 when everything holds, 1 with a per-finding report otherwise.
 Run from anywhere: ``python scripts/check_docs.py``.
@@ -42,6 +49,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +80,27 @@ UNDEFINED_NAMES_ALLOWED = (
     re.compile(r"QueueListener"),
     # Names the docs cite as deleted (retired parity contract 5).
     re.compile(r"ShardPayload"),
+)
+#: Where a public name's readers live; ``tests/`` is not one of them.
+READER_ROOTS = ("src", "benchmarks", "examples", "scripts")
+#: A ``def`` / ``class`` line and the name it defines, which it does not read.
+DEF_LINE = re.compile(r"\s*(?:async\s+def|def|class)\s+(\w+)")
+WORD = re.compile(r"\w+")
+#: Public names kept without a reader outside tests (``Class.method`` for a
+#: method), each for the reason above it.
+UNREAD_NAMES_ALLOWED = (
+    # Reads the real ECML/PKDD-15 file that docs/architecture.md documents.
+    "load_porto_trips",
+    # The other half of save_solution's round trip.
+    "load_solution",
+    # The leak tests' handle on /dev/shm; it leaves with the shm transport.
+    "ShmShipper.segment_prefix",
+    # Theorem 1's 1/(D+1), which tests/offline/test_greedy.py pins.
+    "TightExample.expected_ratio",
+    # Read by the tests/*_oracle.py reference implementations.
+    "DriverTaskMap.successors_of",
+    "Task.ride_window_s",
+    "TravelModel.travel_time_s",
 )
 
 
@@ -231,6 +260,55 @@ def check_named_code(path: Path, text: str, names: set[str], classes) -> list[st
     return list(dict.fromkeys(problems))
 
 
+def public_names(root: Path) -> list[tuple[Path, int, str]]:
+    """Every public top-level function or class under ``root/src/repro``, and
+    every public method or property of a public class, as ``(file, line,
+    name)``; a method is named ``Class.method``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for source in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (*defs, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((source, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (source, item.lineno, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, defs) and not item.name.startswith("_")
+                )
+    return found
+
+
+def read_words(root: Path) -> Counter[str]:
+    """Every whole word of the Python files under :data:`READER_ROOTS`, less
+    the name each ``def`` / ``class`` line defines, the ``src/repro``
+    ``__init__`` re-exports and this script (its allowlist reads nothing)."""
+    words: Counter[str] = Counter()
+    for reader_root in READER_ROOTS:
+        for source in sorted((root / reader_root).rglob("*.py")):
+            if source.resolve() == Path(__file__).resolve() or (
+                reader_root == "src" and source.name == "__init__.py"
+            ):
+                continue
+            for line in source.read_text(encoding="utf-8").splitlines():
+                line_words = WORD.findall(line)
+                defined = DEF_LINE.match(line)
+                if defined:
+                    line_words.remove(defined.group(1))
+                words.update(line_words)
+    return words
+
+
+def check_unread_names(root: Path = REPO_ROOT, allowed=UNREAD_NAMES_ALLOWED) -> list[str]:
+    words = read_words(root)
+    return [
+        f"{source.relative_to(root)}:{line}: public name has no reader outside tests -> {name}"
+        for source, line, name in public_names(root)
+        if not words[name.rpartition(".")[2]] and name not in allowed
+    ]
+
+
 def extract_quickstart(readme_text: str) -> str | None:
     match = re.search(r"```python\n(.*?)```", readme_text, flags=re.DOTALL)
     return match.group(1) if match else None
@@ -275,6 +353,7 @@ def main() -> int:
         problems += check_path_references(path, text)
         problems += check_cited_names(path, text)
         problems += check_named_code(path, text, names, classes)
+    problems += check_unread_names()
 
     readme_text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     snippet = extract_quickstart(readme_text)
@@ -289,7 +368,7 @@ def main() -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     checked = ", ".join(str(p.relative_to(REPO_ROOT)) for p in DOC_FILES)
-    print(f"docs check OK ({checked}; quickstart executed)")
+    print(f"docs check OK ({checked}; every public name read; quickstart executed)")
     return 0
 
 

@@ -10,7 +10,7 @@ benchmarks can assert on the *shape* rather than eyeball a plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -98,14 +98,3 @@ def histogram(
         edges = np.linspace(values.min(), values.max(), bins + 1)
     counts, edges = np.histogram(values, bins=edges)
     return counts, edges
-
-
-def ascii_histogram(samples: Sequence[float], bins: int = 20, width: int = 50) -> str:
-    """A terminal-friendly rendering of the distribution (used by examples)."""
-    counts, edges = histogram(samples, bins=bins)
-    peak = counts.max() if counts.size else 1
-    lines: List[str] = []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * count / peak)) if peak else ""
-        lines.append(f"{lo:10.1f} - {hi:10.1f} | {bar} {count}")
-    return "\n".join(lines)

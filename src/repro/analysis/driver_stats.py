@@ -71,12 +71,6 @@ class FleetStats:
             "total_empty_km": self.total_empty_km,
         }
 
-    def workload_for(self, driver_id: str) -> DriverWorkload:
-        for workload in self.workloads:
-            if workload.driver_id == driver_id:
-                return workload
-        raise KeyError(f"no workload for driver {driver_id!r}")
-
 
 def gini_coefficient(values: Sequence[float]) -> float:
     """The Gini coefficient of a non-negative sample (0 = equal, 1 = maximal).
@@ -95,21 +89,6 @@ def gini_coefficient(values: Sequence[float]) -> float:
     data = np.sort(data)
     index = np.arange(1, data.size + 1)
     return float((2.0 * (index * data).sum() - (data.size + 1) * total) / (data.size * total))
-
-
-def driver_workload(
-    instance: MarketInstance, driver_id: str, task_indices: Sequence[int]
-) -> DriverWorkload:
-    """Compute one driver's workload for an assigned task list.
-
-    The legs are priced with the instance's cost model from the actual
-    pickup/drop-off coordinates, so the function works for any task sequence
-    (including online chains that are not task-map arcs).
-    """
-    driver = next((d for d in instance.drivers if d.driver_id == driver_id), None)
-    if driver is None:
-        raise KeyError(f"unknown driver id {driver_id!r}")
-    return _workload(instance, driver, task_indices)
 
 
 def _workload(

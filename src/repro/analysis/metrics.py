@@ -10,7 +10,7 @@ sweeps of Figs. 6-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 from ..core.solution import MarketSolution
 
@@ -76,18 +76,6 @@ class SweepSeries:
         if len(self.driver_counts) != len(self.values):
             raise ValueError("driver_counts and values must have equal length")
 
-    def is_non_decreasing(self, tolerance: float = 1e-9) -> bool:
-        return all(
-            later >= earlier - tolerance
-            for earlier, later in zip(self.values, self.values[1:])
-        )
-
-    def is_non_increasing(self, tolerance: float = 1e-9) -> bool:
-        return all(
-            later <= earlier + tolerance
-            for earlier, later in zip(self.values, self.values[1:])
-        )
-
     def trend(self) -> float:
         """Last value minus first value — positive for a growing curve."""
         if not self.values:
@@ -116,12 +104,3 @@ def series_from_metrics(
         driver_counts=tuple(r.driver_count for r in rows),
         values=tuple(values),
     )
-
-
-def algorithms_in(metrics: Iterable[MarketMetrics]) -> List[str]:
-    """Distinct algorithm names, preserving first-seen order."""
-    seen: List[str] = []
-    for m in metrics:
-        if m.algorithm not in seen:
-            seen.append(m.algorithm)
-    return seen

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..core.objectives import Objective
 from ..market.instance import MarketInstance
@@ -85,17 +84,3 @@ def compute_upper_bound(
             instance, objective=objective, iterations=lagrangian_iterations
         ).upper_bound
     raise ValueError(f"unsupported bound kind {bound_kind!r}")
-
-
-def performance_ratios(
-    achieved_by_algorithm: Dict[str, float],
-    upper_bound: float,
-    bound_kind: BoundKind = BoundKind.LP_RELAXATION,
-) -> Dict[str, PerformanceRatio]:
-    """Wrap a set of achieved values against one shared upper bound."""
-    return {
-        name: PerformanceRatio(
-            algorithm=name, achieved=value, upper_bound=upper_bound, bound_kind=bound_kind
-        )
-        for name, value in achieved_by_algorithm.items()
-    }

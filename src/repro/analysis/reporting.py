@@ -7,7 +7,7 @@ terminal and diffable in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(

@@ -58,7 +58,7 @@ from .experiments import (
 )
 from .io import SerializationError, load_instance, save_instance, save_solution
 from .market import graph_summary, market_from_trace
-from .offline import ExactSolverError, exact_optimum, greedy_assignment
+from .offline import ExactSolverError, check_gap_threshold, exact_optimum, greedy_assignment
 from .online import BatchedSimulator, MaxMarginDispatcher, NearestDispatcher, OnlineSimulator
 from .pricing import FareSchedule, LinearPricing
 from .trace import WorkingModel, generate_drivers, generate_trace, write_porto_csv
@@ -116,8 +116,15 @@ def _add_transport_arg(parser: argparse.ArgumentParser, help: str) -> None:
     parser.add_argument("--transport", choices=sorted(TRANSPORTS), default="pickle", help=help)
 
 
+def _gap_threshold(text: str) -> float:
+    try:
+        return check_gap_threshold(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_gap_threshold_arg(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--gap-threshold", type=float, default=0.02, help=help)
+    parser.add_argument("--gap-threshold", type=_gap_threshold, default=0.02, help=help)
 
 
 def _add_stream_arg(parser: argparse.ArgumentParser, default: bool, help: str) -> None:

@@ -238,12 +238,6 @@ class MarketSolution:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def plan_for(self, driver_id: str) -> DriverPlan:
-        for plan in self.plans:
-            if plan.driver_id == driver_id:
-                return plan
-        raise KeyError(f"no plan for driver {driver_id!r}")
-
     def assignment(self) -> Dict[str, Tuple[int, ...]]:
         """The underlying ``driver_id -> task indices`` mapping (non-empty plans)."""
         return {p.driver_id: p.task_indices for p in self.plans if p.task_indices}

@@ -35,7 +35,7 @@ only decides what a slot is.  The right one depends on where the time goes:
     instances scale with the machine; it pays a per-worker fork and a
     per-shard shipment, so it only wins when per-shard solve time dominates
     (hundreds of tasks per shard, or many shards) — and re-solve-heavy
-    callers should pass one warm ``pool=`` to every ``solve``.
+    callers should keep one coordinator (or one ``pool=``) across solves.
 
 Offline shards and stream batches share one wire: a shard's tasks go
 through ``PersistentWorkerPool.submit_shipment``, which alone flattens
@@ -67,13 +67,15 @@ Offline solves on the same pool
 -------------------------------
 
 The pool is not streaming-only: it is the one way
-:meth:`DistributedCoordinator.solve` fans shards out.  Given ``pool=`` (a
-shared pool, or the coordinator's own via ``pool=coordinator.stream_pool()``)
-the per-shard ``ShardWorkRequest``s go onto its warm slots, so re-solve-heavy
+:meth:`DistributedCoordinator.solve` fans shards out.  Without ``pool=`` a
+solve runs on the coordinator's own pool (:meth:`stream_pool`, created on
+first use with the configured executor / width / transport and shared with
+its streams); with one it runs on that shared pool.  Either way the
+per-shard ``ShardWorkRequest``s go onto warm slots, so re-solve-heavy
 offline workloads — the partitioning ablation, figure sweeps, repeated
-what-if solves — pay worker startup once per pool; given none, the solve
-opens a pool of the configured executor / width / transport for the one call
-and closes it.  The live shards go onto the pool's slots
+what-if solves — pay worker startup once per pool.  The coordinator's
+``close()`` (or its ``with`` block) is the one teardown of its own pool; a
+caller's pool stays the caller's.  The live shards go onto the pool's slots
 longest-processing-time-first over their own task counts
 (:func:`~repro.distributed.pool.lpt_slot_assignment`): the hottest shards
 land on separate slots before any slot takes a second one.
@@ -93,7 +95,7 @@ from ..market.driver import Driver
 from ..market.instance import MarketInstance
 from ..market.task import Task
 from ..obs import trace as obs_trace
-from ..offline.flow import ShardBounds, solve_exact_tier
+from ..offline.flow import ShardBounds, check_gap_threshold, solve_exact_tier
 from ..offline.greedy import GreedySolver
 from ..online.batch import BatchConfig, stream_schedule
 from ..online.dispatchers import MaxMarginDispatcher, NearestDispatcher
@@ -225,7 +227,8 @@ class DistributedCoordinator:
     gap_threshold:
         Relative-gap knob for ``solver_name="auto"``: shards whose greedy
         value is within this fraction of the Lagrangian bound skip the LP
-        ("greedy is good enough").  Ignored by the other solvers.
+        ("greedy is good enough"); ``inf`` always keeps greedy.  Ignored by
+        the other solvers, but a non-number or a value below 0 is refused.
     """
 
     def __init__(
@@ -253,7 +256,7 @@ class DistributedCoordinator:
         self.max_workers = max_workers
         self.base_seed = base_seed
         self.transport = transport
-        self.gap_threshold = gap_threshold
+        self.gap_threshold = check_gap_threshold(gap_threshold)
         self._stream_pool: Optional[PersistentWorkerPool] = None
 
     # ------------------------------------------------------------------
@@ -261,20 +264,17 @@ class DistributedCoordinator:
     # ------------------------------------------------------------------
     def stream_pool(self) -> PersistentWorkerPool:
         """The coordinator's persistent worker pool (created lazily, kept
-        alive across streams *and* ``solve(pool=coordinator.stream_pool())``
-        offline solves, so re-solves and sweeps amortise its startup)."""
+        alive across streams *and* offline solves until :meth:`close`, so
+        re-solves and sweeps amortise its startup)."""
         # A pool whose worker died has closed itself; hand out a fresh one
         # rather than re-raising the stale death on every later stream.
         if self._stream_pool is None or self._stream_pool.closed:
-            self._stream_pool = self._new_pool()
+            self._stream_pool = PersistentWorkerPool(
+                executor=self.executor,
+                worker_count=self.max_workers,
+                transport=self.transport,
+            )
         return self._stream_pool
-
-    def _new_pool(self) -> PersistentWorkerPool:
-        return PersistentWorkerPool(
-            executor=self.executor,
-            worker_count=self.max_workers,
-            transport=self.transport,
-        )
 
     @property
     def current_pool(self) -> Optional[PersistentWorkerPool]:
@@ -283,7 +283,8 @@ class DistributedCoordinator:
         return self._stream_pool
 
     def close(self) -> None:
-        """Shut the persistent pool down (idempotent; a new stream reopens it)."""
+        """Shut the persistent pool down (idempotent; the next solve or stream
+        reopens it)."""
         if self._stream_pool is not None:
             self._stream_pool.close()
             self._stream_pool = None
@@ -383,13 +384,12 @@ class DistributedCoordinator:
         in-process, a pickled task delta, or a shared-memory descriptor).
 
         ``pool``
-            The pool to run on; the caller keeps ownership and ``close()``s
-            it after the whole sweep, so repeated offline solves — figure
-            sweeps, ablations — pay worker startup once.  Pass
-            ``coordinator.stream_pool()`` to share the coordinator's own
-            lazily created pool with its streams.  Without one the solve
-            opens a pool of the coordinator's configured executor, width and
-            transport and closes it before returning.
+            An externally owned pool to run on instead of the coordinator's
+            own :meth:`stream_pool`; the caller keeps ownership and
+            ``close()``s it after the whole sweep, which is how one warm pool
+            is shared across many coordinators.  Without one the solve runs
+            on the coordinator's own lazily created pool, which stays warm
+            for the next solve or stream until the coordinator is closed.
 
         The live shards are placed on the pool's slots
         longest-processing-time-first over their own task counts
@@ -403,14 +403,8 @@ class DistributedCoordinator:
         policy, pool width and transport (pinned by
         ``tests/distributed/test_executors.py`` and ``test_transport.py``).
         """
-        if pool is not None:
-            return self._solve_on(pool, instance)
-        with self._new_pool() as ephemeral:
-            return self._solve_on(ephemeral, instance)
-
-    def _solve_on(
-        self, pool: PersistentWorkerPool, instance: MarketInstance
-    ) -> DistributedResult:
+        if pool is None:
+            pool = self.stream_pool()
         run = _FanOutRun(
             pool,
             "solve",

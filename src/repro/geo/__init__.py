@@ -11,7 +11,7 @@ from .point import (
     manhattan_km,
     polyline_length_km,
 )
-from .region import BEIJING, CITY_PRESETS, NYC, PORTO, BoundingBox, city_preset
+from .region import BEIJING, NYC, PORTO, BoundingBox
 from .distance import (
     DistanceEstimator,
     EquirectangularEstimator,
@@ -34,8 +34,6 @@ __all__ = [
     "manhattan_km",
     "polyline_length_km",
     "BoundingBox",
-    "city_preset",
-    "CITY_PRESETS",
     "PORTO",
     "NYC",
     "BEIJING",

@@ -248,10 +248,6 @@ class TravelModel:
         """Travel-time estimate in seconds."""
         return self.time_for_distance_s(self.distance_km(origin, destination))
 
-    def travel_cost(self, origin: GeoPoint, destination: GeoPoint) -> float:
-        """Monetary driving-cost estimate."""
-        return self.cost_for_distance(self.distance_km(origin, destination))
-
     # ------------------------------------------------------------------
     # time indexing
     # ------------------------------------------------------------------

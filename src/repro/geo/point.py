@@ -38,10 +38,6 @@ class GeoPoint:
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon!r} outside [-180, 180]")
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(lat, lon)`` as a plain tuple."""
-        return (self.lat, self.lon)
-
     def haversine_km(self, other: "GeoPoint") -> float:
         """Great-circle distance to ``other`` in kilometres."""
         return haversine_km(self, other)

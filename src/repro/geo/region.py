@@ -1,4 +1,4 @@
-"""Rectangular geographic regions and named city presets.
+"""Rectangular geographic regions and the city boxes.
 
 The evaluation in the paper is run on the city of Porto, Portugal.  A
 :class:`BoundingBox` models the rectangular service area of a market; the
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .point import GeoPoint, equirectangular_km
 
@@ -30,14 +30,6 @@ class BoundingBox:
             raise ValueError("south latitude must be strictly below north latitude")
         if self.west >= self.east:
             raise ValueError("west longitude must be strictly below east longitude")
-
-    @property
-    def south_west(self) -> GeoPoint:
-        return GeoPoint(self.south, self.west)
-
-    @property
-    def north_east(self) -> GeoPoint:
-        return GeoPoint(self.north, self.east)
 
     @property
     def center(self) -> GeoPoint:
@@ -62,9 +54,6 @@ class BoundingBox:
     def height_km(self) -> float:
         """North-south extent of the box."""
         return equirectangular_km(GeoPoint(self.south, self.west), GeoPoint(self.north, self.west))
-
-    def area_km2(self) -> float:
-        return self.width_km() * self.height_km()
 
     def diagonal_km(self) -> float:
         return math.hypot(self.width_km(), self.height_km())
@@ -122,11 +111,6 @@ class BoundingBox:
         col = min(cols - 1, int((point.lon - self.west) / lon_step))
         return row, col
 
-    def iter_grid_centers(self, rows: int, cols: int) -> Iterator[GeoPoint]:
-        """Yield the centre of every cell in a ``rows x cols`` split."""
-        for box in self.split(rows, cols):
-            yield box.center
-
 
 #: Porto, Portugal — the service area of the ECML/PKDD-15 taxi trace.
 PORTO = BoundingBox(south=41.10, west=-8.70, north=41.25, east=-8.52)
@@ -136,23 +120,3 @@ NYC = BoundingBox(south=40.63, west=-74.05, north=40.85, east=-73.85)
 
 #: Central Beijing box (used by examples).
 BEIJING = BoundingBox(south=39.80, west=116.20, north=40.05, east=116.55)
-
-CITY_PRESETS = {
-    "porto": PORTO,
-    "nyc": NYC,
-    "beijing": BEIJING,
-}
-
-
-def city_preset(name: str) -> BoundingBox:
-    """Look up a named city preset (case-insensitive).
-
-    Raises
-    ------
-    KeyError
-        If ``name`` is not one of :data:`CITY_PRESETS`.
-    """
-    key = name.strip().lower()
-    if key not in CITY_PRESETS:
-        raise KeyError(f"unknown city preset {name!r}; available: {sorted(CITY_PRESETS)}")
-    return CITY_PRESETS[key]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Tuple
 
 from ..geo import GeoPoint
 
@@ -49,19 +48,9 @@ class Driver:
             )
 
     @property
-    def working_window(self) -> Tuple[float, float]:
-        """``(t⁻_n, t⁺_n)`` as a tuple."""
-        return (self.start_ts, self.end_ts)
-
-    @property
     def working_duration_s(self) -> float:
         """Length of the working period in seconds."""
         return self.end_ts - self.start_ts
-
-    @property
-    def is_home_work_home(self) -> bool:
-        """Whether the driver's source and destination coincide."""
-        return self.source == self.destination
 
     def with_window(self, start_ts: float, end_ts: float) -> "Driver":
         """A copy of this driver with a different working window."""

@@ -10,15 +10,14 @@ task maps, and provides the conversion from raw trace trips to priced tasks
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..geo import TravelModel, default_travel_model
-from ..pricing import LinearPricing, PricingPolicy, RideQuote, WtpModel
+from ..pricing import LinearPricing, PricingPolicy, RideQuote
 from ..trace.records import TripRecord
 from .cost import MarketCostModel
 from .driver import Driver
@@ -210,9 +209,7 @@ def graph_summary(instance: MarketInstance) -> Dict[str, float]:
 def tasks_from_trips(
     trips: Sequence[TripRecord],
     pricing: Optional[PricingPolicy] = None,
-    wtp_model: Optional[WtpModel] = None,
     publish_lead_s: float = 600.0,
-    seed: int = 11,
 ) -> List[Task]:
     """Convert trace trips into market tasks (the Section VI-A pipeline).
 
@@ -221,13 +218,12 @@ def tasks_from_trips(
     publish time precedes the pickup deadline by ``publish_lead_s`` (riders
     request some minutes ahead; ten minutes by default, which also bounds how
     far away an online dispatcher can pull a driver from).  The price comes
-    from ``pricing`` (Eq. 15 by default) and, when a ``wtp_model`` is given,
-    the customer valuation is sampled from it.
+    from ``pricing`` (Eq. 15 by default); the customer valuation is left
+    unset, so it defaults to the price.
     """
     if publish_lead_s < 0:
         raise ValueError("publish_lead_s must be non-negative")
     policy = pricing or LinearPricing()
-    rng = random.Random(seed)
     tasks: List[Task] = []
     for trip in trips:
         if trip.duration_s <= 0:
@@ -240,7 +236,6 @@ def tasks_from_trips(
             request_ts=trip.start_ts - publish_lead_s,
         )
         price = policy.price(quote)
-        wtp = wtp_model.valuation(quote, price, rng) if wtp_model is not None else None
         tasks.append(
             Task(
                 task_id=f"task-{trip.trip_id}",
@@ -250,7 +245,6 @@ def tasks_from_trips(
                 start_deadline_ts=trip.start_ts,
                 end_deadline_ts=trip.end_ts,
                 price=price,
-                wtp=wtp,
                 distance_km=trip.distance_km,
             )
         )
@@ -261,10 +255,9 @@ def market_from_trace(
     trips: Sequence[TripRecord],
     drivers: Iterable[Driver],
     pricing: Optional[PricingPolicy] = None,
-    wtp_model: Optional[WtpModel] = None,
     travel_model: Optional[TravelModel] = None,
 ) -> MarketInstance:
     """One-call construction of a market instance from a trip trace."""
     cost_model = MarketCostModel(travel_model or default_travel_model())
-    tasks = tasks_from_trips(trips, pricing=pricing, wtp_model=wtp_model)
+    tasks = tasks_from_trips(trips, pricing=pricing)
     return MarketInstance.create(drivers=drivers, tasks=tasks, cost_model=cost_model)

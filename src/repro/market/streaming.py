@@ -88,11 +88,6 @@ class StreamingMarketInstance:
         if initial:
             self.append_tasks(initial)
 
-    @classmethod
-    def from_instance(cls, instance: MarketInstance) -> "StreamingMarketInstance":
-        """Seed a stream with an existing instance's drivers and tasks."""
-        return cls(instance.drivers, instance.cost_model, instance.tasks)
-
     # ------------------------------------------------------------------
     # MarketInstance read API
     # ------------------------------------------------------------------

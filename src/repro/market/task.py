@@ -12,7 +12,7 @@ start before ``t̄⁻_m`` and finish before ``t̄⁺_m``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from typing import Optional
 
@@ -34,7 +34,7 @@ class Task:
     #: ``p_m`` — driver payoff set by the platform's pricing mechanism.
     price: float
     #: ``b_m`` — customer's willingness to pay (defaults to the price, i.e.
-    #: zero consumer surplus, when no WTP model is supplied).
+    #: zero consumer surplus, when none is supplied).
     wtp: Optional[float] = None
     #: Driven distance from source to destination, if known from the trace.
     distance_km: Optional[float] = None
@@ -85,7 +85,3 @@ class Task:
     def ride_window_s(self) -> float:
         """``t̄⁺_m − t̄⁻_m`` — the window available to complete the ride."""
         return self.end_deadline_ts - self.start_deadline_ts
-
-    def with_price(self, price: float, wtp: Optional[float] = None) -> "Task":
-        """Copy of this task re-priced by a different pricing policy."""
-        return replace(self, price=price, wtp=self.wtp if wtp is None else wtp)

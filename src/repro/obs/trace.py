@@ -188,13 +188,6 @@ class TraceRecorder:
         finally:
             del stack[depth:]
 
-    def annotate(self, span_id: int, **attrs: object) -> None:
-        """Append attributes to an open or closed span."""
-        if span_id < 0:
-            return
-        entry = self._spans[span_id]
-        entry[5] = entry[5] + _freeze_attrs(attrs)
-
     # -- export / stitch ---------------------------------------------------
 
     def __len__(self) -> int:

@@ -6,6 +6,7 @@ from .flow import (
     DEFAULT_SIZE_LIMIT,
     ExactResult,
     ShardBounds,
+    check_gap_threshold,
     exact_optimum,
     lp_flow_optimum,
     relative_gap,
@@ -34,6 +35,7 @@ __all__ = [
     "DEFAULT_SIZE_LIMIT",
     "ShardBounds",
     "DEFAULT_GAP_THRESHOLD",
+    "check_gap_threshold",
     "lp_flow_optimum",
     "relative_gap",
     "solve_exact_tier",

@@ -30,10 +30,6 @@ class PathResult:
     profit: float
     path: Tuple[int, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.path) == 0
-
 
 #: The result representing "take no tasks" (profit exactly 0).
 EMPTY_PATH = PathResult(profit=0.0, path=())

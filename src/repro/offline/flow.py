@@ -50,6 +50,7 @@ back on the shard's ``ShardResult``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -68,6 +69,20 @@ DEFAULT_GAP_THRESHOLD = 0.02
 
 #: Subgradient iterations for the per-shard Lagrangian bound.
 DEFAULT_LAGRANGIAN_ITERATIONS = 40
+
+
+def check_gap_threshold(gap_threshold: object) -> float:
+    """``gap_threshold`` as a float, or ``ValueError`` unless it is a number
+    ``>= 0``.  ``inf`` means "always greedy"; NaN or a negative value would
+    fail every ``relative_gap(...) <= gap_threshold`` and run the LP on every
+    shard."""
+    if isinstance(gap_threshold, bool) or not isinstance(gap_threshold, Real):
+        raise ValueError(f"gap_threshold must be a number >= 0, got {gap_threshold!r}")
+    if not gap_threshold >= 0.0:
+        raise ValueError(
+            f"gap_threshold must be >= 0 (inf means always greedy), got {gap_threshold!r}"
+        )
+    return float(gap_threshold)
 
 
 def relative_gap(value: float, bound: float) -> float:
@@ -329,6 +344,7 @@ def solve_exact_tier(
     """
     if mode not in ("lp", "auto"):
         raise ValueError(f"unknown exact-tier mode {mode!r}")
+    gap_threshold = check_gap_threshold(gap_threshold)
     if instance.task_count == 0 or instance.driver_count == 0:
         return MarketSolution.empty(instance, objective), ShardBounds.zero()
 

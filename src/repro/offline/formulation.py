@@ -137,13 +137,6 @@ class ArcFlowModel:
             value, upper_bound, x, str(result.message), int(np.count_nonzero(fractional))
         )
 
-    def arc_index(self, arc: ArcKey) -> int:
-        """Index of an arc variable (linear scan; intended for tests)."""
-        try:
-            return self.arcs.index(arc)
-        except ValueError:
-            raise KeyError(f"arc {arc!r} is not part of the model") from None
-
     def solution_to_assignment(
         self, values: np.ndarray, threshold: float = 0.5
     ) -> Dict[str, Tuple[int, ...]]:

@@ -1,8 +1,8 @@
 """Online dispatch: driver state, dispatch heuristics and the simulator."""
 
-from .batch import BatchConfig, BatchedSimulator, run_batched, run_batched_stream, window_batches
+from .batch import BatchConfig, BatchedSimulator, run_batched, window_batches
 from .candidates import CandidateKernel
-from .dispatchers import Dispatcher, MaxMarginDispatcher, NearestDispatcher, RandomDispatcher
+from .dispatchers import Dispatcher, MaxMarginDispatcher, NearestDispatcher
 from .forecast import EwmaDemandForecaster, OracleDemandForecaster, ZoneGrid
 from .horizon import LookaheadPlanner
 from .repositioning import DemandHeatmap, HotspotRepositioning
@@ -14,11 +14,9 @@ __all__ = [
     "Dispatcher",
     "NearestDispatcher",
     "MaxMarginDispatcher",
-    "RandomDispatcher",
     "BatchConfig",
     "BatchedSimulator",
     "run_batched",
-    "run_batched_stream",
     "window_batches",
     "DemandHeatmap",
     "ZoneGrid",

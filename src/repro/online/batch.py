@@ -435,16 +435,3 @@ def run_batched(
     if config is None:
         config = BatchConfig(window_s=window_s)
     return BatchedSimulator(instance, config).run()
-
-
-def run_batched_stream(
-    instance,
-    arrival_batches: Iterable[Sequence[Task]],
-    window_s: float = 60.0,
-    config: Optional[BatchConfig] = None,
-) -> MarketSolution:
-    """Convenience wrapper around :meth:`BatchedSimulator.run_stream` for a
-    :class:`~repro.market.streaming.StreamingMarketInstance`."""
-    if config is None:
-        config = BatchConfig(window_s=window_s)
-    return BatchedSimulator(instance, config).run_stream(arrival_batches)

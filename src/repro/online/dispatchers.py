@@ -8,8 +8,6 @@ differ only in the selection criterion:
   first, ties broken uniformly at random;
 * **Maximum marginal value** (Algorithm 4) — the candidate with the largest
   marginal value ``delta_{n,m}`` (Eq. 14).
-
-A uniformly random dispatcher is included as an extra baseline for ablations.
 """
 
 from __future__ import annotations
@@ -75,19 +73,3 @@ class MaxMarginDispatcher(Dispatcher):
         if best.marginal_value <= 0.0:
             return None
         return best
-
-
-@dataclass
-class RandomDispatcher(Dispatcher):
-    """Baseline: dispatch to a uniformly random feasible candidate."""
-
-    seed: int = 0
-    name: str = field(default="random", init=False)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def select(self, task: Task, candidates: Sequence[Candidate]) -> Optional[Candidate]:
-        if not candidates:
-            return None
-        return self._rng.choice(list(candidates))

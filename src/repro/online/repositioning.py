@@ -9,7 +9,7 @@ rule, used by the online simulator (``OnlineSimulator(repositioning=...)``,
 ``None`` being the do-nothing baseline) and by the rolling-horizon planner:
 
 * :class:`DemandHeatmap` — a zone-by-hour count of historical ride requests
-  (built from tasks or trips) over a :class:`~repro.online.forecast.ZoneGrid`,
+  (built from tasks) over a :class:`~repro.online.forecast.ZoneGrid`,
   answering "where is demand expected around time t?" with one per-zone
   count vector (:meth:`DemandHeatmap.at`).
 * :class:`HotspotRepositioning` — moves a driver who has been idle for a
@@ -31,7 +31,6 @@ import numpy as np
 
 from ..geo import BoundingBox, GeoPoint, PORTO
 from ..market.task import Task
-from ..trace.records import TripRecord
 from .forecast import ZoneGrid
 from .state import DriverState
 
@@ -69,21 +68,6 @@ class DemandHeatmap:
             heatmap.record(task.source, task.start_deadline_ts)
         return heatmap
 
-    @classmethod
-    def from_trips(
-        cls,
-        trips: Iterable[TripRecord],
-        bounding_box: BoundingBox = PORTO,
-        rows: int = 6,
-        cols: int = 6,
-    ) -> "DemandHeatmap":
-        """Build a heatmap from historical trips (yesterday's demand as the
-        forecast for today, the simplest production-grade predictor)."""
-        heatmap = cls(bounding_box, rows, cols)
-        for trip in trips:
-            heatmap.record(trip.origin, trip.start_ts)
-        return heatmap
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -91,9 +75,6 @@ class DemandHeatmap:
         """Per-zone demand counts of the hour containing ``ts``."""
         counts = self._counts.get(int(ts // 3600.0))
         return np.zeros(self.grid.zone_count, dtype=float) if counts is None else counts
-
-    def total_demand(self) -> int:
-        return int(sum(counts.sum() for counts in self._counts.values()))
 
 
 @dataclass

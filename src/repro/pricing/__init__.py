@@ -1,9 +1,8 @@
-"""Pricing substrate: fare schedules, surge pricing, willingness-to-pay models."""
+"""Pricing substrate: fare schedules and surge pricing."""
 
 from .base import PricingPolicy, RideQuote
 from .linear import FareSchedule, LinearPricing
 from .surge import SurgeConfig, SurgeEngine, SurgePricing
-from .wtp import ExactWtp, ProportionalWtp, TimeValueWtp, WtpModel
 
 __all__ = [
     "PricingPolicy",
@@ -13,8 +12,4 @@ __all__ = [
     "SurgeConfig",
     "SurgeEngine",
     "SurgePricing",
-    "WtpModel",
-    "ExactWtp",
-    "ProportionalWtp",
-    "TimeValueWtp",
 ]

@@ -86,11 +86,6 @@ class SurgeEngine:
         key = self._key(location, ts)
         self._supply[key] = self._supply.get(key, 0) + count
 
-    def reset(self) -> None:
-        """Forget all observations (e.g. between simulated days)."""
-        self._demand.clear()
-        self._supply.clear()
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -456,7 +456,7 @@ class ScenarioCompiler:
         )
 
         pricing = LinearPricing(schedule=FareSchedule(), alpha=spec.surge_multiplier)
-        tasks = tasks_from_trips(trips, pricing=pricing, seed=spec.seed)
+        tasks = tasks_from_trips(trips, pricing=pricing)
         instance = MarketInstance.create(
             drivers=drivers, tasks=tasks, cost_model=self.cost_model()
         )

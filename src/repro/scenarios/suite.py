@@ -115,10 +115,6 @@ class ScenarioSuiteResult:
     executor: str
     worker_count: int
 
-    def rows_for(self, scenario: str) -> Tuple[ScenarioRunMetrics, ...]:
-        """The rows of one scenario, in run order."""
-        return tuple(row for row in self.rows if row.scenario == scenario)
-
     def scenarios(self) -> List[str]:
         """Distinct scenario names, preserving run order."""
         seen: List[str] = []

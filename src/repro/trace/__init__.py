@@ -1,12 +1,7 @@
 """Trace substrate: trip records, Porto loader, synthetic generation, cleaning."""
 
-from .records import DriverShift, TripRecord, shifts_from_trips, slice_by_time
-from .powerlaw import (
-    PowerLawDistribution,
-    complementary_cdf,
-    fit_power_law_mle,
-    tail_heaviness,
-)
+from .records import TripRecord
+from .powerlaw import PowerLawDistribution, fit_power_law_mle, tail_heaviness
 from .porto import (
     PORTO_FLEET_SIZE,
     PORTO_SAMPLE_INTERVAL_S,
@@ -24,7 +19,6 @@ from .cleaning import (
     CleaningReport,
     clean_trips,
     first_n_by_time,
-    sample_day,
 )
 from .synthetic import (
     DIURNAL_WEIGHTS,
@@ -41,12 +35,8 @@ from .drivers import (
 
 __all__ = [
     "TripRecord",
-    "DriverShift",
-    "shifts_from_trips",
-    "slice_by_time",
     "PowerLawDistribution",
     "fit_power_law_mle",
-    "complementary_cdf",
     "tail_heaviness",
     "PortoFormatError",
     "PortoRow",
@@ -61,7 +51,6 @@ __all__ = [
     "CleaningConfig",
     "CleaningReport",
     "clean_trips",
-    "sample_day",
     "first_n_by_time",
     "TraceConfig",
     "DIURNAL_WEIGHTS",

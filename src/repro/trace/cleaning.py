@@ -9,7 +9,7 @@ identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from ..geo import BoundingBox
@@ -52,10 +52,6 @@ class CleaningReport:
     dropped_speed: int = 0
     dropped_outside_area: int = 0
     dropped_duplicate: int = 0
-
-    @property
-    def dropped_total(self) -> int:
-        return self.input_count - self.kept
 
     def as_dict(self) -> dict:
         return {
@@ -111,27 +107,6 @@ def clean_trips(
         report.kept += 1
 
     return kept, report
-
-
-def sample_day(
-    trips: Sequence[TripRecord],
-    day_index: int,
-    day_length_s: float = 86400.0,
-) -> List[TripRecord]:
-    """Return the trips of the ``day_index``-th day of the trace.
-
-    Day boundaries are measured from the earliest trip start in the
-    collection, which matches how the paper selects "1000 records during one
-    day in the dataset".
-    """
-    if day_index < 0:
-        raise ValueError("day_index must be non-negative")
-    if not trips:
-        return []
-    epoch = min(t.start_ts for t in trips)
-    day_start = epoch + day_index * day_length_s
-    day_end = day_start + day_length_s
-    return [t for t in trips if day_start <= t.start_ts < day_end]
 
 
 def first_n_by_time(trips: Sequence[TripRecord], count: int) -> List[TripRecord]:

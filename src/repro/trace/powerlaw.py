@@ -43,11 +43,6 @@ class PowerLawDistribution:
         u = rng.random()
         return self._inverse_cdf(u)
 
-    def sample_many(self, rng: random.Random, count: int) -> list[float]:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.sample(rng) for _ in range(count)]
-
     def _inverse_cdf(self, u: float) -> float:
         a = 1.0 - self.alpha
         if self.x_max is None:
@@ -60,19 +55,6 @@ class PowerLawDistribution:
     # ------------------------------------------------------------------
     # densities / moments
     # ------------------------------------------------------------------
-    def pdf(self, x: float) -> float:
-        """Probability density at ``x`` (0 outside the support)."""
-        if x < self.x_min:
-            return 0.0
-        if self.x_max is not None and x > self.x_max:
-            return 0.0
-        a = 1.0 - self.alpha
-        if self.x_max is None:
-            norm = -a / (self.x_min ** a)
-        else:
-            norm = a / (self.x_max ** a - self.x_min ** a)
-        return norm * x ** (-self.alpha)
-
     def mean(self) -> float:
         """Analytic mean of the (truncated) distribution."""
         if self.x_max is None:
@@ -110,19 +92,6 @@ def fit_power_law_mle(samples: Sequence[float], x_min: float | None = None) -> P
         raise ValueError("degenerate samples: all equal to x_min")
     alpha = 1.0 + tail.size / log_ratio_sum
     return PowerLawDistribution(alpha=alpha, x_min=x_min, x_max=float(tail.max()))
-
-
-def complementary_cdf(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical complementary CDF (survival function) of positive samples.
-
-    Returns ``(sorted_values, P(X >= value))`` — the standard way to display a
-    heavy-tailed distribution on log-log axes (Figs. 3 and 4).
-    """
-    values = np.sort(np.asarray([s for s in samples if s > 0], dtype=float))
-    if values.size == 0:
-        raise ValueError("no positive samples")
-    ranks = np.arange(values.size, 0, -1, dtype=float) / values.size
-    return values, ranks
 
 
 def tail_heaviness(samples: Sequence[float]) -> float:

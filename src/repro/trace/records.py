@@ -1,16 +1,13 @@
 """Record types for taxi-trace data.
 
 A :class:`TripRecord` is one customer trip (one row of the ECML/PKDD-15 Porto
-trace, or one synthetic trip); a :class:`DriverShift` is one driver's working
-period for a day, recovered from the timestamps of her trips exactly as the
-paper describes ("we can get the working time of each driver from her driver
-ID and the timestamps of her trips").
+trace, or one synthetic trip).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..geo import GeoPoint, polyline_length_km
 
@@ -99,61 +96,3 @@ class TripRecord:
             distance_km=polyline_length_km(polyline),
             polyline=tuple(polyline),
         )
-
-
-@dataclass(frozen=True, slots=True)
-class DriverShift:
-    """One driver's working period (start of first trip to end of last trip)."""
-
-    driver_id: str
-    start_ts: float
-    end_ts: float
-    trip_count: int
-
-    def __post_init__(self) -> None:
-        if self.end_ts < self.start_ts:
-            raise ValueError(f"shift of {self.driver_id!r}: end precedes start")
-        if self.trip_count < 0:
-            raise ValueError("trip_count must be non-negative")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_ts - self.start_ts
-
-    @property
-    def duration_h(self) -> float:
-        return self.duration_s / 3600.0
-
-
-def shifts_from_trips(trips: Iterable[TripRecord]) -> List[DriverShift]:
-    """Recover per-driver shifts from trip timestamps.
-
-    Each driver's shift spans from the start of her earliest trip to the end
-    of her latest trip within the supplied collection (the caller slices the
-    collection to a day before calling this for daily shifts).
-    """
-    per_driver: Dict[str, List[TripRecord]] = {}
-    for trip in trips:
-        per_driver.setdefault(trip.driver_id, []).append(trip)
-    shifts = []
-    for driver_id, driver_trips in sorted(per_driver.items()):
-        start = min(t.start_ts for t in driver_trips)
-        end = max(t.end_ts for t in driver_trips)
-        shifts.append(
-            DriverShift(
-                driver_id=driver_id,
-                start_ts=start,
-                end_ts=end,
-                trip_count=len(driver_trips),
-            )
-        )
-    return shifts
-
-
-def slice_by_time(
-    trips: Sequence[TripRecord], start_ts: float, end_ts: float
-) -> List[TripRecord]:
-    """Trips whose start time falls in ``[start_ts, end_ts)``."""
-    if end_ts < start_ts:
-        raise ValueError("end_ts must not precede start_ts")
-    return [t for t in trips if start_ts <= t.start_ts < end_ts]

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..geo import BoundingBox, GeoPoint, PORTO, TravelModel, default_travel_model
+from ..geo import BoundingBox, GeoPoint, PORTO
 from .powerlaw import PowerLawDistribution
 from .records import TripRecord
 
@@ -190,15 +190,6 @@ class PortoLikeTraceGenerator:
                 )
             )
         trips.sort(key=lambda t: t.start_ts)
-        return trips
-
-    def generate_days(self, day_count: int, trips_per_day: Optional[int] = None) -> List[TripRecord]:
-        """Generate ``day_count`` consecutive days of trips."""
-        if day_count < 0:
-            raise ValueError("day_count must be non-negative")
-        trips: List[TripRecord] = []
-        for day in range(day_count):
-            trips.extend(self.generate_day(day, trips_per_day))
         return trips
 
     # ------------------------------------------------------------------

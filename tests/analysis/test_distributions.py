@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    ascii_histogram,
     histogram,
     summarize_samples,
     travel_distance_summary,
@@ -63,9 +62,3 @@ class TestHistograms:
             histogram([], bins=5)
         with pytest.raises(ValueError):
             histogram([1.0], bins=0)
-
-    def test_ascii_histogram_renders_lines(self, trips):
-        text = ascii_histogram([t.duration_min for t in trips], bins=10)
-        lines = text.splitlines()
-        assert len(lines) == 10
-        assert all("|" in line for line in lines)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import driver_workload, fleet_stats, gini_coefficient
+from repro.analysis import fleet_stats, gini_coefficient
 from repro.offline import greedy_assignment
 from repro.online import MaxMarginDispatcher, run_online
 
@@ -17,6 +17,12 @@ def chain():
 @pytest.fixture(scope="module")
 def random_instance():
     return build_random_instance(task_count=40, driver_count=10, seed=91)
+
+
+def driver_workload(instance, driver_id, task_indices):
+    """One driver's row of the fleet statistics for its task list."""
+    stats = fleet_stats(instance, {driver_id: task_indices})
+    return next(w for w in stats.workloads if w.driver_id == driver_id)
 
 
 class TestGini:
@@ -93,13 +99,6 @@ class TestFleetStats:
         )
         assert sum(w.revenue for w in stats.workloads) == pytest.approx(served_revenue, rel=1e-9)
 
-    def test_workload_lookup(self, random_instance):
-        stats = fleet_stats(random_instance, {})
-        first = random_instance.drivers[0].driver_id
-        assert stats.workload_for(first).task_count == 0
-        with pytest.raises(KeyError):
-            stats.workload_for("ghost")
-
     def test_empty_assignment_has_zero_activity(self, random_instance):
         stats = fleet_stats(random_instance, {})
         assert stats.active_fraction == 0.0
@@ -117,5 +116,3 @@ class TestFleetStats:
         assert "task_network" not in fresh.__dict__
         assert "task_maps" not in fresh.__dict__
         assert stats == fleet_stats(built, assignment)
-        with pytest.raises(KeyError):
-            driver_workload(fresh, "ghost", ())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import MarketMetrics, SweepSeries, algorithms_in, series_from_metrics
+from repro.analysis import MarketMetrics, SweepSeries, series_from_metrics
 from repro.offline import greedy_assignment
 
 from ..conftest import build_chain_instance
@@ -47,12 +47,9 @@ class TestSweepSeries:
         with pytest.raises(ValueError):
             SweepSeries("Greedy", "serve_rate", (10, 20), (0.5,))
 
-    def test_monotonicity_helpers(self):
+    def test_trend(self):
         rising = SweepSeries("a", "m", (1, 2, 3), (1.0, 2.0, 3.0))
         falling = SweepSeries("a", "m", (1, 2, 3), (3.0, 2.0, 1.0))
-        assert rising.is_non_decreasing()
-        assert not rising.is_non_increasing()
-        assert falling.is_non_increasing()
         assert rising.trend() > 0
         assert falling.trend() < 0
 
@@ -73,11 +70,3 @@ class TestSweepSeries:
             series_from_metrics(rows, "Unknown", "total_revenue")
         with pytest.raises(KeyError):
             series_from_metrics(rows, "Greedy", "nonexistent")
-
-    def test_algorithms_in_preserves_order(self):
-        rows = [
-            metric("Greedy", 10, 1.0, 0.1),
-            metric("Nearest", 10, 1.0, 0.1),
-            metric("Greedy", 20, 1.0, 0.1),
-        ]
-        assert algorithms_in(rows) == ["Greedy", "Nearest"]

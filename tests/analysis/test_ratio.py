@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import BoundKind, PerformanceRatio, compute_upper_bound, performance_ratios
+from repro.analysis import BoundKind, PerformanceRatio, compute_upper_bound
 from repro.offline import build_arc_flow_model, exact_optimum, greedy_assignment
 
 from ..conftest import build_random_instance
@@ -34,12 +34,6 @@ class TestPerformanceRatio:
     def test_efficiency_clipped_to_one(self):
         r = PerformanceRatio("x", achieved=10.000001, upper_bound=10.0, bound_kind=BoundKind.EXACT)
         assert r.efficiency == 1.0
-
-    def test_performance_ratios_helper(self):
-        ratios = performance_ratios({"a": 50.0, "b": 25.0}, upper_bound=100.0)
-        assert ratios["a"].ratio == pytest.approx(2.0)
-        assert ratios["b"].ratio == pytest.approx(4.0)
-        assert ratios["a"].bound_kind is BoundKind.LP_RELAXATION
 
 
 class TestComputeUpperBound:

@@ -104,6 +104,11 @@ def build_random_instance(
     return market_from_trace(trips, drivers)
 
 
+def plan_of(solution, driver_id: str):
+    """The plan of ``solution`` for ``driver_id``."""
+    return {plan.driver_id: plan for plan in solution.plans}[driver_id]
+
+
 def stream_from_start(instance, region, regions, batches, config):
     """Contract 10's reference: a serial stream that never rebalances,
     routed over ``regions`` (a finished stream's ``result.regions``) from its

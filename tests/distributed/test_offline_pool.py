@@ -7,13 +7,19 @@ Two things land here:
   solver merges exactly as the serial solve does, degenerate shards are
   never submitted, the report (and a traced run's root span) describes the
   pool that ran, and consecutive solves and streams share the same slot
-  executors.
+  executors.  Without ``pool=`` a solve runs on the coordinator's own
+  ``stream_pool()``, created on first use and shut by ``close()`` (or, for
+  a coordinator nobody closes, by the pool's finalizer at exit).
 * **The split/merge rule** — ``plan_rebalance_action`` under a
   :class:`RebalancePolicy`, which refuses knobs the rule cannot honour.
 """
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +124,39 @@ class TestSharedPool:
         assert "executor=process" in line
 
 
+#: A process coordinator that solves once on its own pool, prints its worker
+#: pids and exits without ``close()`` or a ``with`` block.
+_UNCLOSED_SCRIPT = """
+import multiprocessing
+from repro.distributed import DistributedCoordinator, SpatialPartitioner
+from repro.geo import PORTO, GeoPoint
+from repro.market import Driver, MarketInstance, Task
+
+drivers = [
+    Driver(f"d{i}", GeoPoint(41.15, -8.62), GeoPoint(41.16, -8.60), 0.0, 7200.0)
+    for i in range(4)
+]
+tasks = [
+    Task(f"t{i}", 0.0, GeoPoint(41.15, -8.61), GeoPoint(41.155, -8.605), 600.0, 1800.0, price=5.0)
+    for i in range(8)
+]
+coordinator = DistributedCoordinator(
+    SpatialPartitioner(PORTO, 1, 1), executor="process", max_workers=2
+)
+coordinator.solve(MarketInstance.create(drivers, tasks))
+print("CHILDREN", *[child.pid for child in multiprocessing.active_children()], flush=True)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live (not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(") ")[2][:1] != "Z"
+
+
 class TestPoolReuse:
     def test_consecutive_solves_share_one_warm_pool(self, instance):
         """The amortisation path: the slot executors survive across calls."""
@@ -140,6 +179,47 @@ class TestPoolReuse:
             second = coordinator.solve(instance, pool=coordinator.stream_pool())
             assert coordinator._stream_pool is pool
         assert merged_fingerprint(first) == merged_fingerprint(second)
+
+    def test_solves_without_a_pool_run_on_the_same_workers(self, instance):
+        with DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2), "greedy", executor="process", max_workers=2
+        ) as coordinator:
+            first = coordinator.solve(instance)
+            pool = coordinator.current_pool
+            pids = [pool.submit(slot, os.getpid).result() for slot in range(2)]
+            second = coordinator.solve(instance)
+            assert coordinator.current_pool is pool
+            assert [pool.submit(slot, os.getpid).result() for slot in range(2)] == pids
+        assert os.getpid() not in pids
+        assert merged_fingerprint(first) == merged_fingerprint(second)
+
+    def test_own_pool_exists_from_the_first_solve_until_close(self, instance):
+        coordinator = DistributedCoordinator(
+            SpatialPartitioner(PORTO, 2, 2), "greedy", executor="process", max_workers=1
+        )
+        assert coordinator.current_pool is None
+        coordinator.solve(instance)
+        pool = coordinator.current_pool
+        assert pool is not None and not pool.closed
+        coordinator.close()
+        assert coordinator.current_pool is None and pool.closed
+        coordinator.close()  # idempotent
+        assert coordinator.current_pool is None
+
+    def test_an_unclosed_coordinator_leaves_no_child_process(self):
+        """A process coordinator dropped without ``close()`` still shuts its
+        workers down when the interpreter exits (the pool's finalizer)."""
+        repo_root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNCLOSED_SCRIPT],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split("CHILDREN")[1].split()]
+        assert pids  # the solve started at least one worker
+        assert not [pid for pid in pids if _running(pid)]
 
     def test_offline_and_stream_share_one_pool(self, instance):
         """Offline solves and live streams interleave on the same slots."""
@@ -172,9 +252,8 @@ class TestRebalanceActionRule:
         first, second = added
         # The hot box's two halves, which together cover exactly that box.
         assert len(first) == len(second) == 1
-        assert first[0].area_km2() + second[0].area_km2() == pytest.approx(
-            GROUPS[1][0].area_km2()
-        )
+        area = lambda box: box.width_km() * box.height_km()
+        assert area(first[0]) + area(second[0]) == pytest.approx(area(GROUPS[1][0]))
 
     def test_cold_pair_merges_coldest_first(self):
         policy = RebalancePolicy(hot_factor=100.0, cold_factor=0.5, min_split_tasks=10**6)

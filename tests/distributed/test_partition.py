@@ -12,7 +12,7 @@ from repro.distributed.stream import merge_shard_plans
 from repro.geo import BEIJING, NYC, PORTO, BoundingBox, GeoPoint
 from repro.market import Driver, MarketCostModel, MarketInstance, Task
 
-from ..conftest import build_random_instance
+from ..conftest import build_random_instance, plan_of
 
 CITIES = {"porto": PORTO, "nyc": NYC, "beijing": BEIJING}
 GRIDS = ((1, 1), (2, 2), (3, 3), (4, 2), (5, 7))
@@ -135,8 +135,8 @@ class TestPartitioner:
 
     def test_shard_regions_tile_the_city(self, instance):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
-        total_area = sum(b.area_km2() for s in plan.shards for b in s.spec.boxes)
-        assert total_area == pytest.approx(PORTO.area_km2(), rel=0.01)
+        total_area = sum(b.width_km() * b.height_km() for s in plan.shards for b in s.spec.boxes)
+        assert total_area == pytest.approx(PORTO.width_km() * PORTO.height_km(), rel=0.01)
 
     def test_spec_boxes_are_the_grid_cells(self, instance):
         plan = SpatialPartitioner(PORTO, 2, 2).partition(instance)
@@ -253,7 +253,7 @@ class TestMergeShardPlans:
         driver_id = instance.drivers[0].driver_id
         local = (DriverPlan(driver_id, (0,), 1.5, (7.0,)),)
         merged = merge_shard_plans(instance, [(shard.global_task_indices, local)], (3,))
-        assert merged.plan_for(driver_id) == DriverPlan(
+        assert plan_of(merged, driver_id) == DriverPlan(
             driver_id, (shard.global_task_indices[0],), 1.5, (7.0,)
         )
         assert merged.rejected_tasks == (3,)

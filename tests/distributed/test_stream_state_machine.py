@@ -9,6 +9,8 @@ across shards — the guarantee ``_dispatch`` (live appends) and ``_replay``
 ``close`` no worker session is left resident.
 """
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -25,7 +27,7 @@ INSTANCE = build_random_instance(task_count=48, driver_count=10, seed=29)
 #: publish-ordered and none reaches behind the stream's watermark.  Every
 #: fifth order is priced above its customer's willingness to pay.
 ORDERS = tuple(
-    task if position % 5 else task.with_price(task.price, wtp=task.price / 2)
+    task if position % 5 else replace(task, wtp=task.price / 2)
     for position, task in enumerate(
         sorted(INSTANCE.tasks, key=lambda task: task.publish_ts)
     )

@@ -472,22 +472,25 @@ class TestTransportParity:
         assert shm.report.pickle_fallbacks == 0
 
     def test_offline_shm_without_a_pool_argument(self, instance):
-        """``solve()`` with no ``pool=`` runs on a pool of the coordinator's
-        own configuration — shm included — and tears it down completely."""
+        """``solve()`` with no ``pool=`` runs on the coordinator's own pool,
+        of its own configuration — shm included — and ``close()`` tears it
+        down completely."""
         import multiprocessing
 
         stale = set(shm_entries("repro-shm-"))
-        coordinator = DistributedCoordinator(
+        with DistributedCoordinator(
             SpatialPartitioner(PORTO, 2, 2),
             executor="process",
             transport="shm",
             max_workers=2,
-        )
-        shm = coordinator.solve(instance)
+        ) as coordinator:
+            shm = coordinator.solve(instance)
+            assert coordinator.current_pool.transport == "shm"
         assert coordinator.current_pool is None
         assert multiprocessing.active_children() == []
         assert set(shm_entries("repro-shm-")) <= stale
-        serial = DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2)).solve(instance)
+        with DistributedCoordinator(SpatialPartitioner(PORTO, 2, 2)) as serial_coordinator:
+            serial = serial_coordinator.solve(instance)
         assert solve_fingerprint(shm) == solve_fingerprint(serial)
         assert shm.report.transport == "shm"
         assert shm.report.shm_bytes > 0

@@ -97,7 +97,7 @@ class TestBuildWorkload:
         workload = build_workload(
             ExperimentConfig(scale=TINY_SCALE, working_model=WorkingModel.HOME_WORK_HOME)
         )
-        assert all(d.is_home_work_home for d in workload.driver_pool)
+        assert all(d.source == d.destination for d in workload.driver_pool)
 
     def test_workload_is_deterministic(self):
         a = build_workload(ExperimentConfig(scale=TINY_SCALE))

@@ -58,10 +58,6 @@ class TestTravelModel:
         expected = haversine_km(A, B) / 30.0 * 3600.0
         assert model.travel_time_s(A, B) == pytest.approx(expected, rel=1e-9)
 
-    def test_travel_cost_uses_estimator(self):
-        model = TravelModel(HaversineEstimator(circuity=1.0), speed_kmh=30.0, cost_per_km=0.2)
-        assert model.travel_cost(A, B) == pytest.approx(haversine_km(A, B) * 0.2, rel=1e-9)
-
     def test_negative_distance_rejected(self):
         model = default_travel_model()
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ class TestGeoPoint:
         p = GeoPoint(41.15, -8.61)
         assert p.lat == 41.15
         assert p.lon == -8.61
-        assert p.as_tuple() == (41.15, -8.61)
 
     def test_latitude_out_of_range(self):
         with pytest.raises(ValueError):

@@ -178,7 +178,6 @@ class TestTimedConversions:
     def test_untimestamped_calls_use_base_rates(self):
         model = rush_hour_model()
         assert model.travel_time_s(A, B) == BASE.travel_time_s(A, B)
-        assert model.travel_cost(A, B) == BASE.travel_cost(A, B)
         assert model.speed_kmh == BASE.speed_kmh
         assert model.cost_per_km == BASE.cost_per_km
         assert model.estimator is BASE.estimator

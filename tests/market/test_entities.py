@@ -14,13 +14,7 @@ B = A.offset_km(0.0, 5.0)
 class TestDriver:
     def test_basic_properties(self):
         driver = Driver("d1", A, B, start_ts=100.0, end_ts=4000.0)
-        assert driver.working_window == (100.0, 4000.0)
         assert driver.working_duration_s == 3900.0
-        assert not driver.is_home_work_home
-
-    def test_home_work_home_detection(self):
-        driver = Driver("d1", A, A, start_ts=0.0, end_ts=100.0)
-        assert driver.is_home_work_home
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -32,8 +26,8 @@ class TestDriver:
         driver = Driver("d1", A, B, start_ts=0.0, end_ts=100.0)
         other = driver.with_window(50.0, 500.0)
         assert other.driver_id == "d1"
-        assert other.working_window == (50.0, 500.0)
-        assert driver.working_window == (0.0, 100.0)
+        assert (other.start_ts, other.end_ts) == (50.0, 500.0)
+        assert (driver.start_ts, driver.end_ts) == (0.0, 100.0)
 
 
 class TestTask:
@@ -80,14 +74,6 @@ class TestTask:
             self.make(wtp=-1.0)
         with pytest.raises(ValueError):
             self.make(distance_km=-0.1)
-
-    def test_with_price_repricing(self):
-        task = self.make(price=8.0, wtp=12.0)
-        repriced = task.with_price(9.5)
-        assert repriced.price == 9.5
-        assert repriced.wtp == 12.0
-        assert repriced.task_id == task.task_id
-        assert task.price == 8.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

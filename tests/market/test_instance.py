@@ -3,7 +3,7 @@
 import pytest
 
 from repro.market import Driver, MarketInstance, Task, market_from_trace, tasks_from_trips
-from repro.pricing import LinearPricing, ProportionalWtp
+from repro.pricing import LinearPricing
 from repro.trace import generate_drivers, generate_trace
 
 from ..conftest import build_chain_instance, build_random_instance, point_east
@@ -102,21 +102,9 @@ class TestTasksFromTrips:
             expected = 1.5 * policy.schedule.fare(trip.distance_km, trip.duration_s)
             assert task.price == pytest.approx(expected)
 
-    def test_wtp_model_generates_publishable_tasks(self):
-        trips = generate_trace(trip_count=40, seed=4)
-        tasks = tasks_from_trips(trips, wtp_model=ProportionalWtp(max_markup=0.4))
-        assert all(t.is_publishable for t in tasks)
-        assert any(t.consumer_surplus > 0 for t in tasks)
-
     def test_negative_lead_rejected(self):
         with pytest.raises(ValueError):
             tasks_from_trips([], publish_lead_s=-1.0)
-
-    def test_wtp_sampling_is_deterministic(self):
-        trips = generate_trace(trip_count=15, seed=5)
-        a = tasks_from_trips(trips, wtp_model=ProportionalWtp(), seed=99)
-        b = tasks_from_trips(trips, wtp_model=ProportionalWtp(), seed=99)
-        assert [t.wtp for t in a] == [t.wtp for t in b]
 
 
 class TestMarketFromTrace:

@@ -86,6 +86,11 @@ def base_instance():
     return build_random_instance(task_count=60, driver_count=12, seed=29)
 
 
+def stream_of(instance: MarketInstance) -> StreamingMarketInstance:
+    """A stream seeded with ``instance``'s drivers and tasks."""
+    return StreamingMarketInstance(instance.drivers, instance.cost_model, instance.tasks)
+
+
 class TestIncrementalEquivalence:
     def test_batched_appends_match_rebuild(self, base_instance):
         stream = StreamingMarketInstance(base_instance.drivers, base_instance.cost_model)
@@ -95,7 +100,7 @@ class TestIncrementalEquivalence:
         assert_equivalent(stream, stream.rebuild())
 
     def test_single_shot_matches_plain_instance(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         assert_equivalent(stream, base_instance)
 
     def test_greedy_solution_parity(self, base_instance):
@@ -109,7 +114,7 @@ class TestIncrementalEquivalence:
         assert [p.profit for p in incremental.plans] == [p.profit for p in rebuilt.plans]
 
     def test_online_simulator_consumes_streaming_instance(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         streamed = run_online(stream, MaxMarginDispatcher())
         static = run_online(base_instance, MaxMarginDispatcher())
         assert streamed.assignment() == static.assignment()
@@ -219,7 +224,7 @@ class TestMaterialisedOnRead:
 
 class TestStreamingApi:
     def test_read_api_mirrors_market_instance(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         assert stream.drivers == base_instance.drivers
         assert stream.tasks == base_instance.tasks
         assert stream.task_count == base_instance.task_count
@@ -231,19 +236,19 @@ class TestStreamingApi:
             stream.task_index("no-such-task")
 
     def test_snapshot_shares_derived_state(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         snapshot = stream.snapshot()
         assert snapshot.task_network is stream.task_network
         assert snapshot.task_maps is stream.task_maps
 
     def test_empty_append_is_a_noop(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         before = stream.task_network
         assert stream.append_tasks(()) == ()
         assert stream.task_network is before
 
     def test_duplicate_ids_rejected(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         with pytest.raises(ValueError):
             stream.append_tasks([base_instance.tasks[0]])
         with pytest.raises(ValueError):
@@ -263,7 +268,7 @@ class TestOneBuilder:
     """Arcs and maps come from one cached :class:`MarketInstance` build."""
 
     def test_snapshot_is_cached_between_appends(self, base_instance):
-        stream = StreamingMarketInstance.from_instance(base_instance)
+        stream = stream_of(base_instance)
         snapshot = stream.snapshot()
         assert stream.snapshot() is snapshot
         assert stream.task_network is snapshot.task_network
@@ -310,7 +315,6 @@ class TestOneBuilder:
         ]
         assert [name for name in vars(MarketCostModel) if name.startswith("legs_")] == []
         assert {name for name in vars(StreamingMarketInstance) if not name.startswith("__")} == {
-            "from_instance",
             "drivers",
             "tasks",
             "cost_model",

@@ -50,11 +50,10 @@ class TestRecorder:
         (span,) = recorder.export()
         assert span[5] == (("shard", 3), ("kind", "x"))
 
-    def test_explicit_parent_and_annotate(self):
+    def test_explicit_parent(self):
         recorder = TraceRecorder()
         root = recorder.begin("root")
-        child = recorder.begin("child", parent_id=root)
-        recorder.annotate(child, extra=1)
+        child = recorder.begin("child", parent_id=root, extra=1)
         recorder.end(child)
         recorder.end(root)
         spans = recorder.export()

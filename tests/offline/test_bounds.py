@@ -23,7 +23,7 @@ from repro.offline import (
     lagrangian_bound,
 )
 
-from ..conftest import build_chain_instance, build_random_instance
+from ..conftest import build_chain_instance, build_random_instance, plan_of
 from ..exact_oracle import brute_force_optimum
 from ..taskmap_oracle import path_profit
 
@@ -50,30 +50,23 @@ class TestArcFlowModel:
         assert model.A_eq.shape[0] == len(model.b_eq)
         assert model.A_ub.shape[0] == len(model.b_ub)
 
-    def test_arc_index_lookup(self, chain):
-        model = build_arc_flow_model(chain)
-        idx = model.arc_index(("chainer", SOURCE_NODE, SINK_NODE))
-        assert 0 <= idx < model.variable_count
-        with pytest.raises(KeyError):
-            model.arc_index(("chainer", 1, 0))
-
     def test_solution_decoding(self, chain):
         model = build_arc_flow_model(chain)
         values = np.zeros(model.variable_count)
-        values[model.arc_index(("stranded", SOURCE_NODE, SINK_NODE))] = 1.0
-        values[model.arc_index(("chainer", SOURCE_NODE, 0))] = 1.0
-        values[model.arc_index(("chainer", 0, 1))] = 1.0
-        values[model.arc_index(("chainer", 1, SINK_NODE))] = 1.0
+        values[model.arcs.index(("stranded", SOURCE_NODE, SINK_NODE))] = 1.0
+        values[model.arcs.index(("chainer", SOURCE_NODE, 0))] = 1.0
+        values[model.arcs.index(("chainer", 0, 1))] = 1.0
+        values[model.arcs.index(("chainer", 1, SINK_NODE))] = 1.0
         assignment = model.solution_to_assignment(values)
         assert assignment == {"chainer": (0, 1)}
 
     def test_objective_of_decoded_chain_matches_path_profit(self, chain):
         model = build_arc_flow_model(chain)
         values = np.zeros(model.variable_count)
-        values[model.arc_index(("stranded", SOURCE_NODE, SINK_NODE))] = 1.0
-        values[model.arc_index(("chainer", SOURCE_NODE, 0))] = 1.0
-        values[model.arc_index(("chainer", 0, 1))] = 1.0
-        values[model.arc_index(("chainer", 1, SINK_NODE))] = 1.0
+        values[model.arcs.index(("stranded", SOURCE_NODE, SINK_NODE))] = 1.0
+        values[model.arcs.index(("chainer", SOURCE_NODE, 0))] = 1.0
+        values[model.arcs.index(("chainer", 0, 1))] = 1.0
+        values[model.arcs.index(("chainer", 1, SINK_NODE))] = 1.0
         objective_value = float(model.objective @ values) + model.constant
         expected = path_profit(chain.task_map("chainer"), [0, 1])
         assert objective_value == pytest.approx(expected, rel=1e-9)
@@ -119,7 +112,7 @@ class TestExactSolver:
         assert result.optimum == pytest.approx(
             path_profit(chain.task_map("chainer"), [0, 1]), rel=1e-6
         )
-        assert result.solution.plan_for("chainer").task_indices == (0, 1)
+        assert plan_of(result.solution, "chainer").task_indices == (0, 1)
 
     def test_exact_at_least_greedy(self, small):
         greedy = greedy_assignment(small).total_value

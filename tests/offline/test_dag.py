@@ -31,7 +31,7 @@ class TestBestPathOnChainInstance:
     def test_stranded_driver_gets_empty_path(self, chain):
         result = best_path(chain.task_map("stranded"))
         assert result is EMPTY_PATH
-        assert result.is_empty
+        assert result.path == ()
         assert result.profit == 0.0
 
     def test_availability_mask_restricts_path(self, chain):
@@ -44,7 +44,7 @@ class TestBestPathOnChainInstance:
     def test_all_unavailable_gives_empty_path(self, chain):
         task_map = chain.task_map("chainer")
         result = best_path(task_map, available=np.zeros(2, dtype=bool))
-        assert result.is_empty
+        assert result.path == ()
 
     def test_wrong_mask_shape_rejected(self, chain):
         with pytest.raises(ValueError):

@@ -14,7 +14,10 @@ Three concerns:
 
 import pytest
 
+from repro.cli import main
 from repro.core import MarketSolution, Objective
+from repro.distributed import DistributedCoordinator, SpatialPartitioner
+from repro.geo import PORTO
 from repro.offline import (
     DEFAULT_GAP_THRESHOLD,
     ExactSolverError,
@@ -27,7 +30,7 @@ from repro.offline import (
     solve_exact_tier,
 )
 
-from ..conftest import build_chain_instance, build_random_instance
+from ..conftest import build_chain_instance, build_random_instance, plan_of
 from ..exact_oracle import brute_force_optimum
 
 
@@ -60,7 +63,7 @@ class TestLpFlowOptimum:
         flow = lp_flow_optimum(chain)
         exact = exact_optimum(chain)
         assert flow.optimum == pytest.approx(exact.optimum, rel=1e-6)
-        assert flow.solution.plan_for("chainer").task_indices == (0, 1)
+        assert plan_of(flow.solution, "chainer").task_indices == (0, 1)
         flow.solution.validate()
 
     def test_small_matches_exact(self, small):
@@ -209,6 +212,40 @@ class TestSolveExactTier:
     def test_unknown_mode_rejected(self, small):
         with pytest.raises(ValueError, match="unknown exact-tier mode"):
             solve_exact_tier(small, mode="milp")
+
+    @pytest.mark.parametrize("surface", ["cli", "coordinator", "solve_exact_tier"])
+    @pytest.mark.parametrize(
+        "value, text",
+        [(float("nan"), "nan"), (-1.0, "-1"), ("0.5", "half")],
+        ids=["nan", "negative", "not-a-number"],
+    )
+    def test_gap_threshold_must_be_a_number_at_least_zero(
+        self, small, surface, value, text, tmp_path, capsys
+    ):
+        # NaN or a negative threshold fails every ``gap <= threshold`` and
+        # would run the LP on every shard; each entry point refuses it.
+        if surface == "cli":
+            argv = ["solve", "--market", str(tmp_path / "never-read.json"),
+                    "--algorithm", "auto", "--gap-threshold", text]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "argument --gap-threshold" in capsys.readouterr().err
+        elif surface == "coordinator":
+            with pytest.raises(ValueError, match="gap_threshold"):
+                DistributedCoordinator(SpatialPartitioner(PORTO, 1, 1), "auto", gap_threshold=value)
+        else:
+            with pytest.raises(ValueError, match="gap_threshold"):
+                solve_exact_tier(small, mode="auto", gap_threshold=value)
+
+    def test_infinite_gap_threshold_always_keeps_greedy(self, small):
+        solution, bounds = solve_exact_tier(small, mode="auto", gap_threshold=float("inf"))
+        assert bounds.chosen_solver == "greedy" and not bounds.lp_ran
+        assert solution.total_value == pytest.approx(greedy_assignment(small).total_value)
+        coordinator = DistributedCoordinator(
+            SpatialPartitioner(PORTO, 1, 1), "auto", gap_threshold=float("inf")
+        )
+        assert coordinator.gap_threshold == float("inf")
 
     def test_default_threshold_exported(self):
         assert 0.0 < DEFAULT_GAP_THRESHOLD < 1.0

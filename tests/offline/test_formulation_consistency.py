@@ -25,12 +25,12 @@ def assignment_to_arc_vector(model, assignment):
     for driver in model.instance.drivers:
         path = list(assigned.get(driver.driver_id, ()))
         if not path:
-            values[model.arc_index((driver.driver_id, SOURCE_NODE, SINK_NODE))] = 1.0
+            values[model.arcs.index((driver.driver_id, SOURCE_NODE, SINK_NODE))] = 1.0
             continue
-        values[model.arc_index((driver.driver_id, SOURCE_NODE, path[0]))] = 1.0
+        values[model.arcs.index((driver.driver_id, SOURCE_NODE, path[0]))] = 1.0
         for tail, head in zip(path[:-1], path[1:]):
-            values[model.arc_index((driver.driver_id, tail, head))] = 1.0
-        values[model.arc_index((driver.driver_id, path[-1], SINK_NODE))] = 1.0
+            values[model.arcs.index((driver.driver_id, tail, head))] = 1.0
+        values[model.arcs.index((driver.driver_id, path[-1], SINK_NODE))] = 1.0
     return values
 
 

@@ -10,7 +10,7 @@ from repro.offline import (
 )
 from repro.market import market_diameter
 
-from ..conftest import build_chain_instance, build_random_instance
+from ..conftest import build_chain_instance, build_random_instance, plan_of
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +22,8 @@ class TestGreedyOnChainInstance:
     def test_assigns_chain_to_chainer(self, chain):
         solution = greedy_assignment(chain)
         solution.validate()
-        assert solution.plan_for("chainer").task_indices == (0, 1)
-        assert solution.plan_for("stranded").task_indices == ()
+        assert plan_of(solution, "chainer").task_indices == (0, 1)
+        assert plan_of(solution, "stranded").task_indices == ()
         assert solution.total_value == pytest.approx(10.0, rel=0.01)
         assert solution.serve_rate == 1.0
 

@@ -5,6 +5,7 @@ import pytest
 from repro.market import market_diameter
 from repro.offline import build_tight_example, exact_optimum, greedy_assignment
 
+from ..conftest import plan_of
 from ..taskmap_oracle import arc_exists
 
 
@@ -62,7 +63,7 @@ class TestAdversarialBehaviour:
         solution.validate()
         assert solution.total_value == pytest.approx(example.expected_greedy_value, rel=1e-6)
         # Greedy gives the whole chain to the long-haul driver.
-        assert solution.plan_for("long-haul").task_indices == tuple(range(4))
+        assert plan_of(solution, "long-haul").task_indices == tuple(range(4))
 
     def test_exact_matches_predicted_optimum(self):
         example = build_tight_example(chain_length=4, epsilon=0.05)

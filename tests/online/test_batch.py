@@ -9,12 +9,11 @@ from repro.online import (
     BatchedSimulator,
     MaxMarginDispatcher,
     run_batched,
-    run_batched_stream,
     run_online,
     window_batches,
 )
 
-from ..conftest import build_chain_instance, build_random_instance
+from ..conftest import build_chain_instance, build_random_instance, plan_of
 from ..taskmap_oracle import is_feasible_path
 from .conftest import index_off
 
@@ -42,7 +41,7 @@ class TestBatchConfig:
 class TestBatchedOnChainInstance:
     def test_serves_both_tasks(self, chain):
         outcome = run_batched(chain, window_s=120.0)
-        assert outcome.plan_for("chainer").task_indices == (0, 1)
+        assert plan_of(outcome, "chainer").task_indices == (0, 1)
         assert outcome.total_value == pytest.approx(10.0, rel=0.02)
 
     def test_overly_wide_window_misses_deadlines(self, chain):
@@ -141,10 +140,8 @@ class TestStreamingConsumption:
         stream_instance = StreamingMarketInstance(
             random_instance.drivers, random_instance.cost_model
         )
-        outcome = run_batched_stream(
-            stream_instance,
-            window_batches(random_instance.tasks, window_s),
-            window_s=window_s,
+        outcome = BatchedSimulator(stream_instance, BatchConfig(window_s=window_s)).run_stream(
+            window_batches(random_instance.tasks, window_s)
         )
         assert self.by_task_ids(outcome, stream_instance) == self.by_task_ids(
             replay, random_instance
@@ -161,8 +158,8 @@ class TestStreamingConsumption:
         replay = BatchedSimulator(instance, BatchConfig(window_s=300.0)).run()
         ordered = sorted(instance.tasks, key=lambda t: t.publish_ts)
         stream_instance = StreamingMarketInstance(instance.drivers, instance.cost_model)
-        outcome = run_batched_stream(
-            stream_instance, [[task] for task in ordered], window_s=300.0
+        outcome = BatchedSimulator(stream_instance, BatchConfig(window_s=300.0)).run_stream(
+            [[task] for task in ordered]
         )
         assert self.by_task_ids(outcome, stream_instance) == self.by_task_ids(
             replay, instance

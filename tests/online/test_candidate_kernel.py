@@ -32,7 +32,6 @@ from repro.online import (
     MaxMarginDispatcher,
     NearestDispatcher,
     OnlineSimulator,
-    RandomDispatcher,
 )
 from repro.online.state import DriverState
 
@@ -244,9 +243,8 @@ class TestSimulatorOutcomeRegression:
         [
             lambda: MaxMarginDispatcher(),
             lambda: NearestDispatcher(seed=5),
-            lambda: RandomDispatcher(seed=5),
         ],
-        ids=["maxMargin", "nearest", "random"],
+        ids=["maxMargin", "nearest"],
     )
     def test_per_order_simulator_identical_outcomes(self, instance, make_dispatcher):
         def run():

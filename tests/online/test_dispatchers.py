@@ -4,7 +4,7 @@ import pytest
 
 from repro.geo import GeoPoint
 from repro.market import Driver, Task
-from repro.online import MaxMarginDispatcher, NearestDispatcher, RandomDispatcher
+from repro.online import MaxMarginDispatcher, NearestDispatcher
 from repro.online.state import Candidate, DriverState
 
 A = GeoPoint(41.15, -8.61)
@@ -79,19 +79,3 @@ class TestMaxMarginDispatcher:
     def test_name(self):
         assert MaxMarginDispatcher().name == "maxMargin"
 
-
-class TestRandomDispatcher:
-    def test_picks_some_candidate(self):
-        dispatcher = RandomDispatcher(seed=7)
-        candidates = [make_candidate("a", 1.0, 1.0), make_candidate("b", 2.0, 2.0)]
-        seen = {dispatcher.select(TASK, candidates).driver_id for _ in range(40)}
-        assert seen == {"a", "b"}
-
-    def test_empty_candidate_set_rejects(self):
-        assert RandomDispatcher().select(TASK, []) is None
-
-    def test_deterministic_given_seed(self):
-        c = [make_candidate("a", 1.0, 1.0), make_candidate("b", 2.0, 2.0)]
-        first = [RandomDispatcher(seed=5).select(TASK, c).driver_id for _ in range(5)]
-        second = [RandomDispatcher(seed=5).select(TASK, c).driver_id for _ in range(5)]
-        assert first == second

@@ -15,7 +15,6 @@ from repro.online import (
 )
 from repro.online import horizon, repositioning
 from repro.online.state import DriverState
-from repro.trace import generate_trace
 
 from ..conftest import build_random_instance
 from ..repositioning_oracle import suggest_scalar
@@ -51,7 +50,6 @@ class TestDemandHeatmap:
         assert demand.sum() == 50
         # Different hour -> different bucket.
         assert not heatmap.at(11.0 * 3600).any()
-        assert heatmap.total_demand() == 50
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -93,13 +91,10 @@ class TestDemandHeatmap:
         assert targets[0] is not None
         assert targets[0] == targets[1]
 
-    def test_from_tasks_and_from_trips(self):
-        trips = generate_trace(trip_count=100, seed=5)
-        from_trips = DemandHeatmap.from_trips(trips, PORTO)
-        assert from_trips.total_demand() == 100
+    def test_from_tasks(self):
         instance = build_random_instance(task_count=30, driver_count=3, seed=6)
         from_tasks = DemandHeatmap.from_tasks(instance.tasks, PORTO)
-        assert from_tasks.total_demand() == 30
+        assert sum(from_tasks.at(hour * 3600.0).sum() for hour in range(72)) == 30
 
 
 class TestHotspotPolicy:

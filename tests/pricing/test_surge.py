@@ -99,12 +99,6 @@ class TestSurgeEngine:
         engine.record_supply(DOWNTOWN, 0.0, count=2)
         assert engine.imbalance(DOWNTOWN, 0.0) == pytest.approx(2.0)
 
-    def test_reset_clears_observations(self):
-        engine = SurgeEngine()
-        engine.record_demand(DOWNTOWN, 0.0, count=10)
-        engine.reset()
-        assert engine.multiplier(DOWNTOWN, 0.0) == pytest.approx(1.0)
-
     def test_negative_counts_rejected(self):
         engine = SurgeEngine()
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ class TestSuite:
         )
         assert suite.scenarios() == ["morning-surge", "driver-strike"]
         for name in suite.scenarios():
-            modes = [row.mode for row in suite.rows_for(name)]
+            modes = [row.mode for row in suite.rows if row.scenario == name]
             assert modes == ["offline-greedy", "offline-nearest", "stream-batched"]
         for row in suite.rows:
             assert row.shard_skew >= 1.0
@@ -84,11 +84,12 @@ class TestSuite:
             plan = SpatialPartitioner(spec.region, rows, cols).partition(instance)
             counts = [shard.task_count for shard in plan.shards]
             expected = max(counts) / (sum(counts) / len(counts))
-            modes = [row.mode for row in suite.rows_for(spec.name)]
+            rows_of_spec = [row for row in suite.rows if row.scenario == spec.name]
+            modes = [row.mode for row in rows_of_spec]
             assert modes == [
                 "offline-greedy", "offline-nearest", "stream-batched", "stream-horizon"
             ]
-            assert [row.shard_skew for row in suite.rows_for(spec.name)] == [expected] * 4
+            assert [row.shard_skew for row in rows_of_spec] == [expected] * 4
 
     def test_render_mentions_every_scenario(self):
         suite = run_scenario_suite(

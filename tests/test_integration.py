@@ -5,6 +5,9 @@ These follow the full paper workflow: synthetic trace -> cleaning -> pricing
 distributed mode and the public package surface.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 
 import repro
@@ -17,7 +20,7 @@ from repro import (
     WorkingModel,
 )
 from repro.analysis import BoundKind, PerformanceRatio, compute_upper_bound
-from repro.pricing import LinearPricing, ProportionalWtp, SurgeConfig, SurgeEngine, SurgePricing
+from repro.pricing import LinearPricing, SurgeConfig, SurgeEngine, SurgePricing
 from repro.trace import CleaningConfig, clean_trips
 
 from .graph_oracle import build_market_graph
@@ -99,7 +102,12 @@ class TestFullPipeline:
     def test_social_welfare_objective_with_wtp(self):
         trips = repro.generate_trace(trip_count=50, seed=74)
         drivers = repro.generate_drivers(count=10, seed=75)
-        market = repro.market_from_trace(trips, drivers, wtp_model=ProportionalWtp(0.4))
+        base = repro.market_from_trace(trips, drivers)
+        rng = random.Random(74)
+        market = base.with_tasks(
+            [replace(t, wtp=t.price * (1.0 + rng.uniform(0.0, 0.4))) for t in base.tasks]
+        )
+        assert any(t.consumer_surplus > 0 for t in market.tasks)
         profit_solution = repro.greedy_assignment(market, objective=repro.Objective.DRIVERS_PROFIT)
         welfare_solution = repro.greedy_assignment(market, objective=repro.Objective.SOCIAL_WELFARE)
         profit_solution.validate()
@@ -114,7 +122,7 @@ class TestFullPipeline:
         market = repro.market_from_trace(trips, drivers)
         solution = repro.greedy_assignment(market)
         solution.validate()
-        assert all(d.is_home_work_home for d in market.drivers)
+        assert all(d.source == d.destination for d in market.drivers)
 
     def test_market_diameter_is_reported(self, market):
         diameter = repro.market_diameter(market)

@@ -9,7 +9,6 @@ from repro.trace import (
     clean_trips,
     first_n_by_time,
     generate_trace,
-    sample_day,
 )
 
 A = GeoPoint(41.15, -8.61)
@@ -26,7 +25,7 @@ class TestCleanTrips:
         kept, report = clean_trips(trips)
         assert len(kept) == 5
         assert report.kept == 5
-        assert report.dropped_total == 0
+        assert report.input_count == 5
 
     def test_duration_filter(self):
         trips = [trip("short", duration=10.0), trip("long", duration=4 * 3600.0), trip("ok")]
@@ -65,7 +64,6 @@ class TestCleanTrips:
         kept, report = clean_trips(trips)
         assert report.input_count == 3
         assert report.kept == len(kept)
-        assert report.dropped_total == report.input_count - report.kept
         assert sum(
             [
                 report.dropped_duration,
@@ -74,7 +72,7 @@ class TestCleanTrips:
                 report.dropped_outside_area,
                 report.dropped_duplicate,
             ]
-        ) == report.dropped_total
+        ) == report.input_count - report.kept
         assert set(report.as_dict()) >= {"input_count", "kept"}
 
     def test_invalid_config(self):
@@ -90,19 +88,6 @@ class TestCleanTrips:
 
 
 class TestSelection:
-    def test_sample_day_boundaries(self):
-        trips = [trip(f"t{i}", start=i * 3600.0 * 6) for i in range(8)]  # spans 2 days
-        day0 = sample_day(trips, 0)
-        day1 = sample_day(trips, 1)
-        assert len(day0) == 4
-        assert len(day1) == 4
-        assert {t.trip_id for t in day0}.isdisjoint({t.trip_id for t in day1})
-
-    def test_sample_day_empty_and_invalid(self):
-        assert sample_day([], 0) == []
-        with pytest.raises(ValueError):
-            sample_day([], -1)
-
     def test_first_n_by_time(self):
         trips = [trip("late", start=100.0), trip("early", start=1.0), trip("mid", start=50.0)]
         assert [t.trip_id for t in first_n_by_time(trips, 2)] == ["early", "mid"]

@@ -47,12 +47,12 @@ class TestGenerate:
 
     def test_hitchhiking_model_has_distinct_endpoints(self):
         drivers = generate_drivers(50, working_model=WorkingModel.HITCHHIKING, seed=3)
-        distinct = sum(1 for d in drivers if not d.is_home_work_home)
+        distinct = sum(1 for d in drivers if d.source != d.destination)
         assert distinct == 50
 
     def test_home_work_home_model_has_equal_endpoints(self):
         drivers = generate_drivers(50, working_model=WorkingModel.HOME_WORK_HOME, seed=3)
-        assert all(d.is_home_work_home for d in drivers)
+        assert all(d.source == d.destination for d in drivers)
 
     def test_shift_lengths_are_around_four_hours(self):
         drivers = generate_drivers(200, seed=4)
@@ -93,4 +93,4 @@ class TestGenerateFromTrips:
             DriverGenerationConfig(seed=13, working_model=WorkingModel.HOME_WORK_HOME)
         )
         drivers = generator.generate_from_trips(trips, count=10)
-        assert all(d.is_home_work_home for d in drivers)
+        assert all(d.source == d.destination for d in drivers)

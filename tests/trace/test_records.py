@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geo import GeoPoint
-from repro.trace import TripRecord, shifts_from_trips, slice_by_time
+from repro.trace import TripRecord
 
 A = GeoPoint(41.15, -8.61)
 B = A.offset_km(0.0, 5.0)
@@ -53,37 +53,3 @@ class TestTripRecord:
         with pytest.raises(ValueError):
             TripRecord.from_polyline("t", "d", 0.0, [A])
 
-
-class TestShifts:
-    def test_shifts_cover_trip_span(self):
-        trips = [
-            make_trip("t1", "d1", start=100.0, duration=500.0),
-            make_trip("t2", "d1", start=2000.0, duration=300.0),
-            make_trip("t3", "d2", start=50.0, duration=100.0),
-        ]
-        shifts = {s.driver_id: s for s in shifts_from_trips(trips)}
-        assert set(shifts) == {"d1", "d2"}
-        assert shifts["d1"].start_ts == 100.0
-        assert shifts["d1"].end_ts == 2300.0
-        assert shifts["d1"].trip_count == 2
-        assert shifts["d1"].duration_h == pytest.approx(2200.0 / 3600.0)
-        assert shifts["d2"].trip_count == 1
-
-    def test_shifts_empty_input(self):
-        assert shifts_from_trips([]) == []
-
-    def test_shifts_sorted_by_driver_id(self):
-        trips = [make_trip("t1", "z"), make_trip("t2", "a")]
-        shifts = shifts_from_trips(trips)
-        assert [s.driver_id for s in shifts] == ["a", "z"]
-
-
-class TestSlicing:
-    def test_slice_by_time_half_open_interval(self):
-        trips = [make_trip(f"t{i}", start=float(i) * 100.0) for i in range(10)]
-        window = slice_by_time(trips, 200.0, 500.0)
-        assert [t.trip_id for t in window] == ["t2", "t3", "t4"]
-
-    def test_slice_by_time_invalid_range(self):
-        with pytest.raises(ValueError):
-            slice_by_time([], 10.0, 5.0)

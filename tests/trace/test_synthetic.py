@@ -78,19 +78,12 @@ class TestGeneration:
         assert all(t.start_ts < 86400.0 for t in day0)
         assert all(86400.0 <= t.start_ts < 2 * 86400.0 for t in day1)
 
-    def test_generate_days_concatenates(self):
-        generator = PortoLikeTraceGenerator()
-        trips = generator.generate_days(2, trips_per_day=15)
-        assert len(trips) == 30
-
     def test_invalid_arguments(self):
         generator = PortoLikeTraceGenerator()
         with pytest.raises(ValueError):
             generator.generate_day(-1)
         with pytest.raises(ValueError):
             generator.generate_day(0, trip_count=-5)
-        with pytest.raises(ValueError):
-            generator.generate_days(-1)
 
 
 class TestMarginals:
