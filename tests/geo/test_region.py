@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.geo import PORTO, BoundingBox, GeoPoint
+from repro.geo import BEIJING, NYC, PORTO, BoundingBox, GeoPoint
 
 
 class TestBoundingBoxConstruction:
@@ -45,6 +45,11 @@ class TestDimensions:
     def test_porto_extent_is_city_scale(self):
         assert 10.0 < PORTO.width_km() < 25.0
         assert 10.0 < PORTO.height_km() < 25.0
+
+    @pytest.mark.parametrize("box", [NYC, BEIJING], ids=["nyc", "beijing"])
+    def test_example_boxes_are_city_scale(self, box):
+        assert 10.0 < box.width_km() < 40.0
+        assert 10.0 < box.height_km() < 40.0
 
     def test_diagonal_exceeds_sides(self):
         assert PORTO.diagonal_km() >= PORTO.width_km()
@@ -89,6 +94,9 @@ class TestSplit:
         cells = PORTO.split(3, 3)
         total_area = sum(c.width_km() * c.height_km() for c in cells)
         assert total_area == pytest.approx(PORTO.width_km() * PORTO.height_km(), rel=0.01)
+
+    def test_split_one_by_one_is_the_box_itself(self):
+        assert PORTO.split(1, 1) == [PORTO]
 
     def test_split_invalid(self):
         with pytest.raises(ValueError):

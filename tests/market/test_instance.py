@@ -1,5 +1,7 @@
 """Tests for MarketInstance and the trace -> task pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.market import Driver, MarketInstance, Task, market_from_trace, tasks_from_trips
@@ -101,6 +103,19 @@ class TestTasksFromTrips:
         for trip, task in zip(trips, tasks):
             expected = 1.5 * policy.schedule.fare(trip.distance_km, trip.duration_s)
             assert task.price == pytest.approx(expected)
+
+    def test_valuation_is_left_unset_so_it_defaults_to_the_price(self):
+        tasks = tasks_from_trips(generate_trace(trip_count=20, seed=4))
+        assert all(t.wtp is None for t in tasks)
+        assert all(t.valuation == t.price and t.consumer_surplus == 0.0 for t in tasks)
+        assert all(t.is_publishable for t in tasks)
+
+    def test_zero_duration_trips_are_skipped(self):
+        trips = generate_trace(trip_count=5, seed=6)
+        instant = replace(trips[0], trip_id="instant", end_ts=trips[0].start_ts)
+        tasks = tasks_from_trips([instant, *trips])
+        assert len(tasks) == 5
+        assert "task-instant" not in {t.task_id for t in tasks}
 
     def test_negative_lead_rejected(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,19 @@ class TestSurgeEngine:
         value = engine.multiplier(DOWNTOWN, 0.0)
         assert value == pytest.approx(round(value, 1))
 
+    def test_zero_quantum_leaves_the_multiplier_unrounded(self):
+        engine = SurgeEngine(SurgeConfig(sensitivity=0.5, quantum=0.0))
+        engine.record_demand(DOWNTOWN, 0.0, count=4)
+        engine.record_supply(DOWNTOWN, 0.0, count=3)
+        # alpha = 1 + 0.5 * (4/3 - 1) = 7/6, off every 0.1 step.
+        assert engine.multiplier(DOWNTOWN, 0.0) == pytest.approx(7.0 / 6.0, abs=1e-12)
+
+    def test_time_windows_are_half_open(self):
+        engine = SurgeEngine(SurgeConfig(window_s=900.0))
+        engine.record_demand(DOWNTOWN, 0.0, count=9)
+        assert engine.multiplier(DOWNTOWN, 899.9) > 1.0
+        assert engine.multiplier(DOWNTOWN, 900.0) == pytest.approx(1.0)
+
     def test_surge_is_local_to_zone(self):
         engine = SurgeEngine()
         engine.record_demand(DOWNTOWN, 100.0, count=50)

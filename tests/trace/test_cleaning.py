@@ -75,6 +75,43 @@ class TestCleanTrips:
         ) == report.input_count - report.kept
         assert set(report.as_dict()) >= {"input_count", "kept"}
 
+    def test_a_trip_is_counted_against_the_first_filter_that_rejects_it(self):
+        # Too short and too far: the duration filter runs first.
+        trips = [trip("both", duration=10.0, distance=500.0)]
+        _, report = clean_trips(trips)
+        assert report.dropped_duration == 1
+        assert report.dropped_distance == 0
+
+    def test_a_repeated_id_is_a_duplicate_even_when_its_first_copy_was_dropped(self):
+        trips = [trip("same", duration=10.0), trip("same")]
+        kept, report = clean_trips(trips)
+        assert kept == []
+        assert report.dropped_duration == 1
+        assert report.dropped_duplicate == 1
+
+    def test_bounds_are_inclusive(self):
+        cfg = CleaningConfig()
+        edge = trip(
+            "edge",
+            duration=cfg.min_duration_s,
+            distance=cfg.min_distance_km,
+        )
+        kept, _ = clean_trips([edge], cfg)
+        assert [t.trip_id for t in kept] == ["edge"]
+
+    def test_bounding_box_filter_checks_the_destination_too(self):
+        outside = GeoPoint(40.0, -8.61)
+        trips = [trip("away", destination=outside, distance=5.0)]
+        kept, report = clean_trips(trips, CleaningConfig(bounding_box=PORTO))
+        assert kept == []
+        assert report.dropped_outside_area == 1
+
+    def test_invalid_distance_bounds(self):
+        with pytest.raises(ValueError):
+            CleaningConfig(min_distance_km=-1.0)
+        with pytest.raises(ValueError):
+            CleaningConfig(min_distance_km=5.0, max_distance_km=5.0)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             CleaningConfig(min_duration_s=100.0, max_duration_s=50.0)
@@ -91,6 +128,15 @@ class TestSelection:
     def test_first_n_by_time(self):
         trips = [trip("late", start=100.0), trip("early", start=1.0), trip("mid", start=50.0)]
         assert [t.trip_id for t in first_n_by_time(trips, 2)] == ["early", "mid"]
+
+    def test_first_n_by_time_breaks_ties_by_trip_id(self):
+        trips = [trip("b", start=5.0), trip("a", start=5.0), trip("c", start=1.0)]
+        assert [t.trip_id for t in first_n_by_time(trips, 3)] == ["c", "a", "b"]
+
+    def test_first_n_by_time_count_beyond_length_returns_all(self):
+        trips = [trip("x", start=2.0), trip("y", start=1.0)]
+        assert [t.trip_id for t in first_n_by_time(trips, 10)] == ["y", "x"]
+        assert first_n_by_time(trips, 0) == []
 
     def test_first_n_by_time_invalid(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for repro.trace.powerlaw."""
 
+import math
 import random
 
 import numpy as np
@@ -17,6 +18,16 @@ from repro.trace import (
 def draw(dist, rng, count):
     """``count`` independent samples of ``dist``."""
     return [dist.sample(rng) for _ in range(count)]
+
+
+class FixedUniform:
+    """A stand-in for ``random.Random`` whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestPowerLawDistribution:
@@ -50,6 +61,28 @@ class TestPowerLawDistribution:
         with pytest.raises(ValueError):
             PowerLawDistribution(alpha=1.8, x_min=1.0).mean()
 
+    def test_inverse_cdf_maps_the_unit_interval_onto_the_support(self):
+        dist = PowerLawDistribution(alpha=2.5, x_min=2.0, x_max=100.0)
+        assert dist.sample(FixedUniform(0.0)) == pytest.approx(2.0)
+        assert dist.sample(FixedUniform(1.0)) == pytest.approx(100.0)
+        assert dist.sample(FixedUniform(0.25)) < dist.sample(FixedUniform(0.75))
+
+    def test_unbounded_mean_closed_form(self):
+        # x_min * (alpha - 1) / (alpha - 2) = 2 * 2 / 1 at alpha = 3.
+        assert PowerLawDistribution(alpha=3.0, x_min=2.0).mean() == pytest.approx(4.0)
+
+    def test_truncated_mean_at_alpha_two_uses_the_log_limit(self):
+        # At alpha = 2 the numerator's x^(2-alpha)/(2-alpha) becomes ln(x).
+        dist = PowerLawDistribution(alpha=2.0, x_min=1.0, x_max=10.0)
+        expected = math.log(10.0) / (1.0 - 1.0 / 10.0)
+        assert dist.mean() == pytest.approx(expected)
+        samples = draw(dist, random.Random(7), 20000)
+        assert np.mean(samples) == pytest.approx(expected, rel=0.05)
+
+    def test_truncated_mean_lies_inside_the_support(self):
+        dist = PowerLawDistribution(alpha=1.5, x_min=3.0, x_max=50.0)
+        assert 3.0 < dist.mean() < 50.0
+
     def test_determinism_given_seed(self):
         dist = PowerLawDistribution(alpha=2.5, x_min=1.0, x_max=100.0)
         a = draw(dist, random.Random(42), 10)
@@ -73,6 +106,28 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_power_law_mle([2.0, 2.0, 2.0], x_min=2.0)
 
+    def test_mle_fits_only_the_tail_at_or_above_x_min(self):
+        samples = [0.5, 0.9, 1.0, 2.0, 4.0, 8.0]
+        fitted = fit_power_law_mle(samples, x_min=1.0)
+        tail = [1.0, 2.0, 4.0, 8.0]
+        expected = 1.0 + len(tail) / sum(math.log(x) for x in tail)
+        assert fitted.alpha == pytest.approx(expected)
+        assert fitted.x_min == 1.0
+        assert fitted.x_max == 8.0
+
+    def test_mle_ignores_non_positive_samples(self):
+        with_junk = fit_power_law_mle([-3.0, 0.0, 1.0, 2.0, 4.0])
+        clean = fit_power_law_mle([1.0, 2.0, 4.0])
+        assert with_junk == clean
+
+    def test_mle_rejects_a_non_positive_x_min(self):
+        with pytest.raises(ValueError):
+            fit_power_law_mle([1.0, 2.0, 3.0], x_min=0.0)
+
+    def test_mle_needs_two_samples_in_the_tail(self):
+        with pytest.raises(ValueError):
+            fit_power_law_mle([1.0, 2.0, 3.0], x_min=2.5)
+
     def test_mle_infers_x_min(self):
         samples = [1.0, 2.0, 4.0, 8.0, 16.0]
         fitted = fit_power_law_mle(samples)
@@ -93,6 +148,17 @@ class TestDescriptiveStats:
         heavy = draw(PowerLawDistribution(alpha=2.2, x_min=1.0), rng, 5000)
         light = [rng.gauss(10.0, 1.0) for _ in range(5000)]
         assert tail_heaviness(heavy) > tail_heaviness(light)
+
+    def test_tail_heaviness_is_scale_free(self):
+        samples = draw(PowerLawDistribution(alpha=2.5, x_min=1.0), random.Random(9), 2000)
+        scaled = [60.0 * s for s in samples]
+        assert tail_heaviness(scaled) == pytest.approx(tail_heaviness(samples))
+
+    def test_tail_heaviness_ignores_non_positive_samples(self):
+        samples = [1.0, 2.0, 3.0, 50.0]
+        assert tail_heaviness([0.0, -1.0] + samples) == tail_heaviness(samples)
+        with pytest.raises(ValueError):
+            tail_heaviness([0.0, -2.0])
 
     def test_tail_heaviness_requires_samples(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,13 @@ class TestTripRecord:
         assert trip.destination == polyline[-1]
         assert len(trip.polyline) == 3
 
+    def test_from_polyline_honours_the_sample_interval(self):
+        polyline = [A, A.offset_km(0.0, 1.0), A.offset_km(0.0, 2.0), A.offset_km(0.0, 3.0)]
+        trip = TripRecord.from_polyline("t", "d", 50.0, polyline, sample_interval_s=30.0)
+        assert trip.start_ts == 50.0
+        assert trip.end_ts == pytest.approx(50.0 + 3 * 30.0)
+        assert trip.average_speed_kmh == pytest.approx(120.0, rel=0.01)
+
     def test_from_polyline_requires_two_points(self):
         with pytest.raises(ValueError):
             TripRecord.from_polyline("t", "d", 0.0, [A])
